@@ -1,11 +1,13 @@
-"""Decomposition polynomials of a nonlinearity, generated by ring composition.
+"""Decomposition polynomials of a nonlinearity, from Taylor-coefficient recurrences.
 
-Writing the solution as y_0 + y_1*lam + y_2*lam^2 + ... and pushing
-f(x, y, y') through a truncated polynomial ring makes the n-th decomposition
-polynomial A_n appear as the coefficient of lam^n; no symbolic
-differentiation in lam is ever needed.  The demo checks the classical
-sanity property A_0 = f(x, y_0, y_0') and then shows the series forms of
-A_1, A_2 for an exponential nonlinearity.
+Writing the solution as y_0 + y_1*lam + y_2*lam^2 + ... makes the n-th
+decomposition polynomial A_n the coefficient of lam^n in f(x, y, y').  The
+expression is laid out once as a tape over its DAG, and each step appends one
+new coefficient to every node by a recurrence (Cauchy sum for products,
+E_k = (1/k) sum j a_j E_(k-j) for exp, ...); no symbolic differentiation in
+lam is ever needed.  The demo checks the classical sanity property
+A_0 = f(x, y_0, y_0') and then shows the series forms of A_1, A_2 for an
+exponential nonlinearity.
 """
 
 import math

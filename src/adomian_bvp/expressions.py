@@ -12,8 +12,10 @@ The grammar accepted by :func:`parse`:
   otherwise it must be an integer.
 
 Expressions evaluate over plain floats (:func:`eval_real`) and over the
-truncated decomposition ring (:func:`eval_lambda`).  ASTs are immutable and
-compare structurally.
+truncated decomposition ring: a :class:`Tape` lays the expression DAG out once
+and then adds one Taylor coefficient per node and step; :func:`eval_lambda`
+runs it to a given order.  ASTs are immutable and compare structurally, so
+equal subtrees share one tape node.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
 
 from . import lambda_ring as lr
 from .errors import (
@@ -353,72 +355,126 @@ def eval_real(e: Expr, x: float, y: float = 0.0, yp: float = 0.0) -> float:
 
 # --- evaluation over the decomposition ring ----------------------------------------
 
-def eval_lambda(
-    e: Expr, y_lambda: LambdaSeries, yp_lambda: LambdaSeries
-) -> LambdaSeries:
-    """Push the expression through the truncated decomposition ring.
+_ONE = Constant(1.0)
+_ZERO = GPSeries()
 
-    ``x`` maps to the first-power monomial at parameter order zero; ``y`` and
-    ``yp`` map to the supplied ring elements.  Ring errors are re-raised with
-    the offending subexpression appended.
-    """
-    if y_lambda.order != yp_lambda.order:
-        raise OrderMismatch(
-            f"y and y' lifts disagree: {y_lambda.order} vs {yp_lambda.order}"
-        )
-    return _eval_lambda(e, y_lambda, yp_lambda, y_lambda.order)
+# (k, the node's coefficients 0..k-1, its operands' coefficients) -> coefficient k
+_Rule = Callable[..., GPSeries]
+
+
+def _seed(value: GPSeries) -> _Rule:
+    """Rule of a node that is ``value`` at parameter order zero and 0 above it."""
+    return lambda k, out: value if k == 0 else _ZERO
+
+
+_BINARY_RULES = {
+    Add: lr.add_coeff, Sub: lr.sub_coeff, Mul: lr.mul_coeff, Div: lr.div_coeff
+}
 
 
 def _annotated(err: ComputeError, node: Expr) -> ComputeError:
     return type(err)(f"{err} [in {to_source(node)!r}]")
 
 
-def _eval_lambda(e: Expr, yl: LambdaSeries, ypl: LambdaSeries, order: int) -> LambdaSeries:
-    if isinstance(e, Constant):
-        return LambdaSeries.constant(e.value, order)
-    if isinstance(e, Var):
-        if e.name == "x":
-            return LambdaSeries.from_gpseries(GPSeries.monomial(1.0, 1.0), order)
-        return yl if e.name == "y" else ypl
-    if isinstance(e, PowXReal):
-        return LambdaSeries.from_gpseries(GPSeries.monomial(1.0, e.exponent), order)
-    if isinstance(e, Neg):
-        return lr.ring_scale(_eval_lambda(e.arg, yl, ypl, order), -1.0)
-    if isinstance(e, Add):
-        return lr.ring_add(
-            _eval_lambda(e.left, yl, ypl, order), _eval_lambda(e.right, yl, ypl, order)
+class Tape:
+    """An expression laid out for incremental evaluation over the decomposition ring.
+
+    The expression DAG is flattened once, operands before their users, and
+    equal subtrees (ASTs compare by value) share one node.  Every node keeps
+    the coefficients of the decomposition parameter computed so far.
+    :meth:`extend` appends coefficient k to every node, using one
+    per-coefficient recurrence of :mod:`.lambda_ring` each, so the k-th
+    decomposition polynomial costs one new coefficient per node rather than
+    a recomposition of the whole expression.
+    """
+
+    def __init__(self, e: Expr):
+        # Columns 0 and 1 are the inputs y and y'; each later one is a node.
+        self._columns: list[list[GPSeries]] = [[], []]
+        self._program: list[tuple[_Rule, tuple[int, ...], Expr | None]] = []
+        self._nodes: dict[Expr, int] = {Y: 0, YP: 1}
+        self._root = self._emit(e)
+
+    def _push(
+        self, rule: _Rule, operands: tuple[int, ...], annotate: Expr | None = None
+    ) -> int:
+        self._program.append((rule, operands, annotate))
+        self._columns.append([])
+        return len(self._columns) - 1
+
+    def _emit(self, e: Expr) -> int:
+        node = self._nodes.get(e)
+        if node is None:
+            node = self._nodes[e] = self._lay_out(e)
+        return node
+
+    def _lay_out(self, e: Expr) -> int:
+        if isinstance(e, Constant):
+            return self._push(_seed(GPSeries.constant(e.value)), ())
+        if isinstance(e, Var):  # y and yp are preset inputs, so this is x
+            return self._push(_seed(GPSeries.monomial(1.0, 1.0)), ())
+        if isinstance(e, PowXReal):
+            return self._push(_seed(GPSeries.monomial(1.0, e.exponent)), ())
+        if isinstance(e, Neg):
+            return self._push(lr.neg_coeff, (self._emit(e.arg),))
+        if isinstance(e, (Add, Sub, Mul, Div)):
+            operands = (self._emit(e.left), self._emit(e.right))
+            annotate = e if isinstance(e, Div) else None
+            return self._push(_BINARY_RULES[type(e)], operands, annotate)
+        if isinstance(e, (Exp, Ln)):
+            rule = lr.exp_coeff if isinstance(e, Exp) else lr.ln_coeff
+            return self._push(rule, (self._emit(e.arg),), e)
+        if isinstance(e, PowInt):
+            base = self._emit(e.base)
+            if e.power < 0:
+                base = self._push(lr.div_coeff, (self._emit(_ONE), base), e)
+            if e.power == 0:
+                return self._emit(_ONE)
+            return lr.binary_power(
+                base, abs(e.power), lambda a, b: self._push(lr.mul_coeff, (a, b), e)
+            )
+        raise TypeError(f"not an expression node: {e!r}")
+
+    def extend(self, y_k: GPSeries, yp_k: GPSeries) -> GPSeries:
+        """Append coefficient k, given the k-th coefficients of y and y', to every node.
+
+        Returns the root's coefficient k: the expression's k-th decomposition
+        polynomial.  A failed call leaves the tape unusable.
+
+        Raises:
+            ComputeError: from the recurrences.  Errors at exp, ln, division
+                and integer-power nodes name that subexpression.
+        """
+        columns = self._columns
+        k = len(columns[0])
+        columns[0].append(y_k)
+        columns[1].append(yp_k)
+        for out, (rule, operands, node) in enumerate(self._program, 2):
+            try:
+                value = rule(k, columns[out], *[columns[i] for i in operands])
+            except ComputeError as err:
+                if node is None:
+                    raise
+                raise _annotated(err, node) from err
+            columns[out].append(value)
+        return columns[self._root][k]
+
+
+def eval_lambda(
+    e: Expr, y_lambda: LambdaSeries, yp_lambda: LambdaSeries
+) -> LambdaSeries:
+    """Push the expression through the truncated decomposition ring.
+
+    ``x`` maps to the first-power monomial at parameter order zero; ``y`` and
+    ``yp`` map to the supplied ring elements.  Runs the expression's
+    :class:`Tape` to their common order; ring errors are re-raised with the
+    offending subexpression appended.
+    """
+    if y_lambda.order != yp_lambda.order:
+        raise OrderMismatch(
+            f"y and y' lifts disagree: {y_lambda.order} vs {yp_lambda.order}"
         )
-    if isinstance(e, Sub):
-        return lr.ring_sub(
-            _eval_lambda(e.left, yl, ypl, order), _eval_lambda(e.right, yl, ypl, order)
-        )
-    if isinstance(e, Mul):
-        return lr.ring_mul(
-            _eval_lambda(e.left, yl, ypl, order), _eval_lambda(e.right, yl, ypl, order)
-        )
-    if isinstance(e, Div):
-        num = _eval_lambda(e.left, yl, ypl, order)
-        den = _eval_lambda(e.right, yl, ypl, order)
-        try:
-            return lr.ring_mul(num, lr.ring_recip(den))
-        except ComputeError as err:
-            raise _annotated(err, e) from err
-    if isinstance(e, PowInt):
-        base = _eval_lambda(e.base, yl, ypl, order)
-        try:
-            return lr.ring_powi(base, e.power)
-        except ComputeError as err:
-            raise _annotated(err, e) from err
-    if isinstance(e, Exp):
-        arg = _eval_lambda(e.arg, yl, ypl, order)
-        try:
-            return lr.ring_exp(arg)
-        except ComputeError as err:
-            raise _annotated(err, e) from err
-    if isinstance(e, Ln):
-        arg = _eval_lambda(e.arg, yl, ypl, order)
-        try:
-            return lr.ring_ln(arg)
-        except ComputeError as err:
-            raise _annotated(err, e) from err
-    raise TypeError(f"not an expression node: {e!r}")
+    tape = Tape(e)
+    return LambdaSeries(
+        tuple(tape.extend(y, yp) for y, yp in zip(y_lambda.coeffs, yp_lambda.coeffs))
+    )

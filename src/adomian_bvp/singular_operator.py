@@ -45,11 +45,6 @@ class OperatorContext:
         """Value at 1 of the homogeneous integral x^(1-a)/(1-a)."""
         return 1.0 / (1.0 - self.alpha)
 
-    @property
-    def hp1(self) -> float:
-        """Derivative at 1 of the same integral, i.e. 1/p(1) = 1."""
-        return 1.0
-
 
 def h_series(ctx: OperatorContext) -> GPSeries:
     """The homogeneous solution int_0^x t^-a dt = x^(1-a)/(1-a)."""

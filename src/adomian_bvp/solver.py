@@ -26,10 +26,14 @@ from dataclasses import dataclass, field
 
 from . import series as gps
 from .errors import AdmError, InvalidExactSolution
-from .expressions import Expr, eval_lambda, free_vars
-from .lambda_ring import extract_adomian, lift_solution
+from .expressions import Expr, Tape, free_vars
 from .series import GPSeries
-from .singular_operator import OperatorContext, apply_inverse, h_series, inverse_at_one
+from .singular_operator import OperatorContext, apply_inverse, h_series
+
+# Not called here; bench/spans.py WRAPPED looks these names up on this module.
+from .expressions import eval_lambda  # noqa: F401
+from .lambda_ring import extract_adomian, lift_solution  # noqa: F401
+from .singular_operator import inverse_at_one  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -74,8 +78,8 @@ class Problem:
 
     @property
     def mixing_denominator(self) -> float:
-        ctx = OperatorContext(self.alpha, self.sigma)
-        return self.alpha1 * ctx.h1 + self.beta1 * ctx.hp1
+        """D = alpha1*h(1) + beta1*h'(1), where h'(1) = 1."""
+        return self.alpha1 * self.operator_context.h1 + self.beta1
 
 
 @dataclass(frozen=True)
@@ -97,12 +101,6 @@ class SolveReport:
     diagnostics: tuple[StepInfo, ...] = field(default_factory=tuple)
 
 
-def _adomian_polynomial(f: Expr, components: list[GPSeries], k: int) -> GPSeries:
-    """A_k for the current components: coefficient k of f pushed through the ring."""
-    y_lam, yp_lam = lift_solution(components, k)
-    return extract_adomian(eval_lambda(f, y_lam, yp_lam), k)
-
-
 def solve(problem: Problem, n: int = 10) -> SolveReport:
     """Run the recursion for n components and return them with their sum.
 
@@ -120,14 +118,16 @@ def solve(problem: Problem, n: int = 10) -> SolveReport:
     components: list[GPSeries] = [GPSeries.constant(problem.eta1)]
     diagnostics: list[StepInfo] = [StepInfo(0, len(components[0]), 0.0)]
 
+    tape = Tape(problem.f)
     for k in range(n - 1):
         started = time.perf_counter()
         try:
-            a_k = _adomian_polynomial(problem.f, components, k)
-            bleed = inverse_at_one(ctx, a_k)
+            a_k = tape.extend(components[k], gps.differentiate(components[k]))
+            image = apply_inverse(ctx, a_k)
+            bleed = gps.evaluate(image, 1.0)
             y_next = gps.add(
                 gps.scale(H, problem.alpha1 * bleed / D),
-                gps.scale(apply_inverse(ctx, a_k), -1.0),
+                gps.scale(image, -1.0),
             )
             if k == 0:
                 inhomogeneous = (problem.gamma1 - problem.alpha1 * problem.eta1) / D

@@ -4,9 +4,8 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Criterion 2 is split: the benchmark-1 tables reproduce within the
 stated 50% band, but several published cells of the benchmark-2/3 tables are
 irreproducible under the stated partial-sum convention (they embed shifted
-truncations; see notes/decisions.md for the forensic analysis and
-tests/test_published_tables.py for the exactly-recovered cells).  That slice
-is asserted as stated and is expected to fail.
+truncations; tests/test_published_tables.py pins the exactly-recovered
+cells).  That slice is asserted as stated and is expected to fail.
 """
 
 import contextlib
@@ -133,9 +132,9 @@ def test_criterion_2_reproduction_benchmarks_2_3(computed_tables):
     The stated convention (partial sum of n components, any evaluation grid)
     cannot reproduce these cells: the same pipeline recovers several of them
     to all six published digits only at n+1 / n+2 components, and reproduces
-    every printed component expansion exactly.  Full analysis sits in
-    notes/decisions.md; the recovered cells are pinned in
-    tests/test_published_tables.py.  Asserted as stated, honestly failing.
+    every printed component expansion exactly.  The recovered cells are
+    pinned in tests/test_published_tables.py.  Asserted as stated, honestly
+    failing.
     """
     cells, _ = computed_tables
     keys = [
@@ -150,7 +149,7 @@ def test_criterion_2_reproduction_benchmarks_2_3(computed_tables):
         print("criterion 2 (benchmark-2/3 tables within 50%): PASS")
     assert not bad, (
         f"{len(bad)}/27 cells deviate beyond 50% from the published tables "
-        "(known source-data inconsistency, see notes/decisions.md): "
+        "(known source-data inconsistency, see tests/test_published_tables.py): "
         + "; ".join(
             f"ex{e} beta={b} alpha={a} n={n}: got {got:.5e} ref {ref:.5e} "
             f"({dev:.1%})"

@@ -8,7 +8,13 @@ import pytest
 from support import FIRST_COMPONENT, PRINTED_COMPONENTS, assert_series_matches_printed
 
 from adomian_bvp.benchmarks import benchmark_problem
-from adomian_bvp.errors import InvalidExactSolution, LogResonance
+from adomian_bvp.errors import (
+    DivisionByZeroSeries,
+    InvalidExactSolution,
+    LogOfNonPositive,
+    LogResonance,
+    NonConstantBasePoint,
+)
 from adomian_bvp.expressions import parse
 from adomian_bvp.series import GPSeries, differentiate, evaluate
 from adomian_bvp.solver import Problem, SolveReport, partial_sum, solve
@@ -155,12 +161,27 @@ def test_solve_needs_positive_n():
         solve(benchmark_problem(1, 0.5, 1.0), 0)
 
 
-def test_solver_errors_carry_step_index():
-    # sigma = -1 makes the very first weighted exponent resonant
+@pytest.mark.parametrize(
+    "source,sigma,eta1,error,subexpression",
+    [
+        # sigma = -1 makes the very first weighted exponent resonant
+        pytest.param("1", -1.0, 0.0, LogResonance, None, id="resonance"),
+        # base-point failures of the ring, named after their node
+        pytest.param(
+            "exp(x)", 0.0, 0.0, NonConstantBasePoint, "exp(x)", id="exp-nonconstant"
+        ),
+        pytest.param("ln(y)", 0.0, -1.0, LogOfNonPositive, "ln(y)", id="ln-negative"),
+        pytest.param("1/y", 0.0, 0.0, DivisionByZeroSeries, "1.0/y", id="recip-zero"),
+    ],
+)
+def test_solver_errors_carry_step_index(source, sigma, eta1, error, subexpression):
     problem = Problem(
-        alpha=0.5, sigma=-1.0, f=parse("1"), eta1=0.0,
+        alpha=0.5, sigma=sigma, f=parse(source), eta1=eta1,
         alpha1=1.0, beta1=0.0, gamma1=1.0,
     )
-    with pytest.raises(LogResonance) as exc:
+    with pytest.raises(error) as exc:
         solve(problem, 3)
+    assert type(exc.value) is error
     assert "component 1" in str(exc.value)
+    if subexpression is not None:
+        assert str(exc.value).endswith(f"[in {subexpression!r}]")
