@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 
+from .errors import InvalidProblem
 from .expressions import (
     X,
     Y,
@@ -114,4 +115,4 @@ def benchmark_problem(example: int, alpha: float, beta: float = 1.0) -> Problem:
         return log_shift_problem(alpha)
     if example == 3:
         return exp_power_problem(alpha, beta)
-    raise ValueError(f"example must be one of {BENCHMARK_IDS}, got {example!r}")
+    raise InvalidProblem(f"example must be one of {BENCHMARK_IDS}, got {example!r}")

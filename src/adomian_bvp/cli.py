@@ -163,9 +163,6 @@ def main(argv: list[str] | None = None) -> int:
     except AdmError as err:
         print(f"error: {err.code}({err})", file=sys.stderr)
         return COMPUTE_ERROR
-    except ValueError as err:
-        print(f"error: InvalidProblem({err})", file=sys.stderr)
-        return INPUT_ERROR
 
 
 def entry_point() -> None:

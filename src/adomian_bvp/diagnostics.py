@@ -15,7 +15,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import series as gps
-from .errors import InvalidExactSolution, QuadratureFailure
+from .errors import InvalidExactSolution, InvalidProblem, QuadratureFailure
 from .expressions import Expr, eval_real, free_vars
 from .series import GPSeries
 from .singular_operator import RESONANCE_TOL, OperatorContext, apply_forward
@@ -48,18 +48,16 @@ def max_error(
 
     Raises:
         InvalidExactSolution: if the reference mentions y or yp.
-        ValueError: grid_size < 2.
+        InvalidProblem: grid_size < 2.
     """
     if free_vars(exact) - {"x"}:
         raise InvalidExactSolution(
             f"reference mentions variables {sorted(free_vars(exact))}"
         )
     if grid_size < 2:
-        raise ValueError(f"grid_size must be at least 2, got {grid_size!r}")
+        raise InvalidProblem(f"grid_size must be at least 2, got {grid_size!r}")
     xs = _uniform_grid(grid_size)
-    approx = gps.evaluate_many(psi, xs)
-    reference = np.array([eval_real(exact, x) for x in xs])
-    errors = np.abs(approx - reference)
+    errors = np.abs(gps.evaluate_many(psi, xs) - eval_real(exact, xs))
     imax = int(np.argmax(errors))
     pointwise = tuple(zip(xs.tolist(), errors.tolist())) if keep_pointwise else None
     return ErrorReport(
@@ -74,18 +72,19 @@ def max_error(
 def residual(
     psi: GPSeries, problem: Problem, grid_size: int
 ) -> list[tuple[float, float]]:
-    """(x^alpha psi')' - x^sigma f(x, psi, psi') sampled on the uniform grid."""
+    """(x^alpha psi')' - x^sigma f(x, psi, psi') sampled on the uniform grid.
+
+    Raises:
+        InvalidProblem: grid_size < 1.
+    """
     if grid_size < 1:
-        raise ValueError(f"grid_size must be at least 1, got {grid_size!r}")
-    lhs = apply_forward(problem.alpha, psi)
-    psi_prime = gps.differentiate(psi)
-    out = []
-    for x in _uniform_grid(grid_size):
-        rhs = x ** problem.sigma * eval_real(
-            problem.f, x, gps.evaluate(psi, x), gps.evaluate(psi_prime, x)
-        )
-        out.append((float(x), gps.evaluate(lhs, x) - rhs))
-    return out
+        raise InvalidProblem(f"grid_size must be at least 1, got {grid_size!r}")
+    xs = _uniform_grid(grid_size)
+    lhs = gps.evaluate_many(apply_forward(problem.alpha, psi), xs)
+    y = gps.evaluate_many(psi, xs)
+    yp = gps.evaluate_many(gps.differentiate(psi), xs)
+    rhs = xs ** problem.sigma * eval_real(problem.f, xs, y, yp)
+    return list(zip(xs.tolist(), (lhs - rhs).tolist()))
 
 
 def quadrature_oracle(

@@ -119,3 +119,12 @@ class DuplicateKey(InputError):
 
 class InvalidValue(InputError):
     """A problem-file value does not parse as its declared type."""
+
+
+# --- caller input --------------------------------------------------------------
+
+class InvalidProblem(InputError, ValueError):
+    """Caller-supplied problem data or an argument violates its invariants.
+
+    Also a ``ValueError``, so callers that catch that keep working.
+    """

@@ -25,6 +25,8 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Union
 
+import numpy as np
+
 from . import lambda_ring as lr
 from .errors import (
     ComputeError,
@@ -139,8 +141,11 @@ class _Parser:
         m = _NUMBER_RE.match(self.source, self.pos)
         if m is None:
             raise ParseError("expected a number", self.pos)
+        value = float(m.group())
+        if not math.isfinite(value):
+            raise ParseError(f"number {m.group()!r} is out of range", self.pos)
         self.pos = m.end()
-        return float(m.group())
+        return value
 
     def expression(self) -> Expr:
         node = self.term()
@@ -310,11 +315,28 @@ def free_vars(e: Expr) -> set[str]:
 
 # --- evaluation over floats -------------------------------------------------------
 
-def eval_real(e: Expr, x: float, y: float = 0.0, yp: float = 0.0) -> float:
-    """IEEE double evaluation at the point (x, y, yp).
+def _pointwise(fn: Callable[[float], float], v):
+    """``fn`` at v, or at every point of the array v.
+
+    exp, ln and real powers go through :mod:`math` point by point: numpy's
+    vectorised versions differ from the C library's in the last bit at some
+    points, and an array must give exactly the values of scalar calls.
+    """
+    if isinstance(v, np.ndarray):
+        return np.array([fn(t) for t in v.ravel().tolist()]).reshape(v.shape)
+    return fn(v)
+
+
+def eval_real(e: Expr, x, y=0.0, yp=0.0):
+    """IEEE double evaluation at the point (x, y, yp), or at every point of a grid.
+
+    x, y and yp are floats or numpy arrays of one shape; a float broadcasts.
+    Arithmetic runs elementwise, so one call evaluates a whole grid with the
+    values scalar calls would give point by point.
 
     Raises:
-        DivisionByZero, LogOfNonPositive, DomainError: on domain violations.
+        DivisionByZero, LogOfNonPositive, DomainError: when any point
+            violates the domain.
     """
     if isinstance(e, Constant):
         return e.value
@@ -330,26 +352,29 @@ def eval_real(e: Expr, x: float, y: float = 0.0, yp: float = 0.0) -> float:
         return eval_real(e.left, x, y, yp) * eval_real(e.right, x, y, yp)
     if isinstance(e, Div):
         denom = eval_real(e.right, x, y, yp)
-        if denom == 0.0:
+        if np.any(denom == 0.0):
             raise DivisionByZero(f"in {to_source(e)!r}")
         return eval_real(e.left, x, y, yp) / denom
     if isinstance(e, PowInt):
         base = eval_real(e.base, x, y, yp)
-        if e.power < 0 and base == 0.0:
+        if e.power < 0 and np.any(base == 0.0):
             raise DivisionByZero(f"0^{e.power} in {to_source(e)!r}")
-        return base ** e.power
+        return _pointwise(lambda b: b ** e.power, base)
     if isinstance(e, PowXReal):
-        try:
-            return math.pow(x, e.exponent)
-        except ValueError:
-            raise DomainError(f"x^{e.exponent:g} undefined at x = {x:g}") from None
+        def power(t: float) -> float:
+            try:
+                return math.pow(t, e.exponent)
+            except ValueError:
+                raise DomainError(f"x^{e.exponent:g} undefined at x = {t:g}") from None
+        return _pointwise(power, x)
     if isinstance(e, Exp):
-        return math.exp(eval_real(e.arg, x, y, yp))
+        return _pointwise(math.exp, eval_real(e.arg, x, y, yp))
     if isinstance(e, Ln):
-        v = eval_real(e.arg, x, y, yp)
-        if v <= 0.0:
-            raise LogOfNonPositive(f"ln({v:g}) in {to_source(e)!r}")
-        return math.log(v)
+        def log(t: float) -> float:
+            if t <= 0.0:
+                raise LogOfNonPositive(f"ln({t:g}) in {to_source(e)!r}")
+            return math.log(t)
+        return _pointwise(log, eval_real(e.arg, x, y, yp))
     raise TypeError(f"not an expression node: {e!r}")
 
 

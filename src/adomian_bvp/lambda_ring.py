@@ -28,14 +28,17 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TypeVar
 
+import numpy as np
+
 from . import series as gps
 from .errors import (
     DivisionByZeroSeries,
     LogOfNonPositive,
     NonConstantBasePoint,
+    NonFiniteTerm,
     OrderMismatch,
 )
-from .series import GPSeries, Term
+from .series import GPSeries
 
 _T = TypeVar("_T")
 _Coeffs = Sequence[GPSeries]
@@ -100,8 +103,8 @@ def base_point(c0: GPSeries) -> float:
     """
     if c0.is_zero:
         return 0.0
-    if len(c0) == 1 and abs(c0.terms[0].exponent) <= gps.EXPONENT_MERGE_TOL:
-        return c0.terms[0].coeff
+    if len(c0) == 1 and abs(c0.exponents[0]) <= gps.EXPONENT_MERGE_TOL:
+        return float(c0.coeffs[0])
     raise NonConstantBasePoint(
         f"order-zero coefficient is not constant: {gps.format_series(c0)}"
     )
@@ -118,9 +121,18 @@ def _product(a: GPSeries, b: GPSeries) -> GPSeries:
 
 
 def _combine(parts: Iterable[tuple[float, GPSeries]]) -> GPSeries:
-    """The sum of weight * series over the parts, normalized once."""
-    return gps.normalize(
-        [Term(w * t.coeff, t.exponent) for w, s in parts for t in s.terms]
+    """The sum of weight * series over the parts, normalized once.
+
+    A single nonzero part only needs scaling: its terms are already sorted
+    and merged, and normalizing them again changes nothing.
+    """
+    live = [(w, s) for w, s in parts if not s.is_zero]
+    if len(live) <= 1:
+        return gps.scale(live[0][1], live[0][0]) if live else _ZERO
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = [s.coeffs if w == 1.0 else w * s.coeffs for w, s in live]
+    return gps.from_arrays(
+        np.concatenate(coeffs), np.concatenate([s.exponents for _, s in live])
     )
 
 
@@ -161,9 +173,14 @@ def exp_coeff(k: int, out: _Coeffs, a: _Coeffs) -> GPSeries:
 
     Raises:
         NonConstantBasePoint: a_0 not a constant.
+        NonFiniteTerm: exp(a_0) overflows.
     """
     if k == 0:
-        return GPSeries.constant(math.exp(base_point(a[0])))
+        a0 = base_point(a[0])
+        try:
+            return GPSeries.constant(math.exp(a0))
+        except OverflowError:
+            raise NonFiniteTerm(f"exp({a0!r}) overflows") from None
     return _combine((j / k, _product(a[j], out[k - j])) for j in range(1, k + 1))
 
 

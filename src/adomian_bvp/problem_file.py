@@ -36,7 +36,8 @@ def parse_problem_text(text: str) -> Problem:
     Raises:
         MissingKey, UnknownKey, DuplicateKey, InvalidValue: format violations.
         ParseError, UnsupportedPower: bad expression source inside f/exact.
-        ValueError, InvalidExactSolution: violated problem invariants.
+        InvalidProblem, InvalidExactSolution: violated problem invariants,
+            including a number that is not finite.
     """
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -86,8 +87,16 @@ def parse_problem_text(text: str) -> Problem:
 
 
 def load_problem(path: str | Path) -> Problem:
-    """Read and parse a problem file from disk."""
-    return parse_problem_text(Path(path).read_text(encoding="utf-8"))
+    """Read and parse a problem file from disk.
+
+    Raises:
+        InvalidValue: the file is not UTF-8 text.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise InvalidValue(f"{path}: not UTF-8 text ({err.reason})") from None
+    return parse_problem_text(text)
 
 
 def dump_problem(problem: Problem) -> str:

@@ -1,12 +1,21 @@
 """Arithmetic on finite sums of real powers of x.
 
-A series here is a sparse, sorted list of ``coeff * x**exponent`` terms with
-real (not necessarily integer) exponents.  Solution components, their
-derivatives and partial sums are all values of this one type, so the whole
-solver reduces to a handful of exact term-wise operations on it.
+A series here is a sparse sum of ``coeff * x**exponent`` terms with real (not
+necessarily integer) exponents, stored as two float64 arrays sorted by
+strictly increasing exponent.  Solution components, their derivatives and
+partial sums are all values of this one type, so the whole solver reduces to
+a handful of exact term-wise operations on it.
 
-Values are immutable and every operation is a pure function; series can be
-shared freely between threads.
+Every operation builds its raw terms as arrays (``mul`` an outer product,
+``add`` a concatenation) and hands them to one kernel, :func:`from_arrays`:
+a stable sort, a merge of exponents within ``EXPONENT_MERGE_TOL`` of the
+first exponent of their group, and a relative prune.  The kernel reproduces
+the term-by-term definition bit for bit: equal exponents keep their input
+order, a group sums its coefficients in that order, and the first non-finite
+input term is the one an error names.
+
+Values are immutable (their arrays are read-only) and every operation is a
+pure function; series can be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -39,83 +48,208 @@ class Term:
     exponent: float
 
 
-@dataclass(frozen=True)
+def _frozen(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values
+
+
 class GPSeries:
     """A finite sum of real powers of x, sorted by strictly increasing exponent.
 
-    The empty tuple represents the zero series.  Build instances through
-    :func:`normalize` or the constructors below; raw construction skips the
-    merge/prune pass.
+    ``coeffs`` and ``exponents`` are read-only float64 arrays of equal length;
+    empty arrays represent the zero series.  Build instances through
+    :func:`normalize`, :func:`from_arrays` or the constructors below; raw
+    construction from a sequence of :class:`Term` skips the merge/prune pass,
+    and the operations below rely on their operands being sorted and merged.
     """
 
-    terms: tuple[Term, ...] = ()
+    __slots__ = ("coeffs", "exponents", "_terms")
+
+    def __init__(self, terms: Iterable[Term] = ()):
+        terms = tuple(terms)
+        self.coeffs = _frozen(np.array([t.coeff for t in terms], dtype=float))
+        self.exponents = _frozen(np.array([t.exponent for t in terms], dtype=float))
+        self._terms = None
+
+    @staticmethod
+    def _of(coeffs: np.ndarray, exponents: np.ndarray) -> "GPSeries":
+        s = object.__new__(GPSeries)
+        s.coeffs, s.exponents, s._terms = _frozen(coeffs), _frozen(exponents), None
+        return s
 
     @staticmethod
     def zero() -> "GPSeries":
-        return GPSeries()
+        return _ZERO
 
     @staticmethod
     def constant(value: float) -> "GPSeries":
-        return normalize([Term(float(value), 0.0)])
+        return GPSeries.monomial(value, 0.0)
 
     @staticmethod
     def monomial(coeff: float, exponent: float) -> "GPSeries":
-        return normalize([Term(float(coeff), float(exponent))])
+        coeff, exponent = float(coeff), float(exponent)
+        if not (math.isfinite(coeff) and math.isfinite(exponent)):
+            raise NonFiniteTerm(f"term ({coeff!r}, {exponent!r}) is not finite")
+        if coeff == 0.0:
+            return _ZERO
+        return GPSeries._of(np.array([coeff]), np.array([exponent]))
+
+    @property
+    def terms(self) -> tuple[Term, ...]:
+        """The terms in increasing exponent order, with Python float fields."""
+        if self._terms is None:
+            self._terms = tuple(
+                map(Term, self.coeffs.tolist(), self.exponents.tolist())
+            )
+        return self._terms
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not len(self.coeffs)
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.coeffs)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GPSeries):
+            return NotImplemented
+        return np.array_equal(self.coeffs, other.coeffs) and np.array_equal(
+            self.exponents, other.exponents
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.terms)
+
+    def __repr__(self) -> str:
+        return f"GPSeries(terms={self.terms!r})"
+
+
+_EMPTY = np.empty(0)
+_ZERO = GPSeries._of(_EMPTY, _EMPTY)
+
+
+def _raise_non_finite(coeffs: np.ndarray, exponents: np.ndarray) -> None:
+    """Raise NonFiniteTerm naming the first non-finite input term."""
+    bad = ~(np.isfinite(coeffs) & np.isfinite(exponents))
+    if bad.any():
+        i = int(bad.argmax())
+        c, e = float(coeffs[i]), float(exponents[i])
+        raise NonFiniteTerm(f"term ({c!r}, {e!r}) is not finite")
+    raise NonFiniteTerm("a merged coefficient overflows")
+
+
+def _anchored_groups(exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group ids (from 1) and anchors, each group anchored at its first exponent."""
+    group = np.empty(len(exponents), dtype=np.intp)
+    anchors: list[float] = []
+    for i, e in enumerate(exponents.tolist()):
+        if not anchors or e - anchors[-1] > EXPONENT_MERGE_TOL:
+            anchors.append(e)
+        group[i] = len(anchors)
+    return group, np.array(anchors)
+
+
+def _pruned(
+    coeffs: np.ndarray, exponents: np.ndarray, raw: tuple[np.ndarray, np.ndarray]
+) -> GPSeries:
+    """Drop exact zeros and coefficients below the relative threshold.
+
+    ``raw`` is the kernel's input, searched for the term to name when a
+    coefficient is not finite.
+    """
+    magnitude = np.abs(coeffs)
+    largest = magnitude.max()
+    if not math.isfinite(largest):
+        _raise_non_finite(*raw)
+    threshold = PRUNE_REL_THRESHOLD * largest
+    if threshold > 0.0 and magnitude.min() >= threshold:
+        return GPSeries._of(coeffs, exponents)
+    keep = magnitude >= threshold if threshold > 0.0 else magnitude > 0.0
+    return GPSeries._of(coeffs[keep], exponents[keep])
+
+
+def from_arrays(coeffs: np.ndarray, exponents: np.ndarray) -> GPSeries:
+    """Sort terms, merge near-equal exponents, drop negligible coefficients.
+
+    The kernel under every operation of this module.  Terms are sorted stably
+    by exponent.  A term whose exponent lies within ``EXPONENT_MERGE_TOL`` of
+    the first exponent of the current group joins it, and each group sums
+    its coefficients in input order.  Exact zeros and coefficients below
+    ``PRUNE_REL_THRESHOLD`` times the largest are dropped.  Idempotent.  The
+    input arrays are not modified.
+
+    Raises:
+        NonFiniteTerm: if any coefficient or exponent is NaN or infinite
+            (naming the first such term), or a merged coefficient overflows.
+    """
+    if not len(coeffs):
+        return _ZERO
+    order = exponents.argsort(kind="stable")
+    c, e = coeffs[order], exponents[order]
+    if not (math.isfinite(e[0]) and math.isfinite(e[-1])):  # NaN sorts last
+        _raise_non_finite(coeffs, exponents)
+    gaps = e[1:] - e[:-1]
+    joins = gaps <= EXPONENT_MERGE_TOL
+    if np.count_nonzero(joins):
+        head = np.empty(len(e), dtype=bool)
+        head[0] = True
+        np.logical_not(joins, out=head[1:])
+        group, anchors = head.cumsum(), e[head]
+        # These groups chain consecutive gaps, but a group is anchored at its
+        # first exponent.  The two differ only where the joined gaps of one
+        # group add up past the tolerance; unless the total of all joined
+        # gaps comes near it, that cannot happen.
+        if gaps @ joins > 0.5 * EXPONENT_MERGE_TOL:
+            group, anchors = _anchored_groups(e)
+        c, e = np.bincount(group, weights=c)[1:], anchors
+    return _pruned(c, e, (coeffs, exponents))
 
 
 def normalize(raw_terms: Iterable[Term | Sequence[float]]) -> GPSeries:
-    """Sort terms, merge near-equal exponents, drop negligible coefficients.
-
-    Terms whose exponents differ by at most ``EXPONENT_MERGE_TOL`` are summed
-    into one; coefficients below ``PRUNE_REL_THRESHOLD`` times the largest
-    surviving coefficient (and exact zeros) are dropped.  Idempotent.
+    """:func:`from_arrays` over terms given as :class:`Term` or (coeff, exponent) pairs.
 
     Raises:
         NonFiniteTerm: if any coefficient or exponent is NaN or infinite.
     """
-    terms: list[Term] = []
+    coeffs: list[float] = []
+    exponents: list[float] = []
     for t in raw_terms:
-        if not isinstance(t, Term):
-            t = Term(float(t[0]), float(t[1]))
-        if not (math.isfinite(t.coeff) and math.isfinite(t.exponent)):
-            raise NonFiniteTerm(f"term ({t.coeff!r}, {t.exponent!r}) is not finite")
-        terms.append(t)
-    if not terms:
-        return GPSeries()
-
-    terms.sort(key=lambda t: t.exponent)
-    merged: list[Term] = [terms[0]]
-    for t in terms[1:]:
-        if t.exponent - merged[-1].exponent <= EXPONENT_MERGE_TOL:
-            merged[-1] = Term(merged[-1].coeff + t.coeff, merged[-1].exponent)
+        if isinstance(t, Term):
+            coeffs.append(t.coeff)
+            exponents.append(t.exponent)
         else:
-            merged.append(t)
-
-    largest = max(abs(t.coeff) for t in merged)
-    kept = tuple(
-        t for t in merged
-        if t.coeff != 0.0 and abs(t.coeff) >= PRUNE_REL_THRESHOLD * largest
-    )
-    return GPSeries(kept)
+            coeffs.append(float(t[0]))
+            exponents.append(float(t[1]))
+    return from_arrays(np.array(coeffs, dtype=float), np.array(exponents, dtype=float))
 
 
 def add(a: GPSeries, b: GPSeries) -> GPSeries:
     """Term-wise sum of two series."""
-    return normalize(list(a.terms) + list(b.terms))
+    if b.is_zero:
+        return a
+    if a.is_zero:
+        return b
+    return from_arrays(
+        np.concatenate((a.coeffs, b.coeffs)), np.concatenate((a.exponents, b.exponents))
+    )
 
 
 def scale(a: GPSeries, k: float) -> GPSeries:
-    """Multiply every coefficient by the scalar k."""
+    """Multiply every coefficient by the scalar k.
+
+    The exponents keep their sorted, merged order, so only the prune runs again.
+    """
     if k == 0.0:
-        return GPSeries()
-    return normalize([Term(t.coeff * k, t.exponent) for t in a.terms])
+        return _ZERO
+    if k == 1.0 or a.is_zero:
+        return a
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = a.coeffs * k
+    return _pruned(coeffs, a.exponents, (coeffs, a.exponents))
+
+
+def _is_constant(a: GPSeries) -> bool:
+    return len(a) == 1 and a.exponents[0] == 0.0
 
 
 def mul(a: GPSeries, b: GPSeries, cap: int = DEFAULT_TERM_CAP) -> GPSeries:
@@ -124,30 +258,31 @@ def mul(a: GPSeries, b: GPSeries, cap: int = DEFAULT_TERM_CAP) -> GPSeries:
     Raises:
         TermBlowup: if the raw pairwise product would exceed ``cap`` terms.
     """
-    if len(a.terms) * len(b.terms) > cap:
-        raise TermBlowup(
-            f"product of {len(a.terms)} x {len(b.terms)} terms exceeds cap {cap}"
-        )
-    raw = [
-        Term(ta.coeff * tb.coeff, ta.exponent + tb.exponent)
-        for ta in a.terms
-        for tb in b.terms
-    ]
-    return normalize(raw)
+    if len(a) * len(b) > cap:
+        raise TermBlowup(f"product of {len(a)} x {len(b)} terms exceeds cap {cap}")
+    if a.is_zero or b.is_zero:
+        return _ZERO
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = np.multiply.outer(a.coeffs, b.coeffs).ravel()
+        exponents = np.add.outer(a.exponents, b.exponents).ravel()
+    if _is_constant(a) or _is_constant(b):
+        # Adding an exponent of 0 moves none: the other factor's order and
+        # gaps stand, and only the prune runs again.
+        return _pruned(coeffs, exponents, (coeffs, exponents))
+    return from_arrays(coeffs, exponents)
 
 
 def differentiate(a: GPSeries) -> GPSeries:
     """Power-rule derivative; constant terms vanish."""
-    raw = [
-        Term(t.coeff * t.exponent, t.exponent - 1.0)
-        for t in a.terms
-        if abs(t.exponent) > EXPONENT_MERGE_TOL
-    ]
-    return normalize(raw)
+    live = np.abs(a.exponents) > EXPONENT_MERGE_TOL
+    exponents = a.exponents[live]
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = a.coeffs[live] * exponents
+    return from_arrays(coeffs, exponents - 1.0)
 
 
 def evaluate(a: GPSeries, x: float) -> float:
-    """Sum c * x**e over all terms.
+    """Sum c * x**e over all terms, left to right in Python floats.
 
     For x > 0 every real exponent is fine.  x = 0 is permitted only when all
     exponents are nonnegative (with 0**0 := 1); x < 0 only when all exponents
@@ -156,22 +291,22 @@ def evaluate(a: GPSeries, x: float) -> float:
     Raises:
         DomainError: negative or fractional exponent at x <= 0.
     """
+    pairs = zip(a.coeffs.tolist(), a.exponents.tolist())
     if x > 0.0:
-        return sum((t.coeff * x ** t.exponent for t in a.terms), 0.0)
-    if x == 0.0:
-        total = 0.0
-        for t in a.terms:
-            if t.exponent < -EXPONENT_MERGE_TOL:
-                raise DomainError(f"x^{t.exponent:g} is singular at x = 0")
-            if abs(t.exponent) <= EXPONENT_MERGE_TOL:
-                total += t.coeff
-        return total
+        return sum((c * x ** e for c, e in pairs), 0.0)
     total = 0.0
-    for t in a.terms:
-        k = round(t.exponent)
-        if k < 0 or abs(t.exponent - k) > EXPONENT_MERGE_TOL:
-            raise DomainError(f"x^{t.exponent:g} is undefined for x = {x:g} < 0")
-        total += t.coeff * x ** k
+    if x == 0.0:
+        for c, e in pairs:
+            if e < -EXPONENT_MERGE_TOL:
+                raise DomainError(f"x^{e:g} is singular at x = 0")
+            if abs(e) <= EXPONENT_MERGE_TOL:
+                total += c
+        return total
+    for c, e in pairs:
+        k = round(e)
+        if k < 0 or abs(e - k) > EXPONENT_MERGE_TOL:
+            raise DomainError(f"x^{e:g} is undefined for x = {x:g} < 0")
+        total += c * x ** k
     return total
 
 
@@ -181,8 +316,8 @@ def evaluate_many(a: GPSeries, xs: np.ndarray) -> np.ndarray:
     if np.any(xs <= 0.0):
         raise DomainError("grid evaluation requires strictly positive points")
     out = np.zeros_like(xs)
-    for t in a.terms:
-        out += t.coeff * xs ** t.exponent
+    for c, e in zip(a.coeffs.tolist(), a.exponents.tolist()):
+        out += c * xs ** e
     return out
 
 
@@ -190,4 +325,6 @@ def format_series(a: GPSeries) -> str:
     """Render a series as ``{coeff:.10e}*x^{exponent:.6g}`` terms joined by ' + '."""
     if a.is_zero:
         return "0"
-    return " + ".join(f"{t.coeff:.10e}*x^{t.exponent:.6g}" for t in a.terms)
+    return " + ".join(
+        f"{c:.10e}*x^{e:.6g}" for c, e in zip(a.coeffs.tolist(), a.exponents.tolist())
+    )

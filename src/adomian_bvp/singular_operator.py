@@ -22,9 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import series as gps
-from .errors import Divergent, LogResonance, OuterResonance
-from .series import GPSeries, Term
+from .errors import Divergent, InvalidProblem, LogResonance, OuterResonance
+from .series import GPSeries
 
 RESONANCE_TOL = 1e-12  # matches the exponent-merge tolerance
 
@@ -38,7 +40,7 @@ class OperatorContext:
 
     def __post_init__(self):
         if not 0.0 <= self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in [0, 1), got {self.alpha!r}")
+            raise InvalidProblem(f"alpha must lie in [0, 1), got {self.alpha!r}")
 
     @property
     def h1(self) -> float:
@@ -51,10 +53,10 @@ def h_series(ctx: OperatorContext) -> GPSeries:
     return GPSeries.monomial(1.0 / (1.0 - ctx.alpha), 1.0 - ctx.alpha)
 
 
-def _image_of_term(ctx: OperatorContext, t: Term) -> tuple[Term, Term]:
-    r = t.exponent + ctx.sigma
+def _check_exponent(ctx: OperatorContext, exponent: float) -> None:
+    r = exponent + ctx.sigma
     if abs(r + 1.0) <= RESONANCE_TOL:
-        raise LogResonance(f"weighted exponent {r:g} hits -1 (term x^{t.exponent:g})")
+        raise LogResonance(f"weighted exponent {r:g} hits -1 (term x^{exponent:g})")
     tail = r + 2.0 - ctx.alpha
     if abs(tail) <= RESONANCE_TOL:
         raise OuterResonance(
@@ -65,9 +67,6 @@ def _image_of_term(ctx: OperatorContext, t: Term) -> tuple[Term, Term]:
             f"weighted exponent {r:g} below alpha-2 = {ctx.alpha - 2.0:g}: "
             "integral diverges"
         )
-    lead = Term(t.coeff / ((r + 1.0) * (1.0 - ctx.alpha)), 1.0 - ctx.alpha)
-    trail = Term(-t.coeff / ((r + 1.0) * tail), tail)
-    return lead, trail
 
 
 def apply_inverse(ctx: OperatorContext, g: GPSeries) -> GPSeries:
@@ -76,14 +75,29 @@ def apply_inverse(ctx: OperatorContext, g: GPSeries) -> GPSeries:
     Satisfies (x^a * result')' = -x^s * g, and every output exponent is at
     least 1-a > 0, so the image always vanishes at x = 0 and its combination
     a1*u(1) + b1*u'(1) reduces to a1*u(1) (the derivative vanishes at 1).
+    The raw image lists the two terms of each term of g in turn, x^(1-a)
+    first, so that equal exponents merge in the same order as term by term.
 
     Raises:
-        LogResonance, OuterResonance, Divergent: inadmissible exponents.
+        LogResonance, OuterResonance, Divergent: inadmissible exponents, for
+            the first offending term.
     """
-    raw: list[Term] = []
-    for t in g.terms:
-        raw.extend(_image_of_term(ctx, t))
-    return gps.normalize(raw)
+    if g.is_zero:
+        return g
+    r = g.exponents + ctx.sigma
+    r1 = r + 1.0
+    tail = r + 2.0 - ctx.alpha
+    if np.abs(r1).min() <= RESONANCE_TOL or tail.min() <= RESONANCE_TOL:
+        for exponent in g.exponents.tolist():
+            _check_exponent(ctx, exponent)
+    coeffs = np.empty(2 * len(g))
+    exponents = np.empty(2 * len(g))
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs[0::2] = g.coeffs / (r1 * (1.0 - ctx.alpha))
+        coeffs[1::2] = -g.coeffs / (r1 * tail)
+    exponents[0::2] = 1.0 - ctx.alpha
+    exponents[1::2] = tail
+    return gps.from_arrays(coeffs, exponents)
 
 
 def inverse_at_one(ctx: OperatorContext, g: GPSeries) -> float:

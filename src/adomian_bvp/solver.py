@@ -21,11 +21,12 @@ by construction — no algebraic equations for unknown constants arise.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 from . import series as gps
-from .errors import AdmError, InvalidExactSolution
+from .errors import AdmError, InvalidExactSolution, InvalidProblem
 from .expressions import Expr, Tape, free_vars
 from .series import GPSeries
 from .singular_operator import OperatorContext, apply_inverse, h_series
@@ -54,15 +55,19 @@ class Problem:
     exact: Expr | None = None
 
     def __post_init__(self):
+        for name in ("alpha", "sigma", "eta1", "alpha1", "beta1", "gamma1"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidProblem(f"{name} must be finite, got {value!r}")
         if not 0.0 <= self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in [0, 1), got {self.alpha!r}")
+            raise InvalidProblem(f"alpha must lie in [0, 1), got {self.alpha!r}")
         if not self.alpha1 > 0.0:
-            raise ValueError(f"alpha1 must be positive, got {self.alpha1!r}")
+            raise InvalidProblem(f"alpha1 must be positive, got {self.alpha1!r}")
         if not self.beta1 >= 0.0:
-            raise ValueError(f"beta1 must be nonnegative, got {self.beta1!r}")
+            raise InvalidProblem(f"beta1 must be nonnegative, got {self.beta1!r}")
         extra = free_vars(self.f) - {"x", "y", "yp"}
         if extra:
-            raise ValueError(f"f mentions unknown variables {sorted(extra)}")
+            raise InvalidProblem(f"f mentions unknown variables {sorted(extra)}")
         if self.exact is not None and free_vars(self.exact) - {"x"}:
             raise InvalidExactSolution(
                 "exact solution may only mention x, got "
@@ -70,7 +75,7 @@ class Problem:
             )
         # Positive alpha1 and h(1) > 0 already force this; assert anyway.
         if self.mixing_denominator == 0.0:
-            raise ValueError("degenerate boundary data: alpha1*h(1) + beta1*h'(1) = 0")
+            raise InvalidProblem("degenerate boundary data: alpha1*h(1) + beta1*h'(1) = 0")
 
     @property
     def operator_context(self) -> OperatorContext:
@@ -105,11 +110,11 @@ def solve(problem: Problem, n: int = 10) -> SolveReport:
     """Run the recursion for n components and return them with their sum.
 
     Raises:
-        ValueError: n < 1.
+        InvalidProblem: n < 1.
         AdmError: ring/operator failures, re-raised tagged with the step index.
     """
     if n < 1:
-        raise ValueError(f"need at least one component, got n = {n!r}")
+        raise InvalidProblem(f"need at least one component, got n = {n!r}")
 
     ctx = problem.operator_context
     H = h_series(ctx)
@@ -148,7 +153,7 @@ def solve(problem: Problem, n: int = 10) -> SolveReport:
 def partial_sum(report: SolveReport, m: int) -> GPSeries:
     """Sum of the first m components, 1 <= m <= n."""
     if not 1 <= m <= report.n:
-        raise ValueError(f"m must lie in [1, {report.n}], got {m!r}")
+        raise InvalidProblem(f"m must lie in [1, {report.n}], got {m!r}")
     out = GPSeries.zero()
     for c in report.components[:m]:
         out = gps.add(out, c)

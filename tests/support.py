@@ -11,7 +11,12 @@ from __future__ import annotations
 import math
 import re
 
-from adomian_bvp.series import GPSeries
+from adomian_bvp.errors import NonFiniteTerm
+from adomian_bvp.series import (
+    EXPONENT_MERGE_TOL,
+    PRUNE_REL_THRESHOLD,
+    GPSeries,
+)
 
 # --- tolerance from printed significant digits --------------------------------
 
@@ -43,6 +48,39 @@ def assert_series_matches_printed(
             f"coefficient of x^{exponent}: got {term.coeff!r}, printed {coeff_str} "
             f"(rel dev {rel:.2e} > {printed_rel_tol(coeff_str):.2e})"
         )
+
+
+# --- reference normalization ----------------------------------------------------
+
+
+def reference_normalize(raw_terms) -> list[tuple[float, float]]:
+    """The term-by-term normalization the array kernel must reproduce bit for bit.
+
+    A stable sort by exponent; a merge anchored at the first exponent of each
+    group (the anchor never moves), summing coefficients left to right; then a
+    prune of exact zeros and of coefficients below ``PRUNE_REL_THRESHOLD``
+    times the largest.  Returns the kept (coeff, exponent) pairs.
+    """
+    terms = []
+    for c, e in raw_terms:
+        c, e = float(c), float(e)
+        if not (math.isfinite(c) and math.isfinite(e)):
+            raise NonFiniteTerm(f"term ({c!r}, {e!r}) is not finite")
+        terms.append((c, e))
+    if not terms:
+        return []
+    terms.sort(key=lambda t: t[1])
+    merged = [terms[0]]
+    for c, e in terms[1:]:
+        if e - merged[-1][1] <= EXPONENT_MERGE_TOL:
+            merged[-1] = (merged[-1][0] + c, merged[-1][1])
+        else:
+            merged.append((c, e))
+    largest = max(abs(c) for c, _ in merged)
+    return [
+        (c, e) for c, e in merged
+        if c != 0.0 and abs(c) >= PRUNE_REL_THRESHOLD * largest
+    ]
 
 
 # --- printed component expansions ----------------------------------------------

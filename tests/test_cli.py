@@ -109,6 +109,33 @@ def test_solve_compute_error_exit_code(tmp_path, capsys):
     assert "LogResonance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "eta1,code,exit_code",
+    [
+        ("1e308", "NonFiniteTerm", 4),  # exp(eta1) overflows
+        ("nan", "InvalidProblem", 3),
+        ("inf", "InvalidProblem", 3),
+    ],
+)
+def test_solve_extreme_eta1_is_one_structured_error(tmp_path, capsys, eta1, code, exit_code):
+    text = re.sub(r"(?m)^eta1 = .*$", f"eta1 = {eta1}", EX1_FILE)
+    bad = tmp_path / "extreme.prob"
+    bad.write_text(text, encoding="utf-8")
+    assert main(["solve", str(bad)]) == exit_code
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert re.fullmatch(rf"error: {code}\(.+\)", lines[0]), lines[0]
+    assert captured.out == ""
+
+
+def test_solve_undecodable_file_is_an_input_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.prob"
+    bad.write_bytes(EX1_FILE.encode("utf-8") + b"# \xe9\n")
+    assert main(["solve", str(bad)]) == 3
+    assert capsys.readouterr().err.startswith("error: InvalidValue(")
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["solve"])  # missing file argument

@@ -12,9 +12,9 @@ from adomian_bvp.diagnostics import (
     residual,
 )
 from adomian_bvp.errors import InvalidExactSolution, QuadratureFailure
-from adomian_bvp.expressions import parse
-from adomian_bvp.series import GPSeries, evaluate
-from adomian_bvp.singular_operator import OperatorContext, apply_inverse
+from adomian_bvp.expressions import eval_real, parse
+from adomian_bvp.series import GPSeries, differentiate, evaluate, evaluate_many
+from adomian_bvp.singular_operator import OperatorContext, apply_forward, apply_inverse
 from adomian_bvp.solver import Problem, partial_sum, solve
 
 
@@ -93,6 +93,26 @@ def test_residual_single_point_grid():
     problem = benchmark_problem(3, 0.5, 1.0)
     pairs = residual(GPSeries.constant(1.0), problem, 1)
     assert len(pairs) == 1 and pairs[0][0] == 1.0
+
+
+@pytest.mark.parametrize("example,beta", [(1, 3.5), (2, 1.0), (3, 2.5)])
+def test_residual_grid_agrees_with_pointwise_evaluation(example, beta):
+    problem = benchmark_problem(example, 0.37, beta)
+    psi = solve(problem, 10).psi
+    lhs = apply_forward(problem.alpha, psi)
+    psi_prime = differentiate(psi)
+    for x, r in residual(psi, problem, 250):
+        y, yp = evaluate(psi, x), evaluate(psi_prime, x)
+        want = evaluate(lhs, x) - x ** problem.sigma * eval_real(problem.f, x, y, yp)
+        assert abs(r - want) <= 1e-12
+
+
+def test_max_error_matches_pointwise_reference_bit_for_bit():
+    problem = benchmark_problem(1, 0.25, 3.5)
+    psi = solve(problem, 8).psi
+    report = max_error(psi, problem.exact, 500, keep_pointwise=True)
+    for x, err in report.pointwise:
+        assert err == abs(evaluate_many(psi, np.array([x]))[0] - eval_real(problem.exact, x))
 
 
 def test_residual_decreases_with_more_components():

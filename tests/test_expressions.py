@@ -7,6 +7,7 @@ import pytest
 
 from adomian_bvp.errors import (
     DivisionByZero,
+    DomainError,
     LogOfNonPositive,
     NonConstantBasePoint,
     ParseError,
@@ -142,6 +143,37 @@ def test_eval_real_domain_errors():
         eval_real(parse("ln(x - 2)"), 1.0)
     with pytest.raises(DivisionByZero):
         eval_real(parse("y^-1"), 0.5, 0.0, 0.0)
+
+
+def test_eval_real_grid_matches_scalar_calls_bit_for_bit():
+    xs = np.arange(1, 201) / 200.0
+    ys, yps = np.log(1.0 / (4.0 + xs)), -1.0 / (4.0 + xs)
+    for source in (
+        "exp(y)*(x*yp + 0.5) - x^0.5",
+        "ln(1/(4 + x^3.5))",
+        "exp(x^2.5) + (y - 1)^3 + 1/(2 + yp)^2",
+    ):
+        f = parse(source)
+        grid = eval_real(f, xs, ys, yps)
+        points = [eval_real(f, x, y, yp) for x, y, yp in zip(xs.tolist(), ys.tolist(), yps.tolist())]
+        assert grid.tolist() == points
+
+
+def test_eval_real_grid_raises_when_any_point_violates_the_domain():
+    xs = np.array([0.25, 0.5, 1.0])
+    with pytest.raises(DivisionByZero):
+        eval_real(parse("1/(x - 1)"), xs)
+    with pytest.raises(LogOfNonPositive, match=r"ln\(-0\.75\)"):
+        eval_real(parse("ln(x - 1)"), xs)  # the first offending point is named
+    with pytest.raises(DivisionByZero):
+        eval_real(parse("y^-1"), xs, np.array([1.0, 0.0, 2.0]))
+    with pytest.raises(DomainError):
+        eval_real(parse("x^0.5"), np.array([0.5, -0.25]))
+
+
+def test_parse_rejects_out_of_range_literals():
+    with pytest.raises(ParseError):
+        parse("1e999*y")
 
 
 # --- ring evaluation ---------------------------------------------------------------

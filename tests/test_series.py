@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from support import reference_normalize
 
 from adomian_bvp.errors import DomainError, NonFiniteTerm, TermBlowup
 from adomian_bvp.series import (
+    PRUNE_REL_THRESHOLD,
     GPSeries,
     Term,
     add,
@@ -74,6 +76,98 @@ def test_normalize_idempotent_on_random_term_lists():
         ]
         once = normalize(raw)
         assert normalize(once.terms) == once
+
+
+def test_normalize_merge_is_anchored_at_the_first_exponent():
+    # Each gap is 0.7e-12, inside the tolerance, but the third exponent lies
+    # 1.4e-12 from the group's first: it starts a new term.  A chain merge
+    # over consecutive gaps would give one term.
+    s = normalize([Term(1.0, 0.5), Term(1.0, 0.5 + 0.7e-12), Term(1.0, 0.5 + 1.4e-12)])
+    assert _terms(s) == [(2.0, 0.5), (1.0, 0.5 + 1.4e-12)]
+
+
+def _random_raw_terms(rng):
+    """Raw terms that probe every branch of the normalization."""
+    n = int(rng.integers(0, 40))
+    # Few distinct exponents, so groups of 8 or more terms are common.
+    exponents = rng.choice([0.0, 0.5, 1.0, 2.375, 7.0], size=n)
+    drift = rng.choice(
+        [0.0, 0.0, 1e-16, -1e-16, 0.4e-12, 0.7e-12, 1e-12, -1e-12, 1.0000001e-12, 3e-12],
+        size=n,
+    )
+    coeffs = rng.uniform(-5.0, 5.0, size=n)
+    raw = [(float(c), float(e + d)) for c, e, d in zip(coeffs, exponents, drift)]
+    for i in range(n):  # exact cancellations, zeros and subnormals
+        kind = rng.integers(0, 12)
+        if kind == 0 and i:
+            raw[i] = (-raw[i - 1][0], raw[i - 1][1])
+        elif kind == 1:
+            raw[i] = (rng.choice([0.0, -0.0, 5e-324]), raw[i][1])
+    if rng.integers(0, 2):  # coefficients at the relative prune threshold
+        largest = 4.0
+        raw.append((largest, 100.0))
+        edge = PRUNE_REL_THRESHOLD * largest
+        for j, c in enumerate(
+            [edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0), -edge]
+        ):
+            raw.append((float(c), 200.0 + j))
+    order = rng.permutation(len(raw))
+    return [raw[i] for i in order]
+
+
+def test_normalize_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(20261018)
+    for _ in range(2000):
+        raw = _random_raw_terms(rng)
+        want = reference_normalize(raw)
+        assert _terms(normalize(raw)) == want
+        assert _terms(normalize([Term(c, e) for c, e in raw])) == want
+
+
+def test_operations_match_reference_bit_for_bit():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        a = normalize(_random_raw_terms(rng))
+        b = normalize(_random_raw_terms(rng))
+        pairs_a, pairs_b = _terms(a), _terms(b)
+        product = [(ca * cb, ea + eb) for ca, ea in pairs_a for cb, eb in pairs_b]
+        assert _terms(mul(a, b)) == reference_normalize(product)
+        assert _terms(add(a, b)) == reference_normalize(pairs_a + pairs_b)
+        k = float(rng.choice([-1.0, 0.37, 1e-15, 3.0e5]))
+        assert _terms(scale(a, k)) == reference_normalize([(c * k, e) for c, e in pairs_a])
+        derivative = [(c * e, e - 1.0) for c, e in pairs_a if abs(e) > 1e-12]
+        assert _terms(differentiate(a)) == reference_normalize(derivative)
+
+
+def test_non_finite_terms_are_named_like_the_reference():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        raw = _random_raw_terms(rng)
+        if not raw:
+            continue
+        for _ in range(int(rng.integers(1, 3))):
+            i = int(rng.integers(0, len(raw)))
+            bad = float(rng.choice([np.nan, np.inf, -np.inf]))
+            raw[i] = (bad, raw[i][1]) if rng.integers(0, 2) else (raw[i][0], bad)
+        with pytest.raises(NonFiniteTerm) as want:
+            reference_normalize(raw)
+        with pytest.raises(NonFiniteTerm) as got:
+            normalize(raw)
+        assert str(got.value) == str(want.value)
+
+
+def test_merged_coefficient_overflow_is_a_non_finite_term():
+    # Term by term, the sum would have kept an infinite coefficient.
+    with pytest.raises(NonFiniteTerm, match="merged coefficient overflows"):
+        normalize([Term(1e308, 0.5), Term(1e308, 0.5)])
+
+
+def test_product_overflow_is_a_non_finite_term():
+    big = GPSeries.monomial(1e200, 0.5)
+    with pytest.raises(NonFiniteTerm):
+        mul(big, big)
+    with pytest.raises(NonFiniteTerm):
+        scale(big, 1e200)
 
 
 # --- arithmetic ------------------------------------------------------------------

@@ -10,7 +10,9 @@ from support import FIRST_COMPONENT, PRINTED_COMPONENTS, assert_series_matches_p
 from adomian_bvp.benchmarks import benchmark_problem
 from adomian_bvp.errors import (
     DivisionByZeroSeries,
+    InputError,
     InvalidExactSolution,
+    InvalidProblem,
     LogOfNonPositive,
     LogResonance,
     NonConstantBasePoint,
@@ -154,6 +156,21 @@ def test_problem_validation():
     with pytest.raises(InvalidExactSolution):
         Problem(alpha=0.5, sigma=0.0, f=f, eta1=0, alpha1=1, beta1=0, gamma1=1,
                 exact=parse("y + 1"))
+
+
+@pytest.mark.parametrize("name", ["alpha", "sigma", "eta1", "alpha1", "beta1", "gamma1"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_problem_rejects_non_finite_numbers(name, value):
+    data = dict(alpha=0.5, sigma=0.0, f=parse("y"), eta1=0.0, alpha1=1.0, beta1=0.0,
+                gamma1=1.0)
+    data[name] = value
+    with pytest.raises(InvalidProblem, match=f"{name} must be finite"):
+        Problem(**data)
+
+
+def test_invalid_problem_is_an_input_error_and_a_value_error():
+    assert issubclass(InvalidProblem, InputError)
+    assert issubclass(InvalidProblem, ValueError)
 
 
 def test_solve_needs_positive_n():
