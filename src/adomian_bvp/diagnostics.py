@@ -12,25 +12,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import series as gps
-from .errors import InvalidExactSolution, InvalidProblem, QuadratureFailure
+from .errors import InvalidExactSolution, InvalidProblem, NonFiniteTerm, QuadratureFailure
 from .expressions import Expr, eval_real, free_vars
 from .series import GPSeries
 from .singular_operator import RESONANCE_TOL, OperatorContext, apply_forward
 from .solver import Problem
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value for ==
 class ErrorReport:
-    """Maximum deviation from the reference solution over a grid."""
+    """Max |psi - exact| over a grid; ``grid`` and ``errors`` are read-only arrays."""
 
     n: int | None
-    grid: tuple[float, ...]
+    grid: np.ndarray
+    errors: np.ndarray
     max_error: float
     max_point: float
-    pointwise: tuple[tuple[float, float], ...] | None = None
 
 
 def _uniform_grid(grid_size: int) -> np.ndarray:
@@ -38,17 +37,14 @@ def _uniform_grid(grid_size: int) -> np.ndarray:
 
 
 def max_error(
-    psi: GPSeries,
-    exact: Expr,
-    grid_size: int,
-    n: int | None = None,
-    keep_pointwise: bool = False,
+    psi: GPSeries, exact: Expr, grid_size: int, n: int | None = None
 ) -> ErrorReport:
     """Largest |psi(x_i) - exact(x_i)| over the uniform grid.
 
     Raises:
         InvalidExactSolution: if the reference mentions y or yp.
         InvalidProblem: grid_size < 2.
+        NonFiniteTerm: psi, the reference or their difference overflows.
     """
     if free_vars(exact) - {"x"}:
         raise InvalidExactSolution(
@@ -57,15 +53,19 @@ def max_error(
     if grid_size < 2:
         raise InvalidProblem(f"grid_size must be at least 2, got {grid_size!r}")
     xs = _uniform_grid(grid_size)
-    errors = np.abs(gps.evaluate_many(psi, xs) - eval_real(exact, xs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        errors = np.abs(gps.evaluate_many(psi, xs) - eval_real(exact, xs))
+    if not np.all(np.isfinite(errors)):
+        raise NonFiniteTerm("psi - exact overflows on the grid")
+    xs.setflags(write=False)
+    errors.setflags(write=False)
     imax = int(np.argmax(errors))
-    pointwise = tuple(zip(xs.tolist(), errors.tolist())) if keep_pointwise else None
     return ErrorReport(
         n=n,
-        grid=tuple(xs.tolist()),
+        grid=xs,
+        errors=errors,
         max_error=float(errors[imax]),
         max_point=float(xs[imax]),
-        pointwise=pointwise,
     )
 
 
@@ -76,15 +76,19 @@ def residual(
 
     Raises:
         InvalidProblem: grid_size < 1.
+        NonFiniteTerm: some term of the residual overflows.
     """
     if grid_size < 1:
         raise InvalidProblem(f"grid_size must be at least 1, got {grid_size!r}")
     xs = _uniform_grid(grid_size)
-    lhs = gps.evaluate_many(apply_forward(problem.alpha, psi), xs)
-    y = gps.evaluate_many(psi, xs)
-    yp = gps.evaluate_many(gps.differentiate(psi), xs)
-    rhs = xs ** problem.sigma * eval_real(problem.f, xs, y, yp)
-    return list(zip(xs.tolist(), (lhs - rhs).tolist()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = gps.evaluate_many(apply_forward(problem.alpha, psi), xs)
+        y = gps.evaluate_many(psi, xs)
+        yp = gps.evaluate_many(gps.differentiate(psi), xs)
+        values = lhs - xs ** problem.sigma * eval_real(problem.f, xs, y, yp)
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteTerm("the residual overflows on the grid")
+    return list(zip(xs.tolist(), values.tolist()))
 
 
 def quadrature_oracle(
@@ -105,6 +109,7 @@ def quadrature_oracle(
         QuadratureFailure: if the error estimate exceeds ``tol``.
         LogResonance, OuterResonance, Divergent: inadmissible exponents.
     """
+    from scipy.integrate import quad  # here, so that importing the package skips scipy
     if g.is_zero:
         return 0.0
     weighted = [(t.coeff, t.exponent + ctx.sigma) for t in g.terms]

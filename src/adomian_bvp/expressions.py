@@ -33,6 +33,7 @@ from .errors import (
     DivisionByZero,
     DomainError,
     LogOfNonPositive,
+    NonFiniteTerm,
     OrderMismatch,
     ParseError,
     UnsupportedPower,
@@ -315,16 +316,19 @@ def free_vars(e: Expr) -> set[str]:
 
 # --- evaluation over floats -------------------------------------------------------
 
-def _pointwise(fn: Callable[[float], float], v):
-    """``fn`` at v, or at every point of the array v.
+def _pointwise(fn: Callable[[float], float], v, e: Expr):
+    """``fn`` at v, or at every point of the array v, for the node e.
 
     exp, ln and real powers go through :mod:`math` point by point: numpy's
     vectorised versions differ from the C library's in the last bit at some
     points, and an array must give exactly the values of scalar calls.
     """
-    if isinstance(v, np.ndarray):
-        return np.array([fn(t) for t in v.ravel().tolist()]).reshape(v.shape)
-    return fn(v)
+    try:
+        if isinstance(v, np.ndarray):
+            return np.array([fn(t) for t in v.ravel().tolist()]).reshape(v.shape)
+        return fn(float(v))
+    except OverflowError:
+        raise NonFiniteTerm(f"{to_source(e)!r} overflows") from None
 
 
 def eval_real(e: Expr, x, y=0.0, yp=0.0):
@@ -337,6 +341,7 @@ def eval_real(e: Expr, x, y=0.0, yp=0.0):
     Raises:
         DivisionByZero, LogOfNonPositive, DomainError: when any point
             violates the domain.
+        NonFiniteTerm: exp or a power overflows; the message names it.
     """
     if isinstance(e, Constant):
         return e.value
@@ -359,22 +364,22 @@ def eval_real(e: Expr, x, y=0.0, yp=0.0):
         base = eval_real(e.base, x, y, yp)
         if e.power < 0 and np.any(base == 0.0):
             raise DivisionByZero(f"0^{e.power} in {to_source(e)!r}")
-        return _pointwise(lambda b: b ** e.power, base)
+        return _pointwise(lambda b: b ** e.power, base, e)
     if isinstance(e, PowXReal):
         def power(t: float) -> float:
             try:
                 return math.pow(t, e.exponent)
             except ValueError:
                 raise DomainError(f"x^{e.exponent:g} undefined at x = {t:g}") from None
-        return _pointwise(power, x)
+        return _pointwise(power, x, e)
     if isinstance(e, Exp):
-        return _pointwise(math.exp, eval_real(e.arg, x, y, yp))
+        return _pointwise(math.exp, eval_real(e.arg, x, y, yp), e)
     if isinstance(e, Ln):
         def log(t: float) -> float:
             if t <= 0.0:
                 raise LogOfNonPositive(f"ln({t:g}) in {to_source(e)!r}")
             return math.log(t)
-        return _pointwise(log, eval_real(e.arg, x, y, yp))
+        return _pointwise(log, eval_real(e.arg, x, y, yp), e)
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -42,11 +42,6 @@ class OperatorContext:
         if not 0.0 <= self.alpha < 1.0:
             raise InvalidProblem(f"alpha must lie in [0, 1), got {self.alpha!r}")
 
-    @property
-    def h1(self) -> float:
-        """Value at 1 of the homogeneous integral x^(1-a)/(1-a)."""
-        return 1.0 / (1.0 - self.alpha)
-
 
 def h_series(ctx: OperatorContext) -> GPSeries:
     """The homogeneous solution int_0^x t^-a dt = x^(1-a)/(1-a)."""

@@ -59,8 +59,7 @@ class Problem:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise InvalidProblem(f"{name} must be finite, got {value!r}")
-        if not 0.0 <= self.alpha < 1.0:
-            raise InvalidProblem(f"alpha must lie in [0, 1), got {self.alpha!r}")
+        self.operator_context  # raises InvalidProblem unless 0 <= alpha < 1
         if not self.alpha1 > 0.0:
             raise InvalidProblem(f"alpha1 must be positive, got {self.alpha1!r}")
         if not self.beta1 >= 0.0:
@@ -73,9 +72,6 @@ class Problem:
                 "exact solution may only mention x, got "
                 f"variables {sorted(free_vars(self.exact))}"
             )
-        # Positive alpha1 and h(1) > 0 already force this; assert anyway.
-        if self.mixing_denominator == 0.0:
-            raise InvalidProblem("degenerate boundary data: alpha1*h(1) + beta1*h'(1) = 0")
 
     @property
     def operator_context(self) -> OperatorContext:
@@ -83,8 +79,8 @@ class Problem:
 
     @property
     def mixing_denominator(self) -> float:
-        """D = alpha1*h(1) + beta1*h'(1), where h'(1) = 1."""
-        return self.alpha1 * self.operator_context.h1 + self.beta1
+        """D = alpha1*h(1) + beta1*h'(1) > 0; h(1) = 1/(1-alpha) >= 1, h'(1) = 1."""
+        return self.alpha1 * (1.0 / (1.0 - self.alpha)) + self.beta1
 
 
 @dataclass(frozen=True)
@@ -98,16 +94,20 @@ class StepInfo:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Components y_0 ... y_(n-1), their sum psi, and per-step diagnostics."""
+    """Components y_0 ... y_(n-1), running sums psi_1 ... psi_n, step diagnostics."""
 
     components: tuple[GPSeries, ...]
-    psi: GPSeries
-    n: int
+    partial_sums: tuple[GPSeries, ...]
+    psi: GPSeries  # psi_n, a field so that dataclasses.replace can swap it
     diagnostics: tuple[StepInfo, ...] = field(default_factory=tuple)
+
+    @property
+    def n(self) -> int:
+        return len(self.partial_sums)
 
 
 def solve(problem: Problem, n: int = 10) -> SolveReport:
-    """Run the recursion for n components and return them with their sum.
+    """Run the recursion for n components and return them with their running sums.
 
     Raises:
         InvalidProblem: n < 1.
@@ -120,41 +120,33 @@ def solve(problem: Problem, n: int = 10) -> SolveReport:
     H = h_series(ctx)
     D = problem.mixing_denominator
 
-    components: list[GPSeries] = [GPSeries.constant(problem.eta1)]
-    diagnostics: list[StepInfo] = [StepInfo(0, len(components[0]), 0.0)]
+    psi = y = GPSeries.constant(problem.eta1)
+    components, partial_sums = [y], [psi]
+    diagnostics = [StepInfo(0, len(y), 0.0)]
 
     tape = Tape(problem.f)
     for k in range(n - 1):
         started = time.perf_counter()
         try:
-            a_k = tape.extend(components[k], gps.differentiate(components[k]))
+            a_k = tape.extend(y, gps.differentiate(y))
             image = apply_inverse(ctx, a_k)
             bleed = gps.evaluate(image, 1.0)
-            y_next = gps.add(
-                gps.scale(H, problem.alpha1 * bleed / D),
-                gps.scale(image, -1.0),
-            )
+            y = gps.add(gps.scale(H, problem.alpha1 * bleed / D), gps.scale(image, -1.0))
             if k == 0:
                 inhomogeneous = (problem.gamma1 - problem.alpha1 * problem.eta1) / D
-                y_next = gps.add(y_next, gps.scale(H, inhomogeneous))
+                y = gps.add(y, gps.scale(H, inhomogeneous))
+            psi = gps.add(psi, y)
         except AdmError as err:
             raise type(err)(f"component {k + 1}: {err}") from err
-        components.append(y_next)
-        diagnostics.append(
-            StepInfo(k + 1, len(y_next), time.perf_counter() - started)
-        )
+        components.append(y)
+        partial_sums.append(psi)
+        diagnostics.append(StepInfo(k + 1, len(y), time.perf_counter() - started))
 
-    psi = GPSeries.zero()
-    for c in components:
-        psi = gps.add(psi, c)
-    return SolveReport(tuple(components), psi, n, tuple(diagnostics))
+    return SolveReport(tuple(components), tuple(partial_sums), psi, tuple(diagnostics))
 
 
 def partial_sum(report: SolveReport, m: int) -> GPSeries:
-    """Sum of the first m components, 1 <= m <= n."""
+    """psi_m, the sum of the first m components, 1 <= m <= n."""
     if not 1 <= m <= report.n:
         raise InvalidProblem(f"m must lie in [1, {report.n}], got {m!r}")
-    out = GPSeries.zero()
-    for c in report.components[:m]:
-        out = gps.add(out, c)
-    return out
+    return report.partial_sums[m - 1]

@@ -1,7 +1,10 @@
 """Command-line surface: output formats, exit codes, config round trips."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -127,6 +130,38 @@ def test_solve_extreme_eta1_is_one_structured_error(tmp_path, capsys, eta1, code
     assert len(lines) == 1, captured.err
     assert re.fullmatch(rf"error: {code}\(.+\)", lines[0]), lines[0]
     assert captured.out == ""
+
+
+# f overflows on the residual grid and exact on the error grid; the series stay finite
+OVERFLOW_FILE = """\
+p_exponent = 0
+q_exponent = 0
+f = "exp(1000*yp)"
+eta1 = 0
+alpha1 = 1
+beta1 = 0
+gamma1 = 1
+exact = "exp(1000*x)"
+"""
+
+
+@pytest.mark.parametrize(
+    "command,subexpression", [("solve", "exp(1000.0*x)"), ("residual", "exp(1000.0*yp)")]
+)
+def test_overflow_on_the_grid_is_one_structured_error(tmp_path, capsys, command, subexpression):
+    path = tmp_path / "overflow.prob"
+    path.write_text(OVERFLOW_FILE, encoding="utf-8")
+    assert main([command, str(path)]) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert lines == [f"error: NonFiniteTerm({subexpression!r} overflows)"]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, adomian_bvp.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env).stdout
+    assert out.strip() == "False"
 
 
 def test_solve_undecodable_file_is_an_input_error(tmp_path, capsys):

@@ -11,7 +11,7 @@ from adomian_bvp.diagnostics import (
     quadrature_oracle,
     residual,
 )
-from adomian_bvp.errors import InvalidExactSolution, QuadratureFailure
+from adomian_bvp.errors import InvalidExactSolution, NonFiniteTerm, QuadratureFailure
 from adomian_bvp.expressions import eval_real, parse
 from adomian_bvp.series import GPSeries, differentiate, evaluate, evaluate_many
 from adomian_bvp.singular_operator import OperatorContext, apply_forward, apply_inverse
@@ -38,7 +38,8 @@ def test_max_error_grid_definition():
     exact = parse("x")
     psi = GPSeries.monomial(1.0, 1.0)
     report = max_error(psi, exact, 2)
-    assert report.grid == (0.5, 1.0)
+    assert report.grid.tolist() == [0.5, 1.0]
+    assert not report.grid.flags.writeable and not report.errors.flags.writeable
     with pytest.raises(ValueError):
         max_error(psi, exact, 1)
 
@@ -49,16 +50,26 @@ def test_max_error_locates_maximum():
     psi = GPSeries(
         GPSeries.monomial(1.0, 1.0).terms + GPSeries.monomial(0.01, 2.0).terms
     )
-    report = max_error(psi, exact, 10, n=3, keep_pointwise=True)
+    report = max_error(psi, exact, 10, n=3)
     assert report.max_point == 1.0
     assert report.max_error == pytest.approx(0.01)
     assert report.n == 3
-    assert len(report.pointwise) == 10
+    assert len(report.errors) == 10
+    assert report.errors.max() == report.max_error
 
 
 def test_max_error_rejects_nonreference_expression():
     with pytest.raises(InvalidExactSolution):
         max_error(GPSeries.zero(), parse("y"), 10)
+
+
+def test_max_error_overflow_is_non_finite_term():
+    psi = GPSeries.constant(1e308)
+    for exact in ("-1e308 + 0*x", "1e308*x + 1e308", "(1e200*x)*(1e200*x)"):
+        with pytest.raises(NonFiniteTerm, match="^psi - exact overflows on the grid$"):
+            max_error(psi, parse(exact), 10)
+    with pytest.raises(NonFiniteTerm, match=r"'exp\(1000\.0\*x\)' overflows"):
+        max_error(psi, parse("exp(1000*x)"), 10)
 
 
 def test_benchmark_error_magnitude():
@@ -95,6 +106,15 @@ def test_residual_single_point_grid():
     assert len(pairs) == 1 and pairs[0][0] == 1.0
 
 
+def test_residual_overflow_is_non_finite_term():
+    problem = Problem(
+        alpha=0.5, sigma=0.0, f=parse("y*y"), eta1=1e308,
+        alpha1=1.0, beta1=0.0, gamma1=1e308,
+    )
+    with pytest.raises(NonFiniteTerm, match="^the residual overflows on the grid$"):
+        residual(GPSeries.constant(1e308), problem, 10)
+
+
 @pytest.mark.parametrize("example,beta", [(1, 3.5), (2, 1.0), (3, 2.5)])
 def test_residual_grid_agrees_with_pointwise_evaluation(example, beta):
     problem = benchmark_problem(example, 0.37, beta)
@@ -110,8 +130,8 @@ def test_residual_grid_agrees_with_pointwise_evaluation(example, beta):
 def test_max_error_matches_pointwise_reference_bit_for_bit():
     problem = benchmark_problem(1, 0.25, 3.5)
     psi = solve(problem, 8).psi
-    report = max_error(psi, problem.exact, 500, keep_pointwise=True)
-    for x, err in report.pointwise:
+    report = max_error(psi, problem.exact, 500)
+    for x, err in zip(report.grid.tolist(), report.errors.tolist()):
         assert err == abs(evaluate_many(psi, np.array([x]))[0] - eval_real(problem.exact, x))
 
 

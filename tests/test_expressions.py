@@ -1,6 +1,7 @@
 """Expression grammar, both evaluators, and print/parse stability."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from adomian_bvp.errors import (
     DomainError,
     LogOfNonPositive,
     NonConstantBasePoint,
+    NonFiniteTerm,
     ParseError,
     UnsupportedPower,
 )
@@ -169,6 +171,22 @@ def test_eval_real_grid_raises_when_any_point_violates_the_domain():
         eval_real(parse("y^-1"), xs, np.array([1.0, 0.0, 2.0]))
     with pytest.raises(DomainError):
         eval_real(parse("x^0.5"), np.array([0.5, -0.25]))
+
+
+@pytest.mark.parametrize(
+    "source,x,subexpression",
+    [
+        ("exp(x)", 1000.0, "exp(x)"),
+        ("(x + 1e200)^2", 1.0, "(x + 1e+200)^2"),
+        ("x^-2.5", 1e-200, "x^-2.5"),
+        ("exp(exp(x)) + 1", 7.0, "exp(exp(x))"),
+    ],
+)
+def test_eval_real_overflow_is_non_finite_term(source, x, subexpression):
+    e = parse(source)
+    for point in (x, np.array([0.5, x]), np.float64(x)):
+        with pytest.raises(NonFiniteTerm, match=f"^{re.escape(repr(subexpression))} overflows$"):
+            eval_real(e, point)
 
 
 def test_parse_rejects_out_of_range_literals():

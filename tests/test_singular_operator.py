@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from adomian_bvp.errors import Divergent, LogResonance, OuterResonance
+from adomian_bvp.expressions import parse
 from adomian_bvp.series import GPSeries, Term, add, evaluate, normalize, scale
 from adomian_bvp.singular_operator import (
     OperatorContext,
@@ -13,6 +14,7 @@ from adomian_bvp.singular_operator import (
     h_series,
     inverse_at_one,
 )
+from adomian_bvp.solver import Problem
 
 
 def _terms(series):
@@ -58,8 +60,11 @@ def test_h_series_nonsingular_limit():
 
 def test_h_at_one_equals_context_value():
     for alpha in (0.0, 0.25, 0.5, 0.75):
-        ctx = OperatorContext(alpha, 0.0)
-        assert evaluate(h_series(ctx), 1.0) == pytest.approx(ctx.h1, rel=1e-14)
+        h1 = evaluate(h_series(OperatorContext(alpha, 0.0)), 1.0)
+        assert h1 == pytest.approx(1.0 / (1.0 - alpha), rel=1e-14)
+        problem = Problem(alpha=alpha, sigma=0.0, f=parse("0"), eta1=0.0,
+                          alpha1=2.0, beta1=0.5, gamma1=0.0)
+        assert problem.mixing_denominator == pytest.approx(2.0 * h1 + 0.5, rel=1e-14)
 
 
 # --- inverse images ---------------------------------------------------------------

@@ -18,7 +18,7 @@ from adomian_bvp.errors import (
     NonConstantBasePoint,
 )
 from adomian_bvp.expressions import parse
-from adomian_bvp.series import GPSeries, differentiate, evaluate
+from adomian_bvp.series import GPSeries, add, differentiate, evaluate
 from adomian_bvp.solver import Problem, SolveReport, partial_sum, solve
 
 
@@ -81,11 +81,22 @@ def test_report_structure():
     assert all(d.terms == len(report.components[d.step]) for d in report.diagnostics)
     # psi is the coefficient-wise sum of all components
     acc = GPSeries.zero()
-    from adomian_bvp.series import add
-
     for c in report.components:
         acc = add(acc, c)
     assert acc == report.psi
+
+
+@pytest.mark.parametrize("family,alpha,beta", [(1, 0.5, 3.5), (2, 0.25, 1.0), (3, 0.75, 2.5)])
+@pytest.mark.parametrize("n", [1, 5, 12])
+def test_partial_sums_are_the_left_fold_of_the_components(family, alpha, beta, n):
+    report = solve(benchmark_problem(family, alpha, beta), n)
+    assert report.n == n == len(report.partial_sums) == len(report.components)
+    acc = GPSeries.zero()
+    for m, component in enumerate(report.components, start=1):
+        acc = add(acc, component)
+        assert report.partial_sums[m - 1] == acc
+        assert partial_sum(report, m) is report.partial_sums[m - 1]
+    assert report.psi is report.partial_sums[-1]
 
 
 # --- boundary exactness ----------------------------------------------------------------
@@ -156,6 +167,11 @@ def test_problem_validation():
     with pytest.raises(InvalidExactSolution):
         Problem(alpha=0.5, sigma=0.0, f=f, eta1=0, alpha1=1, beta1=0, gamma1=1,
                 exact=parse("y + 1"))
+
+
+def test_problem_checks_alpha_before_the_boundary_data():
+    with pytest.raises(InvalidProblem, match=r"^alpha must lie in \[0, 1\), got 1\.0$"):
+        Problem(alpha=1.0, sigma=0.0, f=parse("y"), eta1=0, alpha1=0.0, beta1=-1, gamma1=1)
 
 
 @pytest.mark.parametrize("name", ["alpha", "sigma", "eta1", "alpha1", "beta1", "gamma1"])
