@@ -5,12 +5,12 @@ y(1) = ln(1/5) has the closed-form solution ln(1/(4+x)).  Ten components of
 the decomposition series reproduce it to about 6e-10 uniformly on (0, 1].
 """
 
-from adomian_bvp.benchmarks import log_rational_problem
+from adomian_bvp.benchmarks import benchmark_problem
 from adomian_bvp.diagnostics import max_error, residual
 from adomian_bvp.series import evaluate, format_series
 from adomian_bvp.solver import partial_sum, solve
 
-problem = log_rational_problem(alpha=0.5, beta=1.0)
+problem = benchmark_problem(1, 0.5, 1.0)
 report = solve(problem, n=10)
 
 print("first components:")

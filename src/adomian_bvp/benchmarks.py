@@ -1,17 +1,10 @@
 """Built-in benchmark problems with known closed-form solutions.
 
-Three families, selected by index:
-
-1. exponential nonlinearity, exact solution ln(1/(4 + x^beta)),
-   weight exponent sigma = alpha + beta - 2;
-2. exponential nonlinearity, exact solution ln(1/(2 + x)),
-   weight exponent sigma = alpha - 1 (no beta);
-3. linear source, exact solution exp(x^beta),
-   weight exponent sigma = alpha + beta - 2.
-
-All three carry Dirichlet data at both ends (alpha1 = 1, beta1 = 0).  The
-``beta`` parameter shapes both the weight exponent and the coefficients of
-the nonlinearity; it is folded in here so the solver itself only ever sees
+Each of the three families is problem-file text (see :mod:`.problem_file`)
+with Dirichlet data at both ends (alpha1 = 1, beta1 = 0).  ``beta`` shapes
+both the weight exponent and the coefficients of f; ``benchmark_problem``
+fills in alpha, beta and the derived exponents as ``repr`` floats and reads
+the text with the parser ``cli solve`` uses, so the solver only ever sees
 (alpha, sigma, f).
 """
 
@@ -20,99 +13,49 @@ from __future__ import annotations
 import math
 
 from .errors import InvalidProblem
-from .expressions import (
-    X,
-    Y,
-    YP,
-    Add,
-    Constant,
-    Div,
-    Exp,
-    Expr,
-    Ln,
-    Mul,
-    Neg,
-    PowXReal,
-)
+from .problem_file import parse_problem_text
 from .solver import Problem
 
 BENCHMARK_IDS = (1, 2, 3)
 
+_DIRICHLET = "\nalpha1 = 1.0\nbeta1 = 0.0"
 
-def _const(value: float) -> Expr:
-    # Keep constants nonnegative under an explicit Neg, the parser-image form.
-    if value < 0:
-        return Neg(Constant(-value))
-    return Constant(value)
-
-
-def _x_power(exponent: float) -> Expr:
-    return X if exponent == 1.0 else PowXReal(exponent)
-
-
-def log_rational_problem(alpha: float, beta: float) -> Problem:
-    """Family 1: (x^a y')' = b x^(a+b-2) e^y (-x y' - a - b + 1), y = ln(1/(4+x^b))."""
-    f = Mul(
-        Mul(Neg(Constant(beta)), Exp(Y)),
-        Add(Mul(X, YP), _const(alpha + beta - 1.0)),
-    )
-    exact = Ln(Div(Constant(1.0), Add(Constant(4.0), _x_power(beta))))
-    return Problem(
-        alpha=alpha,
-        sigma=alpha + beta - 2.0,
-        f=f,
-        eta1=-math.log(4.0),
-        alpha1=1.0,
-        beta1=0.0,
-        gamma1=-math.log(5.0),
-        exact=exact,
-    )
-
-
-def log_shift_problem(alpha: float) -> Problem:
-    """Family 2: (x^a y')' = x^(a-1) e^y (-x y' - a), y = ln(1/(2+x))."""
-    f = Mul(
-        Mul(Neg(Constant(1.0)), Exp(Y)),
-        Add(Mul(X, YP), _const(alpha)),
-    )
-    exact = Ln(Div(Constant(1.0), Add(Constant(2.0), X)))
-    return Problem(
-        alpha=alpha,
-        sigma=alpha - 1.0,
-        f=f,
-        eta1=-math.log(2.0),
-        alpha1=1.0,
-        beta1=0.0,
-        gamma1=-math.log(3.0),
-        exact=exact,
-    )
-
-
-def exp_power_problem(alpha: float, beta: float) -> Problem:
-    """Family 3: (x^a y')' = b x^(a+b-2) (x y' + (a+b-1) y), y = exp(x^b)."""
-    f = Mul(
-        _const(beta),
-        Add(Mul(X, YP), Mul(_const(alpha + beta - 1.0), Y)),
-    )
-    exact = Exp(_x_power(beta))
-    return Problem(
-        alpha=alpha,
-        sigma=alpha + beta - 2.0,
-        f=f,
-        eta1=1.0,
-        alpha1=1.0,
-        beta1=0.0,
-        gamma1=math.e,
-        exact=exact,
-    )
+_FAMILIES = {
+    # (x^a y')' = b x^(a+b-2) e^y (-x y' - a - b + 1),  y = ln(1/(4 + x^b))
+    1: """p_exponent = {alpha!r}
+        q_exponent = {alpha_beta_2!r}
+        f = "-{beta!r}*exp(y)*(x*yp + {alpha_beta_1!r})"
+        exact = "ln(1.0/(4.0 + {x_beta}))"
+        eta1 = -{ln[4]!r}
+        gamma1 = -{ln[5]!r}""",
+    # (x^a y')' = x^(a-1) e^y (-x y' - a),  y = ln(1/(2 + x)); no beta
+    2: """p_exponent = {alpha!r}
+        q_exponent = {alpha_1!r}
+        f = "-1.0*exp(y)*(x*yp + {alpha!r})"
+        exact = "ln(1.0/(2.0 + x))"
+        eta1 = -{ln[2]!r}
+        gamma1 = -{ln[3]!r}""",
+    # (x^a y')' = b x^(a+b-2) (x y' + (a+b-1) y),  y = exp(x^b)
+    3: """p_exponent = {alpha!r}
+        q_exponent = {alpha_beta_2!r}
+        f = "{beta!r}*(x*yp + {alpha_beta_1!r}*y)"
+        exact = "exp({x_beta})"
+        eta1 = 1.0
+        gamma1 = {e!r}""",
+}
 
 
 def benchmark_problem(example: int, alpha: float, beta: float = 1.0) -> Problem:
     """Instantiate benchmark family ``example`` in {1, 2, 3} at (alpha, beta)."""
-    if example == 1:
-        return log_rational_problem(alpha, beta)
-    if example == 2:
-        return log_shift_problem(alpha)
-    if example == 3:
-        return exp_power_problem(alpha, beta)
-    raise InvalidProblem(f"example must be one of {BENCHMARK_IDS}, got {example!r}")
+    if example not in BENCHMARK_IDS:
+        raise InvalidProblem(f"example must be one of {BENCHMARK_IDS}, got {example!r}")
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not math.isfinite(value):  # "nan" in f would be a ParseError
+            raise InvalidProblem(f"{name} must be finite, got {value!r}")
+    text = _FAMILIES[example].format(
+        alpha=alpha, beta=beta, alpha_1=alpha - 1.0,
+        alpha_beta_1=alpha + beta - 1.0, alpha_beta_2=alpha + beta - 2.0,
+        x_beta="x" if beta == 1.0 else f"x^{beta!r}",
+        ln={k: math.log(k) for k in (2, 3, 4, 5)}, e=math.e,
+    )
+    return parse_problem_text(text + _DIRICHLET)

@@ -105,12 +105,18 @@ def _cmd_residual(args) -> int:
     return 0
 
 
+def _nonempty(values: list) -> list:
+    if not values:
+        raise argparse.ArgumentTypeError("expected a comma-separated list of at least one value")
+    return values
+
+
 def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part.strip()]
+    return _nonempty([float(part) for part in text.split(",") if part.strip()])
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+    return _nonempty([int(part) for part in text.split(",") if part.strip()])
 
 
 def build_parser() -> argparse.ArgumentParser:

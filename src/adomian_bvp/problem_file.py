@@ -90,12 +90,18 @@ def load_problem(path: str | Path) -> Problem:
     """Read and parse a problem file from disk.
 
     Raises:
-        InvalidValue: the file is not UTF-8 text.
+        FileNotFoundError: no file at ``path``.
+        InvalidValue: the file cannot be read (a directory, no permission) or
+            is not UTF-8 text.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
         raise InvalidValue(f"{path}: not UTF-8 text ({err.reason})") from None
+    except FileNotFoundError:
+        raise
+    except OSError as err:
+        raise InvalidValue(f"{path}: cannot read ({err.strerror})") from None
     return parse_problem_text(text)
 
 

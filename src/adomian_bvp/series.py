@@ -252,14 +252,14 @@ def _is_constant(a: GPSeries) -> bool:
     return len(a) == 1 and a.exponents[0] == 0.0
 
 
-def mul(a: GPSeries, b: GPSeries, cap: int = DEFAULT_TERM_CAP) -> GPSeries:
+def mul(a: GPSeries, b: GPSeries) -> GPSeries:
     """Product of two series; exponents add pairwise.
 
     Raises:
-        TermBlowup: if the raw pairwise product would exceed ``cap`` terms.
+        TermBlowup: if the raw pairwise product would exceed ``DEFAULT_TERM_CAP`` terms.
     """
-    if len(a) * len(b) > cap:
-        raise TermBlowup(f"product of {len(a)} x {len(b)} terms exceeds cap {cap}")
+    if len(a) * len(b) > DEFAULT_TERM_CAP:
+        raise TermBlowup(f"product of {len(a)} x {len(b)} terms exceeds cap {DEFAULT_TERM_CAP}")
     if a.is_zero or b.is_zero:
         return _ZERO
     with np.errstate(over="ignore", invalid="ignore"):
@@ -284,29 +284,24 @@ def differentiate(a: GPSeries) -> GPSeries:
 def evaluate(a: GPSeries, x: float) -> float:
     """Sum c * x**e over all terms, left to right in Python floats.
 
-    For x > 0 every real exponent is fine.  x = 0 is permitted only when all
-    exponents are nonnegative (with 0**0 := 1); x < 0 only when all exponents
-    are nonnegative integers.
+    Problems live on (0, 1], so x < 0 is outside the domain.  For x > 0 every
+    real exponent is fine; x = 0 is permitted only when all exponents are
+    nonnegative (with 0**0 := 1).
 
     Raises:
-        DomainError: negative or fractional exponent at x <= 0.
+        DomainError: x < 0 or nan, or a negative exponent at x = 0.
     """
     pairs = zip(a.coeffs.tolist(), a.exponents.tolist())
     if x > 0.0:
         return sum((c * x ** e for c, e in pairs), 0.0)
+    if x != 0.0:  # x < 0 or nan
+        raise DomainError(f"series are evaluated at x >= 0, got x = {x:g}")
     total = 0.0
-    if x == 0.0:
-        for c, e in pairs:
-            if e < -EXPONENT_MERGE_TOL:
-                raise DomainError(f"x^{e:g} is singular at x = 0")
-            if abs(e) <= EXPONENT_MERGE_TOL:
-                total += c
-        return total
     for c, e in pairs:
-        k = round(e)
-        if k < 0 or abs(e - k) > EXPONENT_MERGE_TOL:
-            raise DomainError(f"x^{e:g} is undefined for x = {x:g} < 0")
-        total += c * x ** k
+        if e < -EXPONENT_MERGE_TOL:
+            raise DomainError(f"x^{e:g} is singular at x = 0")
+        if abs(e) <= EXPONENT_MERGE_TOL:
+            total += c
     return total
 
 

@@ -1,0 +1,58 @@
+"""Built-in benchmark families: the problems they build, pinned literally."""
+
+import math
+
+import pytest
+
+from adomian_bvp.benchmarks import benchmark_problem
+from adomian_bvp.errors import InvalidProblem
+from adomian_bvp.expressions import to_source
+
+LN2, LN3 = 0.6931471805599453, 1.0986122886681098
+LN4, LN5 = 1.3862943611198906, 1.6094379124341003
+
+# (example, alpha, beta) -> to_source(f), to_source(exact),
+# (alpha, sigma, eta1, alpha1, beta1, gamma1)
+PINNED = [
+    ((1, 0.5, 1.0), "-1.0*exp(y)*(x*yp + 0.5)", "ln(1.0/(4.0 + x))",
+     (0.5, -0.5, -LN4, 1.0, 0.0, -LN5)),
+    ((1, 0.25, 0.5), "-0.5*exp(y)*(x*yp + -0.25)", "ln(1.0/(4.0 + x^0.5))",
+     (0.25, -1.25, -LN4, 1.0, 0.0, -LN5)),
+    ((1, 0.75, 3.5), "-3.5*exp(y)*(x*yp + 3.25)", "ln(1.0/(4.0 + x^3.5))",
+     (0.75, 2.25, -LN4, 1.0, 0.0, -LN5)),
+    ((2, 0.25, 1.0), "-1.0*exp(y)*(x*yp + 0.25)", "ln(1.0/(2.0 + x))",
+     (0.25, -0.75, -LN2, 1.0, 0.0, -LN3)),
+    ((2, 0.75, 3.0), "-1.0*exp(y)*(x*yp + 0.75)", "ln(1.0/(2.0 + x))",
+     (0.75, -0.25, -LN2, 1.0, 0.0, -LN3)),
+    ((3, 0.5, 1.0), "1.0*(x*yp + 0.5*y)", "exp(x)",
+     (0.5, -0.5, 1.0, 1.0, 0.0, 2.718281828459045)),
+    ((3, 0.5, 2.5), "2.5*(x*yp + 2.0*y)", "exp(x^2.5)",
+     (0.5, 1.0, 1.0, 1.0, 0.0, 2.718281828459045)),
+    ((3, 0.1, 0.5), "0.5*(x*yp + -0.4*y)", "exp(x^0.5)",
+     (0.1, -1.4, 1.0, 1.0, 0.0, 2.718281828459045)),
+]
+
+
+@pytest.mark.parametrize("key,f,exact,fields", PINNED, ids=[str(p[0]) for p in PINNED])
+def test_benchmark_problem_is_pinned(key, f, exact, fields):
+    problem = benchmark_problem(*key)
+    assert to_source(problem.f) == f
+    assert to_source(problem.exact) == exact
+    got = (problem.alpha, problem.sigma, problem.eta1, problem.alpha1, problem.beta1,
+           problem.gamma1)
+    assert got == fields  # exact: every literal is a repr float
+
+
+@pytest.mark.parametrize("example", [0, 4, "1"])
+def test_unknown_example_is_invalid_problem(example):
+    with pytest.raises(InvalidProblem, match="example must be one of"):
+        benchmark_problem(example, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("alpha,beta,name", [
+    (math.nan, 1.0, "alpha"), (math.inf, 1.0, "alpha"), (0.5, math.nan, "beta"),
+    (0.5, -math.inf, "beta"),
+])
+def test_non_finite_parameter_is_invalid_problem(alpha, beta, name):
+    with pytest.raises(InvalidProblem, match=f"{name} must be finite"):
+        benchmark_problem(1, alpha, beta)

@@ -171,6 +171,26 @@ def test_solve_undecodable_file_is_an_input_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: InvalidValue(")
 
 
+@pytest.mark.parametrize("command", ["solve", "residual"])
+def test_directory_is_one_input_error(tmp_path, capsys, command):
+    assert main([command, str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith(f"error: InvalidValue({tmp_path}: cannot read ("), lines[0]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("option", ["--ns", "--alphas", "--betas"])
+def test_table_empty_list_is_a_usage_error(capsys, option):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--example", "1", option, ","])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert f"argument {option}: expected a comma-separated list" in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["solve"])  # missing file argument

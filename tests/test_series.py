@@ -197,8 +197,9 @@ def test_scale_by_zero():
 def test_mul_term_cap():
     a = normalize([Term(1.0, float(i)) for i in range(200)])
     with pytest.raises(TermBlowup):
-        mul(a, a, cap=10_000)
-    mul(a, a, cap=50_000)  # generous cap succeeds
+        mul(a, a)  # 40_000 raw terms
+    b = normalize([Term(1.0, float(i)) for i in range(100)])
+    assert len(mul(b, b)) == 199  # exactly DEFAULT_TERM_CAP raw terms succeeds
 
 
 def test_ring_laws_on_evaluation():
@@ -286,6 +287,11 @@ def test_evaluate_at_zero_rules():
 def test_evaluate_negative_x_fractional_exponent():
     with pytest.raises(DomainError):
         evaluate(GPSeries.monomial(1.0, 0.5), -0.25)
+    # integer exponents are rejected too: series are evaluated at x >= 0 only
+    for s in (GPSeries.monomial(1.0, 2.0), GPSeries.monomial(3.0, 0.0), GPSeries.zero()):
+        for x in (-0.25, -1.0, math.nan):
+            with pytest.raises(DomainError):
+                evaluate(s, x)
 
 
 def test_evaluate_many_matches_scalar():
