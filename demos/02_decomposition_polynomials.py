@@ -12,9 +12,8 @@ exponential nonlinearity.
 
 import math
 
-from adomian_bvp.expressions import eval_lambda, eval_real, parse
-from adomian_bvp.lambda_ring import extract_adomian, lift_solution
-from adomian_bvp.series import GPSeries, evaluate, format_series, normalize, Term
+from adomian_bvp.expressions import Tape, eval_real, parse
+from adomian_bvp.series import GPSeries, differentiate, evaluate, format_series, normalize, Term
 
 # f(x, y, y') = -e^y (x y' + 1/2), expanded around the constant y_0 = -ln 4.
 f = parse("-1*exp(y)*(x*yp + 0.5)")
@@ -24,15 +23,13 @@ components = [
     normalize([Term(-0.0267739, 0.5), Term(0.03125, 2.0)]),
 ]
 
-order = 2
-y_lam, yp_lam = lift_solution(components, order)
-composed = eval_lambda(f, y_lam, yp_lam)
-
-for n in range(order + 1):
-    print(f"A_{n}:", format_series(extract_adomian(composed, n)))
+# One tape step per component: step n takes y_n, y_n' and returns A_n.
+tape = Tape(f)
+polynomials = [tape.extend(y_n, differentiate(y_n)) for y_n in components]
+for n, a_n in enumerate(polynomials):
+    print(f"A_{n}:", format_series(a_n))
 
 # A_0 equals f evaluated at the zeroth component, independently of x.
-a0 = extract_adomian(composed, 0)
 for x in (0.3, 0.8):
     direct = eval_real(f, x, -math.log(4.0), 0.0)
-    print(f"A_0({x}) = {evaluate(a0, x):+.10f}   f(x, y0, 0) = {direct:+.10f}")
+    print(f"A_0({x}) = {evaluate(polynomials[0], x):+.10f}   f(x, y0, 0) = {direct:+.10f}")

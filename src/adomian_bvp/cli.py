@@ -75,10 +75,10 @@ def _cmd_solve(args) -> int:
 def _cmd_table(args) -> int:
     if args.example not in BENCHMARK_IDS:
         raise InputError(f"example must be one of {BENCHMARK_IDS}")
-    ns = sorted(args.ns)
-    for beta in args.betas:
+    ns, alphas = sorted(set(args.ns)), list(dict.fromkeys(args.alphas))
+    for beta in dict.fromkeys(args.betas):
         cells = {}
-        for alpha in args.alphas:
+        for alpha in alphas:
             problem = benchmark_problem(args.example, alpha, beta)
             report = solve(problem, max(ns))
             for n in ns:
@@ -88,7 +88,7 @@ def _cmd_table(args) -> int:
             print(f"# example {args.example}, beta = {beta:g}, grid = {args.grid}")
         else:
             print(f"# example 2, grid = {args.grid}")
-        print(format_error_table(args.alphas, ns, cells))
+        print(format_error_table(alphas, ns, cells))
         if args.example == 2:
             break  # family 2 has no beta parameter
     return 0

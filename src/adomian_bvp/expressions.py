@@ -11,11 +11,12 @@ The grammar accepted by :func:`parse`:
   It may be any real number when the base is the bare variable ``x``;
   otherwise it must be an integer.
 
-Expressions evaluate over plain floats (:func:`eval_real`) and over the
-truncated decomposition ring: a :class:`Tape` lays the expression DAG out once
-and then adds one Taylor coefficient per node and step; :func:`eval_lambda`
-runs it to a given order.  ASTs are immutable and compare structurally, so
-equal subtrees share one tape node.
+Expressions evaluate over floats and grids (:func:`eval_real`: one numpy
+operation per node, so grid and scalar calls agree bit for bit, each exp, ln
+or power within 1 ulp of the C library) and over the truncated decomposition
+ring: a :class:`Tape` lays the expression DAG out once and then adds one Taylor
+coefficient per node and step; :func:`eval_lambda` runs it to a given order.
+ASTs are immutable and compare structurally, so equal subtrees share one tape node.
 """
 
 from __future__ import annotations
@@ -316,31 +317,29 @@ def free_vars(e: Expr) -> set[str]:
 
 # --- evaluation over floats -------------------------------------------------------
 
-def _pointwise(fn: Callable[[float], float], v, e: Expr):
-    """``fn`` at v, or at every point of the array v, for the node e.
-
-    exp, ln and real powers go through :mod:`math` point by point: numpy's
-    vectorised versions differ from the C library's in the last bit at some
-    points, and an array must give exactly the values of scalar calls.
-    """
-    try:
-        if isinstance(v, np.ndarray):
-            return np.array([fn(t) for t in v.ravel().tolist()]).reshape(v.shape)
-        return fn(float(v))
-    except OverflowError:
-        raise NonFiniteTerm(f"{to_source(e)!r} overflows") from None
+def _checked(e: Expr, ufunc, operand, undefined=False, error=None):
+    """``ufunc(operand)`` for node e; raises ``error(v)`` at the first v where ``undefined``
+    holds, and NonFiniteTerm where the operand is finite and the value is not."""
+    if np.any(undefined):
+        raise error(float(np.asarray(operand)[np.asarray(undefined)][0]))
+    with np.errstate(over="ignore"):
+        value = ufunc(operand)
+    if np.any(np.isfinite(operand) & ~np.isfinite(value)):
+        raise NonFiniteTerm(f"{to_source(e)!r} overflows")
+    return value
 
 
 def eval_real(e: Expr, x, y=0.0, yp=0.0):
     """IEEE double evaluation at the point (x, y, yp), or at every point of a grid.
 
     x, y and yp are floats or numpy arrays of one shape; a float broadcasts.
-    Arithmetic runs elementwise, so one call evaluates a whole grid with the
-    values scalar calls would give point by point.
+    Every node is one numpy operation, so a grid call gives bit for bit the
+    values of scalar calls at its points, and exp, ln and powers are within
+    1 ulp of the C library's.
 
     Raises:
         DivisionByZero, LogOfNonPositive, DomainError: when any point
-            violates the domain.
+            violates the domain; the message names the first offending value.
         NonFiniteTerm: exp or a power overflows; the message names it.
     """
     if isinstance(e, Constant):
@@ -362,24 +361,20 @@ def eval_real(e: Expr, x, y=0.0, yp=0.0):
         return eval_real(e.left, x, y, yp) / denom
     if isinstance(e, PowInt):
         base = eval_real(e.base, x, y, yp)
-        if e.power < 0 and np.any(base == 0.0):
-            raise DivisionByZero(f"0^{e.power} in {to_source(e)!r}")
-        return _pointwise(lambda b: b ** e.power, base, e)
+        return _checked(e, lambda b: np.power(b, float(e.power)), base,
+                        (base == 0.0) & (e.power < 0),
+                        lambda t: DivisionByZero(f"0^{e.power} in {to_source(e)!r}"))
     if isinstance(e, PowXReal):
-        def power(t: float) -> float:
-            try:
-                return math.pow(t, e.exponent)
-            except ValueError:
-                raise DomainError(f"x^{e.exponent:g} undefined at x = {t:g}") from None
-        return _pointwise(power, x, e)
+        p = e.exponent
+        return _checked(e, lambda t: np.power(t, p), x,
+                        (x < 0.0) & (p != round(p)) | (x == 0.0) & (p < 0.0),
+                        lambda t: DomainError(f"x^{p:g} undefined at x = {t:g}"))
     if isinstance(e, Exp):
-        return _pointwise(math.exp, eval_real(e.arg, x, y, yp), e)
+        return _checked(e, np.exp, eval_real(e.arg, x, y, yp))
     if isinstance(e, Ln):
-        def log(t: float) -> float:
-            if t <= 0.0:
-                raise LogOfNonPositive(f"ln({t:g}) in {to_source(e)!r}")
-            return math.log(t)
-        return _pointwise(log, eval_real(e.arg, x, y, yp), e)
+        arg = eval_real(e.arg, x, y, yp)
+        return _checked(e, np.log, arg, arg <= 0.0,
+                        lambda t: LogOfNonPositive(f"ln({t:g}) in {to_source(e)!r}"))
     raise TypeError(f"not an expression node: {e!r}")
 
 

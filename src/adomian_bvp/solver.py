@@ -136,6 +136,9 @@ def solve(problem: Problem, n: int = 10) -> SolveReport:
                 inhomogeneous = (problem.gamma1 - problem.alpha1 * problem.eta1) / D
                 y = gps.add(y, gps.scale(H, inhomogeneous))
             psi = gps.add(psi, y)
+            if problem.eta1 and (psi.is_zero or psi.exponents[0] != 0.0):
+                # The prune dropped a tiny eta1; y_k has no constant term for k >= 1.
+                psi = GPSeries(components[0].terms + psi.terms)
         except AdmError as err:
             raise type(err)(f"component {k + 1}: {err}") from err
         components.append(y)

@@ -18,6 +18,16 @@ from adomian_bvp.series import (
     GPSeries,
 )
 
+# f templates of admissible random problems (acceptance criterion 5 and the
+# boundary-exactness property).
+ADMISSIBLE_TEMPLATES = [
+    "0.3 + 0.5*x",
+    "exp(y)*(x*yp + 0.4)",
+    "0.7*y + 0.2*x*yp",
+    "1/(2 + y)",
+    "x^0.5*y - 0.3*yp*x",
+]
+
 # --- tolerance from printed significant digits --------------------------------
 
 

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from support import (
+    ADMISSIBLE_TEMPLATES,
     FIRST_COMPONENT,
     PRINTED_COMPONENTS,
     PUBLISHED_TABLES,
@@ -208,15 +209,6 @@ def test_criterion_4_quadrature_agreement():
 
 
 # --- criterion 5: boundary exactness ---------------------------------------------------
-
-
-ADMISSIBLE_TEMPLATES = [
-    "0.3 + 0.5*x",
-    "exp(y)*(x*yp + 0.4)",
-    "0.7*y + 0.2*x*yp",
-    "1/(2 + y)",
-    "x^0.5*y - 0.3*yp*x",
-]
 
 
 def _random_problem(rng, template):

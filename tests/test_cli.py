@@ -5,9 +5,11 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from adomian_bvp import cli
 from adomian_bvp.benchmarks import benchmark_problem
 from adomian_bvp.cli import main
 from adomian_bvp.problem_file import dump_problem, load_problem
@@ -249,6 +251,35 @@ def test_table_deterministic(capsys):
     first = capsys.readouterr().out
     assert main(args) == 0
     assert capsys.readouterr().out == first
+
+
+def test_table_prints_the_five_published_tables_byte_for_byte(capsys):
+    # recorded when eval_real still ran exp, ln and powers through math point by point
+    for args in (["--example", "1", "--betas", "1,3.5"], ["--example", "2"],
+                 ["--example", "3", "--betas", "1,2.5"]):
+        assert main(["table", *args]) == 0
+    want = (Path(__file__).parent / "table_published_grid1000.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("repeated,unique,solves", [
+    (["--ns", "10,5,10,8,5"], ["--ns", "5,8,10"], 3),
+    (["--alphas", "0.5,0.25,0.5"], ["--alphas", "0.5,0.25"], 2),
+    (["--betas", "3.5,1,3.5"], ["--betas", "3.5,1"], 6),
+])
+def test_table_computes_each_repeated_value_once(monkeypatch, capsys, repeated, unique, solves):
+    common = ["table", "--example", "1", "--grid", "50"]
+    assert main(common + unique) == 0
+    want = capsys.readouterr().out
+    calls = []
+    for name in ("solve", "max_error"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(
+            cli, name, lambda *a, name=name, real=real, **kw: calls.append(name) or real(*a, **kw)
+        )
+    assert main(common + repeated) == 0
+    assert capsys.readouterr().out == want  # ns sorted, alphas and betas in first-seen order
+    assert calls.count("solve") == solves and calls.count("max_error") == 3 * solves
 
 
 # --- residual ------------------------------------------------------------------------

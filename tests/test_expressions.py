@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from adomian_bvp.benchmarks import benchmark_problem
 from adomian_bvp.errors import (
     DivisionByZero,
     DomainError,
@@ -161,16 +162,37 @@ def test_eval_real_grid_matches_scalar_calls_bit_for_bit():
         assert grid.tolist() == points
 
 
+# The benchmark families' exact solutions, written with the C library's math.
+CLOSED_FORMS = {
+    1: lambda x, beta: math.log(1.0 / (4.0 + x ** beta)),
+    2: lambda x, beta: math.log(1.0 / (2.0 + x)),
+    3: lambda x, beta: math.exp(x ** beta),
+}
+
+
+@pytest.mark.parametrize("family", [1, 2, 3])
+@pytest.mark.parametrize("beta", [1.0, 2.5, 3.5])
+def test_eval_real_grid_is_within_4_ulps_of_math_closed_forms(family, beta):
+    xs = np.arange(1, 1001) / 1000.0
+    values = eval_real(benchmark_problem(family, 0.5, beta).exact, xs)
+    for x, got in zip(xs.tolist(), values.tolist()):
+        want = CLOSED_FORMS[family](x, beta)
+        assert abs(got - want) <= 4 * math.ulp(want), (x, got, want)
+
+
 def test_eval_real_grid_raises_when_any_point_violates_the_domain():
     xs = np.array([0.25, 0.5, 1.0])
     with pytest.raises(DivisionByZero):
         eval_real(parse("1/(x - 1)"), xs)
     with pytest.raises(LogOfNonPositive, match=r"ln\(-0\.75\)"):
         eval_real(parse("ln(x - 1)"), xs)  # the first offending point is named
-    with pytest.raises(DivisionByZero):
+    with pytest.raises(DivisionByZero, match=r"^0\^-1 in 'y\^-1'$"):
         eval_real(parse("y^-1"), xs, np.array([1.0, 0.0, 2.0]))
-    with pytest.raises(DomainError):
-        eval_real(parse("x^0.5"), np.array([0.5, -0.25]))
+    with pytest.raises(DomainError, match=r"^x\^0\.5 undefined at x = -0\.25$"):
+        eval_real(parse("x^0.5"), np.array([0.5, -0.25, -1.0]))
+    with pytest.raises(DomainError, match=r"^x\^-1\.5 undefined at x = 0$"):
+        eval_real(parse("x^-1.5"), np.array([0.5, 0.0]))
+    assert eval_real(parse("x^2"), np.array([-0.5, 0.0])).tolist() == [0.25, 0.0]
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,10 @@
   fails it prints exactly one ``error: Code(detail)`` line.
 * Any expression the parser accepts prints back to source that parses to
   the same AST, and printing is stable from the first round trip on.
+* Every partial sum of an admissible problem meets both boundary conditions:
+  psi_m(0) is eta1 bit for bit, also when eta1 is tiny or huge next to the
+  other coefficients, and the Robin combination at x = 1 is gamma1 to 1e-10
+  of the data's scale.
 """
 
 import contextlib
@@ -16,10 +20,14 @@ import re
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from support import ADMISSIBLE_TEMPLATES
+
 from adomian_bvp.cli import main
-from adomian_bvp.errors import ParseError, UnsupportedPower
+from adomian_bvp.errors import NonFiniteTerm, ParseError, UnsupportedPower
 from adomian_bvp.expressions import parse, to_source
 from adomian_bvp.problem_file import OPTIONAL_KEYS, REQUIRED_KEYS
+from adomian_bvp.series import differentiate, evaluate
+from adomian_bvp.solver import Problem, solve
 
 ERROR_LINE = re.compile(r"^error: \w+\(.*\)$")
 
@@ -123,3 +131,40 @@ def test_printed_expressions_parse_back_to_the_same_ast(source):
     printed = to_source(ast)
     assert parse(printed) == ast, (source, printed)
     assert to_source(parse(printed)) == printed
+
+
+def _signed_power_of_ten(low, high):
+    return st.builds(lambda sign, power: sign * 10.0 ** power,
+                     st.sampled_from([-1.0, 1.0]), st.floats(low, high))
+
+
+# The ranges of acceptance criterion 5, with eta1 also tiny or huge.
+ADMISSIBLE_PROBLEMS = st.builds(
+    Problem,
+    alpha=st.floats(0.0, 0.95),
+    sigma=st.floats(0.0, 1.0),
+    f=st.sampled_from(ADMISSIBLE_TEMPLATES).map(parse),
+    eta1=st.one_of(st.floats(-1.0, 1.0), _signed_power_of_ten(-300.0, -15.0),
+                   _signed_power_of_ten(15.0, 300.0)),
+    alpha1=st.floats(0.05, 2.0),
+    beta1=st.floats(0.0, 2.0),
+    gamma1=st.floats(-1.0, 1.0),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=ADMISSIBLE_PROBLEMS)
+def test_every_partial_sum_meets_both_boundary_conditions(problem):
+    try:
+        report = solve(problem, 6)
+    except NonFiniteTerm:  # only exp(y) at a huge eta1 overflows
+        assert "exp" in to_source(problem.f) and problem.eta1 > 709.0, problem
+        return
+    scale = max(1.0, abs(problem.eta1), abs(problem.gamma1))
+    for m, psi in enumerate(report.partial_sums, 1):
+        assert evaluate(psi, 0.0) == problem.eta1, (problem, m)
+        if m >= 2:
+            combo = problem.alpha1 * evaluate(psi, 1.0) + problem.beta1 * evaluate(
+                differentiate(psi), 1.0
+            )
+            assert abs(combo - problem.gamma1) <= 1e-10 * scale, (problem, m, combo)

@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from support import FIRST_COMPONENT, PRINTED_COMPONENTS, assert_series_matches_printed
+from support import (
+    ADMISSIBLE_TEMPLATES,
+    FIRST_COMPONENT,
+    PRINTED_COMPONENTS,
+    assert_series_matches_printed,
+)
 
 from adomian_bvp.benchmarks import benchmark_problem
 from adomian_bvp.errors import (
@@ -18,7 +23,7 @@ from adomian_bvp.errors import (
     NonConstantBasePoint,
 )
 from adomian_bvp.expressions import parse
-from adomian_bvp.series import GPSeries, add, differentiate, evaluate
+from adomian_bvp.series import GPSeries, Term, add, differentiate, evaluate
 from adomian_bvp.solver import Problem, SolveReport, partial_sum, solve
 
 
@@ -114,19 +119,10 @@ def _random_problem(rng, template):
     )
 
 
-FEED_TEMPLATES = [
-    "0.3 + 0.5*x",
-    "exp(y)*(x*yp + 0.4)",
-    "0.7*y + 0.2*x*yp",
-    "1/(2 + y)",
-    "x^0.5*y - 0.3*yp*x",
-]
-
-
 def test_boundary_exactness_random_robin_problems():
     rng = np.random.default_rng(12)
     for trial in range(30):
-        problem = _random_problem(rng, FEED_TEMPLATES[trial % len(FEED_TEMPLATES)])
+        problem = _random_problem(rng, ADMISSIBLE_TEMPLATES[trial % len(ADMISSIBLE_TEMPLATES)])
         report = solve(problem, 6)
         for m in range(1, 7):
             psi = partial_sum(report, m)
@@ -136,6 +132,17 @@ def test_boundary_exactness_random_robin_problems():
                     differentiate(psi), 1.0
                 )
                 assert abs(combo - problem.gamma1) <= 1e-10
+
+
+def test_partial_sums_keep_a_tiny_eta1_at_zero():
+    # eta1 is far below the prune threshold next to the other coefficients
+    problem = Problem(
+        alpha=0.0, sigma=0.0, f=parse("0.3 + 0.5*x"), eta1=3.5e-151,
+        alpha1=1.0, beta1=0.0, gamma1=0.0,
+    )
+    report = solve(problem, 6)
+    assert [evaluate(psi, 0.0) for psi in report.partial_sums] == [3.5e-151] * 6
+    assert all(psi.terms[0] == Term(3.5e-151, 0.0) for psi in report.partial_sums)
 
 
 def test_linear_problem_scales_linearly():
