@@ -19,16 +19,12 @@ import sys
 
 from .benchmarks import BENCHMARK_IDS, benchmark_problem
 from .diagnostics import format_error_table, max_error, residual
-from .errors import AdmError, InputError
+from .errors import AdmError, InputError, InvalidValue
 from .problem_file import dump_problem, load_problem
-from .series import GPSeries, format_series
+from .series import format_series
 from .solver import SolveReport, partial_sum, solve
 
 USAGE_ERROR, INPUT_ERROR, COMPUTE_ERROR = 2, 3, 4
-
-
-def _series_pairs(s: GPSeries) -> list[list[float]]:
-    return [[t.coeff, t.exponent] for t in s.terms]
 
 
 def _print_solve_text(report: SolveReport, err) -> None:
@@ -42,8 +38,8 @@ def _print_solve_text(report: SolveReport, err) -> None:
 def _print_solve_json(report: SolveReport, err) -> None:
     payload = {
         "n": report.n,
-        "components": [_series_pairs(c) for c in report.components],
-        "psi": _series_pairs(report.psi),
+        "components": [c.terms for c in report.components],
+        "psi": report.psi.terms,
     }
     if err is not None:
         payload["max_error"] = err.max_error
@@ -58,8 +54,11 @@ def _cmd_solve(args) -> int:
         if args.dump_config == "-":
             sys.stdout.write(text)
         else:
-            with open(args.dump_config, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                with open(args.dump_config, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as err:
+                raise InvalidValue(f"{args.dump_config}: cannot write ({err.strerror})") from None
         return 0
     report = solve(problem, args.n)
     err = None

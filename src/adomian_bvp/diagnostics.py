@@ -106,8 +106,8 @@ def quadrature_oracle(
     leaving at worst an integrable power of u at the origin.
 
     Raises:
-        QuadratureFailure: if the error estimate exceeds ``tol``.
-        LogResonance, OuterResonance, Divergent: inadmissible exponents.
+        QuadratureFailure: if the error estimate exceeds ``tol``, or a weighted
+            exponent is resonant (r = -1, r = alpha - 2) or divergent (r < alpha - 2).
     """
     from scipy.integrate import quad  # here, so that importing the package skips scipy
     if g.is_zero:

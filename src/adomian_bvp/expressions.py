@@ -116,6 +116,10 @@ YP = Var("yp")
 
 # --- parsing --------------------------------------------------------------------
 
+# The deepest nesting of parentheses and function calls, and the deepest AST,
+# that parse accepts: the parser and every tree walker recurse once per level.
+MAX_DEPTH = 100
+
 _NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
@@ -124,6 +128,7 @@ class _Parser:
     def __init__(self, source: str):
         self.source = source
         self.pos = 0
+        self.nesting = 0
 
     def _skip_ws(self) -> None:
         while self.pos < len(self.source) and self.source[self.pos].isspace():
@@ -199,18 +204,29 @@ class _Parser:
         return PowInt(base, int(round(value)))
 
     def unary(self) -> Expr:
-        if self._peek() == "-":
+        negations = 0
+        while self._peek() == "-":
             self.pos += 1
-            return Neg(self.unary())
-        return self.atom()
+            negations += 1
+        node = self.atom()
+        for _ in range(negations):
+            node = Neg(node)
+        return node
+
+    def _parenthesized(self) -> Expr:
+        self._expect("(")
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ParseError(f"parentheses nest deeper than {MAX_DEPTH} levels", self.pos)
+        node = self.expression()
+        self._expect(")")
+        self.nesting -= 1
+        return node
 
     def atom(self) -> Expr:
         ch = self._peek()
         if ch == "(":
-            self.pos += 1
-            node = self.expression()
-            self._expect(")")
-            return node
+            return self._parenthesized()
         if ch.isdigit() or ch == ".":
             return Constant(self._number())
         m = _IDENT_RE.match(self.source, self.pos)
@@ -222,9 +238,7 @@ class _Parser:
         if name in ("x", "y", "yp"):
             return Var(name)
         if name in ("exp", "ln"):
-            self._expect("(")
-            arg = self.expression()
-            self._expect(")")
+            arg = self._parenthesized()
             return Exp(arg) if name == "exp" else Ln(arg)
         raise ParseError(f"unknown identifier {name!r}", start)
 
@@ -233,7 +247,7 @@ def parse(source: str) -> Expr:
     """Parse expression source text into an AST.
 
     Raises:
-        ParseError: on any grammar violation, with the offending position.
+        ParseError: on any grammar violation or nesting past ``MAX_DEPTH``, with a position.
         UnsupportedPower: non-integer exponent on a base other than ``x``.
     """
     p = _Parser(source)
@@ -241,6 +255,12 @@ def parse(source: str) -> Expr:
     p._skip_ws()
     if p.pos != len(source):
         raise ParseError(f"trailing input {source[p.pos:]!r}", p.pos)
+    depth, level = 0, [node]
+    while level:  # level by level, so that a deep AST cannot overflow the stack
+        depth += 1
+        level = [c for e in level for c in vars(e).values() if isinstance(c, Expr)]
+    if depth > MAX_DEPTH:
+        raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", 0)
     return node
 
 
@@ -392,8 +412,9 @@ def _seed(value: GPSeries) -> _Rule:
     return lambda k, out: value if k == 0 else _ZERO
 
 
-_BINARY_RULES = {
-    Add: lr.add_coeff, Sub: lr.sub_coeff, Mul: lr.mul_coeff, Div: lr.div_coeff
+_RULES = {
+    Neg: lr.linear_coeff(-1.0), Add: lr.linear_coeff(1.0, 1.0),
+    Sub: lr.linear_coeff(1.0, -1.0), Mul: lr.mul_coeff, Div: lr.div_coeff,
 }
 
 
@@ -441,11 +462,11 @@ class Tape:
         if isinstance(e, PowXReal):
             return self._push(_seed(GPSeries.monomial(1.0, e.exponent)), ())
         if isinstance(e, Neg):
-            return self._push(lr.neg_coeff, (self._emit(e.arg),))
+            return self._push(_RULES[Neg], (self._emit(e.arg),))
         if isinstance(e, (Add, Sub, Mul, Div)):
             operands = (self._emit(e.left), self._emit(e.right))
             annotate = e if isinstance(e, Div) else None
-            return self._push(_BINARY_RULES[type(e)], operands, annotate)
+            return self._push(_RULES[type(e)], operands, annotate)
         if isinstance(e, (Exp, Ln)):
             rule = lr.exp_coeff if isinstance(e, Exp) else lr.ln_coeff
             return self._push(rule, (self._emit(e.arg),), e)

@@ -26,9 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TypeVar
-
-import numpy as np
+from typing import Callable, Sequence, TypeVar
 
 from . import series as gps
 from .errors import (
@@ -120,37 +118,19 @@ def _product(a: GPSeries, b: GPSeries) -> GPSeries:
     return _ZERO if a.is_zero or b.is_zero else gps.mul(a, b)
 
 
-def _combine(parts: Iterable[tuple[float, GPSeries]]) -> GPSeries:
-    """The sum of weight * series over the parts, normalized once.
+def linear_coeff(*weights: float) -> Callable[..., GPSeries]:
+    """The rule of a fixed weighted sum of the operands, such as a+b, a-b or -a:
+    coefficient k is that weighted sum of the operands' coefficients k."""
 
-    A single nonzero part only needs scaling: its terms are already sorted
-    and merged, and normalizing them again changes nothing.
-    """
-    live = [(w, s) for w, s in parts if not s.is_zero]
-    if len(live) <= 1:
-        return gps.scale(live[0][1], live[0][0]) if live else _ZERO
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = [s.coeffs if w == 1.0 else w * s.coeffs for w, s in live]
-    return gps.from_arrays(
-        np.concatenate(coeffs), np.concatenate([s.exponents for _, s in live])
-    )
+    def rule(k: int, out: _Coeffs, *operands: _Coeffs) -> GPSeries:
+        return gps.combine(zip(weights, [a[k] for a in operands]))
 
-
-def add_coeff(k: int, out: _Coeffs, a: _Coeffs, b: _Coeffs) -> GPSeries:
-    return gps.add(a[k], b[k])
-
-
-def sub_coeff(k: int, out: _Coeffs, a: _Coeffs, b: _Coeffs) -> GPSeries:
-    return _combine(((1.0, a[k]), (-1.0, b[k])))
-
-
-def neg_coeff(k: int, out: _Coeffs, a: _Coeffs) -> GPSeries:
-    return gps.scale(a[k], -1.0)
+    return rule
 
 
 def mul_coeff(k: int, out: _Coeffs, a: _Coeffs, b: _Coeffs) -> GPSeries:
     """Coefficient k of a*b: the Cauchy sum of a_i * b_(k-i)."""
-    return _combine((1.0, _product(a[i], b[k - i])) for i in range(k + 1))
+    return gps.combine((1.0, _product(a[i], b[k - i])) for i in range(k + 1))
 
 
 def div_coeff(k: int, out: _Coeffs, a: _Coeffs, b: _Coeffs) -> GPSeries:
@@ -165,7 +145,7 @@ def div_coeff(k: int, out: _Coeffs, a: _Coeffs, b: _Coeffs) -> GPSeries:
     inv = 1.0 / b0
     parts = [(inv, a[k])]
     parts += [(-inv, _product(b[j], out[k - j])) for j in range(1, k + 1)]
-    return _combine(parts)
+    return gps.combine(parts)
 
 
 def exp_coeff(k: int, out: _Coeffs, a: _Coeffs) -> GPSeries:
@@ -181,7 +161,7 @@ def exp_coeff(k: int, out: _Coeffs, a: _Coeffs) -> GPSeries:
             return GPSeries.constant(math.exp(a0))
         except OverflowError:
             raise NonFiniteTerm(f"exp({a0!r}) overflows") from None
-    return _combine((j / k, _product(a[j], out[k - j])) for j in range(1, k + 1))
+    return gps.combine((j / k, _product(a[j], out[k - j])) for j in range(1, k + 1))
 
 
 def ln_coeff(k: int, out: _Coeffs, a: _Coeffs) -> GPSeries:
@@ -198,7 +178,7 @@ def ln_coeff(k: int, out: _Coeffs, a: _Coeffs) -> GPSeries:
         return GPSeries.constant(math.log(a0))
     parts = [(1.0 / a0, a[k])]
     parts += [(-j / (k * a0), _product(out[j], a[k - j])) for j in range(1, k)]
-    return _combine(parts)
+    return gps.combine(parts)
 
 
 def binary_power(base: _T, p: int, mul: Callable[[_T, _T], _T]) -> _T:
@@ -227,7 +207,7 @@ def _run(rule: Callable[..., GPSeries], *operands: LambdaSeries) -> LambdaSeries
 
 def ring_add(a: LambdaSeries, b: LambdaSeries) -> LambdaSeries:
     _check_orders(a, b)
-    return _run(add_coeff, a, b)
+    return _run(linear_coeff(1.0, 1.0), a, b)
 
 
 def ring_scale(a: LambdaSeries, k: float) -> LambdaSeries:
@@ -236,7 +216,7 @@ def ring_scale(a: LambdaSeries, k: float) -> LambdaSeries:
 
 def ring_sub(a: LambdaSeries, b: LambdaSeries) -> LambdaSeries:
     _check_orders(a, b)
-    return _run(sub_coeff, a, b)
+    return _run(linear_coeff(1.0, -1.0), a, b)
 
 
 def ring_mul(a: LambdaSeries, b: LambdaSeries) -> LambdaSeries:

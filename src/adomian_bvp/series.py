@@ -7,12 +7,12 @@ partial sums are all values of this one type, so the whole solver reduces to
 a handful of exact term-wise operations on it.
 
 Every operation builds its raw terms as arrays (``mul`` an outer product,
-``add`` a concatenation) and hands them to one kernel, :func:`from_arrays`:
-a stable sort, a merge of exponents within ``EXPONENT_MERGE_TOL`` of the
-first exponent of their group, and a relative prune.  The kernel reproduces
-the term-by-term definition bit for bit: equal exponents keep their input
-order, a group sums its coefficients in that order, and the first non-finite
-input term is the one an error names.
+:func:`combine`, which is every weighted sum, a concatenation) and hands them
+to one kernel, :func:`from_arrays`: a stable sort, a merge of exponents within
+``EXPONENT_MERGE_TOL`` of the first exponent of their group, and a relative
+prune.  The kernel reproduces the term-by-term definition bit for bit: equal
+exponents keep their input order, a group sums its coefficients in that order,
+and the first non-finite input term is the one an error names.
 
 Values are immutable (their arrays are read-only) and every operation is a
 pure function; series can be shared freely between threads.
@@ -21,8 +21,7 @@ pure function; series can be shared freely between threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,9 +39,8 @@ PRUNE_REL_THRESHOLD = 1e-14
 DEFAULT_TERM_CAP = 10_000
 
 
-@dataclass(frozen=True)
-class Term:
-    """One monomial ``coeff * x**exponent``."""
+class Term(NamedTuple):
+    """One monomial ``coeff * x**exponent``; equal to the plain pair (coeff, exponent)."""
 
     coeff: float
     exponent: float
@@ -53,22 +51,25 @@ def _frozen(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _columns(terms: Iterable[Sequence[float]]) -> np.ndarray:
+    """(coeff, exponent) pairs, :class:`Term` or plain, as rows of coefficients and exponents."""
+    return np.array(tuple(terms), dtype=float).reshape(-1, 2).T.copy()
+
+
 class GPSeries:
     """A finite sum of real powers of x, sorted by strictly increasing exponent.
 
     ``coeffs`` and ``exponents`` are read-only float64 arrays of equal length;
     empty arrays represent the zero series.  Build instances through
     :func:`normalize`, :func:`from_arrays` or the constructors below; raw
-    construction from a sequence of :class:`Term` skips the merge/prune pass,
+    construction from (coeff, exponent) pairs skips the merge/prune pass,
     and the operations below rely on their operands being sorted and merged.
     """
 
     __slots__ = ("coeffs", "exponents", "_terms")
 
-    def __init__(self, terms: Iterable[Term] = ()):
-        terms = tuple(terms)
-        self.coeffs = _frozen(np.array([t.coeff for t in terms], dtype=float))
-        self.exponents = _frozen(np.array([t.exponent for t in terms], dtype=float))
+    def __init__(self, terms: Iterable[Sequence[float]] = ()):
+        self.coeffs, self.exponents = map(_frozen, _columns(terms))
         self._terms = None
 
     @staticmethod
@@ -205,47 +206,44 @@ def from_arrays(coeffs: np.ndarray, exponents: np.ndarray) -> GPSeries:
     return _pruned(c, e, (coeffs, exponents))
 
 
-def normalize(raw_terms: Iterable[Term | Sequence[float]]) -> GPSeries:
-    """:func:`from_arrays` over terms given as :class:`Term` or (coeff, exponent) pairs.
+def normalize(raw_terms: Iterable[Sequence[float]]) -> GPSeries:
+    """:func:`from_arrays` over (coeff, exponent) pairs, :class:`Term` or plain.
 
     Raises:
         NonFiniteTerm: if any coefficient or exponent is NaN or infinite.
     """
-    coeffs: list[float] = []
-    exponents: list[float] = []
-    for t in raw_terms:
-        if isinstance(t, Term):
-            coeffs.append(t.coeff)
-            exponents.append(t.exponent)
-        else:
-            coeffs.append(float(t[0]))
-            exponents.append(float(t[1]))
-    return from_arrays(np.array(coeffs, dtype=float), np.array(exponents, dtype=float))
+    return from_arrays(*_columns(raw_terms))
+
+
+def combine(parts: Iterable[tuple[float, GPSeries]]) -> GPSeries:
+    """The weighted sum of the (weight, series) parts, normalized once.
+
+    Parts of weight 0 or of a zero series are skipped.  A single remaining
+    part is scaled and pruned only, as its exponents are sorted and merged
+    already; otherwise all weighted terms go through :func:`from_arrays`.
+
+    Raises:
+        NonFiniteTerm: a weighted or merged coefficient is not finite.
+    """
+    live = [(w, s) for w, s in parts if w != 0.0 and not s.is_zero]
+    if not live:
+        return _ZERO
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = [s.coeffs if w == 1.0 else w * s.coeffs for w, s in live]
+    if len(live) > 1:
+        return from_arrays(np.concatenate(coeffs), np.concatenate([s.exponents for _, s in live]))
+    ((w, s),) = live
+    return s if w == 1.0 else _pruned(coeffs[0], s.exponents, (coeffs[0], s.exponents))
 
 
 def add(a: GPSeries, b: GPSeries) -> GPSeries:
     """Term-wise sum of two series."""
-    if b.is_zero:
-        return a
-    if a.is_zero:
-        return b
-    return from_arrays(
-        np.concatenate((a.coeffs, b.coeffs)), np.concatenate((a.exponents, b.exponents))
-    )
+    return combine(((1.0, a), (1.0, b)))
 
 
 def scale(a: GPSeries, k: float) -> GPSeries:
-    """Multiply every coefficient by the scalar k.
-
-    The exponents keep their sorted, merged order, so only the prune runs again.
-    """
-    if k == 0.0:
-        return _ZERO
-    if k == 1.0 or a.is_zero:
-        return a
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = a.coeffs * k
-    return _pruned(coeffs, a.exponents, (coeffs, a.exponents))
+    """Multiply every coefficient by the scalar k."""
+    return combine(((k, a),))
 
 
 def _is_constant(a: GPSeries) -> bool:

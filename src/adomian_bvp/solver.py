@@ -123,6 +123,7 @@ def solve(problem: Problem, n: int = 10) -> SolveReport:
     psi = y = GPSeries.constant(problem.eta1)
     components, partial_sums = [y], [psi]
     diagnostics = [StepInfo(0, len(y), 0.0)]
+    inhomogeneous = (problem.gamma1 - problem.alpha1 * problem.eta1) / D  # in y_1 only
 
     tape = Tape(problem.f)
     for k in range(n - 1):
@@ -131,10 +132,8 @@ def solve(problem: Problem, n: int = 10) -> SolveReport:
             a_k = tape.extend(y, gps.differentiate(y))
             image = apply_inverse(ctx, a_k)
             bleed = gps.evaluate(image, 1.0)
-            y = gps.add(gps.scale(H, problem.alpha1 * bleed / D), gps.scale(image, -1.0))
-            if k == 0:
-                inhomogeneous = (problem.gamma1 - problem.alpha1 * problem.eta1) / D
-                y = gps.add(y, gps.scale(H, inhomogeneous))
+            weights = (problem.alpha1 * bleed / D, -1.0, inhomogeneous if k == 0 else 0.0)
+            y = gps.combine(zip(weights, (H, image, H)))
             psi = gps.add(psi, y)
             if problem.eta1 and (psi.is_zero or psi.exponents[0] != 0.0):
                 # The prune dropped a tiny eta1; y_k has no constant term for k >= 1.

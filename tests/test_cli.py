@@ -12,6 +12,7 @@ import pytest
 from adomian_bvp import cli
 from adomian_bvp.benchmarks import benchmark_problem
 from adomian_bvp.cli import main
+from adomian_bvp.expressions import MAX_DEPTH
 from adomian_bvp.problem_file import dump_problem, load_problem
 
 EX1_FILE = dump_problem(benchmark_problem(1, 0.5, 1.0))
@@ -181,6 +182,48 @@ def test_directory_is_one_input_error(tmp_path, capsys, command):
     assert len(lines) == 1, captured.err
     assert lines[0].startswith(f"error: InvalidValue({tmp_path}: cannot read ("), lines[0]
     assert captured.out == ""
+
+
+def test_dump_config_into_a_directory_is_one_input_error(ex1_path, tmp_path, capsys):
+    assert main(["solve", ex1_path, "--dump-config", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith(f"error: InvalidValue({tmp_path}: cannot write ("), lines[0]
+    assert captured.out == ""
+
+
+def _with_f(tmp_path, f):
+    """A copy of the example 1 problem file with source term f."""
+    text = re.sub(r'(?m)^f = ".*"$', lambda _: f'f = "{f}"', EX1_FILE)
+    path = tmp_path / "f.prob"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "f",
+    ["(" * 250 + "y" + ")" * 250, "-" * 2000 + "y", "+".join(["y"] * 1500)],
+    ids=["nested-parentheses", "leading-minus-signs", "long-sum"],
+)
+def test_too_deep_f_is_one_parse_error(tmp_path, capsys, f):
+    assert main(["solve", _with_f(tmp_path, f), "--n", "3"]) == 3
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith("error: ParseError("), lines[0]
+    assert f"deeper than {MAX_DEPTH} levels" in lines[0]
+    assert captured.out == ""
+
+
+def test_f_at_the_depth_bound_is_solved(tmp_path, capsys):
+    # MAX_DEPTH parentheses around an AST of depth MAX_DEPTH: an odd number
+    # of minus signs on y, so the solve is that of f = -y.
+    deep = "(" * MAX_DEPTH + "-" * (MAX_DEPTH - 1) + "y" + ")" * MAX_DEPTH
+    assert main(["solve", _with_f(tmp_path, deep), "--n", "4"]) == 0
+    solved = capsys.readouterr()
+    assert main(["solve", _with_f(tmp_path, "-y"), "--n", "4"]) == 0
+    assert solved == capsys.readouterr()
 
 
 @pytest.mark.parametrize("option", ["--ns", "--alphas", "--betas"])

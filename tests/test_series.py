@@ -12,6 +12,7 @@ from adomian_bvp.series import (
     GPSeries,
     Term,
     add,
+    combine,
     differentiate,
     evaluate,
     evaluate_many,
@@ -137,6 +138,27 @@ def test_operations_match_reference_bit_for_bit():
         assert _terms(scale(a, k)) == reference_normalize([(c * k, e) for c, e in pairs_a])
         derivative = [(c * e, e - 1.0) for c, e in pairs_a if abs(e) > 1e-12]
         assert _terms(differentiate(a)) == reference_normalize(derivative)
+        parts = [
+            (
+                float(rng.choice([0.0, 1.0, -1.0, 0.37, 1e-15, 3.0e5])),
+                GPSeries.zero() if rng.integers(0, 4) == 0 else normalize(_random_raw_terms(rng)),
+            )
+            for _ in range(int(rng.integers(1, 5)))
+        ]
+        weighted = [(w * c, e) for w, s in parts if w != 0.0 for c, e in _terms(s)]
+        assert _terms(combine(parts)) == reference_normalize(weighted)
+
+
+def test_terms_and_plain_pairs_read_through_one_path():
+    assert Term(0.37, 2.5) == (0.37, 2.5)
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        pairs = _random_raw_terms(rng)
+        s = normalize(pairs)
+        assert normalize([Term(c, e) for c, e in pairs]) == s
+        assert GPSeries(s.terms) == s
+        assert GPSeries(tuple(map(tuple, s.terms))) == s
+        assert all(type(t) is Term and type(t.coeff) is float for t in s.terms)
 
 
 def test_non_finite_terms_are_named_like_the_reference():
