@@ -33,6 +33,8 @@ class ErrorReport:
 
 
 def _uniform_grid(grid_size: int) -> np.ndarray:
+    if grid_size < 1:
+        raise InvalidProblem(f"grid_size must be at least 1, got {grid_size!r}")
     return np.arange(1, grid_size + 1, dtype=float) / grid_size
 
 
@@ -43,15 +45,13 @@ def max_error(
 
     Raises:
         InvalidExactSolution: if the reference mentions y or yp.
-        InvalidProblem: grid_size < 2.
+        InvalidProblem: grid_size < 1.
         NonFiniteTerm: psi, the reference or their difference overflows.
     """
     if free_vars(exact) - {"x"}:
         raise InvalidExactSolution(
             f"reference mentions variables {sorted(free_vars(exact))}"
         )
-    if grid_size < 2:
-        raise InvalidProblem(f"grid_size must be at least 2, got {grid_size!r}")
     xs = _uniform_grid(grid_size)
     with np.errstate(over="ignore", invalid="ignore"):
         errors = np.abs(gps.evaluate_many(psi, xs) - eval_real(exact, xs))
@@ -78,8 +78,6 @@ def residual(
         InvalidProblem: grid_size < 1.
         NonFiniteTerm: some term of the residual overflows.
     """
-    if grid_size < 1:
-        raise InvalidProblem(f"grid_size must be at least 1, got {grid_size!r}")
     xs = _uniform_grid(grid_size)
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = gps.evaluate_many(apply_forward(problem.alpha, psi), xs)

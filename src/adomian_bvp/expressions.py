@@ -438,7 +438,7 @@ class Tape:
         # Columns 0 and 1 are the inputs y and y'; each later one is a node.
         self._columns: list[list[GPSeries]] = [[], []]
         self._program: list[tuple[_Rule, tuple[int, ...], Expr | None]] = []
-        self._nodes: dict[Expr, int] = {Y: 0, YP: 1}
+        self._nodes: dict[tuple, int] = {(Var, ("y",)): 0, (Var, ("yp",)): 1}
         self._root = self._emit(e)
 
     def _push(
@@ -449,29 +449,29 @@ class Tape:
         return len(self._columns) - 1
 
     def _emit(self, e: Expr) -> int:
-        node = self._nodes.get(e)
+        # Keyed on the operands' nodes, not the subtree, so a lookup costs the
+        # same at any depth; equal subtrees still meet in one node.
+        fields = tuple(self._emit(v) if isinstance(v, Expr) else v for v in vars(e).values())
+        key = (type(e), fields)
+        node = self._nodes.get(key)
         if node is None:
-            node = self._nodes[e] = self._lay_out(e)
+            node = self._nodes[key] = self._lay_out(e, fields)
         return node
 
-    def _lay_out(self, e: Expr) -> int:
+    def _lay_out(self, e: Expr, fields: tuple) -> int:  # fields: operand nodes or literal
         if isinstance(e, Constant):
             return self._push(_seed(GPSeries.constant(e.value)), ())
         if isinstance(e, Var):  # y and yp are preset inputs, so this is x
             return self._push(_seed(GPSeries.monomial(1.0, 1.0)), ())
         if isinstance(e, PowXReal):
             return self._push(_seed(GPSeries.monomial(1.0, e.exponent)), ())
-        if isinstance(e, Neg):
-            return self._push(_RULES[Neg], (self._emit(e.arg),))
-        if isinstance(e, (Add, Sub, Mul, Div)):
-            operands = (self._emit(e.left), self._emit(e.right))
-            annotate = e if isinstance(e, Div) else None
-            return self._push(_RULES[type(e)], operands, annotate)
+        if isinstance(e, (Neg, Add, Sub, Mul, Div)):
+            return self._push(_RULES[type(e)], fields, e if isinstance(e, Div) else None)
         if isinstance(e, (Exp, Ln)):
             rule = lr.exp_coeff if isinstance(e, Exp) else lr.ln_coeff
-            return self._push(rule, (self._emit(e.arg),), e)
+            return self._push(rule, fields, e)
         if isinstance(e, PowInt):
-            base = self._emit(e.base)
+            base = fields[0]
             if e.power < 0:
                 base = self._push(lr.div_coeff, (self._emit(_ONE), base), e)
             if e.power == 0:

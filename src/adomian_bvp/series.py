@@ -280,37 +280,37 @@ def differentiate(a: GPSeries) -> GPSeries:
 
 
 def evaluate(a: GPSeries, x: float) -> float:
-    """Sum c * x**e over all terms, left to right in Python floats.
-
-    Problems live on (0, 1], so x < 0 is outside the domain.  For x > 0 every
-    real exponent is fine; x = 0 is permitted only when all exponents are
-    nonnegative (with 0**0 := 1).
+    """:func:`evaluate_many` on the one-point grid [x], so it is the grid's value at x.
 
     Raises:
         DomainError: x < 0 or nan, or a negative exponent at x = 0.
     """
-    pairs = zip(a.coeffs.tolist(), a.exponents.tolist())
-    if x > 0.0:
-        return sum((c * x ** e for c, e in pairs), 0.0)
-    if x != 0.0:  # x < 0 or nan
-        raise DomainError(f"series are evaluated at x >= 0, got x = {x:g}")
-    total = 0.0
-    for c, e in pairs:
-        if e < -EXPONENT_MERGE_TOL:
-            raise DomainError(f"x^{e:g} is singular at x = 0")
-        if abs(e) <= EXPONENT_MERGE_TOL:
-            total += c
-    return total
+    return float(evaluate_many(a, np.array([x], dtype=float))[0])
 
 
 def evaluate_many(a: GPSeries, xs: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`evaluate` on a grid of strictly positive points."""
+    """Sum c * xs**e over all terms, left to right, at every point of a grid.
+
+    Problems live on (0, 1], so x < 0 is outside the domain.  At x = 0 a term
+    with |e| <= ``EXPONENT_MERGE_TOL`` counts as its coefficient (0**0 := 1),
+    a positive power vanishes, and a negative one is singular.
+
+    Raises:
+        DomainError: some x < 0 or nan, or a negative exponent at x = 0.
+    """
     xs = np.asarray(xs, dtype=float)
-    if np.any(xs <= 0.0):
-        raise DomainError("grid evaluation requires strictly positive points")
+    outside = ~(xs >= 0.0)
+    if outside.any():
+        raise DomainError(f"series are evaluated at x >= 0, got x = {xs[outside][0]:g}")
+    has_zero = not xs.all()
+    if has_zero and len(a) and a.exponents[0] < -EXPONENT_MERGE_TOL:  # exponents ascend
+        raise DomainError(f"x^{a.exponents[0]:g} is singular at x = 0")
     out = np.zeros_like(xs)
     for c, e in zip(a.coeffs.tolist(), a.exponents.tolist()):
-        out += c * xs ** e
+        if has_zero and 0.0 < abs(e) <= EXPONENT_MERGE_TOL:  # 0**e := 1, as 0**0
+            out += c * np.power(xs, e, out=np.ones_like(xs), where=xs > 0.0)
+        else:
+            out += c * xs ** e
     return out
 
 

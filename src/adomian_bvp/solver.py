@@ -131,7 +131,7 @@ def solve(problem: Problem, n: int = 10) -> SolveReport:
         try:
             a_k = tape.extend(y, gps.differentiate(y))
             image = apply_inverse(ctx, a_k)
-            bleed = gps.evaluate(image, 1.0)
+            bleed = sum(image.coeffs.tolist(), 0.0)  # image(1): every power of 1 is 1
             weights = (problem.alpha1 * bleed / D, -1.0, inhomogeneous if k == 0 else 0.0)
             y = gps.combine(zip(weights, (H, image, H)))
             psi = gps.add(psi, y)

@@ -12,8 +12,11 @@ import pytest
 from adomian_bvp import cli
 from adomian_bvp.benchmarks import benchmark_problem
 from adomian_bvp.cli import main
+from adomian_bvp.diagnostics import max_error, residual
+from adomian_bvp.errors import InvalidProblem
 from adomian_bvp.expressions import MAX_DEPTH
 from adomian_bvp.problem_file import dump_problem, load_problem
+from adomian_bvp.solver import solve
 
 EX1_FILE = dump_problem(benchmark_problem(1, 0.5, 1.0))
 EX3_FILE = dump_problem(benchmark_problem(3, 0.5, 1.0))
@@ -325,6 +328,31 @@ def test_table_computes_each_repeated_value_once(monkeypatch, capsys, repeated, 
     assert calls.count("solve") == solves and calls.count("max_error") == 3 * solves
 
 
+# --- grid size -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("grid", [1, 0, -4])
+@pytest.mark.parametrize("caller", ["max_error", "residual", "cli solve", "cli table", "cli residual"])
+def test_one_grid_size_rule(ex1_path, capsys, caller, grid):
+    # the smallest grid is the one point x = 1, for the library and every command
+    message = f"grid_size must be at least 1, got {grid}"
+    if caller.startswith("cli "):
+        command = caller[len("cli "):]
+        args = ["--example", "1", "--ns", "2"] if command == "table" else [ex1_path, "--n", "2"]
+        assert main([command, *args, "--grid", str(grid)]) == (0 if grid >= 1 else 3)
+        assert capsys.readouterr().err == ("" if grid >= 1 else f"error: InvalidProblem({message})\n")
+        return
+    problem = load_problem(ex1_path)
+    psi = solve(problem, 2).psi
+    call = {"max_error": lambda: max_error(psi, problem.exact, grid),
+            "residual": lambda: residual(psi, problem, grid)}[caller]
+    if grid >= 1:
+        call()
+    else:
+        with pytest.raises(InvalidProblem, match=re.escape(message)):
+            call()
+
+
 # --- residual ------------------------------------------------------------------------
 
 
@@ -335,6 +363,16 @@ def test_residual_listing(ex3_path, capsys):
     assert len(rows) == 100
     match = re.search(r"max \|residual\|: (\S+) at x", out)
     assert float(match.group(1)) < 1e-5
+
+
+def test_residual_of_the_demo_problem_is_pinned_byte_for_byte(capsys):
+    # ten significant digits of the grid path, recorded when series.evaluate
+    # still summed Python floats next to the numpy grid evaluator
+    root = Path(__file__).resolve().parents[1]
+    problem = str(root / "demos" / "problems" / "exp_dirichlet.prob")
+    assert main(["residual", problem, "--n", "10", "--grid", "1000"]) == 0
+    want = (Path(__file__).parent / "residual_exp_dirichlet_n10_grid1000.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == want
 
 
 def test_residual_zero_source(tmp_path, capsys):

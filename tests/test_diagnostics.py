@@ -13,7 +13,7 @@ from adomian_bvp.diagnostics import (
 )
 from adomian_bvp.errors import InvalidExactSolution, NonFiniteTerm, QuadratureFailure
 from adomian_bvp.expressions import eval_real, parse
-from adomian_bvp.series import GPSeries, differentiate, evaluate, evaluate_many
+from adomian_bvp.series import GPSeries, differentiate, evaluate
 from adomian_bvp.singular_operator import OperatorContext, apply_forward, apply_inverse
 from adomian_bvp.solver import Problem, partial_sum, solve
 
@@ -40,8 +40,9 @@ def test_max_error_grid_definition():
     report = max_error(psi, exact, 2)
     assert report.grid.tolist() == [0.5, 1.0]
     assert not report.grid.flags.writeable and not report.errors.flags.writeable
+    assert max_error(psi, exact, 1).grid.tolist() == [1.0]
     with pytest.raises(ValueError):
-        max_error(psi, exact, 1)
+        max_error(psi, exact, 0)
 
 
 def test_max_error_locates_maximum():
@@ -132,7 +133,7 @@ def test_max_error_matches_pointwise_reference_bit_for_bit():
     psi = solve(problem, 8).psi
     report = max_error(psi, problem.exact, 500)
     for x, err in zip(report.grid.tolist(), report.errors.tolist()):
-        assert err == abs(evaluate_many(psi, np.array([x]))[0] - eval_real(problem.exact, x))
+        assert err == abs(evaluate(psi, x) - eval_real(problem.exact, x))
 
 
 def test_residual_decreases_with_more_components():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from support import reference_normalize
 
+from adomian_bvp.benchmarks import benchmark_problem
 from adomian_bvp.errors import DomainError, NonFiniteTerm, TermBlowup
 from adomian_bvp.series import (
     PRUNE_REL_THRESHOLD,
@@ -21,6 +22,7 @@ from adomian_bvp.series import (
     normalize,
     scale,
 )
+from adomian_bvp.solver import solve
 
 
 def _terms(series):
@@ -304,6 +306,17 @@ def test_evaluate_at_zero_rules():
     assert evaluate(mixed, 0.0) == 3.0  # 0^0 := 1, positive powers vanish
     with pytest.raises(DomainError):
         evaluate(GPSeries.monomial(1.0, -0.5), 0.0)
+    # the same rule on a grid; an exponent within EXPONENT_MERGE_TOL of 0 counts as 0
+    xs = np.array([0.0, 0.25, 0.0, 1.0])
+    for tiny in (0.0, 1e-13, -1e-13):
+        s = GPSeries([(3.0, tiny), (5.0, 0.5), (-2.0, 2.0)])
+        values = evaluate_many(s, xs).tolist()
+        assert values[0] == values[2] == evaluate(s, 0.0) == 3.0
+        assert values[1] == evaluate(s, 0.25)
+    singular = GPSeries([(1.0, -0.5), (3.0, 0.0)])
+    assert evaluate_many(singular, np.array([0.25, 1.0])).tolist() == [5.0, 4.0]
+    with pytest.raises(DomainError, match="singular at x = 0"):
+        evaluate_many(singular, xs)
 
 
 def test_evaluate_negative_x_fractional_exponent():
@@ -311,17 +324,23 @@ def test_evaluate_negative_x_fractional_exponent():
         evaluate(GPSeries.monomial(1.0, 0.5), -0.25)
     # integer exponents are rejected too: series are evaluated at x >= 0 only
     for s in (GPSeries.monomial(1.0, 2.0), GPSeries.monomial(3.0, 0.0), GPSeries.zero()):
-        for x in (-0.25, -1.0, math.nan):
+        for x in (-0.25, -1.0, -math.inf, math.nan):
             with pytest.raises(DomainError):
                 evaluate(s, x)
+            with pytest.raises(DomainError, match="x >= 0"):
+                evaluate_many(s, np.array([0.5, x, 1.0]))
 
 
 def test_evaluate_many_matches_scalar():
-    s = normalize([Term(1.5, 0.5), Term(-0.5, 2.0)])
-    xs = np.linspace(0.1, 1.0, 10)
-    vec = evaluate_many(s, xs)
-    for x, v in zip(xs, vec):
-        assert v == pytest.approx(evaluate(s, float(x)), rel=1e-14)
+    # psi_1 ... psi_10 of the five published tables, at alpha = 0.25/0.5/0.75
+    # on their 1000-point grid: a point is a one-point grid, so the two agree
+    # bit for bit
+    xs = np.arange(1, 1001, dtype=float) / 1000
+    for example, beta in ((1, 1.0), (1, 3.5), (2, 1.0), (3, 1.0), (3, 2.5)):
+        for alpha in (0.25, 0.5, 0.75):
+            for psi in solve(benchmark_problem(example, alpha, beta), 10).partial_sums:
+                grid = evaluate_many(psi, xs).tolist()
+                assert [evaluate(psi, x) for x in xs.tolist()] == grid
 
 
 # --- display ---------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 import adomian_bvp.series as series_module
 from adomian_bvp.benchmarks import benchmark_problem
-from adomian_bvp.expressions import eval_lambda, eval_real, parse, to_source
+from adomian_bvp.expressions import Add, Tape, Var, eval_lambda, eval_real, parse, to_source
 from adomian_bvp.lambda_ring import lift_solution
 from adomian_bvp.series import differentiate, evaluate, evaluate_many
 from adomian_bvp.solver import Problem, solve
@@ -88,3 +88,30 @@ def test_series_products_grow_quadratically_in_n(monkeypatch):
     at_16 = len(calls)
     assert at_8 > 0
     assert at_16 / at_8 < 6.0
+
+
+# --- layout: one node per distinct subtree, in time linear in the AST ----------------
+
+
+def test_layout_touches_no_subtree_hash_or_equality(monkeypatch):
+    # a 100-term sum nests 100 deep; hashing each subtree to look it up would
+    # cost time quadratic in that depth
+    e = parse("+".join(["y"] * 100))
+    ast_nodes = 199  # 100 leaves, 99 sums
+    calls = []
+    for cls in (Add, Var):
+        for name in ("__hash__", "__eq__"):
+            real = getattr(cls, name)
+            monkeypatch.setattr(cls, name, lambda *a, real=real: calls.append(1) or real(*a))
+    tape = Tape(e)
+    assert len(calls) <= ast_nodes
+    assert len(tape._program) == 99  # y is an input; each partial sum is one node
+
+
+@pytest.mark.parametrize("source,nodes", [
+    ("exp(y)*exp(y) + exp(y)", 3),  # exp, mul, add
+    ("(y + 1)*(y + 1) - (y + 1)", 4),  # constant, add, mul, sub
+    ("1 + y^-2 + x*x^1.0", 8),  # 1 (also the 1 of 1/y), 1/y, its square, sum, x, x^1.0, product, sum
+])
+def test_equal_subtrees_share_one_node(source, nodes):
+    assert len(Tape(parse(source))._program) == nodes
