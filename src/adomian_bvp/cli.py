@@ -6,15 +6,19 @@ Subcommands:
 * ``table``           maximum-error tables for the built-in benchmarks
 * ``residual FILE``   pointwise equation residual of the partial sum
 
-Exit codes: 0 success, 2 usage error, 3 input error (file or expression),
-4 computation error (resonance, blow-up, quadrature).  Errors are printed to
-stderr as ``error: Code(detail)``.
+Exit codes: 0 success, 1 stdout cannot be written, 2 usage error, 3 input
+error (file or expression), 4 computation error (resonance, blow-up,
+quadrature).  Errors are printed to stderr as ``error: Code(detail)``; a
+closed pipe on stdout exits 1 silently.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
+import os
 import sys
 
 from .benchmarks import BENCHMARK_IDS, benchmark_problem
@@ -24,7 +28,7 @@ from .problem_file import dump_problem, load_problem
 from .series import format_series
 from .solver import SolveReport, partial_sum, solve
 
-USAGE_ERROR, INPUT_ERROR, COMPUTE_ERROR = 2, 3, 4
+OUTPUT_ERROR, USAGE_ERROR, INPUT_ERROR, COMPUTE_ERROR = 1, 2, 3, 4
 
 
 def _print_solve_text(report: SolveReport, err) -> None:
@@ -93,14 +97,18 @@ def _cmd_table(args) -> int:
     return 0
 
 
+def _residual_listing(pairs: list[tuple[float, float]]) -> str:
+    """One ``x  r`` line per pair, then the largest |r| and the first x where it occurs."""
+    sizes = [abs(r) for _, r in pairs]
+    worst = sizes.index(max(sizes))
+    return (("%.6f  % .10e\n" * len(pairs)) % tuple(itertools.chain.from_iterable(pairs))
+            + f"max |residual|: {sizes[worst]:.5e} at x = {pairs[worst][0]:g}\n")
+
+
 def _cmd_residual(args) -> int:
     problem = load_problem(args.file)
     report = solve(problem, args.n)
-    pairs = residual(report.psi, problem, args.grid)
-    for x, r in pairs:
-        print(f"{x:.6f}  {r: .10e}")
-    worst = max(pairs, key=lambda p: abs(p[1]))
-    print(f"max |residual|: {abs(worst[1]):.5e} at x = {worst[0]:g}")
+    sys.stdout.write(_residual_listing(residual(report.psi, problem, args.grid)))
     return 0
 
 
@@ -118,7 +126,9 @@ def _int_list(text: str) -> list[int]:
     return _nonempty([int(part) for part in text.split(",") if part.strip()])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use; do not mutate it."""
     parser = argparse.ArgumentParser(
         prog="adomian-bvp",
         description="Series solutions of doubly singular two-point boundary value problems.",
@@ -154,9 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _dispatch(args) -> int:
+    """Run the chosen command; a structured error becomes its exit status."""
     try:
         return args.handler(args)
     except FileNotFoundError as err:
@@ -170,8 +179,26 @@ def main(argv: list[str] | None = None) -> int:
         return COMPUTE_ERROR
 
 
+def main(argv: list[str] | None = None) -> int:
+    try:
+        try:
+            return _dispatch(build_parser().parse_args(argv))
+        finally:
+            sys.stdout.flush()  # a write failure surfaces here, not at interpreter exit
+    except BrokenPipeError:
+        return OUTPUT_ERROR  # the reader has gone: nothing left to tell
+    except OSError as err:  # inputs turn their own OSErrors into InputError
+        print(f"error: OutputError({err.strerror})", file=sys.stderr)
+        return OUTPUT_ERROR
+
+
 def entry_point() -> None:
-    sys.exit(main())
+    status = main()
+    if status == OUTPUT_ERROR:
+        # stdout is gone: let the interpreter's exit-time flush of what is
+        # still buffered go to devnull instead of failing again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,9 @@
 """Command-line surface: output formats, exit codes, config round trips."""
 
+import contextlib
+import copy
+import errno
+import io
 import json
 import os
 import re
@@ -8,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from adomian_bvp import cli
 from adomian_bvp.benchmarks import benchmark_problem
@@ -20,6 +26,8 @@ from adomian_bvp.solver import solve
 
 EX1_FILE = dump_problem(benchmark_problem(1, 0.5, 1.0))
 EX3_FILE = dump_problem(benchmark_problem(3, 0.5, 1.0))
+ROOT = Path(__file__).resolve().parents[1]
+DEMO_FILE = str(ROOT / "demos" / "problems" / "exp_dirichlet.prob")
 
 
 @pytest.fixture
@@ -368,9 +376,7 @@ def test_residual_listing(ex3_path, capsys):
 def test_residual_of_the_demo_problem_is_pinned_byte_for_byte(capsys):
     # ten significant digits of the grid path, recorded when series.evaluate
     # still summed Python floats next to the numpy grid evaluator
-    root = Path(__file__).resolve().parents[1]
-    problem = str(root / "demos" / "problems" / "exp_dirichlet.prob")
-    assert main(["residual", problem, "--n", "10", "--grid", "1000"]) == 0
+    assert main(["residual", DEMO_FILE, "--n", "10", "--grid", "1000"]) == 0
     want = (Path(__file__).parent / "residual_exp_dirichlet_n10_grid1000.txt").read_text(encoding="utf-8")
     assert capsys.readouterr().out == want
 
@@ -384,3 +390,107 @@ def test_residual_zero_source(tmp_path, capsys):
     out = capsys.readouterr().out
     values = [float(line.split()[1]) for line in out.splitlines()[:-1]]
     assert all(abs(v) < 1e-12 for v in values)
+
+
+# Finite floats with the edges of the formatter: signed zero, subnormals, huge
+# and tiny magnitudes, and a small pool so that |r| ties between points.
+LISTING_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300, 1e-300, -1e-300,
+                     0.5, -0.5, 1.0, -1.0]),
+)
+
+
+def _per_line_listing(pairs):
+    # the listing as it was printed before it became one formatted write
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for x, r in pairs:
+            print(f"{x:.6f}  {r: .10e}")
+        worst = max(pairs, key=lambda p: abs(p[1]))
+        print(f"max |residual|: {abs(worst[1]):.5e} at x = {worst[0]:g}")
+    return out.getvalue()
+
+
+@given(st.lists(st.tuples(LISTING_FLOATS, LISTING_FLOATS), min_size=1, max_size=30))
+def test_residual_listing_matches_the_per_line_print(pairs):
+    assert cli._residual_listing(pairs) == _per_line_listing(pairs)
+
+
+# --- one parser per process -----------------------------------------------------------
+
+
+def test_main_builds_its_parser_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_a_usage_error_leaves_the_parser_usable(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--example", "1", "--ns", ","])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["table", "--example", "3", "--ns", "2", "--grid", "10"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("# example 3, beta = 1, grid = 10\n") and err == ""
+
+
+def test_table_defaults_survive_repeated_calls(capsys):
+    # argparse hands the same default lists to every call of the shared parser
+    before = copy.deepcopy(vars(cli.build_parser().parse_args(["table", "--example", "3"])))
+    outputs = []
+    for _ in range(2):
+        assert main(["table", "--example", "3", "--grid", "20"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert vars(cli.build_parser().parse_args(["table", "--example", "3"])) == before
+
+
+# --- the command as its own process -----------------------------------------------------
+
+
+def _cli_process(args, stdout):
+    # block-buffered stdout, as by default, so that output can still be
+    # pending when the command ends
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-m", "adomian_bvp.cli", *args], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", DEMO_FILE, "--emit", "json"],
+    ["table", "--example", "3"],
+    ["residual", DEMO_FILE],
+])
+def test_process_output_equals_in_process_main(capsys, args):
+    proc = _cli_process(args, subprocess.PIPE)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert main(args) == 0
+    assert proc.stdout == capsys.readouterr().out.encode("utf-8")
+
+
+OUTPUT_COMMANDS = [
+    ["solve", DEMO_FILE],
+    ["table", "--example", "3", "--ns", "2", "--grid", "10"],
+    ["residual", DEMO_FILE],
+]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("args", OUTPUT_COMMANDS)
+def test_full_stdout_is_one_output_error(args):
+    with open("/dev/full", "wb") as full:
+        proc = _cli_process(args, full)
+    assert proc.returncode == 1
+    assert proc.stderr.decode() == f"error: OutputError({os.strerror(errno.ENOSPC)})\n"
+
+
+@pytest.mark.parametrize("args", OUTPUT_COMMANDS)
+def test_closed_pipe_on_stdout_exits_1_quietly(args):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes
+    try:
+        proc = _cli_process(args, write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")  # no traceback, no "Exception ignored"
