@@ -7,7 +7,7 @@ components whose partial sums satisfy both boundary conditions exactly.
 """
 
 from . import benchmarks, diagnostics, problem_file
-from .diagnostics import ErrorReport, max_error, quadrature_oracle, residual
+from .diagnostics import ErrorReport, max_error, residual
 from .errors import AdmError, ComputeError, InputError
 from .expressions import Expr, eval_lambda, eval_real, free_vars, parse, to_source
 from .lambda_ring import LambdaSeries, extract_adomian, lift_solution
@@ -50,7 +50,6 @@ __all__ = [
     "parse",
     "partial_sum",
     "problem_file",
-    "quadrature_oracle",
     "residual",
     "solve",
     "to_source",

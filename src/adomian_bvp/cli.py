@@ -7,9 +7,9 @@ Subcommands:
 * ``residual FILE``   pointwise equation residual of the partial sum
 
 Exit codes: 0 success, 1 stdout cannot be written, 2 usage error, 3 input
-error (file or expression), 4 computation error (resonance, blow-up,
-quadrature).  Errors are printed to stderr as ``error: Code(detail)``; a
-closed pipe on stdout exits 1 silently.
+error (file or expression), 4 computation error (resonance, blow-up).
+Errors are printed to stderr as ``error: Code(detail)``; a closed pipe on
+stdout exits 1 silently.
 """
 
 from __future__ import annotations
@@ -126,10 +126,21 @@ def _int_list(text: str) -> list[int]:
     return _nonempty([int(part) for part in text.split(",") if part.strip()])
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose ``--help`` fails like any other output.
+
+    argparse drops the OSError of its own writes, which would let ``--help``
+    to a full or closed stdout exit 0.  Usage errors on stderr keep that.
+    """
+
+    def print_help(self, file=None) -> None:
+        (file or sys.stdout).write(self.format_help())
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on first use; do not mutate it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="adomian-bvp",
         description="Series solutions of doubly singular two-point boundary value problems.",
     )

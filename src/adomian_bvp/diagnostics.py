@@ -1,10 +1,9 @@
-"""Error and residual diagnostics, plus an independent quadrature check.
+"""Error and residual diagnostics of a partial sum.
 
 Accuracy of a partial sum is measured against a closed-form reference on the
 uniform grid x_i = i/grid_size, i = 1..grid_size — the left endpoint is
 excluded (the equation lives on the half-open interval), the right one
-included.  The quadrature oracle re-computes the inverse operator by
-adaptive integration so the closed-form series route can be cross-checked.
+included.
 """
 
 from __future__ import annotations
@@ -14,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import series as gps
-from .errors import InvalidExactSolution, InvalidProblem, NonFiniteTerm, QuadratureFailure
+from .errors import InvalidExactSolution, InvalidProblem, NonFiniteTerm
 from .expressions import Expr, eval_real, free_vars
 from .series import GPSeries
-from .singular_operator import RESONANCE_TOL, OperatorContext, apply_forward
+from .singular_operator import apply_forward
 from .solver import Problem
 
 
@@ -87,51 +86,6 @@ def residual(
     if not np.all(np.isfinite(values)):
         raise NonFiniteTerm("the residual overflows on the grid")
     return list(zip(xs.tolist(), values.tolist()))
-
-
-def quadrature_oracle(
-    ctx: OperatorContext, g: GPSeries, x: float, tol: float = 1e-10
-) -> float:
-    """The inverse operator evaluated by adaptive quadrature instead of closed form.
-
-    The inner integral of each weighted term c*s^r over [t, 1] is elementary,
-    c*(1 - t^(r+1))/(r+1); the outer integral over [0, x] carries the t^-alpha
-    endpoint singularity, removed exactly by substituting t = u^(1/(1-alpha)):
-
-        int_0^x t^-alpha F(t) dt  =  m * int_0^(x^(1/m)) F(u^m) du,
-        m = 1/(1-alpha),
-
-    leaving at worst an integrable power of u at the origin.
-
-    Raises:
-        QuadratureFailure: if the error estimate exceeds ``tol``, or a weighted
-            exponent is resonant (r = -1, r = alpha - 2) or divergent (r < alpha - 2).
-    """
-    from scipy.integrate import quad  # here, so that importing the package skips scipy
-    if g.is_zero:
-        return 0.0
-    weighted = [(t.coeff, t.exponent + ctx.sigma) for t in g.terms]
-    for _, r in weighted:
-        if abs(r + 1.0) <= RESONANCE_TOL or abs(r + 2.0 - ctx.alpha) <= RESONANCE_TOL:
-            raise QuadratureFailure(f"weighted exponent {r:g} is resonant")
-        if r + 2.0 - ctx.alpha < 0.0:
-            raise QuadratureFailure(f"weighted exponent {r:g} diverges")
-
-    m = 1.0 / (1.0 - ctx.alpha)
-
-    def integrand(u: float) -> float:
-        t = u ** m
-        return m * sum(c * (1.0 - t ** (r + 1.0)) / (r + 1.0) for c, r in weighted)
-
-    upper = x ** (1.0 - ctx.alpha)
-    result = quad(integrand, 0.0, upper, epsabs=1e-13, epsrel=1e-13,
-                  limit=200, full_output=1)
-    value, abserr = result[0], result[1]
-    if abserr > tol:
-        raise QuadratureFailure(
-            f"error estimate {abserr:.2e} exceeds tolerance {tol:.2e}"
-        )
-    return float(value)
 
 
 def format_error_table(

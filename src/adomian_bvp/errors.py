@@ -3,9 +3,8 @@
 Two branches matter to callers: ``InputError`` covers everything wrong with
 user-supplied text (grammar, problem files, invalid data), ``ComputeError``
 covers failures of the mathematics itself (resonant exponents, series
-blow-up, quadrature that will not converge).  The command line maps the
-branches to distinct exit codes.  ``type(err).__name__`` is the stable
-machine-readable code.
+blow-up).  The command line maps the branches to distinct exit codes.
+``type(err).__name__`` is the stable machine-readable code.
 """
 
 
@@ -94,10 +93,6 @@ class Divergent(ComputeError):
 
 
 # --- diagnostics -------------------------------------------------------------
-
-class QuadratureFailure(ComputeError):
-    """Adaptive quadrature could not reach the requested tolerance."""
-
 
 class InvalidExactSolution(InputError):
     """An exact-solution expression may only mention x."""

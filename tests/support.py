@@ -1,9 +1,14 @@
-"""Shared fixtures for the test suite: published reference data and helpers.
+"""Shared fixtures for the test suite: published reference data, helpers and oracles.
 
 The component expansions and maximum-error tables below are frozen from the
 benchmark write-up this package reproduces.  Coefficients are compared at
 half an ulp of their shortest printed form (4 to 6 significant digits), so
 each assertion pins at least the printed precision.
+
+Two oracles check the method's two parts independently of the package's own
+routes: adaptive quadrature (scipy) for the closed-form inverse operator, and
+a complex evaluation of f on a circle in lambda, whose discrete Cauchy
+integrals give the decomposition polynomials.
 """
 
 from __future__ import annotations
@@ -11,12 +16,29 @@ from __future__ import annotations
 import math
 import re
 
+import numpy as np
+
 from adomian_bvp.errors import NonFiniteTerm
+from adomian_bvp.expressions import (
+    Add,
+    Constant,
+    Div,
+    Exp,
+    Expr,
+    Ln,
+    Mul,
+    Neg,
+    PowInt,
+    PowXReal,
+    Sub,
+    Var,
+)
 from adomian_bvp.series import (
     EXPONENT_MERGE_TOL,
     PRUNE_REL_THRESHOLD,
     GPSeries,
 )
+from adomian_bvp.singular_operator import RESONANCE_TOL, OperatorContext
 
 # f templates of admissible random problems (acceptance criterion 5 and the
 # boundary-exactness property).
@@ -91,6 +113,118 @@ def reference_normalize(raw_terms) -> list[tuple[float, float]]:
         (c, e) for c, e in merged
         if c != 0.0 and abs(c) >= PRUNE_REL_THRESHOLD * largest
     ]
+
+
+# --- the inverse operator by adaptive quadrature -----------------------------------
+
+
+class QuadratureFailure(Exception):
+    """The quadrature oracle cannot evaluate its input to the requested tolerance."""
+
+
+def quadrature_oracle(
+    ctx: OperatorContext, g: GPSeries, x: float, tol: float = 1e-10
+) -> float:
+    """The inverse operator evaluated by adaptive quadrature instead of closed form.
+
+    The inner integral of each weighted term c*s^r over [t, 1] is elementary,
+    c*(1 - t^(r+1))/(r+1); the outer integral over [0, x] carries the t^-alpha
+    endpoint singularity, removed exactly by substituting t = u^(1/(1-alpha)):
+
+        int_0^x t^-alpha F(t) dt  =  m * int_0^(x^(1/m)) F(u^m) du,
+        m = 1/(1-alpha),
+
+    leaving at worst an integrable power of u at the origin.
+
+    Raises:
+        QuadratureFailure: if the error estimate exceeds ``tol``, or a weighted
+            exponent is resonant (r = -1, r = alpha - 2) or divergent (r < alpha - 2).
+    """
+    from scipy.integrate import quad  # here, so that importing support skips scipy
+    if g.is_zero:
+        return 0.0
+    weighted = [(t.coeff, t.exponent + ctx.sigma) for t in g.terms]
+    for _, r in weighted:
+        if abs(r + 1.0) <= RESONANCE_TOL or abs(r + 2.0 - ctx.alpha) <= RESONANCE_TOL:
+            raise QuadratureFailure(f"weighted exponent {r:g} is resonant")
+        if r + 2.0 - ctx.alpha < 0.0:
+            raise QuadratureFailure(f"weighted exponent {r:g} diverges")
+
+    m = 1.0 / (1.0 - ctx.alpha)
+
+    def integrand(u: float) -> float:
+        t = u ** m
+        return m * sum(c * (1.0 - t ** (r + 1.0)) / (r + 1.0) for c, r in weighted)
+
+    upper = x ** (1.0 - ctx.alpha)
+    result = quad(integrand, 0.0, upper, epsabs=1e-13, epsrel=1e-13,
+                  limit=200, full_output=1)
+    value, abserr = result[0], result[1]
+    if abserr > tol:
+        raise QuadratureFailure(
+            f"error estimate {abserr:.2e} exceeds tolerance {tol:.2e}"
+        )
+    return float(value)
+
+
+# --- the decomposition generator on a circle in lambda ------------------------------
+
+
+class Unresolved(Exception):
+    """f on the circle leaves the Cauchy integrals short of its Taylor coefficients."""
+
+
+def _divisor(d):
+    winding = np.sum(np.angle(np.roll(d, -1) / d)) / (2.0 * np.pi)
+    if np.min(np.abs(d)) < 1e-3 or abs(winding) > 0.5:
+        raise Unresolved("a divisor comes near 0 or winds around it")
+    return d
+
+
+def _sum(a, b):
+    # a cancellation of d digits leaves the sum 1e-16 * 10^d of relative error
+    total = a + b
+    if np.any(np.abs(total) < 1e-4 * np.maximum(np.abs(a), np.abs(b))):
+        raise Unresolved("a sum cancels more than 4 digits")
+    return total
+
+
+_BINARY = {
+    Add: _sum,
+    Sub: lambda a, b: _sum(a, -b),
+    Mul: np.multiply,
+    Div: lambda a, b: a / _divisor(b),
+}
+
+
+def eval_on_circle(e: Expr, x: float, y: np.ndarray, yp: np.ndarray) -> np.ndarray:
+    """e in complex128 at real x, where y and yp are sampled around a circle in lambda.
+
+    Raises:
+        Unresolved: a divisor (the right side of ``/``, the base of a negative
+            power) comes within 1e-3 of 0 or winds around it, or an ln argument
+            comes within 1e-3 of 0 or has Re <= 0, somewhere on the circle: the
+            Taylor series in lambda would not converge on it.  Or a sum or
+            difference cancels more than 4 digits: its rounding would pass the
+            bound that the Cauchy integrals are compared at.
+    """
+    if isinstance(e, (Constant, PowXReal)):
+        return np.full_like(y, e.value if isinstance(e, Constant) else x ** e.exponent)
+    if isinstance(e, Var):
+        return {"x": np.full_like(y, x), "y": y, "yp": yp}[e.name]
+    if isinstance(e, PowInt):
+        base = eval_on_circle(e.base, x, y, yp)
+        return (_divisor(base) if e.power < 0 else base) ** e.power
+    if isinstance(e, Neg):
+        return -eval_on_circle(e.arg, x, y, yp)
+    if isinstance(e, Exp):
+        return np.exp(eval_on_circle(e.arg, x, y, yp))
+    if isinstance(e, Ln):
+        arg = eval_on_circle(e.arg, x, y, yp)
+        if np.min(np.abs(arg)) < 1e-3 or np.min(arg.real) <= 0.0:
+            raise Unresolved("an ln argument comes near 0 or crosses the branch cut")
+        return np.log(arg)
+    return _BINARY[type(e)](eval_on_circle(e.left, x, y, yp), eval_on_circle(e.right, x, y, yp))
 
 
 # --- printed component expansions ----------------------------------------------

@@ -24,11 +24,11 @@ from support import (
     TABLE_ALPHAS,
     TABLE_NS,
     assert_series_matches_printed,
+    quadrature_oracle,
 )
 
 from adomian_bvp.benchmarks import benchmark_problem
 from adomian_bvp.cli import main
-from adomian_bvp.diagnostics import quadrature_oracle
 from adomian_bvp.expressions import eval_lambda, eval_real, parse
 from adomian_bvp.lambda_ring import lift_solution
 from adomian_bvp.series import GPSeries, differentiate, evaluate

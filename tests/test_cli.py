@@ -170,12 +170,28 @@ def test_overflow_on_the_grid_is_one_structured_error(tmp_path, capsys, command,
     assert lines == [f"error: NonFiniteTerm({subexpression!r} overflows)"]
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    code = "import sys, adomian_bvp.cli; print('scipy' in sys.modules)"
+SCIPY_BLOCKED = f"""
+import contextlib, io, sys
+sys.modules["scipy"] = None  # from here on, any import of scipy raises ImportError
+from adomian_bvp import cli, max_error, residual, solve
+from adomian_bvp.benchmarks import benchmark_problem
+statuses = []
+for args in (["solve", {DEMO_FILE!r}], ["table", "--example", "3"], ["residual", {DEMO_FILE!r}]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        statuses.append(cli.main(args))
+problem = benchmark_problem(1, 0.5, 1.0)
+psi = solve(problem, 10).psi
+max_error(psi, problem.exact, 1000)
+residual(psi, problem, 1000)
+print(statuses)
+"""
+
+
+def test_package_runs_with_scipy_blocked():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env).stdout
-    assert out.strip() == "False"
+    proc = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[0, 0, 0]\n")
 
 
 def test_solve_undecodable_file_is_an_input_error(tmp_path, capsys):
@@ -448,11 +464,14 @@ def test_table_defaults_survive_repeated_calls(capsys):
 # --- the command as its own process -----------------------------------------------------
 
 
-def _cli_process(args, stdout):
+def _cli_process(args, stdout, unbuffered=False):
     # block-buffered stdout, as by default, so that output can still be
-    # pending when the command ends
+    # pending when the command ends; unbuffered, every write fails where it
+    # is made
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, "-m", "adomian_bvp.cli", *args], stdout=stdout,
                           stderr=subprocess.PIPE, env=env, timeout=60)
 
@@ -473,24 +492,44 @@ OUTPUT_COMMANDS = [
     ["solve", DEMO_FILE],
     ["table", "--example", "3", "--ns", "2", "--grid", "10"],
     ["residual", DEMO_FILE],
+    ["--help"],
+    ["solve", "--help"],
 ]
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("args", OUTPUT_COMMANDS)
-def test_full_stdout_is_one_output_error(args):
+def _check_full_stdout(args, unbuffered):
     with open("/dev/full", "wb") as full:
-        proc = _cli_process(args, full)
+        proc = _cli_process(args, full, unbuffered)
     assert proc.returncode == 1
     assert proc.stderr.decode() == f"error: OutputError({os.strerror(errno.ENOSPC)})\n"
 
 
-@pytest.mark.parametrize("args", OUTPUT_COMMANDS)
-def test_closed_pipe_on_stdout_exits_1_quietly(args):
+def _check_closed_pipe(args, unbuffered):
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader is gone before the command writes
     try:
-        proc = _cli_process(args, write_end)
+        proc = _cli_process(args, write_end, unbuffered)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, b"")  # no traceback, no "Exception ignored"
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+
+
+@needs_dev_full
+@pytest.mark.parametrize("args", OUTPUT_COMMANDS)
+def test_full_stdout_is_one_output_error(args):
+    _check_full_stdout(args, unbuffered=False)
+
+
+@pytest.mark.parametrize("args", OUTPUT_COMMANDS)
+def test_closed_pipe_on_stdout_exits_1_quietly(args):
+    _check_closed_pipe(args, unbuffered=False)
+
+
+@needs_dev_full
+@pytest.mark.parametrize("args", OUTPUT_COMMANDS)
+def test_unbuffered_stdout_fails_as_buffered_does(args):
+    _check_full_stdout(args, unbuffered=True)
+    _check_closed_pipe(args, unbuffered=True)

@@ -4,14 +4,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from support import QuadratureFailure, quadrature_oracle
+
 from adomian_bvp.benchmarks import benchmark_problem
-from adomian_bvp.diagnostics import (
-    format_error_table,
-    max_error,
-    quadrature_oracle,
-    residual,
-)
-from adomian_bvp.errors import InvalidExactSolution, NonFiniteTerm, QuadratureFailure
+from adomian_bvp.diagnostics import format_error_table, max_error, residual
+from adomian_bvp.errors import InvalidExactSolution, NonFiniteTerm
 from adomian_bvp.expressions import eval_real, parse
 from adomian_bvp.series import GPSeries, differentiate, evaluate
 from adomian_bvp.singular_operator import OperatorContext, apply_forward, apply_inverse
