@@ -1,7 +1,7 @@
 """Closed-form series solutions of doubly singular two-point boundary value problems.
 
 The pipeline: parse a nonlinearity f(x, y, yp), expand it into decomposition
-polynomials through a truncated ring, invert the singular operator
+polynomials on a compiled expression tape, invert the singular operator
 (x^alpha u')' term by term in closed form, and accumulate solution
 components whose partial sums satisfy both boundary conditions exactly.
 """
@@ -9,16 +9,9 @@ components whose partial sums satisfy both boundary conditions exactly.
 from . import benchmarks, diagnostics, problem_file
 from .diagnostics import ErrorReport, max_error, residual
 from .errors import AdmError, ComputeError, InputError
-from .expressions import Expr, eval_lambda, eval_real, free_vars, parse, to_source
-from .lambda_ring import LambdaSeries, extract_adomian, lift_solution
+from .expressions import Expr, eval_real, free_vars, parse, to_source
 from .series import GPSeries, Term, format_series, normalize
-from .singular_operator import (
-    OperatorContext,
-    apply_forward,
-    apply_inverse,
-    h_series,
-    inverse_at_one,
-)
+from .singular_operator import OperatorContext, apply_forward, apply_inverse, h_series
 from .solver import Problem, SolveReport, partial_sum, solve
 
 __all__ = [
@@ -28,7 +21,6 @@ __all__ = [
     "Expr",
     "GPSeries",
     "InputError",
-    "LambdaSeries",
     "OperatorContext",
     "Problem",
     "SolveReport",
@@ -37,14 +29,10 @@ __all__ = [
     "apply_inverse",
     "benchmarks",
     "diagnostics",
-    "eval_lambda",
     "eval_real",
-    "extract_adomian",
     "format_series",
     "free_vars",
     "h_series",
-    "inverse_at_one",
-    "lift_solution",
     "max_error",
     "normalize",
     "parse",

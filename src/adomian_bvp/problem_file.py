@@ -1,9 +1,9 @@
 """Line-oriented ``key = value`` problem files.
 
-Keys (each exactly once): ``p_exponent``, ``q_exponent``, ``f``, ``eta1``,
-``alpha1``, ``beta1``, ``gamma1``; optional ``exact``.  ``f`` and ``exact``
-hold double-quoted expression source; the rest are numbers.  ``#`` starts a
-comment outside quotes.  Unknown keys are rejected.
+Keys (each at most once) are those of :data:`FIELDS`, all required but
+``exact``.  ``f`` and ``exact`` hold double-quoted expression source; the
+rest are numbers.  ``#`` starts a comment outside quotes.  Unknown keys
+are rejected.
 """
 
 from __future__ import annotations
@@ -14,9 +14,17 @@ from .errors import DuplicateKey, InvalidValue, MissingKey, UnknownKey
 from .expressions import parse, to_source
 from .solver import Problem
 
-REQUIRED_KEYS = ("p_exponent", "q_exponent", "f", "eta1", "alpha1", "beta1", "gamma1")
-OPTIONAL_KEYS = ("exact",)
-_NUMBER_KEYS = ("p_exponent", "q_exponent", "eta1", "alpha1", "beta1", "gamma1")
+# file key -> Problem field, in canonical file order; every key but exact is required
+FIELDS = {
+    "p_exponent": "alpha",
+    "q_exponent": "sigma",
+    "f": "f",
+    "eta1": "eta1",
+    "alpha1": "alpha1",
+    "beta1": "beta1",
+    "gamma1": "gamma1",
+    "exact": "exact",
+}
 _EXPR_KEYS = ("f", "exact")
 
 
@@ -48,42 +56,34 @@ def parse_problem_text(text: str) -> Problem:
             raise InvalidValue(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in REQUIRED_KEYS + OPTIONAL_KEYS:
+        if key not in FIELDS:
             raise UnknownKey(key)
         if key in values:
             raise DuplicateKey(key)
         values[key] = value
 
-    for key in REQUIRED_KEYS:
-        if key not in values:
+    for key in FIELDS:
+        if key not in values and key != "exact":
             raise MissingKey(key)
 
-    numbers = {}
-    for key in _NUMBER_KEYS:
+    fields = {}
+    for key, name in FIELDS.items():
+        if key in _EXPR_KEYS:
+            continue
         try:
-            numbers[key] = float(values[key])
+            fields[name] = float(values[key])
         except ValueError:
             raise InvalidValue(f"{key}: {values[key]!r} is not a number") from None
 
-    exprs = {}
     for key in _EXPR_KEYS:
         if key not in values:
             continue
         source = values[key]
         if len(source) < 2 or not (source.startswith('"') and source.endswith('"')):
             raise InvalidValue(f"{key}: expression must be double-quoted, got {source!r}")
-        exprs[key] = parse(source[1:-1])
+        fields[FIELDS[key]] = parse(source[1:-1])
 
-    return Problem(
-        alpha=numbers["p_exponent"],
-        sigma=numbers["q_exponent"],
-        f=exprs["f"],
-        eta1=numbers["eta1"],
-        alpha1=numbers["alpha1"],
-        beta1=numbers["beta1"],
-        gamma1=numbers["gamma1"],
-        exact=exprs.get("exact"),
-    )
+    return Problem(**fields)
 
 
 def load_problem(path: str | Path) -> Problem:
@@ -107,15 +107,11 @@ def load_problem(path: str | Path) -> Problem:
 
 def dump_problem(problem: Problem) -> str:
     """Render a problem in the canonical file form; reloads to an equal Problem."""
-    lines = [
-        f"p_exponent = {problem.alpha!r}",
-        f"q_exponent = {problem.sigma!r}",
-        f'f = "{to_source(problem.f)}"',
-        f"eta1 = {problem.eta1!r}",
-        f"alpha1 = {problem.alpha1!r}",
-        f"beta1 = {problem.beta1!r}",
-        f"gamma1 = {problem.gamma1!r}",
-    ]
-    if problem.exact is not None:
-        lines.append(f'exact = "{to_source(problem.exact)}"')
+    lines = []
+    for key, name in FIELDS.items():
+        value = getattr(problem, name)
+        if value is None:  # an absent exact
+            continue
+        text = f'"{to_source(value)}"' if key in _EXPR_KEYS else repr(value)
+        lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"

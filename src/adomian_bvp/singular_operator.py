@@ -28,7 +28,7 @@ from . import series as gps
 from .errors import Divergent, InvalidProblem, LogResonance, OuterResonance
 from .series import GPSeries
 
-RESONANCE_TOL = 1e-12  # matches the exponent-merge tolerance
+RESONANCE_TOL = gps.EXPONENT_MERGE_TOL
 
 
 @dataclass(frozen=True)
@@ -46,22 +46,6 @@ class OperatorContext:
 def h_series(ctx: OperatorContext) -> GPSeries:
     """The homogeneous solution int_0^x t^-a dt = x^(1-a)/(1-a)."""
     return GPSeries.monomial(1.0 / (1.0 - ctx.alpha), 1.0 - ctx.alpha)
-
-
-def _check_exponent(ctx: OperatorContext, exponent: float) -> None:
-    r = exponent + ctx.sigma
-    if abs(r + 1.0) <= RESONANCE_TOL:
-        raise LogResonance(f"weighted exponent {r:g} hits -1 (term x^{exponent:g})")
-    tail = r + 2.0 - ctx.alpha
-    if abs(tail) <= RESONANCE_TOL:
-        raise OuterResonance(
-            f"weighted exponent {r:g} hits alpha-2 = {ctx.alpha - 2.0:g}"
-        )
-    if tail < 0.0:
-        raise Divergent(
-            f"weighted exponent {r:g} below alpha-2 = {ctx.alpha - 2.0:g}: "
-            "integral diverges"
-        )
 
 
 def apply_inverse(ctx: OperatorContext, g: GPSeries) -> GPSeries:
@@ -83,8 +67,13 @@ def apply_inverse(ctx: OperatorContext, g: GPSeries) -> GPSeries:
     r1 = r + 1.0
     tail = r + 2.0 - ctx.alpha
     if np.abs(r1).min() <= RESONANCE_TOL or tail.min() <= RESONANCE_TOL:
-        for exponent in g.exponents.tolist():
-            _check_exponent(ctx, exponent)
+        i = int(np.argmax((np.abs(r1) <= RESONANCE_TOL) | (tail <= RESONANCE_TOL)))
+        ri, bound = r[i], ctx.alpha - 2.0  # the first offending term, in exponent order
+        if abs(r1[i]) <= RESONANCE_TOL:
+            raise LogResonance(f"weighted exponent {ri:g} hits -1 (term x^{g.exponents[i]:g})")
+        if tail[i] >= -RESONANCE_TOL:
+            raise OuterResonance(f"weighted exponent {ri:g} hits alpha-2 = {bound:g}")
+        raise Divergent(f"weighted exponent {ri:g} below alpha-2 = {bound:g}: integral diverges")
     coeffs = np.empty(2 * len(g))
     exponents = np.empty(2 * len(g))
     with np.errstate(over="ignore", invalid="ignore"):

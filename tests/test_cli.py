@@ -263,6 +263,15 @@ def test_table_empty_list_is_a_usage_error(capsys, option):
     assert f"argument {option}: expected a comma-separated list" in err
 
 
+def test_table_unknown_example_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--example", "4"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "invalid choice: 4" in captured.err
+    assert captured.out == ""
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["solve"])  # missing file argument

@@ -94,3 +94,65 @@ def test_dump_reload_round_trip(tmp_path):
 def test_round_trip_from_file_text():
     problem = parse_problem_text(SAMPLE)
     assert parse_problem_text(dump_problem(problem)) == problem
+
+
+# --- schema: canonical dump text and the order faults are reported in ---------
+
+
+def test_dump_text_is_pinned():
+    assert dump_problem(benchmark_problem(1, 0.5, 3.5)) == (
+        "p_exponent = 0.5\n"
+        "q_exponent = 2.0\n"
+        'f = "-3.5*exp(y)*(x*yp + 3.0)"\n'
+        "eta1 = -1.3862943611198906\n"
+        "alpha1 = 1.0\n"
+        "beta1 = 0.0\n"
+        "gamma1 = -1.6094379124341003\n"
+        'exact = "ln(1.0/(4.0 + x^3.5))"\n'
+    )
+
+
+def test_dump_text_without_exact_is_pinned():
+    robin = parse_problem_text(
+        'beta1 = 0.75\nf = "y^2 - x*yp + exp(-y)"\np_exponent = 0.25\neta1 = 0.5\n'
+        "gamma1 = -1.25\nq_exponent = 0\nalpha1 = 2\n"
+    )
+    assert dump_problem(robin) == (
+        "p_exponent = 0.25\n"
+        "q_exponent = 0.0\n"
+        'f = "y^2 - x*yp + exp(-y)"\n'
+        "eta1 = 0.5\n"
+        "alpha1 = 2.0\n"
+        "beta1 = 0.75\n"
+        "gamma1 = -1.25\n"
+    )
+
+
+BAD_ETA1 = ("eta1 = -1.3862943611198906", "eta1 = minus")
+UNQUOTED_F = ('f = "-1*exp(y)*(x*yp + 0.5)"', "f = y")
+
+
+def _faulty(*swaps, drop=None):
+    text = SAMPLE
+    for old, new in swaps:
+        assert old in text
+        text = text.replace(old, new)
+    return "\n".join(line for line in text.splitlines() if not (drop and line.startswith(drop)))
+
+
+def test_a_missing_key_is_reported_before_a_bad_number():
+    with pytest.raises(MissingKey) as exc:
+        parse_problem_text(_faulty(BAD_ETA1, drop="gamma1"))
+    assert str(exc.value) == "gamma1"
+
+
+def test_a_bad_number_is_reported_before_an_unquoted_expression():
+    with pytest.raises(InvalidValue) as exc:
+        parse_problem_text(_faulty(BAD_ETA1, UNQUOTED_F))
+    assert str(exc.value) == "eta1: 'minus' is not a number"
+
+
+def test_an_unquoted_f_is_reported_before_an_unquoted_exact():
+    with pytest.raises(InvalidValue) as exc:
+        parse_problem_text(_faulty(UNQUOTED_F, ('exact = "ln(1/(4 + x))"', "exact = x")))
+    assert str(exc.value) == "f: expression must be double-quoted, got 'y'"

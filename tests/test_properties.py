@@ -34,7 +34,7 @@ from adomian_bvp.benchmarks import benchmark_problem
 from adomian_bvp.cli import main
 from adomian_bvp.errors import ComputeError, NonFiniteTerm, ParseError, UnsupportedPower
 from adomian_bvp.expressions import Tape, parse, to_source
-from adomian_bvp.problem_file import OPTIONAL_KEYS, REQUIRED_KEYS
+from adomian_bvp.problem_file import FIELDS
 from adomian_bvp.series import differentiate, evaluate, evaluate_many, normalize
 from adomian_bvp.solver import Problem, solve
 
@@ -84,7 +84,7 @@ VALUES = {
 
 @st.composite
 def problem_texts(draw):
-    keys = list(REQUIRED_KEYS + OPTIONAL_KEYS)
+    keys = list(FIELDS)
     if draw(st.integers(0, 4)) == 4:  # a format fault: drop, repeat or add keys
         keys = draw(st.lists(st.sampled_from(keys + ["unknown"]), max_size=2)) + [
             key for key in keys if draw(st.integers(0, 5))

@@ -128,6 +128,42 @@ def test_divergent():
         apply_inverse(ctx, GPSeries.monomial(1.0, -1.7))
 
 
+def _inverse_error(ctx, exponents):
+    with pytest.raises((LogResonance, OuterResonance, Divergent)) as exc:
+        apply_inverse(ctx, normalize([Term(1.0, e) for e in exponents]))
+    return type(exc.value), str(exc.value)
+
+
+LOG_AT_MINUS_1_5 = (LogResonance, "weighted exponent -1 hits -1 (term x^-1.5)")
+
+
+@pytest.mark.parametrize("exponents,expected", [
+    ([-1.5, 0.0, 1.0], LOG_AT_MINUS_1_5),  # offender first
+    ([-2.0, -1.5, 0.0], LOG_AT_MINUS_1_5),  # in the middle
+    ([-2.1, -2.0, -1.5], LOG_AT_MINUS_1_5),  # last
+    ([-2.25, -1.0, 0.0], (OuterResonance, "weighted exponent -1.75 hits alpha-2 = -1.75")),
+    ([-2.5, -2.0, 1.0],
+     (Divergent, "weighted exponent -2 below alpha-2 = -1.75: integral diverges")),
+    # a divergent term below a log-resonant one: the first in exponent order is named
+    ([-2.5, -1.5],
+     (Divergent, "weighted exponent -2 below alpha-2 = -1.75: integral diverges")),
+])
+def test_error_names_the_first_offending_term(exponents, expected):
+    # alpha = 0.25, sigma = 0.5: r = -1 at x^-1.5 and r = alpha-2 at x^-2.25
+    assert _inverse_error(OperatorContext(0.25, 0.5), exponents) == expected
+
+
+@pytest.mark.parametrize("exponent,expected", [
+    (-1.0 + 5e-13, (LogResonance, "weighted exponent -1 hits -1 (term x^-1)")),  # |r+1| = 5e-13
+    (-1.5 - 5e-13, (OuterResonance, "weighted exponent -1.5 hits alpha-2 = -1.5")),
+    (-1.5 - 2e-12,
+     (Divergent, "weighted exponent -1.5 below alpha-2 = -1.5: integral diverges")),
+])
+def test_resonance_tolerance_edges(exponent, expected):
+    # alpha = 0.5, sigma = 0: the tail r+2-alpha is -5e-13 and -2e-12 on the last two
+    assert _inverse_error(OperatorContext(0.5, 0.0), [exponent]) == expected
+
+
 # --- identities -----------------------------------------------------------------------
 
 
