@@ -11,7 +11,8 @@ result from coefficients 0..k of the operands and 0..k-1 of the result.  For
 the decomposition polynomials these are Duan's recurrences (Duan, "Convenient
 analytic recurrence algorithms for the Adomian polynomials", 2011); see also
 Griewank & Walther, *Evaluating Derivatives*, ch. 13.  The ``*_coeff``
-functions are the recurrences.  The expression tape
+functions are the recurrences, each one :func:`~.series.combine` call that
+forms and sums its Cauchy products.  The expression tape
 (:class:`~.expressions.Tape`) calls them once per node and step, so A_k costs
 one new coefficient per node; ``ring_*`` run them over a whole element.
 
@@ -40,8 +41,6 @@ from .series import GPSeries
 
 _T = TypeVar("_T")
 _Coeffs = Sequence[GPSeries]
-
-_ZERO = GPSeries()
 
 
 @dataclass(frozen=True)
@@ -114,10 +113,6 @@ def base_point(c0: GPSeries) -> float:
 # coefficient sequences (at least k+1 long), and returns coefficient k.
 
 
-def _product(a: GPSeries, b: GPSeries) -> GPSeries:
-    return _ZERO if a.is_zero or b.is_zero else gps.mul(a, b)
-
-
 def linear_coeff(*weights: float) -> Callable[..., GPSeries]:
     """The rule of a fixed weighted sum of the operands, such as a+b, a-b or -a:
     coefficient k is that weighted sum of the operands' coefficients k."""
@@ -130,7 +125,7 @@ def linear_coeff(*weights: float) -> Callable[..., GPSeries]:
 
 def mul_coeff(k: int, out: _Coeffs, a: _Coeffs, b: _Coeffs) -> GPSeries:
     """Coefficient k of a*b: the Cauchy sum of a_i * b_(k-i)."""
-    return gps.combine((1.0, _product(a[i], b[k - i])) for i in range(k + 1))
+    return gps.combine((), ((1.0, a[i], b[k - i]) for i in range(k + 1)))
 
 
 def div_coeff(k: int, out: _Coeffs, a: _Coeffs, b: _Coeffs) -> GPSeries:
@@ -143,9 +138,7 @@ def div_coeff(k: int, out: _Coeffs, a: _Coeffs, b: _Coeffs) -> GPSeries:
     if b0 == 0.0:
         raise DivisionByZeroSeries("reciprocal of a ring element with zero base point")
     inv = 1.0 / b0
-    parts = [(inv, a[k])]
-    parts += [(-inv, _product(b[j], out[k - j])) for j in range(1, k + 1)]
-    return gps.combine(parts)
+    return gps.combine(((inv, a[k]),), ((-inv, b[j], out[k - j]) for j in range(1, k + 1)))
 
 
 def exp_coeff(k: int, out: _Coeffs, a: _Coeffs) -> GPSeries:
@@ -161,7 +154,7 @@ def exp_coeff(k: int, out: _Coeffs, a: _Coeffs) -> GPSeries:
             return GPSeries.constant(math.exp(a0))
         except OverflowError:
             raise NonFiniteTerm(f"exp({a0!r}) overflows") from None
-    return gps.combine((j / k, _product(a[j], out[k - j])) for j in range(1, k + 1))
+    return gps.combine((), ((j / k, a[j], out[k - j]) for j in range(1, k + 1)))
 
 
 def ln_coeff(k: int, out: _Coeffs, a: _Coeffs) -> GPSeries:
@@ -176,9 +169,9 @@ def ln_coeff(k: int, out: _Coeffs, a: _Coeffs) -> GPSeries:
         raise LogOfNonPositive(f"ln of base point {a0:g}")
     if k == 0:
         return GPSeries.constant(math.log(a0))
-    parts = [(1.0 / a0, a[k])]
-    parts += [(-j / (k * a0), _product(out[j], a[k - j])) for j in range(1, k)]
-    return gps.combine(parts)
+    return gps.combine(
+        ((1.0 / a0, a[k]),), ((-j / (k * a0), out[j], a[k - j]) for j in range(1, k))
+    )
 
 
 def binary_power(base: _T, p: int, mul: Callable[[_T, _T], _T]) -> _T:

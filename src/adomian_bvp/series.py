@@ -6,13 +6,15 @@ strictly increasing exponent.  Solution components, their derivatives and
 partial sums are all values of this one type, so the whole solver reduces to
 a handful of exact term-wise operations on it.
 
-Every operation builds its raw terms as arrays (``mul`` an outer product,
-:func:`combine`, which is every weighted sum, a concatenation) and hands them
-to one kernel, :func:`from_arrays`: a stable sort, a merge of exponents within
+Every operation builds its raw terms as arrays (a product an outer product,
+a weighted sum a concatenation) and hands them to one kernel,
+:func:`from_arrays`: a stable sort, a merge of exponents within
 ``EXPONENT_MERGE_TOL`` of the first exponent of their group, and a relative
-prune.  The kernel reproduces the term-by-term definition bit for bit: equal
-exponents keep their input order, a group sums its coefficients in that order,
-and the first non-finite input term is the one an error names.
+prune.  :func:`combine` is every weighted sum, of series and of products of
+two series, such as one Cauchy sum of a recurrence; ``mul`` is its
+one-product call.  The kernel reproduces the term-by-term definition bit for
+bit: equal exponents keep their input order, a group sums its coefficients in
+that order, and the first non-finite input term is the one an error names.
 
 Values are immutable (their arrays are read-only) and every operation is a
 pure function; series can be shared freely between threads.
@@ -152,21 +154,22 @@ def _anchored_groups(exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _pruned(
     coeffs: np.ndarray, exponents: np.ndarray, raw: tuple[np.ndarray, np.ndarray]
-) -> GPSeries:
+) -> tuple[np.ndarray, np.ndarray]:
     """Drop exact zeros and coefficients below the relative threshold.
 
     ``raw`` is the kernel's input, searched for the term to name when a
     coefficient is not finite.
     """
     magnitude = np.abs(coeffs)
-    largest = magnitude.max()
+    # Ufunc reductions, as ndarray.max/min add a Python-level call to each.
+    largest = np.maximum.reduce(magnitude)
     if not math.isfinite(largest):
         _raise_non_finite(*raw)
     threshold = PRUNE_REL_THRESHOLD * largest
-    if threshold > 0.0 and magnitude.min() >= threshold:
-        return GPSeries._of(coeffs, exponents)
+    if threshold > 0.0 and np.minimum.reduce(magnitude) >= threshold:
+        return coeffs, exponents
     keep = magnitude >= threshold if threshold > 0.0 else magnitude > 0.0
-    return GPSeries._of(coeffs[keep], exponents[keep])
+    return coeffs[keep], exponents[keep]
 
 
 def from_arrays(coeffs: np.ndarray, exponents: np.ndarray) -> GPSeries:
@@ -183,8 +186,11 @@ def from_arrays(coeffs: np.ndarray, exponents: np.ndarray) -> GPSeries:
         NonFiniteTerm: if any coefficient or exponent is NaN or infinite
             (naming the first such term), or a merged coefficient overflows.
     """
-    if not len(coeffs):
-        return _ZERO
+    return GPSeries._of(*_merged(coeffs, exponents)) if len(coeffs) else _ZERO
+
+
+def _merged(coeffs: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`from_arrays` on at least one term, as arrays."""
     order = exponents.argsort(kind="stable")
     c, e = coeffs[order], exponents[order]
     if not (math.isfinite(e[0]) and math.isfinite(e[-1])):  # NaN sorts last
@@ -195,7 +201,8 @@ def from_arrays(coeffs: np.ndarray, exponents: np.ndarray) -> GPSeries:
         head = np.empty(len(e), dtype=bool)
         head[0] = True
         np.logical_not(joins, out=head[1:])
-        group, anchors = head.cumsum(), e[head]
+        # The group ids of head.cumsum(); an integer accumulate is cheaper.
+        group, anchors = np.add.accumulate(head, dtype=np.intp), e[head]
         # These groups chain consecutive gaps, but a group is anchored at its
         # first exponent.  The two differ only where the joined gaps of one
         # group add up past the tolerance; unless the total of all joined
@@ -215,25 +222,49 @@ def normalize(raw_terms: Iterable[Sequence[float]]) -> GPSeries:
     return from_arrays(*_columns(raw_terms))
 
 
-def combine(parts: Iterable[tuple[float, GPSeries]]) -> GPSeries:
-    """The weighted sum of the (weight, series) parts, normalized once.
+def combine(
+    parts: Iterable[tuple[float, GPSeries]],
+    products: Iterable[tuple[float, GPSeries, GPSeries]] = (),
+) -> GPSeries:
+    """The weighted sum of the (weight, series) parts and (weight, a, b) products.
 
-    Parts of weight 0 or of a zero series are skipped.  A single remaining
-    part is scaled and pruned only, as its exponents are sorted and merged
-    already; otherwise all weighted terms go through :func:`from_arrays`.
+    Equal to the sum of ``parts`` followed by ``(w, mul(a, b))`` for each
+    product, bit for bit: each product is formed and normalized on its own,
+    in order (only pruned when a factor is the constant series, whose zero
+    exponent moves none of the other's), and then the sum is normalized once.
+    Products with a zero factor, and parts of weight 0 or of a zero series,
+    are skipped.  A single remaining part is scaled and pruned only, as its
+    exponents are sorted and merged already, and returned as it is if its
+    weight is 1; otherwise all weighted terms go through :func:`from_arrays`.
 
     Raises:
-        NonFiniteTerm: a weighted or merged coefficient is not finite.
+        TermBlowup: a raw product would exceed ``DEFAULT_TERM_CAP`` terms.
+        NonFiniteTerm: a product, weighted or merged coefficient is not finite.
     """
-    live = [(w, s) for w, s in parts if w != 0.0 and not s.is_zero]
+    live = [(w, s.coeffs, s.exponents) for w, s in parts if w != 0.0 and len(s.coeffs)]
+    products = [(w, a, b) for w, a, b in products if len(a.coeffs) and len(b.coeffs)]
+    if not products and len(live) < 2 and (not live or live[0][0] == 1.0):
+        return GPSeries._of(*live[0][1:]) if live else _ZERO
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w, a, b in products:
+            if len(a.coeffs) * len(b.coeffs) > DEFAULT_TERM_CAP:
+                raise TermBlowup(
+                    f"product of {len(a)} x {len(b)} terms exceeds cap {DEFAULT_TERM_CAP}"
+                )
+            c = np.multiply.outer(a.coeffs, b.coeffs).ravel()
+            e = np.add.outer(a.exponents, b.exponents).ravel()
+            c, e = _pruned(c, e, (c, e)) if _is_constant(a) or _is_constant(b) else _merged(c, e)
+            if w != 0.0 and len(c):
+                live.append((w, c, e))
+        coeffs = [c if w == 1.0 else w * c for w, c, _ in live]
+    if len(live) > 1:
+        return from_arrays(np.concatenate(coeffs), np.concatenate([e for *_, e in live]))
     if not live:
         return _ZERO
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = [s.coeffs if w == 1.0 else w * s.coeffs for w, s in live]
-    if len(live) > 1:
-        return from_arrays(np.concatenate(coeffs), np.concatenate([s.exponents for _, s in live]))
-    ((w, s),) = live
-    return s if w == 1.0 else _pruned(coeffs[0], s.exponents, (coeffs[0], s.exponents))
+    ((w, _, e),) = live
+    if w == 1.0:
+        return GPSeries._of(coeffs[0], e)
+    return GPSeries._of(*_pruned(coeffs[0], e, (coeffs[0], e)))
 
 
 def add(a: GPSeries, b: GPSeries) -> GPSeries:
@@ -247,27 +278,16 @@ def scale(a: GPSeries, k: float) -> GPSeries:
 
 
 def _is_constant(a: GPSeries) -> bool:
-    return len(a) == 1 and a.exponents[0] == 0.0
+    return len(a.coeffs) == 1 and a.exponents[0] == 0.0
 
 
 def mul(a: GPSeries, b: GPSeries) -> GPSeries:
-    """Product of two series; exponents add pairwise.
+    """Product of two series, exponents adding pairwise: :func:`combine` of one product.
 
     Raises:
         TermBlowup: if the raw pairwise product would exceed ``DEFAULT_TERM_CAP`` terms.
     """
-    if len(a) * len(b) > DEFAULT_TERM_CAP:
-        raise TermBlowup(f"product of {len(a)} x {len(b)} terms exceeds cap {DEFAULT_TERM_CAP}")
-    if a.is_zero or b.is_zero:
-        return _ZERO
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = np.multiply.outer(a.coeffs, b.coeffs).ravel()
-        exponents = np.add.outer(a.exponents, b.exponents).ravel()
-    if _is_constant(a) or _is_constant(b):
-        # Adding an exponent of 0 moves none: the other factor's order and
-        # gaps stand, and only the prune runs again.
-        return _pruned(coeffs, exponents, (coeffs, exponents))
-    return from_arrays(coeffs, exponents)
+    return combine((), ((1.0, a, b),))
 
 
 def differentiate(a: GPSeries) -> GPSeries:

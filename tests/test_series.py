@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from support import reference_normalize
 
 from adomian_bvp.benchmarks import benchmark_problem
 from adomian_bvp.errors import DomainError, NonFiniteTerm, TermBlowup
 from adomian_bvp.series import (
+    DEFAULT_TERM_CAP,
+    EXPONENT_MERGE_TOL,
     PRUNE_REL_THRESHOLD,
     GPSeries,
     Term,
@@ -18,6 +22,7 @@ from adomian_bvp.series import (
     evaluate,
     evaluate_many,
     format_series,
+    from_arrays,
     mul,
     normalize,
     scale,
@@ -242,6 +247,98 @@ def test_ring_laws_on_evaluation():
         assert evaluate(mul(a, b), x) == pytest.approx(
             evaluate(a, x) * evaluate(b, x), abs=1e-12, rel=1e-12
         )
+
+
+# --- combine with products: one call per Cauchy sum --------------------------------
+
+# Exponents from a few values with drift inside and just past the merge
+# tolerance, so products of two factors often land within it of each other.
+_EXPONENTS = st.builds(
+    float.__add__,
+    st.sampled_from([-0.5, 0.0, 0.5, 1.0, 2.375]),
+    st.sampled_from([0.0, 0.4 * EXPONENT_MERGE_TOL, 0.7 * EXPONENT_MERGE_TOL,
+                     EXPONENT_MERGE_TOL, -EXPONENT_MERGE_TOL, 3 * EXPONENT_MERGE_TOL]),
+)
+_COEFFS = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.sampled_from([0.0, 1.0, 1e-300, 3e16]),  # 3e16 + 1 - 3e16 depends on the order
+    st.floats(1e299, 1e300).map(lambda c: -c),
+    st.floats(1e299, 1e300),
+)
+_NONZERO = st.lists(st.tuples(_COEFFS, _EXPONENTS), min_size=1, max_size=6).map(normalize)
+_SERIES = st.one_of(
+    st.just(GPSeries.zero()),
+    st.builds(GPSeries.constant, st.sampled_from([1.0, -1.0, 0.37, 1e300])),
+    _NONZERO, _NONZERO, _NONZERO,
+)
+# 1e8 takes two coefficients near 1e300 to a merged sum past the largest float.
+_WEIGHTS = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 1e8]), st.floats(-1e3, 1e3))
+
+
+def _reference_sum(raw):
+    """reference_normalize, raising where the kernel reports a merged overflow."""
+    terms = reference_normalize(raw)
+    if not all(math.isfinite(c) for c, _ in terms):
+        raise NonFiniteTerm("a merged coefficient overflows")
+    return terms
+
+
+def _nested_oracle(parts, products):
+    """Each product normalized on its own, in order, then the weighted sum once."""
+    weighted = [(w * c, e) for w, s in parts if w != 0.0 for c, e in _terms(s)]
+    for w, a, b in products:
+        pairs = [(ca * cb, ea + eb) for ca, ea in _terms(a) for cb, eb in _terms(b)]
+        product = _reference_sum(pairs)  # formed, and able to fail, at any weight
+        if w != 0.0:
+            weighted += [(w * c, e) for c, e in product]
+    return _reference_sum(weighted)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    parts=st.lists(st.tuples(_WEIGHTS, _SERIES), max_size=3),
+    products=st.lists(st.tuples(_WEIGHTS, _SERIES, _SERIES), max_size=4),
+)
+@example(  # the sum adds parts, then products, in order: (1 + 3e16) - 3e16 is 0
+    parts=[(1.0, GPSeries.monomial(1.0, 0.5))],
+    products=[(w, GPSeries.constant(3e16), GPSeries.monomial(1.0, 0.5)) for w in (1.0, -1.0)],
+)
+def test_combine_with_products_matches_the_nested_oracle(parts, products):
+    try:
+        want = _nested_oracle(parts, products)
+    except NonFiniteTerm as err:
+        with pytest.raises(NonFiniteTerm) as got:
+            combine(iter(parts), iter(products))
+        assert str(got.value) == str(err)
+        return
+    got = combine(iter(parts), iter(products))
+    assert got.coeffs.tolist() == [c for c, _ in want]
+    assert got.exponents.tolist() == [e for _, e in want]
+
+
+def _powers(count):
+    return from_arrays(np.ones(count), np.arange(count, dtype=float))
+
+
+def test_an_overflowing_product_before_a_wide_one_is_a_non_finite_term():
+    big, wide = GPSeries.monomial(1e200, 0.5), _powers(101)
+    with pytest.raises(NonFiniteTerm) as err:
+        combine((), [(1.0, big, big), (1.0, wide, wide)])
+    assert str(err.value) == "term (inf, 1.0) is not finite"
+
+
+def test_a_wide_product_before_an_overflowing_one_is_a_term_blowup():
+    big, wide = GPSeries.monomial(1e200, 0.5), _powers(101)
+    with pytest.raises(TermBlowup) as err:
+        combine((), [(1.0, wide, wide), (1.0, big, big)])
+    assert str(err.value) == f"product of 101 x 101 terms exceeds cap {DEFAULT_TERM_CAP}"
+
+
+def test_an_empty_factor_skips_the_product_and_its_cap():
+    huge, part = _powers(DEFAULT_TERM_CAP + 1), GPSeries.monomial(2.0, 0.5)
+    got = combine([(1.0, part)], [(1.0, GPSeries.zero(), huge), (-3.0, huge, GPSeries.zero())])
+    assert got == part
+    assert mul(huge, GPSeries.zero()).is_zero
 
 
 # --- differentiate ----------------------------------------------------------------

@@ -9,7 +9,7 @@ import adomian_bvp.series as series_module
 from adomian_bvp.benchmarks import benchmark_problem
 from adomian_bvp.expressions import Add, Tape, Var, eval_lambda, eval_real, parse, to_source
 from adomian_bvp.lambda_ring import lift_solution
-from adomian_bvp.series import differentiate, evaluate, evaluate_many
+from adomian_bvp.series import GPSeries, differentiate, evaluate, evaluate_many
 from adomian_bvp.solver import Problem, solve
 
 GRID = np.arange(1, 1001) / 1000.0
@@ -69,25 +69,53 @@ def test_integer_powers_solve_and_track_the_nonlinearity(source, eta1):
 # --- cost: one new coefficient per node and step -----------------------------------
 
 
+def _counting(monkeypatch, name, count):
+    """Replace series.<name> by a wrapper that appends count(*args) per call.
+
+    Iterable arguments, such as the products a recurrence passes to
+    ``combine`` as a generator, are read into lists first."""
+    calls = []
+    original = getattr(series_module, name)
+
+    def counting(*args):
+        args = [a if isinstance(a, GPSeries) else list(a) for a in args]
+        calls.append(count(*args))
+        return original(*args)
+
+    monkeypatch.setattr(series_module, name, counting)
+    return calls
+
+
 def test_series_products_grow_quadratically_in_n(monkeypatch):
     # Recomposing f at every step costs O(n^4) products (224 -> 2830 here);
     # the tape's recurrences cost O(n^2) (about 4x from n = 8 to n = 16).
-    calls = []
-    original = series_module.mul
-
-    def counting(a, b, *args, **kwargs):
-        calls.append(1)
-        return original(a, b, *args, **kwargs)
-
-    monkeypatch.setattr(series_module, "mul", counting)
+    products = _counting(monkeypatch, "combine", lambda parts, products=(): len(products))
     problem = benchmark_problem(1, 0.5, 1.0)
     solve(problem, 8)
-    at_8 = len(calls)
-    calls.clear()
+    at_8 = sum(products)
+    products.clear()
     solve(problem, 16)
-    at_16 = len(calls)
+    at_16 = sum(products)
     assert at_8 > 0
     assert at_16 / at_8 < 6.0
+
+
+def test_each_rule_node_makes_one_combine_call_per_step(monkeypatch):
+    problem = benchmark_problem(1, 0.5, 1.0)
+    components = solve(problem, 10).components
+    tape = Tape(problem.f)
+    # Nodes without operands are seeds (constants, x): a fixed value, no sum.
+    rule_nodes = sum(1 for _, operands, _ in tape._program if operands)
+    combines = _counting(monkeypatch, "combine", lambda *args: 1)
+    muls = _counting(monkeypatch, "mul", lambda *args: 1)
+    per_step = []
+    for y in components:
+        combines.clear()
+        tape.extend(y, differentiate(y))
+        per_step.append(len(combines))
+    assert not muls
+    assert rule_nodes > 0
+    assert per_step[1:] == [rule_nodes] * (len(components) - 1)
 
 
 # --- layout: one node per distinct subtree, in time linear in the AST ----------------
