@@ -17,14 +17,18 @@ or power within 1 ulp of the C library) and over the truncated decomposition
 ring: a :class:`Tape` lays the expression DAG out once and then adds one Taylor
 coefficient per node and step; :func:`eval_lambda` runs it to a given order.
 ASTs are immutable and compare structurally, so equal subtrees share one tape node.
+
+An operator's symbol and precedence live only in ``_INFIX`` (binary operators by
+level) and ``_FUNCTIONS``; the parser, printer and both evaluators read them.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Union, get_args
 
 import numpy as np
 
@@ -108,10 +112,23 @@ class Ln:
 
 
 Expr = Union[Constant, Var, Neg, Add, Sub, Mul, Div, PowInt, PowXReal, Exp, Ln]
+_NODES = get_args(Expr)  # a tuple, which isinstance checks far faster than the Union
 
 X = Var("x")
 Y = Var("y")
 YP = Var("yp")
+
+# The binary operators by precedence level, loosest first; each level
+# associates to the left.
+_INFIX = ({"+": Add, "-": Sub}, {"*": Mul, "/": Div})
+_FUNCTIONS = {"exp": Exp, "ln": Ln}
+
+
+def _operands(e: Expr) -> list[Expr]:
+    """The node's subexpressions, in field order."""
+    if not isinstance(e, _NODES):
+        raise TypeError(f"not an expression node: {e!r}")
+    return [v for v in vars(e).values() if isinstance(v, _NODES)]
 
 
 # --- parsing --------------------------------------------------------------------
@@ -154,31 +171,16 @@ class _Parser:
         self.pos = m.end()
         return value
 
-    def expression(self) -> Expr:
-        node = self.term()
-        while True:
-            op = self._peek()
-            if op == "+":
-                self.pos += 1
-                node = Add(node, self.term())
-            elif op == "-":
-                self.pos += 1
-                node = Sub(node, self.term())
-            else:
-                return node
-
-    def term(self) -> Expr:
-        node = self.power()
-        while True:
-            op = self._peek()
-            if op == "*":
-                self.pos += 1
-                node = Mul(node, self.power())
-            elif op == "/":
-                self.pos += 1
-                node = Div(node, self.power())
-            else:
-                return node
+    def expression(self, level: int = 0) -> Expr:
+        """Operators of ``_INFIX[level]`` and every tighter level, left to right."""
+        if level == len(_INFIX):
+            return self.power()
+        operators = _INFIX[level]
+        node = self.expression(level + 1)
+        while (op := self._peek()) in operators:
+            self.pos += 1
+            node = operators[op](node, self.expression(level + 1))
+        return node
 
     def power(self) -> Expr:
         base = self.unary()
@@ -237,9 +239,8 @@ class _Parser:
         self.pos = m.end()
         if name in ("x", "y", "yp"):
             return Var(name)
-        if name in ("exp", "ln"):
-            arg = self._parenthesized()
-            return Exp(arg) if name == "exp" else Ln(arg)
+        if name in _FUNCTIONS:
+            return _FUNCTIONS[name](self._parenthesized())
         raise ParseError(f"unknown identifier {name!r}", start)
 
 
@@ -258,7 +259,7 @@ def parse(source: str) -> Expr:
     depth, level = 0, [node]
     while level:  # level by level, so that a deep AST cannot overflow the stack
         depth += 1
-        level = [c for e in level for c in vars(e).values() if isinstance(c, Expr)]
+        level = [c for e in level for c in _operands(e)]
     if depth > MAX_DEPTH:
         raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", 0)
     return node
@@ -266,7 +267,17 @@ def parse(source: str) -> Expr:
 
 # --- printing -------------------------------------------------------------------
 
-_ADD, _MUL, _POW, _UNARY, _ATOM = 1, 2, 3, 4, 5
+# Binary node type -> (its text, its precedence level); the loosest level is spaced.
+_BINARY = {node: (f" {symbol} " if level == 1 else symbol, level)
+           for level, nodes in enumerate(_INFIX, 1) for symbol, node in nodes.items()}
+_FUNCTION_NAMES = {node: name for name, node in _FUNCTIONS.items()}
+_POW, _UNARY, _ATOM = range(len(_INFIX) + 1, len(_INFIX) + 4)
+
+
+def _fmt_at(e: Expr, level: int) -> str:
+    """e's text, parenthesised when it binds looser than ``level``."""
+    text, own = _fmt(e)
+    return text if own >= level else f"({text})"
 
 
 def _fmt(e: Expr) -> tuple[str, int]:
@@ -277,39 +288,16 @@ def _fmt(e: Expr) -> tuple[str, int]:
     if isinstance(e, Var):
         return e.name, _ATOM
     if isinstance(e, Neg):
-        text, level = _fmt(e.arg)
-        if level < _UNARY:
-            text = f"({text})"
-        return f"-{text}", _UNARY
-    if isinstance(e, (Add, Sub)):
-        op = "+" if isinstance(e, Add) else "-"
-        lt, ll = _fmt(e.left)
-        rt, rl = _fmt(e.right)
-        if ll < _ADD:
-            lt = f"({lt})"
-        if rl <= _ADD:
-            rt = f"({rt})"
-        return f"{lt} {op} {rt}", _ADD
-    if isinstance(e, (Mul, Div)):
-        op = "*" if isinstance(e, Mul) else "/"
-        lt, ll = _fmt(e.left)
-        rt, rl = _fmt(e.right)
-        if ll < _MUL:
-            lt = f"({lt})"
-        if rl <= _MUL:
-            rt = f"({rt})"
-        return f"{lt}{op}{rt}", _MUL
+        return f"-{_fmt_at(e.arg, _UNARY)}", _UNARY
+    if type(e) in _BINARY:  # left-associative: a right operand at the same level is wrapped
+        op, level = _BINARY[type(e)]
+        return f"{_fmt_at(e.left, level)}{op}{_fmt_at(e.right, level + 1)}", level
     if isinstance(e, PowInt):
-        bt, bl = _fmt(e.base)
-        if bl < _UNARY:
-            bt = f"({bt})"
-        return f"{bt}^{e.power}", _POW
+        return f"{_fmt_at(e.base, _UNARY)}^{e.power}", _POW
     if isinstance(e, PowXReal):
         return f"x^{e.exponent!r}", _POW
-    if isinstance(e, Exp):
-        return f"exp({_fmt(e.arg)[0]})", _ATOM
-    if isinstance(e, Ln):
-        return f"ln({_fmt(e.arg)[0]})", _ATOM
+    if type(e) in _FUNCTION_NAMES:
+        return f"{_FUNCTION_NAMES[type(e)]}({_fmt(e.arg)[0]})", _ATOM
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -324,18 +312,13 @@ def free_vars(e: Expr) -> set[str]:
         return {e.name}
     if isinstance(e, PowXReal):
         return {"x"}
-    if isinstance(e, (Constant,)):
-        return set()
-    if isinstance(e, (Neg, Exp, Ln)):
-        return free_vars(e.arg)
-    if isinstance(e, PowInt):
-        return free_vars(e.base)
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return free_vars(e.left) | free_vars(e.right)
-    raise TypeError(f"not an expression node: {e!r}")
+    return set().union(*map(free_vars, _operands(e)))
 
 
 # --- evaluation over floats -------------------------------------------------------
+
+_ARITHMETIC = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+
 
 def _checked(e: Expr, ufunc, operand, undefined=False, error=None):
     """``ufunc(operand)`` for node e; raises ``error(v)`` at the first v where ``undefined``
@@ -368,12 +351,8 @@ def eval_real(e: Expr, x, y=0.0, yp=0.0):
         return {"x": x, "y": y, "yp": yp}[e.name]
     if isinstance(e, Neg):
         return -eval_real(e.arg, x, y, yp)
-    if isinstance(e, Add):
-        return eval_real(e.left, x, y, yp) + eval_real(e.right, x, y, yp)
-    if isinstance(e, Sub):
-        return eval_real(e.left, x, y, yp) - eval_real(e.right, x, y, yp)
-    if isinstance(e, Mul):
-        return eval_real(e.left, x, y, yp) * eval_real(e.right, x, y, yp)
+    if type(e) in _ARITHMETIC:
+        return _ARITHMETIC[type(e)](eval_real(e.left, x, y, yp), eval_real(e.right, x, y, yp))
     if isinstance(e, Div):
         denom = eval_real(e.right, x, y, yp)
         if np.any(denom == 0.0):
@@ -401,7 +380,6 @@ def eval_real(e: Expr, x, y=0.0, yp=0.0):
 # --- evaluation over the decomposition ring ----------------------------------------
 
 _ONE = Constant(1.0)
-_ZERO = GPSeries()
 
 # (k, the node's coefficients 0..k-1, its operands' coefficients) -> coefficient k
 _Rule = Callable[..., GPSeries]
@@ -409,12 +387,13 @@ _Rule = Callable[..., GPSeries]
 
 def _seed(value: GPSeries) -> _Rule:
     """Rule of a node that is ``value`` at parameter order zero and 0 above it."""
-    return lambda k, out: value if k == 0 else _ZERO
+    return lambda k, out: value if k == 0 else GPSeries.zero()
 
 
 _RULES = {
     Neg: lr.linear_coeff(-1.0), Add: lr.linear_coeff(1.0, 1.0),
     Sub: lr.linear_coeff(1.0, -1.0), Mul: lr.mul_coeff, Div: lr.div_coeff,
+    Exp: lr.exp_coeff, Ln: lr.ln_coeff,
 }
 
 
@@ -451,7 +430,7 @@ class Tape:
     def _emit(self, e: Expr) -> int:
         # Keyed on the operands' nodes, not the subtree, so a lookup costs the
         # same at any depth; equal subtrees still meet in one node.
-        fields = tuple(self._emit(v) if isinstance(v, Expr) else v for v in vars(e).values())
+        fields = tuple(self._emit(v) if isinstance(v, _NODES) else v for v in vars(e).values())
         key = (type(e), fields)
         node = self._nodes.get(key)
         if node is None:
@@ -465,11 +444,9 @@ class Tape:
             return self._push(_seed(GPSeries.monomial(1.0, 1.0)), ())
         if isinstance(e, PowXReal):
             return self._push(_seed(GPSeries.monomial(1.0, e.exponent)), ())
-        if isinstance(e, (Neg, Add, Sub, Mul, Div)):
-            return self._push(_RULES[type(e)], fields, e if isinstance(e, Div) else None)
-        if isinstance(e, (Exp, Ln)):
-            rule = lr.exp_coeff if isinstance(e, Exp) else lr.ln_coeff
-            return self._push(rule, fields, e)
+        if type(e) in _RULES:
+            named = isinstance(e, (Div, Exp, Ln))  # a node with a domain names itself in errors
+            return self._push(_RULES[type(e)], fields, e if named else None)
         if isinstance(e, PowInt):
             base = fields[0]
             if e.power < 0:

@@ -17,6 +17,9 @@ from adomian_bvp.errors import (
     UnsupportedPower,
 )
 from adomian_bvp.expressions import (
+    _FUNCTIONS,
+    _INFIX,
+    _RULES,
     Add,
     Constant,
     Div,
@@ -108,6 +111,37 @@ def test_parse_exponent_must_be_literal():
         parse("x^y")
 
 
+# One source per raise site of the parser, with its full message and position.
+PARSE_ERRORS = [
+    ("x + ", ParseError, "unexpected end of input (at position 4)", 4),
+    ("x + z", ParseError, "unknown identifier 'z' (at position 4)", 4),
+    ("(x + 1", ParseError, "expected ')' (at position 6)", 6),
+    ("x 1", ParseError, "trailing input '1' (at position 2)", 2),
+    ("x^y", ParseError, "expected a number (at position 2)", 2),
+    ("x^-", ParseError, "expected a number (at position 3)", 3),
+    ("1e999", ParseError, "number '1e999' is out of range (at position 0)", 0),
+    ("#", ParseError, "unexpected character '#' (at position 0)", 0),
+    ("y^0.5", UnsupportedPower,
+     "exponent 0.5 requires the base to be the bare variable x (at position 2)", 2),
+    ("(" * 101 + "x" + ")" * 101, ParseError,
+     "parentheses nest deeper than 100 levels (at position 101)", 101),
+    (" + ".join(["x"] * 101), ParseError,
+     "expression nests deeper than 100 levels (at position 0)", 0),
+]
+
+
+@pytest.mark.parametrize(
+    "source,error,message,position", PARSE_ERRORS,
+    ids=[*(case[0] for case in PARSE_ERRORS[:-2]), "101-parens", "101-terms"],
+)
+def test_parse_error_contract(source, error, message, position):
+    with pytest.raises(error) as exc:
+        parse(source)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+    assert exc.value.position == position
+
+
 # --- free variables ------------------------------------------------------------
 
 
@@ -116,6 +150,40 @@ def test_free_vars():
     assert free_vars(parse("x^0.5")) == {"x"}
     assert free_vars(parse("x*yp + y")) == {"x", "y", "yp"}
     assert free_vars(Constant(3.0)) == set()
+
+
+def test_free_vars_reaches_every_operand_field():
+    assert free_vars(parse("x/yp")) == {"x", "yp"}
+    assert free_vars(parse("-y")) == {"y"}
+    assert free_vars(parse("ln(yp)")) == {"yp"}
+    assert free_vars(parse("(y + yp)^3")) == {"y", "yp"}
+
+
+# --- the operator tables ----------------------------------------------------------
+
+
+# Every operator reaches every reader: the parser, the printer, the tape and eval_real.
+OPERATORS = [(f"x {symbol} (y + 1)", node) for level in _INFIX for symbol, node in level.items()]
+OPERATORS += [(f"{name}(y + 1)", node) for name, node in _FUNCTIONS.items()]
+
+
+@pytest.mark.parametrize("src,node", OPERATORS, ids=[src for src, _ in OPERATORS])
+def test_every_table_operator_reaches_every_reader(src, node):
+    e = parse(src)
+    assert type(e) is node
+    assert parse(to_source(e)) == e
+    assert node in _RULES
+    y, yp = lift_solution([GPSeries.constant(2.0)], 1)
+    on_tape = evaluate(eval_lambda(e, y, yp).coeffs[0], 0.5)
+    assert on_tape == pytest.approx(eval_real(e, 0.5, 2.0, 0.0), rel=1e-14)
+
+
+@pytest.mark.parametrize("not_a_node", [1.0, "y", None])
+@pytest.mark.parametrize("reader", [free_vars, to_source, lambda e: eval_real(e, 0.5)],
+                         ids=["free_vars", "to_source", "eval_real"])
+def test_readers_reject_a_non_node(reader, not_a_node):
+    with pytest.raises(TypeError, match=r"^not an expression node: "):
+        reader(not_a_node)
 
 
 # --- real evaluation -------------------------------------------------------------
@@ -304,3 +372,23 @@ def test_print_negative_programmatic_constant():
     reparsed = parse(printed)
     assert reparsed == Mul(Neg(Constant(0.5)), Y)
     assert to_source(reparsed) == printed
+
+
+@pytest.mark.parametrize(
+    "src,printed",
+    [
+        ("x - (y - yp)", "x - (y - yp)"),
+        ("x - y - yp", "x - y - yp"),
+        ("x/(y*yp)", "x/(y*yp)"),
+        ("x*y/yp", "x*y/yp"),
+        ("(x + y)*yp", "(x + y)*yp"),
+        ("-(x + 1)", "-(x + 1.0)"),
+        ("(-x)^2", "-x^2"),
+        ("exp(-y)", "exp(-y)"),
+        ("ln(x^-1.5)", "ln(x^-1.5)"),
+        ("1.0/(y - y)", "1.0/(y - y)"),
+    ],
+)
+def test_printed_text_is_pinned(src, printed):
+    # Both sides of each precedence level: the bytes dump_problem and error suffixes show.
+    assert to_source(parse(src)) == printed
