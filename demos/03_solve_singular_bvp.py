@@ -19,7 +19,7 @@ for k in range(3):
 
 print("\nconvergence of the partial sums (uniform grid of 1000 points):")
 for m in (2, 4, 6, 8, 10):
-    err = max_error(partial_sum(report, m), problem.exact, 1000, n=m)
+    err = max_error(partial_sum(report, m), problem.exact, 1000)
     print(f"  {m:2d} components: max error {err.max_error:.3e} at x = {err.max_point:.3f}")
 
 print("\nboundary values of the ten-component sum:")

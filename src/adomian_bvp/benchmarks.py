@@ -44,6 +44,9 @@ _FAMILIES = {
         gamma1 = {e!r}""",
 }
 
+# The families whose problem depends on beta; family 2 has no beta.
+BETA_FAMILIES = (1, 3)
+
 
 def benchmark_problem(example: int, alpha: float, beta: float = 1.0) -> Problem:
     """Instantiate benchmark family ``example`` in {1, 2, 3} at (alpha, beta)."""

@@ -21,7 +21,7 @@ import json
 import os
 import sys
 
-from .benchmarks import BENCHMARK_IDS, benchmark_problem
+from .benchmarks import BENCHMARK_IDS, BETA_FAMILIES, benchmark_problem
 from .diagnostics import format_error_table, max_error, residual
 from .errors import AdmError, InputError, InvalidValue
 from .problem_file import dump_problem, load_problem
@@ -67,7 +67,7 @@ def _cmd_solve(args) -> int:
     report = solve(problem, args.n)
     err = None
     if problem.exact is not None:
-        err = max_error(report.psi, problem.exact, args.grid, n=report.n)
+        err = max_error(report.psi, problem.exact, args.grid)
     if args.emit == "json":
         _print_solve_json(report, err)
     else:
@@ -77,21 +77,18 @@ def _cmd_solve(args) -> int:
 
 def _cmd_table(args) -> int:
     ns, alphas = sorted(set(args.ns)), list(dict.fromkeys(args.alphas))
-    for beta in dict.fromkeys(args.betas):
+    takes_beta = args.example in BETA_FAMILIES
+    for beta in dict.fromkeys(args.betas if takes_beta else args.betas[:1]):
         cells = {}
         for alpha in alphas:
             problem = benchmark_problem(args.example, alpha, beta)
             report = solve(problem, max(ns))
             for n in ns:
-                err = max_error(partial_sum(report, n), problem.exact, args.grid, n=n)
+                err = max_error(partial_sum(report, n), problem.exact, args.grid)
                 cells[(alpha, n)] = err.max_error
-        if args.example != 2:
-            print(f"# example {args.example}, beta = {beta:g}, grid = {args.grid}")
-        else:
-            print(f"# example 2, grid = {args.grid}")
+        label = f", beta = {beta:g}" if takes_beta else ""
+        print(f"# example {args.example}{label}, grid = {args.grid}")
         print(format_error_table(alphas, ns, cells))
-        if args.example == 2:
-            break  # family 2 has no beta parameter
     return 0
 
 

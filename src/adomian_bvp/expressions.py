@@ -13,9 +13,19 @@ The grammar accepted by :func:`parse`:
 
 Expressions evaluate over floats and grids (:func:`eval_real`: one numpy
 operation per node, so grid and scalar calls agree bit for bit, each exp, ln
-or power within 1 ulp of the C library) and over the truncated decomposition
-ring: a :class:`Tape` lays the expression DAG out once and then adds one Taylor
-coefficient per node and step; :func:`eval_lambda` runs it to a given order.
+or power within 1 ulp of the C library) and over the decomposition parameter
+(written ``lam``): injecting the solution components as
+``y_0 + y_1*lam + y_2*lam^2 + ...`` makes the coefficient of ``lam^k`` of f the
+k-th decomposition polynomial A_k.  A :class:`Tape` lays the expression DAG out
+once, and each step adds coefficient k to every node by one Taylor-coefficient
+recurrence: coefficient k of the result from coefficients 0..k of the operands
+and 0..k-1 of the result.  For the decomposition polynomials these are Duan's
+recurrences (Duan, "Convenient analytic recurrence algorithms for the Adomian
+polynomials", 2011); see also Griewank & Walther, *Evaluating Derivatives*,
+ch. 13.  Each ``*_coeff`` recurrence is one :func:`~.series.combine` call that
+forms and sums its Cauchy products.  exp, ln and division expand around the
+order-zero coefficient, which therefore has to be a constant; the solver's
+first component always is.  Integer powers are products by repeated squaring.
 ASTs are immutable and compare structurally, so equal subtrees share one tape node.
 
 An operator's symbol and precedence live only in ``_INFIX`` (binary operators by
@@ -28,22 +38,22 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Union, get_args
+from typing import Callable, Sequence, TypeVar, Union, get_args
 
 import numpy as np
 
-from . import lambda_ring as lr
+from . import series as gps
 from .errors import (
     ComputeError,
     DivisionByZero,
+    DivisionByZeroSeries,
     DomainError,
     LogOfNonPositive,
+    NonConstantBasePoint,
     NonFiniteTerm,
-    OrderMismatch,
     ParseError,
     UnsupportedPower,
 )
-from .lambda_ring import LambdaSeries
 from .series import GPSeries
 
 
@@ -380,9 +390,100 @@ def eval_real(e: Expr, x, y=0.0, yp=0.0):
 # --- evaluation over the decomposition ring ----------------------------------------
 
 _ONE = Constant(1.0)
+_T = TypeVar("_T")
+_Coeffs = Sequence[GPSeries]
 
-# (k, the node's coefficients 0..k-1, its operands' coefficients) -> coefficient k
+# A rule takes the step k, the node's coefficients 0..k-1 and its operands'
+# coefficients (at least k+1 each), and returns the node's coefficient k.
 _Rule = Callable[..., GPSeries]
+
+
+def base_point(c0: GPSeries) -> float:
+    """The constant value of an order-zero coefficient.
+
+    Raises:
+        NonConstantBasePoint: if that coefficient is not a constant series.
+    """
+    if c0.is_zero:
+        return 0.0
+    if len(c0) == 1 and abs(c0.exponents[0]) <= gps.EXPONENT_MERGE_TOL:
+        return float(c0.coeffs[0])
+    raise NonConstantBasePoint(
+        f"order-zero coefficient is not constant: {gps.format_series(c0)}"
+    )
+
+
+def linear_coeff(*weights: float) -> _Rule:
+    """The rule of a fixed weighted sum of the operands, such as a+b, a-b or -a:
+    coefficient k is that weighted sum of the operands' coefficients k."""
+
+    def rule(k: int, out: _Coeffs, *operands: _Coeffs) -> GPSeries:
+        return gps.combine(zip(weights, [a[k] for a in operands]))
+
+    return rule
+
+
+def mul_coeff(k: int, out: _Coeffs, a: _Coeffs, b: _Coeffs) -> GPSeries:
+    """Coefficient k of a*b: the Cauchy sum of a_i * b_(k-i)."""
+    return gps.combine((), ((1.0, a[i], b[k - i]) for i in range(k + 1)))
+
+
+def div_coeff(k: int, out: _Coeffs, a: _Coeffs, b: _Coeffs) -> GPSeries:
+    """Coefficient k of a/b: q_k = (a_k - sum_{j=1..k} b_j q_(k-j)) / b_0.
+
+    Raises:
+        NonConstantBasePoint, DivisionByZeroSeries: b_0 not a nonzero constant.
+    """
+    b0 = base_point(b[0])
+    if b0 == 0.0:
+        raise DivisionByZeroSeries("reciprocal of a ring element with zero base point")
+    inv = 1.0 / b0
+    return gps.combine(((inv, a[k]),), ((-inv, b[j], out[k - j]) for j in range(1, k + 1)))
+
+
+def exp_coeff(k: int, out: _Coeffs, a: _Coeffs) -> GPSeries:
+    """Coefficient k of exp(a): E_0 = exp(a_0), E_k = (1/k) sum_{j=1..k} j a_j E_(k-j).
+
+    Raises:
+        NonConstantBasePoint: a_0 not a constant.
+        NonFiniteTerm: exp(a_0) overflows.
+    """
+    if k == 0:
+        a0 = base_point(a[0])
+        try:
+            return GPSeries.constant(math.exp(a0))
+        except OverflowError:
+            raise NonFiniteTerm(f"exp({a0!r}) overflows") from None
+    return gps.combine((), ((j / k, a[j], out[k - j]) for j in range(1, k + 1)))
+
+
+def ln_coeff(k: int, out: _Coeffs, a: _Coeffs) -> GPSeries:
+    """Coefficient k of ln(a): L_0 = ln(a_0),
+    L_k = (a_k - (1/k) sum_{j=1..k-1} j L_j a_(k-j)) / a_0.
+
+    Raises:
+        NonConstantBasePoint, LogOfNonPositive: a_0 not a positive constant.
+    """
+    a0 = base_point(a[0])
+    if a0 <= 0.0:
+        raise LogOfNonPositive(f"ln of base point {a0:g}")
+    if k == 0:
+        return GPSeries.constant(math.log(a0))
+    return gps.combine(
+        ((1.0 / a0, a[k]),), ((-j / (k * a0), out[j], a[k - j]) for j in range(1, k))
+    )
+
+
+def binary_power(base: _T, p: int, mul: Callable[[_T, _T], _T]) -> _T:
+    """base^p for p >= 1 by repeated squaring, with ``mul`` as the product."""
+    result = None
+    while True:
+        if p & 1:
+            result = base if result is None else mul(result, base)
+        p >>= 1
+        if not p:
+            return result
+        base = mul(base, base)
 
 
 def _seed(value: GPSeries) -> _Rule:
@@ -391,9 +492,9 @@ def _seed(value: GPSeries) -> _Rule:
 
 
 _RULES = {
-    Neg: lr.linear_coeff(-1.0), Add: lr.linear_coeff(1.0, 1.0),
-    Sub: lr.linear_coeff(1.0, -1.0), Mul: lr.mul_coeff, Div: lr.div_coeff,
-    Exp: lr.exp_coeff, Ln: lr.ln_coeff,
+    Neg: linear_coeff(-1.0), Add: linear_coeff(1.0, 1.0),
+    Sub: linear_coeff(1.0, -1.0), Mul: mul_coeff, Div: div_coeff,
+    Exp: exp_coeff, Ln: ln_coeff,
 }
 
 
@@ -407,10 +508,9 @@ class Tape:
     The expression DAG is flattened once, operands before their users, and
     equal subtrees (ASTs compare by value) share one node.  Every node keeps
     the coefficients of the decomposition parameter computed so far.
-    :meth:`extend` appends coefficient k to every node, using one
-    per-coefficient recurrence of :mod:`.lambda_ring` each, so the k-th
-    decomposition polynomial costs one new coefficient per node rather than
-    a recomposition of the whole expression.
+    :meth:`extend` appends coefficient k to every node, by one rule each, so
+    the k-th decomposition polynomial costs one new coefficient per node
+    rather than a recomposition of the whole expression.
     """
 
     def __init__(self, e: Expr):
@@ -450,11 +550,11 @@ class Tape:
         if isinstance(e, PowInt):
             base = fields[0]
             if e.power < 0:
-                base = self._push(lr.div_coeff, (self._emit(_ONE), base), e)
+                base = self._push(div_coeff, (self._emit(_ONE), base), e)
             if e.power == 0:
                 return self._emit(_ONE)
-            return lr.binary_power(
-                base, abs(e.power), lambda a, b: self._push(lr.mul_coeff, (a, b), e)
+            return binary_power(
+                base, abs(e.power), lambda a, b: self._push(mul_coeff, (a, b), e)
             )
         raise TypeError(f"not an expression node: {e!r}")
 
@@ -482,22 +582,3 @@ class Tape:
             columns[out].append(value)
         return columns[self._root][k]
 
-
-def eval_lambda(
-    e: Expr, y_lambda: LambdaSeries, yp_lambda: LambdaSeries
-) -> LambdaSeries:
-    """Push the expression through the truncated decomposition ring.
-
-    ``x`` maps to the first-power monomial at parameter order zero; ``y`` and
-    ``yp`` map to the supplied ring elements.  Runs the expression's
-    :class:`Tape` to their common order; ring errors are re-raised with the
-    offending subexpression appended.
-    """
-    if y_lambda.order != yp_lambda.order:
-        raise OrderMismatch(
-            f"y and y' lifts disagree: {y_lambda.order} vs {yp_lambda.order}"
-        )
-    tape = Tape(e)
-    return LambdaSeries(
-        tuple(tape.extend(y, yp) for y, yp in zip(y_lambda.coeffs, yp_lambda.coeffs))
-    )

@@ -1,46 +1,33 @@
-"""Truncated polynomial ring in the decomposition parameter.
+"""Truncated polynomial ring in the decomposition parameter, whole elements at a time.
 
-Elements are polynomials of fixed truncation order N in a formal parameter
-(written ``lam`` here) whose coefficients are :class:`~.series.GPSeries`.
-Injecting the solution components as ``y_0 + y_1*lam + ... + y_N*lam^N`` and
-pushing the nonlinearity through this ring yields its decomposition
-polynomials A_n as the coefficient of ``lam^n``.
-
-Every operation is one Taylor-coefficient recurrence: coefficient k of the
-result from coefficients 0..k of the operands and 0..k-1 of the result.  For
-the decomposition polynomials these are Duan's recurrences (Duan, "Convenient
-analytic recurrence algorithms for the Adomian polynomials", 2011); see also
-Griewank & Walther, *Evaluating Derivatives*, ch. 13.  The ``*_coeff``
-functions are the recurrences, each one :func:`~.series.combine` call that
-forms and sums its Cauchy products.  The expression tape
-(:class:`~.expressions.Tape`) calls them once per node and step, so A_k costs
-one new coefficient per node; ``ring_*`` run them over a whole element.
-
-exp/ln/reciprocal expand around the order-zero coefficient, which therefore
-has to be a constant.  The recursion that feeds this ring always starts from
-a constant first component, so the restriction costs nothing in practice.
-Integer powers use repeated squaring over products, which needs no base
-point at all.
+Elements are polynomials of fixed truncation order N in the decomposition
+parameter whose coefficients are :class:`~.series.GPSeries`; ``ring_*`` run
+the per-coefficient recurrences of :mod:`.expressions` over a whole element,
+and :func:`eval_lambda` runs an expression's :class:`~.expressions.Tape` to
+the order of its inputs.  ``solve`` calls none of this: it extends one tape
+per solve.  The module stays because the benchmark tracer
+(``bench/spans.py``, ``WRAPPED``) looks these names up, and it goes once the
+tracer points at the tape (ROADMAP direction 1).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Callable
 
 from . import series as gps
-from .errors import (
-    DivisionByZeroSeries,
-    LogOfNonPositive,
-    NonConstantBasePoint,
-    NonFiniteTerm,
-    OrderMismatch,
+from .errors import OrderMismatch
+from .expressions import (
+    Expr,
+    Tape,
+    binary_power,
+    div_coeff,
+    exp_coeff,
+    linear_coeff,
+    ln_coeff,
+    mul_coeff,
 )
 from .series import GPSeries
-
-_T = TypeVar("_T")
-_Coeffs = Sequence[GPSeries]
 
 
 @dataclass(frozen=True)
@@ -90,100 +77,6 @@ def lift_solution(
     y = LambdaSeries(tuple(padded))
     yp = LambdaSeries(tuple(gps.differentiate(c) for c in padded))
     return y, yp
-
-
-def base_point(c0: GPSeries) -> float:
-    """The constant value of an order-zero coefficient.
-
-    Raises:
-        NonConstantBasePoint: if that coefficient is not a constant series.
-    """
-    if c0.is_zero:
-        return 0.0
-    if len(c0) == 1 and abs(c0.exponents[0]) <= gps.EXPONENT_MERGE_TOL:
-        return float(c0.coeffs[0])
-    raise NonConstantBasePoint(
-        f"order-zero coefficient is not constant: {gps.format_series(c0)}"
-    )
-
-
-# --- per-coefficient recurrences ------------------------------------------------
-#
-# Each takes the step k, the result's coefficients 0..k-1 and the operands'
-# coefficient sequences (at least k+1 long), and returns coefficient k.
-
-
-def linear_coeff(*weights: float) -> Callable[..., GPSeries]:
-    """The rule of a fixed weighted sum of the operands, such as a+b, a-b or -a:
-    coefficient k is that weighted sum of the operands' coefficients k."""
-
-    def rule(k: int, out: _Coeffs, *operands: _Coeffs) -> GPSeries:
-        return gps.combine(zip(weights, [a[k] for a in operands]))
-
-    return rule
-
-
-def mul_coeff(k: int, out: _Coeffs, a: _Coeffs, b: _Coeffs) -> GPSeries:
-    """Coefficient k of a*b: the Cauchy sum of a_i * b_(k-i)."""
-    return gps.combine((), ((1.0, a[i], b[k - i]) for i in range(k + 1)))
-
-
-def div_coeff(k: int, out: _Coeffs, a: _Coeffs, b: _Coeffs) -> GPSeries:
-    """Coefficient k of a/b: q_k = (a_k - sum_{j=1..k} b_j q_(k-j)) / b_0.
-
-    Raises:
-        NonConstantBasePoint, DivisionByZeroSeries: b_0 not a nonzero constant.
-    """
-    b0 = base_point(b[0])
-    if b0 == 0.0:
-        raise DivisionByZeroSeries("reciprocal of a ring element with zero base point")
-    inv = 1.0 / b0
-    return gps.combine(((inv, a[k]),), ((-inv, b[j], out[k - j]) for j in range(1, k + 1)))
-
-
-def exp_coeff(k: int, out: _Coeffs, a: _Coeffs) -> GPSeries:
-    """Coefficient k of exp(a): E_0 = exp(a_0), E_k = (1/k) sum_{j=1..k} j a_j E_(k-j).
-
-    Raises:
-        NonConstantBasePoint: a_0 not a constant.
-        NonFiniteTerm: exp(a_0) overflows.
-    """
-    if k == 0:
-        a0 = base_point(a[0])
-        try:
-            return GPSeries.constant(math.exp(a0))
-        except OverflowError:
-            raise NonFiniteTerm(f"exp({a0!r}) overflows") from None
-    return gps.combine((), ((j / k, a[j], out[k - j]) for j in range(1, k + 1)))
-
-
-def ln_coeff(k: int, out: _Coeffs, a: _Coeffs) -> GPSeries:
-    """Coefficient k of ln(a): L_0 = ln(a_0),
-    L_k = (a_k - (1/k) sum_{j=1..k-1} j L_j a_(k-j)) / a_0.
-
-    Raises:
-        NonConstantBasePoint, LogOfNonPositive: a_0 not a positive constant.
-    """
-    a0 = base_point(a[0])
-    if a0 <= 0.0:
-        raise LogOfNonPositive(f"ln of base point {a0:g}")
-    if k == 0:
-        return GPSeries.constant(math.log(a0))
-    return gps.combine(
-        ((1.0 / a0, a[k]),), ((-j / (k * a0), out[j], a[k - j]) for j in range(1, k))
-    )
-
-
-def binary_power(base: _T, p: int, mul: Callable[[_T, _T], _T]) -> _T:
-    """base^p for p >= 1 by repeated squaring, with ``mul`` as the product."""
-    result = None
-    while True:
-        if p & 1:
-            result = base if result is None else mul(result, base)
-        p >>= 1
-        if not p:
-            return result
-        base = mul(base, base)
 
 
 # --- whole elements ----------------------------------------------------------------
@@ -253,3 +146,21 @@ def extract_adomian(f_of_lambda: LambdaSeries, n: int) -> GPSeries:
             f"coefficient {n} requested from order-{f_of_lambda.order} element"
         )
     return f_of_lambda.coeffs[n]
+
+
+def eval_lambda(e: Expr, y_lambda: LambdaSeries, yp_lambda: LambdaSeries) -> LambdaSeries:
+    """Push the expression through the truncated decomposition ring.
+
+    ``x`` maps to the first-power monomial at parameter order zero; ``y`` and
+    ``yp`` map to the supplied ring elements.  Runs the expression's
+    :class:`~.expressions.Tape` to their common order; ring errors are
+    re-raised with the offending subexpression appended.
+    """
+    if y_lambda.order != yp_lambda.order:
+        raise OrderMismatch(
+            f"y and y' lifts disagree: {y_lambda.order} vs {yp_lambda.order}"
+        )
+    tape = Tape(e)
+    return LambdaSeries(
+        tuple(tape.extend(y, yp) for y, yp in zip(y_lambda.coeffs, yp_lambda.coeffs))
+    )

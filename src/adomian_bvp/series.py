@@ -68,16 +68,15 @@ class GPSeries:
     and the operations below rely on their operands being sorted and merged.
     """
 
-    __slots__ = ("coeffs", "exponents", "_terms")
+    __slots__ = ("coeffs", "exponents")
 
     def __init__(self, terms: Iterable[Sequence[float]] = ()):
         self.coeffs, self.exponents = map(_frozen, _columns(terms))
-        self._terms = None
 
     @staticmethod
     def _of(coeffs: np.ndarray, exponents: np.ndarray) -> "GPSeries":
         s = object.__new__(GPSeries)
-        s.coeffs, s.exponents, s._terms = _frozen(coeffs), _frozen(exponents), None
+        s.coeffs, s.exponents = _frozen(coeffs), _frozen(exponents)
         return s
 
     @staticmethod
@@ -100,11 +99,7 @@ class GPSeries:
     @property
     def terms(self) -> tuple[Term, ...]:
         """The terms in increasing exponent order, with Python float fields."""
-        if self._terms is None:
-            self._terms = tuple(
-                map(Term, self.coeffs.tolist(), self.exponents.tolist())
-            )
-        return self._terms
+        return tuple(map(Term, self.coeffs.tolist(), self.exponents.tolist()))
 
     @property
     def is_zero(self) -> bool:

@@ -32,8 +32,7 @@ from .series import GPSeries
 from .singular_operator import OperatorContext, apply_inverse, h_series
 
 # Not called here; bench/spans.py WRAPPED looks these names up on this module.
-from .expressions import eval_lambda  # noqa: F401
-from .lambda_ring import extract_adomian, lift_solution  # noqa: F401
+from .lambda_ring import eval_lambda, extract_adomian, lift_solution  # noqa: F401
 from .singular_operator import inverse_at_one  # noqa: F401
 
 

@@ -29,8 +29,8 @@ from support import (
 
 from adomian_bvp.benchmarks import benchmark_problem
 from adomian_bvp.cli import main
-from adomian_bvp.expressions import eval_lambda, eval_real, parse
-from adomian_bvp.lambda_ring import lift_solution
+from adomian_bvp.expressions import eval_real, parse
+from adomian_bvp.lambda_ring import eval_lambda, lift_solution
 from adomian_bvp.series import GPSeries, differentiate, evaluate
 from adomian_bvp.singular_operator import OperatorContext, apply_forward, apply_inverse
 from adomian_bvp.solver import Problem, partial_sum, solve

@@ -11,9 +11,10 @@ from adomian_bvp.errors import (
     NonConstantBasePoint,
     OrderMismatch,
 )
-from adomian_bvp.expressions import eval_lambda, eval_real, parse
+from adomian_bvp.expressions import eval_real, parse
 from adomian_bvp.lambda_ring import (
     LambdaSeries,
+    eval_lambda,
     extract_adomian,
     lift_solution,
     ring_add,

@@ -7,8 +7,8 @@ import pytest
 
 import adomian_bvp.series as series_module
 from adomian_bvp.benchmarks import benchmark_problem
-from adomian_bvp.expressions import Add, Tape, Var, eval_lambda, eval_real, parse, to_source
-from adomian_bvp.lambda_ring import lift_solution
+from adomian_bvp.expressions import Add, Tape, Var, eval_real, parse, to_source
+from adomian_bvp.lambda_ring import eval_lambda, lift_solution
 from adomian_bvp.series import GPSeries, differentiate, evaluate, evaluate_many
 from adomian_bvp.solver import Problem, solve
 
