@@ -1,32 +1,23 @@
 """Truncated polynomial ring in the decomposition parameter, whole elements at a time.
 
 Elements are polynomials of fixed truncation order N in the decomposition
-parameter whose coefficients are :class:`~.series.GPSeries`; ``ring_*`` run
-the per-coefficient recurrences of :mod:`.expressions` over a whole element,
-and :func:`eval_lambda` runs an expression's :class:`~.expressions.Tape` to
-the order of its inputs.  ``solve`` calls none of this: it extends one tape
-per solve.  The module stays because the benchmark tracer
-(``bench/spans.py``, ``WRAPPED``) looks these names up, and it goes once the
+parameter whose coefficients are :class:`~.series.GPSeries`.
+:func:`eval_lambda` runs an expression's :class:`~.expressions.Tape` to the
+order of its inputs, and each ``ring_*`` is that call on a one-node
+expression over ``y`` and ``yp``, so the tape is the only code that runs
+the recurrences.  ``solve`` calls none of this: it extends one tape per solve.
+The module is the benchmark tracer's facade over the tape: it stays because
+``bench/spans.py`` ``WRAPPED`` looks these names up, and it goes once the
 tracer points at the tape (ROADMAP direction 1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from . import series as gps
 from .errors import OrderMismatch
-from .expressions import (
-    Expr,
-    Tape,
-    binary_power,
-    div_coeff,
-    exp_coeff,
-    linear_coeff,
-    ln_coeff,
-    mul_coeff,
-)
+from .expressions import Y, YP, Add, Constant, Div, Exp, Expr, Ln, Mul, PowInt, Sub, Tape
 from .series import GPSeries
 
 
@@ -59,11 +50,6 @@ class LambdaSeries:
         return LambdaSeries((s,) + rest)
 
 
-def _check_orders(a: LambdaSeries, b: LambdaSeries) -> None:
-    if a.order != b.order:
-        raise OrderMismatch(f"truncation orders differ: {a.order} vs {b.order}")
-
-
 def lift_solution(
     components: list[GPSeries], order: int
 ) -> tuple[LambdaSeries, LambdaSeries]:
@@ -79,60 +65,44 @@ def lift_solution(
     return y, yp
 
 
-# --- whole elements ----------------------------------------------------------------
-
-
-def _run(rule: Callable[..., GPSeries], *operands: LambdaSeries) -> LambdaSeries:
-    """Apply a recurrence at every order of the (common) truncation order."""
-    out: list[GPSeries] = []
-    columns = [a.coeffs for a in operands]
-    for k in range(operands[0].order + 1):
-        out.append(rule(k, out, *columns))
-    return LambdaSeries(tuple(out))
+# --- whole elements: one-node expressions, a bound to y and b to yp ----------------
 
 
 def ring_add(a: LambdaSeries, b: LambdaSeries) -> LambdaSeries:
-    _check_orders(a, b)
-    return _run(linear_coeff(1.0, 1.0), a, b)
+    return eval_lambda(Add(Y, YP), a, b)
 
 
 def ring_scale(a: LambdaSeries, k: float) -> LambdaSeries:
-    return LambdaSeries(tuple(gps.scale(c, k) for c in a.coeffs))
+    return eval_lambda(Mul(Constant(k), Y), a, a)
 
 
 def ring_sub(a: LambdaSeries, b: LambdaSeries) -> LambdaSeries:
-    _check_orders(a, b)
-    return _run(linear_coeff(1.0, -1.0), a, b)
+    return eval_lambda(Sub(Y, YP), a, b)
 
 
 def ring_mul(a: LambdaSeries, b: LambdaSeries) -> LambdaSeries:
     """Cauchy product truncated at the common order."""
-    _check_orders(a, b)
-    return _run(mul_coeff, a, b)
+    return eval_lambda(Mul(Y, YP), a, b)
 
 
 def ring_exp(a: LambdaSeries) -> LambdaSeries:
     """exp of a ring element with constant base point."""
-    return _run(exp_coeff, a)
+    return eval_lambda(Exp(Y), a, a)
 
 
 def ring_ln(a: LambdaSeries) -> LambdaSeries:
     """ln of a ring element with positive constant base point."""
-    return _run(ln_coeff, a)
+    return eval_lambda(Ln(Y), a, a)
 
 
 def ring_recip(a: LambdaSeries) -> LambdaSeries:
     """Reciprocal of a ring element with nonzero constant base point."""
-    return _run(div_coeff, LambdaSeries.constant(1.0, a.order), a)
+    return eval_lambda(Div(Constant(1.0), Y), a, a)
 
 
 def ring_powi(a: LambdaSeries, k: int) -> LambdaSeries:
     """Integer power by repeated squaring; negative k via reciprocal."""
-    if k < 0:
-        a, k = ring_recip(a), -k
-    if k == 0:
-        return LambdaSeries.constant(1.0, a.order)
-    return binary_power(a, k, ring_mul)
+    return eval_lambda(PowInt(Y, k), a, a)
 
 
 def extract_adomian(f_of_lambda: LambdaSeries, n: int) -> GPSeries:
@@ -155,6 +125,9 @@ def eval_lambda(e: Expr, y_lambda: LambdaSeries, yp_lambda: LambdaSeries) -> Lam
     ``yp`` map to the supplied ring elements.  Runs the expression's
     :class:`~.expressions.Tape` to their common order; ring errors are
     re-raised with the offending subexpression appended.
+
+    Raises:
+        OrderMismatch: the two elements have different truncation orders.
     """
     if y_lambda.order != yp_lambda.order:
         raise OrderMismatch(

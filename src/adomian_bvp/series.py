@@ -27,7 +27,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NonFiniteTerm, TermBlowup
+from .errors import DomainError, InvalidProblem, NonFiniteTerm, TermBlowup
 
 # Exponents arise from repeated addition of a handful of real increments;
 # floating drift must not split one mathematical monomial into two.
@@ -66,12 +66,23 @@ class GPSeries:
     :func:`normalize`, :func:`from_arrays` or the constructors below; raw
     construction from (coeff, exponent) pairs skips the merge/prune pass,
     and the operations below rely on their operands being sorted and merged.
+
+    Raises:
+        NonFiniteTerm: a raw pair is not finite (naming the first such pair).
+        InvalidProblem: the raw exponents do not strictly increase.
     """
 
     __slots__ = ("coeffs", "exponents")
 
     def __init__(self, terms: Iterable[Sequence[float]] = ()):
-        self.coeffs, self.exponents = map(_frozen, _columns(terms))
+        coeffs, exponents = _columns(terms)
+        if not (np.isfinite(coeffs).all() and np.isfinite(exponents).all()):
+            _raise_non_finite(coeffs, exponents)
+        unsorted = exponents[1:] <= exponents[:-1]
+        if unsorted.any():
+            e = exponents[unsorted.argmax():][:2].tolist()
+            raise InvalidProblem(f"exponents must strictly increase, got {e[0]!r} then {e[1]!r}")
+        self.coeffs, self.exponents = _frozen(coeffs), _frozen(exponents)
 
     @staticmethod
     def _of(coeffs: np.ndarray, exponents: np.ndarray) -> "GPSeries":

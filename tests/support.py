@@ -8,7 +8,9 @@ each assertion pins at least the printed precision.
 Two oracles check the method's two parts independently of the package's own
 routes: adaptive quadrature (scipy) for the closed-form inverse operator, and
 a complex evaluation of f on a circle in lambda, whose discrete Cauchy
-integrals give the decomposition polynomials.
+integrals give the decomposition polynomials.  A cheaper check of the tape's
+polynomials is their Taylor gap: summed in powers of lambda they approach f
+at the summed components.
 """
 
 from __future__ import annotations
@@ -31,12 +33,16 @@ from adomian_bvp.expressions import (
     PowInt,
     PowXReal,
     Sub,
+    Tape,
     Var,
+    eval_real,
 )
 from adomian_bvp.series import (
     EXPONENT_MERGE_TOL,
     PRUNE_REL_THRESHOLD,
     GPSeries,
+    differentiate,
+    evaluate,
 )
 from adomian_bvp.singular_operator import RESONANCE_TOL, OperatorContext
 
@@ -165,6 +171,27 @@ def quadrature_oracle(
             f"error estimate {abserr:.2e} exceeds tolerance {tol:.2e}"
         )
     return float(value)
+
+
+# --- the decomposition polynomials and their Taylor oracle --------------------------
+
+
+def adomian_polynomials(f: Expr, components) -> list[GPSeries]:
+    """A_0, A_1, ... of f at the components: one ``Tape.extend`` per component."""
+    tape = Tape(f)
+    return [tape.extend(y, differentiate(y)) for y in components]
+
+
+def taylor_gap(f: Expr, components, polynomials, x: float, lam: float) -> float:
+    """|sum_k A_k(x) lam^k - f(x, y, y')| at y = sum_k y_k(x) lam^k (y' likewise).
+
+    The polynomials are f's Taylor coefficients in lam, so the gap is the
+    truncation error, O(lam^(K+1)) for K+1 of them.
+    """
+    series_val = sum(evaluate(a, x) * lam**k for k, a in enumerate(polynomials))
+    y_val = sum(evaluate(c, x) * lam**k for k, c in enumerate(components))
+    yp_val = sum(evaluate(differentiate(c), x) * lam**k for k, c in enumerate(components))
+    return abs(series_val - eval_real(f, x, y_val, yp_val))
 
 
 # --- the decomposition generator on a circle in lambda ------------------------------

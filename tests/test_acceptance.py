@@ -23,14 +23,15 @@ from support import (
     PUBLISHED_TABLES,
     TABLE_ALPHAS,
     TABLE_NS,
+    adomian_polynomials,
     assert_series_matches_printed,
     quadrature_oracle,
+    taylor_gap,
 )
 
 from adomian_bvp.benchmarks import benchmark_problem
 from adomian_bvp.cli import main
-from adomian_bvp.expressions import eval_real, parse
-from adomian_bvp.lambda_ring import eval_lambda, lift_solution
+from adomian_bvp.expressions import parse
 from adomian_bvp.series import GPSeries, differentiate, evaluate
 from adomian_bvp.singular_operator import OperatorContext, apply_forward, apply_inverse
 from adomian_bvp.solver import Problem, partial_sum, solve
@@ -248,33 +249,16 @@ def test_criterion_5_boundary_exactness():
 
 
 def test_criterion_6_generator_oracle():
-    """Composed polynomials track the nonlinearity to 10*lambda^7 at order 6."""
+    """The tape's polynomials track the nonlinearity to 10*lambda^7 at order 6."""
     order = 6
     for example in (1, 2, 3):
         problem = benchmark_problem(example, 0.5, 1.0)
-        report = solve(problem, order + 1)
-        lifted = lift_solution(list(report.components), order)
-        composed = eval_lambda(problem.f, *lifted)
+        components = solve(problem, order + 1).components
+        polynomials = adomian_polynomials(problem.f, components)
         for x_star in (0.3, 0.7):
             for lam in (0.1, 0.5):
-                series_val = sum(
-                    evaluate(composed.coeffs[k], x_star) * lam**k
-                    for k in range(order + 1)
-                )
-                y_val = sum(
-                    evaluate(c, x_star) * lam**k
-                    for k, c in enumerate(report.components)
-                )
-                yp_val = sum(
-                    evaluate(differentiate(c), x_star) * lam**k
-                    for k, c in enumerate(report.components)
-                )
-                direct = eval_real(problem.f, x_star, y_val, yp_val)
-                assert abs(series_val - direct) <= 10.0 * lam ** (order + 1), (
-                    example,
-                    x_star,
-                    lam,
-                )
+                gap = taylor_gap(problem.f, components, polynomials, x_star, lam)
+                assert gap <= 10.0 * lam ** (order + 1), (example, x_star, lam)
     print("criterion 6 (decomposition generator oracle): PASS")
 
 

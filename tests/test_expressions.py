@@ -1,4 +1,5 @@
-"""Expression grammar, both evaluators, and print/parse stability."""
+"""Expression grammar, both evaluators, the tape against direct evaluation, and
+print/parse stability."""
 
 import math
 import re
@@ -6,12 +7,13 @@ import re
 import numpy as np
 import pytest
 
+from support import adomian_polynomials, taylor_gap
+
 from adomian_bvp.benchmarks import benchmark_problem
 from adomian_bvp.errors import (
     DivisionByZero,
     DomainError,
     LogOfNonPositive,
-    NonConstantBasePoint,
     NonFiniteTerm,
     ParseError,
     UnsupportedPower,
@@ -30,6 +32,7 @@ from adomian_bvp.expressions import (
     PowInt,
     PowXReal,
     Sub,
+    Tape,
     X,
     Y,
     YP,
@@ -38,8 +41,7 @@ from adomian_bvp.expressions import (
     parse,
     to_source,
 )
-from adomian_bvp.lambda_ring import eval_lambda, lift_solution
-from adomian_bvp.series import GPSeries, differentiate, evaluate
+from adomian_bvp.series import GPSeries, evaluate
 
 
 # --- parsing ----------------------------------------------------------------
@@ -150,8 +152,7 @@ def test_every_table_operator_reaches_every_reader(src, node):
     assert type(e) is node
     assert parse(to_source(e)) == e
     assert node in _RULES
-    y, yp = lift_solution([GPSeries.constant(2.0)], 1)
-    on_tape = evaluate(eval_lambda(e, y, yp).coeffs[0], 0.5)
+    on_tape = evaluate(Tape(e).extend(GPSeries.constant(2.0), GPSeries.zero()), 0.5)
     assert on_tape == pytest.approx(eval_real(e, 0.5, 2.0, 0.0), rel=1e-14)
 
 
@@ -256,31 +257,7 @@ def test_eval_real_overflow_is_non_finite_term(source, x, subexpression):
             eval_real(e, point)
 
 
-# --- ring evaluation ---------------------------------------------------------------
-
-
-def test_eval_lambda_constant():
-    y, yp = lift_solution([GPSeries.constant(1.0)], 2)
-    out = eval_lambda(Constant(3.5), y, yp)
-    assert [(t.coeff, t.exponent) for t in out.coeffs[0].terms] == [(3.5, 0.0)]
-    assert all(c.is_zero for c in out.coeffs[1:])
-
-
-def test_eval_lambda_x_times_zero_derivative():
-    y, yp = lift_solution([GPSeries.constant(2.0)], 1)
-    out = eval_lambda(Mul(X, YP), y, yp)
-    assert all(c.is_zero for c in out.coeffs)
-
-
-def test_eval_lambda_annotates_ring_errors():
-    y, yp = lift_solution([GPSeries.constant(-1.0)], 1)
-    with pytest.raises(LogOfNonPositive) as exc:
-        eval_lambda(parse("ln(y)"), y, yp)
-    assert "ln(y)" in str(exc.value)
-    # non-constant base point: x sits in the order-zero slot
-    with pytest.raises(NonConstantBasePoint) as exc2:
-        eval_lambda(parse("exp(x)"), y, yp)
-    assert "exp(x)" in str(exc2.value)
+# --- the tape against direct evaluation ----------------------------------------------
 
 
 def test_evaluators_agree_through_the_ring():
@@ -293,20 +270,11 @@ def test_evaluators_agree_through_the_ring():
             GPSeries.monomial(rng.uniform(-0.4, 0.4), rng.uniform(0.4, 2.0))
             for _ in range(order)
         ]
-        lifted = lift_solution(comps, order)
-        composed = eval_lambda(f, *lifted)
+        polynomials = adomian_polynomials(f, comps)
         for x in (0.2, 0.6, 1.0):
             for lam in (0.0, 0.25, 0.5):
-                ring_val = sum(
-                    evaluate(c, x) * lam**k for k, c in enumerate(composed.coeffs)
-                )
-                y_val = sum(evaluate(c, x) * lam**k for k, c in enumerate(comps))
-                yp_val = sum(
-                    evaluate(differentiate(c), x) * lam**k
-                    for k, c in enumerate(comps)
-                )
-                direct = eval_real(f, x, y_val, yp_val)
-                assert abs(ring_val - direct) <= 10 * lam ** (order + 1) + 1e-12
+                gap = taylor_gap(f, comps, polynomials, x, lam)
+                assert gap <= 10 * lam ** (order + 1) + 1e-12
 
 
 # --- printing ---------------------------------------------------------------------

@@ -1,9 +1,12 @@
-"""Truncated ring in the decomposition parameter: lifting, composition, extraction."""
+"""Truncated ring in the decomposition parameter: lifting, eval_lambda, the ring_*
+facade over the tape, extraction."""
 
 import math
 
 import numpy as np
 import pytest
+
+from support import taylor_gap
 
 from adomian_bvp.errors import (
     DivisionByZeroSeries,
@@ -11,7 +14,7 @@ from adomian_bvp.errors import (
     NonConstantBasePoint,
     OrderMismatch,
 )
-from adomian_bvp.expressions import eval_real, parse
+from adomian_bvp.expressions import YP, Constant, Mul, X, eval_real, parse
 from adomian_bvp.lambda_ring import (
     LambdaSeries,
     eval_lambda,
@@ -25,7 +28,7 @@ from adomian_bvp.lambda_ring import (
     ring_recip,
     ring_scale,
 )
-from adomian_bvp.series import GPSeries, Term, differentiate, evaluate, normalize
+from adomian_bvp.series import GPSeries, Term, evaluate, normalize
 
 
 def _terms(series):
@@ -188,6 +191,33 @@ def test_base_point_guards():
         ring_recip(LambdaSeries.zero(1))
 
 
+# --- eval_lambda ------------------------------------------------------------------
+
+
+def test_eval_lambda_constant():
+    y, yp = lift_solution([GPSeries.constant(1.0)], 2)
+    out = eval_lambda(Constant(3.5), y, yp)
+    assert [(t.coeff, t.exponent) for t in out.coeffs[0].terms] == [(3.5, 0.0)]
+    assert all(c.is_zero for c in out.coeffs[1:])
+
+
+def test_eval_lambda_x_times_zero_derivative():
+    y, yp = lift_solution([GPSeries.constant(2.0)], 1)
+    out = eval_lambda(Mul(X, YP), y, yp)
+    assert all(c.is_zero for c in out.coeffs)
+
+
+def test_eval_lambda_annotates_ring_errors():
+    y, yp = lift_solution([GPSeries.constant(-1.0)], 1)
+    with pytest.raises(LogOfNonPositive) as exc:
+        eval_lambda(parse("ln(y)"), y, yp)
+    assert "ln(y)" in str(exc.value)
+    # non-constant base point: x sits in the order-zero slot
+    with pytest.raises(NonConstantBasePoint) as exc2:
+        eval_lambda(parse("exp(x)"), y, yp)
+    assert "exp(x)" in str(exc2.value)
+
+
 # --- decomposition polynomials ------------------------------------------------------
 
 
@@ -254,19 +284,11 @@ def test_composition_matches_direct_evaluation():
         GPSeries.monomial(rng.uniform(-0.4, 0.4), 0.5 + 0.5 * k)
         for k in range(n_order)
     ]
-    lifted = lift_solution(comps, n_order)
-    composed = eval_lambda(f, *lifted)
+    composed = eval_lambda(f, *lift_solution(comps, n_order))
     for x in (0.3, 0.7):
         for lam in (0.1, 0.5):
-            series_val = sum(
-                evaluate(composed.coeffs[k], x) * lam**k for k in range(n_order + 1)
-            )
-            y_val = sum(evaluate(c, x) * lam**k for k, c in enumerate(comps))
-            yp_val = sum(
-                evaluate(differentiate(c), x) * lam**k for k, c in enumerate(comps)
-            )
-            direct = eval_real(f, x, y_val, yp_val)
-            assert abs(series_val - direct) <= 10 * lam ** (n_order + 1)
+            gap = taylor_gap(f, comps, composed.coeffs, x, lam)
+            assert gap <= 10 * lam ** (n_order + 1)
 
 
 def test_ring_scale_distributes_over_columns():

@@ -1,5 +1,6 @@
 """The package root: every name it exports resolves, and a star import works.
-The A_k recurrences live beside the tape that drives them."""
+The A_k recurrences live beside the tape that drives them, and no other module
+reaches them, so the tape stays the only code that runs them."""
 
 import ast
 from pathlib import Path
@@ -44,3 +45,19 @@ def test_each_recurrence_is_defined_once_in_expressions():
         if isinstance(node, ast.FunctionDef) and node.name in RECURRENCES
     )
     assert defined == sorted(("expressions.py", name) for name in RECURRENCES)
+
+
+def test_no_module_but_expressions_imports_a_recurrence():
+    # by name (from .expressions import mul_coeff) or as an attribute (expressions.mul_coeff)
+    reached = sorted(
+        (path.name, name)
+        for path in SRC.rglob("*.py")
+        if path.name != "expressions.py"
+        for node in ast.walk(_tree(path))
+        for name in (
+            [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+            else [node.attr] if isinstance(node, ast.Attribute) else []
+        )
+        if name in RECURRENCES
+    )
+    assert reached == []

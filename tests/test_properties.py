@@ -28,12 +28,12 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from support import ADMISSIBLE_TEMPLATES, Unresolved, eval_on_circle
+from support import ADMISSIBLE_TEMPLATES, Unresolved, adomian_polynomials, eval_on_circle
 
 from adomian_bvp.benchmarks import benchmark_problem
 from adomian_bvp.cli import main
 from adomian_bvp.errors import ComputeError, NonFiniteTerm, ParseError, UnsupportedPower
-from adomian_bvp.expressions import Tape, parse, to_source
+from adomian_bvp.expressions import parse, to_source
 from adomian_bvp.problem_file import FIELDS
 from adomian_bvp.series import differentiate, evaluate, evaluate_many, normalize
 from adomian_bvp.solver import Problem, solve
@@ -210,9 +210,8 @@ def _adomian_against_cauchy(source):
         f = parse(source)
     except (ParseError, UnsupportedPower):
         return "rejected by parse"
-    tape = Tape(f)
     try:
-        a_k = [tape.extend(y, differentiate(y)) for y in CAUCHY_Y]
+        a_k = adomian_polynomials(f, CAUCHY_Y)
     except ComputeError as err:
         return f"tape: {err.code}"
     with np.errstate(all="ignore"):

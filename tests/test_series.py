@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from support import reference_normalize
 
 from adomian_bvp.benchmarks import benchmark_problem
-from adomian_bvp.errors import DomainError, NonFiniteTerm, TermBlowup
+from adomian_bvp.errors import DomainError, InvalidProblem, NonFiniteTerm, TermBlowup
 from adomian_bvp.series import (
     DEFAULT_TERM_CAP,
     EXPONENT_MERGE_TOL,
@@ -166,6 +166,22 @@ def test_terms_and_plain_pairs_read_through_one_path():
         assert GPSeries(s.terms) == s
         assert GPSeries(tuple(map(tuple, s.terms))) == s
         assert all(type(t) is Term and type(t.coeff) is float for t in s.terms)
+
+
+def test_raw_pairs_must_be_finite_and_strictly_increasing():
+    # What every operation relies on: unsorted exponents evaluated to inf at
+    # x = 0, and a repeated exponent survived add as two terms.
+    with pytest.raises(InvalidProblem, match=r"^exponents must strictly increase, got 0\.5 then -0\.5$"):
+        GPSeries([(1.0, 0.5), (2.0, -0.5)])
+    with pytest.raises(InvalidProblem, match=r"got 0\.5 then 0\.5$"):
+        GPSeries([(1.0, 0.0), (1.0, 0.5), (2.0, 0.5)])
+    with pytest.raises(NonFiniteTerm, match=r"^term \(nan, 1\.0\) is not finite$"):
+        GPSeries([(math.nan, 1.0)])
+    with pytest.raises(NonFiniteTerm, match=r"^term \(2\.0, inf\) is not finite$"):
+        GPSeries([(1.0, 0.5), (2.0, math.inf)])
+    # Still no merge and no prune: near-equal exponents and a zero coefficient stay.
+    raw = ((1.0, 0.0), (1e-300, 1e-13), (0.0, 1.0))
+    assert GPSeries(raw).terms == raw
 
 
 def test_non_finite_terms_are_named_like_the_reference():
@@ -429,15 +445,19 @@ def test_evaluate_negative_x_fractional_exponent():
 
 
 def test_evaluate_many_matches_scalar():
-    # psi_1 ... psi_10 of the five published tables, at alpha = 0.25/0.5/0.75
-    # on their 1000-point grid: a point is a one-point grid, so the two agree
-    # bit for bit
-    xs = np.arange(1, 1001, dtype=float) / 1000
+    # psi_1 ... psi_10 of the five published tables, at alpha = 0.25/0.5/0.75,
+    # on their 1000-point grid plus x = 0: a point is a one-point grid, so the
+    # two agree bit for bit.  Every psi is checked at every 40th point, from
+    # x = 0 to x = 1, and the psi with the most terms at all 1001.
+    xs = np.arange(0, 1001, dtype=float) / 1000
+    widest = GPSeries.zero()
     for example, beta in ((1, 1.0), (1, 3.5), (2, 1.0), (3, 1.0), (3, 2.5)):
         for alpha in (0.25, 0.5, 0.75):
             for psi in solve(benchmark_problem(example, alpha, beta), 10).partial_sums:
-                grid = evaluate_many(psi, xs).tolist()
-                assert [evaluate(psi, x) for x in xs.tolist()] == grid
+                grid = evaluate_many(psi, xs)
+                assert [evaluate(psi, x) for x in xs[::40].tolist()] == grid[::40].tolist()
+                widest = max(widest, psi, key=len)
+    assert [evaluate(widest, x) for x in xs.tolist()] == evaluate_many(widest, xs).tolist()
 
 
 # --- display ---------------------------------------------------------------------

@@ -5,11 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from support import adomian_polynomials, taylor_gap
+
 import adomian_bvp.series as series_module
 from adomian_bvp.benchmarks import benchmark_problem
-from adomian_bvp.expressions import Add, Tape, Var, eval_real, parse, to_source
-from adomian_bvp.lambda_ring import eval_lambda, lift_solution
-from adomian_bvp.series import GPSeries, differentiate, evaluate, evaluate_many
+from adomian_bvp.expressions import Add, Tape, Var, parse, to_source
+from adomian_bvp.series import GPSeries, differentiate, evaluate_many
 from adomian_bvp.solver import Problem, solve
 
 GRID = np.arange(1, 1001) / 1000.0
@@ -48,22 +49,12 @@ def test_integer_powers_solve_and_track_the_nonlinearity(source, eta1):
         alpha1=1.0, beta1=0.0, gamma1=eta1 + 0.5,
     )
     order = 7
-    report = solve(problem, order + 1)
-    composed = eval_lambda(problem.f, *lift_solution(list(report.components), order))
+    components = solve(problem, order + 1).components
+    polynomials = adomian_polynomials(problem.f, components)
     for x_star in (0.3, 0.7):
         for lam in (0.1, 0.5):
-            series_val = sum(
-                evaluate(composed.coeffs[k], x_star) * lam**k for k in range(order + 1)
-            )
-            y_val = sum(
-                evaluate(c, x_star) * lam**k for k, c in enumerate(report.components)
-            )
-            yp_val = sum(
-                evaluate(differentiate(c), x_star) * lam**k
-                for k, c in enumerate(report.components)
-            )
-            direct = eval_real(problem.f, x_star, y_val, yp_val)
-            assert abs(series_val - direct) <= 10.0 * lam ** (order + 1)
+            gap = taylor_gap(problem.f, components, polynomials, x_star, lam)
+            assert gap <= 10.0 * lam ** (order + 1)
 
 
 # --- cost: one new coefficient per node and step -----------------------------------
