@@ -10,11 +10,15 @@ Every operation builds its raw terms as arrays (a product an outer product,
 a weighted sum a concatenation) and hands them to one kernel,
 :func:`from_arrays`: a stable sort, a merge of exponents within
 ``EXPONENT_MERGE_TOL`` of the first exponent of their group, and a relative
-prune.  :func:`combine` is every weighted sum, of series and of products of
-two series, such as one Cauchy sum of a recurrence; ``mul`` is its
-one-product call.  The kernel reproduces the term-by-term definition bit for
-bit: equal exponents keep their input order, a group sums its coefficients in
-that order, and the first non-finite input term is the one an error names.
+prune.  The kernel reproduces the term-by-term definition bit for bit: equal
+exponents keep their input order, a group sums its coefficients in that
+order, and the first non-finite input term is the one an error names.
+
+:func:`combine` is every weighted sum, of series and of products of two
+series, such as one Cauchy sum of a recurrence; ``mul`` is its one-product
+call.  Small raw products join the sum unmerged, so the sum is normalized
+once; only products of more than ``FUSED_PRODUCT_TERMS`` terms, and a product
+that is the sum's only piece, are normalized on their own first.
 
 Values are immutable (their arrays are read-only) and every operation is a
 pure function; series can be shared freely between threads.
@@ -39,6 +43,11 @@ PRUNE_REL_THRESHOLD = 1e-14
 # Products in the truncated-ring machinery grow combinatorially; fail loudly
 # rather than thrash.
 DEFAULT_TERM_CAP = 10_000
+
+# A raw product this small joins its Cauchy sum unmerged: one normalization of
+# the whole sum costs less than one of each product and then the sum.  Larger
+# products shrink enough in their own merge to pay for it.
+FUSED_PRODUCT_TERMS = 256
 
 
 class Term(NamedTuple):
@@ -234,39 +243,51 @@ def combine(
 ) -> GPSeries:
     """The weighted sum of the (weight, series) parts and (weight, a, b) products.
 
-    Equal to the sum of ``parts`` followed by ``(w, mul(a, b))`` for each
-    product, bit for bit: each product is formed and normalized on its own,
-    in order (only pruned when a factor is the constant series, whose zero
-    exponent moves none of the other's), and then the sum is normalized once.
     Products with a zero factor, and parts of weight 0 or of a zero series,
-    are skipped.  A single remaining part is scaled and pruned only, as its
-    exponents are sorted and merged already, and returned as it is if its
-    weight is 1; otherwise all weighted terms go through :func:`from_arrays`.
+    are skipped; the rest are the sum's pieces.  Each product is formed in
+    order, at any weight.  If the sum has another piece, a raw product of at
+    most ``FUSED_PRODUCT_TERMS`` terms joins it unmerged; any other product
+    is first normalized on its own (only pruned when a factor is the
+    constant series, whose zero exponent moves none of the other's).  Then
+    the parts and the products of nonzero weight, in that order, are
+    normalized once as one sum.  A sum of a single piece is scaled and
+    pruned only, as its exponents are sorted and merged already, and
+    returned as it is if its weight is 1.
 
     Raises:
         TermBlowup: a raw product would exceed ``DEFAULT_TERM_CAP`` terms.
-        NonFiniteTerm: a product, weighted or merged coefficient is not finite.
+        NonFiniteTerm: a product, weighted or merged coefficient is not finite;
+            a raw product is checked as it is formed, so the first failing
+            product names the error.
     """
     live = [(w, s.coeffs, s.exponents) for w, s in parts if w != 0.0 and len(s.coeffs)]
     products = [(w, a, b) for w, a, b in products if len(a.coeffs) and len(b.coeffs)]
     if not products and len(live) < 2 and (not live or live[0][0] == 1.0):
         return GPSeries._of(*live[0][1:]) if live else _ZERO
+    fused_max = FUSED_PRODUCT_TERMS if len(live) + len(products) > 1 else 0
     with np.errstate(over="ignore", invalid="ignore"):
         for w, a, b in products:
-            if len(a.coeffs) * len(b.coeffs) > DEFAULT_TERM_CAP:
+            size = len(a.coeffs) * len(b.coeffs)
+            if size > DEFAULT_TERM_CAP:
                 raise TermBlowup(
                     f"product of {len(a)} x {len(b)} terms exceeds cap {DEFAULT_TERM_CAP}"
                 )
             c = np.multiply.outer(a.coeffs, b.coeffs).ravel()
             e = np.add.outer(a.exponents, b.exponents).ravel()
-            c, e = _pruned(c, e, (c, e)) if _is_constant(a) or _is_constant(b) else _merged(c, e)
+            if size <= fused_max:
+                if not (np.isfinite(c).all() and np.isfinite(e).all()):
+                    _raise_non_finite(c, e)
+            elif _is_constant(a) or _is_constant(b):
+                c, e = _pruned(c, e, (c, e))
+            else:
+                c, e = _merged(c, e)
             if w != 0.0 and len(c):
                 live.append((w, c, e))
         coeffs = [c if w == 1.0 else w * c for w, c, _ in live]
-    if len(live) > 1:
-        return from_arrays(np.concatenate(coeffs), np.concatenate([e for *_, e in live]))
     if not live:
         return _ZERO
+    if len(live) > 1 or fused_max:  # a raw product may be all that is left
+        return from_arrays(np.concatenate(coeffs), np.concatenate([e for *_, e in live]))
     ((w, _, e),) = live
     if w == 1.0:
         return GPSeries._of(coeffs[0], e)

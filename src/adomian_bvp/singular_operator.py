@@ -15,7 +15,10 @@ powers:
 
 Two weighted exponents are off-limits: r = -1 makes the inner integral
 logarithmic and r = alpha-2 the outer one; r < alpha-2 diverges.  All three
-raise instead of silently leaving the representable algebra.
+raise instead of silently leaving the representable algebra.  So does an r
+whose two image exponents 1-alpha and r+2-alpha, as computed, lie within the
+merge tolerance: the merge would fold them into one x^(1-alpha) term, which
+L maps to 0.
 """
 
 from __future__ import annotations
@@ -66,14 +69,21 @@ def apply_inverse(ctx: OperatorContext, g: GPSeries) -> GPSeries:
     r = g.exponents + ctx.sigma
     r1 = r + 1.0
     tail = r + 2.0 - ctx.alpha
-    if np.abs(r1).min() <= RESONANCE_TOL or tail.min() <= RESONANCE_TOL:
-        i = int(np.argmax((np.abs(r1) <= RESONANCE_TOL) | (tail <= RESONANCE_TOL)))
-        ri, bound = r[i], ctx.alpha - 2.0  # the first offending term, in exponent order
-        if abs(r1[i]) <= RESONANCE_TOL:
-            raise LogResonance(f"weighted exponent {ri:g} hits -1 (term x^{g.exponents[i]:g})")
-        if tail[i] >= -RESONANCE_TOL:
-            raise OuterResonance(f"weighted exponent {ri:g} hits alpha-2 = {bound:g}")
-        raise Divergent(f"weighted exponent {ri:g} below alpha-2 = {bound:g}: integral diverges")
+    # r = -1 also where the image's two exponents, as computed, would merge.
+    # Their gap is r1 up to rounding, far inside the screen's margin.
+    if np.abs(r1).min() <= 2.0 * RESONANCE_TOL or tail.min() <= RESONANCE_TOL:
+        gap = tail - (1.0 - ctx.alpha)
+        log = (np.abs(r1) <= RESONANCE_TOL) | (np.abs(gap) <= RESONANCE_TOL)
+        bad = log | (tail <= RESONANCE_TOL)
+        if bad.any():
+            i = int(np.argmax(bad))
+            ri, bound = r[i], ctx.alpha - 2.0  # the first offending term, in exponent order
+            if log[i]:
+                raise LogResonance(f"weighted exponent {ri:g} hits -1 (term x^{g.exponents[i]:g})")
+            if tail[i] >= -RESONANCE_TOL:
+                raise OuterResonance(f"weighted exponent {ri:g} hits alpha-2 = {bound:g}")
+            raise Divergent(
+                f"weighted exponent {ri:g} below alpha-2 = {bound:g}: integral diverges")
     coeffs = np.empty(2 * len(g))
     exponents = np.empty(2 * len(g))
     with np.errstate(over="ignore", invalid="ignore"):

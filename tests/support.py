@@ -151,9 +151,12 @@ def quadrature_oracle(
         return 0.0
     weighted = [(t.coeff, t.exponent + ctx.sigma) for t in g.terms]
     for _, r in weighted:
-        if abs(r + 1.0) <= RESONANCE_TOL or abs(r + 2.0 - ctx.alpha) <= RESONANCE_TOL:
+        tail = r + 2.0 - ctx.alpha
+        # as the closed form: r = -1 also where its two image exponents merge
+        gap = min(abs(r + 1.0), abs(tail - (1.0 - ctx.alpha)))
+        if gap <= RESONANCE_TOL or abs(tail) <= RESONANCE_TOL:
             raise QuadratureFailure(f"weighted exponent {r:g} is resonant")
-        if r + 2.0 - ctx.alpha < 0.0:
+        if tail < 0.0:
             raise QuadratureFailure(f"weighted exponent {r:g} diverges")
 
     m = 1.0 / (1.0 - ctx.alpha)

@@ -1,28 +1,44 @@
-"""psi pinned bit for bit against a recorded fixture.
+"""psi pinned bit for bit against a recorded fixture, and near an older one.
 
 ``golden_psi.json`` holds the repr-exact (coeff, exponent) pairs of psi for
-each case below.  It was recorded before the series algebra moved onto
-arrays, so any change to the order of floating-point operations in
-normalize, mul, the inverse or the recurrences shows up here as a failure.
-Re-record only when a change of the numbers is intended:
+each case below, recorded when ``series.combine`` began to let small raw
+products join their Cauchy sum unmerged.  Any change to the order of
+floating-point operations in normalize, mul, the inverse or the recurrences
+shows up here as a failure.  Re-record only when a change of the numbers is
+intended:
 
     PYTHONPATH=src python tests/test_golden_psi.py --write
+
+``golden_psi_per_product.json`` holds the same cases as computed when every
+product of a Cauchy sum was normalized on its own (the term-by-term
+definition); it is never re-recorded, and psi must stay within a stated bound
+of it on a 1001-point grid.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from adomian_bvp.benchmarks import benchmark_problem
 from adomian_bvp.expressions import parse, to_source
+from adomian_bvp.series import GPSeries, evaluate_many
 from adomian_bvp.solver import solve
 
 FIXTURE = Path(__file__).with_name("golden_psi.json")
+PER_PRODUCT = Path(__file__).with_name("golden_psi_per_product.json")
+GRID = np.linspace(0.0, 1.0, 1001)
+# Relative to sup |psi| on the grid (1.1 to 1158 over these cases).  Joining
+# small products to their sums unmerged moved psi by at most 4.4e-16
+# absolute, 1.8 eps relative (f2-0.1234-powi); 19 of the 48 entries stayed
+# bit-identical: all 12 of family 3, whose f is linear, and 7 at n = 5.
+DRIFT_ULPS = 4
 NS = (5, 10, 16)
 SPELLINGS = {
     "recip": "1/exp(-1*y)",
@@ -51,6 +67,7 @@ CASES = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def case_psi(label: str, n: int) -> list[list[float]]:
     family, alpha, beta, spelling, robin = CASES[label]
     problem = benchmark_problem(family, alpha, beta)
@@ -72,6 +89,11 @@ def golden() -> dict[str, list[list[float]]]:
     return json.loads(FIXTURE.read_text(encoding="utf-8"))
 
 
+@pytest.fixture(scope="module")
+def per_product() -> dict[str, list[list[float]]]:
+    return json.loads(PER_PRODUCT.read_text(encoding="utf-8"))
+
+
 @pytest.mark.parametrize("n", NS)
 @pytest.mark.parametrize("label", list(CASES))
 def test_psi_bit_identical_to_fixture(golden, label, n):
@@ -80,6 +102,15 @@ def test_psi_bit_identical_to_fixture(golden, label, n):
     assert len(got) == len(want)
     for (gc, ge), (wc, we) in zip(got, want):
         assert (gc, ge) == (wc, we), f"got ({gc!r}, {ge!r}), recorded ({wc!r}, {we!r})"
+
+
+@pytest.mark.parametrize("n", NS)
+@pytest.mark.parametrize("label", list(CASES))
+def test_psi_within_a_few_ulps_of_the_per_product_kernel(per_product, label, n):
+    before = evaluate_many(GPSeries(per_product[_key(label, n)]), GRID)
+    now = evaluate_many(GPSeries(case_psi(label, n)), GRID)
+    bound = DRIFT_ULPS * np.finfo(float).eps * np.max(np.abs(before))
+    assert np.max(np.abs(now - before)) <= bound
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Series algebra: normalization, ring operations, calculus, display."""
 
+import functools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from adomian_bvp.errors import DomainError, InvalidProblem, NonFiniteTerm, TermB
 from adomian_bvp.series import (
     DEFAULT_TERM_CAP,
     EXPONENT_MERGE_TOL,
+    FUSED_PRODUCT_TERMS,
     PRUNE_REL_THRESHOLD,
     GPSeries,
     Term,
@@ -267,28 +269,56 @@ def test_ring_laws_on_evaluation():
 
 # --- combine with products: one call per Cauchy sum --------------------------------
 
-# Exponents from a few values with drift inside and just past the merge
-# tolerance, so products of two factors often land within it of each other.
-_EXPONENTS = st.builds(
-    float.__add__,
-    st.sampled_from([-0.5, 0.0, 0.5, 1.0, 2.375]),
-    st.sampled_from([0.0, 0.4 * EXPONENT_MERGE_TOL, 0.7 * EXPONENT_MERGE_TOL,
-                     EXPONENT_MERGE_TOL, -EXPONENT_MERGE_TOL, 3 * EXPONENT_MERGE_TOL]),
-)
-_COEFFS = st.one_of(
-    st.floats(-10.0, 10.0),
-    st.sampled_from([0.0, 1.0, 1e-300, 3e16]),  # 3e16 + 1 - 3e16 depends on the order
-    st.floats(1e299, 1e300).map(lambda c: -c),
-    st.floats(1e299, 1e300),
-)
-_NONZERO = st.lists(st.tuples(_COEFFS, _EXPONENTS), min_size=1, max_size=6).map(normalize)
-_SERIES = st.one_of(
-    st.just(GPSeries.zero()),
-    st.builds(GPSeries.constant, st.sampled_from([1.0, -1.0, 0.37, 1e300])),
-    _NONZERO, _NONZERO, _NONZERO,
-)
-# 1e8 takes two coefficients near 1e300 to a merged sum past the largest float.
-_WEIGHTS = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 1e8]), st.floats(-1e3, 1e3))
+# Each series is drawn flat, as one integer, and built by numpy: drawn term
+# by term through nested strategies, the series took most of this test's
+# time.  Exponents come from a few values with drift inside and just past the
+# merge tolerance, so products of two factors often land within it of each
+# other.  Wide series have enough distinct exponents that a product of two
+# passes FUSED_PRODUCT_TERMS.
+_DRIFTS = np.array([0.0, 0.4, 0.7, 1.0, -1.0, 3.0]) * EXPONENT_MERGE_TOL
+_NARROW = np.add.outer([-0.5, 0.0, 0.5, 1.0, 2.375], _DRIFTS).ravel()
+_WIDE = np.add.outer(np.arange(-4, 41) / 8, _DRIFTS).ravel()
+_SPECIAL = [0.0, 1.0, 1e-300, 3e16]  # 3e16 + 1 - 3e16 depends on the order
+
+
+@functools.lru_cache(maxsize=None)
+def _series(draw):
+    """One of six kinds of series, picked by ``draw % 6`` and seeded by ``draw // 6``.
+
+    Zero; a constant; a narrow series of 1-6 raw terms whose coefficients mix
+    generic floats in [-10, 10], special values and values near -1e300 and
+    1e300 at equal odds; two kinds of narrow series of generic floats alone,
+    whose products merge terms without one coefficient pruning the rest; and
+    a wide series of 17-48 raw terms of generic floats.
+    """
+    seed, kind = divmod(draw, 6)
+    rng = np.random.default_rng(seed)
+    if kind == 0:
+        return GPSeries.zero()
+    if kind == 1:
+        return GPSeries.constant(rng.choice([1.0, -1.0, 0.37, 1e300]))
+    pool, size = (_WIDE, rng.integers(17, 49)) if kind == 5 else (_NARROW, rng.integers(1, 7))
+    coeffs = rng.uniform(-10.0, 10.0, size)
+    if kind == 2:
+        branch, huge = rng.integers(0, 4, size), rng.uniform(1e299, 1e300, size)
+        coeffs = np.select([branch == 1, branch == 2, branch == 3],
+                           [rng.choice(_SPECIAL, size), -huge, huge], coeffs)
+    return from_arrays(coeffs, rng.choice(pool, size))
+
+
+@functools.lru_cache(maxsize=None)
+def _weight(draw):
+    """0, 1, -1 or 1e8 for an even ``draw``, a generic float in [-1e3, 1e3] for an odd one.
+
+    1e8 takes two coefficients near 1e300 to a merged sum past the largest float.
+    """
+    if draw % 2 == 0:
+        return [0.0, 1.0, -1.0, 1e8][draw // 2 % 4]
+    return float(np.random.default_rng(draw).uniform(-1e3, 1e3))
+
+
+_SERIES = st.integers(0, 6 * 4096 - 1).map(_series)
+_WEIGHTS = st.integers(0, 4095).map(_weight)
 
 
 def _reference_sum(raw):
@@ -299,15 +329,38 @@ def _reference_sum(raw):
     return terms
 
 
-def _nested_oracle(parts, products):
-    """Each product normalized on its own, in order, then the weighted sum once."""
+def _fused_oracle(parts, products, fused_max=FUSED_PRODUCT_TERMS):
+    """The weighted sum with small raw products joining it unmerged, term by term.
+
+    The live parts come first.  Then each product with two nonzero factors is
+    formed in order, at any weight.  If the sum has another live part or
+    product, at most ``fused_max`` raw terms enter as they are, checked to be
+    finite; any other product is normalized alone.  Then the whole sum is
+    normalized once.
+    """
     weighted = [(w * c, e) for w, s in parts if w != 0.0 for c, e in _terms(s)]
+    products = [(w, a, b) for w, a, b in products if not (a.is_zero or b.is_zero)]
+    pieces = len(products) + sum(w != 0.0 and not s.is_zero for w, s in parts)
     for w, a, b in products:
         pairs = [(ca * cb, ea + eb) for ca, ea in _terms(a) for cb, eb in _terms(b)]
-        product = _reference_sum(pairs)  # formed, and able to fail, at any weight
+        if pieces < 2 or len(pairs) > fused_max:
+            pairs = _reference_sum(pairs)
+        else:
+            for c, e in pairs:
+                if not (math.isfinite(c) and math.isfinite(e)):
+                    raise NonFiniteTerm(f"term ({c!r}, {e!r}) is not finite")
         if w != 0.0:
-            weighted += [(w * c, e) for c, e in product]
+            weighted += [(w * c, e) for c, e in pairs]
     return _reference_sum(weighted)
+
+
+def _assert_combine_matches(parts, products, want):
+    got = combine(iter(parts), iter(products))
+    assert got.coeffs.tolist() == [c for c, _ in want]
+    assert got.exponents.tolist() == [e for _, e in want]
+
+
+_CANCELLING = (GPSeries([(3e16, 0.0), (-3e16, 0.25)]), GPSeries([(1.0, 0.25), (1.0, 0.5)]))
 
 
 @settings(max_examples=400, deadline=None)
@@ -319,17 +372,61 @@ def _nested_oracle(parts, products):
     parts=[(1.0, GPSeries.monomial(1.0, 0.5))],
     products=[(w, GPSeries.constant(3e16), GPSeries.monomial(1.0, 0.5)) for w in (1.0, -1.0)],
 )
-def test_combine_with_products_matches_the_nested_oracle(parts, products):
+@example(  # the product's 3e16 and -3e16 at x^0.5 join the part's 1 unmerged: 0, not 1
+    parts=[(1.0, GPSeries([(-3e16, 0.25), (1.0, 0.5), (3e16, 0.75)]))],
+    products=[(1.0, *_CANCELLING)],
+)
+def test_combine_with_products_matches_the_fused_oracle(parts, products):
     try:
-        want = _nested_oracle(parts, products)
+        want = _fused_oracle(parts, products)
     except NonFiniteTerm as err:
         with pytest.raises(NonFiniteTerm) as got:
             combine(iter(parts), iter(products))
         assert str(got.value) == str(err)
         return
-    got = combine(iter(parts), iter(products))
-    assert got.coeffs.tolist() == [c for c, _ in want]
-    assert got.exponents.tolist() == [e for _, e in want]
+    _assert_combine_matches(parts, products, want)
+
+
+def test_the_cancelling_example_tells_the_fused_sum_from_the_nested_one():
+    parts = [(1.0, GPSeries([(-3e16, 0.25), (1.0, 0.5), (3e16, 0.75)]))]
+    assert _fused_oracle(parts, [(1.0, *_CANCELLING)]) == []
+    assert _fused_oracle(parts, [(1.0, *_CANCELLING)], fused_max=0) == [(1.0, 0.5)]
+
+
+@pytest.mark.parametrize("others", ["part", "alone", "beside_zero_weight"])
+@pytest.mark.parametrize("rows", [16, 17])
+def test_a_product_joins_the_sum_raw_up_to_fused_product_terms(rows, others):
+    # 16 x 16 = FUSED_PRODUCT_TERMS raw terms join the sum unmerged, 17 x 16 do
+    # not, and a product that is the sum's only piece is normalized alone; a
+    # product of weight 0 is a piece too
+    assert 16 * 16 == FUSED_PRODUCT_TERMS
+    rng = np.random.default_rng(rows)
+    a = from_arrays(rng.uniform(-1.0, 1.0, rows), np.arange(rows, dtype=float))
+    b = from_arrays(rng.uniform(-1.0, 1.0, 16), np.arange(16, dtype=float))
+    part = from_arrays(rng.uniform(-1.0, 1.0, 32), np.arange(32, dtype=float))
+    parts, products = {
+        "part": ([(0.37, part)], [(0.3, a, b)]),
+        "alone": ([], [(0.3, a, b)]),
+        "beside_zero_weight": ([], [(0.0, part, part), (0.3, a, b)]),
+    }[others]
+    want = _fused_oracle(parts, products)
+    _assert_combine_matches(parts, products, want)
+    # the other contract gives other bits here
+    if others != "alone":
+        raw = rows * 16 <= FUSED_PRODUCT_TERMS
+        other = _fused_oracle(parts, products, fused_max=0 if raw else DEFAULT_TERM_CAP)
+    else:
+        other = _reference_sum([(0.3 * (ca * cb), ea + eb)
+                                for ca, ea in _terms(a) for cb, eb in _terms(b)])
+    assert want != other
+
+
+def test_a_raw_product_left_alone_is_still_normalized():
+    # the wide product underflows to nothing, leaving the raw one, unsorted
+    tiny = from_arrays(np.full(17, 1e-200), np.arange(17, dtype=float))
+    a, b = GPSeries([(1.0, 0.0), (2.0, 1.0)]), GPSeries([(3.0, 0.0), (4.0, 1.0)])
+    got = combine((), [(1.0, tiny, tiny), (1.0, a, b)])
+    assert _terms(got) == [(3.0, 0.0), (10.0, 1.0), (8.0, 2.0)]
 
 
 def _powers(count):

@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from adomian_bvp.benchmarks import benchmark_problem
 from adomian_bvp.errors import Divergent, LogResonance, OuterResonance
 from adomian_bvp.expressions import parse
 from adomian_bvp.series import GPSeries, Term, add, evaluate, normalize, scale
@@ -14,7 +15,7 @@ from adomian_bvp.singular_operator import (
     h_series,
     inverse_at_one,
 )
-from adomian_bvp.solver import Problem
+from adomian_bvp.solver import Problem, solve
 
 
 def _terms(series):
@@ -162,6 +163,21 @@ def test_error_names_the_first_offending_term(exponents, expected):
 def test_resonance_tolerance_edges(exponent, expected):
     # alpha = 0.5, sigma = 0: the tail r+2-alpha is -5e-13 and -2e-12 on the last two
     assert _inverse_error(OperatorContext(0.5, 0.0), [exponent]) == expected
+
+
+def test_image_exponents_that_would_merge_are_a_log_resonance():
+    # r + 1 = 1.00009e-12 passes the tolerance, but the computed gap between
+    # x^(1-alpha) and x^(r+2-alpha) is 9.9998e-13: merged, the two terms
+    # would leave one term at x^(1-alpha), which L maps to 0.
+    problem = benchmark_problem(3, 1e-12, 1.0)
+    ctx = OperatorContext(problem.alpha, problem.sigma)
+    with pytest.raises(LogResonance, match=r"^weighted exponent -1 hits -1 \(term x\^0\)$"):
+        apply_inverse(ctx, GPSeries.constant(1.0))
+    with pytest.raises(LogResonance):
+        solve(problem, 3)
+    # alpha = 0.5, r + 1 = 2e-12: the gap, as computed, clears the tolerance
+    image = apply_inverse(OperatorContext(0.5, 0.0), GPSeries.monomial(1.0, -1.0 + 2e-12))
+    assert len(image) == 2
 
 
 # --- identities -----------------------------------------------------------------------

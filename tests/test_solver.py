@@ -21,6 +21,7 @@ from adomian_bvp.errors import (
     LogOfNonPositive,
     LogResonance,
     NonConstantBasePoint,
+    TermBlowup,
 )
 from adomian_bvp.expressions import parse
 from adomian_bvp.series import GPSeries, Term, add, differentiate, evaluate
@@ -225,3 +226,11 @@ def test_solver_errors_carry_step_index(source, sigma, eta1, error, subexpressio
     assert "component 1" in str(exc.value)
     if subexpression is not None:
         assert str(exc.value).endswith(f"[in {subexpression!r}]")
+
+
+def test_family_1_at_beta_3_5_outgrows_the_term_cap_at_component_37():
+    # The components grow until one raw product passes DEFAULT_TERM_CAP.  Which
+    # component that is pins where merges and prunes happen inside the A_k.
+    with pytest.raises(TermBlowup) as exc:
+        solve(benchmark_problem(1, 0.5, 3.5), 40)
+    assert str(exc.value).startswith("component 37: ")
