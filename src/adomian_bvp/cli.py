@@ -174,15 +174,9 @@ def _dispatch(args) -> int:
     """Run the chosen command; a structured error becomes its exit status."""
     try:
         return args.handler(args)
-    except FileNotFoundError as err:
-        print(f"error: FileNotFound({err.filename})", file=sys.stderr)
-        return INPUT_ERROR
-    except InputError as err:
-        print(f"error: {err.code}({err})", file=sys.stderr)
-        return INPUT_ERROR
     except AdmError as err:
         print(f"error: {err.code}({err})", file=sys.stderr)
-        return COMPUTE_ERROR
+        return INPUT_ERROR if isinstance(err, InputError) else COMPUTE_ERROR
 
 
 def main(argv: list[str] | None = None) -> int:

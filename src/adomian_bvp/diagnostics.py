@@ -14,7 +14,7 @@ import numpy as np
 
 from . import series as gps
 from .errors import InvalidExactSolution, InvalidProblem, NonFiniteTerm
-from .expressions import Expr, eval_real, free_vars
+from .expressions import Expr, check_depth, eval_real, free_vars
 from .series import GPSeries
 from .singular_operator import apply_forward
 from .solver import Problem
@@ -43,10 +43,12 @@ def max_error(
     """Largest |psi(x_i) - exact(x_i)| over the uniform grid.
 
     Raises:
-        InvalidExactSolution: if the reference mentions y or yp.
+        InvalidExactSolution: the reference mentions y or yp, or nests deeper
+            than ``MAX_DEPTH`` levels.
         InvalidProblem: grid_size < 1.
         NonFiniteTerm: psi, the reference or their difference overflows.
     """
+    check_depth(exact, InvalidExactSolution, "reference")
     if free_vars(exact) - {"x"}:
         raise InvalidExactSolution(
             f"reference mentions variables {sorted(free_vars(exact))}"

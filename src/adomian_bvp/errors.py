@@ -100,6 +100,17 @@ class InvalidExactSolution(InputError):
 
 # --- problem files -----------------------------------------------------------
 
+class FileNotFound(InputError, FileNotFoundError):
+    """No file at ``filename``, which is the whole message.
+
+    Built like the ``FileNotFoundError`` it also is, so callers that catch
+    that keep working.
+    """
+
+    def __str__(self) -> str:
+        return self.filename
+
+
 class MissingKey(InputError):
     """A required problem-file key is absent."""
 

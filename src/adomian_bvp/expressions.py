@@ -266,13 +266,22 @@ def parse(source: str) -> Expr:
     p._skip_ws()
     if p.pos != len(source):
         raise ParseError(f"trailing input {source[p.pos:]!r}", p.pos)
-    depth, level = 0, [node]
-    while level:  # level by level, so that a deep AST cannot overflow the stack
-        depth += 1
-        level = [c for e in level for c in _operands(e)]
-    if depth > MAX_DEPTH:
-        raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", 0)
+    check_depth(node, lambda message: ParseError(message, 0))
     return node
+
+
+def check_depth(e: Expr, error: Callable[[str], Exception], name: str = "expression") -> None:
+    """Raise ``error(message)`` if e nests deeper than ``MAX_DEPTH`` levels.
+
+    Level by level, so that a deep AST cannot overflow the stack: run it
+    before any recursive walker.
+    """
+    level = [e]
+    for _ in range(MAX_DEPTH):
+        level = [c for node in level for c in _operands(node)]
+        if not level:
+            return
+    raise error(f"{name} nests deeper than {MAX_DEPTH} levels")
 
 
 # --- printing -------------------------------------------------------------------

@@ -1,139 +1,78 @@
 """Truncated polynomial ring in the decomposition parameter, whole elements at a time.
 
-Elements are polynomials of fixed truncation order N in the decomposition
-parameter whose coefficients are :class:`~.series.GPSeries`.
-:func:`eval_lambda` runs an expression's :class:`~.expressions.Tape` to the
-order of its inputs, and each ``ring_*`` is that call on a one-node
-expression over ``y`` and ``yp``, so the tape is the only code that runs
-the recurrences.  ``solve`` calls none of this: it extends one tape per solve.
-The module is the benchmark tracer's facade over the tape: it stays because
-``bench/spans.py`` ``WRAPPED`` looks these names up, and it goes once the
-tracer points at the tape (ROADMAP direction 1).
+A ring element is a plain ``tuple[GPSeries, ...]``: entry k is the series
+coefficient of the k-th power of the parameter, so order N means N + 1
+entries.  :func:`eval_lambda` runs an expression's :class:`~.expressions.Tape`
+over two elements of one order.  Each ``ring_*`` is that call on a one-node
+expression, its first element bound to ``y`` and its second (or the first
+again) to ``yp``.  ``solve`` calls none of this: it extends one tape per
+solve.  The module is the benchmark tracer's facade over the tape:
+``bench/spans.py`` ``WRAPPED`` looks these names up, and the module goes once
+the tracer points at the tape (ROADMAP direction 1).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from . import series as gps
 from .errors import OrderMismatch
 from .expressions import Y, YP, Add, Constant, Div, Exp, Expr, Ln, Mul, PowInt, Sub, Tape
 from .series import GPSeries
 
-
-@dataclass(frozen=True)
-class LambdaSeries:
-    """Truncated polynomial in the decomposition parameter.
-
-    ``coeffs[k]`` is the series coefficient of the k-th power of the
-    parameter; there are exactly ``order + 1`` slots.
-    """
-
-    coeffs: tuple[GPSeries, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    @staticmethod
-    def zero(order: int) -> "LambdaSeries":
-        return LambdaSeries(tuple(GPSeries.zero() for _ in range(order + 1)))
-
-    @staticmethod
-    def constant(value: float, order: int) -> "LambdaSeries":
-        return LambdaSeries.from_gpseries(GPSeries.constant(value), order)
-
-    @staticmethod
-    def from_gpseries(s: GPSeries, order: int) -> "LambdaSeries":
-        """Embed a plain series as the order-zero coefficient."""
-        rest = tuple(GPSeries.zero() for _ in range(order))
-        return LambdaSeries((s,) + rest)
+Element = tuple[GPSeries, ...]
 
 
-def lift_solution(
-    components: list[GPSeries], order: int
-) -> tuple[LambdaSeries, LambdaSeries]:
-    """Inject solution components and their derivatives into the ring.
-
-    Returns the pair (y, y') where component k sits at parameter power k.
-    Missing components beyond ``len(components)`` are taken as zero.
-    """
-    padded = list(components[: order + 1])
-    padded += [GPSeries.zero()] * (order + 1 - len(padded))
-    y = LambdaSeries(tuple(padded))
-    yp = LambdaSeries(tuple(gps.differentiate(c) for c in padded))
-    return y, yp
+def lift_solution(components: list[GPSeries], order: int) -> tuple[Element, Element]:
+    """The pair (y, y') with component k at parameter power k, zero past the components."""
+    y = tuple(components[: order + 1]) + (GPSeries.zero(),) * (order + 1 - len(components))
+    return y, tuple(map(gps.differentiate, y))
 
 
-# --- whole elements: one-node expressions, a bound to y and b to yp ----------------
-
-
-def ring_add(a: LambdaSeries, b: LambdaSeries) -> LambdaSeries:
+def ring_add(a: Element, b: Element) -> Element:
     return eval_lambda(Add(Y, YP), a, b)
 
 
-def ring_scale(a: LambdaSeries, k: float) -> LambdaSeries:
+def ring_scale(a: Element, k: float) -> Element:
     return eval_lambda(Mul(Constant(k), Y), a, a)
 
 
-def ring_sub(a: LambdaSeries, b: LambdaSeries) -> LambdaSeries:
+def ring_sub(a: Element, b: Element) -> Element:
     return eval_lambda(Sub(Y, YP), a, b)
 
 
-def ring_mul(a: LambdaSeries, b: LambdaSeries) -> LambdaSeries:
-    """Cauchy product truncated at the common order."""
+def ring_mul(a: Element, b: Element) -> Element:
     return eval_lambda(Mul(Y, YP), a, b)
 
 
-def ring_exp(a: LambdaSeries) -> LambdaSeries:
-    """exp of a ring element with constant base point."""
+def ring_exp(a: Element) -> Element:
     return eval_lambda(Exp(Y), a, a)
 
 
-def ring_ln(a: LambdaSeries) -> LambdaSeries:
-    """ln of a ring element with positive constant base point."""
+def ring_ln(a: Element) -> Element:
     return eval_lambda(Ln(Y), a, a)
 
 
-def ring_recip(a: LambdaSeries) -> LambdaSeries:
-    """Reciprocal of a ring element with nonzero constant base point."""
+def ring_recip(a: Element) -> Element:
     return eval_lambda(Div(Constant(1.0), Y), a, a)
 
 
-def ring_powi(a: LambdaSeries, k: int) -> LambdaSeries:
-    """Integer power by repeated squaring; negative k via reciprocal."""
+def ring_powi(a: Element, k: int) -> Element:
     return eval_lambda(PowInt(Y, k), a, a)
 
 
-def extract_adomian(f_of_lambda: LambdaSeries, n: int) -> GPSeries:
-    """Coefficient of parameter power n: the n-th decomposition polynomial.
+def extract_adomian(f_of_lambda: Element, n: int) -> GPSeries:
+    """Entry n, the n-th decomposition polynomial; ``OrderMismatch`` past the last entry."""
+    if n >= len(f_of_lambda):
+        raise OrderMismatch(f"coefficient {n} requested from order-{len(f_of_lambda) - 1} element")
+    return f_of_lambda[n]
 
-    Raises:
-        OrderMismatch: if n exceeds the truncation order.
+
+def eval_lambda(e: Expr, y_lambda: Element, yp_lambda: Element) -> Element:
+    """e with y and yp bound to the elements: one ``Tape.extend`` per entry.
+
+    ``OrderMismatch`` when the elements' orders differ.  Errors at exp, ln,
+    division and integer-power nodes name that subexpression.
     """
-    if n > f_of_lambda.order:
-        raise OrderMismatch(
-            f"coefficient {n} requested from order-{f_of_lambda.order} element"
-        )
-    return f_of_lambda.coeffs[n]
-
-
-def eval_lambda(e: Expr, y_lambda: LambdaSeries, yp_lambda: LambdaSeries) -> LambdaSeries:
-    """Push the expression through the truncated decomposition ring.
-
-    ``x`` maps to the first-power monomial at parameter order zero; ``y`` and
-    ``yp`` map to the supplied ring elements.  Runs the expression's
-    :class:`~.expressions.Tape` to their common order; ring errors are
-    re-raised with the offending subexpression appended.
-
-    Raises:
-        OrderMismatch: the two elements have different truncation orders.
-    """
-    if y_lambda.order != yp_lambda.order:
-        raise OrderMismatch(
-            f"y and y' lifts disagree: {y_lambda.order} vs {yp_lambda.order}"
-        )
+    if len(y_lambda) != len(yp_lambda):
+        raise OrderMismatch(f"y and y' lifts disagree: {len(y_lambda) - 1} vs {len(yp_lambda) - 1}")
     tape = Tape(e)
-    return LambdaSeries(
-        tuple(tape.extend(y, yp) for y, yp in zip(y_lambda.coeffs, yp_lambda.coeffs))
-    )
+    return tuple(tape.extend(y, yp) for y, yp in zip(y_lambda, yp_lambda))

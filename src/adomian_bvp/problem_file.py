@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .errors import DuplicateKey, InvalidValue, MissingKey, UnknownKey
+from .errors import DuplicateKey, FileNotFound, InvalidValue, MissingKey, UnknownKey
 from .expressions import parse, to_source
 from .solver import Problem
 
@@ -90,7 +90,7 @@ def load_problem(path: str | Path) -> Problem:
     """Read and parse a problem file from disk.
 
     Raises:
-        FileNotFoundError: no file at ``path``.
+        FileNotFound: no file at ``path`` (also a ``FileNotFoundError``).
         InvalidValue: the file cannot be read (a directory, no permission) or
             is not UTF-8 text.
     """
@@ -98,8 +98,8 @@ def load_problem(path: str | Path) -> Problem:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
         raise InvalidValue(f"{path}: not UTF-8 text ({err.reason})") from None
-    except FileNotFoundError:
-        raise
+    except FileNotFoundError as err:
+        raise FileNotFound(err.errno, err.strerror, err.filename) from None
     except OSError as err:
         raise InvalidValue(f"{path}: cannot read ({err.strerror})") from None
     return parse_problem_text(text)

@@ -56,6 +56,15 @@ ADMISSIBLE_TEMPLATES = [
     "x^0.5*y - 0.3*yp*x",
 ]
 
+
+def left_nested_sum(leaf: Expr, depth: int) -> Expr:
+    """leaf + leaf + ... + leaf, an AST ``depth`` levels deep, built without the parser."""
+    e = leaf
+    for _ in range(depth - 1):
+        e = Add(e, leaf)
+    return e
+
+
 # --- tolerance from printed significant digits --------------------------------
 
 

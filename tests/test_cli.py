@@ -114,7 +114,7 @@ def test_solve_missing_key_exit_code(tmp_path, capsys):
 
 def test_solve_file_not_found(capsys):
     assert main(["solve", "/nonexistent/problem.prob"]) == 3
-    assert "FileNotFound" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: FileNotFound(/nonexistent/problem.prob)\n"
 
 
 def test_solve_compute_error_exit_code(tmp_path, capsys):

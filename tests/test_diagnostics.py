@@ -4,12 +4,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from support import QuadratureFailure, quadrature_oracle
+from support import QuadratureFailure, left_nested_sum, quadrature_oracle
 
 from adomian_bvp.benchmarks import benchmark_problem
 from adomian_bvp.diagnostics import format_error_table, max_error, residual
 from adomian_bvp.errors import InvalidExactSolution, NonFiniteTerm
-from adomian_bvp.expressions import eval_real, parse
+from adomian_bvp.expressions import MAX_DEPTH, X, eval_real, parse
 from adomian_bvp.series import GPSeries, differentiate, evaluate
 from adomian_bvp.singular_operator import OperatorContext, apply_forward, apply_inverse
 from adomian_bvp.solver import Problem, partial_sum, solve
@@ -59,6 +59,19 @@ def test_max_error_locates_maximum():
 def test_max_error_rejects_nonreference_expression():
     with pytest.raises(InvalidExactSolution):
         max_error(GPSeries.zero(), parse("y"), 10)
+
+
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 3000])
+def test_max_error_rejects_a_reference_past_the_depth_bound(depth):
+    with pytest.raises(
+        InvalidExactSolution, match=f"^reference nests deeper than {MAX_DEPTH} levels$"
+    ):
+        max_error(GPSeries.zero(), left_nested_sum(X, depth), 10)
+
+
+def test_max_error_accepts_a_reference_at_the_depth_bound():
+    report = max_error(GPSeries.zero(), left_nested_sum(X, MAX_DEPTH), 10)
+    assert report.max_error == MAX_DEPTH
 
 
 def test_max_error_overflow_is_non_finite_term():

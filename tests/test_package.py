@@ -1,6 +1,7 @@
 """The package root: every name it exports resolves, and a star import works.
 The A_k recurrences live beside the tape that drives them, and no other module
-reaches them, so the tape stays the only code that runs them."""
+reaches them, so the tape stays the only code that runs them.  Only the
+tracer's import line and the ring's own tests reach the whole-element ring."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import adomian_bvp
 
 SRC = Path(adomian_bvp.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 RECURRENCES = (
     "base_point", "binary_power", "linear_coeff", "mul_coeff", "div_coeff", "exp_coeff", "ln_coeff",
 )
@@ -27,14 +29,29 @@ def test_star_import_binds_every_exported_name():
     assert set(adomian_bvp.__all__) <= namespace.keys()
 
 
+def _imports_of(module: str, root: Path) -> list[tuple[str, list[str]]]:
+    """(file, imported names) of each import statement under root that reaches the module."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            if any(module in name.split(".") for name in names):
+                found.append((path.name, [a.name for a in node.names]))
+    return found
+
+
 def test_expressions_imports_nothing_from_lambda_ring():
-    imported = []
-    for node in ast.walk(_tree(SRC / "expressions.py")):
-        if isinstance(node, ast.ImportFrom):
-            imported += [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
-        elif isinstance(node, ast.Import):
-            imported += [a.name for a in node.names]
-    assert [name for name in imported if "lambda_ring" in name] == []
+    # The ring is the benchmark tracer's facade: one line of solver.py imports
+    # its names for the tracer, and only its own tests use it, so deleting it
+    # stays a deletion.
+    tracer_names = ["eval_lambda", "extract_adomian", "lift_solution"]
+    assert _imports_of("lambda_ring", SRC) == [("solver.py", tracer_names)]
+    assert {path for path, _ in _imports_of("lambda_ring", TESTS)} == {"test_lambda_ring.py"}
 
 
 def test_each_recurrence_is_defined_once_in_expressions():

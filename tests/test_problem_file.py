@@ -1,18 +1,25 @@
 """Problem-file parsing, validation and canonical round trips."""
 
+import errno
 import math
 
 import pytest
 
+from support import left_nested_sum
+
 from adomian_bvp.benchmarks import benchmark_problem
 from adomian_bvp.errors import (
     DuplicateKey,
+    FileNotFound,
+    InputError,
     InvalidValue,
     MissingKey,
     ParseError,
     UnknownKey,
 )
+from adomian_bvp.expressions import MAX_DEPTH, X, Y
 from adomian_bvp.problem_file import dump_problem, load_problem, parse_problem_text
+from adomian_bvp.solver import Problem
 
 SAMPLE = """
 # exponential nonlinearity, Dirichlet data
@@ -94,6 +101,23 @@ def test_dump_reload_round_trip(tmp_path):
 def test_round_trip_from_file_text():
     problem = parse_problem_text(SAMPLE)
     assert parse_problem_text(dump_problem(problem)) == problem
+
+
+def test_a_problem_at_the_depth_bound_dumps_text_that_parses_back():
+    # Problem holds hand-built ASTs to the bound parse enforces on text
+    problem = Problem(alpha=0.5, sigma=0.0, f=left_nested_sum(Y, MAX_DEPTH), eta1=0.0,
+                      alpha1=1.0, beta1=0.0, gamma1=1.0, exact=left_nested_sum(X, MAX_DEPTH))
+    assert parse_problem_text(dump_problem(problem)) == problem
+
+
+def test_a_missing_file_is_one_input_error(tmp_path):
+    path = tmp_path / "absent.prob"
+    with pytest.raises(FileNotFound) as exc:
+        load_problem(path)
+    err = exc.value
+    assert isinstance(err, InputError) and isinstance(err, FileNotFoundError)
+    assert (err.code, str(err), err.filename, err.errno) == (
+        "FileNotFound", str(path), str(path), errno.ENOENT)
 
 
 # --- schema: canonical dump text and the order faults are reported in ---------

@@ -10,6 +10,7 @@ from support import (
     FIRST_COMPONENT,
     PRINTED_COMPONENTS,
     assert_series_matches_printed,
+    left_nested_sum,
 )
 
 from adomian_bvp.benchmarks import benchmark_problem
@@ -23,7 +24,7 @@ from adomian_bvp.errors import (
     NonConstantBasePoint,
     TermBlowup,
 )
-from adomian_bvp.expressions import parse
+from adomian_bvp.expressions import MAX_DEPTH, X, Y, parse
 from adomian_bvp.series import GPSeries, Term, add, differentiate, evaluate
 from adomian_bvp.solver import Problem, SolveReport, partial_sum, solve
 
@@ -190,6 +191,19 @@ def test_problem_rejects_non_finite_numbers(name, value):
     data[name] = value
     with pytest.raises(InvalidProblem, match=f"{name} must be finite"):
         Problem(**data)
+
+
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 150, 3000])
+def test_problem_rejects_a_hand_built_ast_past_the_depth_bound(depth):
+    # parse enforces the bound on text; a hand-built AST must meet it too,
+    # before any recursive walker sees it
+    data = dict(alpha=0.5, sigma=0.0, f=Y, eta1=0.0, alpha1=1.0, beta1=0.0, gamma1=1.0)
+    with pytest.raises(InvalidProblem, match=f"^f nests deeper than {MAX_DEPTH} levels$"):
+        Problem(**{**data, "f": left_nested_sum(Y, depth)})
+    with pytest.raises(
+        InvalidExactSolution, match=f"^exact solution nests deeper than {MAX_DEPTH} levels$"
+    ):
+        Problem(**data, exact=left_nested_sum(X, depth))
 
 
 def test_invalid_problem_is_an_input_error_and_a_value_error():
