@@ -14,7 +14,7 @@ import numpy as np
 
 from . import series as gps
 from .errors import InvalidExactSolution, InvalidProblem, NonFiniteTerm
-from .expressions import Expr, check_depth, eval_real, free_vars
+from .expressions import Expr, check_expr, eval_real
 from .series import GPSeries
 from .singular_operator import apply_forward
 from .solver import Problem
@@ -48,11 +48,7 @@ def max_error(
         InvalidProblem: grid_size < 1.
         NonFiniteTerm: psi, the reference or their difference overflows.
     """
-    check_depth(exact, InvalidExactSolution, "reference")
-    if free_vars(exact) - {"x"}:
-        raise InvalidExactSolution(
-            f"reference mentions variables {sorted(free_vars(exact))}"
-        )
+    check_expr(exact, {"x"}, InvalidExactSolution, "reference")
     xs = _uniform_grid(grid_size)
     with np.errstate(over="ignore", invalid="ignore"):
         errors = np.abs(gps.evaluate_many(psi, xs) - eval_real(exact, xs))

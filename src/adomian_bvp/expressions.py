@@ -27,6 +27,8 @@ forms and sums its Cauchy products.  exp, ln and division expand around the
 order-zero coefficient, which therefore has to be a constant; the solver's
 first component always is.  Integer powers are products by repeated squaring.
 ASTs are immutable and compare structurally, so equal subtrees share one tape node.
+:func:`check_expr` holds an AST to ``MAX_DEPTH`` and its variables in one level-by-level
+walk, before any recursive one; every walk but the printer's visits a shared subtree once.
 
 An operator's symbol and precedence live only in ``_INFIX`` (binary operators by
 level) and ``_FUNCTIONS``; the parser, printer and both evaluators read them.
@@ -266,22 +268,33 @@ def parse(source: str) -> Expr:
     p._skip_ws()
     if p.pos != len(source):
         raise ParseError(f"trailing input {source[p.pos:]!r}", p.pos)
-    check_depth(node, lambda message: ParseError(message, 0))
+    check_expr(node, {"x", "y", "yp"}, lambda message: ParseError(message, 0), "expression")
     return node
 
 
-def check_depth(e: Expr, error: Callable[[str], Exception], name: str = "expression") -> None:
-    """Raise ``error(message)`` if e nests deeper than ``MAX_DEPTH`` levels.
+def _levels(e: Expr):
+    """e's nodes level by level from the root, each node object once per level."""
+    level = {id(e): e}
+    while level:
+        yield level.values()
+        level = {id(c): c for node in level.values() for c in _operands(node)}
 
-    Level by level, so that a deep AST cannot overflow the stack: run it
-    before any recursive walker.
-    """
-    level = [e]
-    for _ in range(MAX_DEPTH):
-        level = [c for node in level for c in _operands(node)]
-        if not level:
-            return
-    raise error(f"{name} nests deeper than {MAX_DEPTH} levels")
+
+def _names(nodes) -> set[str]:
+    return {"x" if isinstance(n, PowXReal) else n.name for n in nodes if isinstance(n, (Var, PowXReal))}
+
+
+def check_expr(e: Expr, allowed: set[str], error: Callable[[str], Exception], name: str) -> None:
+    """Raise ``error(message)`` if e nests deeper than ``MAX_DEPTH`` levels, else if it
+    mentions a variable outside ``allowed``: one walk, level by level, each node object
+    once per level.  Run it before any recursive walker."""
+    names = set()
+    for depth, level in enumerate(_levels(e), 1):
+        if depth > MAX_DEPTH:
+            raise error(f"{name} nests deeper than {MAX_DEPTH} levels")
+        names |= _names(level)
+    if names - allowed:
+        raise error(f"{name} mentions {sorted(names - allowed)}; only {sorted(allowed)} allowed")
 
 
 # --- printing -------------------------------------------------------------------
@@ -327,11 +340,7 @@ def to_source(e: Expr) -> str:
 
 def free_vars(e: Expr) -> set[str]:
     """The set of variable names ({'x', 'y', 'yp'}) the expression mentions."""
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, PowXReal):
-        return {"x"}
-    return set().union(*map(free_vars, _operands(e)))
+    return set().union(*map(_names, _levels(e)))
 
 
 # --- evaluation over floats -------------------------------------------------------
@@ -357,43 +366,53 @@ def eval_real(e: Expr, x, y=0.0, yp=0.0):
     x, y and yp are floats or numpy arrays of one shape; a float broadcasts.
     Every node is one numpy operation, so a grid call gives bit for bit the
     values of scalar calls at its points, and exp, ln and powers are within
-    1 ulp of the C library's.
+    1 ulp of the C library's.  A subtree object that several nodes share is
+    evaluated once per call.
 
     Raises:
         DivisionByZero, LogOfNonPositive, DomainError: when any point
             violates the domain; the message names the first offending value.
         NonFiniteTerm: exp or a power overflows; the message names it.
     """
+    return _eval(e, {"x": x, "y": y, "yp": yp}, {})
+
+
+def _eval(e: Expr, inputs: dict, values: dict):  # values: id(node) -> its value, this call
     if isinstance(e, Constant):
         return e.value
     if isinstance(e, Var):
-        return {"x": x, "y": y, "yp": yp}[e.name]
+        return inputs[e.name]
+    if id(e) in values:
+        return values[id(e)]
     if isinstance(e, Neg):
-        return -eval_real(e.arg, x, y, yp)
-    if type(e) in _ARITHMETIC:
-        return _ARITHMETIC[type(e)](eval_real(e.left, x, y, yp), eval_real(e.right, x, y, yp))
-    if isinstance(e, Div):
-        denom = eval_real(e.right, x, y, yp)
+        value = -_eval(e.arg, inputs, values)
+    elif type(e) in _ARITHMETIC:
+        value = _ARITHMETIC[type(e)](_eval(e.left, inputs, values), _eval(e.right, inputs, values))
+    elif isinstance(e, Div):
+        denom = _eval(e.right, inputs, values)
         if np.any(denom == 0.0):
             raise DivisionByZero(f"in {to_source(e)!r}")
-        return eval_real(e.left, x, y, yp) / denom
-    if isinstance(e, PowInt):
-        base = eval_real(e.base, x, y, yp)
-        return _checked(e, lambda b: np.power(b, float(e.power)), base,
-                        (base == 0.0) & (e.power < 0),
-                        lambda t: DivisionByZero(f"0^{e.power} in {to_source(e)!r}"))
-    if isinstance(e, PowXReal):
-        p = e.exponent
-        return _checked(e, lambda t: np.power(t, p), x,
-                        (x < 0.0) & (p != round(p)) | (x == 0.0) & (p < 0.0),
-                        lambda t: DomainError(f"x^{p:g} undefined at x = {t:g}"))
-    if isinstance(e, Exp):
-        return _checked(e, np.exp, eval_real(e.arg, x, y, yp))
-    if isinstance(e, Ln):
-        arg = eval_real(e.arg, x, y, yp)
-        return _checked(e, np.log, arg, arg <= 0.0,
-                        lambda t: LogOfNonPositive(f"ln({t:g}) in {to_source(e)!r}"))
-    raise TypeError(f"not an expression node: {e!r}")
+        value = _eval(e.left, inputs, values) / denom
+    elif isinstance(e, PowInt):
+        base = _eval(e.base, inputs, values)
+        value = _checked(e, lambda b: np.power(b, float(e.power)), base,
+                         (base == 0.0) & (e.power < 0),
+                         lambda t: DivisionByZero(f"0^{e.power} in {to_source(e)!r}"))
+    elif isinstance(e, PowXReal):
+        x, p = inputs["x"], e.exponent
+        value = _checked(e, lambda t: np.power(t, p), x,
+                         (x < 0.0) & (p != round(p)) | (x == 0.0) & (p < 0.0),
+                         lambda t: DomainError(f"x^{p:g} undefined at x = {t:g}"))
+    elif isinstance(e, Exp):
+        value = _checked(e, np.exp, _eval(e.arg, inputs, values))
+    elif isinstance(e, Ln):
+        arg = _eval(e.arg, inputs, values)
+        value = _checked(e, np.log, arg, arg <= 0.0,
+                         lambda t: LogOfNonPositive(f"ln({t:g}) in {to_source(e)!r}"))
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    values[id(e)] = value
+    return value
 
 
 # --- evaluation over the decomposition ring ----------------------------------------
@@ -526,8 +545,10 @@ class Tape:
         # Columns 0 and 1 are the inputs y and y'; each later one is a node.
         self._columns: list[list[GPSeries]] = [[], []]
         self._program: list[tuple[_Rule, tuple[int, ...], Expr | None]] = []
-        self._nodes: dict[tuple, int] = {(Var, ("y",)): 0, (Var, ("yp",)): 1}
+        # While laying out: (type, operand nodes) and id(subtree object) -> node.
+        self._nodes: dict[tuple | int, int] = {(Var, ("y",)): 0, (Var, ("yp",)): 1}
         self._root = self._emit(e)
+        del self._nodes
 
     def _push(
         self, rule: _Rule, operands: tuple[int, ...], annotate: Expr | None = None
@@ -537,14 +558,15 @@ class Tape:
         return len(self._columns) - 1
 
     def _emit(self, e: Expr) -> int:
-        # Keyed on the operands' nodes, not the subtree, so a lookup costs the
-        # same at any depth; equal subtrees still meet in one node.
-        fields = tuple(self._emit(v) if isinstance(v, _NODES) else v for v in vars(e).values())
-        key = (type(e), fields)
-        node = self._nodes.get(key)
-        if node is None:
-            node = self._nodes[key] = self._lay_out(e, fields)
-        return node
+        # Keyed on the operands' nodes, so a lookup costs the same at any depth and equal
+        # subtrees meet in one node; by id too, so a shared subtree object is visited once.
+        if id(e) not in self._nodes:
+            fields = tuple(self._emit(v) if isinstance(v, _NODES) else v for v in vars(e).values())
+            key = (type(e), fields)
+            if key not in self._nodes:
+                self._nodes[key] = self._lay_out(e, fields)
+            self._nodes[id(e)] = self._nodes[key]
+        return self._nodes[id(e)]
 
     def _lay_out(self, e: Expr, fields: tuple) -> int:  # fields: operand nodes or literal
         if isinstance(e, Constant):

@@ -95,7 +95,7 @@ def load_problem(path: str | Path) -> Problem:
             is not UTF-8 text.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is not text
     except UnicodeDecodeError as err:
         raise InvalidValue(f"{path}: not UTF-8 text ({err.reason})") from None
     except FileNotFoundError as err:

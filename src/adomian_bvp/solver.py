@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from . import series as gps
 from .errors import AdmError, InvalidExactSolution, InvalidProblem
-from .expressions import Expr, Tape, check_depth, free_vars
+from .expressions import Expr, Tape, check_expr
 from .series import GPSeries
 from .singular_operator import OperatorContext, apply_inverse, h_series
 
@@ -64,18 +64,9 @@ class Problem:
             raise InvalidProblem(f"alpha1 must be positive, got {self.alpha1!r}")
         if not self.beta1 >= 0.0:
             raise InvalidProblem(f"beta1 must be nonnegative, got {self.beta1!r}")
-        check_depth(self.f, InvalidProblem, "f")
-        extra = free_vars(self.f) - {"x", "y", "yp"}
-        if extra:
-            raise InvalidProblem(f"f mentions unknown variables {sorted(extra)}")
-        if self.exact is None:
-            return
-        check_depth(self.exact, InvalidExactSolution, "exact solution")
-        if free_vars(self.exact) - {"x"}:
-            raise InvalidExactSolution(
-                "exact solution may only mention x, got "
-                f"variables {sorted(free_vars(self.exact))}"
-            )
+        check_expr(self.f, {"x", "y", "yp"}, InvalidProblem, "f")
+        if self.exact is not None:
+            check_expr(self.exact, {"x"}, InvalidExactSolution, "exact solution")
 
     @property
     def operator_context(self) -> OperatorContext:

@@ -1,5 +1,6 @@
 """Command-line surface: output formats, exit codes, config round trips."""
 
+import codecs
 import contextlib
 import copy
 import errno
@@ -199,6 +200,25 @@ def test_solve_undecodable_file_is_an_input_error(tmp_path, capsys):
     bad.write_bytes(EX1_FILE.encode("utf-8") + b"# \xe9\n")
     assert main(["solve", str(bad)]) == 3
     assert capsys.readouterr().err.startswith("error: InvalidValue(")
+
+
+def test_solve_reads_a_file_that_starts_with_a_byte_order_mark(tmp_path, capsys):
+    # some editors save UTF-8 with a leading BOM; it is not part of the first key
+    bom = tmp_path / "bom.prob"
+    bom.write_bytes(codecs.BOM_UTF8 + Path(DEMO_FILE).read_bytes())
+    assert load_problem(bom) == load_problem(DEMO_FILE)
+    assert main(["solve", DEMO_FILE]) == 0
+    plain = capsys.readouterr()
+    assert main(["solve", str(bom)]) == 0
+    assert capsys.readouterr() == plain
+
+
+def test_a_byte_order_mark_does_not_excuse_other_undecodable_bytes(tmp_path, capsys):
+    bad = tmp_path / "latin1.prob"
+    bad.write_bytes(codecs.BOM_UTF8 + EX1_FILE.encode("utf-8") + b"# \xe9\n")
+    assert main(["solve", str(bad)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: InvalidValue({bad}: not UTF-8 text (invalid continuation byte))\n")
 
 
 @pytest.mark.parametrize("command", ["solve", "residual"])

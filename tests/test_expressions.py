@@ -1,27 +1,35 @@
 """Expression grammar, both evaluators, the tape against direct evaluation, and
 print/parse stability."""
 
+import collections
 import math
 import re
+import time
 
 import numpy as np
 import pytest
 
-from support import adomian_polynomials, taylor_gap
+from support import adomian_polynomials, left_nested_sum, taylor_gap
 
+from adomian_bvp import expressions
 from adomian_bvp.benchmarks import benchmark_problem
+from adomian_bvp.diagnostics import max_error, residual
 from adomian_bvp.errors import (
     DivisionByZero,
     DomainError,
+    InvalidExactSolution,
+    InvalidProblem,
     LogOfNonPositive,
     NonFiniteTerm,
     ParseError,
     UnsupportedPower,
 )
 from adomian_bvp.expressions import (
+    _ARITHMETIC,
     _FUNCTIONS,
     _INFIX,
     _RULES,
+    MAX_DEPTH,
     Add,
     Constant,
     Div,
@@ -33,6 +41,7 @@ from adomian_bvp.expressions import (
     PowXReal,
     Sub,
     Tape,
+    Var,
     X,
     Y,
     YP,
@@ -42,6 +51,7 @@ from adomian_bvp.expressions import (
     to_source,
 )
 from adomian_bvp.series import GPSeries, evaluate
+from adomian_bvp.solver import Problem, solve
 
 
 # --- parsing ----------------------------------------------------------------
@@ -136,6 +146,109 @@ def test_free_vars_reaches_every_operand_field():
     assert free_vars(parse("-y")) == {"y"}
     assert free_vars(parse("ln(yp)")) == {"yp"}
     assert free_vars(parse("(y + yp)^3")) == {"y", "yp"}
+
+
+# --- checking an expression: one walk, one rule, at every entry point --------------
+
+PROBLEM_DATA = dict(alpha=0.5, sigma=0.0, f=Y, eta1=0.0, alpha1=1.0, beta1=0.0, gamma1=1.0)
+ENTRY_POINTS = {
+    "parse": lambda e: parse(to_source(e)),
+    "f": lambda e: Problem(**{**PROBLEM_DATA, "f": e}),
+    "exact": lambda e: Problem(**PROBLEM_DATA, exact=e),
+    "reference": lambda e: max_error(GPSeries.zero(), e, 10),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_each_entry_point_accepts_the_depth_bound(entry):
+    ENTRY_POINTS[entry](left_nested_sum(X, MAX_DEPTH))
+
+
+@pytest.mark.parametrize("entry,error,message", [
+    ("parse", ParseError, "expression nests deeper than 100 levels (at position 0)"),
+    ("f", InvalidProblem, "f nests deeper than 100 levels"),
+    ("exact", InvalidExactSolution, "exact solution nests deeper than 100 levels"),
+    ("reference", InvalidExactSolution, "reference nests deeper than 100 levels"),
+], ids=list(ENTRY_POINTS))
+def test_each_entry_point_rejects_one_level_more_with_its_own_error(entry, error, message):
+    with pytest.raises(error) as exc:
+        ENTRY_POINTS[entry](left_nested_sum(X, MAX_DEPTH + 1))
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+# parse meets no such AST: text naming another variable fails as an unknown identifier.
+@pytest.mark.parametrize("entry,e,error,message", [
+    ("f", Add(Y, Var("z")), InvalidProblem, "f mentions ['z']; only ['x', 'y', 'yp'] allowed"),
+    ("exact", Add(X, Y), InvalidExactSolution,
+     "exact solution mentions ['y']; only ['x'] allowed"),
+    ("reference", Add(X, Y), InvalidExactSolution, "reference mentions ['y']; only ['x'] allowed"),
+    ("reference", Mul(PowXReal(0.5), Exp(YP)), InvalidExactSolution,
+     "reference mentions ['yp']; only ['x'] allowed"),
+], ids=["f", "exact", "reference", "reference-yp"])
+def test_each_entry_point_states_the_variable_rule_in_one_shape(entry, e, error, message):
+    with pytest.raises(error) as exc:
+        ENTRY_POINTS[entry](e)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+def test_depth_is_checked_before_variables_and_f_before_exact():
+    with pytest.raises(InvalidExactSolution, match="^exact solution nests deeper"):
+        ENTRY_POINTS["exact"](left_nested_sum(Y, MAX_DEPTH + 1))
+    with pytest.raises(InvalidProblem, match=r"^f mentions \['z'\]"):
+        Problem(**{**PROBLEM_DATA, "f": Var("z")}, exact=left_nested_sum(Y, MAX_DEPTH + 1))
+
+
+# --- shared subtrees: every walk visits a node object once, not once per path ----------
+
+
+def shared_dag(levels: int):
+    """e = e + 0.01*e, ``levels`` times over y: 2^levels paths, 2*levels + 1 levels deep."""
+    e = Y
+    for _ in range(levels):
+        e = Add(e, Mul(Constant(0.01), e))
+    return e
+
+
+def count_node_visits(monkeypatch, cap=100_000):
+    """Count the layout, level walk and real arithmetic calls; past ``cap`` in all, raise,
+    so that a walk once per path fails at once instead of running for hours."""
+    calls = collections.Counter()
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            if sum(calls.values()) > cap:  # no traceback: its frames' reprs walk every path
+                pytest.fail(f"more than {cap} node visits: {dict(calls)}", pytrace=False)
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(expressions, "_operands", counted("_operands", expressions._operands))
+    for name in ("_emit", "_lay_out"):
+        monkeypatch.setattr(Tape, name, counted(name, getattr(Tape, name)))
+    for node, op in list(_ARITHMETIC.items()):
+        monkeypatch.setitem(_ARITHMETIC, node, counted("arithmetic", op))
+    return calls
+
+
+def test_a_40_level_shared_dag_is_checked_laid_out_and_evaluated_once_per_node(monkeypatch):
+    f = shared_dag(40)  # 81 levels deep, within the bound
+    calls = count_node_visits(monkeypatch)
+    started = time.perf_counter()
+    problem = Problem(**{**PROBLEM_DATA, "f": f, "eta1": 1.0})
+    values = residual(solve(problem, 3).psi, problem, 64)
+    assert time.perf_counter() - started < 1.0  # a few milliseconds
+    assert calls["_lay_out"] == 81  # 0.01, and each level's product and sum
+    assert calls["arithmetic"] == 80  # one residual grid, one operation per node object
+    assert len(values) == 64 and all(np.isfinite(v) for _, v in values)
+
+
+def test_a_shared_dag_past_the_depth_bound_is_rejected_at_once(monkeypatch):
+    count_node_visits(monkeypatch)
+    with pytest.raises(InvalidProblem, match=f"^f nests deeper than {MAX_DEPTH} levels$"):
+        Problem(**{**PROBLEM_DATA, "f": shared_dag(50)})
+    assert free_vars(shared_dag(50)) == {"y"}
 
 
 # --- the operator tables ----------------------------------------------------------

@@ -1,9 +1,12 @@
 """The package root: every name it exports resolves, and a star import works.
 The A_k recurrences live beside the tape that drives them, and no other module
 reaches them, so the tape stays the only code that runs them.  Only the
-tracer's import line and the ring's own tests reach the whole-element ring."""
+tracer's import line and the ring's own tests reach the whole-element ring.
+Each entry point checks an expression in one ``check_expr`` walk, and no
+second validation walk comes back."""
 
 import ast
+import collections
 from pathlib import Path
 
 import adomian_bvp
@@ -78,3 +81,26 @@ def test_no_module_but_expressions_imports_a_recurrence():
         if name in RECURRENCES
     )
     assert reached == []
+
+
+def _calls(tree: ast.AST) -> list[str]:
+    """The names called in tree, as ``f(...)`` or ``module.f(...)``."""
+    return [
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    ]
+
+
+def test_each_entry_point_checks_an_expression_in_one_walk():
+    trees = {path.name: _tree(path) for path in sorted(SRC.rglob("*.py"))}
+    functions = [(name, node) for name, tree in trees.items() for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)]
+    assert [name for name, fn in functions if fn.name == "check_depth"] == []
+    assert [name for name, tree in trees.items() if "free_vars" in _calls(tree)] == []
+    checks = collections.Counter(
+        (name, fn.name) for name, fn in functions for called in _calls(fn) if called == "check_expr"
+    )
+    # one call per expression: parse's result, Problem's f and exact, max_error's reference
+    assert checks == {("expressions.py", "parse"): 1, ("solver.py", "__post_init__"): 2,
+                      ("diagnostics.py", "max_error"): 1}

@@ -16,6 +16,9 @@
   integrals around a circle compute them in complex arithmetic: to 1e-11 of
   max_k |A_k(x)| for the random f of the problem-file property, and for fixed
   f that reach every recurrence through y and yp.
+* A copy of a random f whose equal subtrees are one shared object gives the
+  tree's results exactly: its A_k on the tape, its values (or its error) on a
+  grid, its free variables and its text.
 """
 
 import collections
@@ -32,8 +35,8 @@ from support import ADMISSIBLE_TEMPLATES, Unresolved, adomian_polynomials, eval_
 
 from adomian_bvp.benchmarks import benchmark_problem
 from adomian_bvp.cli import main
-from adomian_bvp.errors import ComputeError, NonFiniteTerm, ParseError, UnsupportedPower
-from adomian_bvp.expressions import parse, to_source
+from adomian_bvp.errors import AdmError, ComputeError, NonFiniteTerm, ParseError, UnsupportedPower
+from adomian_bvp.expressions import _NODES, Add, Mul, eval_real, free_vars, parse, to_source
 from adomian_bvp.problem_file import FIELDS
 from adomian_bvp.series import differentiate, evaluate, evaluate_many, normalize
 from adomian_bvp.solver import Problem, solve
@@ -256,3 +259,46 @@ DEPENDENT_F = ADMISSIBLE_TEMPLATES + [
 @pytest.mark.parametrize("source", DEPENDENT_F)
 def test_decomposition_polynomials_of_fixed_f_are_cauchy_integrals(source):
     assert _adomian_against_cauchy(source) == "compared"
+
+
+def _shared(e, seen):
+    """e rebuilt so that equal subtrees are one object."""
+    node = type(e)(*[_shared(v, seen) if isinstance(v, _NODES) else v for v in vars(e).values()])
+    return seen.setdefault(node, node)
+
+
+def _outcome(run):
+    try:
+        return "value", run()
+    except AdmError as err:
+        return type(err), str(err)
+
+
+GRID_X = np.linspace(0.0, 1.0, 11)  # through 0, and y and yp through 0 and negative
+GRID_Y, GRID_YP = 0.5 - GRID_X, 2.0 * GRID_X - 1.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(source=VALUES["f"])
+def test_a_shared_object_copy_of_f_gives_the_results_of_the_tree(source):
+    try:
+        parts = [parse(source) for _ in range(3)]
+    except (ParseError, UnsupportedPower):
+        return
+    tree = Add(parts[0], Mul(parts[1], parts[2]))  # three equal subtrees, three objects
+    dag = _shared(tree, {})
+    assert dag == tree and dag.left is dag.right.left is dag.right.right
+    assert free_vars(dag) == free_vars(tree)
+    assert to_source(dag) == to_source(tree)
+    with np.errstate(all="ignore"):
+        on_tree, on_dag = (_outcome(lambda: eval_real(e, GRID_X, GRID_Y, GRID_YP))
+                           for e in (tree, dag))
+    event(f"eval_real: {getattr(on_tree[0], '__name__', on_tree[0])}")
+    assert on_tree[0] == on_dag[0]
+    if on_tree[0] == "value":  # an f without x, y or yp gives a float
+        assert np.array_equal(on_tree[1], on_dag[1], equal_nan=True), source
+    else:
+        assert on_tree == on_dag
+    on_tree, on_dag = (_outcome(lambda: adomian_polynomials(e, CAUCHY_Y[:6])) for e in (tree, dag))
+    event(f"tape: {getattr(on_tree[0], '__name__', on_tree[0])}")
+    assert on_tree == on_dag, source
