@@ -305,14 +305,21 @@ _BINARY = {node: (f" {symbol} " if level == 1 else symbol, level)
 _FUNCTION_NAMES = {node: name for name, node in _FUNCTIONS.items()}
 _POW, _UNARY, _ATOM = range(len(_INFIX) + 1, len(_INFIX) + 4)
 
+# The most characters of a subexpression that an error message quotes.
+MESSAGE_SOURCE_CHARS = 500
 
-def _fmt_at(e: Expr, level: int) -> str:
-    """e's text, parenthesised when it binds looser than ``level``."""
-    text, own = _fmt(e)
+
+def _fmt_at(e: Expr, level: int, room: float) -> str:
+    """e's text, parenthesised when it binds looser than ``level``; see :func:`_fmt`."""
+    text, own = _fmt(e, room)
     return text if own >= level else f"({text})"
 
 
-def _fmt(e: Expr) -> tuple[str, int]:
+def _fmt(e: Expr, room: float = math.inf) -> tuple[str, int]:
+    """e's text and precedence level.  Past ``room`` characters the walk stops: a text
+    longer than ``room`` is e's only in its first ``room + 1`` characters."""
+    if room < 0:
+        return "", _ATOM
     if isinstance(e, Constant):
         if e.value < 0:
             return f"-{-e.value!r}", _UNARY
@@ -320,22 +327,31 @@ def _fmt(e: Expr) -> tuple[str, int]:
     if isinstance(e, Var):
         return e.name, _ATOM
     if isinstance(e, Neg):
-        return f"-{_fmt_at(e.arg, _UNARY)}", _UNARY
+        return f"-{_fmt_at(e.arg, _UNARY, room)}", _UNARY
     if type(e) in _BINARY:  # left-associative: a right operand at the same level is wrapped
         op, level = _BINARY[type(e)]
-        return f"{_fmt_at(e.left, level)}{op}{_fmt_at(e.right, level + 1)}", level
+        left = _fmt_at(e.left, level, room)
+        return f"{left}{op}{_fmt_at(e.right, level + 1, room - len(left) - len(op))}", level
     if isinstance(e, PowInt):
-        return f"{_fmt_at(e.base, _UNARY)}^{e.power}", _POW
+        return f"{_fmt_at(e.base, _UNARY, room)}^{e.power}", _POW
     if isinstance(e, PowXReal):
         return f"x^{e.exponent!r}", _POW
     if type(e) in _FUNCTION_NAMES:
-        return f"{_FUNCTION_NAMES[type(e)]}({_fmt(e.arg)[0]})", _ATOM
+        return f"{_FUNCTION_NAMES[type(e)]}({_fmt(e.arg, room)[0]})", _ATOM
     raise TypeError(f"not an expression node: {e!r}")
 
 
 def to_source(e: Expr) -> str:
     """Render an AST back to grammar-conformant source text."""
     return _fmt(e)[0]
+
+
+def _named(e: Expr) -> str:
+    """e's source, quoted for an error message and cut past ``MESSAGE_SOURCE_CHARS``."""
+    text = _fmt(e, MESSAGE_SOURCE_CHARS)[0]  # a shared subtree is printed once per path
+    if len(text) > MESSAGE_SOURCE_CHARS:
+        text = text[:MESSAGE_SOURCE_CHARS - 3] + "..."
+    return repr(text)
 
 
 def free_vars(e: Expr) -> set[str]:
@@ -356,7 +372,7 @@ def _checked(e: Expr, ufunc, operand, undefined=False, error=None):
     with np.errstate(over="ignore"):
         value = ufunc(operand)
     if np.any(np.isfinite(operand) & ~np.isfinite(value)):
-        raise NonFiniteTerm(f"{to_source(e)!r} overflows")
+        raise NonFiniteTerm(f"{_named(e)} overflows")
     return value
 
 
@@ -391,13 +407,13 @@ def _eval(e: Expr, inputs: dict, values: dict):  # values: id(node) -> its value
     elif isinstance(e, Div):
         denom = _eval(e.right, inputs, values)
         if np.any(denom == 0.0):
-            raise DivisionByZero(f"in {to_source(e)!r}")
+            raise DivisionByZero(f"in {_named(e)}")
         value = _eval(e.left, inputs, values) / denom
     elif isinstance(e, PowInt):
         base = _eval(e.base, inputs, values)
         value = _checked(e, lambda b: np.power(b, float(e.power)), base,
                          (base == 0.0) & (e.power < 0),
-                         lambda t: DivisionByZero(f"0^{e.power} in {to_source(e)!r}"))
+                         lambda t: DivisionByZero(f"0^{e.power} in {_named(e)}"))
     elif isinstance(e, PowXReal):
         x, p = inputs["x"], e.exponent
         value = _checked(e, lambda t: np.power(t, p), x,
@@ -408,7 +424,7 @@ def _eval(e: Expr, inputs: dict, values: dict):  # values: id(node) -> its value
     elif isinstance(e, Ln):
         arg = _eval(e.arg, inputs, values)
         value = _checked(e, np.log, arg, arg <= 0.0,
-                         lambda t: LogOfNonPositive(f"ln({t:g}) in {to_source(e)!r}"))
+                         lambda t: LogOfNonPositive(f"ln({t:g}) in {_named(e)}"))
     else:
         raise TypeError(f"not an expression node: {e!r}")
     values[id(e)] = value
@@ -527,7 +543,7 @@ _RULES = {
 
 
 def _annotated(err: ComputeError, node: Expr) -> ComputeError:
-    return type(err)(f"{err} [in {to_source(node)!r}]")
+    return type(err)(f"{err} [in {_named(node)}]")
 
 
 class Tape:

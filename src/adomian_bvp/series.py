@@ -256,42 +256,56 @@ def combine(
 
     Raises:
         TermBlowup: a raw product would exceed ``DEFAULT_TERM_CAP`` terms.
-        NonFiniteTerm: a product, weighted or merged coefficient is not finite;
-            a raw product is checked as it is formed, so the first failing
-            product names the error.
+        NonFiniteTerm: a product, weighted or merged coefficient is not finite.
+            The first non-finite raw product names the error, as if each were
+            checked when formed; one that joins the sum is scanned only once
+            the call fails, as the sum's one merge rejects any non-finite term.
     """
     live = [(w, s.coeffs, s.exponents) for w, s in parts if w != 0.0 and len(s.coeffs)]
     products = [(w, a, b) for w, a, b in products if len(a.coeffs) and len(b.coeffs)]
     if not products and len(live) < 2 and (not live or live[0][0] == 1.0):
         return GPSeries._of(*live[0][1:]) if live else _ZERO
     fused_max = FUSED_PRODUCT_TERMS if len(live) + len(products) > 1 else 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for w, a, b in products:
-            size = len(a.coeffs) * len(b.coeffs)
-            if size > DEFAULT_TERM_CAP:
-                raise TermBlowup(
-                    f"product of {len(a)} x {len(b)} terms exceeds cap {DEFAULT_TERM_CAP}"
-                )
-            c = np.multiply.outer(a.coeffs, b.coeffs).ravel()
-            e = np.add.outer(a.exponents, b.exponents).ravel()
-            if size <= fused_max:
-                if not (np.isfinite(c).all() and np.isfinite(e).all()):
-                    _raise_non_finite(c, e)
-            elif _is_constant(a) or _is_constant(b):
-                c, e = _pruned(c, e, (c, e))
-            else:
-                c, e = _merged(c, e)
-            if w != 0.0 and len(c):
-                live.append((w, c, e))
-        coeffs = [c if w == 1.0 else w * c for w, c, _ in live]
-    if not live:
-        return _ZERO
-    if len(live) > 1 or fused_max:  # a raw product may be all that is left
-        return from_arrays(np.concatenate(coeffs), np.concatenate([e for *_, e in live]))
+    raw: list[tuple[np.ndarray, np.ndarray]] = []  # the products formed unmerged, in order
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for w, a, b in products:
+                size = len(a.coeffs) * len(b.coeffs)
+                if size > DEFAULT_TERM_CAP:
+                    raise TermBlowup(
+                        f"product of {len(a)} x {len(b)} terms exceeds cap {DEFAULT_TERM_CAP}"
+                    )
+                c = np.multiply.outer(a.coeffs, b.coeffs).ravel()
+                e = np.add.outer(a.exponents, b.exponents).ravel()
+                if size <= fused_max:
+                    raw.append((c, e))
+                    if w == 0.0:  # it never reaches a merge
+                        _check_raw(raw[-1:])
+                elif _is_constant(a) or _is_constant(b):
+                    c, e = _pruned(c, e, (c, e))
+                else:
+                    c, e = _merged(c, e)
+                if w != 0.0 and len(c):
+                    live.append((w, c, e))
+            coeffs = [c if w == 1.0 else w * c for w, c, _ in live]
+        if not live:
+            return _ZERO
+        if len(live) > 1 or fused_max:  # a raw product may be all that is left
+            return from_arrays(np.concatenate(coeffs), np.concatenate([e for *_, e in live]))
+    except (TermBlowup, NonFiniteTerm):
+        _check_raw(raw)  # a non-finite raw product formed before the failure names it
+        raise
     ((w, _, e),) = live
     if w == 1.0:
         return GPSeries._of(coeffs[0], e)
     return GPSeries._of(*_pruned(coeffs[0], e, (coeffs[0], e)))
+
+
+def _check_raw(raw: list[tuple[np.ndarray, np.ndarray]]) -> None:
+    """Raise NonFiniteTerm naming the first non-finite term of the first raw product with one."""
+    for c, e in raw:
+        if not (np.isfinite(c).all() and np.isfinite(e).all()):
+            _raise_non_finite(c, e)
 
 
 def add(a: GPSeries, b: GPSeries) -> GPSeries:

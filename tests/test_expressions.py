@@ -30,6 +30,7 @@ from adomian_bvp.expressions import (
     _INFIX,
     _RULES,
     MAX_DEPTH,
+    MESSAGE_SOURCE_CHARS,
     Add,
     Constant,
     Div,
@@ -212,7 +213,7 @@ def shared_dag(levels: int):
 
 
 def count_node_visits(monkeypatch, cap=100_000):
-    """Count the layout, level walk and real arithmetic calls; past ``cap`` in all, raise,
+    """Count the layout, level walk, printer and real arithmetic calls; past ``cap`` in all, raise,
     so that a walk once per path fails at once instead of running for hours."""
     calls = collections.Counter()
 
@@ -224,7 +225,8 @@ def count_node_visits(monkeypatch, cap=100_000):
             return real(*args)
         return wrapper
 
-    monkeypatch.setattr(expressions, "_operands", counted("_operands", expressions._operands))
+    for name in ("_operands", "_fmt"):
+        monkeypatch.setattr(expressions, name, counted(name, getattr(expressions, name)))
     for name in ("_emit", "_lay_out"):
         monkeypatch.setattr(Tape, name, counted(name, getattr(Tape, name)))
     for node, op in list(_ARITHMETIC.items()):
@@ -242,6 +244,36 @@ def test_a_40_level_shared_dag_is_checked_laid_out_and_evaluated_once_per_node(m
     assert calls["_lay_out"] == 81  # 0.01, and each level's product and sum
     assert calls["arithmetic"] == 80  # one residual grid, one operation per node object
     assert len(values) == 64 and all(np.isfinite(v) for _, v in values)
+
+
+@pytest.mark.parametrize("reader", ["solve", "eval_real"])
+def test_a_40_level_shared_dag_is_named_in_a_cut_message_at_once(monkeypatch, reader):
+    f = Ln(shared_dag(40))  # 82 levels deep; its argument is y*1.01^40, negative where y is
+    calls = count_node_visits(monkeypatch)
+    started = time.perf_counter()
+    with pytest.raises(LogOfNonPositive) as err:
+        if reader == "solve":
+            solve(Problem(**{**PROBLEM_DATA, "f": f, "eta1": -1.0}), 3)
+        else:
+            eval_real(f, 0.5, -1.0)
+    assert time.perf_counter() - started < 1.0
+    assert calls["_fmt"] < 1_000
+    # the text of e_40 starts with that of e_9, which is longer than the bound
+    cut = to_source(Ln(shared_dag(9)))[:MESSAGE_SOURCE_CHARS - 3] + "..."
+    message = str(err.value)
+    assert message.endswith(f"[in {cut!r}]" if reader == "solve" else f" in {cut!r}")
+    assert len(message) - len(repr(cut)) < 50  # the bound and the message's own words
+
+
+@pytest.mark.parametrize("constant,cut", [(0.25, False), (0.125, True)])
+def test_a_message_quotes_its_subexpression_up_to_the_bound(constant, cut):
+    e = Ln(Add(left_nested_sum(Y, 123), Constant(constant)))
+    text = to_source(e)
+    assert len(text) == MESSAGE_SOURCE_CHARS + cut
+    quoted = text[:MESSAGE_SOURCE_CHARS - 3] + "..." if cut else text
+    with pytest.raises(LogOfNonPositive) as err:
+        eval_real(e, 0.5, -1.0)
+    assert str(err.value) == f"ln({constant - 123:g}) in {quoted!r}"
 
 
 def test_a_shared_dag_past_the_depth_bound_is_rejected_at_once(monkeypatch):

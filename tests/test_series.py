@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from support import reference_normalize
 
+from adomian_bvp import series
 from adomian_bvp.benchmarks import benchmark_problem
 from adomian_bvp.errors import DomainError, InvalidProblem, NonFiniteTerm, TermBlowup
 from adomian_bvp.series import (
@@ -445,6 +446,64 @@ def test_a_wide_product_before_an_overflowing_one_is_a_term_blowup():
     with pytest.raises(TermBlowup) as err:
         combine((), [(1.0, wide, wide), (1.0, big, big)])
     assert str(err.value) == f"product of 101 x 101 terms exceeds cap {DEFAULT_TERM_CAP}"
+
+
+# A raw product that joins its sum is scanned for non-finite terms only once the call
+# fails; these pin that the errors are still those of checking it as it is formed.
+_BIG = GPSeries.monomial(1e200, 0.5)  # squared: the raw term (inf, 1.0)
+
+
+@pytest.mark.parametrize("wide", ["merged", "pruned"])
+def test_an_overflowing_product_before_a_wide_one_that_overflows_names_the_error(wide):
+    # wide: over FUSED_PRODUCT_TERMS raw terms, so normalized on its own, and failing there
+    a, b = {
+        "merged": (from_arrays(np.full(17, 1e200), np.arange(17.0)),) * 2,
+        "pruned": (GPSeries.constant(1e200), from_arrays(np.full(300, 1e200), np.arange(300.0))),
+    }[wide]
+    with pytest.raises(NonFiniteTerm, match=r"^term \(inf, 0\.0\) is not finite$"):
+        combine([(1.0, _BIG)], [(1.0, a, b)])
+    with pytest.raises(NonFiniteTerm, match=r"^term \(inf, 1\.0\) is not finite$"):
+        combine((), [(1.0, _BIG, _BIG), (1.0, a, b)])
+
+
+def test_an_overflowing_product_of_weight_0_is_a_non_finite_term():
+    part, far = GPSeries.monomial(2.0, 0.5), GPSeries.monomial(1e200, 0.75)
+    with pytest.raises(NonFiniteTerm, match=r"^term \(inf, 1\.0\) is not finite$"):
+        combine([(1.0, part)], [(0.0, _BIG, _BIG)])
+    with pytest.raises(NonFiniteTerm, match=r"^term \(inf, 1\.0\) is not finite$"):
+        combine([(1.0, part)], [(1.0, _BIG, _BIG), (0.0, far, far)])
+
+
+@pytest.mark.parametrize("factor,named",
+                         [(_BIG, "inf, 1.0"), (GPSeries.monomial(1.0, 1e308), "1.0, inf")],
+                         ids=["coefficient", "exponent"])
+def test_an_overflowing_product_names_the_error_before_an_overflowing_part(factor, named):
+    part = (1e300, GPSeries.monomial(1e300, 0.25))  # its weighted coefficient overflows
+    with pytest.raises(NonFiniteTerm) as err:
+        combine([part], [(1.0, factor, factor)])
+    assert str(err.value) == f"term ({named}) is not finite"
+
+
+def test_finite_raw_terms_whose_sum_overflows_are_a_merged_overflow():
+    half = GPSeries.monomial(1e154, 0.25)  # squared: 1e308 at x^0.5, finite
+    with pytest.raises(NonFiniteTerm, match="^a merged coefficient overflows$"):
+        combine([(1.0, GPSeries.monomial(1e308, 0.5))], [(1.0, half, half)])
+
+
+def test_a_successful_solve_scans_no_raw_product(monkeypatch):
+    scans = []
+
+    def counted(raw):
+        scans.append(len(raw))
+        return check_raw(raw)
+
+    check_raw = series._check_raw
+    monkeypatch.setattr(series, "_check_raw", counted)
+    solve(benchmark_problem(1, 0.5, 3.5), 14)
+    assert [n for n in scans if n] == []
+    with pytest.raises(NonFiniteTerm):
+        combine([(1e300, GPSeries.monomial(1e300, 0.25))], [(1.0, _BIG, _BIG)])
+    assert [n for n in scans if n] == [1]
 
 
 def test_an_empty_factor_skips_the_product_and_its_cap():
