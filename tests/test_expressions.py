@@ -213,8 +213,8 @@ def shared_dag(levels: int):
 
 
 def count_node_visits(monkeypatch, cap=100_000):
-    """Count the layout, level walk, printer and real arithmetic calls; past ``cap`` in all, raise,
-    so that a walk once per path fails at once instead of running for hours."""
+    """Count the layout, level walk, printer and real arithmetic calls; past ``cap`` in all,
+    raise, so that a walk once per path fails at once instead of running for hours."""
     calls = collections.Counter()
 
     def counted(name, real):

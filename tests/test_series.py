@@ -491,13 +491,12 @@ def test_finite_raw_terms_whose_sum_overflows_are_a_merged_overflow():
 
 
 def test_a_successful_solve_scans_no_raw_product(monkeypatch):
-    scans = []
+    scans, check_raw = [], series._check_raw
 
     def counted(raw):
         scans.append(len(raw))
         return check_raw(raw)
 
-    check_raw = series._check_raw
     monkeypatch.setattr(series, "_check_raw", counted)
     solve(benchmark_problem(1, 0.5, 3.5), 14)
     assert [n for n in scans if n] == []
