@@ -43,8 +43,8 @@ def max_error(
     """Largest |psi(x_i) - exact(x_i)| over the uniform grid.
 
     Raises:
-        InvalidExactSolution: the reference mentions y or yp, or nests deeper
-            than ``MAX_DEPTH`` levels.
+        InvalidExactSolution: the reference nests deeper than ``MAX_DEPTH``
+            levels, has a number that is not finite, or mentions y or yp.
         InvalidProblem: grid_size < 1.
         NonFiniteTerm: psi, the reference or their difference overflows.
     """

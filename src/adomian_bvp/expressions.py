@@ -27,8 +27,8 @@ forms and sums its Cauchy products.  exp, ln and division expand around the
 order-zero coefficient, which therefore has to be a constant; the solver's
 first component always is.  Integer powers are products by repeated squaring.
 ASTs are immutable and compare structurally, so equal subtrees share one tape node.
-:func:`check_expr` holds an AST to ``MAX_DEPTH`` and its variables in one level-by-level
-walk, before any recursive one; every walk but the printer's visits a shared subtree once.
+Every reader but the parser walks one iterative layout of the AST, its distinct node
+objects operands first, so a subtree object that several parents share is read once.
 
 An operator's symbol and precedence live only in ``_INFIX`` (binary operators by
 level) and ``_FUNCTIONS``; the parser, printer and both evaluators read them.
@@ -50,6 +50,7 @@ from .errors import (
     DivisionByZero,
     DivisionByZeroSeries,
     DomainError,
+    InvalidProblem,
     LogOfNonPositive,
     NonConstantBasePoint,
     NonFiniteTerm,
@@ -136,17 +137,38 @@ _INFIX = ({"+": Add, "-": Sub}, {"*": Mul, "/": Div})
 _FUNCTIONS = {"exp": Exp, "ln": Ln}
 
 
-def _operands(e: Expr) -> list[Expr]:
-    """The node's subexpressions, in field order."""
-    if not isinstance(e, _NODES):
-        raise TypeError(f"not an expression node: {e!r}")
-    return [v for v in vars(e).values() if isinstance(v, _NODES)]
+_KINDS, _LITERAL = frozenset(_NODES), frozenset({Constant, Var, PowXReal, PowInt})
+_LAID_OUT = object()
+
+
+def _layout(e: Expr) -> list[tuple[Expr, tuple[int, ...], object]]:
+    """e's distinct node objects, by ``id``, in post-order (operands first, left first), each as
+    (node, its operands' slots, the last field of a ``_LITERAL`` node or None); iterative."""
+    layout, slots, stack = [], {}, [e]  # slots: id(node) -> its slot
+    while stack:
+        node = stack.pop()
+        if node is _LAID_OUT:  # the node under this mark has its operands laid out
+            node, fields, literal = stack.pop()
+            slots[id(node)] = len(layout)
+            layout.append((node, tuple([slots[id(f)] for f in fields]), literal))
+        elif id(node) not in slots:
+            if type(node) not in _KINDS:
+                raise TypeError(f"not an expression node: {node!r}")
+            fields, literal = tuple(node.__dict__.values()), None
+            if type(node) in _LITERAL:
+                fields, literal = fields[:-1], fields[-1]
+            if fields:
+                stack += ((node, fields, literal), _LAID_OUT, *reversed(fields))
+            else:
+                slots[id(node)] = len(layout)
+                layout.append((node, (), literal))
+    return layout
 
 
 # --- parsing --------------------------------------------------------------------
 
-# The deepest nesting of parentheses and function calls, and the deepest AST,
-# that parse accepts: the parser and every tree walker recurse once per level.
+# The deepest nesting of parentheses and function calls, and the deepest AST, that
+# parse, Problem and max_error accept: the parser recurses once per nesting level.
 MAX_DEPTH = 100
 
 _NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
@@ -272,29 +294,25 @@ def parse(source: str) -> Expr:
     return node
 
 
-def _levels(e: Expr):
-    """e's nodes level by level from the root, each node object once per level."""
-    level = {id(e): e}
-    while level:
-        yield level.values()
-        level = {id(c): c for node in level.values() for c in _operands(node)}
-
-
-def _names(nodes) -> set[str]:
-    return {"x" if isinstance(n, PowXReal) else n.name for n in nodes if isinstance(n, (Var, PowXReal))}
+def _names(layout) -> set[str]:
+    return {name if type(n) is Var else "x" for n, _, name in layout if type(n) in (Var, PowXReal)}
 
 
 def check_expr(e: Expr, allowed: set[str], error: Callable[[str], Exception], name: str) -> None:
-    """Raise ``error(message)`` if e nests deeper than ``MAX_DEPTH`` levels, else if it
-    mentions a variable outside ``allowed``: one walk, level by level, each node object
-    once per level.  Run it before any recursive walker."""
-    names = set()
-    for depth, level in enumerate(_levels(e), 1):
-        if depth > MAX_DEPTH:
-            raise error(f"{name} nests deeper than {MAX_DEPTH} levels")
-        names |= _names(level)
-    if names - allowed:
-        raise error(f"{name} mentions {sorted(names - allowed)}; only {sorted(allowed)} allowed")
+    """Raise ``error(message)`` if e nests deeper than ``MAX_DEPTH`` levels, else if a number
+    is not finite or a power not an integer, else if a variable is not in ``allowed``."""
+    layout, depths = _layout(e), []
+    for _, operands, _ in layout:
+        depths.append(1 + max([depths[i] for i in operands]) if operands else 1)
+    if depths[-1] > MAX_DEPTH:
+        raise error(f"{name} nests deeper than {MAX_DEPTH} levels")
+    for node, _, literal in layout:
+        if isinstance(node, PowInt) and literal % 1 != 0:  # nan and inf too
+            raise error(f"{name} has the non-integral power {literal}")
+        if isinstance(node, (Constant, PowXReal)) and not math.isfinite(literal):
+            raise error(f"{name} has the non-finite number {literal}")
+    if others := _names(layout) - allowed:
+        raise error(f"{name} mentions {sorted(others)}; only {sorted(allowed)} allowed")
 
 
 # --- printing -------------------------------------------------------------------
@@ -305,50 +323,62 @@ _BINARY = {node: (f" {symbol} " if level == 1 else symbol, level)
 _FUNCTION_NAMES = {node: name for name, node in _FUNCTIONS.items()}
 _POW, _UNARY, _ATOM = range(len(_INFIX) + 1, len(_INFIX) + 4)
 
-# The most characters of a subexpression that an error message quotes.
+# The most characters of a subexpression that an error message quotes, and of the text
+# that to_source writes: a subtree that several parents share is written once per path.
 MESSAGE_SOURCE_CHARS = 500
+MAX_SOURCE_CHARS = 1_000_000
 
 
-def _fmt_at(e: Expr, level: int, room: float) -> str:
-    """e's text, parenthesised when it binds looser than ``level``; see :func:`_fmt`."""
-    text, own = _fmt(e, room)
-    return text if own >= level else f"({text})"
-
-
-def _fmt(e: Expr, room: float = math.inf) -> tuple[str, int]:
-    """e's text and precedence level.  Past ``room`` characters the walk stops: a text
-    longer than ``room`` is e's only in its first ``room + 1`` characters."""
-    if room < 0:
-        return "", _ATOM
+def _parts(e: Expr, operands: tuple[int, ...], literal) -> tuple[int, list]:
+    """e's precedence level and its text: strings and (operand slot, level to print it at) pairs."""
     if isinstance(e, Constant):
-        if e.value < 0:
-            return f"-{-e.value!r}", _UNARY
-        return repr(e.value), _ATOM
+        value = float(literal)
+        return (_UNARY, ["-", repr(-value)]) if value < 0 else (_ATOM, [repr(value)])
     if isinstance(e, Var):
-        return e.name, _ATOM
+        return _ATOM, [literal]
     if isinstance(e, Neg):
-        return f"-{_fmt_at(e.arg, _UNARY, room)}", _UNARY
+        return _UNARY, ["-", (operands[0], _UNARY)]
     if type(e) in _BINARY:  # left-associative: a right operand at the same level is wrapped
         op, level = _BINARY[type(e)]
-        left = _fmt_at(e.left, level, room)
-        return f"{left}{op}{_fmt_at(e.right, level + 1, room - len(left) - len(op))}", level
+        return level, [(operands[0], level), op, (operands[1], level + 1)]
     if isinstance(e, PowInt):
-        return f"{_fmt_at(e.base, _UNARY, room)}^{e.power}", _POW
+        return _POW, [(operands[0], _UNARY), f"^{int(literal)}"]
     if isinstance(e, PowXReal):
-        return f"x^{e.exponent!r}", _POW
-    if type(e) in _FUNCTION_NAMES:
-        return f"{_FUNCTION_NAMES[type(e)]}({_fmt(e.arg, room)[0]})", _ATOM
-    raise TypeError(f"not an expression node: {e!r}")
+        return _POW, [f"x^{float(literal)!r}"]
+    return _ATOM, [f"{_FUNCTION_NAMES[type(e)]}(", (operands[0], 0), ")"]
+
+
+def _source(e: Expr, room: int) -> str:
+    """e's source text, written until it passes ``room`` characters, so a longer text is
+    cut there.  The walk is iterative, and its time is linear in the text it writes."""
+    slots = [_parts(*slot) for slot in _layout(e)]
+    pieces, length, stack = [], 0, [(len(slots) - 1, 0)]  # stack: texts and (slot, level) pairs
+    while stack and length <= room:
+        item = stack.pop()
+        if type(item) is str:
+            pieces.append(item)
+            length += len(item)
+        else:
+            own, parts = slots[item[0]]
+            stack += reversed(parts) if own >= item[1] else [")", *reversed(parts), "("]
+    return "".join(pieces)
 
 
 def to_source(e: Expr) -> str:
-    """Render an AST back to grammar-conformant source text."""
-    return _fmt(e)[0]
+    """Render an AST back to grammar-conformant source text.
+
+    Raises:
+        InvalidProblem: the text is longer than ``MAX_SOURCE_CHARS``.
+    """
+    text = _source(e, MAX_SOURCE_CHARS)
+    if len(text) > MAX_SOURCE_CHARS:
+        raise InvalidProblem(f"expression text is longer than {MAX_SOURCE_CHARS} characters")
+    return text
 
 
 def _named(e: Expr) -> str:
     """e's source, quoted for an error message and cut past ``MESSAGE_SOURCE_CHARS``."""
-    text = _fmt(e, MESSAGE_SOURCE_CHARS)[0]  # a shared subtree is printed once per path
+    text = _source(e, MESSAGE_SOURCE_CHARS)
     if len(text) > MESSAGE_SOURCE_CHARS:
         text = text[:MESSAGE_SOURCE_CHARS - 3] + "..."
     return repr(text)
@@ -356,7 +386,7 @@ def _named(e: Expr) -> str:
 
 def free_vars(e: Expr) -> set[str]:
     """The set of variable names ({'x', 'y', 'yp'}) the expression mentions."""
-    return set().union(*map(_names, _levels(e)))
+    return _names(_layout(e))
 
 
 # --- evaluation over floats -------------------------------------------------------
@@ -382,58 +412,51 @@ def eval_real(e: Expr, x, y=0.0, yp=0.0):
     x, y and yp are floats or numpy arrays of one shape; a float broadcasts.
     Every node is one numpy operation, so a grid call gives bit for bit the
     values of scalar calls at its points, and exp, ln and powers are within
-    1 ulp of the C library's.  A subtree object that several nodes share is
-    evaluated once per call.
+    1 ulp of the C library's.  Nodes are evaluated in the order of e's layout,
+    operands first and left first, each node object once.
 
     Raises:
         DivisionByZero, LogOfNonPositive, DomainError: when any point
             violates the domain; the message names the first offending value.
         NonFiniteTerm: exp or a power overflows; the message names it.
     """
-    return _eval(e, {"x": x, "y": y, "yp": yp}, {})
+    inputs, values = {"x": x, "y": y, "yp": yp}, []
+    for node, operands, _ in _layout(e):
+        values.append(_real(node, inputs, *[values[i] for i in operands]))
+    return values[-1]
 
 
-def _eval(e: Expr, inputs: dict, values: dict):  # values: id(node) -> its value, this call
+def _real(e: Expr, inputs: dict, *args):
+    """e's value, given its operands' values: one numpy operation."""
     if isinstance(e, Constant):
         return e.value
     if isinstance(e, Var):
         return inputs[e.name]
-    if id(e) in values:
-        return values[id(e)]
     if isinstance(e, Neg):
-        value = -_eval(e.arg, inputs, values)
-    elif type(e) in _ARITHMETIC:
-        value = _ARITHMETIC[type(e)](_eval(e.left, inputs, values), _eval(e.right, inputs, values))
-    elif isinstance(e, Div):
-        denom = _eval(e.right, inputs, values)
-        if np.any(denom == 0.0):
+        return -args[0]
+    if type(e) in _ARITHMETIC:
+        return _ARITHMETIC[type(e)](*args)
+    if isinstance(e, Div):
+        if np.any(args[1] == 0.0):
             raise DivisionByZero(f"in {_named(e)}")
-        value = _eval(e.left, inputs, values) / denom
-    elif isinstance(e, PowInt):
-        base = _eval(e.base, inputs, values)
-        value = _checked(e, lambda b: np.power(b, float(e.power)), base,
-                         (base == 0.0) & (e.power < 0),
-                         lambda t: DivisionByZero(f"0^{e.power} in {_named(e)}"))
-    elif isinstance(e, PowXReal):
+        return args[0] / args[1]
+    if isinstance(e, PowInt):
+        return _checked(e, lambda b: np.power(b, float(e.power)), args[0],
+                        (args[0] == 0.0) & (e.power < 0),
+                        lambda t: DivisionByZero(f"0^{int(e.power)} in {_named(e)}"))
+    if isinstance(e, PowXReal):
         x, p = inputs["x"], e.exponent
-        value = _checked(e, lambda t: np.power(t, p), x,
-                         (x < 0.0) & (p != round(p)) | (x == 0.0) & (p < 0.0),
-                         lambda t: DomainError(f"x^{p:g} undefined at x = {t:g}"))
-    elif isinstance(e, Exp):
-        value = _checked(e, np.exp, _eval(e.arg, inputs, values))
-    elif isinstance(e, Ln):
-        arg = _eval(e.arg, inputs, values)
-        value = _checked(e, np.log, arg, arg <= 0.0,
-                         lambda t: LogOfNonPositive(f"ln({t:g}) in {_named(e)}"))
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    values[id(e)] = value
-    return value
+        return _checked(e, lambda t: np.power(t, p), x,
+                        (x < 0.0) & (p != round(p)) | (x == 0.0) & (p < 0.0),
+                        lambda t: DomainError(f"x^{p:g} undefined at x = {t:g}"))
+    if isinstance(e, Exp):
+        return _checked(e, np.exp, args[0])
+    return _checked(e, np.log, args[0], args[0] <= 0.0,
+                    lambda t: LogOfNonPositive(f"ln({t:g}) in {_named(e)}"))
 
 
 # --- evaluation over the decomposition ring ----------------------------------------
 
-_ONE = Constant(1.0)
 _T = TypeVar("_T")
 _Coeffs = Sequence[GPSeries]
 
@@ -542,10 +565,6 @@ _RULES = {
 }
 
 
-def _annotated(err: ComputeError, node: Expr) -> ComputeError:
-    return type(err)(f"{err} [in {_named(node)}]")
-
-
 class Tape:
     """An expression laid out for incremental evaluation over the decomposition ring.
 
@@ -561,49 +580,39 @@ class Tape:
         # Columns 0 and 1 are the inputs y and y'; each later one is a node.
         self._columns: list[list[GPSeries]] = [[], []]
         self._program: list[tuple[_Rule, tuple[int, ...], Expr | None]] = []
-        # While laying out: (type, operand nodes) and id(subtree object) -> node.
-        self._nodes: dict[tuple | int, int] = {(Var, ("y",)): 0, (Var, ("yp",)): 1}
-        self._root = self._emit(e)
-        del self._nodes
+        keys = {(Var, (), "y"): 0, (Var, (), "yp"): 1}  # (type, operand columns, literal) -> column
+        columns: list[int] = []  # layout slot -> its column
+        for node, operands, literal in _layout(e):
+            columns.append(self._node(keys, node, tuple(columns[i] for i in operands), literal))
+        self._root = columns[-1]
 
-    def _push(
-        self, rule: _Rule, operands: tuple[int, ...], annotate: Expr | None = None
-    ) -> int:
+    def _push(self, rule: _Rule, operands: tuple[int, ...], annotate: Expr | None = None) -> int:
         self._program.append((rule, operands, annotate))
         self._columns.append([])
         return len(self._columns) - 1
 
-    def _emit(self, e: Expr) -> int:
-        # Keyed on the operands' nodes, so a lookup costs the same at any depth and equal
-        # subtrees meet in one node; by id too, so a shared subtree object is visited once.
-        if id(e) not in self._nodes:
-            fields = tuple(self._emit(v) if isinstance(v, _NODES) else v for v in vars(e).values())
-            key = (type(e), fields)
-            if key not in self._nodes:
-                self._nodes[key] = self._lay_out(e, fields)
-            self._nodes[id(e)] = self._nodes[key]
-        return self._nodes[id(e)]
-
-    def _lay_out(self, e: Expr, fields: tuple) -> int:  # fields: operand nodes or literal
-        if isinstance(e, Constant):
-            return self._push(_seed(GPSeries.constant(e.value)), ())
-        if isinstance(e, Var):  # y and yp are preset inputs, so this is x
-            return self._push(_seed(GPSeries.monomial(1.0, 1.0)), ())
-        if isinstance(e, PowXReal):
-            return self._push(_seed(GPSeries.monomial(1.0, e.exponent)), ())
-        if type(e) in _RULES:
-            named = isinstance(e, (Div, Exp, Ln))  # a node with a domain names itself in errors
-            return self._push(_RULES[type(e)], fields, e if named else None)
-        if isinstance(e, PowInt):
-            base = fields[0]
-            if e.power < 0:
-                base = self._push(div_coeff, (self._emit(_ONE), base), e)
-            if e.power == 0:
-                return self._emit(_ONE)
-            return binary_power(
-                base, abs(e.power), lambda a, b: self._push(mul_coeff, (a, b), e)
-            )
-        raise TypeError(f"not an expression node: {e!r}")
+    def _node(self, keys: dict, e: Expr, operands: tuple[int, ...], literal) -> int:
+        """The column of e, whose operands are in ``operands``: an equal node's, or a new one."""
+        key = (type(e), operands, literal)
+        if key not in keys:
+            if isinstance(e, Constant):
+                column = self._push(_seed(GPSeries.constant(literal)), ())
+            elif not operands:  # x or x^p: y and yp are preset inputs
+                exponent = 1.0 if isinstance(e, Var) else literal
+                column = self._push(_seed(GPSeries.monomial(1.0, exponent)), ())
+            elif type(e) in _RULES:
+                named = isinstance(e, (Div, Exp, Ln))  # a node with a domain names itself in errors
+                column = self._push(_RULES[type(e)], operands, e if named else None)
+            else:  # an integer power: repeated squaring, of 1/base when negative
+                column, power = operands[0], int(literal)
+                if power <= 0:
+                    one = self._node(keys, Constant(1.0), (), 1.0)
+                    column = one if power == 0 else self._push(div_coeff, (one, column), e)
+                if power != 0:
+                    column = binary_power(column, abs(power),
+                                          lambda a, b: self._push(mul_coeff, (a, b), e))
+            keys[key] = column
+        return keys[key]
 
     def extend(self, y_k: GPSeries, yp_k: GPSeries) -> GPSeries:
         """Append coefficient k, given the k-th coefficients of y and y', to every node.
@@ -625,7 +634,7 @@ class Tape:
             except ComputeError as err:
                 if node is None:
                     raise
-                raise _annotated(err, node) from err
+                raise type(err)(f"{err} [in {_named(node)}]") from err
             columns[out].append(value)
         return columns[self._root][k]
 

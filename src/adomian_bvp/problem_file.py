@@ -106,7 +106,8 @@ def load_problem(path: str | Path) -> Problem:
 
 
 def dump_problem(problem: Problem) -> str:
-    """Render a problem in the canonical file form; reloads to an equal Problem."""
+    """Render a problem in the canonical file form; reloads to an equal Problem, but for a
+    negative Constant built by hand, which reloads as Neg of its absolute value."""
     lines = []
     for key, name in FIELDS.items():
         value = getattr(problem, name)

@@ -40,9 +40,9 @@ from .singular_operator import inverse_at_one  # noqa: F401
 class Problem:
     """One boundary value problem instance.
 
-    ``f`` is the source nonlinearity over {x, y, yp}; ``exact``, when given,
-    is a reference solution over {x} used only by the diagnostics.  Each
-    nests at most ``expressions.MAX_DEPTH`` levels, as :func:`parse` allows.
+    ``f`` is the source nonlinearity over {x, y, yp}; ``exact``, when given, is a
+    reference solution over {x} used only by the diagnostics.  Each nests at most
+    ``expressions.MAX_DEPTH`` levels, its numbers finite and its powers integral.
     """
 
     alpha: float

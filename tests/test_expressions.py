@@ -30,6 +30,7 @@ from adomian_bvp.expressions import (
     _INFIX,
     _RULES,
     MAX_DEPTH,
+    MAX_SOURCE_CHARS,
     MESSAGE_SOURCE_CHARS,
     Add,
     Constant,
@@ -51,6 +52,7 @@ from adomian_bvp.expressions import (
     parse,
     to_source,
 )
+from adomian_bvp.problem_file import dump_problem
 from adomian_bvp.series import GPSeries, evaluate
 from adomian_bvp.solver import Problem, solve
 
@@ -201,6 +203,36 @@ def test_depth_is_checked_before_variables_and_f_before_exact():
         Problem(**{**PROBLEM_DATA, "f": Var("z")}, exact=left_nested_sum(Y, MAX_DEPTH + 1))
 
 
+# parse meets no such literal: its numbers are finite, and only x takes a non-integral power.
+@pytest.mark.parametrize("entry,e,error,message", [
+    ("f", Add(Y, Constant(math.nan)), InvalidProblem, "f has the non-finite number nan"),
+    ("f", PowInt(Y, 2.5), InvalidProblem, "f has the non-integral power 2.5"),
+    ("exact", Mul(X, PowXReal(math.inf)), InvalidExactSolution,
+     "exact solution has the non-finite number inf"),
+    ("reference", Add(X, Constant(-math.inf)), InvalidExactSolution,
+     "reference has the non-finite number -inf"),
+], ids=["f-constant", "f-power", "exact-exponent", "reference-constant"])
+def test_each_entry_point_rejects_a_bad_literal_with_its_own_error(entry, e, error, message):
+    with pytest.raises(error) as exc:
+        ENTRY_POINTS[entry](e)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+def test_literals_are_checked_after_depth_and_before_variables():
+    with pytest.raises(InvalidProblem, match="^f nests deeper"):
+        ENTRY_POINTS["f"](left_nested_sum(Constant(math.nan), MAX_DEPTH + 1))
+    with pytest.raises(InvalidProblem, match="^f has the non-integral power nan$"):
+        ENTRY_POINTS["f"](Add(Var("z"), PowInt(Y, math.nan)))
+
+
+def test_an_integral_power_of_another_number_type_solves_as_an_int():
+    want = solve(Problem(**{**PROBLEM_DATA, "f": PowInt(Y, -2), "eta1": 1.0}), 4).psi
+    for power in (-2.0, np.int64(-2)):
+        got = solve(Problem(**{**PROBLEM_DATA, "f": PowInt(Y, power), "eta1": 1.0}), 4).psi
+        assert got.terms == want.terms
+
+
 # --- shared subtrees: every walk visits a node object once, not once per path ----------
 
 
@@ -213,8 +245,9 @@ def shared_dag(levels: int):
 
 
 def count_node_visits(monkeypatch, cap=100_000):
-    """Count the layout, level walk, printer and real arithmetic calls; past ``cap`` in all,
-    raise, so that a walk once per path fails at once instead of running for hours."""
+    """Count the layouts, the printer's node texts, the tape's nodes and the real arithmetic
+    operations; past ``cap`` in all, raise, so that a walk once per path fails at once
+    instead of running for hours."""
     calls = collections.Counter()
 
     def counted(name, real):
@@ -225,10 +258,9 @@ def count_node_visits(monkeypatch, cap=100_000):
             return real(*args)
         return wrapper
 
-    for name in ("_operands", "_fmt"):
+    for name in ("_layout", "_parts"):
         monkeypatch.setattr(expressions, name, counted(name, getattr(expressions, name)))
-    for name in ("_emit", "_lay_out"):
-        monkeypatch.setattr(Tape, name, counted(name, getattr(Tape, name)))
+    monkeypatch.setattr(Tape, "_push", counted("_push", Tape._push))
     for node, op in list(_ARITHMETIC.items()):
         monkeypatch.setitem(_ARITHMETIC, node, counted("arithmetic", op))
     return calls
@@ -241,7 +273,7 @@ def test_a_40_level_shared_dag_is_checked_laid_out_and_evaluated_once_per_node(m
     problem = Problem(**{**PROBLEM_DATA, "f": f, "eta1": 1.0})
     values = residual(solve(problem, 3).psi, problem, 64)
     assert time.perf_counter() - started < 1.0  # a few milliseconds
-    assert calls["_lay_out"] == 81  # 0.01, and each level's product and sum
+    assert calls["_push"] == 81  # 0.01, and each level's product and sum
     assert calls["arithmetic"] == 80  # one residual grid, one operation per node object
     assert len(values) == 64 and all(np.isfinite(v) for _, v in values)
 
@@ -257,7 +289,7 @@ def test_a_40_level_shared_dag_is_named_in_a_cut_message_at_once(monkeypatch, re
         else:
             eval_real(f, 0.5, -1.0)
     assert time.perf_counter() - started < 1.0
-    assert calls["_fmt"] < 1_000
+    assert calls["_parts"] < 1_000
     # the text of e_40 starts with that of e_9, which is longer than the bound
     cut = to_source(Ln(shared_dag(9)))[:MESSAGE_SOURCE_CHARS - 3] + "..."
     message = str(err.value)
@@ -274,6 +306,29 @@ def test_a_message_quotes_its_subexpression_up_to_the_bound(constant, cut):
     with pytest.raises(LogOfNonPositive) as err:
         eval_real(e, 0.5, -1.0)
     assert str(err.value) == f"ln({constant - 123:g}) in {quoted!r}"
+
+
+def test_dump_problem_refuses_the_text_of_a_40_level_shared_dag_at_once(monkeypatch):
+    problem = Problem(**{**PROBLEM_DATA, "f": shared_dag(40)})  # 2^40 paths
+    count_node_visits(monkeypatch)
+    started = time.perf_counter()
+    with pytest.raises(InvalidProblem,
+                       match=f"^expression text is longer than {MAX_SOURCE_CHARS} characters$"):
+        dump_problem(problem)
+    assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize("reader", ["to_source", "eval_real", "free_vars", "Tape"])
+def test_every_reader_takes_a_5000_level_tree(reader):
+    e = left_nested_sum(Y, 5000)  # only the entry points hold an AST to MAX_DEPTH
+    if reader == "to_source":
+        assert to_source(e) == " + ".join(["y"] * 5000)
+    elif reader == "eval_real":
+        assert eval_real(e, 0.5, 1.0) == 5000.0
+    elif reader == "free_vars":
+        assert free_vars(e) == {"y"}
+    else:
+        assert evaluate(Tape(e).extend(GPSeries.constant(1.0), GPSeries.zero()), 0.5) == 5000.0
 
 
 def test_a_shared_dag_past_the_depth_bound_is_rejected_at_once(monkeypatch):
@@ -337,6 +392,21 @@ def test_eval_real_domain_errors():
         eval_real(parse("ln(x - 2)"), 1.0)
     with pytest.raises(DivisionByZero):
         eval_real(parse("y^-1"), 0.5, 0.0, 0.0)
+
+
+def test_eval_real_reports_the_first_fault_in_the_tapes_order():
+    # ln(x - 2) comes before the division in the layout, as in the tape, whose solve names it
+    with pytest.raises(LogOfNonPositive) as err:
+        eval_real(parse("ln(x - 2)/(x - 1)"), 1.0)
+    assert str(err.value) == "ln(-1) in 'ln(x - 2.0)'"
+    with pytest.raises(LogOfNonPositive, match=r"\[in 'ln\(y - 2\.0\)'\]$"):
+        solve(Problem(**{**PROBLEM_DATA, "f": parse("ln(y - 2)/(y - 1)"), "eta1": 1.0}), 2)
+
+
+def test_eval_real_evaluates_each_constant_object_on_its_own():
+    # -0.0 == 0.0, so a layout that shared equal constants would give 0.0 - 0.0 = 0.0
+    value = eval_real(Sub(Constant(-0.0), Constant(0.0)), 0.5)
+    assert value == 0.0 and math.copysign(1.0, value) == -1.0
 
 
 def test_eval_real_grid_matches_scalar_calls_bit_for_bit():

@@ -3,6 +3,7 @@
 import errno
 import math
 
+import numpy as np
 import pytest
 
 from support import left_nested_sum
@@ -17,7 +18,7 @@ from adomian_bvp.errors import (
     ParseError,
     UnknownKey,
 )
-from adomian_bvp.expressions import MAX_DEPTH, X, Y
+from adomian_bvp.expressions import MAX_DEPTH, X, Y, Constant, Mul, PowInt, PowXReal
 from adomian_bvp.problem_file import dump_problem, load_problem, parse_problem_text
 from adomian_bvp.solver import Problem
 
@@ -96,6 +97,19 @@ def test_dump_reload_round_trip(tmp_path):
         path = tmp_path / f"ex{example}.prob"
         path.write_text(text, encoding="utf-8")
         assert load_problem(path) == problem
+
+
+@pytest.mark.parametrize("f,printed", [
+    (Mul(Y, Constant(np.float64(0.5))), "y*0.5"),
+    (PowInt(Y, True), "y^1"),
+    (PowInt(Y, 3.0), "y^3"),
+    (Mul(PowXReal(np.float32(0.5)), PowInt(Y, np.int64(-2))), "x^0.5*y^-2"),
+], ids=["float64-constant", "bool-power", "float-power", "float32-exponent-int64-power"])
+def test_literals_of_other_number_types_dump_as_plain_text_that_reloads(f, printed):
+    problem = Problem(alpha=0.5, sigma=0.0, f=f, eta1=1.0, alpha1=1.0, beta1=0.0, gamma1=1.0)
+    text = dump_problem(problem)
+    assert f'f = "{printed}"' in text.splitlines()
+    assert parse_problem_text(text) == problem
 
 
 def test_round_trip_from_file_text():
