@@ -44,7 +44,7 @@ def max_error(
 
     Raises:
         InvalidExactSolution: the reference nests deeper than ``MAX_DEPTH``
-            levels, has a number that is not finite, or mentions y or yp.
+            levels, has a literal that is not a finite real, or mentions y or yp.
         InvalidProblem: grid_size < 1.
         NonFiniteTerm: psi, the reference or their difference overflows.
     """

@@ -40,6 +40,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, Sequence, TypeVar, Union, get_args
 
 import numpy as np
@@ -299,14 +300,16 @@ def _names(layout) -> set[str]:
 
 
 def check_expr(e: Expr, allowed: set[str], error: Callable[[str], Exception], name: str) -> None:
-    """Raise ``error(message)`` if e nests deeper than ``MAX_DEPTH`` levels, else if a number
-    is not finite or a power not an integer, else if a variable is not in ``allowed``."""
+    """Raise ``error(message)`` if e nests deeper than ``MAX_DEPTH`` levels, else if a literal is
+    not a finite real number or a power not an integer, else if a variable is not in ``allowed``."""
     layout, depths = _layout(e), []
     for _, operands, _ in layout:
         depths.append(1 + max([depths[i] for i in operands]) if operands else 1)
     if depths[-1] > MAX_DEPTH:
         raise error(f"{name} nests deeper than {MAX_DEPTH} levels")
     for node, _, literal in layout:
+        if isinstance(node, (Constant, PowInt, PowXReal)) and not isinstance(literal, Real):
+            raise error(f"{name} has a literal of type {type(literal).__name__}, not a real number")
         if isinstance(node, PowInt) and literal % 1 != 0:  # nan and inf too
             raise error(f"{name} has the non-integral power {literal}")
         if isinstance(node, (Constant, PowXReal)) and not math.isfinite(literal):
@@ -481,8 +484,8 @@ def base_point(c0: GPSeries) -> float:
 
 
 def linear_coeff(*weights: float) -> _Rule:
-    """The rule of a fixed weighted sum of the operands, such as a+b, a-b or -a:
-    coefficient k is that weighted sum of the operands' coefficients k."""
+    """The rule of a fixed weighted sum of the operands, such as a+b, a-b, -a or c*a for a
+    number c: coefficient k is that weighted sum of the operands' coefficients k."""
 
     def rule(k: int, out: _Coeffs, *operands: _Coeffs) -> GPSeries:
         return gps.combine(zip(weights, [a[k] for a in operands]))
@@ -558,11 +561,9 @@ def _seed(value: GPSeries) -> _Rule:
     return lambda k, out: value if k == 0 else GPSeries.zero()
 
 
-_RULES = {
-    Neg: linear_coeff(-1.0), Add: linear_coeff(1.0, 1.0),
-    Sub: linear_coeff(1.0, -1.0), Mul: mul_coeff, Div: div_coeff,
-    Exp: exp_coeff, Ln: ln_coeff,
-}
+_LINEAR = {Neg: (-1.0,), Add: (1.0, 1.0), Sub: (1.0, -1.0)}  # weighted sums of the operands
+_RULES = {**{node: linear_coeff(*weights) for node, weights in _LINEAR.items()},
+          Mul: mul_coeff, Div: div_coeff, Exp: exp_coeff, Ln: ln_coeff}
 
 
 class Tape:
@@ -573,7 +574,9 @@ class Tape:
     the coefficients of the decomposition parameter computed so far.
     :meth:`extend` appends coefficient k to every node, by one rule each, so
     the k-th decomposition polynomial costs one new coefficient per node
-    rather than a recomposition of the whole expression.
+    rather than a recomposition of the whole expression.  A number, that is a
+    constant or a negation, sum, difference or product of numbers, is a seed
+    valued once by its rule's float operations; c*e is e weighted by c.
     """
 
     def __init__(self, e: Expr):
@@ -581,9 +584,11 @@ class Tape:
         self._columns: list[list[GPSeries]] = [[], []]
         self._program: list[tuple[_Rule, tuple[int, ...], Expr | None]] = []
         keys = {(Var, (), "y"): 0, (Var, (), "yp"): 1}  # (type, operand columns, literal) -> column
+        numbers: dict[int, float] = {}  # column -> its value, for a column that is a number
         columns: list[int] = []  # layout slot -> its column
-        for node, operands, literal in _layout(e):
-            columns.append(self._node(keys, node, tuple(columns[i] for i in operands), literal))
+        for node, slots, literal in _layout(e):
+            operands = tuple(columns[i] for i in slots)
+            columns.append(self._node(keys, numbers, node, operands, literal))
         self._root = columns[-1]
 
     def _push(self, rule: _Rule, operands: tuple[int, ...], annotate: Expr | None = None) -> int:
@@ -591,22 +596,31 @@ class Tape:
         self._columns.append([])
         return len(self._columns) - 1
 
-    def _node(self, keys: dict, e: Expr, operands: tuple[int, ...], literal) -> int:
+    def _node(self, keys: dict, numbers: dict, e: Expr, operands: tuple[int, ...], literal) -> int:
         """The column of e, whose operands are in ``operands``: an equal node's, or a new one."""
         key = (type(e), operands, literal)
         if key not in keys:
-            if isinstance(e, Constant):
-                column = self._push(_seed(GPSeries.constant(literal)), ())
+            rule, weights = _RULES.get(type(e)), _LINEAR.get(type(e))
+            if isinstance(e, Mul) and (operands[0] in numbers or operands[1] in numbers):
+                c, other = operands if operands[0] in numbers else operands[::-1]
+                rule, weights, operands = linear_coeff(numbers[c]), (numbers[c],), (other,)
+            value = float(literal) if isinstance(e, Constant) else math.nan
+            if weights and all(i in numbers for i in operands):  # a number
+                # two terms at most: any float sum of them rounds as the kernel's merged group
+                value = sum([w * numbers[i] for w, i in zip(weights, operands)], 0.0)
+            if isinstance(e, Constant) or math.isfinite(value):  # its rule reports an overflow
+                column = self._push(_seed(GPSeries.constant(value)), ())
+                numbers[column] = value
             elif not operands:  # x or x^p: y and yp are preset inputs
                 exponent = 1.0 if isinstance(e, Var) else literal
                 column = self._push(_seed(GPSeries.monomial(1.0, exponent)), ())
-            elif type(e) in _RULES:
+            elif rule:
                 named = isinstance(e, (Div, Exp, Ln))  # a node with a domain names itself in errors
-                column = self._push(_RULES[type(e)], operands, e if named else None)
+                column = self._push(rule, operands, e if named else None)
             else:  # an integer power: repeated squaring, of 1/base when negative
                 column, power = operands[0], int(literal)
                 if power <= 0:
-                    one = self._node(keys, Constant(1.0), (), 1.0)
+                    one = self._node(keys, numbers, Constant(1.0), (), 1.0)
                     column = one if power == 0 else self._push(div_coeff, (one, column), e)
                 if power != 0:
                     column = binary_power(column, abs(power),

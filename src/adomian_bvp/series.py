@@ -16,9 +16,9 @@ order, and the first non-finite input term is the one an error names.
 
 :func:`combine` is every weighted sum, of series and of products of two
 series, such as one Cauchy sum of a recurrence; ``mul`` is its one-product
-call.  Small raw products join the sum unmerged, so the sum is normalized
-once; only products of more than ``FUSED_PRODUCT_TERMS`` terms, and a product
-that is the sum's only piece, are normalized on their own first.
+call.  Raw products join the sum unmerged, so the sum is normalized once;
+only products of more than ``FUSED_PRODUCT_TERMS`` terms are normalized on
+their own first.
 
 Values are immutable (their arrays are read-only) and every operation is a
 pure function; series can be shared freely between threads.
@@ -243,16 +243,12 @@ def combine(
 ) -> GPSeries:
     """The weighted sum of the (weight, series) parts and (weight, a, b) products.
 
-    Products with a zero factor, and parts of weight 0 or of a zero series,
-    are skipped; the rest are the sum's pieces.  Each product is formed in
-    order, at any weight.  If the sum has another piece, a raw product of at
-    most ``FUSED_PRODUCT_TERMS`` terms joins it unmerged; any other product
-    is first normalized on its own (only pruned when a factor is the
-    constant series, whose zero exponent moves none of the other's).  Then
-    the parts and the products of nonzero weight, in that order, are
-    normalized once as one sum.  A sum of a single piece is scaled and
-    pruned only, as its exponents are sorted and merged already, and
-    returned as it is if its weight is 1.
+    Three rules.  Every piece of weight 0, with a zero series or with a zero
+    factor, is skipped; such a product is never formed.  A raw product of
+    more than ``FUSED_PRODUCT_TERMS`` terms is normalized on its own first.
+    Everything else, the parts and then the products in order, is normalized
+    once as one sum; a single normalized piece is only scaled and pruned, as
+    its exponents are sorted and merged already.
 
     Raises:
         TermBlowup: a raw product would exceed ``DEFAULT_TERM_CAP`` terms.
@@ -262,10 +258,9 @@ def combine(
             the call fails, as the sum's one merge rejects any non-finite term.
     """
     live = [(w, s.coeffs, s.exponents) for w, s in parts if w != 0.0 and len(s.coeffs)]
-    products = [(w, a, b) for w, a, b in products if len(a.coeffs) and len(b.coeffs)]
+    products = [(w, a, b) for w, a, b in products if w != 0.0 and len(a.coeffs) and len(b.coeffs)]
     if not products and len(live) < 2 and (not live or live[0][0] == 1.0):
         return GPSeries._of(*live[0][1:]) if live else _ZERO
-    fused_max = FUSED_PRODUCT_TERMS if len(live) + len(products) > 1 else 0
     raw: list[tuple[np.ndarray, np.ndarray]] = []  # the products formed unmerged, in order
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -277,27 +272,21 @@ def combine(
                     )
                 c = np.multiply.outer(a.coeffs, b.coeffs).ravel()
                 e = np.add.outer(a.exponents, b.exponents).ravel()
-                if size <= fused_max:
+                if size <= FUSED_PRODUCT_TERMS:
                     raw.append((c, e))
-                    if w == 0.0:  # it never reaches a merge
-                        _check_raw(raw[-1:])
-                elif _is_constant(a) or _is_constant(b):
-                    c, e = _pruned(c, e, (c, e))
                 else:
                     c, e = _merged(c, e)
-                if w != 0.0 and len(c):
+                if len(c):
                     live.append((w, c, e))
             coeffs = [c if w == 1.0 else w * c for w, c, _ in live]
-        if not live:
-            return _ZERO
-        if len(live) > 1 or fused_max:  # a raw product may be all that is left
+        if raw or len(live) > 1:
             return from_arrays(np.concatenate(coeffs), np.concatenate([e for *_, e in live]))
     except (TermBlowup, NonFiniteTerm):
         _check_raw(raw)  # a non-finite raw product formed before the failure names it
         raise
-    ((w, _, e),) = live
-    if w == 1.0:
-        return GPSeries._of(coeffs[0], e)
+    if not live:
+        return _ZERO
+    ((_, _, e),) = live
     return GPSeries._of(*_pruned(coeffs[0], e, (coeffs[0], e)))
 
 
@@ -316,10 +305,6 @@ def add(a: GPSeries, b: GPSeries) -> GPSeries:
 def scale(a: GPSeries, k: float) -> GPSeries:
     """Multiply every coefficient by the scalar k."""
     return combine(((k, a),))
-
-
-def _is_constant(a: GPSeries) -> bool:
-    return len(a.coeffs) == 1 and a.exponents[0] == 0.0
 
 
 def mul(a: GPSeries, b: GPSeries) -> GPSeries:

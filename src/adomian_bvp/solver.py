@@ -42,7 +42,7 @@ class Problem:
 
     ``f`` is the source nonlinearity over {x, y, yp}; ``exact``, when given, is a
     reference solution over {x} used only by the diagnostics.  Each nests at most
-    ``expressions.MAX_DEPTH`` levels, its numbers finite and its powers integral.
+    ``expressions.MAX_DEPTH`` levels, its numbers finite reals and its powers integral.
     """
 
     alpha: float

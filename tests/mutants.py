@@ -1,0 +1,219 @@
+"""Deliberate breaks of the code, each of which the tests it names must catch, and their runner.
+
+A mutant replaces one exact text, which occurs once in its file, and names the tests that
+must then fail, as ``path::function`` (every parametrization of the function runs).
+
+    python tests/mutants.py [ID ...]
+
+copies ``src/``, ``tests/``, ``bench/`` and ``pyproject.toml`` to a temporary directory,
+runs the named tests of the selected mutants (all by default) on the clean copy, which must
+pass, and then applies each mutant alone and runs its tests, which must fail.  It exits 0
+only if the clean copy passes and every mutant is caught.  pytest does not collect this
+file; ``tests/test_mutants.py`` checks the catalogue's form against the tree.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "bench", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    id: str
+    path: str  # relative to the repository root
+    old: str  # occurs exactly once in the file
+    new: str
+    tests: tuple[str, ...]  # "path::function", relative to the repository root
+
+
+SERIES, EXPRESSIONS, SOLVER = (f"src/adomian_bvp/{m}.py"
+                               for m in ("series", "expressions", "solver"))
+T_SERIES, T_TAPE, T_EXPR, T_IDENTITY = (f"tests/test_{m}.py" for m in
+                                        ("series", "tape", "expressions", "residual_identity"))
+
+_LAYOUT_LOOP = """\
+    while stack:
+        node = stack.pop()
+        if node is _LAID_OUT:  # the node under this mark has its operands laid out
+            node, fields, literal = stack.pop()
+            slots[id(node)] = len(layout)
+            layout.append((node, tuple([slots[id(f)] for f in fields]), literal))
+        elif id(node) not in slots:
+            if type(node) not in _KINDS:
+                raise TypeError(f"not an expression node: {node!r}")
+            fields, literal = tuple(node.__dict__.values()), None
+            if type(node) in _LITERAL:
+                fields, literal = fields[:-1], fields[-1]
+            if fields:
+                stack += ((node, fields, literal), _LAID_OUT, *reversed(fields))
+            else:
+                slots[id(node)] = len(layout)
+                layout.append((node, (), literal))
+    return layout
+"""
+_RECURSIVE_LAYOUT = """\
+    def visit(node):
+        if id(node) not in slots:
+            if type(node) not in _KINDS:
+                raise TypeError(f"not an expression node: {node!r}")
+            fields, literal = tuple(node.__dict__.values()), None
+            if type(node) in _LITERAL:
+                fields, literal = fields[:-1], fields[-1]
+            operands = tuple([visit(f) for f in fields])
+            slots[id(node)] = len(layout)
+            layout.append((node, operands, literal))
+        return slots[id(node)]
+
+    visit(e)
+    return layout
+"""
+_DEPTH_CHECK = """\
+    if depths[-1] > MAX_DEPTH:
+        raise error(f"{name} nests deeper than {MAX_DEPTH} levels")
+"""
+_LITERAL_CHECKS = """\
+    for node, _, literal in layout:
+        if isinstance(node, (Constant, PowInt, PowXReal)) and not isinstance(literal, Real):
+            raise error(f"{name} has a literal of type {type(literal).__name__}, not a real number")
+        if isinstance(node, PowInt) and literal % 1 != 0:  # nan and inf too
+            raise error(f"{name} has the non-integral power {literal}")
+        if isinstance(node, (Constant, PowXReal)) and not math.isfinite(literal):
+            raise error(f"{name} has the non-finite number {literal}")
+"""
+_FINAL_MERGE = "return from_arrays(np.concatenate(coeffs), np.concatenate([e for *_, e in live]))"
+
+MUTANTS = (
+    # the number fold of the expression tape
+    Mutant("sub-folded-with-plus", EXPRESSIONS,
+           "sum([w * numbers[i]", "sum([abs(w) * numbers[i]",
+           (f"{T_TAPE}::test_a_product_by_a_number_is_one_weighted_part",)),
+    Mutant("only-a-left-number-folded", EXPRESSIONS,
+           "(operands[0] in numbers or operands[1] in numbers)", "operands[0] in numbers",
+           (f"{T_TAPE}::test_a_product_by_a_number_is_one_weighted_part",)),
+    # the three rules of series.combine
+    Mutant("zero-weight-products-formed", SERIES,
+           "in products if w != 0.0 and len(a.coeffs)", "in products if len(a.coeffs)",
+           (f"{T_SERIES}::test_a_product_of_weight_0_is_skipped_before_it_is_formed",)),
+    Mutant("a-lone-product-normalized-alone", SERIES,
+           "if size <= FUSED_PRODUCT_TERMS:",
+           "if size <= FUSED_PRODUCT_TERMS and len(products) + len(live) > 1:",
+           (f"{T_SERIES}::test_a_product_joins_the_sum_raw_up_to_fused_product_terms",)),
+    Mutant("threshold-255", SERIES,
+           "if size <= FUSED_PRODUCT_TERMS:", "if size < FUSED_PRODUCT_TERMS:",
+           (f"{T_SERIES}::test_a_product_joins_the_sum_raw_up_to_fused_product_terms",)),
+    # the finiteness scan of raw products, deferred to a failing call
+    Mutant("no-scan-on-term-blowup", SERIES,
+           "except (TermBlowup, NonFiniteTerm):", "except NonFiniteTerm:",
+           (f"{T_SERIES}::test_an_overflowing_product_before_a_wide_one_is_a_non_finite_term",)),
+    Mutant("no-scan-when-a-wide-product-fails", SERIES,
+           "c, e = _merged(c, e)", "c, e = raw.clear() or _merged(c, e)",
+           (f"{T_SERIES}::"
+            "test_an_overflowing_product_before_a_wide_one_that_overflows_names_the_error",)),
+    Mutant("no-scan-when-the-sum-fails", SERIES,
+           _FINAL_MERGE, f"return raw.clear() or {_FINAL_MERGE[len('return '):]}",
+           (f"{T_SERIES}::"
+            "test_an_overflowing_product_names_the_error_before_an_overflowing_part",)),
+    Mutant("a-scan-on-success", SERIES,
+           "raw.append((c, e))", "_check_raw([(c, e)]) or raw.append((c, e))",
+           (f"{T_SERIES}::test_a_successful_solve_scans_no_raw_product",)),
+    # one iterative layout, and the literal rules of check_expr
+    Mutant("layout-keyed-by-value", EXPRESSIONS,
+           _LAYOUT_LOOP, _LAYOUT_LOOP.replace("id(node)", "node").replace("id(f)", "f"),
+           (f"{T_EXPR}::test_eval_real_evaluates_each_constant_object_on_its_own",)),
+    Mutant("recursive-layout", EXPRESSIONS,
+           _LAYOUT_LOOP, _RECURSIVE_LAYOUT,
+           (f"{T_EXPR}::test_every_reader_takes_a_5000_level_tree",)),
+    Mutant("literals-checked-before-depth", EXPRESSIONS,
+           _DEPTH_CHECK + _LITERAL_CHECKS, _LITERAL_CHECKS + _DEPTH_CHECK,
+           (f"{T_EXPR}::test_literals_are_checked_after_depth_and_before_variables",)),
+    Mutant("no-check-of-the-power", EXPRESSIONS,
+           "isinstance(node, PowInt) and literal % 1 != 0", "False",
+           (f"{T_EXPR}::test_each_entry_point_rejects_a_bad_literal_with_its_own_error",)),
+    Mutant("no-check-of-the-literal-type", EXPRESSIONS,
+           "and not isinstance(literal, Real):", "and False:",
+           (f"{T_EXPR}::test_each_entry_point_rejects_a_bad_literal_with_its_own_error",)),
+    Mutant("to-source-returns-the-cut-text", EXPRESSIONS,
+           'raise InvalidProblem(f"expression text is longer than {MAX_SOURCE_CHARS} characters")',
+           "return text",
+           (f"{T_EXPR}::test_dump_problem_refuses_the_text_of_a_40_level_shared_dag_at_once",)),
+    Mutant("a-constant-printed-as-given", EXPRESSIONS,
+           "(_ATOM, [repr(value)])", "(_ATOM, [repr(literal)])",
+           ("tests/test_problem_file.py::"
+            "test_literals_of_other_number_types_dump_as_plain_text_that_reloads",)),
+    Mutant("the-tape-power-not-an-int", EXPRESSIONS,
+           "column, power = operands[0], int(literal)", "column, power = operands[0], literal",
+           (f"{T_EXPR}::test_an_integral_power_of_another_number_type_solves_as_an_int",)),
+    # the solver step and the tape recurrences, against the residual identity
+    Mutant("sub-weighted-1-0.999", EXPRESSIONS,
+           "Sub: (1.0, -1.0)", "Sub: (1.0, -0.999)",
+           (f"{T_IDENTITY}::test_residual_of_an_affine_f_is_its_next_polynomial",)),
+    Mutant("mul-coeff-drops-its-last-product", EXPRESSIONS,
+           "for i in range(k + 1)))", "for i in range(k)))",
+           (f"{T_IDENTITY}::test_residual_of_an_affine_f_is_its_next_polynomial",)),
+    Mutant("bleed-weight-off-by-0.1%", SOLVER,
+           "problem.alpha1 * bleed / D", "problem.alpha1 * bleed * 1.001 / D",
+           (f"{T_IDENTITY}::test_every_partial_sum_solves_its_linear_problem",)),
+    Mutant("inhomogeneous-term-dropped", SOLVER,
+           "inhomogeneous if k == 0 else 0.0", "0.0",
+           (f"{T_IDENTITY}::test_every_partial_sum_solves_its_linear_problem",)),
+    Mutant("image-sign-flipped", SOLVER,
+           "bleed / D, -1.0,", "bleed / D, 1.0,",
+           (f"{T_IDENTITY}::test_every_partial_sum_solves_its_linear_problem",)),
+)
+
+
+def _pytest(tree: Path, tests) -> int:
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(command, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def run(mutants) -> int:
+    """Run the clean copy and each mutant; print one line each and return the exit status."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        for name in COPIED:
+            if (ROOT / name).is_dir():
+                shutil.copytree(ROOT / name, tree / name,
+                                ignore=shutil.ignore_patterns("__pycache__", ".*"))
+            else:
+                shutil.copy(ROOT / name, tree / name)
+        every_test = sorted({t for m in mutants for t in m.tests})
+        if _pytest(tree, every_test) != 0:
+            print("the clean copy fails its tests")
+            return 1
+        missed = 0
+        for m in mutants:
+            path = tree / m.path
+            text = path.read_text()
+            if text.count(m.old) != 1:
+                raise ValueError(f"{m.id}: its old text is not once in {m.path}")
+            started = time.perf_counter()
+            path.write_text(text.replace(m.old, m.new))
+            try:
+                caught = _pytest(tree, m.tests) == 1  # 1: tests ran and some failed
+            finally:
+                path.write_text(text)
+            missed += not caught
+            seconds = time.perf_counter() - started
+            print(f"{'caught' if caught else 'MISSED'}  {m.id}  ({seconds:.1f} s)")
+        print(f"{len(mutants) - missed} of {len(mutants)} mutants caught")
+        return 1 if missed else 0
+
+
+if __name__ == "__main__":
+    chosen = sys.argv[1:]
+    unknown = set(chosen) - {m.id for m in MUTANTS}
+    if unknown:
+        sys.exit(f"unknown mutant ids: {sorted(unknown)}")
+    sys.exit(run([m for m in MUTANTS if not chosen or m.id in chosen]))

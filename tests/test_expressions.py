@@ -203,7 +203,7 @@ def test_depth_is_checked_before_variables_and_f_before_exact():
         Problem(**{**PROBLEM_DATA, "f": Var("z")}, exact=left_nested_sum(Y, MAX_DEPTH + 1))
 
 
-# parse meets no such literal: its numbers are finite, and only x takes a non-integral power.
+# parse meets no such literal: its numbers are finite floats, and only x takes a non-integral power.
 @pytest.mark.parametrize("entry,e,error,message", [
     ("f", Add(Y, Constant(math.nan)), InvalidProblem, "f has the non-finite number nan"),
     ("f", PowInt(Y, 2.5), InvalidProblem, "f has the non-integral power 2.5"),
@@ -211,7 +211,14 @@ def test_depth_is_checked_before_variables_and_f_before_exact():
      "exact solution has the non-finite number inf"),
     ("reference", Add(X, Constant(-math.inf)), InvalidExactSolution,
      "reference has the non-finite number -inf"),
-], ids=["f-constant", "f-power", "exact-exponent", "reference-constant"])
+    ("f", Add(Var("z"), PowInt(Y, "2")), InvalidProblem,  # the literal before the variable
+     "f has a literal of type str, not a real number"),
+    ("exact", Mul(X, PowXReal(0.5j)), InvalidExactSolution,
+     "exact solution has a literal of type complex, not a real number"),
+    ("reference", Add(X, Constant(None)), InvalidExactSolution,
+     "reference has a literal of type NoneType, not a real number"),
+], ids=["f-constant", "f-power", "exact-exponent", "reference-constant",
+        "f-str-power", "exact-complex-exponent", "reference-none-constant"])
 def test_each_entry_point_rejects_a_bad_literal_with_its_own_error(entry, e, error, message):
     with pytest.raises(error) as exc:
         ENTRY_POINTS[entry](e)

@@ -333,25 +333,24 @@ def _reference_sum(raw):
 def _fused_oracle(parts, products, fused_max=FUSED_PRODUCT_TERMS):
     """The weighted sum with small raw products joining it unmerged, term by term.
 
-    The live parts come first.  Then each product with two nonzero factors is
-    formed in order, at any weight.  If the sum has another live part or
-    product, at most ``fused_max`` raw terms enter as they are, checked to be
-    finite; any other product is normalized alone.  Then the whole sum is
+    Parts and products of weight 0, and products with a zero factor, are
+    skipped.  The live parts come first.  Then each product is formed in
+    order: at most ``fused_max`` raw terms enter as they are, checked to be
+    finite; a larger product is normalized alone.  Then the whole sum is
     normalized once.
     """
     weighted = [(w * c, e) for w, s in parts if w != 0.0 for c, e in _terms(s)]
-    products = [(w, a, b) for w, a, b in products if not (a.is_zero or b.is_zero)]
-    pieces = len(products) + sum(w != 0.0 and not s.is_zero for w, s in parts)
     for w, a, b in products:
+        if w == 0.0 or a.is_zero or b.is_zero:
+            continue
         pairs = [(ca * cb, ea + eb) for ca, ea in _terms(a) for cb, eb in _terms(b)]
-        if pieces < 2 or len(pairs) > fused_max:
+        if len(pairs) > fused_max:
             pairs = _reference_sum(pairs)
         else:
             for c, e in pairs:
                 if not (math.isfinite(c) and math.isfinite(e)):
                     raise NonFiniteTerm(f"term ({c!r}, {e!r}) is not finite")
-        if w != 0.0:
-            weighted += [(w * c, e) for c, e in pairs]
+        weighted += [(w * c, e) for c, e in pairs]
     return _reference_sum(weighted)
 
 
@@ -397,9 +396,9 @@ def test_the_cancelling_example_tells_the_fused_sum_from_the_nested_one():
 @pytest.mark.parametrize("others", ["part", "alone", "beside_zero_weight"])
 @pytest.mark.parametrize("rows", [16, 17])
 def test_a_product_joins_the_sum_raw_up_to_fused_product_terms(rows, others):
-    # 16 x 16 = FUSED_PRODUCT_TERMS raw terms join the sum unmerged, 17 x 16 do
-    # not, and a product that is the sum's only piece is normalized alone; a
-    # product of weight 0 is a piece too
+    # 16 x 16 = FUSED_PRODUCT_TERMS raw terms join the sum unmerged, also when
+    # the product is the sum's only piece, and 17 x 16 do not; a product of
+    # weight 0 is skipped
     assert 16 * 16 == FUSED_PRODUCT_TERMS
     rng = np.random.default_rng(rows)
     a = from_arrays(rng.uniform(-1.0, 1.0, rows), np.arange(rows, dtype=float))
@@ -413,13 +412,8 @@ def test_a_product_joins_the_sum_raw_up_to_fused_product_terms(rows, others):
     want = _fused_oracle(parts, products)
     _assert_combine_matches(parts, products, want)
     # the other contract gives other bits here
-    if others != "alone":
-        raw = rows * 16 <= FUSED_PRODUCT_TERMS
-        other = _fused_oracle(parts, products, fused_max=0 if raw else DEFAULT_TERM_CAP)
-    else:
-        other = _reference_sum([(0.3 * (ca * cb), ea + eb)
-                                for ca, ea in _terms(a) for cb, eb in _terms(b)])
-    assert want != other
+    raw = rows * 16 <= FUSED_PRODUCT_TERMS
+    assert want != _fused_oracle(parts, products, fused_max=0 if raw else DEFAULT_TERM_CAP)
 
 
 def test_a_raw_product_left_alone_is_still_normalized():
@@ -466,12 +460,11 @@ def test_an_overflowing_product_before_a_wide_one_that_overflows_names_the_error
         combine((), [(1.0, _BIG, _BIG), (1.0, a, b)])
 
 
-def test_an_overflowing_product_of_weight_0_is_a_non_finite_term():
-    part, far = GPSeries.monomial(2.0, 0.5), GPSeries.monomial(1e200, 0.75)
-    with pytest.raises(NonFiniteTerm, match=r"^term \(inf, 1\.0\) is not finite$"):
-        combine([(1.0, part)], [(0.0, _BIG, _BIG)])
-    with pytest.raises(NonFiniteTerm, match=r"^term \(inf, 1\.0\) is not finite$"):
-        combine([(1.0, part)], [(1.0, _BIG, _BIG), (0.0, far, far)])
+def test_a_product_of_weight_0_is_skipped_before_it_is_formed():
+    # so neither its overflow nor its size past the cap is an error
+    part, wide = GPSeries.monomial(2.0, 0.5), _powers(101)
+    assert combine([(1.0, part)], [(0.0, _BIG, _BIG)]) == part
+    assert combine([(1.0, part)], [(-0.0, wide, wide), (1.0, part, GPSeries.zero())]) == part
 
 
 @pytest.mark.parametrize("factor,named",

@@ -134,3 +134,23 @@ def test_layout_touches_no_subtree_hash_or_equality(monkeypatch):
 ])
 def test_equal_subtrees_share_one_node(source, nodes):
     assert len(Tape(parse(source))._program) == nodes
+
+
+# --- a product by a number is one weighted part --------------------------------------
+
+E = "exp(y)*(x*yp + 0.5)"
+MULTIPLES = [(f"2.5*({E})", 2.5), (f"({E})*2.5", 2.5), (f"-2.5*({E})", -2.5),
+             (f"(3 - 0.7)*({E})", 3.0 - 0.7), (f"3*0.7*({E})", 3.0 * 0.7), (f"0*({E})", 0.0)]
+
+
+@pytest.mark.parametrize("source,value", MULTIPLES,
+                         ids=["c*e", "e*c", "-c*e", "(c1-c2)*e", "c1*c2*e", "0*e"])
+def test_a_product_by_a_number_is_one_weighted_part(monkeypatch, source, value):
+    components = solve(benchmark_problem(2, 0.5, 1.0), 8).components
+    plain, multiple = Tape(parse(E)), Tape(parse(source))
+    calls = _counting(monkeypatch, "combine", lambda parts, products=(): (len(parts), len(products)))
+    for y in components:
+        want = series_module.mul(GPSeries.constant(value), plain.extend(y, differentiate(y)))
+        calls.clear()
+        assert multiple.extend(y, differentiate(y)) == want
+        assert calls[-1] == (1, 0)  # the root, c*e, is the last node
