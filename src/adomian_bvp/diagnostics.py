@@ -17,7 +17,7 @@ from .errors import InvalidExactSolution, InvalidProblem, NonFiniteTerm
 from .expressions import Expr, check_expr, eval_real
 from .series import GPSeries
 from .singular_operator import apply_forward
-from .solver import Problem
+from .solver import Problem, check_count
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value for ==
@@ -32,6 +32,7 @@ class ErrorReport:
 
 
 def _uniform_grid(grid_size: int) -> np.ndarray:
+    grid_size = check_count(grid_size, "grid_size")
     if grid_size < 1:
         raise InvalidProblem(f"grid_size must be at least 1, got {grid_size!r}")
     return np.arange(1, grid_size + 1, dtype=float) / grid_size
@@ -45,7 +46,7 @@ def max_error(
     Raises:
         InvalidExactSolution: the reference nests deeper than ``MAX_DEPTH``
             levels, has a literal that is not a finite real, or mentions y or yp.
-        InvalidProblem: grid_size < 1.
+        InvalidProblem: grid_size is not an integer, or grid_size < 1.
         NonFiniteTerm: psi, the reference or their difference overflows.
     """
     check_expr(exact, {"x"}, InvalidExactSolution, "reference")
@@ -72,7 +73,7 @@ def residual(
     """(x^alpha psi')' - x^sigma f(x, psi, psi') sampled on the uniform grid.
 
     Raises:
-        InvalidProblem: grid_size < 1.
+        InvalidProblem: grid_size is not an integer, or grid_size < 1.
         NonFiniteTerm: some term of the residual overflows.
     """
     xs = _uniform_grid(grid_size)

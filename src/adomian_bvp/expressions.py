@@ -31,7 +31,7 @@ Every reader but the parser walks one iterative layout of the AST, its distinct 
 objects operands first, so a subtree object that several parents share is read once.
 
 An operator's symbol and precedence live only in ``_INFIX`` (binary operators by
-level) and ``_FUNCTIONS``; the parser, printer and both evaluators read them.
+level) and ``_FUNCTIONS``; the parser and the printer read them.
 """
 
 from __future__ import annotations
@@ -126,7 +126,7 @@ class Ln:
 
 
 Expr = Union[Constant, Var, Neg, Add, Sub, Mul, Div, PowInt, PowXReal, Exp, Ln]
-_NODES = get_args(Expr)  # a tuple, which isinstance checks far faster than the Union
+_NODES = get_args(Expr)
 
 X = Var("x")
 Y = Var("y")

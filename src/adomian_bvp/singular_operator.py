@@ -95,8 +95,8 @@ def apply_inverse(ctx: OperatorContext, g: GPSeries) -> GPSeries:
 
 
 def inverse_at_one(ctx: OperatorContext, g: GPSeries) -> float:
-    """The inverse image evaluated at x = 1 (both powers of x collapse to 1)."""
-    return gps.evaluate(apply_inverse(ctx, g), 1.0)
+    """The inverse image at x = 1: the sum of its coefficients, as every power of 1 is 1."""
+    return sum(apply_inverse(ctx, g).coeffs.tolist(), 0.0)
 
 
 def apply_forward(alpha: float, u: GPSeries) -> GPSeries:

@@ -22,6 +22,7 @@ by construction — no algebraic equations for unknown constants arise.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -38,7 +39,7 @@ from .singular_operator import inverse_at_one  # noqa: F401
 
 @dataclass(frozen=True)
 class Problem:
-    """One boundary value problem instance.
+    """One boundary value problem instance, as checked data; :func:`solve` derives the rest.
 
     ``f`` is the source nonlinearity over {x, y, yp}; ``exact``, when given, is a
     reference solution over {x} used only by the diagnostics.  Each nests at most
@@ -59,7 +60,7 @@ class Problem:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise InvalidProblem(f"{name} must be finite, got {value!r}")
-        self.operator_context  # raises InvalidProblem unless 0 <= alpha < 1
+        OperatorContext(self.alpha, self.sigma)  # raises InvalidProblem unless 0 <= alpha < 1
         if not self.alpha1 > 0.0:
             raise InvalidProblem(f"alpha1 must be positive, got {self.alpha1!r}")
         if not self.beta1 >= 0.0:
@@ -67,15 +68,6 @@ class Problem:
         check_expr(self.f, {"x", "y", "yp"}, InvalidProblem, "f")
         if self.exact is not None:
             check_expr(self.exact, {"x"}, InvalidExactSolution, "exact solution")
-
-    @property
-    def operator_context(self) -> OperatorContext:
-        return OperatorContext(self.alpha, self.sigma)
-
-    @property
-    def mixing_denominator(self) -> float:
-        """D = alpha1*h(1) + beta1*h'(1) > 0; h(1) = 1/(1-alpha) >= 1, h'(1) = 1."""
-        return self.alpha1 * (1.0 / (1.0 - self.alpha)) + self.beta1
 
 
 @dataclass(frozen=True)
@@ -101,19 +93,28 @@ class SolveReport:
         return len(self.partial_sums)
 
 
+def check_count(value: object, name: str) -> int:
+    """``value`` as an int if ``operator.index`` takes it; InvalidProblem naming ``name`` if not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidProblem(f"{name} must be an integer, got {value!r}") from None
+
+
 def solve(problem: Problem, n: int = 10) -> SolveReport:
     """Run the recursion for n components and return them with their running sums.
 
     Raises:
-        InvalidProblem: n < 1.
+        InvalidProblem: n is not an integer, or n < 1.
         AdmError: ring/operator failures, re-raised tagged with the step index.
     """
+    n = check_count(n, "n")
     if n < 1:
         raise InvalidProblem(f"need at least one component, got n = {n!r}")
 
-    ctx = problem.operator_context
+    ctx = OperatorContext(problem.alpha, problem.sigma)
     H = h_series(ctx)
-    D = problem.mixing_denominator
+    D = problem.alpha1 * sum(H.coeffs.tolist(), 0.0) + problem.beta1  # h(1) = H(1), h'(1) = 1
 
     psi = y = GPSeries.constant(problem.eta1)
     components, partial_sums = [y], [psi]
@@ -143,7 +144,8 @@ def solve(problem: Problem, n: int = 10) -> SolveReport:
 
 
 def partial_sum(report: SolveReport, m: int) -> GPSeries:
-    """psi_m, the sum of the first m components, 1 <= m <= n."""
+    """psi_m, the sum of the first m components, for an integer m in [1, n]."""
+    m = check_count(m, "m")
     if not 1 <= m <= report.n:
         raise InvalidProblem(f"m must lie in [1, {report.n}], got {m!r}")
     return report.partial_sums[m - 1]

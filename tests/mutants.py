@@ -35,10 +35,11 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # "path::function", relative to the repository root
 
 
-SERIES, EXPRESSIONS, SOLVER = (f"src/adomian_bvp/{m}.py"
-                               for m in ("series", "expressions", "solver"))
-T_SERIES, T_TAPE, T_EXPR, T_IDENTITY = (f"tests/test_{m}.py" for m in
-                                        ("series", "tape", "expressions", "residual_identity"))
+SERIES, EXPRESSIONS, SOLVER, DIAGNOSTICS, LAMBDA_RING = (
+    f"src/adomian_bvp/{m}.py"
+    for m in ("series", "expressions", "solver", "diagnostics", "lambda_ring"))
+T_SERIES, T_TAPE, T_EXPR, T_IDENTITY, T_SOLVER = (
+    f"tests/test_{m}.py" for m in ("series", "tape", "expressions", "residual_identity", "solver"))
 
 _LAYOUT_LOOP = """\
     while stack:
@@ -168,6 +169,37 @@ MUTANTS = (
     Mutant("image-sign-flipped", SOLVER,
            "bleed / D, -1.0,", "bleed / D, 1.0,",
            (f"{T_IDENTITY}::test_every_partial_sum_solves_its_linear_problem",)),
+    Mutant("eta1-repair-dropped", SOLVER,
+           "psi = GPSeries(components[0].terms + psi.terms)", "psi = psi",
+           (f"{T_SOLVER}::test_partial_sums_keep_a_tiny_eta1_at_zero",)),
+    Mutant("partial-sums-one-component-behind", SOLVER,
+           "partial_sums.append(psi)", "partial_sums.append(partial_sums[-1])",
+           (f"{T_IDENTITY}::test_every_partial_sum_solves_its_linear_problem",)),
+    # the Robin denominator and the checks of Problem
+    Mutant("h-at-one-respelled-in-d", SOLVER,
+           "problem.alpha1 * sum(H.coeffs.tolist(), 0.0)", "problem.alpha1 / (1.0 - problem.alpha)",
+           ("tests/test_golden_psi.py::test_psi_bit_identical_to_fixture",)),
+    Mutant("no-alpha-check-in-problem", SOLVER,
+           "OperatorContext(self.alpha, self.sigma)  #", "#",
+           (f"{T_SOLVER}::test_problem_validation",
+            f"{T_SOLVER}::test_problem_checks_alpha_before_the_boundary_data")),
+    # counts are integers where they enter
+    Mutant("n-not-checked-as-an-integer", SOLVER,
+           'n = check_count(n, "n")', "n = n",
+           (f"{T_SOLVER}::test_solve_takes_an_integer_n_only",)),
+    Mutant("m-not-checked-as-an-integer", SOLVER,
+           'm = check_count(m, "m")', "m = m",
+           (f"{T_SOLVER}::test_partial_sum_takes_an_integer_m_only",)),
+    Mutant("grid-size-not-checked-as-an-integer", DIAGNOSTICS,
+           'grid_size = check_count(grid_size, "grid_size")', "grid_size = grid_size",
+           ("tests/test_diagnostics.py::test_grid_size_is_an_integer_only",)),
+    # the depth walk and the ring's order guard
+    Mutant("depth-walk-one-level-short", EXPRESSIONS,
+           "if depths[-1] > MAX_DEPTH:", "if depths[-1] >= MAX_DEPTH:",
+           (f"{T_EXPR}::test_each_entry_point_accepts_the_depth_bound",)),
+    Mutant("extract-guard-off-by-one", LAMBDA_RING,
+           "n >= len(f_of_lambda)", "n > len(f_of_lambda)",
+           ("tests/test_lambda_ring.py::test_extract_order_guard",)),
 )
 
 

@@ -1,5 +1,7 @@
 """Error reports, residuals, the quadrature cross-check, and table formatting."""
 
+import re
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from support import QuadratureFailure, left_nested_sum, quadrature_oracle
 
 from adomian_bvp.benchmarks import benchmark_problem
 from adomian_bvp.diagnostics import format_error_table, max_error, residual
-from adomian_bvp.errors import InvalidExactSolution, NonFiniteTerm
+from adomian_bvp.errors import InvalidExactSolution, InvalidProblem, NonFiniteTerm
 from adomian_bvp.expressions import MAX_DEPTH, X, eval_real, parse
 from adomian_bvp.series import GPSeries, differentiate, evaluate
 from adomian_bvp.singular_operator import OperatorContext, apply_forward, apply_inverse
@@ -40,6 +42,19 @@ def test_max_error_grid_definition():
     assert max_error(psi, exact, 1).grid.tolist() == [1.0]
     with pytest.raises(ValueError):
         max_error(psi, exact, 0)
+
+
+def test_grid_size_is_an_integer_only():
+    problem = benchmark_problem(1, 0.5, 1.0)
+    psi = solve(problem, 3).psi
+    assert max_error(psi, problem.exact, np.int64(4)).grid.tolist() == [0.25, 0.5, 0.75, 1.0]
+    assert [x for x, _ in residual(psi, problem, np.int64(4))] == [0.25, 0.5, 0.75, 1.0]
+    for size in (2.5, 2.0, "4", None):
+        message = f"^grid_size must be an integer, got {re.escape(repr(size))}$"
+        with pytest.raises(InvalidProblem, match=message):
+            max_error(psi, problem.exact, size)
+        with pytest.raises(InvalidProblem, match=message):
+            residual(psi, problem, size)
 
 
 def test_max_error_locates_maximum():

@@ -1,10 +1,11 @@
-"""The decomposition ring: the facade's contract, then the A_k oracles on the tape.
+"""The decomposition ring: the facade's contract, then A_k oracles on the tape.
 
 The facade (``lambda_ring``) takes ring elements as plain tuples of series,
 entry k the coefficient of parameter power k.  Its tests pin that each
 ``ring_*`` is its one-node tape run, lifting, and the two order guards.  The
 oracles below run on ``Tape.extend`` directly: one call per parameter power,
-through :func:`_tape_run` or ``support.adomian_polynomials``.
+through :func:`_tape_run` or ``support.adomian_polynomials``.  They are moving
+to ``tests/test_tape.py``, where the last three already are.
 """
 
 import math
@@ -12,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from support import adomian_polynomials, taylor_gap
+from support import adomian_polynomials
 
 from adomian_bvp.errors import (
     DivisionByZeroSeries,
@@ -291,46 +292,3 @@ def test_a0_of_linear_nonlinearity():
     # f = x*yp + 0.5*y at first component 1: A_0 = 0.5
     (a0,) = adomian_polynomials(parse("x*yp + 0.5*y"), [GPSeries.constant(1.0)])
     assert _terms(a0) == [(pytest.approx(0.5), 0.0)]
-
-
-def test_a0_is_f_of_first_component():
-    # the order-zero slot of any composition equals f at the first component
-    rng = np.random.default_rng(5)
-    f = parse("exp(y)*(x*yp + 0.3) + 0.2*y")
-    for _ in range(10):
-        eta = float(rng.uniform(-1, 1))
-        comps = [GPSeries.constant(eta)] + [
-            GPSeries.monomial(rng.uniform(-1, 1), rng.uniform(0.5, 2.0))
-            for _ in range(3)
-        ]
-        a0 = adomian_polynomials(f, comps)[0]
-        for x in (0.3, 0.7):
-            assert evaluate(a0, x) == pytest.approx(eval_real(f, x, eta, 0.0))
-
-
-def test_linear_f_decouples_components():
-    # for linear f the k-th polynomial depends on component k alone
-    f = parse("2.5*(x*yp + 2*y)")
-    rng = np.random.default_rng(6)
-    comps = [GPSeries.constant(0.4)] + [
-        GPSeries.monomial(rng.uniform(-1, 1), rng.uniform(0.5, 3.0)) for _ in range(3)
-    ]
-    k = 2
-    alone = [ZERO] * k + [comps[k]]
-    assert adomian_polynomials(f, comps)[k] == adomian_polynomials(f, alone)[k]
-
-
-def test_composition_matches_direct_evaluation():
-    # anti-drift oracle: partial sums of A_n converge to f at the lifted point
-    rng = np.random.default_rng(7)
-    f = parse("exp(y)*(x*yp + 0.4)")
-    n_order = 6
-    comps = [GPSeries.constant(-0.5)] + [
-        GPSeries.monomial(rng.uniform(-0.4, 0.4), 0.5 + 0.5 * k)
-        for k in range(n_order)
-    ]
-    composed = adomian_polynomials(f, comps)
-    for x in (0.3, 0.7):
-        for lam in (0.1, 0.5):
-            gap = taylor_gap(f, comps, composed, x, lam)
-            assert gap <= 10 * lam ** (n_order + 1)

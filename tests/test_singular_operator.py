@@ -64,8 +64,11 @@ def test_h_at_one_equals_context_value():
         h1 = evaluate(h_series(OperatorContext(alpha, 0.0)), 1.0)
         assert h1 == pytest.approx(1.0 / (1.0 - alpha), rel=1e-14)
         problem = Problem(alpha=alpha, sigma=0.0, f=parse("0"), eta1=0.0,
-                          alpha1=2.0, beta1=0.5, gamma1=0.0)
-        assert problem.mixing_denominator == pytest.approx(2.0 * h1 + 0.5, rel=1e-14)
+                          alpha1=2.0, beta1=0.5, gamma1=1.5)
+        # f = 0 and eta1 = 0 leave y_1 = (gamma1/D)*h, with D = alpha1*h(1) + beta1
+        y1 = solve(problem, 2).components[1]
+        assert _terms(y1) == [(pytest.approx(1.5 / ((2.0 * h1 + 0.5) * (1.0 - alpha)),
+                                             rel=1e-14), 1.0 - alpha)]
 
 
 # --- inverse images ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Recursion correctness: printed-component regressions and structural properties."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -71,6 +72,16 @@ def test_partial_sum_bounds_and_identity():
         partial_sum(report, 0)
     with pytest.raises(ValueError):
         partial_sum(report, 5)
+
+
+def test_partial_sum_takes_an_integer_m_only():
+    report = solve(benchmark_problem(1, 0.5, 1.0), 3)
+    assert partial_sum(report, np.int64(2)) is report.partial_sums[1]
+    assert partial_sum(report, True) is report.partial_sums[0]
+    for m in (2.0, "2", None):
+        message = f"^m must be an integer, got {re.escape(repr(m))}$"
+        with pytest.raises(InvalidProblem, match=message):
+            partial_sum(report, m)
 
 
 def test_partial_sum_two_components():
@@ -214,6 +225,18 @@ def test_invalid_problem_is_an_input_error_and_a_value_error():
 def test_solve_needs_positive_n():
     with pytest.raises(ValueError):
         solve(benchmark_problem(1, 0.5, 1.0), 0)
+
+
+def test_solve_takes_an_integer_n_only():
+    problem = benchmark_problem(1, 0.5, 1.0)
+    assert solve(problem, np.int64(3)).psi == solve(problem, 3).psi
+    assert solve(problem, True).n == 1
+    for n in (3.0, "3", 2.5, None):
+        message = f"^n must be an integer, got {re.escape(repr(n))}$"
+        with pytest.raises(InvalidProblem, match=message):
+            solve(problem, n)
+    with pytest.raises(InvalidProblem, match=r"^need at least one component, got n = 0$"):
+        solve(problem, np.int64(0))
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Incremental Taylor-coefficient tape: respellings, integer powers, step cost."""
+"""Incremental Taylor-coefficient tape: respellings, integer powers, step cost, A_k oracles."""
 
 from dataclasses import replace
 
@@ -9,11 +9,12 @@ from support import adomian_polynomials, taylor_gap
 
 import adomian_bvp.series as series_module
 from adomian_bvp.benchmarks import benchmark_problem
-from adomian_bvp.expressions import Add, Tape, Var, parse, to_source
-from adomian_bvp.series import GPSeries, differentiate, evaluate_many
+from adomian_bvp.expressions import Add, Tape, Var, eval_real, parse, to_source
+from adomian_bvp.series import GPSeries, differentiate, evaluate, evaluate_many
 from adomian_bvp.solver import Problem, solve
 
 GRID = np.arange(1, 1001) / 1000.0
+ZERO = GPSeries.zero()
 
 
 # --- equivalent spellings take other recurrences to the same psi ------------------
@@ -154,3 +155,49 @@ def test_a_product_by_a_number_is_one_weighted_part(monkeypatch, source, value):
         calls.clear()
         assert multiple.extend(y, differentiate(y)) == want
         assert calls[-1] == (1, 0)  # the root, c*e, is the last node
+
+
+# --- decomposition polynomials against direct evaluation -----------------------------
+
+
+def test_a0_is_f_of_first_component():
+    # the order-zero slot of any composition equals f at the first component
+    rng = np.random.default_rng(5)
+    f = parse("exp(y)*(x*yp + 0.3) + 0.2*y")
+    for _ in range(10):
+        eta = float(rng.uniform(-1, 1))
+        comps = [GPSeries.constant(eta)] + [
+            GPSeries.monomial(rng.uniform(-1, 1), rng.uniform(0.5, 2.0))
+            for _ in range(3)
+        ]
+        a0 = adomian_polynomials(f, comps)[0]
+        for x in (0.3, 0.7):
+            assert evaluate(a0, x) == pytest.approx(eval_real(f, x, eta, 0.0))
+
+
+def test_linear_f_decouples_components():
+    # for linear f the k-th polynomial depends on component k alone
+    f = parse("2.5*(x*yp + 2*y)")
+    rng = np.random.default_rng(6)
+    comps = [GPSeries.constant(0.4)] + [
+        GPSeries.monomial(rng.uniform(-1, 1), rng.uniform(0.5, 3.0)) for _ in range(3)
+    ]
+    k = 2
+    alone = [ZERO] * k + [comps[k]]
+    assert adomian_polynomials(f, comps)[k] == adomian_polynomials(f, alone)[k]
+
+
+def test_composition_matches_direct_evaluation():
+    # anti-drift oracle: partial sums of A_n converge to f at the lifted point
+    rng = np.random.default_rng(7)
+    f = parse("exp(y)*(x*yp + 0.4)")
+    n_order = 6
+    comps = [GPSeries.constant(-0.5)] + [
+        GPSeries.monomial(rng.uniform(-0.4, 0.4), 0.5 + 0.5 * k)
+        for k in range(n_order)
+    ]
+    composed = adomian_polynomials(f, comps)
+    for x in (0.3, 0.7):
+        for lam in (0.1, 0.5):
+            gap = taylor_gap(f, comps, composed, x, lam)
+            assert gap <= 10 * lam ** (n_order + 1)
