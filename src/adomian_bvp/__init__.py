@@ -7,7 +7,7 @@ components whose partial sums satisfy both boundary conditions exactly.
 """
 
 from . import benchmarks, diagnostics, problem_file
-from .diagnostics import ErrorReport, max_error, residual
+from .diagnostics import ErrorReport, max_error, max_errors, residual
 from .errors import AdmError, ComputeError, InputError
 from .expressions import Expr, eval_real, free_vars, parse, to_source
 from .series import GPSeries, Term, format_series, normalize
@@ -34,6 +34,7 @@ __all__ = [
     "free_vars",
     "h_series",
     "max_error",
+    "max_errors",
     "normalize",
     "parse",
     "partial_sum",

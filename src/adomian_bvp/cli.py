@@ -22,7 +22,7 @@ import os
 import sys
 
 from .benchmarks import BENCHMARK_IDS, BETA_FAMILIES, benchmark_problem
-from .diagnostics import format_error_table, max_error, residual
+from .diagnostics import format_error_table, max_error, max_errors, residual
 from .errors import AdmError, InputError, InvalidValue
 from .problem_file import dump_problem, load_problem
 from .series import format_series
@@ -83,8 +83,8 @@ def _cmd_table(args) -> int:
         for alpha in alphas:
             problem = benchmark_problem(args.example, alpha, beta)
             report = solve(problem, max(ns))
-            for n in ns:
-                err = max_error(partial_sum(report, n), problem.exact, args.grid)
+            errs = max_errors([partial_sum(report, n) for n in ns], problem.exact, args.grid)
+            for n, err in zip(ns, errs):
                 cells[(alpha, n)] = err.max_error
         label = f", beta = {beta:g}" if takes_beta else ""
         print(f"# example {args.example}{label}, grid = {args.grid}")

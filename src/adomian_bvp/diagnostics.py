@@ -3,12 +3,14 @@
 Accuracy of a partial sum is measured against a closed-form reference on the
 uniform grid x_i = i/grid_size, i = 1..grid_size — the left endpoint is
 excluded (the equation lives on the half-open interval), the right one
-included.
+included.  Several partial sums, such as one row of an error table, are
+measured in one call that evaluates the reference once (:func:`max_errors`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Iterable
 
 import numpy as np
 
@@ -18,6 +20,10 @@ from .expressions import Expr, check_expr, eval_real
 from .series import GPSeries
 from .singular_operator import apply_forward
 from .solver import Problem, check_count
+
+# The most grid points that max_error, max_errors and residual accept: each holds a few
+# arrays of grid_size floats, and max_errors one more per partial sum.
+MAX_GRID_SIZE = 1_000_000
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value for ==
@@ -35,36 +41,51 @@ def _uniform_grid(grid_size: int) -> np.ndarray:
     grid_size = check_count(grid_size, "grid_size")
     if grid_size < 1:
         raise InvalidProblem(f"grid_size must be at least 1, got {grid_size!r}")
+    if grid_size > MAX_GRID_SIZE:
+        raise InvalidProblem(f"grid_size must be at most {MAX_GRID_SIZE}, got {grid_size!r}")
     return np.arange(1, grid_size + 1, dtype=float) / grid_size
 
 
 def max_error(
     psi: GPSeries, exact: Expr, grid_size: int, n: int | None = None
 ) -> ErrorReport:
-    """Largest |psi(x_i) - exact(x_i)| over the uniform grid.
+    """:func:`max_errors` of the one partial sum psi, its report carrying ``n``."""
+    (report,) = max_errors((psi,), exact, grid_size)
+    return report if n is None else replace(report, n=n)
+
+
+def max_errors(
+    partial_sums: Iterable[GPSeries], exact: Expr, grid_size: int
+) -> list[ErrorReport]:
+    """Largest |psi(x_i) - exact(x_i)| over the uniform grid, one report per psi.
+
+    The reference is checked, and evaluated on the grid, once for all the
+    partial sums; the sums share each power of x (``series.evaluate_each``).
 
     Raises:
         InvalidExactSolution: the reference nests deeper than ``MAX_DEPTH``
             levels, has a literal that is not a finite real, or mentions y or yp.
-        InvalidProblem: grid_size is not an integer, or grid_size < 1.
-        NonFiniteTerm: psi, the reference or their difference overflows.
+        InvalidProblem: grid_size is not an integer, or lies outside
+            [1, ``MAX_GRID_SIZE``].
+        NonFiniteTerm: some psi, the reference or their difference
+            overflows; the first such psi names the error.
     """
     check_expr(exact, {"x"}, InvalidExactSolution, "reference")
     xs = _uniform_grid(grid_size)
     with np.errstate(over="ignore", invalid="ignore"):
-        errors = np.abs(gps.evaluate_many(psi, xs) - eval_real(exact, xs))
-    if not np.all(np.isfinite(errors)):
-        raise NonFiniteTerm("psi - exact overflows on the grid")
+        values = gps.evaluate_each(partial_sums, xs)
+        reference = eval_real(exact, xs)
+        errors = [np.abs(v - reference) for v in values]
     xs.setflags(write=False)
-    errors.setflags(write=False)
-    imax = int(np.argmax(errors))
-    return ErrorReport(
-        n=n,
-        grid=xs,
-        errors=errors,
-        max_error=float(errors[imax]),
-        max_point=float(xs[imax]),
-    )
+    reports = []
+    for e in errors:
+        if not np.all(np.isfinite(e)):
+            raise NonFiniteTerm("psi - exact overflows on the grid")
+        e.setflags(write=False)
+        imax = int(np.argmax(e))
+        reports.append(ErrorReport(
+            n=None, grid=xs, errors=e, max_error=float(e[imax]), max_point=float(xs[imax])))
+    return reports
 
 
 def residual(

@@ -26,6 +26,8 @@ pure function; series can be shared freely between threads.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from typing import Iterable, NamedTuple, Sequence
 
@@ -344,20 +346,63 @@ def evaluate_many(a: GPSeries, xs: np.ndarray) -> np.ndarray:
     Raises:
         DomainError: some x < 0 or nan, or a negative exponent at x = 0.
     """
-    xs = np.asarray(xs, dtype=float)
-    outside = ~(xs >= 0.0)
-    if outside.any():
-        raise DomainError(f"series are evaluated at x >= 0, got x = {xs[outside][0]:g}")
-    has_zero = not xs.all()
-    if has_zero and len(a) and a.exponents[0] < -EXPONENT_MERGE_TOL:  # exponents ascend
-        raise DomainError(f"x^{a.exponents[0]:g} is singular at x = 0")
-    out = np.zeros_like(xs)
-    for c, e in zip(a.coeffs.tolist(), a.exponents.tolist()):
-        if has_zero and 0.0 < abs(e) <= EXPONENT_MERGE_TOL:  # 0**e := 1, as 0**0
-            out += c * np.power(xs, e, out=np.ones_like(xs), where=xs > 0.0)
-        else:
-            out += c * xs ** e
-    return out
+    return evaluate_each((a,), xs)[0]
+
+
+def evaluate_each(many: Iterable[GPSeries], xs: np.ndarray) -> list[np.ndarray]:
+    """:func:`evaluate_many` of each series on one grid, forming each power of x once.
+
+    The terms of all the series are walked in ascending exponent order.
+    xs**e is formed once per distinct exponent, and c * xs**e is added into
+    the output of each series that holds e.  So each output is summed from
+    0.0 in its own term order, bit for bit its :func:`evaluate_many`, and one
+    power array is alive at a time.
+
+    Raises:
+        DomainError: some x < 0 or nan, or a negative exponent at x = 0 in
+            the first series, in order, that has one.
+    """
+    many, xs = tuple(many), np.asarray(xs, dtype=float)
+    low = np.minimum.reduce(xs, axis=None) if xs.size else 1.0  # nan propagates
+    if not low >= 0.0:
+        raise DomainError(f"series are evaluated at x >= 0, got x = {xs[~(xs >= 0.0)][0]:g}")
+    has_zero = low == 0.0
+    for a in many:
+        if has_zero and len(a) and a.exponents[0] < -EXPONENT_MERGE_TOL:  # exponents ascend
+            raise DomainError(f"x^{a.exponents[0]:g} is singular at x = 0")
+    outs = [np.zeros_like(xs) for _ in many]
+    # (exponent, series index, output, coefficient): equal exponents merge in
+    # series order, and the index settles every tie before an output is compared.
+    streams = [
+        zip(a.exponents.tolist(), itertools.repeat(i), itertools.repeat(out), a.coeffs.tolist())
+        for i, (a, out) in enumerate(zip(many, outs))
+    ]
+    # Local names: the loop runs once per term, and a lookup per term costs about 1%.
+    term, last, multiply, power_of = np.empty_like(xs), None, np.multiply, _power
+    for e, _, out, c in streams[0] if len(streams) == 1 else heapq.merge(*streams):
+        if e != last:
+            power, last = power_of(xs, e, has_zero), e
+        out += multiply(c, power, term)  # c * power, into one reused buffer
+    return outs
+
+
+def _power(xs: np.ndarray, e: float, has_zero: bool) -> np.ndarray:
+    """xs**e, one scalar power; a grid with 0 takes 0**e := 1 for 0 < |e| <= the merge tolerance."""
+    if has_zero and 0.0 < abs(e) <= EXPONENT_MERGE_TOL:
+        return np.power(xs, e, out=np.ones_like(xs), where=xs > 0.0)
+    return xs ** e
+
+
+def at_one(a: GPSeries) -> float:
+    """The value at x = 1, where every power is 1: the coefficients added left to right from 0.0.
+
+    This is the sum :func:`evaluate_many` forms at x = 1, on every Python
+    version; the builtin ``sum`` of floats is compensated from Python 3.12 on.
+    """
+    total = 0.0
+    for c in a.coeffs.tolist():
+        total += c
+    return total
 
 
 def format_series(a: GPSeries) -> str:

@@ -95,8 +95,8 @@ def apply_inverse(ctx: OperatorContext, g: GPSeries) -> GPSeries:
 
 
 def inverse_at_one(ctx: OperatorContext, g: GPSeries) -> float:
-    """The inverse image at x = 1: the sum of its coefficients, as every power of 1 is 1."""
-    return sum(apply_inverse(ctx, g).coeffs.tolist(), 0.0)
+    """The inverse image at x = 1, read by :func:`series.at_one`."""
+    return gps.at_one(apply_inverse(ctx, g))
 
 
 def apply_forward(alpha: float, u: GPSeries) -> GPSeries:

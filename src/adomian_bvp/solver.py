@@ -114,7 +114,7 @@ def solve(problem: Problem, n: int = 10) -> SolveReport:
 
     ctx = OperatorContext(problem.alpha, problem.sigma)
     H = h_series(ctx)
-    D = problem.alpha1 * sum(H.coeffs.tolist(), 0.0) + problem.beta1  # h(1) = H(1), h'(1) = 1
+    D = problem.alpha1 * gps.at_one(H) + problem.beta1  # h(1) = H(1), h'(1) = 1
 
     psi = y = GPSeries.constant(problem.eta1)
     components, partial_sums = [y], [psi]
@@ -127,7 +127,7 @@ def solve(problem: Problem, n: int = 10) -> SolveReport:
         try:
             a_k = tape.extend(y, gps.differentiate(y))
             image = apply_inverse(ctx, a_k)
-            bleed = sum(image.coeffs.tolist(), 0.0)  # image(1): every power of 1 is 1
+            bleed = gps.at_one(image)  # image(1)
             weights = (problem.alpha1 * bleed / D, -1.0, inhomogeneous if k == 0 else 0.0)
             y = gps.combine(zip(weights, (H, image, H)))
             psi = gps.add(psi, y)

@@ -177,7 +177,7 @@ MUTANTS = (
            (f"{T_IDENTITY}::test_every_partial_sum_solves_its_linear_problem",)),
     # the Robin denominator and the checks of Problem
     Mutant("h-at-one-respelled-in-d", SOLVER,
-           "problem.alpha1 * sum(H.coeffs.tolist(), 0.0)", "problem.alpha1 / (1.0 - problem.alpha)",
+           "problem.alpha1 * gps.at_one(H)", "problem.alpha1 / (1.0 - problem.alpha)",
            ("tests/test_golden_psi.py::test_psi_bit_identical_to_fixture",)),
     Mutant("no-alpha-check-in-problem", SOLVER,
            "OperatorContext(self.alpha, self.sigma)  #", "#",
@@ -193,6 +193,22 @@ MUTANTS = (
     Mutant("grid-size-not-checked-as-an-integer", DIAGNOSTICS,
            'grid_size = check_count(grid_size, "grid_size")', "grid_size = grid_size",
            ("tests/test_diagnostics.py::test_grid_size_is_an_integer_only",)),
+    # one power per distinct exponent, the value at x = 1, and the grid bound
+    Mutant("power-reused-across-near-equal-exponents", SERIES,
+           "if e != last:", "if last is None or abs(e - last) > EXPONENT_MERGE_TOL:",
+           (f"{T_SERIES}::test_evaluate_each_is_each_series_term_by_term",)),
+    Mutant("term-added-into-the-first-output", SERIES,
+           "itertools.repeat(out),", "itertools.repeat(outs[0]),",
+           (f"{T_SERIES}::test_evaluate_each_is_each_series_term_by_term",
+            "tests/test_diagnostics.py::test_max_errors_is_max_error_of_each_partial_sum")),
+    Mutant("value-at-one-compensated", SERIES,
+           "    total = 0.0\n    for c in a.coeffs.tolist():\n        total += c\n    return total\n",
+           "    return math.fsum(a.coeffs.tolist())\n",
+           (f"{T_SERIES}::test_the_value_at_one_adds_left_to_right_from_zero",)),
+    Mutant("grid-bound-off-by-one", DIAGNOSTICS,
+           "if grid_size > MAX_GRID_SIZE:", "if grid_size >= MAX_GRID_SIZE:",
+           ("tests/test_diagnostics.py::test_grid_size_is_at_most_max_grid_size",
+            "tests/test_cli.py::test_one_grid_size_rule")),
     # the depth walk and the ring's order guard
     Mutant("depth-walk-one-level-short", EXPRESSIONS,
            "if depths[-1] > MAX_DEPTH:", "if depths[-1] >= MAX_DEPTH:",

@@ -16,14 +16,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from adomian_bvp import cli
+from adomian_bvp import cli, diagnostics, series
 from adomian_bvp.benchmarks import benchmark_problem
 from adomian_bvp.cli import main
-from adomian_bvp.diagnostics import max_error, residual
+from adomian_bvp.diagnostics import MAX_GRID_SIZE, max_error, residual
 from adomian_bvp.errors import InvalidProblem
 from adomian_bvp.expressions import MAX_DEPTH
 from adomian_bvp.problem_file import dump_problem, load_problem
-from adomian_bvp.solver import solve
+from adomian_bvp.solver import partial_sum, solve
 
 EX1_FILE = dump_problem(benchmark_problem(1, 0.5, 1.0))
 EX3_FILE = dump_problem(benchmark_problem(3, 0.5, 1.0))
@@ -371,35 +371,57 @@ def test_table_computes_each_repeated_value_once(monkeypatch, capsys, repeated, 
     assert main(common + unique) == 0
     want = capsys.readouterr().out
     calls = []
-    for name in ("solve", "max_error"):
+    for name in ("solve", "max_errors"):
         real = getattr(cli, name)
-        monkeypatch.setattr(
-            cli, name, lambda *a, name=name, real=real, **kw: calls.append(name) or real(*a, **kw)
-        )
+        monkeypatch.setattr(cli, name, lambda *a, name=name, real=real, **kw:
+                            calls.append((name, a[0])) or real(*a, **kw))
     assert main(common + repeated) == 0
     assert capsys.readouterr().out == want  # ns sorted, alphas and betas in first-seen order
-    assert calls.count("solve") == solves and calls.count("max_error") == 3 * solves
+    assert [name for name, _ in calls].count("solve") == solves
+    assert [len(sums) for name, sums in calls if name == "max_errors"] == [3] * solves
+
+
+def test_a_table_row_checks_and_evaluates_its_reference_once(monkeypatch, capsys):
+    # psi_5, psi_8 and psi_10 of one row share one reference and each power of x
+    calls, powers = [], []
+    for name in ("check_expr", "eval_real"):
+        real = getattr(diagnostics, name)
+        monkeypatch.setattr(diagnostics, name,
+                            lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    real_power = series._power
+    monkeypatch.setattr(series, "_power",
+                        lambda xs, e, has_zero: powers.append(e) or real_power(xs, e, has_zero))
+    assert main(["table", "--example", "1", "--alphas", "0.5", "--betas", "3.5"]) == 0
+    capsys.readouterr()
+    report = solve(benchmark_problem(1, 0.5, 3.5), 10)
+    exponents = {e for n in (5, 8, 10) for e in partial_sum(report, n).exponents.tolist()}
+    assert calls == ["check_expr", "eval_real"]
+    assert powers == sorted(exponents)  # ascending, each distinct exponent once
+    assert len(powers) < sum(len(partial_sum(report, n)) for n in (5, 8, 10))
 
 
 # --- grid size -----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("grid", [1, 0, -4])
+@pytest.mark.parametrize("grid", [1, 0, -4, MAX_GRID_SIZE, MAX_GRID_SIZE + 1])
 @pytest.mark.parametrize("caller", ["max_error", "residual", "cli solve", "cli table", "cli residual"])
 def test_one_grid_size_rule(ex1_path, capsys, caller, grid):
-    # the smallest grid is the one point x = 1, for the library and every command
-    message = f"grid_size must be at least 1, got {grid}"
+    # the smallest grid is the one point x = 1, the largest MAX_GRID_SIZE points,
+    # for the library and every command
+    valid = 1 <= grid <= MAX_GRID_SIZE
+    message = (f"grid_size must be at least 1, got {grid}" if grid < 1
+               else f"grid_size must be at most {MAX_GRID_SIZE}, got {grid}")
     if caller.startswith("cli "):
         command = caller[len("cli "):]
         args = ["--example", "1", "--ns", "2"] if command == "table" else [ex1_path, "--n", "2"]
-        assert main([command, *args, "--grid", str(grid)]) == (0 if grid >= 1 else 3)
-        assert capsys.readouterr().err == ("" if grid >= 1 else f"error: InvalidProblem({message})\n")
+        assert main([command, *args, "--grid", str(grid)]) == (0 if valid else 3)
+        assert capsys.readouterr().err == ("" if valid else f"error: InvalidProblem({message})\n")
         return
     problem = load_problem(ex1_path)
     psi = solve(problem, 2).psi
     call = {"max_error": lambda: max_error(psi, problem.exact, grid),
             "residual": lambda: residual(psi, problem, grid)}[caller]
-    if grid >= 1:
+    if valid:
         call()
     else:
         with pytest.raises(InvalidProblem, match=re.escape(message)):

@@ -9,7 +9,13 @@ import pytest
 from support import QuadratureFailure, left_nested_sum, quadrature_oracle
 
 from adomian_bvp.benchmarks import benchmark_problem
-from adomian_bvp.diagnostics import format_error_table, max_error, residual
+from adomian_bvp.diagnostics import (
+    MAX_GRID_SIZE,
+    format_error_table,
+    max_error,
+    max_errors,
+    residual,
+)
 from adomian_bvp.errors import InvalidExactSolution, InvalidProblem, NonFiniteTerm
 from adomian_bvp.expressions import MAX_DEPTH, X, eval_real, parse
 from adomian_bvp.series import GPSeries, differentiate, evaluate
@@ -57,6 +63,21 @@ def test_grid_size_is_an_integer_only():
             residual(psi, problem, size)
 
 
+def test_grid_size_is_at_most_max_grid_size():
+    problem = benchmark_problem(1, 0.5, 1.0)
+    psi = solve(problem, 3).psi
+    report = max_error(psi, problem.exact, MAX_GRID_SIZE)
+    assert len(report.grid) == MAX_GRID_SIZE and report.grid[-1] == 1.0
+    for size in (MAX_GRID_SIZE + 1, 10**18):  # refused before any array is allocated
+        message = f"^grid_size must be at most {MAX_GRID_SIZE}, got {size}$"
+        with pytest.raises(InvalidProblem, match=message):
+            max_error(psi, problem.exact, size)
+        with pytest.raises(InvalidProblem, match=message):
+            max_errors([psi, psi], problem.exact, size)
+        with pytest.raises(InvalidProblem, match=message):
+            residual(psi, problem, size)
+
+
 def test_max_error_locates_maximum():
     # psi - exact = 0.01*x^2, maximal at the right endpoint
     exact = parse("x")
@@ -96,6 +117,36 @@ def test_max_error_overflow_is_non_finite_term():
             max_error(psi, parse(exact), 10)
     with pytest.raises(NonFiniteTerm, match=r"'exp\(1000\.0\*x\)' overflows"):
         max_error(psi, parse("exp(1000*x)"), 10)
+
+
+@pytest.mark.parametrize("example,beta", [(1, 1.0), (1, 3.5), (2, 1.0), (3, 1.0), (3, 2.5)])
+def test_max_errors_is_max_error_of_each_partial_sum(example, beta):
+    # the published tables: one row is psi_5, psi_8 and psi_10 against one reference
+    for alpha in (0.25, 0.5, 0.75):
+        problem = benchmark_problem(example, alpha, beta)
+        report = solve(problem, 10)
+        sums = [partial_sum(report, n) for n in (5, 8, 10)]
+        reports = max_errors(sums, problem.exact, 1000)
+        assert len(reports) == len(sums)
+        for got, psi in zip(reports, sums):
+            want = max_error(psi, problem.exact, 1000)
+            assert got.n is want.n is None
+            assert got.grid.tobytes() == want.grid.tobytes()
+            assert got.errors.tobytes() == want.errors.tobytes()
+            assert (got.max_error, got.max_point) == (want.max_error, want.max_point)
+            assert not got.grid.flags.writeable and not got.errors.flags.writeable
+
+
+def test_max_errors_of_no_partial_sum_still_checks_the_reference():
+    assert max_errors([], parse("x"), 10) == []
+    with pytest.raises(InvalidExactSolution):
+        max_errors([], parse("y"), 10)
+
+
+def test_a_partial_sum_that_overflows_after_a_finite_one_is_a_non_finite_term():
+    sums = [GPSeries.constant(1.0), GPSeries.constant(1e308), GPSeries.constant(-1e308)]
+    with pytest.raises(NonFiniteTerm, match="^psi - exact overflows on the grid$"):
+        max_errors(sums, parse("-1e308 + 0*x"), 10)
 
 
 def test_benchmark_error_magnitude():

@@ -5,7 +5,7 @@ entry k the coefficient of parameter power k.  Its tests pin that each
 ``ring_*`` is its one-node tape run, lifting, and the two order guards.  The
 oracles below run on ``Tape.extend`` directly: one call per parameter power,
 through :func:`_tape_run` or ``support.adomian_polynomials``.  They are moving
-to ``tests/test_tape.py``, where the last three already are.
+to ``tests/test_tape.py``, where six already are.
 """
 
 import math
@@ -159,29 +159,6 @@ def test_extract_order_guard():
 
 
 # --- the tape's rules: products, exp / ln / recip / powi ----------------------------
-
-
-def test_ring_mul_binomial():
-    # (1 + x*lam)^2 = 1 + 2x*lam + x^2*lam^2
-    one_plus = (GPSeries.constant(1.0), GPSeries.monomial(1.0, 1.0), ZERO)
-    sq = _tape_run("y*yp", one_plus, one_plus)
-    assert _terms(sq[0]) == [(1.0, 0.0)]
-    assert _terms(sq[1]) == [(2.0, 1.0)]
-    assert _terms(sq[2]) == [(1.0, 2.0)]
-
-
-def test_exp_of_zero():
-    e = _tape_run("exp(y)", (ZERO,) * 4)
-    assert _terms(e[0]) == [(1.0, 0.0)]
-    assert all(c.is_zero for c in e[1:])
-
-
-def test_exp_first_order_around_constant():
-    # exp(-ln4 + c*x^0.5*lam) at order 1 -> 0.25 + 0.25c*x^0.5*lam
-    c = 0.7
-    e = _tape_run("exp(y)", (GPSeries.constant(-math.log(4.0)), GPSeries.monomial(c, 0.5)))
-    assert _terms(e[0]) == [(pytest.approx(0.25), 0.0)]
-    assert _terms(e[1]) == [(pytest.approx(0.25 * c), 0.5)]
 
 
 def test_exp_taylor_in_parameter():

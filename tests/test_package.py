@@ -101,6 +101,6 @@ def test_each_entry_point_checks_an_expression_in_one_walk():
     checks = collections.Counter(
         (name, fn.name) for name, fn in functions for called in _calls(fn) if called == "check_expr"
     )
-    # one call per expression: parse's result, Problem's f and exact, max_error's reference
+    # one call per expression: parse's result, Problem's f and exact, max_errors' reference
     assert checks == {("expressions.py", "parse"): 1, ("solver.py", "__post_init__"): 2,
-                      ("diagnostics.py", "max_error"): 1}
+                      ("diagnostics.py", "max_errors"): 1}

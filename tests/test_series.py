@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -606,6 +607,63 @@ def test_evaluate_many_matches_scalar():
                 assert [evaluate(psi, x) for x in xs[::40].tolist()] == grid[::40].tolist()
                 widest = max(widest, psi, key=len)
     assert [evaluate(widest, x) for x in xs.tolist()] == evaluate_many(widest, xs).tolist()
+
+
+def _term_by_term(a, xs):
+    """One series on a grid as evaluate_many first defined it: c * xs**e per term, from 0.0."""
+    xs = np.asarray(xs, dtype=float)
+    outside = ~(xs >= 0.0)
+    if outside.any():
+        raise DomainError(f"series are evaluated at x >= 0, got x = {xs[outside][0]:g}")
+    has_zero = not xs.all()
+    if has_zero and len(a) and a.exponents[0] < -EXPONENT_MERGE_TOL:
+        raise DomainError(f"x^{a.exponents[0]:g} is singular at x = 0")
+    out = np.zeros_like(xs)
+    for c, e in zip(a.coeffs.tolist(), a.exponents.tolist()):
+        if has_zero and 0.0 < abs(e) <= EXPONENT_MERGE_TOL:
+            out += c * np.power(xs, e, out=np.ones_like(xs), where=xs > 0.0)
+        else:
+            out += c * xs ** e
+    return out
+
+
+# Shared exponents, pairs less than EXPONENT_MERGE_TOL apart, and |e| <= the tolerance.
+_EXPONENTS = st.sampled_from(
+    [-0.5, -1e-13, 0.0, 1e-13, 0.25, 0.25 + 4e-13, 0.5, 0.5 - 1e-13, 1.0, 2.0, 2.0 + 5e-13]
+) | st.floats(-0.6, 4.0)
+_EVALUATED = st.lists(
+    st.tuples(st.floats(-10.0, 10.0), _EXPONENTS), max_size=8, unique_by=lambda t: t[1]
+).map(lambda terms: GPSeries(sorted(terms, key=lambda t: t[1])))
+_POINTS = st.sampled_from([0.0, 0.001, 0.3, 0.5, 1.0, 2.5, -0.25, math.nan]) | st.floats(0.0, 3.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(many=st.lists(_EVALUATED, min_size=1, max_size=4),
+       xs=st.lists(_POINTS, min_size=1, max_size=6))
+@example(many=[GPSeries([(1.0, 0.5), (2.0, 1.0)]), GPSeries([(3.0, 0.5), (-1.0, 1.0), (0.5, 2.0)])],
+         xs=[0.3, 0.7, 1.0])  # shared exponents
+@example(many=[GPSeries([(1.0, 0.5)]), GPSeries([(1.0, 0.5 + 4e-13)])],
+         xs=[0.3, 0.7])  # two exponents closer than the merge tolerance take two powers
+@example(many=[GPSeries([(2.0, 1e-13), (1.0, 0.5)])], xs=[0.0, 0.25])  # 0**1e-13 := 1
+@example(many=[GPSeries([(1.0, 0.5)]), GPSeries([(1.0, -0.5)]), GPSeries([(1.0, -0.25)])],
+         xs=[0.5, 0.0])  # the first singular series names the error
+def test_evaluate_each_is_each_series_term_by_term(many, xs):
+    xs = np.array(xs)
+    try:
+        want = [_term_by_term(a, xs).tobytes() for a in many]
+    except DomainError as err:
+        with pytest.raises(DomainError, match=f"^{re.escape(str(err))}$"):
+            series.evaluate_each(many, xs)
+        return
+    assert [values.tobytes() for values in series.evaluate_each(iter(many), xs)] == want
+    assert [evaluate_many(a, xs).tobytes() for a in many] == want
+
+
+def test_the_value_at_one_adds_left_to_right_from_zero():
+    # a compensated sum, such as the builtin sum from Python 3.12 on, gives 1.0000000000000002
+    a = GPSeries([(1.0, 0.0), (1e-16, 0.5), (1e-16, 1.0)])
+    assert series.at_one(a) == 1.0 == evaluate(a, 1.0)
+    assert series.at_one(GPSeries.zero()) == 0.0
 
 
 # --- display ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Incremental Taylor-coefficient tape: respellings, integer powers, step cost, A_k oracles."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -160,6 +161,17 @@ def test_a_product_by_a_number_is_one_weighted_part(monkeypatch, source, value):
 # --- decomposition polynomials against direct evaluation -----------------------------
 
 
+def _terms(series):
+    return [(t.coeff, t.exponent) for t in series.terms]
+
+
+def _tape_run(source, y, yp=None):
+    """Entries 0, 1, ... of the expression over the ring: one ``Tape.extend`` per
+    entry of ``y``, with ``yp`` (``y`` when absent) bound to y'."""
+    tape = Tape(parse(source))
+    return [tape.extend(a, b) for a, b in zip(y, y if yp is None else yp)]
+
+
 def test_a0_is_f_of_first_component():
     # the order-zero slot of any composition equals f at the first component
     rng = np.random.default_rng(5)
@@ -201,3 +213,26 @@ def test_composition_matches_direct_evaluation():
         for lam in (0.1, 0.5):
             gap = taylor_gap(f, comps, composed, x, lam)
             assert gap <= 10 * lam ** (n_order + 1)
+
+
+def test_ring_mul_binomial():
+    # (1 + x*lam)^2 = 1 + 2x*lam + x^2*lam^2
+    one_plus = (GPSeries.constant(1.0), GPSeries.monomial(1.0, 1.0), ZERO)
+    sq = _tape_run("y*yp", one_plus, one_plus)
+    assert _terms(sq[0]) == [(1.0, 0.0)]
+    assert _terms(sq[1]) == [(2.0, 1.0)]
+    assert _terms(sq[2]) == [(1.0, 2.0)]
+
+
+def test_exp_of_zero():
+    e = _tape_run("exp(y)", (ZERO,) * 4)
+    assert _terms(e[0]) == [(1.0, 0.0)]
+    assert all(c.is_zero for c in e[1:])
+
+
+def test_exp_first_order_around_constant():
+    # exp(-ln4 + c*x^0.5*lam) at order 1 -> 0.25 + 0.25c*x^0.5*lam
+    c = 0.7
+    e = _tape_run("exp(y)", (GPSeries.constant(-math.log(4.0)), GPSeries.monomial(c, 0.5)))
+    assert _terms(e[0]) == [(pytest.approx(0.25), 0.0)]
+    assert _terms(e[1]) == [(pytest.approx(0.25 * c), 0.5)]
