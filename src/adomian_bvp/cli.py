@@ -16,13 +16,16 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import os
 import sys
+from typing import Iterator
+
+import numpy as np
 
 from .benchmarks import BENCHMARK_IDS, BETA_FAMILIES, benchmark_problem
-from .diagnostics import format_error_table, max_error, max_errors, residual
+from .diagnostics import format_error_table, max_error, max_errors, residual_grid
+from .diagnostics import residual  # noqa: F401 -- bench/spans.py WRAPPED looks it up here
 from .errors import AdmError, InputError, InvalidValue
 from .problem_file import dump_problem, load_problem
 from .series import format_series
@@ -92,18 +95,19 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _residual_listing(pairs: list[tuple[float, float]]) -> str:
-    """One ``x  r`` line per pair, then the largest |r| and the first x where it occurs."""
-    sizes = [abs(r) for _, r in pairs]
-    worst = sizes.index(max(sizes))
-    return (("%.6f  % .10e\n" * len(pairs)) % tuple(itertools.chain.from_iterable(pairs))
-            + f"max |residual|: {sizes[worst]:.5e} at x = {pairs[worst][0]:g}\n")
+def _residual_listing(xs: np.ndarray, values: np.ndarray, lines: int = 10_000) -> Iterator[str]:
+    """``x  r`` lines, at most ``lines`` to a piece, then the largest |r| and its first x."""
+    for start in range(0, len(xs), lines):
+        pairs = np.column_stack((xs[start:start + lines], values[start:start + lines]))
+        yield ("%.6f  % .10e\n" * len(pairs)) % tuple(pairs.ravel().tolist())
+    worst = int(np.argmax(np.abs(values)))  # the first of equal sizes
+    yield f"max |residual|: {abs(values[worst]):.5e} at x = {xs[worst]:g}\n"
 
 
 def _cmd_residual(args) -> int:
     problem = load_problem(args.file)
     report = solve(problem, args.n)
-    sys.stdout.write(_residual_listing(residual(report.psi, problem, args.grid)))
+    sys.stdout.writelines(_residual_listing(*residual_grid(report.psi, problem, args.grid)))
     return 0
 
 

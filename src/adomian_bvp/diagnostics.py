@@ -88,13 +88,19 @@ def max_errors(
     return reports
 
 
-def residual(
+def residual(psi: GPSeries, problem: Problem, grid_size: int) -> list[tuple[float, float]]:
+    """:func:`residual_grid` as (x, r) pairs, in grid order."""
+    return list(zip(*(column.tolist() for column in residual_grid(psi, problem, grid_size))))
+
+
+def residual_grid(
     psi: GPSeries, problem: Problem, grid_size: int
-) -> list[tuple[float, float]]:
-    """(x^alpha psi')' - x^sigma f(x, psi, psi') sampled on the uniform grid.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The uniform grid and (x^alpha psi')' - x^sigma f(x, psi, psi') sampled on it.
 
     Raises:
-        InvalidProblem: grid_size is not an integer, or grid_size < 1.
+        InvalidProblem: grid_size is not an integer, or lies outside
+            [1, ``MAX_GRID_SIZE``].
         NonFiniteTerm: some term of the residual overflows.
     """
     xs = _uniform_grid(grid_size)
@@ -105,7 +111,7 @@ def residual(
         values = lhs - xs ** problem.sigma * eval_real(problem.f, xs, y, yp)
     if not np.all(np.isfinite(values)):
         raise NonFiniteTerm("the residual overflows on the grid")
-    return list(zip(xs.tolist(), values.tolist()))
+    return xs, values
 
 
 def format_error_table(

@@ -8,17 +8,14 @@ a handful of exact term-wise operations on it.
 
 Every operation builds its raw terms as arrays (a product an outer product,
 a weighted sum a concatenation) and hands them to one kernel,
-:func:`from_arrays`: a stable sort, a merge of exponents within
-``EXPONENT_MERGE_TOL`` of the first exponent of their group, and a relative
-prune.  The kernel reproduces the term-by-term definition bit for bit: equal
-exponents keep their input order, a group sums its coefficients in that
-order, and the first non-finite input term is the one an error names.
+:func:`from_arrays`: a sort of the exponents, a merge of near-equal ones and
+a relative prune.  It reproduces the term-by-term definition bit for bit,
+whatever order the sort gives equal exponents, and the first non-finite
+input term is the one an error names.
 
 :func:`combine` is every weighted sum, of series and of products of two
 series, such as one Cauchy sum of a recurrence; ``mul`` is its one-product
-call.  Raw products join the sum unmerged, so the sum is normalized once;
-only products of more than ``FUSED_PRODUCT_TERMS`` terms are normalized on
-their own first.
+call.  Raw products join the sum unmerged, so the sum is normalized once.
 
 Values are immutable (their arrays are read-only) and every operation is a
 pure function; series can be shared freely between threads.
@@ -45,11 +42,6 @@ PRUNE_REL_THRESHOLD = 1e-14
 # Products in the truncated-ring machinery grow combinatorially; fail loudly
 # rather than thrash.
 DEFAULT_TERM_CAP = 10_000
-
-# A raw product this small joins its Cauchy sum unmerged: one normalization of
-# the whole sum costs less than one of each product and then the sum.  Larger
-# products shrink enough in their own merge to pay for it.
-FUSED_PRODUCT_TERMS = 256
 
 
 class Term(NamedTuple):
@@ -159,7 +151,7 @@ def _raise_non_finite(coeffs: np.ndarray, exponents: np.ndarray) -> None:
 
 
 def _anchored_groups(exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group ids (from 1) and anchors, each group anchored at its first exponent."""
+    """Group ids (from 1) and anchors of sorted exponents, each group anchored at its first."""
     group = np.empty(len(exponents), dtype=np.intp)
     anchors: list[float] = []
     for i, e in enumerate(exponents.tolist()):
@@ -192,12 +184,12 @@ def _pruned(
 def from_arrays(coeffs: np.ndarray, exponents: np.ndarray) -> GPSeries:
     """Sort terms, merge near-equal exponents, drop negligible coefficients.
 
-    The kernel under every operation of this module.  Terms are sorted stably
-    by exponent.  A term whose exponent lies within ``EXPONENT_MERGE_TOL`` of
-    the first exponent of the current group joins it, and each group sums
-    its coefficients in input order.  Exact zeros and coefficients below
-    ``PRUNE_REL_THRESHOLD`` times the largest are dropped.  Idempotent.  The
-    input arrays are not modified.
+    The kernel under every operation of this module.  A term whose exponent
+    lies within ``EXPONENT_MERGE_TOL`` of the smallest exponent of its group,
+    in sorted order, joins it.  A group sums its coefficients in input order,
+    from 0.0, and takes that smallest exponent, a zero one as +0.0.  Exact
+    zeros and coefficients below ``PRUNE_REL_THRESHOLD`` times the largest
+    are dropped.  Idempotent.  The inputs are not modified.
 
     Raises:
         NonFiniteTerm: if any coefficient or exponent is NaN or infinite
@@ -208,8 +200,8 @@ def from_arrays(coeffs: np.ndarray, exponents: np.ndarray) -> GPSeries:
 
 def _merged(coeffs: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`from_arrays` on at least one term, as arrays."""
-    order = exponents.argsort(kind="stable")
-    c, e = coeffs[order], exponents[order]
+    order = exponents.argsort()
+    e = exponents[order]
     if not (math.isfinite(e[0]) and math.isfinite(e[-1])):  # NaN sorts last
         _raise_non_finite(coeffs, exponents)
     gaps = e[1:] - e[:-1]
@@ -221,13 +213,19 @@ def _merged(coeffs: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray, np.n
         # The group ids of head.cumsum(); an integer accumulate is cheaper.
         group, anchors = np.add.accumulate(head, dtype=np.intp), e[head]
         # These groups chain consecutive gaps, but a group is anchored at its
-        # first exponent.  The two differ only where the joined gaps of one
-        # group add up past the tolerance; unless the total of all joined
-        # gaps comes near it, that cannot happen.
+        # smallest exponent.  The two differ only where the joined gaps of one
+        # group add up past the tolerance; unless the total of all joined gaps
+        # comes near it, that cannot happen.
         if gaps @ joins > 0.5 * EXPONENT_MERGE_TOL:
             group, anchors = _anchored_groups(e)
-        c, e = np.bincount(group, weights=c)[1:], anchors
-    return _pruned(c, e, (coeffs, exponents))
+        # Each group adds its coefficients in input order: no coefficient is permuted.
+        at_input = np.empty_like(group)
+        at_input[order] = group
+        c, e = np.bincount(at_input, weights=coeffs)[1:], anchors
+    else:
+        c = coeffs[order]
+    # + 0.0 turns -0.0 to +0.0, so no zero exponent depends on the sort's order of ties
+    return _pruned(c, e + 0.0, (coeffs, exponents))
 
 
 def normalize(raw_terms: Iterable[Sequence[float]]) -> GPSeries:
@@ -245,56 +243,47 @@ def combine(
 ) -> GPSeries:
     """The weighted sum of the (weight, series) parts and (weight, a, b) products.
 
-    Three rules.  Every piece of weight 0, with a zero series or with a zero
-    factor, is skipped; such a product is never formed.  A raw product of
-    more than ``FUSED_PRODUCT_TERMS`` terms is normalized on its own first.
-    Everything else, the parts and then the products in order, is normalized
-    once as one sum; a single normalized piece is only scaled and pruned, as
-    its exponents are sorted and merged already.
+    Two rules.  Every piece of weight 0, with a zero series or with a zero
+    factor, is skipped; such a product is never formed.  Everything else,
+    the parts and then the raw products in order, is normalized once as one
+    sum; a single normalized piece is only scaled and pruned, as its
+    exponents are sorted and merged already.
 
     Raises:
         TermBlowup: a raw product would exceed ``DEFAULT_TERM_CAP`` terms.
         NonFiniteTerm: a product, weighted or merged coefficient is not finite.
             The first non-finite raw product names the error, as if each were
-            checked when formed; one that joins the sum is scanned only once
-            the call fails, as the sum's one merge rejects any non-finite term.
+            checked when formed; the products are scanned only once the call
+            fails, as the sum's one merge rejects any non-finite term.
     """
     live = [(w, s.coeffs, s.exponents) for w, s in parts if w != 0.0 and len(s.coeffs)]
     products = [(w, a, b) for w, a, b in products if w != 0.0 and len(a.coeffs) and len(b.coeffs)]
     if not products and len(live) < 2 and (not live or live[0][0] == 1.0):
         return GPSeries._of(*live[0][1:]) if live else _ZERO
-    raw: list[tuple[np.ndarray, np.ndarray]] = []  # the products formed unmerged, in order
+    first = len(live)  # the products formed go after the parts
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for w, a, b in products:
-                size = len(a.coeffs) * len(b.coeffs)
-                if size > DEFAULT_TERM_CAP:
+                if len(a.coeffs) * len(b.coeffs) > DEFAULT_TERM_CAP:
                     raise TermBlowup(
                         f"product of {len(a)} x {len(b)} terms exceeds cap {DEFAULT_TERM_CAP}"
                     )
                 c = np.multiply.outer(a.coeffs, b.coeffs).ravel()
                 e = np.add.outer(a.exponents, b.exponents).ravel()
-                if size <= FUSED_PRODUCT_TERMS:
-                    raw.append((c, e))
-                else:
-                    c, e = _merged(c, e)
-                if len(c):
-                    live.append((w, c, e))
+                live.append((w, c, e))
             coeffs = [c if w == 1.0 else w * c for w, c, _ in live]
-        if raw or len(live) > 1:
+        if products or len(live) > 1:
             return from_arrays(np.concatenate(coeffs), np.concatenate([e for *_, e in live]))
     except (TermBlowup, NonFiniteTerm):
-        _check_raw(raw)  # a non-finite raw product formed before the failure names it
+        _check_raw(live[first:])  # a non-finite product formed before the failure names it
         raise
-    if not live:
-        return _ZERO
     ((_, _, e),) = live
     return GPSeries._of(*_pruned(coeffs[0], e, (coeffs[0], e)))
 
 
-def _check_raw(raw: list[tuple[np.ndarray, np.ndarray]]) -> None:
-    """Raise NonFiniteTerm naming the first non-finite term of the first raw product with one."""
-    for c, e in raw:
+def _check_raw(raw: list[tuple[float, np.ndarray, np.ndarray]]) -> None:
+    """Raise NonFiniteTerm naming the first non-finite term of the first raw (w, c, e) with one."""
+    for _, c, e in raw:
         if not (np.isfinite(c).all() and np.isfinite(e).all()):
             _raise_non_finite(c, e)
 

@@ -100,31 +100,38 @@ MUTANTS = (
     Mutant("only-a-left-number-folded", EXPRESSIONS,
            "(operands[0] in numbers or operands[1] in numbers)", "operands[0] in numbers",
            (f"{T_TAPE}::test_a_product_by_a_number_is_one_weighted_part",)),
-    # the three rules of series.combine
+    # the two rules of series.combine
     Mutant("zero-weight-products-formed", SERIES,
            "in products if w != 0.0 and len(a.coeffs)", "in products if len(a.coeffs)",
            (f"{T_SERIES}::test_a_product_of_weight_0_is_skipped_before_it_is_formed",)),
-    Mutant("a-lone-product-normalized-alone", SERIES,
-           "if size <= FUSED_PRODUCT_TERMS:",
-           "if size <= FUSED_PRODUCT_TERMS and len(products) + len(live) > 1:",
-           (f"{T_SERIES}::test_a_product_joins_the_sum_raw_up_to_fused_product_terms",)),
-    Mutant("threshold-255", SERIES,
-           "if size <= FUSED_PRODUCT_TERMS:", "if size < FUSED_PRODUCT_TERMS:",
-           (f"{T_SERIES}::test_a_product_joins_the_sum_raw_up_to_fused_product_terms",)),
+    Mutant("a-wide-product-normalized-alone", SERIES,
+           "live.append((w, c, e))",
+           "live.append((w, *(_merged(c, e) if len(c) > 256 else (c, e))))",
+           (f"{T_SERIES}::test_a_product_of_any_size_joins_the_sum_raw",)),
+    # the kernel: groups summed in input order, anchored, and a zero exponent as +0.0
+    Mutant("groups-summed-in-sorted-order", SERIES,
+           "c, e = np.bincount(at_input, weights=coeffs)[1:], anchors",
+           "c, e = np.bincount(group, weights=coeffs[order])[1:], anchors",
+           (f"{T_SERIES}::test_a_group_adds_its_coefficients_in_input_order",
+            f"{T_SERIES}::test_tie_heavy_raw_arrays_match_the_reference")),
+    Mutant("anchored-groups-fallback-skipped", SERIES,
+           "if gaps @ joins > 0.5 * EXPONENT_MERGE_TOL:", "if False:",
+           (f"{T_SERIES}::test_normalize_merge_is_anchored_at_the_first_exponent",
+            f"{T_SERIES}::test_tie_heavy_raw_arrays_match_the_reference")),
+    Mutant("a-zero-exponent-as-the-sort-left-it", SERIES,
+           "return _pruned(c, e + 0.0, (coeffs, exponents))",
+           "return _pruned(c, e, (coeffs, exponents))",
+           (f"{T_SERIES}::test_a_group_of_both_zeros_is_positive_zero_in_any_input_order",)),
     # the finiteness scan of raw products, deferred to a failing call
     Mutant("no-scan-on-term-blowup", SERIES,
            "except (TermBlowup, NonFiniteTerm):", "except NonFiniteTerm:",
            (f"{T_SERIES}::test_an_overflowing_product_before_a_wide_one_is_a_non_finite_term",)),
-    Mutant("no-scan-when-a-wide-product-fails", SERIES,
-           "c, e = _merged(c, e)", "c, e = raw.clear() or _merged(c, e)",
-           (f"{T_SERIES}::"
-            "test_an_overflowing_product_before_a_wide_one_that_overflows_names_the_error",)),
     Mutant("no-scan-when-the-sum-fails", SERIES,
-           _FINAL_MERGE, f"return raw.clear() or {_FINAL_MERGE[len('return '):]}",
+           _FINAL_MERGE, f"first = len(live); {_FINAL_MERGE}",
            (f"{T_SERIES}::"
             "test_an_overflowing_product_names_the_error_before_an_overflowing_part",)),
     Mutant("a-scan-on-success", SERIES,
-           "raw.append((c, e))", "_check_raw([(c, e)]) or raw.append((c, e))",
+           "live.append((w, c, e))", "_check_raw([(w, c, e)]) or live.append((w, c, e))",
            (f"{T_SERIES}::test_a_successful_solve_scans_no_raw_product",)),
     # one iterative layout, and the literal rules of check_expr
     Mutant("layout-keyed-by-value", EXPRESSIONS,

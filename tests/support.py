@@ -103,10 +103,12 @@ def assert_series_matches_printed(
 def reference_normalize(raw_terms) -> list[tuple[float, float]]:
     """The term-by-term normalization the array kernel must reproduce bit for bit.
 
-    A stable sort by exponent; a merge anchored at the first exponent of each
-    group (the anchor never moves), summing coefficients left to right; then a
-    prune of exact zeros and of coefficients below ``PRUNE_REL_THRESHOLD``
-    times the largest.  Returns the kept (coeff, exponent) pairs.
+    Groups are found on the exponents in sorted order, each anchored at its
+    smallest exponent (the anchor never moves), and a zero anchor is +0.0.
+    Each group's coefficient is its members' coefficients added in input
+    order, from 0.0.  Then a prune of exact zeros and of coefficients below
+    ``PRUNE_REL_THRESHOLD`` times the largest.  Returns the kept
+    (coeff, exponent) pairs.
     """
     terms = []
     for c, e in raw_terms:
@@ -114,18 +116,19 @@ def reference_normalize(raw_terms) -> list[tuple[float, float]]:
         if not (math.isfinite(c) and math.isfinite(e)):
             raise NonFiniteTerm(f"term ({c!r}, {e!r}) is not finite")
         terms.append((c, e))
-    if not terms:
+    anchors, group_of = [], [0] * len(terms)
+    for i in sorted(range(len(terms)), key=lambda i: terms[i][1]):
+        if not anchors or terms[i][1] - anchors[-1] > EXPONENT_MERGE_TOL:
+            anchors.append(terms[i][1])
+        group_of[i] = len(anchors) - 1
+    sums = [0.0] * len(anchors)
+    for (c, _), g in zip(terms, group_of):
+        sums[g] += c
+    if not sums:
         return []
-    terms.sort(key=lambda t: t[1])
-    merged = [terms[0]]
-    for c, e in terms[1:]:
-        if e - merged[-1][1] <= EXPONENT_MERGE_TOL:
-            merged[-1] = (merged[-1][0] + c, merged[-1][1])
-        else:
-            merged.append((c, e))
-    largest = max(abs(c) for c, _ in merged)
+    largest = max(abs(c) for c in sums)
     return [
-        (c, e) for c, e in merged
+        (c, e + 0.0) for c, e in zip(sums, anchors)
         if c != 0.0 and abs(c) >= PRUNE_REL_THRESHOLD * largest
     ]
 

@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -479,9 +480,12 @@ def _per_line_listing(pairs):
     return out.getvalue()
 
 
-@given(st.lists(st.tuples(LISTING_FLOATS, LISTING_FLOATS), min_size=1, max_size=30))
-def test_residual_listing_matches_the_per_line_print(pairs):
-    assert cli._residual_listing(pairs) == _per_line_listing(pairs)
+@given(st.lists(st.tuples(LISTING_FLOATS, LISTING_FLOATS), min_size=1, max_size=30),
+       st.integers(1, 8) | st.just(10_000))
+def test_residual_listing_matches_the_per_line_print(pairs, lines):
+    # formatted from the grid arrays in pieces of at most `lines` lines
+    xs, values = (np.array(column) for column in zip(*pairs))
+    assert "".join(cli._residual_listing(xs, values, lines)) == _per_line_listing(pairs)
 
 
 # --- one parser per process -----------------------------------------------------------

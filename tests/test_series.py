@@ -1,6 +1,7 @@
 """Series algebra: normalization, ring operations, calculus, display."""
 
 import functools
+import itertools
 import math
 import re
 
@@ -16,7 +17,6 @@ from adomian_bvp.errors import DomainError, InvalidProblem, NonFiniteTerm, TermB
 from adomian_bvp.series import (
     DEFAULT_TERM_CAP,
     EXPONENT_MERGE_TOL,
-    FUSED_PRODUCT_TERMS,
     PRUNE_REL_THRESHOLD,
     GPSeries,
     Term,
@@ -160,6 +160,68 @@ def test_operations_match_reference_bit_for_bit():
         assert _terms(combine(parts)) == reference_normalize(weighted)
 
 
+# --- the kernel does not depend on how the sort orders equal exponents ------------
+
+
+def test_a_group_of_both_zeros_is_positive_zero_in_any_input_order():
+    zeros = [(1.0, -0.0), (2.0, 0.0), (4.0, -0.0), (0.5, 1e-13), (8.0, 0.5)]
+    for order in itertools.permutations(range(len(zeros))):
+        raw = [zeros[i] for i in order]
+        got = normalize(raw)
+        assert _terms(got) == reference_normalize(raw) == [(7.5, 0.0), (8.0, 0.5)]
+        assert math.copysign(1.0, got.exponents[0]) == 1.0
+    # a zero exponent alone, with or without another group that merges
+    for raw in ([(3.0, -0.0)], [(3.0, -0.0), (1.0, 0.5), (1.0, 0.5)]):
+        assert math.copysign(1.0, normalize(raw).exponents[0]) == 1.0
+    both = add(GPSeries([(1.0, -0.0)]), GPSeries([(1.0, 0.0)]))
+    assert both.terms == ((2.0, 0.0),) and math.copysign(1.0, both.exponents[0]) == 1.0
+
+
+def test_a_group_adds_its_coefficients_in_input_order():
+    # 1 + 3e16 - 3e16 is 0, while 3e16 - 3e16 + 1, the order of the sorted
+    # exponents, and -3e16 + 3e16 + 1, the reversed input, are 1
+    raw = [(1.0, 0.5 + 1e-13), (3e16, 0.5), (-3e16, 0.5)]
+    assert _terms(normalize(raw)) == reference_normalize(raw) == []
+    assert _terms(normalize(raw[::-1])) == reference_normalize(raw[::-1]) == [(1.0, 0.5)]
+
+
+def _tie_heavy(rng, size):
+    """Many exactly equal exponents, both zeros, and neighbours drifted within the tolerance."""
+    exponents = rng.choice([-0.0, 0.0, 0.5, 1.0, 1.0 + 4e-13, 2.375, 7.0], size=size)
+    drifted = rng.integers(0, 8, size=size) == 0
+    exponents[drifted] += rng.choice([1e-16, -1e-16, 4e-13, 9e-13, -9e-13], size=drifted.sum())
+    coeffs = rng.choice([1.0, -1.0, 3e16, -3e16, 0.37, 1e-300], size=size)
+    generic = rng.integers(0, 2, size=size) == 0
+    coeffs[generic] = rng.uniform(-5.0, 5.0, size=generic.sum())
+    return coeffs, exponents
+
+
+def test_tie_heavy_raw_arrays_match_the_reference():
+    rng = np.random.default_rng(25)
+    for size in (2, 17, 64, 300, 3000):
+        for _ in range(20):
+            coeffs, exponents = _tie_heavy(rng, size)
+            want = reference_normalize(zip(coeffs.tolist(), exponents.tolist()))
+            got = from_arrays(coeffs, exponents)
+            assert _terms(got) == want
+            assert [math.copysign(1.0, e) for e in got.exponents.tolist()] == [
+                math.copysign(1.0, e) for _, e in want]
+
+
+def test_non_finite_exponents_among_ties_are_named_like_the_reference():
+    rng = np.random.default_rng(26)
+    for size in (3, 40, 500):
+        for _ in range(30):
+            coeffs, exponents = _tie_heavy(rng, size)
+            for i in rng.integers(0, size, size=int(rng.integers(1, 4))):
+                exponents[i] = rng.choice([np.nan, np.inf, -np.inf])
+            with pytest.raises(NonFiniteTerm) as want:
+                reference_normalize(zip(coeffs.tolist(), exponents.tolist()))
+            with pytest.raises(NonFiniteTerm) as got:
+                from_arrays(coeffs, exponents)
+            assert str(got.value) == str(want.value)
+
+
 def test_terms_and_plain_pairs_read_through_one_path():
     assert Term(0.37, 2.5) == (0.37, 2.5)
     rng = np.random.default_rng(11)
@@ -276,7 +338,7 @@ def test_ring_laws_on_evaluation():
 # time.  Exponents come from a few values with drift inside and just past the
 # merge tolerance, so products of two factors often land within it of each
 # other.  Wide series have enough distinct exponents that a product of two
-# passes FUSED_PRODUCT_TERMS.
+# has hundreds of raw terms.
 _DRIFTS = np.array([0.0, 0.4, 0.7, 1.0, -1.0, 3.0]) * EXPONENT_MERGE_TOL
 _NARROW = np.add.outer([-0.5, 0.0, 0.5, 1.0, 2.375], _DRIFTS).ravel()
 _WIDE = np.add.outer(np.arange(-4, 41) / 8, _DRIFTS).ravel()
@@ -331,28 +393,34 @@ def _reference_sum(raw):
     return terms
 
 
-def _fused_oracle(parts, products, fused_max=FUSED_PRODUCT_TERMS):
-    """The weighted sum with small raw products joining it unmerged, term by term.
+def _fused_oracle(parts, products):
+    """The weighted sum with its raw products joining it unmerged, term by term.
 
     Parts and products of weight 0, and products with a zero factor, are
     skipped.  The live parts come first.  Then each product is formed in
-    order: at most ``fused_max`` raw terms enter as they are, checked to be
-    finite; a larger product is normalized alone.  Then the whole sum is
-    normalized once.
+    order, and its raw terms enter as they are, checked to be finite.  Then
+    the whole sum is normalized once.
     """
     weighted = [(w * c, e) for w, s in parts if w != 0.0 for c, e in _terms(s)]
     for w, a, b in products:
         if w == 0.0 or a.is_zero or b.is_zero:
             continue
         pairs = [(ca * cb, ea + eb) for ca, ea in _terms(a) for cb, eb in _terms(b)]
-        if len(pairs) > fused_max:
-            pairs = _reference_sum(pairs)
-        else:
-            for c, e in pairs:
-                if not (math.isfinite(c) and math.isfinite(e)):
-                    raise NonFiniteTerm(f"term ({c!r}, {e!r}) is not finite")
+        for c, e in pairs:
+            if not (math.isfinite(c) and math.isfinite(e)):
+                raise NonFiniteTerm(f"term ({c!r}, {e!r}) is not finite")
         weighted += [(w * c, e) for c, e in pairs]
     return _reference_sum(weighted)
+
+
+def _nested_oracle(parts, products):
+    """The weighted sum with each product normalized on its own first: the contract before."""
+    normalized = [
+        (w, GPSeries(_reference_sum(
+            [(ca * cb, ea + eb) for ca, ea in _terms(a) for cb, eb in _terms(b)])))
+        for w, a, b in products
+    ]
+    return _fused_oracle([*parts, *normalized], [])
 
 
 def _assert_combine_matches(parts, products, want):
@@ -391,34 +459,31 @@ def test_combine_with_products_matches_the_fused_oracle(parts, products):
 def test_the_cancelling_example_tells_the_fused_sum_from_the_nested_one():
     parts = [(1.0, GPSeries([(-3e16, 0.25), (1.0, 0.5), (3e16, 0.75)]))]
     assert _fused_oracle(parts, [(1.0, *_CANCELLING)]) == []
-    assert _fused_oracle(parts, [(1.0, *_CANCELLING)], fused_max=0) == [(1.0, 0.5)]
+    assert _nested_oracle(parts, [(1.0, *_CANCELLING)]) == [(1.0, 0.5)]
 
 
-@pytest.mark.parametrize("others", ["part", "alone", "beside_zero_weight"])
-@pytest.mark.parametrize("rows", [16, 17])
-def test_a_product_joins_the_sum_raw_up_to_fused_product_terms(rows, others):
-    # 16 x 16 = FUSED_PRODUCT_TERMS raw terms join the sum unmerged, also when
-    # the product is the sum's only piece, and 17 x 16 do not; a product of
-    # weight 0 is skipped
-    assert 16 * 16 == FUSED_PRODUCT_TERMS
-    rng = np.random.default_rng(rows)
-    a = from_arrays(rng.uniform(-1.0, 1.0, rows), np.arange(rows, dtype=float))
-    b = from_arrays(rng.uniform(-1.0, 1.0, 16), np.arange(16, dtype=float))
-    part = from_arrays(rng.uniform(-1.0, 1.0, 32), np.arange(32, dtype=float))
-    parts, products = {
-        "part": ([(0.37, part)], [(0.3, a, b)]),
-        "alone": ([], [(0.3, a, b)]),
-        "beside_zero_weight": ([], [(0.0, part, part), (0.3, a, b)]),
-    }[others]
-    want = _fused_oracle(parts, products)
-    _assert_combine_matches(parts, products, want)
-    # the other contract gives other bits here
-    raw = rows * 16 <= FUSED_PRODUCT_TERMS
-    assert want != _fused_oracle(parts, products, fused_max=0 if raw else DEFAULT_TERM_CAP)
+def test_a_product_of_any_size_joins_the_sum_raw():
+    # Up to DEFAULT_TERM_CAP raw terms join the sum unmerged, also when the
+    # product is the sum's only piece or stands beside a product of weight 0,
+    # which is skipped.  Normalizing each product on its own first gives other
+    # bits here.
+    rng = np.random.default_rng(16)
+    b = from_arrays(rng.uniform(-1.0, 1.0, 16), np.arange(16.0))
+    part = from_arrays(rng.uniform(-1.0, 1.0, 32), np.arange(32.0))
+    for rows in (16, 17, 100, DEFAULT_TERM_CAP // 16):
+        a = from_arrays(rng.uniform(-1.0, 1.0, rows), np.arange(float(rows)))
+        for parts, products in (
+            ([(0.37, part)], [(0.3, a, b)]),
+            ([], [(0.3, a, b)]),
+            ([], [(0.0, part, part), (0.3, a, b)]),
+        ):
+            want = _fused_oracle(parts, products)
+            _assert_combine_matches(parts, products, want)
+            assert want != _nested_oracle(parts, products)
 
 
 def test_a_raw_product_left_alone_is_still_normalized():
-    # the wide product underflows to nothing, leaving the raw one, unsorted
+    # the first product underflows to nothing in the sum's one merge, beside the second
     tiny = from_arrays(np.full(17, 1e-200), np.arange(17, dtype=float))
     a, b = GPSeries([(1.0, 0.0), (2.0, 1.0)]), GPSeries([(3.0, 0.0), (4.0, 1.0)])
     got = combine((), [(1.0, tiny, tiny), (1.0, a, b)])
@@ -450,7 +515,7 @@ _BIG = GPSeries.monomial(1e200, 0.5)  # squared: the raw term (inf, 1.0)
 
 @pytest.mark.parametrize("wide", ["merged", "pruned"])
 def test_an_overflowing_product_before_a_wide_one_that_overflows_names_the_error(wide):
-    # wide: over FUSED_PRODUCT_TERMS raw terms, so normalized on its own, and failing there
+    # wide: hundreds of raw terms, every one of them not finite
     a, b = {
         "merged": (from_arrays(np.full(17, 1e200), np.arange(17.0)),) * 2,
         "pruned": (GPSeries.constant(1e200), from_arrays(np.full(300, 1e200), np.arange(300.0))),
