@@ -107,7 +107,7 @@ MUTANTS = (
     Mutant("a-wide-product-normalized-alone", SERIES,
            "live.append((w, c, e))",
            "live.append((w, *(_merged(c, e) if len(c) > 256 else (c, e))))",
-           (f"{T_SERIES}::test_a_product_of_any_size_joins_the_sum_raw",)),
+           (f"{T_SERIES}::test_a_product_joins_the_sum_raw_up_to_fused_product_terms",)),
     # the kernel: groups summed in input order, anchored, and a zero exponent as +0.0
     Mutant("groups-summed-in-sorted-order", SERIES,
            "c, e = np.bincount(at_input, weights=coeffs)[1:], anchors",

@@ -462,24 +462,26 @@ def test_the_cancelling_example_tells_the_fused_sum_from_the_nested_one():
     assert _nested_oracle(parts, [(1.0, *_CANCELLING)]) == [(1.0, 0.5)]
 
 
-def test_a_product_of_any_size_joins_the_sum_raw():
-    # Up to DEFAULT_TERM_CAP raw terms join the sum unmerged, also when the
-    # product is the sum's only piece or stands beside a product of weight 0,
-    # which is skipped.  Normalizing each product on its own first gives other
-    # bits here.
-    rng = np.random.default_rng(16)
+@pytest.mark.parametrize("others", ["part", "alone", "beside_zero_weight"])
+@pytest.mark.parametrize("rows", [16, 17, 100, DEFAULT_TERM_CAP // 16])
+def test_a_product_joins_the_sum_raw_up_to_fused_product_terms(rows, others):
+    # A product of any size up to DEFAULT_TERM_CAP raw terms joins the sum
+    # unmerged: 16 x 16 and 17 x 16 straddle the former 256-term threshold,
+    # which no longer holds.  Also when the product is the sum's only piece or
+    # stands beside a product of weight 0, which is skipped.  Normalizing each
+    # product on its own first gives other bits here.
+    rng = np.random.default_rng(rows)
+    a = from_arrays(rng.uniform(-1.0, 1.0, rows), np.arange(float(rows)))
     b = from_arrays(rng.uniform(-1.0, 1.0, 16), np.arange(16.0))
     part = from_arrays(rng.uniform(-1.0, 1.0, 32), np.arange(32.0))
-    for rows in (16, 17, 100, DEFAULT_TERM_CAP // 16):
-        a = from_arrays(rng.uniform(-1.0, 1.0, rows), np.arange(float(rows)))
-        for parts, products in (
-            ([(0.37, part)], [(0.3, a, b)]),
-            ([], [(0.3, a, b)]),
-            ([], [(0.0, part, part), (0.3, a, b)]),
-        ):
-            want = _fused_oracle(parts, products)
-            _assert_combine_matches(parts, products, want)
-            assert want != _nested_oracle(parts, products)
+    parts, products = {
+        "part": ([(0.37, part)], [(0.3, a, b)]),
+        "alone": ([], [(0.3, a, b)]),
+        "beside_zero_weight": ([], [(0.0, part, part), (0.3, a, b)]),
+    }[others]
+    want = _fused_oracle(parts, products)
+    _assert_combine_matches(parts, products, want)
+    assert want != _nested_oracle(parts, products)
 
 
 def test_a_raw_product_left_alone_is_still_normalized():
