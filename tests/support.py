@@ -11,6 +11,9 @@ a complex evaluation of f on a circle in lambda, whose discrete Cauchy
 integrals give the decomposition polynomials.  A cheaper check of the tape's
 polynomials is their Taylor gap: summed in powers of lambda they approach f
 at the summed components.
+
+The truth error judges a computed psi against the solution itself, in 30-digit
+mpmath, below the float rounding that ``max_error`` adds of its own.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from adomian_bvp.expressions import (
     Sub,
     Tape,
     Var,
+    _layout,
     eval_real,
 )
 from adomian_bvp.series import (
@@ -131,6 +135,58 @@ def reference_normalize(raw_terms) -> list[tuple[float, float]]:
         (c, e + 0.0) for c, e in zip(sums, anchors)
         if c != 0.0 and abs(c) >= PRUNE_REL_THRESHOLD * largest
     ]
+
+
+# --- the truth error, in 30 digits ------------------------------------------------
+
+TRUTH_DIGITS = 30
+
+
+def eval_mp(e: Expr, x):
+    """e over {x} at the mpf x, in mpmath at the working precision; its literals read exactly."""
+    import mpmath as mp  # here, so that importing support skips mpmath
+    unary = {Neg: lambda a: -a, Exp: mp.exp, Ln: mp.log}
+    binary = {Add: lambda a, b: a + b, Sub: lambda a, b: a - b,
+              Mul: lambda a, b: a * b, Div: lambda a, b: a / b}
+    values = []
+    for node, operands, literal in _layout(e):
+        args = [values[i] for i in operands]
+        kind = type(node)
+        if kind is Constant:
+            value = mp.mpf(literal)
+        elif kind is Var:
+            value = x
+        elif kind is PowXReal:
+            value = x ** mp.mpf(literal)
+        elif kind is PowInt:
+            value = args[0] ** int(literal)
+        else:
+            value = (unary.get(kind) or binary[kind])(*args)
+        values.append(value)
+    return values[-1]
+
+
+def truth_grid(points: int) -> np.ndarray:
+    """``points`` evenly spaced points of [0, 1], both ends included."""
+    return np.linspace(0.0, 1.0, points)
+
+
+def truth_error(psi: GPSeries, exact: Expr, points: int = 64) -> float:
+    """max |psi(x) - exact(x)| over :func:`truth_grid`, both sides in 30-digit mpmath.
+
+    psi's float coefficients and exponents, and each x, are read exactly as
+    mpf, so the only float rounding measured is psi's own; each psi(x) is its
+    terms summed by ``mp.fsum``, with 0**0 = 1.
+    """
+    import mpmath as mp
+    with mp.workdps(TRUTH_DIGITS):
+        terms = [(mp.mpf(c), mp.mpf(e)) for c, e in psi.terms]
+        worst = mp.mpf(0)
+        for x in truth_grid(points).tolist():
+            x = mp.mpf(x)
+            value = mp.fsum(c * x ** e for c, e in terms)
+            worst = max(worst, abs(value - eval_mp(exact, x)))
+        return float(worst)
 
 
 # --- the inverse operator by adaptive quadrature -----------------------------------
