@@ -17,7 +17,7 @@ from adomian_bvp.series import (
     scale,
 )
 
-# Build 2*x^0.5 - 0.25*x from raw terms; normalize sorts, merges and prunes.
+# Build 2*x^0.5 - 0.25*x from raw terms; normalize sorts, merges and drops zeros.
 s = normalize([Term(-0.25, 1.0), Term(1.0, 0.5), Term(1.0, 0.5)])
 print("series:        ", format_series(s))
 

@@ -9,9 +9,11 @@ a handful of exact term-wise operations on it.
 Every operation builds its raw terms as arrays (a product an outer product,
 a weighted sum a concatenation) and hands them to one kernel,
 :func:`from_arrays`: a sort of the exponents, a merge of near-equal ones and
-a relative prune.  It reproduces the term-by-term definition bit for bit,
-whatever order the sort gives equal exponents, and the first non-finite
-input term is the one an error names.
+the drop of exact zeros.  No other coefficient is dropped, however small next
+to the others: a partial sum keeps every term of its closed-form components.
+The kernel reproduces the term-by-term definition bit for bit, whatever order
+the sort gives equal exponents, and the first non-finite input term is the one
+an error names.
 
 :func:`combine` is every weighted sum, of series and of products of two
 series, such as one Cauchy sum of a recurrence; ``mul`` is its one-product
@@ -35,9 +37,6 @@ from .errors import DomainError, InvalidProblem, NonFiniteTerm, TermBlowup
 # Exponents arise from repeated addition of a handful of real increments;
 # floating drift must not split one mathematical monomial into two.
 EXPONENT_MERGE_TOL = 1e-12
-
-# Coefficients this small relative to the largest one are numerical debris.
-PRUNE_REL_THRESHOLD = 1e-14
 
 # Products in the truncated-ring machinery grow combinatorially; fail loudly
 # rather than thrash.
@@ -67,8 +66,9 @@ class GPSeries:
     ``coeffs`` and ``exponents`` are read-only float64 arrays of equal length;
     empty arrays represent the zero series.  Build instances through
     :func:`normalize`, :func:`from_arrays` or the constructors below; raw
-    construction from (coeff, exponent) pairs skips the merge/prune pass,
-    and the operations below rely on their operands being sorted and merged.
+    construction from (coeff, exponent) pairs skips the merge and the drop of
+    zeros, and the operations below rely on their operands being sorted and
+    merged.
 
     Raises:
         NonFiniteTerm: a raw pair is not finite (naming the first such pair).
@@ -161,35 +161,33 @@ def _anchored_groups(exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return group, np.array(anchors)
 
 
-def _pruned(
+def _nonzero(
     coeffs: np.ndarray, exponents: np.ndarray, raw: tuple[np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Drop exact zeros and coefficients below the relative threshold.
+    """Drop exact zeros, after checking that every coefficient is finite.
 
     ``raw`` is the kernel's input, searched for the term to name when a
     coefficient is not finite.
     """
     magnitude = np.abs(coeffs)
     # Ufunc reductions, as ndarray.max/min add a Python-level call to each.
-    largest = np.maximum.reduce(magnitude)
-    if not math.isfinite(largest):
+    if not math.isfinite(np.maximum.reduce(magnitude)):
         _raise_non_finite(*raw)
-    threshold = PRUNE_REL_THRESHOLD * largest
-    if threshold > 0.0 and np.minimum.reduce(magnitude) >= threshold:
+    if np.minimum.reduce(magnitude) > 0.0:
         return coeffs, exponents
-    keep = magnitude >= threshold if threshold > 0.0 else magnitude > 0.0
+    keep = magnitude > 0.0
     return coeffs[keep], exponents[keep]
 
 
 def from_arrays(coeffs: np.ndarray, exponents: np.ndarray) -> GPSeries:
-    """Sort terms, merge near-equal exponents, drop negligible coefficients.
+    """Sort terms, merge near-equal exponents, drop exact zeros.
 
     The kernel under every operation of this module.  A term whose exponent
     lies within ``EXPONENT_MERGE_TOL`` of the smallest exponent of its group,
     in sorted order, joins it.  A group sums its coefficients in input order,
-    from 0.0, and takes that smallest exponent, a zero one as +0.0.  Exact
-    zeros and coefficients below ``PRUNE_REL_THRESHOLD`` times the largest
-    are dropped.  Idempotent.  The inputs are not modified.
+    from 0.0, and takes that smallest exponent, a zero one as +0.0.  Groups
+    whose sum is exactly zero are dropped, and every other one is kept.
+    Idempotent.  The inputs are not modified.
 
     Raises:
         NonFiniteTerm: if any coefficient or exponent is NaN or infinite
@@ -225,7 +223,7 @@ def _merged(coeffs: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray, np.n
     else:
         c = coeffs[order]
     # + 0.0 turns -0.0 to +0.0, so no zero exponent depends on the sort's order of ties
-    return _pruned(c, e + 0.0, (coeffs, exponents))
+    return _nonzero(c, e + 0.0, (coeffs, exponents))
 
 
 def normalize(raw_terms: Iterable[Sequence[float]]) -> GPSeries:
@@ -246,8 +244,8 @@ def combine(
     Two rules.  Every piece of weight 0, with a zero series or with a zero
     factor, is skipped; such a product is never formed.  Everything else,
     the parts and then the raw products in order, is normalized once as one
-    sum; a single normalized piece is only scaled and pruned, as its
-    exponents are sorted and merged already.
+    sum; a single normalized piece is only scaled, and the zeros of an
+    underflow dropped, as its exponents are sorted and merged already.
 
     Raises:
         TermBlowup: a raw product would exceed ``DEFAULT_TERM_CAP`` terms.
@@ -278,7 +276,7 @@ def combine(
         _check_raw(live[first:])  # a non-finite product formed before the failure names it
         raise
     ((_, _, e),) = live
-    return GPSeries._of(*_pruned(coeffs[0], e, (coeffs[0], e)))
+    return GPSeries._of(*_nonzero(coeffs[0], e, (coeffs[0], e)))
 
 
 def _check_raw(raw: list[tuple[float, np.ndarray, np.ndarray]]) -> None:

@@ -131,9 +131,6 @@ def solve(problem: Problem, n: int = 10) -> SolveReport:
             weights = (problem.alpha1 * bleed / D, -1.0, inhomogeneous if k == 0 else 0.0)
             y = gps.combine(zip(weights, (H, image, H)))
             psi = gps.add(psi, y)
-            if problem.eta1 and (psi.is_zero or psi.exponents[0] != 0.0):
-                # The prune dropped a tiny eta1; y_k has no constant term for k >= 1.
-                psi = GPSeries(components[0].terms + psi.terms)
         except AdmError as err:
             raise type(err)(f"component {k + 1}: {err}") from err
         components.append(y)

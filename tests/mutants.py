@@ -90,6 +90,11 @@ _LITERAL_CHECKS = """\
         if isinstance(node, (Constant, PowXReal)) and not math.isfinite(literal):
             raise error(f"{name} has the non-finite number {literal}")
 """
+_ZEROS_DROPPED = """\
+    if np.minimum.reduce(magnitude) > 0.0:
+        return coeffs, exponents
+    keep = magnitude > 0.0
+"""
 _FINAL_MERGE = "return from_arrays(np.concatenate(coeffs), np.concatenate([e for *_, e in live]))"
 
 MUTANTS = (
@@ -119,9 +124,21 @@ MUTANTS = (
            (f"{T_SERIES}::test_normalize_merge_is_anchored_at_the_first_exponent",
             f"{T_SERIES}::test_tie_heavy_raw_arrays_match_the_reference")),
     Mutant("a-zero-exponent-as-the-sort-left-it", SERIES,
-           "return _pruned(c, e + 0.0, (coeffs, exponents))",
-           "return _pruned(c, e, (coeffs, exponents))",
+           "return _nonzero(c, e + 0.0, (coeffs, exponents))",
+           "return _nonzero(c, e, (coeffs, exponents))",
            (f"{T_SERIES}::test_a_group_of_both_zeros_is_positive_zero_in_any_input_order",)),
+    # the kernel drops exact zeros only, once every coefficient is known finite
+    Mutant("exact-zeros-kept", SERIES,
+           "keep = magnitude > 0.0", "keep = magnitude >= 0.0",
+           (f"{T_SERIES}::test_normalize_drops_exact_cancellation",
+            f"{T_SERIES}::test_normalize_matches_reference_bit_for_bit")),
+    Mutant("no-finite-check-of-merged-sums", SERIES,
+           "if not math.isfinite(np.maximum.reduce(magnitude)):", "if False:",
+           (f"{T_SERIES}::test_merged_coefficient_overflow_is_a_non_finite_term",)),
+    Mutant("relative-prune-restored", SERIES,
+           _ZEROS_DROPPED, "    keep = magnitude > 1e-14 * np.maximum.reduce(magnitude)\n",
+           (f"{T_SERIES}::test_normalize_keeps_a_coefficient_far_below_the_largest",
+            "tests/test_truth_errors.py::test_psi_is_no_further_from_the_solution_than_recorded")),
     # the finiteness scan of raw products, deferred to a failing call
     Mutant("no-scan-on-term-blowup", SERIES,
            "except (TermBlowup, NonFiniteTerm):", "except NonFiniteTerm:",
@@ -176,9 +193,6 @@ MUTANTS = (
     Mutant("image-sign-flipped", SOLVER,
            "bleed / D, -1.0,", "bleed / D, 1.0,",
            (f"{T_IDENTITY}::test_every_partial_sum_solves_its_linear_problem",)),
-    Mutant("eta1-repair-dropped", SOLVER,
-           "psi = GPSeries(components[0].terms + psi.terms)", "psi = psi",
-           (f"{T_SOLVER}::test_partial_sums_keep_a_tiny_eta1_at_zero",)),
     Mutant("partial-sums-one-component-behind", SOLVER,
            "partial_sums.append(psi)", "partial_sums.append(partial_sums[-1])",
            (f"{T_IDENTITY}::test_every_partial_sum_solves_its_linear_problem",)),

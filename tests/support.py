@@ -43,7 +43,6 @@ from adomian_bvp.expressions import (
 )
 from adomian_bvp.series import (
     EXPONENT_MERGE_TOL,
-    PRUNE_REL_THRESHOLD,
     GPSeries,
     differentiate,
     evaluate,
@@ -110,9 +109,8 @@ def reference_normalize(raw_terms) -> list[tuple[float, float]]:
     Groups are found on the exponents in sorted order, each anchored at its
     smallest exponent (the anchor never moves), and a zero anchor is +0.0.
     Each group's coefficient is its members' coefficients added in input
-    order, from 0.0.  Then a prune of exact zeros and of coefficients below
-    ``PRUNE_REL_THRESHOLD`` times the largest.  Returns the kept
-    (coeff, exponent) pairs.
+    order, from 0.0.  Then the groups whose sum is exactly zero are dropped.
+    Returns the kept (coeff, exponent) pairs.
     """
     terms = []
     for c, e in raw_terms:
@@ -128,13 +126,7 @@ def reference_normalize(raw_terms) -> list[tuple[float, float]]:
     sums = [0.0] * len(anchors)
     for (c, _), g in zip(terms, group_of):
         sums[g] += c
-    if not sums:
-        return []
-    largest = max(abs(c) for c in sums)
-    return [
-        (c, e + 0.0) for c, e in zip(sums, anchors)
-        if c != 0.0 and abs(c) >= PRUNE_REL_THRESHOLD * largest
-    ]
+    return [(c, e + 0.0) for c, e in zip(sums, anchors) if c != 0.0]
 
 
 # --- the truth error, in 30 digits ------------------------------------------------
@@ -176,7 +168,8 @@ def truth_error(psi: GPSeries, exact: Expr, points: int = 64) -> float:
 
     psi's float coefficients and exponents, and each x, are read exactly as
     mpf, so the only float rounding measured is psi's own; each psi(x) is its
-    terms summed by ``mp.fsum``, with 0**0 = 1.
+    terms summed by ``mp.fsum``, x**e as exp(e ln x) for x > 0 (about 3x
+    faster than mpmath's power) and 0**0 = 1.
     """
     import mpmath as mp
     with mp.workdps(TRUTH_DIGITS):
@@ -184,7 +177,11 @@ def truth_error(psi: GPSeries, exact: Expr, points: int = 64) -> float:
         worst = mp.mpf(0)
         for x in truth_grid(points).tolist():
             x = mp.mpf(x)
-            value = mp.fsum(c * x ** e for c, e in terms)
+            if x:
+                log_x = mp.log(x)
+                value = mp.fsum(c * mp.exp(e * log_x) for c, e in terms)
+            else:
+                value = mp.fsum(c * x ** e for c, e in terms)
             worst = max(worst, abs(value - eval_mp(exact, x)))
         return float(worst)
 

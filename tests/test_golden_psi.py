@@ -1,18 +1,20 @@
 """psi pinned bit for bit against a recorded fixture, and near an older one.
 
 ``golden_psi.json`` holds the repr-exact (coeff, exponent) pairs of psi for
-each case below, recorded when every raw product began to join its Cauchy sum
-unmerged and each merged group to add its coefficients in input order.  Any change to the order of
-floating-point operations in normalize, mul, the inverse or the recurrences
-shows up here as a failure.  Re-record only when a change of the numbers is
-intended:
+each case below, recorded when the kernel stopped pruning small coefficients:
+only exact zeros are dropped, every raw product joins its Cauchy sum unmerged
+and each merged group adds its coefficients in input order.  Any change to the
+order of floating-point operations in normalize, mul, the inverse or the
+recurrences shows up here as a failure.  Re-record only when a change of the
+numbers is intended, and judge it by ``test_truth_errors.py``:
 
     PYTHONPATH=src python tests/test_golden_psi.py --write
 
-``golden_psi_per_product.json`` holds the same cases as computed when every
-product of a Cauchy sum was normalized on its own (the term-by-term
-definition); it is never re-recorded, and psi must stay within a stated bound
-of it on a 1001-point grid.
+``golden_psi_per_product.json`` holds the same cases with every product of a
+Cauchy sum normalized on its own before the sum (the term-by-term definition):
+``--write-per-product`` records them with ``series.combine`` wrapped so.  It is
+re-derived only when the kernel's definition changes, and psi must stay within
+a stated bound of it on a 1001-point grid.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from adomian_bvp import series
 from adomian_bvp.benchmarks import benchmark_problem
 from adomian_bvp.expressions import parse, to_source
 from adomian_bvp.series import GPSeries, evaluate_many
@@ -35,13 +38,10 @@ FIXTURE = Path(__file__).with_name("golden_psi.json")
 PER_PRODUCT = Path(__file__).with_name("golden_psi_per_product.json")
 GRID = np.linspace(0.0, 1.0, 1001)
 # Relative to sup |psi| on the grid (1.1 to 1158 over these cases).  Joining
-# small products to their sums unmerged moved psi by at most 4.4e-16
-# absolute, 1.8 eps relative (f2-0.1234-powi); 19 of the 48 entries stayed
-# bit-identical: all 12 of family 3, whose f is linear, and 7 at n = 5.
-# Then joining every product unmerged, with each group summed in input order,
-# moved 16 of the 48 entries, by at most 2.2e-16 absolute and 0.91 eps
-# relative to the fixture before it; the largest drift from the per-product
-# fixture stayed 1.82 eps.  Family 3 and every n = 5 case but one stayed put.
+# every product to its sum unmerged, with each group summed in input order,
+# moves psi by at most 4.4e-16 absolute, 1.82 eps relative (f2-0.1234-powi at
+# n = 10); 19 of the 48 entries are bit-identical: all 12 of family 3, whose f
+# is linear, and 7 at n = 5.
 DRIFT_ULPS = 4
 NS = (5, 10, 16)
 SPELLINGS = {
@@ -117,10 +117,23 @@ def test_psi_within_a_few_ulps_of_the_per_product_kernel(per_product, label, n):
     assert np.max(np.abs(now - before)) <= bound
 
 
+def _per_product(combine):
+    """``combine`` with each product normalized on its own, then summed with the parts."""
+    def nested(parts, products=()):
+        normalized = [(w, combine((), ((1.0, a, b),))) for w, a, b in products if w != 0.0]
+        return combine([*parts, *normalized])
+    return nested
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
+    if sys.argv[1:] == ["--write"]:
+        target = FIXTURE
+    elif sys.argv[1:] == ["--write-per-product"]:
+        target = PER_PRODUCT
+        series.combine = _per_product(series.combine)
+    else:
         raise SystemExit(__doc__)
     data = {_key(label, n): case_psi(label, n) for label in CASES for n in NS}
     rows = [f"{json.dumps(key)}: {json.dumps(pairs)}" for key, pairs in data.items()]
-    FIXTURE.write_text("{\n" + ",\n".join(rows) + "\n}\n", encoding="utf-8")
-    print(f"wrote {len(data)} cases to {FIXTURE}")
+    target.write_text("{\n" + ",\n".join(rows) + "\n}\n", encoding="utf-8")
+    print(f"wrote {len(data)} cases to {target}")

@@ -29,7 +29,6 @@ from adomian_bvp.errors import AdmError
 from adomian_bvp.expressions import Add, Constant, Div, Mul, Neg, Sub, eval_real, parse
 from adomian_bvp.series import (
     EXPONENT_MERGE_TOL,
-    PRUNE_REL_THRESHOLD,
     GPSeries,
     differentiate,
     evaluate,
@@ -113,22 +112,20 @@ def _solved(problem, n):
 
 
 def _mismatch(problem, psi, polynomials):
-    """L psi - x^sigma (A_0 + ...), each A_k weighted on its own: a sum of the A_k
-    first would prune it relative to its largest, hiding what the identity misses."""
+    """L psi - x^sigma (A_0 + ...), each A_k weighted on its own."""
     weight = GPSeries.monomial(-1.0, problem.sigma)
     return gps.combine([(1.0, apply_forward(problem.alpha, psi))]
                        + [(1.0, gps.mul(weight, a)) for a in polynomials])
 
 
 def _series_identity_bound(problem, report, polynomials, images, m):
-    """What pruning and rounding may leave of L psi_m - x^sigma (A_0 + ... + A_(m-2)), in Σ|c|.
+    """What rounding may leave of L psi_m - x^sigma (A_0 + ... + A_(m-2)), in Σ|c|.
 
-    Every prune on the way (of the images, the components, the partial sums,
-    x^sigma A_k and inside L) drops terms below PRUNE_REL_THRESHOLD
-    times the largest coefficient of its result, at most M, the components'
-    scale.  L multiplies c x^e, 0 <= e <= E, by e (e + alpha - 1), less than
-    (E + 1)^2 in size; T bounds the raw terms pruned.  Rounding adds a few
-    eps per term and per partial sum, relative to M: near a resonance r = -1
+    Every merge on the way (of the images, the components, the partial sums,
+    x^sigma A_k and inside L) rounds each of its terms by a few eps of the
+    largest coefficient of its inputs, at most M, the components' scale; T
+    bounds the terms merged.  L multiplies c x^e, 0 <= e <= E, by
+    e (e + alpha - 1), less than (E + 1)^2 in size.  Near a resonance r = -1
     the image carries 1/(r + 1), and M with it.
     """
     used = polynomials[: m - 1]
@@ -138,7 +135,7 @@ def _series_identity_bound(problem, report, polynomials, images, m):
     series = images[: m - 1] + list(report.components[:m]) + list(report.partial_sums[:m])
     scale = max(_largest(s) for s in series + used)
     raw = 5 * (sum(len(s) for s in series + used) + m)
-    return (PRUNE_REL_THRESHOLD + 8 * m * EPS) * (max(exponents) + 1.0) ** 2 * scale * raw
+    return 8 * m * EPS * (max(exponents) + 1.0) ** 2 * scale * raw
 
 
 def _boundary_scale(problem):
@@ -186,11 +183,11 @@ def _magnitude(e):
 
 
 def _grid_gap(problem, report, polynomials):
-    """|residual(psi_n) + x^sigma A_(n-1)| on the grid, and what pruning and rounding allow.
+    """|residual(psi_n) + x^sigma A_(n-1)| on the grid, and what rounding and merges allow.
 
-    Not zero, but the series identity's remainder at x; f's image of the terms
-    the prunes dropped from psi; inside each of the n polynomials, a prune below
-    PRUNE_REL_THRESHOLD of f's terms and merges that move an exponent by up to
+    Not zero, but the series identity's remainder at x; f's image of the
+    rounding by which psi differs from its components summed; inside each of
+    the n polynomials, merges that move an exponent by up to
     EXPONENT_MERGE_TOL, so a term by |ln x| EXPONENT_MERGE_TOL of its size; and
     the rounding of the terms that cancel.
     """
@@ -206,7 +203,7 @@ def _grid_gap(problem, report, polynomials):
     f_size = eval_real(_magnitude(problem.f), xs, _absolute(report.psi, xs),
                        _absolute(differentiate(report.psi), xs))
     size = _absolute(lhs, xs) + weight * (f_size + _absolute(polynomials[-1], xs))
-    per_polynomial = PRUNE_REL_THRESHOLD + np.abs(np.log(xs)) * EXPONENT_MERGE_TOL
+    per_polynomial = np.abs(np.log(xs)) * EXPONENT_MERGE_TOL
     # Subnormal values carry no relative precision.
     return gap, remainder + (64 * EPS + report.n * per_polynomial) * size + np.finfo(float).tiny
 

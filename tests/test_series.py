@@ -17,7 +17,6 @@ from adomian_bvp.errors import DomainError, InvalidProblem, NonFiniteTerm, TermB
 from adomian_bvp.series import (
     DEFAULT_TERM_CAP,
     EXPONENT_MERGE_TOL,
-    PRUNE_REL_THRESHOLD,
     GPSeries,
     Term,
     add,
@@ -63,9 +62,12 @@ def test_normalize_merges_within_tolerance():
     assert s.terms[0].coeff == 2.0
 
 
-def test_normalize_prunes_relative_dust():
+def test_normalize_keeps_a_coefficient_far_below_the_largest():
+    # Only exact zeros are dropped: no coefficient is dust next to another.
     s = normalize([Term(1.0, 0.0), Term(1e-16, 1.0)])
-    assert _terms(s) == [(1.0, 0.0)]
+    assert _terms(s) == [(1.0, 0.0), (1e-16, 1.0)]
+    assert _terms(add(GPSeries.constant(1.0), GPSeries.monomial(1e-300, 1.0))) == [
+        (1.0, 0.0), (1e-300, 1.0)]
 
 
 def test_normalize_drops_exact_cancellation():
@@ -115,10 +117,10 @@ def _random_raw_terms(rng):
             raw[i] = (-raw[i - 1][0], raw[i - 1][1])
         elif kind == 1:
             raw[i] = (rng.choice([0.0, -0.0, 5e-324]), raw[i][1])
-    if rng.integers(0, 2):  # coefficients at the relative prune threshold
+    if rng.integers(0, 2):  # coefficients near 1e-14 of the largest: all are kept
         largest = 4.0
         raw.append((largest, 100.0))
-        edge = PRUNE_REL_THRESHOLD * largest
+        edge = 1e-14 * largest
         for j, c in enumerate(
             [edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0), -edge]
         ):
@@ -245,7 +247,7 @@ def test_raw_pairs_must_be_finite_and_strictly_increasing():
         GPSeries([(math.nan, 1.0)])
     with pytest.raises(NonFiniteTerm, match=r"^term \(2\.0, inf\) is not finite$"):
         GPSeries([(1.0, 0.5), (2.0, math.inf)])
-    # Still no merge and no prune: near-equal exponents and a zero coefficient stay.
+    # Still no merge and no drop: near-equal exponents and a zero coefficient stay.
     raw = ((1.0, 0.0), (1e-300, 1e-13), (0.0, 1.0))
     assert GPSeries(raw).terms == raw
 

@@ -148,7 +148,7 @@ def test_boundary_exactness_random_robin_problems():
 
 
 def test_partial_sums_keep_a_tiny_eta1_at_zero():
-    # eta1 is far below the prune threshold next to the other coefficients
+    # eta1 is 1e-150 of the other coefficients, and stays psi's constant term
     problem = Problem(
         alpha=0.0, sigma=0.0, f=parse("0.3 + 0.5*x"), eta1=3.5e-151,
         alpha1=1.0, beta1=0.0, gamma1=0.0,
@@ -267,7 +267,7 @@ def test_solver_errors_carry_step_index(source, sigma, eta1, error, subexpressio
 
 def test_family_1_at_beta_3_5_outgrows_the_term_cap_at_component_37():
     # The components grow until one raw product passes DEFAULT_TERM_CAP.  Which
-    # component that is pins where merges and prunes happen inside the A_k.
+    # component that is pins where merges happen inside the A_k.
     with pytest.raises(TermBlowup) as exc:
         solve(benchmark_problem(1, 0.5, 3.5), 40)
     assert str(exc.value).startswith("component 37: ")
