@@ -81,16 +81,15 @@ class StepInfo:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Components y_0 ... y_(n-1), running sums psi_1 ... psi_n, step diagnostics."""
+    """Components y_0 ... y_(n-1), their sum psi_n, step diagnostics; psi_m is on demand."""
 
     components: tuple[GPSeries, ...]
-    partial_sums: tuple[GPSeries, ...]
     psi: GPSeries  # psi_n, a field so that dataclasses.replace can swap it
     diagnostics: tuple[StepInfo, ...] = field(default_factory=tuple)
 
     @property
     def n(self) -> int:
-        return len(self.partial_sums)
+        return len(self.components)
 
 
 def check_count(value: object, name: str) -> int:
@@ -102,11 +101,11 @@ def check_count(value: object, name: str) -> int:
 
 
 def solve(problem: Problem, n: int = 10) -> SolveReport:
-    """Run the recursion for n components and return them with their running sums.
+    """Run the recursion for n components and return them with their sum psi_n.
 
     Raises:
         InvalidProblem: n is not an integer, or n < 1.
-        AdmError: ring/operator failures, re-raised tagged with the step index.
+        AdmError: ring/operator failures, re-raised tagged with the step (or ``psi_<n>``).
     """
     n = check_count(n, "n")
     if n < 1:
@@ -116,9 +115,8 @@ def solve(problem: Problem, n: int = 10) -> SolveReport:
     H = h_series(ctx)
     D = problem.alpha1 * gps.at_one(H) + problem.beta1  # h(1) = H(1), h'(1) = 1
 
-    psi = y = GPSeries.constant(problem.eta1)
-    components, partial_sums = [y], [psi]
-    diagnostics = [StepInfo(0, len(y), 0.0)]
+    y = GPSeries.constant(problem.eta1)
+    components, diagnostics = [y], [StepInfo(0, len(y), 0.0)]
     inhomogeneous = (problem.gamma1 - problem.alpha1 * problem.eta1) / D  # in y_1 only
 
     tape = Tape(problem.f)
@@ -130,19 +128,21 @@ def solve(problem: Problem, n: int = 10) -> SolveReport:
             bleed = gps.at_one(image)  # image(1)
             weights = (problem.alpha1 * bleed / D, -1.0, inhomogeneous if k == 0 else 0.0)
             y = gps.combine(zip(weights, (H, image, H)))
-            psi = gps.add(psi, y)
         except AdmError as err:
             raise type(err)(f"component {k + 1}: {err}") from err
         components.append(y)
-        partial_sums.append(psi)
         diagnostics.append(StepInfo(k + 1, len(y), time.perf_counter() - started))
 
-    return SolveReport(tuple(components), tuple(partial_sums), psi, tuple(diagnostics))
+    try:
+        psi = gps.combine((1.0, y) for y in components)
+    except AdmError as err:  # a merged coefficient overflows
+        raise type(err)(f"psi_{n}: {err}") from err
+    return SolveReport(tuple(components), psi, tuple(diagnostics))
 
 
 def partial_sum(report: SolveReport, m: int) -> GPSeries:
-    """psi_m, the sum of the first m components, for an integer m in [1, n]."""
+    """psi_m = y_0 + ... + y_(m-1), integer m in [1, n]: one merge, bit for bit the left fold."""
     m = check_count(m, "m")
     if not 1 <= m <= report.n:
         raise InvalidProblem(f"m must lie in [1, {report.n}], got {m!r}")
-    return report.partial_sums[m - 1]
+    return gps.combine((1.0, y) for y in report.components[:m])

@@ -95,6 +95,7 @@ _ZEROS_DROPPED = """\
         return coeffs, exponents
     keep = magnitude > 0.0
 """
+_CAUCHY = "tests/test_properties.py::test_decomposition_polynomials_of_fixed_f_are_cauchy_integrals"
 _FINAL_MERGE = "return from_arrays(np.concatenate(coeffs), np.concatenate([e for *_, e in live]))"
 
 MUTANTS = (
@@ -184,6 +185,17 @@ MUTANTS = (
     Mutant("mul-coeff-drops-its-last-product", EXPRESSIONS,
            "for i in range(k + 1)))", "for i in range(k)))",
            (f"{T_IDENTITY}::test_residual_of_an_affine_f_is_its_next_polynomial",)),
+    Mutant("div-coeff-drops-its-last-term", EXPRESSIONS,
+           "b[j], out[k - j]) for j in range(1, k + 1)))",
+           "b[j], out[k - j]) for j in range(1, k)))",
+           (_CAUCHY,)),
+    Mutant("ln-coeff-drops-its-first-term", EXPRESSIONS,
+           "a[k - j]) for j in range(1, k))", "a[k - j]) for j in range(2, k))",
+           (_CAUCHY,)),
+    Mutant("exp-coeff-cut-short", EXPRESSIONS,
+           "(j / k, a[j], out[k - j]) for j in range(1, k + 1)",
+           "(j / k, a[j], out[k - j]) for j in range(1, k)",
+           (_CAUCHY,)),
     Mutant("bleed-weight-off-by-0.1%", SOLVER,
            "problem.alpha1 * bleed / D", "problem.alpha1 * bleed * 1.001 / D",
            (f"{T_IDENTITY}::test_every_partial_sum_solves_its_linear_problem",)),
@@ -194,8 +206,15 @@ MUTANTS = (
            "bleed / D, -1.0,", "bleed / D, 1.0,",
            (f"{T_IDENTITY}::test_every_partial_sum_solves_its_linear_problem",)),
     Mutant("partial-sums-one-component-behind", SOLVER,
-           "partial_sums.append(psi)", "partial_sums.append(partial_sums[-1])",
-           (f"{T_IDENTITY}::test_every_partial_sum_solves_its_linear_problem",)),
+           "report.components[:m]", "report.components[:m - 1]",
+           (f"{T_SOLVER}::test_partial_sums_are_the_left_fold_of_the_components",
+            f"{T_IDENTITY}::test_every_partial_sum_solves_its_linear_problem")),
+    Mutant("psi-one-component-behind", SOLVER,
+           "for y in components)", "for y in components[:-1])",
+           ("tests/test_golden_psi.py::test_psi_bit_identical_to_fixture",)),
+    Mutant("psi-overflow-untagged", SOLVER,
+           'raise type(err)(f"psi_{n}: {err}") from err', "raise",
+           (f"{T_SOLVER}::test_a_sum_of_finite_components_that_overflows_names_psi",)),
     # the Robin denominator and the checks of Problem
     Mutant("h-at-one-respelled-in-d", SOLVER,
            "problem.alpha1 * gps.at_one(H)", "problem.alpha1 / (1.0 - problem.alpha)",

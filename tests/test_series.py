@@ -30,7 +30,7 @@ from adomian_bvp.series import (
     normalize,
     scale,
 )
-from adomian_bvp.solver import solve
+from adomian_bvp.solver import partial_sum, solve
 
 
 def _terms(series):
@@ -671,7 +671,9 @@ def test_evaluate_many_matches_scalar():
     widest = GPSeries.zero()
     for example, beta in ((1, 1.0), (1, 3.5), (2, 1.0), (3, 1.0), (3, 2.5)):
         for alpha in (0.25, 0.5, 0.75):
-            for psi in solve(benchmark_problem(example, alpha, beta), 10).partial_sums:
+            report = solve(benchmark_problem(example, alpha, beta), 10)
+            for m in range(1, 11):
+                psi = partial_sum(report, m)
                 grid = evaluate_many(psi, xs)
                 assert [evaluate(psi, x) for x in xs[::40].tolist()] == grid[::40].tolist()
                 widest = max(widest, psi, key=len)

@@ -23,6 +23,7 @@ from adomian_bvp.errors import (
     LogOfNonPositive,
     LogResonance,
     NonConstantBasePoint,
+    NonFiniteTerm,
     TermBlowup,
 )
 from adomian_bvp.expressions import MAX_DEPTH, X, Y, parse
@@ -76,8 +77,8 @@ def test_partial_sum_bounds_and_identity():
 
 def test_partial_sum_takes_an_integer_m_only():
     report = solve(benchmark_problem(1, 0.5, 1.0), 3)
-    assert partial_sum(report, np.int64(2)) is report.partial_sums[1]
-    assert partial_sum(report, True) is report.partial_sums[0]
+    assert partial_sum(report, np.int64(2)) == partial_sum(report, 2)
+    assert partial_sum(report, True) == partial_sum(report, 1)
     for m in (2.0, "2", None):
         message = f"^m must be an integer, got {re.escape(repr(m))}$"
         with pytest.raises(InvalidProblem, match=message):
@@ -97,24 +98,22 @@ def test_report_structure():
     assert report.n == 6 and len(report.components) == 6
     assert len(report.diagnostics) == 6
     assert all(d.terms == len(report.components[d.step]) for d in report.diagnostics)
-    # psi is the coefficient-wise sum of all components
-    acc = GPSeries.zero()
-    for c in report.components:
-        acc = add(acc, c)
-    assert acc == report.psi
 
 
-@pytest.mark.parametrize("family,alpha,beta", [(1, 0.5, 3.5), (2, 0.25, 1.0), (3, 0.75, 2.5)])
-@pytest.mark.parametrize("n", [1, 5, 12])
-def test_partial_sums_are_the_left_fold_of_the_components(family, alpha, beta, n):
+# the incommensurate golden points have the widest sums
+@pytest.mark.parametrize("n,family,alpha,beta", [
+    *((n, *problem) for n in (1, 5, 12)
+      for problem in ((1, 0.5, 3.5), (2, 0.25, 1.0), (3, 0.75, 2.5))),
+    (16, 1, 0.3719, 2.1234), (16, 2, 0.1234, 1.0),
+])
+def test_partial_sums_are_the_left_fold_of_the_components(n, family, alpha, beta):
     report = solve(benchmark_problem(family, alpha, beta), n)
-    assert report.n == n == len(report.partial_sums) == len(report.components)
+    assert report.n == n == len(report.components)
     acc = GPSeries.zero()
     for m, component in enumerate(report.components, start=1):
         acc = add(acc, component)
-        assert report.partial_sums[m - 1] == acc
-        assert partial_sum(report, m) is report.partial_sums[m - 1]
-    assert report.psi is report.partial_sums[-1]
+        assert partial_sum(report, m) == acc
+    assert report.psi == acc
 
 
 # --- boundary exactness ----------------------------------------------------------------
@@ -154,8 +153,9 @@ def test_partial_sums_keep_a_tiny_eta1_at_zero():
         alpha1=1.0, beta1=0.0, gamma1=0.0,
     )
     report = solve(problem, 6)
-    assert [evaluate(psi, 0.0) for psi in report.partial_sums] == [3.5e-151] * 6
-    assert all(psi.terms[0] == Term(3.5e-151, 0.0) for psi in report.partial_sums)
+    sums = [partial_sum(report, m) for m in range(1, report.n + 1)]
+    assert [evaluate(psi, 0.0) for psi in sums] == [3.5e-151] * 6
+    assert all(psi.terms[0] == Term(3.5e-151, 0.0) for psi in sums)
 
 
 def test_linear_problem_scales_linearly():
@@ -263,6 +263,19 @@ def test_solver_errors_carry_step_index(source, sigma, eta1, error, subexpressio
     assert "component 1" in str(exc.value)
     if subexpression is not None:
         assert str(exc.value).endswith(f"[in {subexpression!r}]")
+
+
+def test_a_sum_of_finite_components_that_overflows_names_psi():
+    # y'' = -y, y(0) = 0, y(1) = 1.7e308: y_1 = 1.7e308 x and y_2 = (1.7e308/6)(x - x^3)
+    # are finite, and the coefficient of x in their sum overflows
+    problem = Problem(
+        alpha=0.0, sigma=0.0, f=parse("-1*y"), eta1=0.0,
+        alpha1=1.0, beta1=0.0, gamma1=1.7e308,
+    )
+    report = solve(problem, 2)
+    assert evaluate(report.psi, 1.0) == 1.7e308
+    with pytest.raises(NonFiniteTerm, match="^psi_3: a merged coefficient overflows$"):
+        solve(problem, 3)
 
 
 def test_family_1_at_beta_3_5_outgrows_the_term_cap_at_component_37():
