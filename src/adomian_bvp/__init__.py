@@ -9,7 +9,7 @@ components whose partial sums satisfy both boundary conditions exactly.
 from . import benchmarks, diagnostics, problem_file
 from .diagnostics import ErrorReport, max_error, max_errors, residual
 from .errors import AdmError, ComputeError, InputError
-from .expressions import Expr, eval_real, free_vars, parse, to_source
+from .expressions import Expr, eval_real, parse, to_source
 from .series import GPSeries, Term, format_series, normalize
 from .singular_operator import OperatorContext, apply_forward, apply_inverse, h_series
 from .solver import Problem, SolveReport, partial_sum, solve
@@ -31,7 +31,6 @@ __all__ = [
     "diagnostics",
     "eval_real",
     "format_series",
-    "free_vars",
     "h_series",
     "max_error",
     "max_errors",

@@ -9,7 +9,7 @@ measured in one call that evaluates the reference once (:func:`max_errors`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -30,7 +30,6 @@ MAX_GRID_SIZE = 1_000_000
 class ErrorReport:
     """Max |psi - exact| over a grid; ``grid`` and ``errors`` are read-only arrays."""
 
-    n: int | None
     grid: np.ndarray
     errors: np.ndarray
     max_error: float
@@ -46,12 +45,10 @@ def _uniform_grid(grid_size: int) -> np.ndarray:
     return np.arange(1, grid_size + 1, dtype=float) / grid_size
 
 
-def max_error(
-    psi: GPSeries, exact: Expr, grid_size: int, n: int | None = None
-) -> ErrorReport:
-    """:func:`max_errors` of the one partial sum psi, its report carrying ``n``."""
+def max_error(psi: GPSeries, exact: Expr, grid_size: int) -> ErrorReport:
+    """Largest |psi(x_i) - exact(x_i)| over the uniform grid: :func:`max_errors` of psi alone."""
     (report,) = max_errors((psi,), exact, grid_size)
-    return report if n is None else replace(report, n=n)
+    return report
 
 
 def max_errors(
@@ -84,7 +81,7 @@ def max_errors(
         e.setflags(write=False)
         imax = int(np.argmax(e))
         reports.append(ErrorReport(
-            n=None, grid=xs, errors=e, max_error=float(e[imax]), max_point=float(xs[imax])))
+            grid=xs, errors=e, max_error=float(e[imax]), max_point=float(xs[imax])))
     return reports
 
 
@@ -98,6 +95,9 @@ def residual_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The uniform grid and (x^alpha psi')' - x^sigma f(x, psi, psi') sampled on it.
 
+    (x^alpha psi')', psi and psi' share each power of x (``series.evaluate_each``),
+    each bit for bit its own ``evaluate_many``.
+
     Raises:
         InvalidProblem: grid_size is not an integer, or lies outside
             [1, ``MAX_GRID_SIZE``].
@@ -105,9 +105,8 @@ def residual_grid(
     """
     xs = _uniform_grid(grid_size)
     with np.errstate(over="ignore", invalid="ignore"):
-        lhs = gps.evaluate_many(apply_forward(problem.alpha, psi), xs)
-        y = gps.evaluate_many(psi, xs)
-        yp = gps.evaluate_many(gps.differentiate(psi), xs)
+        lhs, y, yp = gps.evaluate_each(
+            (apply_forward(problem.alpha, psi), psi, gps.differentiate(psi)), xs)
         values = lhs - xs ** problem.sigma * eval_real(problem.f, xs, y, yp)
     if not np.all(np.isfinite(values)):
         raise NonFiniteTerm("the residual overflows on the grid")

@@ -295,10 +295,6 @@ def parse(source: str) -> Expr:
     return node
 
 
-def _names(layout) -> set[str]:
-    return {name if type(n) is Var else "x" for n, _, name in layout if type(n) in (Var, PowXReal)}
-
-
 def check_expr(e: Expr, allowed: set[str], error: Callable[[str], Exception], name: str) -> None:
     """Raise ``error(message)`` if e nests deeper than ``MAX_DEPTH`` levels, else if a literal is
     not a finite real number or a power not an integer, else if a variable is not in ``allowed``."""
@@ -314,7 +310,8 @@ def check_expr(e: Expr, allowed: set[str], error: Callable[[str], Exception], na
             raise error(f"{name} has the non-integral power {literal}")
         if isinstance(node, (Constant, PowXReal)) and not math.isfinite(literal):
             raise error(f"{name} has the non-finite number {literal}")
-    if others := _names(layout) - allowed:
+    names = {name if type(n) is Var else "x" for n, _, name in layout if type(n) in (Var, PowXReal)}
+    if others := names - allowed:
         raise error(f"{name} mentions {sorted(others)}; only {sorted(allowed)} allowed")
 
 
@@ -385,11 +382,6 @@ def _named(e: Expr) -> str:
     if len(text) > MESSAGE_SOURCE_CHARS:
         text = text[:MESSAGE_SOURCE_CHARS - 3] + "..."
     return repr(text)
-
-
-def free_vars(e: Expr) -> set[str]:
-    """The set of variable names ({'x', 'y', 'yp'}) the expression mentions."""
-    return _names(_layout(e))
 
 
 # --- evaluation over floats -------------------------------------------------------

@@ -5,7 +5,7 @@ must then fail, as ``path::function`` (every parametrization of the function run
 
     python tests/mutants.py [ID ...]
 
-copies ``src/``, ``tests/``, ``bench/`` and ``pyproject.toml`` to a temporary directory,
+copies ``src/``, ``tests/``, ``bench/``, ``demos/`` and ``pyproject.toml`` to a temporary directory,
 runs the named tests of the selected mutants (all by default) on the clean copy, which must
 pass, and then applies each mutant alone and runs its tests, which must fail.  It exits 0
 only if the clean copy passes and every mutant is caught.  pytest does not collect this
@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "bench", "pyproject.toml")
+COPIED = ("src", "tests", "bench", "demos", "pyproject.toml")
 
 
 class Mutant(NamedTuple):
@@ -35,9 +35,9 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # "path::function", relative to the repository root
 
 
-SERIES, EXPRESSIONS, SOLVER, DIAGNOSTICS, LAMBDA_RING = (
+SERIES, EXPRESSIONS, SOLVER, DIAGNOSTICS, LAMBDA_RING, BENCHMARKS, CLI = (
     f"src/adomian_bvp/{m}.py"
-    for m in ("series", "expressions", "solver", "diagnostics", "lambda_ring"))
+    for m in ("series", "expressions", "solver", "diagnostics", "lambda_ring", "benchmarks", "cli"))
 T_SERIES, T_TAPE, T_EXPR, T_IDENTITY, T_SOLVER = (
     f"tests/test_{m}.py" for m in ("series", "tape", "expressions", "residual_identity", "solver"))
 
@@ -249,6 +249,64 @@ MUTANTS = (
            "if grid_size > MAX_GRID_SIZE:", "if grid_size >= MAX_GRID_SIZE:",
            ("tests/test_diagnostics.py::test_grid_size_is_at_most_max_grid_size",
             "tests/test_cli.py::test_one_grid_size_rule")),
+    # the three series of the residual, evaluated in one pass
+    Mutant("residual-psi-and-its-derivative-swapped", DIAGNOSTICS,
+           "(apply_forward(problem.alpha, psi), psi, gps.differentiate(psi))",
+           "(apply_forward(problem.alpha, psi), gps.differentiate(psi), psi)",
+           ("tests/test_diagnostics.py::"
+            "test_residual_grid_is_the_formula_of_one_series_at_a_time_bit_for_bit",)),
+    # the hand-made mutations of the early kernel, family, evaluation and sum changes
+    Mutant("groups-summed-by-reduceat", SERIES,
+           "c, e = np.bincount(at_input, weights=coeffs)[1:], anchors",
+           "c, e = np.add.reduceat(coeffs[order], np.flatnonzero(np.diff(group, prepend=0)))"
+           ", anchors",
+           (f"{T_SERIES}::test_a_group_adds_its_coefficients_in_input_order",
+            f"{T_SERIES}::test_tie_heavy_raw_arrays_match_the_reference")),
+    Mutant("beta-1-written-as-a-power", BENCHMARKS,
+           'x_beta="x" if beta == 1.0 else f"x^{beta!r}"', 'x_beta=f"x^{beta!r}"',
+           ("tests/test_benchmarks.py::test_benchmark_problem_is_pinned",)),
+    Mutant("family-1-gamma1-logarithm-swapped", BENCHMARKS,
+           "gamma1 = -{ln[5]!r}", "gamma1 = -{ln[4]!r}",
+           ("tests/test_benchmarks.py::test_benchmark_problem_is_pinned",)),
+    Mutant("empty-list-accepted", CLI,
+           "if not values:", "if False:",
+           ("tests/test_cli.py::test_table_empty_list_is_a_usage_error",)),
+    Mutant("no-overflow-check-in-eval-real", EXPRESSIONS,
+           "if np.any(np.isfinite(operand) & ~np.isfinite(value)):", "if False:",
+           (f"{T_EXPR}::test_eval_real_overflow_is_non_finite_term",)),
+    Mutant("real-power-of-zero-not-checked", EXPRESSIONS,
+           "| (x == 0.0) & (p < 0.0)", "",
+           (f"{T_EXPR}::test_eval_real_grid_raises_when_any_point_violates_the_domain",)),
+    Mutant("last-offending-value-named", EXPRESSIONS,
+           "[np.asarray(undefined)][0]", "[np.asarray(undefined)][-1]",
+           (f"{T_EXPR}::test_eval_real_grid_raises_when_any_point_violates_the_domain",)),
+    Mutant("zero-weight-parts-summed", SERIES,
+           "for w, s in parts if w != 0.0 and len(s.coeffs)]",
+           "for w, s in parts if len(s.coeffs)]",
+           (f"{T_SERIES}::test_operations_match_reference_bit_for_bit",)),
+    Mutant("a-single-part-not-checked", SERIES,
+           "return GPSeries._of(*_nonzero(coeffs[0], e, (coeffs[0], e)))",
+           "return GPSeries._of(coeffs[0], e)",
+           (f"{T_SERIES}::test_operations_match_reference_bit_for_bit",)),
+    Mutant("parts-summed-in-reverse", SERIES,
+           _FINAL_MERGE,
+           _FINAL_MERGE.replace("(coeffs)", "(coeffs[::-1])").replace("in live]", "in live][::-1]"),
+           (f"{T_SERIES}::test_operations_match_reference_bit_for_bit",)),
+    Mutant("boundary-weight-at-every-step", SOLVER,
+           "inhomogeneous if k == 0 else 0.0", "inhomogeneous",
+           (f"{T_IDENTITY}::test_every_partial_sum_solves_its_linear_problem",)),
+    Mutant("no-depth-check", EXPRESSIONS,
+           _DEPTH_CHECK, "",
+           ("tests/test_diagnostics.py::test_max_error_rejects_a_reference_past_the_depth_bound",)),
+    Mutant("no-nesting-check-in-the-parser", EXPRESSIONS,
+           "if self.nesting > MAX_DEPTH:", "if False:",
+           ("tests/test_cli.py::test_too_deep_f_is_one_parse_error",)),
+    Mutant("near-zero-exponent-at-zero-as-a-power", SERIES,
+           "if has_zero and 0.0 < abs(e) <= EXPONENT_MERGE_TOL:", "if False:",
+           (f"{T_SERIES}::test_evaluate_at_zero_rules",)),
+    Mutant("no-singular-check-at-zero", SERIES,
+           "if has_zero and len(a) and a.exponents[0] < -EXPONENT_MERGE_TOL:", "if False:",
+           (f"{T_SERIES}::test_evaluate_at_zero_rules",)),
     # the depth walk and the ring's order guard
     Mutant("depth-walk-one-level-short", EXPRESSIONS,
            "if depths[-1] > MAX_DEPTH:", "if depths[-1] >= MAX_DEPTH:",

@@ -1,6 +1,8 @@
 """Error reports, residuals, the quadrature cross-check, and table formatting."""
 
+import dataclasses
 import re
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -11,14 +13,17 @@ from support import QuadratureFailure, left_nested_sum, quadrature_oracle
 from adomian_bvp.benchmarks import benchmark_problem
 from adomian_bvp.diagnostics import (
     MAX_GRID_SIZE,
+    ErrorReport,
     format_error_table,
     max_error,
     max_errors,
     residual,
+    residual_grid,
 )
 from adomian_bvp.errors import InvalidExactSolution, InvalidProblem, NonFiniteTerm
 from adomian_bvp.expressions import MAX_DEPTH, X, eval_real, parse
-from adomian_bvp.series import GPSeries, differentiate, evaluate
+from adomian_bvp.problem_file import load_problem
+from adomian_bvp.series import GPSeries, differentiate, evaluate, evaluate_many
 from adomian_bvp.singular_operator import OperatorContext, apply_forward, apply_inverse
 from adomian_bvp.solver import Problem, partial_sum, solve
 
@@ -84,10 +89,11 @@ def test_max_error_locates_maximum():
     psi = GPSeries(
         GPSeries.monomial(1.0, 1.0).terms + GPSeries.monomial(0.01, 2.0).terms
     )
-    report = max_error(psi, exact, 10, n=3)
+    report = max_error(psi, exact, 10)
+    assert [f.name for f in dataclasses.fields(ErrorReport)] == [
+        "grid", "errors", "max_error", "max_point"]
     assert report.max_point == 1.0
     assert report.max_error == pytest.approx(0.01)
-    assert report.n == 3
     assert len(report.errors) == 10
     assert report.errors.max() == report.max_error
 
@@ -130,7 +136,6 @@ def test_max_errors_is_max_error_of_each_partial_sum(example, beta):
         assert len(reports) == len(sums)
         for got, psi in zip(reports, sums):
             want = max_error(psi, problem.exact, 1000)
-            assert got.n is want.n is None
             assert got.grid.tobytes() == want.grid.tobytes()
             assert got.errors.tobytes() == want.errors.tobytes()
             assert (got.max_error, got.max_point) == (want.max_error, want.max_point)
@@ -153,7 +158,7 @@ def test_benchmark_error_magnitude():
     # family 1 at alpha=0.5: ten components land near 6e-10
     problem = benchmark_problem(1, 0.5, 1.0)
     report = solve(problem, 10)
-    err = max_error(report.psi, problem.exact, 1000, n=10)
+    err = max_error(report.psi, problem.exact, 1000)
     assert 3e-10 <= err.max_error <= 1.2e-9
 
 
@@ -202,6 +207,29 @@ def test_residual_grid_agrees_with_pointwise_evaluation(example, beta):
         y, yp = evaluate(psi, x), evaluate(psi_prime, x)
         want = evaluate(lhs, x) - x ** problem.sigma * eval_real(problem.f, x, y, yp)
         assert abs(r - want) <= 1e-12
+
+
+RESIDUAL_PROBLEMS = {
+    "family-1-3.5": lambda: benchmark_problem(1, 0.37, 3.5),
+    "family-2": lambda: benchmark_problem(2, 0.37, 1.0),
+    "family-3-2.5": lambda: benchmark_problem(3, 0.37, 2.5),
+    "exp_dirichlet": lambda: load_problem(
+        Path(__file__).parents[1] / "demos" / "problems" / "exp_dirichlet.prob"),
+}
+
+
+@pytest.mark.parametrize("name", RESIDUAL_PROBLEMS)
+def test_residual_grid_is_the_formula_of_one_series_at_a_time_bit_for_bit(name):
+    # psi, psi' and (x^alpha psi')' each evaluated alone, as evaluate_many gives them
+    problem = RESIDUAL_PROBLEMS[name]()
+    psi = solve(problem, 10).psi
+    xs = np.arange(1, 1001, dtype=float) / 1000
+    y, yp = evaluate_many(psi, xs), evaluate_many(differentiate(psi), xs)
+    lhs = evaluate_many(apply_forward(problem.alpha, psi), xs)
+    want = lhs - xs ** problem.sigma * eval_real(problem.f, xs, y, yp)
+    grid, values = residual_grid(psi, problem, 1000)
+    assert grid.tobytes() == xs.tobytes()
+    assert values.tobytes() == want.tobytes()
 
 
 def test_max_error_matches_pointwise_reference_bit_for_bit():

@@ -35,8 +35,10 @@ from support import ADMISSIBLE_TEMPLATES, Unresolved, adomian_polynomials, eval_
 
 from adomian_bvp.benchmarks import benchmark_problem
 from adomian_bvp.cli import main
-from adomian_bvp.errors import AdmError, ComputeError, NonFiniteTerm, ParseError, UnsupportedPower
-from adomian_bvp.expressions import _NODES, Add, Mul, eval_real, free_vars, parse, to_source
+from adomian_bvp.errors import (
+    AdmError, ComputeError, InvalidProblem, NonFiniteTerm, ParseError, UnsupportedPower,
+)
+from adomian_bvp.expressions import _NODES, Add, Mul, check_expr, eval_real, parse, to_source
 from adomian_bvp.problem_file import FIELDS
 from adomian_bvp.series import differentiate, evaluate, evaluate_many, normalize
 from adomian_bvp.solver import Problem, partial_sum, solve
@@ -289,7 +291,8 @@ def test_a_shared_object_copy_of_f_gives_the_results_of_the_tree(source):
     tree = Add(parts[0], Mul(parts[1], parts[2]))  # three equal subtrees, three objects
     dag = _shared(tree, {})
     assert dag == tree and dag.left is dag.right.left is dag.right.right
-    assert free_vars(dag) == free_vars(tree)
+    mentioned = [_outcome(lambda: check_expr(e, set(), InvalidProblem, "f")) for e in (tree, dag)]
+    assert mentioned[0] == mentioned[1]
     assert to_source(dag) == to_source(tree)
     with np.errstate(all="ignore"):
         on_tree, on_dag = (_outcome(lambda: eval_real(e, GRID_X, GRID_Y, GRID_YP))
