@@ -13,7 +13,9 @@ the drop of exact zeros.  No other coefficient is dropped, however small next
 to the others: a partial sum keeps every term of its closed-form components.
 The kernel reproduces the term-by-term definition bit for bit, whatever order
 the sort gives equal exponents, and the first non-finite input term is the one
-an error names.
+an error names.  A map that keeps the exponents in order, :func:`differentiate`
+or :func:`shift`, skips the sort through :func:`from_ordered`, with the same
+bits and errors: only terms that would merge, or are zero or not finite, go to the kernel.
 
 :func:`combine` is every weighted sum, of series and of products of two
 series, such as one Cauchy sum of a recurrence; ``mul`` is its one-product
@@ -226,6 +228,18 @@ def _merged(coeffs: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray, np.n
     return _nonzero(c, e + 0.0, (coeffs, exponents))
 
 
+def from_ordered(coeffs: np.ndarray, exponents: np.ndarray, raw=None) -> GPSeries:
+    """:func:`from_arrays` of terms in increasing exponent order, no exponent -0.0, without a sort:
+    the arrays as they stand if every gap exceeds ``EXPONENT_MERGE_TOL`` and every term is
+    finite and nonzero, else the kernel of ``raw()``, these arrays by default, for its errors."""
+    magnitude, gaps = np.abs(coeffs), np.subtract(exponents[1:], exponents[:-1])
+    if (len(coeffs) and np.minimum.reduce(gaps, initial=math.inf) > EXPONENT_MERGE_TOL
+            and math.isfinite(exponents[-1] - exponents[0]) and np.minimum.reduce(magnitude) > 0.0
+            and math.isfinite(np.maximum.reduce(magnitude))):
+        return GPSeries._of(coeffs, exponents)
+    return from_arrays(*(raw() if raw else (coeffs, exponents)))
+
+
 def normalize(raw_terms: Iterable[Sequence[float]]) -> GPSeries:
     """:func:`from_arrays` over (coeff, exponent) pairs, :class:`Term` or plain.
 
@@ -311,7 +325,17 @@ def differentiate(a: GPSeries) -> GPSeries:
     exponents = a.exponents[live]
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = a.coeffs[live] * exponents
-    return from_arrays(coeffs, exponents - 1.0)
+    return from_ordered(coeffs, exponents - 1.0)
+
+
+def shift(a: GPSeries, b: GPSeries) -> GPSeries:
+    """:func:`mul` of a and b where one is a single term c*x^p, keeping the other's order; any
+    other pair, and a product past ``DEFAULT_TERM_CAP`` terms, is :func:`mul`'s."""
+    if min(len(a), len(b)) != 1 or len(a) * len(b) > DEFAULT_TERM_CAP:
+        return mul(a, b) if len(a) and len(b) else _ZERO
+    (c, p), other = (a.terms[0], b) if len(a) == 1 else (b.terms[0], a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return from_ordered(c * other.coeffs, (p + 0.0) + other.exponents)  # never -0.0
 
 
 def evaluate(a: GPSeries, x: float) -> float:

@@ -18,7 +18,8 @@ logarithmic and r = alpha-2 the outer one; r < alpha-2 diverges.  All three
 raise instead of silently leaving the representable algebra.  So does an r
 whose two image exponents 1-alpha and r+2-alpha, as computed, lie within the
 merge tolerance: the merge would fold them into one x^(1-alpha) term, which
-L maps to 0.
+L maps to 0.  The image is built in exponent order, its x^(1-alpha) terms one sum; it goes
+to the kernel only if terms would merge or are 0 or not finite (:func:`series.from_ordered`).
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ def apply_inverse(ctx: OperatorContext, g: GPSeries) -> GPSeries:
     Satisfies (x^a * result')' = -x^s * g, and every output exponent is at
     least 1-a > 0, so the image always vanishes at x = 0 and its combination
     a1*u(1) + b1*u'(1) reduces to a1*u(1) (the derivative vanishes at 1).
-    The raw image lists the two terms of each term of g in turn, x^(1-a)
-    first, so that equal exponents merge in the same order as term by term.
+    It is bit for bit the kernel's merge of the raw image, which lists the two
+    terms of each term of g in turn, x^(1-a) first, as term by term would.
 
     Raises:
         LogResonance, OuterResonance, Divergent: inadmissible exponents, for
@@ -84,14 +85,18 @@ def apply_inverse(ctx: OperatorContext, g: GPSeries) -> GPSeries:
                 raise OuterResonance(f"weighted exponent {ri:g} hits alpha-2 = {bound:g}")
             raise Divergent(
                 f"weighted exponent {ri:g} below alpha-2 = {bound:g}: integral diverges")
-    coeffs = np.empty(2 * len(g))
-    exponents = np.empty(2 * len(g))
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs[0::2] = g.coeffs / (r1 * (1.0 - ctx.alpha))
-        coeffs[1::2] = -g.coeffs / (r1 * tail)
-    exponents[0::2] = 1.0 - ctx.alpha
-    exponents[1::2] = tail
-    return gps.from_arrays(coeffs, exponents)
+        heads = g.coeffs / (r1 * (1.0 - ctx.alpha))
+        tails = -g.coeffs / (r1 * tail)
+    head = 0.0  # the x^(1-a) group, in input order from 0.0 as the kernel sums it
+    for c in heads.tolist():
+        head += c
+    i = int(tail.searchsorted(1.0 - ctx.alpha))  # the tails ascend with g's exponents
+    return gps.from_ordered(
+        np.concatenate((tails[:i], [head], tails[i:])),
+        np.concatenate((tail[:i], [1.0 - ctx.alpha], tail[i:])),
+        lambda: (np.column_stack((heads, tails)).ravel(),  # the raw image, interleaved
+                 np.column_stack((np.full_like(tail, 1.0 - ctx.alpha), tail)).ravel()))
 
 
 def inverse_at_one(ctx: OperatorContext, g: GPSeries) -> float:
@@ -100,6 +105,6 @@ def inverse_at_one(ctx: OperatorContext, g: GPSeries) -> float:
 
 
 def apply_forward(alpha: float, u: GPSeries) -> GPSeries:
-    """The forward operator (x^a u')' via two derivatives and one monomial product."""
-    inner = gps.mul(GPSeries.monomial(1.0, alpha), gps.differentiate(u))
+    """The forward operator (x^a u')' via two derivatives and one shift by x^a."""
+    inner = gps.shift(GPSeries.monomial(1.0, alpha), gps.differentiate(u))
     return gps.differentiate(inner)

@@ -126,8 +126,7 @@ def solve(problem: Problem, n: int = 10) -> SolveReport:
             a_k = tape.extend(y, gps.differentiate(y))
             image = apply_inverse(ctx, a_k)
             bleed = gps.at_one(image)  # image(1)
-            weights = (problem.alpha1 * bleed / D, -1.0, inhomogeneous if k == 0 else 0.0)
-            y = gps.combine(zip(weights, (H, image, H)))
+            y = assemble(H, image, problem.alpha1 * bleed / D, inhomogeneous if k == 0 else 0.0)
         except AdmError as err:
             raise type(err)(f"component {k + 1}: {err}") from err
         components.append(y)
@@ -138,6 +137,20 @@ def solve(problem: Problem, n: int = 10) -> SolveReport:
     except AdmError as err:  # a merged coefficient overflows
         raise type(err)(f"psi_{n}: {err}") from err
     return SolveReport(tuple(components), psi, tuple(diagnostics))
+
+
+def assemble(H: GPSeries, image: GPSeries, w: float, c: float) -> GPSeries:
+    """``combine(zip((w, -1.0, c), (H, image, H)))`` for H = h*x^p and an inverse image, in order:
+    -image, its x^p coefficient S made ((0.0 + w*h) - S) + c*h as the kernel sums that group
+    (a zero weight adds a zero), or the kernel itself if S or that sum is 0 or not finite."""
+    ((h, p),) = H.terms
+    i = int(image.exponents.searchsorted(p))
+    head = ((0.0 + w * h) - image.coeffs.item(i)) + c * h if p in image.exponents[i:i + 1] else 0.0
+    if head == 0.0 or not math.isfinite(head):
+        return gps.combine(zip((w, -1.0, c), (H, image, H)))
+    coeffs = -image.coeffs
+    coeffs[i] = head
+    return GPSeries._of(coeffs, image.exponents)
 
 
 def partial_sum(report: SolveReport, m: int) -> GPSeries:

@@ -35,11 +35,13 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # "path::function", relative to the repository root
 
 
-SERIES, EXPRESSIONS, SOLVER, DIAGNOSTICS, LAMBDA_RING, BENCHMARKS, CLI = (
+SERIES, EXPRESSIONS, SOLVER, DIAGNOSTICS, LAMBDA_RING, BENCHMARKS, CLI, OPERATOR = (
     f"src/adomian_bvp/{m}.py"
-    for m in ("series", "expressions", "solver", "diagnostics", "lambda_ring", "benchmarks", "cli"))
-T_SERIES, T_TAPE, T_EXPR, T_IDENTITY, T_SOLVER = (
-    f"tests/test_{m}.py" for m in ("series", "tape", "expressions", "residual_identity", "solver"))
+    for m in ("series", "expressions", "solver", "diagnostics", "lambda_ring", "benchmarks", "cli",
+              "singular_operator"))
+T_SERIES, T_TAPE, T_EXPR, T_IDENTITY, T_SOLVER, T_ORDERED = (
+    f"tests/test_{m}.py"
+    for m in ("series", "tape", "expressions", "residual_identity", "solver", "ordered_paths"))
 
 _LAYOUT_LOOP = """\
     while stack:
@@ -203,7 +205,7 @@ MUTANTS = (
            "inhomogeneous if k == 0 else 0.0", "0.0",
            (f"{T_IDENTITY}::test_every_partial_sum_solves_its_linear_problem",)),
     Mutant("image-sign-flipped", SOLVER,
-           "bleed / D, -1.0,", "bleed / D, 1.0,",
+           "coeffs = -image.coeffs", "coeffs = +image.coeffs",
            (f"{T_IDENTITY}::test_every_partial_sum_solves_its_linear_problem",)),
     Mutant("partial-sums-one-component-behind", SOLVER,
            "report.components[:m]", "report.components[:m - 1]",
@@ -307,6 +309,34 @@ MUTANTS = (
     Mutant("no-singular-check-at-zero", SERIES,
            "if has_zero and len(a) and a.exponents[0] < -EXPONENT_MERGE_TOL:", "if False:",
            (f"{T_SERIES}::test_evaluate_at_zero_rules",)),
+    # the ordered paths: in exponent order, and the kernel wherever terms would merge
+    Mutant("ordered-gap-check-dropped", SERIES,
+           "np.minimum.reduce(gaps, initial=math.inf) > EXPONENT_MERGE_TOL",
+           "np.minimum.reduce(gaps, initial=math.inf) > 0.0",
+           (f"{T_ORDERED}::test_exponents_rounded_within_the_tolerance_merge_as_in_the_kernel",)),
+    Mutant("ordered-zero-kept", SERIES,
+           "and np.minimum.reduce(magnitude) > 0.0\n", "and np.minimum.reduce(magnitude) >= 0.0\n",
+           (f"{T_ORDERED}::test_an_underflowing_coefficient_is_dropped_as_the_kernel_drops_it",)),
+    Mutant("ordered-non-finite-kept", SERIES,
+           "and math.isfinite(np.maximum.reduce(magnitude))):", "):",
+           (f"{T_ORDERED}::test_an_overflow_names_the_raw_term_that_the_kernel_names",)),
+    Mutant("image-fallback-on-the-ordered-terms", OPERATOR,
+           "lambda: (np.column_stack(", "None and (np.column_stack(",
+           (f"{T_ORDERED}::test_an_overflow_names_the_raw_term_that_the_kernel_names",)),
+    Mutant("image-head-summed-in-reverse", OPERATOR,
+           "for c in heads.tolist():", "for c in heads.tolist()[::-1]:",
+           (f"{T_ORDERED}::test_apply_inverse_is_the_kernel_of_the_interleaved_raw_image",)),
+    Mutant("assembly-zero-sum-kept", SOLVER,
+           "if head == 0.0 or not math.isfinite(head):", "if not math.isfinite(head):",
+           (f"{T_ORDERED}::test_an_x_1_alpha_sum_of_0_is_dropped_and_the_assembly_puts_one_back",
+            f"{T_ORDERED}::test_the_assembled_component_is_the_kernel_of_its_weighted_sum")),
+    Mutant("shift-past-the-cap", SERIES,
+           "if min(len(a), len(b)) != 1 or len(a) * len(b) > DEFAULT_TERM_CAP:",
+           "if min(len(a), len(b)) != 1:",
+           (f"{T_ORDERED}::test_a_shift_past_the_term_cap_is_the_term_blowup_of_mul",)),
+    Mutant("shift-by-the-wrong-factor", EXPRESSIONS,
+           "gps.shift(a[k], b[0]) if len(a[k])", "gps.shift(a[0], b[k]) if len(a[k])",
+           (f"{T_TAPE}::test_a_product_by_x_or_x_p_is_a_shift_with_the_bits_of_its_cauchy_sum",)),
     # the depth walk and the ring's order guard
     Mutant("depth-walk-one-level-short", EXPRESSIONS,
            "if depths[-1] > MAX_DEPTH:", "if depths[-1] >= MAX_DEPTH:",
@@ -317,11 +347,11 @@ MUTANTS = (
 )
 
 
-def _pytest(tree: Path, tests) -> int:
+def _pytest(tree: Path, tests) -> subprocess.CompletedProcess:
+    """pytest on ``tests`` in ``tree``, stopping at the first failure; its output is captured."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
-    return subprocess.run(command, cwd=tree, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL).returncode
+    return subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
 
 
 def run(mutants) -> int:
@@ -335,8 +365,10 @@ def run(mutants) -> int:
             else:
                 shutil.copy(ROOT / name, tree / name)
         every_test = sorted({t for m in mutants for t in m.tests})
-        if _pytest(tree, every_test) != 0:
-            print("the clean copy fails its tests")
+        clean = _pytest(tree, every_test)
+        if clean.returncode != 0:
+            print("the clean copy fails its tests:")
+            print(clean.stdout + clean.stderr)
             return 1
         missed = 0
         for m in mutants:
@@ -347,7 +379,7 @@ def run(mutants) -> int:
             started = time.perf_counter()
             path.write_text(text.replace(m.old, m.new))
             try:
-                caught = _pytest(tree, m.tests) == 1  # 1: tests ran and some failed
+                caught = _pytest(tree, m.tests).returncode == 1  # 1: tests ran and some failed
             finally:
                 path.write_text(text)
             missed += not caught

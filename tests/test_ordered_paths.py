@@ -1,0 +1,199 @@
+"""The ordered paths against the kernel calls they replace, bit for bit.
+
+``apply_inverse``, the solver's assembly of a component, ``series.shift`` and
+``series.differentiate`` list their terms in exponent order and skip the
+kernel's sort.  Each reference here is the kernel call that the path replaced,
+so a result must match it in every bit, and an error in its class and message.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
+
+from adomian_bvp.errors import AdmError, Divergent, LogResonance, OuterResonance
+from adomian_bvp.series import (
+    DEFAULT_TERM_CAP,
+    EXPONENT_MERGE_TOL,
+    GPSeries,
+    combine,
+    differentiate,
+    from_arrays,
+    mul,
+    normalize,
+    shift,
+)
+from adomian_bvp.singular_operator import OperatorContext, apply_inverse, h_series
+from adomian_bvp.solver import assemble
+
+
+def raw_image(ctx, g):
+    """The raw image as ``apply_inverse`` listed it for the kernel: x^(1-alpha) term first."""
+    r = g.exponents + ctx.sigma
+    coeffs, exponents = np.empty(2 * len(g)), np.empty(2 * len(g))
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs[0::2] = g.coeffs / ((r + 1.0) * (1.0 - ctx.alpha))
+        coeffs[1::2] = -g.coeffs / ((r + 1.0) * (r + 2.0 - ctx.alpha))
+    exponents[0::2] = 1.0 - ctx.alpha
+    exponents[1::2] = r + 2.0 - ctx.alpha
+    return coeffs, exponents
+
+
+def kernel_image(ctx, g):
+    return from_arrays(*raw_image(ctx, g)) if len(g) else g
+
+
+def kernel_assembly(H, image, w, c):
+    return combine(zip((w, -1.0, c), (H, image, H)))
+
+
+def kernel_derivative(a):
+    live = np.abs(a.exponents) > EXPONENT_MERGE_TOL
+    with np.errstate(over="ignore", invalid="ignore"):
+        return from_arrays(a.coeffs[live] * a.exponents[live], a.exponents[live] - 1.0)
+
+
+def assert_same(got, want):
+    """got() is want() in every bit, or raises the error that want() raises."""
+    try:
+        expected = want()
+    except AdmError as err:
+        with pytest.raises(type(err)) as raised:
+            got()
+        assert str(raised.value) == str(err)
+        return
+    result = got()
+    assert result.coeffs.tobytes() == expected.coeffs.tobytes()
+    assert result.exponents.tobytes() == expected.exponents.tobytes()
+
+
+_COEFFS = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.sampled_from([1e300, -1e307, 5e-324, -1e-310, 1e16, -1e16]),
+)
+_EXPONENTS = st.one_of(st.floats(-1.9, 6.0), st.integers(-7, 24).map(lambda k: k / 4))
+_MERGED = st.lists(st.tuples(_COEFFS, _EXPONENTS), max_size=12).map(normalize)
+_WEIGHTS = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e308]))
+_CONTEXTS = st.builds(OperatorContext, st.floats(0.0, 0.99), st.floats(-1.0, 1.0))
+
+# heads 1, 1e16 and -1e16 at alpha = sigma = 0: their sum is 0 from the left, 1 from the right
+_ORDER_MATTERS = GPSeries([(1.0, 0.0), (2e16, 1.0), (-4e16, 3.0)])
+
+
+@settings(max_examples=500)
+@given(ctx=_CONTEXTS, g=_MERGED)
+@example(ctx=OperatorContext(0.0, 0.0), g=_ORDER_MATTERS)
+def test_apply_inverse_is_the_kernel_of_the_interleaved_raw_image(ctx, g):
+    try:
+        apply_inverse(ctx, g)
+    except (LogResonance, OuterResonance, Divergent):  # the screen, which is unchanged
+        event("screened")
+        return
+    except AdmError:
+        pass  # a non-finite image: its error is compared below
+    assert_same(lambda: apply_inverse(ctx, g), lambda: kernel_image(ctx, g))
+
+
+@settings(max_examples=500)
+@given(ctx=_CONTEXTS, g=_MERGED, w=_WEIGHTS, c=_WEIGHTS)
+@example(ctx=OperatorContext(0.0, 0.0), g=_ORDER_MATTERS, w=0.25, c=0.0)
+def test_the_assembled_component_is_the_kernel_of_its_weighted_sum(ctx, g, w, c):
+    try:
+        image = apply_inverse(ctx, g)
+    except AdmError:  # screened, or a non-finite image: the property above covers both
+        return
+    H = h_series(ctx)
+    assert_same(lambda: assemble(H, image, w, c), lambda: kernel_assembly(H, image, w, c))
+
+
+@settings(max_examples=500)
+@given(a=_MERGED, p=st.one_of(st.floats(-3.0, 3.0), st.just(-0.0)), c=_COEFFS)
+def test_shift_is_mul_by_the_monomial_and_differentiate_its_kernel_form(a, p, c):
+    x_p = GPSeries.monomial(1.0, p)
+    assert_same(lambda: shift(x_p, a), lambda: mul(x_p, a))
+    assert_same(lambda: shift(a, x_p), lambda: mul(a, x_p))
+    term = GPSeries.monomial(c, p)
+    assert_same(lambda: shift(term, a), lambda: mul(term, a))
+    assert_same(lambda: shift(a, term), lambda: mul(a, term))
+    assert_same(lambda: differentiate(a), lambda: kernel_derivative(a))
+
+
+# --- where an ordered path hands its terms to the kernel -----------------------------
+
+
+def test_exponents_rounded_within_the_tolerance_merge_as_in_the_kernel():
+    # the exponents of g are 1.36e-12 apart; their tails, rounded at 4096, 9.1e-13
+    ctx, g = OperatorContext(0.5, 0.7), from_arrays(np.array([1.0, 2.0]),
+                                                    np.array([4093.5, 4093.5000000000014]))
+    assert len(g) == 2
+    image = apply_inverse(ctx, g)
+    assert len(image) == 2  # x^(1-alpha) and one merged tail
+    assert_same(lambda: image, lambda: kernel_image(ctx, g))
+    # 1.00003e-12 apart, 9.9998e-13 once 1 is subtracted or 0.3 added
+    a = from_arrays(np.array([1.0, 2.0]), np.array([0.3, 0.300000000001]))
+    assert len(a) == 2 and len(differentiate(a)) == 1
+    assert_same(lambda: differentiate(a), lambda: kernel_derivative(a))
+    x_03 = GPSeries.monomial(1.0, 0.3)
+    assert len(shift(x_03, a)) == 1
+    assert_same(lambda: shift(x_03, a), lambda: mul(x_03, a))
+    assert_same(lambda: shift(a, x_03), lambda: mul(a, x_03))
+
+
+def test_an_x_1_alpha_sum_of_0_is_dropped_and_the_assembly_puts_one_back():
+    ctx, H = OperatorContext(0.0, 0.0), h_series(OperatorContext(0.0, 0.0))
+    image = apply_inverse(ctx, _ORDER_MATTERS)
+    assert 1.0 not in image.exponents.tolist()
+    assert_same(lambda: image, lambda: kernel_image(ctx, _ORDER_MATTERS))
+    y = assemble(H, image, 0.25, 0.5)
+    assert y.terms[0] == (0.75, 1.0)
+    assert_same(lambda: y, lambda: kernel_assembly(H, image, 0.25, 0.5))
+    # and a sum of exactly 0 in the assembly drops the image's x^(1-alpha) term
+    image = apply_inverse(ctx, GPSeries.constant(3.0))
+    S = image.coeffs[image.exponents.tolist().index(1.0)]
+    y = assemble(H, image, float(S), 0.0)  # h = 1: (0.0 + S*1) - S = 0
+    assert 1.0 not in y.exponents.tolist()
+    assert_same(lambda: y, lambda: kernel_assembly(H, image, float(S), 0.0))
+    assert_same(lambda: assemble(H, GPSeries.zero(), 0.0, 0.5),
+                lambda: kernel_assembly(H, GPSeries.zero(), 0.0, 0.5))
+
+
+def test_an_underflowing_coefficient_is_dropped_as_the_kernel_drops_it():
+    ctx, g = OperatorContext(0.5, 0.0), GPSeries([(1.0, 0.0), (5e-324, 3.0)])
+    assert len(apply_inverse(ctx, g)) == 2  # the tiny term's head and tail are 0
+    assert_same(lambda: apply_inverse(ctx, g), lambda: kernel_image(ctx, g))
+    a = GPSeries([(5e-324, 0.5), (1.0, 2.0)])
+    assert differentiate(a).terms == ((2.0, 1.0),)
+    assert_same(lambda: differentiate(a), lambda: kernel_derivative(a))
+    tiny = GPSeries.monomial(1e-300, 0.25)
+    assert shift(tiny, GPSeries([(1e-300, 0.0), (1.0, 1.0)])).terms == ((1e-300, 1.25),)
+    assert_same(lambda: shift(tiny, tiny), lambda: mul(tiny, tiny))
+
+
+def test_an_overflow_names_the_raw_term_that_the_kernel_names():
+    # raw: (h0, 0.5), (t0, 0.05), (-inf, 0.5), (inf, 0.1); in exponent order (inf, 0.1) comes first
+    ctx, g = OperatorContext(0.5, 0.0), GPSeries([(1.0, -1.45), (1e308, -1.4)])
+    with pytest.raises(AdmError, match=r"^term \(-inf, 0\.5\) is not finite$"):
+        apply_inverse(ctx, g)
+    assert_same(lambda: apply_inverse(ctx, g), lambda: kernel_image(ctx, g))
+    big = GPSeries.monomial(1e200, 0.5)
+    with pytest.raises(AdmError, match=r"^term \(inf, 1\.0\) is not finite$"):
+        shift(big, big)
+    assert_same(lambda: shift(big, big), lambda: mul(big, big))
+    steep = GPSeries.monomial(1e308, 10.0)
+    with pytest.raises(AdmError, match=r"^term \(inf, 9\.0\) is not finite$"):
+        differentiate(steep)
+    H, image = h_series(ctx), apply_inverse(ctx, GPSeries.constant(1.0))
+    with pytest.raises(AdmError, match=r"^term \(inf, 0\.5\) is not finite$"):
+        assemble(H, image, 1e308, 0.0)
+    assert_same(lambda: assemble(H, image, 1e308, 0.0),
+                lambda: kernel_assembly(H, image, 1e308, 0.0))
+
+
+def test_a_shift_past_the_term_cap_is_the_term_blowup_of_mul():
+    huge = from_arrays(np.ones(DEFAULT_TERM_CAP + 1), np.arange(DEFAULT_TERM_CAP + 1.0))
+    x = GPSeries.monomial(1.0, 1.0)
+    for a, b, sizes in ((x, huge, f"1 x {len(huge)}"), (huge, x, f"{len(huge)} x 1")):
+        with pytest.raises(AdmError, match=f"^product of {sizes} terms exceeds cap "):
+            shift(a, b)
+        assert_same(lambda: shift(a, b), lambda: mul(a, b))
+    assert shift(GPSeries.zero(), huge).is_zero

@@ -8,9 +8,12 @@ import pytest
 
 from support import adomian_polynomials, taylor_gap
 
+import adomian_bvp.expressions as expressions
 import adomian_bvp.series as series_module
 from adomian_bvp.benchmarks import benchmark_problem
-from adomian_bvp.expressions import Add, Tape, Var, eval_real, parse, to_source
+from adomian_bvp.expressions import (
+    Add, Tape, Var, eval_real, mul_coeff, parse, shift_coeff, to_source,
+)
 from adomian_bvp.series import GPSeries, differentiate, evaluate, evaluate_many
 from adomian_bvp.solver import Problem, solve
 
@@ -97,18 +100,23 @@ def test_each_rule_node_makes_one_combine_call_per_step(monkeypatch):
     problem = benchmark_problem(1, 0.5, 1.0)
     components = solve(problem, 10).components
     tape = Tape(problem.f)
-    # Nodes without operands are seeds (constants, x): a fixed value, no sum.
-    rule_nodes = sum(1 for _, operands, _ in tape._program if operands)
+    # Nodes without operands are seeds (constants, x): a fixed value, no sum.  A
+    # product by x or x^p (here x*yp) is one shift, which needs no sum either.
+    rules = [rule for rule, operands, _ in tape._program if operands]
+    shift_nodes = rules.count(shift_coeff)
     combines = _counting(monkeypatch, "combine", lambda *args: 1)
+    shifts = _counting(monkeypatch, "shift", lambda *args: 1)
     muls = _counting(monkeypatch, "mul", lambda *args: 1)
     per_step = []
     for y in components:
         combines.clear()
+        shifts.clear()
         tape.extend(y, differentiate(y))
-        per_step.append(len(combines))
+        per_step.append((len(combines), len(shifts)))
     assert not muls
-    assert rule_nodes > 0
-    assert per_step[1:] == [rule_nodes] * (len(components) - 1)
+    assert shift_nodes == 1 and len(rules) > shift_nodes
+    want = (len(rules) - shift_nodes, shift_nodes)
+    assert per_step[1:] == [want] * (len(components) - 1)
 
 
 # --- layout: one node per distinct subtree, in time linear in the AST ----------------
@@ -156,6 +164,22 @@ def test_a_product_by_a_number_is_one_weighted_part(monkeypatch, source, value):
         calls.clear()
         assert multiple.extend(y, differentiate(y)) == want
         assert calls[-1] == (1, 0)  # the root, c*e, is the last node
+
+
+@pytest.mark.parametrize("source", ["x*yp + y", "yp*x^0.5 - y*x", "x^1.5*(y*x) + x*x"])
+def test_a_product_by_x_or_x_p_is_a_shift_with_the_bits_of_its_cauchy_sum(monkeypatch, source):
+    problem = Problem(alpha=0.5, sigma=0.0, f=parse(source), eta1=0.5,
+                      alpha1=1.0, beta1=0.0, gamma1=1.0)
+    assert shift_coeff in [rule for rule, _, _ in Tape(problem.f)._program]
+    shifted = solve(problem, 8)
+    monkeypatch.setattr(expressions, "shift_coeff", mul_coeff)  # the Cauchy sum, as before
+    assert shift_coeff not in [rule for rule, _, _ in Tape(problem.f)._program]
+    multiplied = solve(problem, 8)
+    def bits(report):
+        every = (*report.components, report.psi)
+        return [(y.coeffs.tobytes(), y.exponents.tobytes()) for y in every]
+
+    assert bits(shifted) == bits(multiplied)
 
 
 # --- decomposition polynomials against direct evaluation -----------------------------
