@@ -24,7 +24,7 @@ from typing import Iterator
 import numpy as np
 
 from .benchmarks import BENCHMARK_IDS, BETA_FAMILIES, benchmark_problem
-from .diagnostics import format_error_table, max_error, max_errors, residual_grid
+from .diagnostics import _label, format_error_table, max_error, max_errors, residual_grid
 from .diagnostics import residual  # noqa: F401 -- bench/spans.py WRAPPED looks it up here
 from .errors import AdmError, InputError, InvalidValue
 from .problem_file import dump_problem, load_problem
@@ -89,7 +89,7 @@ def _cmd_table(args) -> int:
             errs = max_errors([partial_sum(report, n) for n in ns], problem.exact, args.grid)
             for n, err in zip(ns, errs):
                 cells[(alpha, n)] = err.max_error
-        label = f", beta = {beta:g}" if takes_beta else ""
+        label = f", beta = {_label(beta)}" if takes_beta else ""
         print(f"# example {args.example}{label}, grid = {args.grid}")
         print(format_error_table(alphas, ns, cells))
     return 0

@@ -120,10 +120,16 @@ def format_error_table(
     header = ["alpha"] + [f"E^{n}" for n in ns]
     rows = [header]
     for a in alphas:
-        rows.append([f"{a:g}"] + [f"{cells[(a, n)]:.5e}" for n in ns])
+        rows.append([_label(a)] + [f"{cells[(a, n)]:.5e}" for n in ns])
     widths = [max(len(r[j]) for r in rows) for j in range(len(header))]
     lines = [
         "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
         for row in rows
     ]
     return "\n".join(lines)
+
+
+def _label(value: float) -> str:
+    """``value`` as ``:g`` text where that reads back as value, else its ``repr``."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)

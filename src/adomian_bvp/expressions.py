@@ -23,7 +23,7 @@ and 0..k-1 of the result.  For the decomposition polynomials these are Duan's
 recurrences (Duan, "Convenient analytic recurrence algorithms for the Adomian
 polynomials", 2011); see also Griewank & Walther, *Evaluating Derivatives*,
 ch. 13.  Each ``*_coeff`` recurrence is one :func:`~.series.combine` call that
-forms and sums its Cauchy products; a product by x or x^p is a sort-free shift.  exp,
+forms and sums its Cauchy products (by x or x^p, one, which it keeps in order).  exp,
 ln and division expand around the order-zero coefficient, so it has to be a constant;
 the solver's first component always is.  Integer powers are products by repeated squaring.
 ASTs are immutable and compare structurally, so equal subtrees share one tape node.
@@ -536,12 +536,6 @@ def ln_coeff(k: int, out: _Coeffs, a: _Coeffs) -> GPSeries:
     )
 
 
-def shift_coeff(k: int, out: _Coeffs, a: _Coeffs, b: _Coeffs) -> GPSeries:
-    """Coefficient k of a*b for a seed x^p in a or b, 0 above order 0: the Cauchy sum's one
-    product that can be nonzero, a_k*b_0 or a_0*b_k, as a :func:`~.series.shift`."""
-    return gps.shift(a[k], b[0]) if len(a[k]) else gps.shift(a[0], b[k])
-
-
 def binary_power(base: _T, p: int, mul: Callable[[_T, _T], _T]) -> _T:
     """base^p for p >= 1 by repeated squaring, with ``mul`` as the product."""
     result = None
@@ -574,7 +568,7 @@ class Tape:
     the k-th decomposition polynomial costs one new coefficient per node
     rather than a recomposition of the whole expression.  A number, that is a
     constant or a negation, sum, difference or product of numbers, is a seed
-    valued once by its rule's float operations; c*e is e weighted by c, and x^p*e shifts e.
+    valued once by its rule's float operations; c*e is e weighted by c.
     """
 
     def __init__(self, e: Expr):
@@ -602,8 +596,6 @@ class Tape:
             if isinstance(e, Mul) and (operands[0] in numbers or operands[1] in numbers):
                 c, other = operands if operands[0] in numbers else operands[::-1]
                 rule, weights, operands = linear_coeff(numbers[c]), (numbers[c],), (other,)
-            elif isinstance(e, Mul) and any(not self._program[i - 2][1] for i in operands if i > 1):
-                rule = shift_coeff  # by a seed that is not a number: x or x^p
             value = float(literal) if isinstance(e, Constant) else math.nan
             if weights and all(i in numbers for i in operands):  # a number
                 # two terms at most: any float sum of them rounds as the kernel's merged group

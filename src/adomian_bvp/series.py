@@ -13,8 +13,8 @@ the drop of exact zeros.  No other coefficient is dropped, however small next
 to the others: a partial sum keeps every term of its closed-form components.
 The kernel reproduces the term-by-term definition bit for bit, whatever order
 the sort gives equal exponents, and the first non-finite input term is the one
-an error names.  A map that keeps the exponents in order, :func:`differentiate`
-or :func:`shift`, skips the sort through :func:`from_ordered`, with the same
+an error names.  A map that keeps the exponents in order, :func:`differentiate` or
+a product by one term, skips the sort through :func:`from_ordered`, with the same
 bits and errors: only terms that would merge, or are zero or not finite, go to the kernel.
 
 :func:`combine` is every weighted sum, of series and of products of two
@@ -206,24 +206,21 @@ def _merged(coeffs: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray, np.n
         _raise_non_finite(coeffs, exponents)
     gaps = e[1:] - e[:-1]
     joins = gaps <= EXPONENT_MERGE_TOL
-    if np.count_nonzero(joins):
-        head = np.empty(len(e), dtype=bool)
-        head[0] = True
-        np.logical_not(joins, out=head[1:])
-        # The group ids of head.cumsum(); an integer accumulate is cheaper.
-        group, anchors = np.add.accumulate(head, dtype=np.intp), e[head]
-        # These groups chain consecutive gaps, but a group is anchored at its
-        # smallest exponent.  The two differ only where the joined gaps of one
-        # group add up past the tolerance; unless the total of all joined gaps
-        # comes near it, that cannot happen.
-        if gaps @ joins > 0.5 * EXPONENT_MERGE_TOL:
-            group, anchors = _anchored_groups(e)
-        # Each group adds its coefficients in input order: no coefficient is permuted.
-        at_input = np.empty_like(group)
-        at_input[order] = group
-        c, e = np.bincount(at_input, weights=coeffs)[1:], anchors
-    else:
-        c = coeffs[order]
+    head = np.empty(len(e), dtype=bool)
+    head[0] = True
+    np.logical_not(joins, out=head[1:])
+    # The group ids of head.cumsum(); an integer accumulate is cheaper.
+    group, anchors = np.add.accumulate(head, dtype=np.intp), e[head]
+    # These groups chain consecutive gaps, but a group is anchored at its
+    # smallest exponent.  The two differ only where the joined gaps of one
+    # group add up past the tolerance; unless the total of all joined gaps
+    # comes near it, that cannot happen.
+    if gaps @ joins > 0.5 * EXPONENT_MERGE_TOL:
+        group, anchors = _anchored_groups(e)
+    # Each group adds its coefficients in input order: no coefficient is permuted.
+    at_input = np.empty_like(group)
+    at_input[order] = group
+    c, e = np.bincount(at_input, weights=coeffs)[1:], anchors
     # + 0.0 turns -0.0 to +0.0, so no zero exponent depends on the sort's order of ties
     return _nonzero(c, e + 0.0, (coeffs, exponents))
 
@@ -255,11 +252,13 @@ def combine(
 ) -> GPSeries:
     """The weighted sum of the (weight, series) parts and (weight, a, b) products.
 
-    Two rules.  Every piece of weight 0, with a zero series or with a zero
-    factor, is skipped; such a product is never formed.  Everything else,
-    the parts and then the raw products in order, is normalized once as one
-    sum; a single normalized piece is only scaled, and the zeros of an
-    underflow dropped, as its exponents are sorted and merged already.
+    Three rules.  Every piece of weight 0, with a zero series or with a zero
+    factor, is skipped; such a product is never formed.  A lone product of
+    weight 1 by one term c*x^p within the cap keeps the other factor's order
+    (:func:`from_ordered` of its raw product).  Everything else, the parts and
+    then the raw products in order, is normalized once as one sum; a single
+    normalized piece is only scaled, and the zeros of an underflow dropped, as
+    its exponents are sorted and merged already.
 
     Raises:
         TermBlowup: a raw product would exceed ``DEFAULT_TERM_CAP`` terms.
@@ -272,6 +271,13 @@ def combine(
     products = [(w, a, b) for w, a, b in products if w != 0.0 and len(a.coeffs) and len(b.coeffs)]
     if not products and len(live) < 2 and (not live or live[0][0] == 1.0):
         return GPSeries._of(*live[0][1:]) if live else _ZERO
+    if not live and len(products) == 1 and products[0][0] == 1.0:
+        _, a, b = products[0]
+        one, other = (a, b) if len(a) == 1 else (b, a)
+        if len(one) == 1 and len(other) <= DEFAULT_TERM_CAP:  # c*x^p keeps other's order
+            with np.errstate(over="ignore", invalid="ignore"):
+                c, e = one.coeffs[0] * other.coeffs, one.exponents[0] + other.exponents
+            return from_ordered(c, e + 0.0, lambda: (c, e))  # + 0.0: no exponent -0.0
     first = len(live)  # the products formed go after the parts
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -326,16 +332,6 @@ def differentiate(a: GPSeries) -> GPSeries:
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = a.coeffs[live] * exponents
     return from_ordered(coeffs, exponents - 1.0)
-
-
-def shift(a: GPSeries, b: GPSeries) -> GPSeries:
-    """:func:`mul` of a and b where one is a single term c*x^p, keeping the other's order; any
-    other pair, and a product past ``DEFAULT_TERM_CAP`` terms, is :func:`mul`'s."""
-    if min(len(a), len(b)) != 1 or len(a) * len(b) > DEFAULT_TERM_CAP:
-        return mul(a, b) if len(a) and len(b) else _ZERO
-    (c, p), other = (a.terms[0], b) if len(a) == 1 else (b.terms[0], a)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return from_ordered(c * other.coeffs, (p + 0.0) + other.exponents)  # never -0.0
 
 
 def evaluate(a: GPSeries, x: float) -> float:

@@ -105,6 +105,6 @@ def inverse_at_one(ctx: OperatorContext, g: GPSeries) -> float:
 
 
 def apply_forward(alpha: float, u: GPSeries) -> GPSeries:
-    """The forward operator (x^a u')' via two derivatives and one shift by x^a."""
-    inner = gps.shift(GPSeries.monomial(1.0, alpha), gps.differentiate(u))
+    """The forward operator (x^a u')' via two derivatives and one product by x^a, kept in order."""
+    inner = gps.mul(GPSeries.monomial(1.0, alpha), gps.differentiate(u))
     return gps.differentiate(inner)

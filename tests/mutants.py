@@ -330,13 +330,20 @@ MUTANTS = (
            "if head == 0.0 or not math.isfinite(head):", "if not math.isfinite(head):",
            (f"{T_ORDERED}::test_an_x_1_alpha_sum_of_0_is_dropped_and_the_assembly_puts_one_back",
             f"{T_ORDERED}::test_the_assembled_component_is_the_kernel_of_its_weighted_sum")),
+    # a lone product by one term, kept in order inside combine
     Mutant("shift-past-the-cap", SERIES,
-           "if min(len(a), len(b)) != 1 or len(a) * len(b) > DEFAULT_TERM_CAP:",
-           "if min(len(a), len(b)) != 1:",
+           "and len(other) <= DEFAULT_TERM_CAP:", ":",
            (f"{T_ORDERED}::test_a_shift_past_the_term_cap_is_the_term_blowup_of_mul",)),
-    Mutant("shift-by-the-wrong-factor", EXPRESSIONS,
-           "gps.shift(a[k], b[0]) if len(a[k])", "gps.shift(a[0], b[k]) if len(a[k])",
-           (f"{T_TAPE}::test_a_product_by_x_or_x_p_is_a_shift_with_the_bits_of_its_cauchy_sum",)),
+    Mutant("weighted-lone-product-kept-in-order", SERIES,
+           "and products[0][0] == 1.0:", ":",
+           (f"{T_ORDERED}::test_a_weighted_lone_product_stays_on_the_kernel_and_names_the_raw_term",
+            f"{T_ORDERED}::test_a_lone_product_through_combine_is_the_kernel_of_its_raw_product")),
+    Mutant("wide-factor-taken-for-one-term", SERIES,
+           "if len(one) == 1 and len(other)", "if len(other)",
+           (f"{T_ORDERED}::test_shift_is_mul_by_the_monomial_and_differentiate_its_kernel_form",)),
+    Mutant("lone-product-fallback-on-the-ordered-terms", SERIES,
+           "e + 0.0, lambda: (c, e))", "e + 0.0)",
+           (f"{T_ORDERED}::test_an_overflow_names_the_raw_term_that_the_kernel_names",)),
     # the depth walk and the ring's order guard
     Mutant("depth-walk-one-level-short", EXPRESSIONS,
            "if depths[-1] > MAX_DEPTH:", "if depths[-1] >= MAX_DEPTH:",

@@ -353,6 +353,17 @@ def test_table_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_table_labels_read_back_as_the_values_they_name(capsys):
+    # to 6 significant digits these alphas, and these betas, would print as one
+    args = ["table", "--example", "1", "--alphas", "0.1234567,0.1234568",
+            "--betas", "2.1234567,2.1234568", "--ns", "5", "--grid", "50"]
+    assert main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("#")] == [
+        "# example 1, beta = 2.1234567, grid = 50", "# example 1, beta = 2.1234568, grid = 50"]
+    assert [line.split()[0] for line in lines if line[0].isdigit()] == ["0.1234567", "0.1234568"] * 2
+
+
 def test_table_prints_the_five_published_tables_byte_for_byte(capsys):
     # recorded when eval_real still ran exp, ln and powers through math point by point
     for args in (["--example", "1", "--betas", "1,3.5"], ["--example", "2"],

@@ -1,9 +1,10 @@
 """The ordered paths against the kernel calls they replace, bit for bit.
 
-``apply_inverse``, the solver's assembly of a component, ``series.shift`` and
-``series.differentiate`` list their terms in exponent order and skip the
-kernel's sort.  Each reference here is the kernel call that the path replaced,
-so a result must match it in every bit, and an error in its class and message.
+``apply_inverse``, the solver's assembly of a component, a lone product by one
+term in ``series.combine`` and ``series.differentiate`` list their terms in
+exponent order and skip the kernel's sort.  Each reference here is the kernel
+call that the path replaced, so a result must match it in every bit, and an
+error in its class and message.
 """
 
 import numpy as np
@@ -21,7 +22,6 @@ from adomian_bvp.series import (
     from_arrays,
     mul,
     normalize,
-    shift,
 )
 from adomian_bvp.singular_operator import OperatorContext, apply_inverse, h_series
 from adomian_bvp.solver import assemble
@@ -45,6 +45,17 @@ def kernel_image(ctx, g):
 
 def kernel_assembly(H, image, w, c):
     return combine(zip((w, -1.0, c), (H, image, H)))
+
+
+def kernel_product(a, b, w=1.0):
+    """combine((), ((w, a, b),)) as the kernel form of its raw outer product: a non-finite raw
+    term names the error, unweighted, and else the weighted terms are merged once."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = np.multiply.outer(a.coeffs, b.coeffs).ravel()
+        e = np.add.outer(a.exponents, b.exponents).ravel()
+        if not np.isfinite(c).all():
+            return from_arrays(c, e)
+        return from_arrays(w * c, e)
 
 
 def kernel_derivative(a):
@@ -78,6 +89,8 @@ _CONTEXTS = st.builds(OperatorContext, st.floats(0.0, 0.99), st.floats(-1.0, 1.0
 
 # heads 1, 1e16 and -1e16 at alpha = sigma = 0: their sum is 0 from the left, 1 from the right
 _ORDER_MATTERS = GPSeries([(1.0, 0.0), (2e16, 1.0), (-4e16, 3.0)])
+# two of these make a product that no single term shifts
+_TWO_TERMS = GPSeries([(1.0, 0.0), (3.0, 0.25)])
 
 
 @settings(max_examples=500)
@@ -107,15 +120,24 @@ def test_the_assembled_component_is_the_kernel_of_its_weighted_sum(ctx, g, w, c)
 
 
 @settings(max_examples=500)
-@given(a=_MERGED, p=st.one_of(st.floats(-3.0, 3.0), st.just(-0.0)), c=_COEFFS)
-def test_shift_is_mul_by_the_monomial_and_differentiate_its_kernel_form(a, p, c):
-    x_p = GPSeries.monomial(1.0, p)
-    assert_same(lambda: shift(x_p, a), lambda: mul(x_p, a))
-    assert_same(lambda: shift(a, x_p), lambda: mul(a, x_p))
-    term = GPSeries.monomial(c, p)
-    assert_same(lambda: shift(term, a), lambda: mul(term, a))
-    assert_same(lambda: shift(a, term), lambda: mul(a, term))
+@given(a=_MERGED, b=_MERGED, p=st.one_of(st.floats(-3.0, 3.0), st.just(-0.0)), c=_COEFFS)
+@example(a=_TWO_TERMS, b=_TWO_TERMS, p=0.5, c=2.0)
+def test_shift_is_mul_by_the_monomial_and_differentiate_its_kernel_form(a, b, p, c):
+    # a product by one term c*x^p shifts the other factor in order; any other goes to the kernel
+    for one in (GPSeries.monomial(1.0, p), GPSeries.monomial(c, p), b):
+        assert_same(lambda: mul(one, a), lambda: kernel_product(one, a))
+        assert_same(lambda: mul(a, one), lambda: kernel_product(a, one))
     assert_same(lambda: differentiate(a), lambda: kernel_derivative(a))
+
+
+@settings(max_examples=500)
+@given(a=_MERGED, b=_MERGED, p=_EXPONENTS, c=_COEFFS,
+       w=st.sampled_from([1.0, -2.0, 0.5, 1e300]))
+def test_a_lone_product_through_combine_is_the_kernel_of_its_raw_product(a, b, p, c, w):
+    # weight 1 keeps a product by one term in order; any other weight stays on the kernel
+    for one in (GPSeries.monomial(c, p), b):
+        assert_same(lambda: combine((), ((w, one, a),)), lambda: kernel_product(one, a, w))
+        assert_same(lambda: combine((), ((w, a, one),)), lambda: kernel_product(a, one, w))
 
 
 # --- where an ordered path hands its terms to the kernel -----------------------------
@@ -134,9 +156,9 @@ def test_exponents_rounded_within_the_tolerance_merge_as_in_the_kernel():
     assert len(a) == 2 and len(differentiate(a)) == 1
     assert_same(lambda: differentiate(a), lambda: kernel_derivative(a))
     x_03 = GPSeries.monomial(1.0, 0.3)
-    assert len(shift(x_03, a)) == 1
-    assert_same(lambda: shift(x_03, a), lambda: mul(x_03, a))
-    assert_same(lambda: shift(a, x_03), lambda: mul(a, x_03))
+    assert len(mul(x_03, a)) == 1
+    assert_same(lambda: mul(x_03, a), lambda: kernel_product(x_03, a))
+    assert_same(lambda: mul(a, x_03), lambda: kernel_product(a, x_03))
 
 
 def test_an_x_1_alpha_sum_of_0_is_dropped_and_the_assembly_puts_one_back():
@@ -165,8 +187,8 @@ def test_an_underflowing_coefficient_is_dropped_as_the_kernel_drops_it():
     assert differentiate(a).terms == ((2.0, 1.0),)
     assert_same(lambda: differentiate(a), lambda: kernel_derivative(a))
     tiny = GPSeries.monomial(1e-300, 0.25)
-    assert shift(tiny, GPSeries([(1e-300, 0.0), (1.0, 1.0)])).terms == ((1e-300, 1.25),)
-    assert_same(lambda: shift(tiny, tiny), lambda: mul(tiny, tiny))
+    assert mul(tiny, GPSeries([(1e-300, 0.0), (1.0, 1.0)])).terms == ((1e-300, 1.25),)
+    assert_same(lambda: mul(tiny, tiny), lambda: kernel_product(tiny, tiny))
 
 
 def test_an_overflow_names_the_raw_term_that_the_kernel_names():
@@ -177,8 +199,13 @@ def test_an_overflow_names_the_raw_term_that_the_kernel_names():
     assert_same(lambda: apply_inverse(ctx, g), lambda: kernel_image(ctx, g))
     big = GPSeries.monomial(1e200, 0.5)
     with pytest.raises(AdmError, match=r"^term \(inf, 1\.0\) is not finite$"):
-        shift(big, big)
-    assert_same(lambda: shift(big, big), lambda: mul(big, big))
+        mul(big, big)
+    assert_same(lambda: mul(big, big), lambda: kernel_product(big, big))
+    # the raw exponent -0.0 + -0.0 is -0.0; only the error shows its sign
+    signed = GPSeries.monomial(1e200, -0.0)
+    with pytest.raises(AdmError, match=r"^term \(inf, -0\.0\) is not finite$"):
+        mul(signed, signed)
+    assert_same(lambda: mul(signed, signed), lambda: kernel_product(signed, signed))
     steep = GPSeries.monomial(1e308, 10.0)
     with pytest.raises(AdmError, match=r"^term \(inf, 9\.0\) is not finite$"):
         differentiate(steep)
@@ -194,6 +221,20 @@ def test_a_shift_past_the_term_cap_is_the_term_blowup_of_mul():
     x = GPSeries.monomial(1.0, 1.0)
     for a, b, sizes in ((x, huge, f"1 x {len(huge)}"), (huge, x, f"{len(huge)} x 1")):
         with pytest.raises(AdmError, match=f"^product of {sizes} terms exceeds cap "):
-            shift(a, b)
-        assert_same(lambda: shift(a, b), lambda: mul(a, b))
-    assert shift(GPSeries.zero(), huge).is_zero
+            mul(a, b)
+    at_cap = from_arrays(np.ones(DEFAULT_TERM_CAP), np.arange(float(DEFAULT_TERM_CAP)))
+    assert_same(lambda: mul(x, at_cap), lambda: kernel_product(x, at_cap))
+    assert_same(lambda: mul(at_cap, x), lambda: kernel_product(at_cap, x))
+    assert mul(GPSeries.zero(), huge).is_zero
+
+
+def test_a_weighted_lone_product_stays_on_the_kernel_and_names_the_raw_term():
+    # x^0.5 times two terms, weighted -2, has the bits of -2 times its raw product ...
+    x_05 = GPSeries.monomial(1.0, 0.5)
+    assert combine((), ((-2.0, x_05, _TWO_TERMS),)).terms == ((-2.0, 0.5), (-6.0, 0.75))
+    # ... and an overflow names the raw term (inf, 1.0), not the weighted (-inf, 1.0)
+    big, wide = GPSeries.monomial(1e200, 0.5), GPSeries([(1.0, 0.0), (1e200, 0.5)])
+    for a, b in ((big, big), (big, wide), (wide, big)):
+        with pytest.raises(AdmError, match=r"^term \(inf, 1\.0\) is not finite$"):
+            combine((), ((-2.0, a, b),))
+        assert_same(lambda: combine((), ((-2.0, a, b),)), lambda: kernel_product(a, b, -2.0))

@@ -1,4 +1,8 @@
-"""Incremental Taylor-coefficient tape: respellings, integer powers, step cost, A_k oracles."""
+"""Incremental Taylor-coefficient tape: respellings, integer powers, step cost, A_k oracles.
+
+The A_k oracles run ``Tape.extend`` once per parameter power, through
+:func:`_tape_run` or ``support.adomian_polynomials``.
+"""
 
 import math
 from dataclasses import replace
@@ -8,11 +12,11 @@ import pytest
 
 from support import adomian_polynomials, taylor_gap
 
-import adomian_bvp.expressions as expressions
 import adomian_bvp.series as series_module
 from adomian_bvp.benchmarks import benchmark_problem
+from adomian_bvp.errors import DivisionByZeroSeries, LogOfNonPositive, NonConstantBasePoint
 from adomian_bvp.expressions import (
-    Add, Tape, Var, eval_real, mul_coeff, parse, shift_coeff, to_source,
+    YP, Add, Constant, Mul, Tape, Var, X, eval_real, mul_coeff, parse, to_source,
 )
 from adomian_bvp.series import GPSeries, differentiate, evaluate, evaluate_many
 from adomian_bvp.solver import Problem, solve
@@ -100,23 +104,19 @@ def test_each_rule_node_makes_one_combine_call_per_step(monkeypatch):
     problem = benchmark_problem(1, 0.5, 1.0)
     components = solve(problem, 10).components
     tape = Tape(problem.f)
-    # Nodes without operands are seeds (constants, x): a fixed value, no sum.  A
-    # product by x or x^p (here x*yp) is one shift, which needs no sum either.
+    # Nodes without operands are seeds (constants, x): a fixed value, no sum.
+    # Every other node makes one combine call, the product by x in x*yp included.
     rules = [rule for rule, operands, _ in tape._program if operands]
-    shift_nodes = rules.count(shift_coeff)
+    assert "x*yp" in to_source(problem.f) and mul_coeff in rules
     combines = _counting(monkeypatch, "combine", lambda *args: 1)
-    shifts = _counting(monkeypatch, "shift", lambda *args: 1)
     muls = _counting(monkeypatch, "mul", lambda *args: 1)
     per_step = []
     for y in components:
         combines.clear()
-        shifts.clear()
         tape.extend(y, differentiate(y))
-        per_step.append((len(combines), len(shifts)))
+        per_step.append(len(combines))
     assert not muls
-    assert shift_nodes == 1 and len(rules) > shift_nodes
-    want = (len(rules) - shift_nodes, shift_nodes)
-    assert per_step[1:] == [want] * (len(components) - 1)
+    assert per_step[1:] == [len(rules)] * (len(components) - 1)
 
 
 # --- layout: one node per distinct subtree, in time linear in the AST ----------------
@@ -168,18 +168,29 @@ def test_a_product_by_a_number_is_one_weighted_part(monkeypatch, source, value):
 
 @pytest.mark.parametrize("source", ["x*yp + y", "yp*x^0.5 - y*x", "x^1.5*(y*x) + x*x"])
 def test_a_product_by_x_or_x_p_is_a_shift_with_the_bits_of_its_cauchy_sum(monkeypatch, source):
+    # x*e is a plain product node; its Cauchy sum has one live product, x * e_k,
+    # which combine keeps in e_k's order.  The reference solve hands those very
+    # arrays to the kernel.
     problem = Problem(alpha=0.5, sigma=0.0, f=parse(source), eta1=0.5,
                       alpha1=1.0, beta1=0.0, gamma1=1.0)
-    assert shift_coeff in [rule for rule, _, _ in Tape(problem.f)._program]
-    shifted = solve(problem, 8)
-    monkeypatch.setattr(expressions, "shift_coeff", mul_coeff)  # the Cauchy sum, as before
-    assert shift_coeff not in [rule for rule, _, _ in Tape(problem.f)._program]
-    multiplied = solve(problem, 8)
+    kept = solve(problem, 8)
+    ordered, lone = series_module.from_ordered, []
+
+    def kernel_for_lone_products(coeffs, exponents, raw=None):
+        if raw is not None and raw()[0] is coeffs:  # combine's lone product by one term
+            lone.append(len(coeffs))
+            return series_module.from_arrays(*raw())
+        return ordered(coeffs, exponents, raw)
+
+    monkeypatch.setattr(series_module, "from_ordered", kernel_for_lone_products)
+    merged = solve(problem, 8)
+    assert lone  # the branch was taken
+
     def bits(report):
         every = (*report.components, report.psi)
         return [(y.coeffs.tobytes(), y.exponents.tobytes()) for y in every]
 
-    assert bits(shifted) == bits(multiplied)
+    assert bits(kept) == bits(merged)
 
 
 # --- decomposition polynomials against direct evaluation -----------------------------
@@ -260,3 +271,116 @@ def test_exp_first_order_around_constant():
     e = _tape_run("exp(y)", (GPSeries.constant(-math.log(4.0)), GPSeries.monomial(c, 0.5)))
     assert _terms(e[0]) == [(pytest.approx(0.25), 0.0)]
     assert _terms(e[1]) == [(pytest.approx(0.25 * c), 0.5)]
+
+
+# --- the tape's rules: products, exp / ln / recip / powi ----------------------------
+
+
+def test_exp_taylor_in_parameter():
+    # exp(x^0.5 * lam) at order 2 -> 1 + x^0.5 lam + 0.5 x lam^2
+    e = _tape_run("exp(y)", (ZERO, GPSeries.monomial(1.0, 0.5), ZERO))
+    assert _terms(e[0]) == [(1.0, 0.0)]
+    assert _terms(e[1]) == [(1.0, 0.5)]
+    assert _terms(e[2]) == [(pytest.approx(0.5), 1.0)]
+
+
+def test_exp_numeric_oracle():
+    # the tape's coefficients at sampled (x, lam) against direct exp
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        a = [GPSeries.constant(rng.uniform(-1, 1))]
+        a += [
+            GPSeries.monomial(rng.uniform(-0.5, 0.5), rng.uniform(0.2, 2.0))
+            for _ in range(4)
+        ]
+        e = _tape_run("exp(y)", a)
+        for x, lam in [(0.3, 0.1), (0.8, 0.2)]:
+            a_val = sum(evaluate(c, x) * lam**k for k, c in enumerate(a))
+            e_val = sum(evaluate(c, x) * lam**k for k, c in enumerate(e))
+            # truncation error is O(lam^5) with O(1) fluctuations
+            assert e_val == pytest.approx(math.exp(a_val), abs=20 * lam**5)
+
+
+def test_recip_geometric():
+    r = _tape_run("1/y", (GPSeries.constant(1.0), GPSeries.monomial(1.0, 1.0), ZERO))
+    assert _terms(r[0]) == [(1.0, 0.0)]
+    assert _terms(r[1]) == [(-1.0, 1.0)]
+    assert _terms(r[2]) == [(1.0, 2.0)]
+
+
+def test_ln_of_one():
+    assert all(c.is_zero for c in _tape_run("ln(y)", (GPSeries.constant(1.0), ZERO, ZERO)))
+
+
+def test_ln_inverts_exp():
+    a = (
+        GPSeries.constant(0.3),
+        GPSeries.monomial(0.4, 0.5),
+        GPSeries.monomial(-0.2, 1.0),
+    )
+    back = _tape_run("ln(exp(y))", a)
+    for orig, rec in zip(a, back):
+        assert len(orig) == len(rec)
+        for to, tr in zip(orig.terms, rec.terms):
+            assert tr.coeff == pytest.approx(to.coeff, rel=1e-12)
+
+
+def test_powi_identity_and_negative():
+    a = (GPSeries.constant(2.0), GPSeries.monomial(1.0, 0.5))
+    one = _tape_run("y^0", a)
+    assert _terms(one[0]) == [(1.0, 0.0)] and one[1].is_zero
+    prod = _tape_run("y*y^-1", a)
+    assert _terms(prod[0]) == [(pytest.approx(1.0), 0.0)]
+    assert prod[1].is_zero
+
+
+def test_base_point_guards():
+    with pytest.raises(NonConstantBasePoint):
+        _tape_run("exp(y)", (GPSeries.monomial(1.0, 1.0), ZERO))
+    with pytest.raises(LogOfNonPositive):
+        _tape_run("ln(y)", (GPSeries.constant(-2.0), ZERO))
+    with pytest.raises(DivisionByZeroSeries):
+        _tape_run("1/y", (ZERO, ZERO))
+
+
+# --- whole expressions at lifted components ------------------------------------------
+
+
+def test_eval_lambda_constant():
+    out = adomian_polynomials(Constant(3.5), [GPSeries.constant(1.0), ZERO, ZERO])
+    assert _terms(out[0]) == [(3.5, 0.0)]
+    assert all(c.is_zero for c in out[1:])
+
+
+def test_eval_lambda_x_times_zero_derivative():
+    out = adomian_polynomials(Mul(X, YP), [GPSeries.constant(2.0), ZERO])
+    assert all(c.is_zero for c in out)
+
+
+def test_eval_lambda_annotates_ring_errors():
+    with pytest.raises(LogOfNonPositive) as exc:
+        adomian_polynomials(parse("ln(y)"), [GPSeries.constant(-1.0), ZERO])
+    assert "ln(y)" in str(exc.value)
+    # non-constant base point: x sits in the order-zero slot
+    with pytest.raises(NonConstantBasePoint) as exc2:
+        adomian_polynomials(parse("exp(x)"), [GPSeries.constant(-1.0), ZERO])
+    assert "exp(x)" in str(exc2.value)
+
+
+# --- decomposition polynomials ------------------------------------------------------
+
+
+def test_a0_of_exponential_nonlinearity():
+    # f = -e^y (x*yp + 0.5) at constant first component -ln 4: A_0 = -0.125
+    f = parse("-1*exp(y)*(x*yp + 0.5)")
+    (a0,) = adomian_polynomials(f, [GPSeries.constant(-math.log(4.0))])
+    assert _terms(a0) == [(pytest.approx(-0.125), 0.0)]
+    # oracle: direct real evaluation, independent of x
+    for x in (0.2, 0.9):
+        assert eval_real(f, x, -math.log(4.0), 0.0) == pytest.approx(-0.125)
+
+
+def test_a0_of_linear_nonlinearity():
+    # f = x*yp + 0.5*y at first component 1: A_0 = 0.5
+    (a0,) = adomian_polynomials(parse("x*yp + 0.5*y"), [GPSeries.constant(1.0)])
+    assert _terms(a0) == [(pytest.approx(0.5), 0.0)]
