@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -24,7 +25,8 @@ from typing import Iterator
 import numpy as np
 
 from .benchmarks import BENCHMARK_IDS, BETA_FAMILIES, benchmark_problem
-from .diagnostics import _label, format_error_table, max_error, max_errors, residual_grid
+from .diagnostics import MAX_GRID_SIZE, _grid_size, _label, format_error_table, max_error
+from .diagnostics import max_errors, residual_grid
 from .diagnostics import residual  # noqa: F401 -- bench/spans.py WRAPPED looks it up here
 from .errors import AdmError, InputError, InvalidValue
 from .problem_file import dump_problem, load_problem
@@ -79,16 +81,24 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    """One max-error table per beta.  ``--grid`` is checked before the first solve; then
+    each ``max_errors`` call measures the rows solved for it, as many as keep sums times grid
+    within ``MAX_GRID_SIZE`` and at least one, against its last row's reference: every
+    family's exact solution depends on beta only."""
     ns, alphas = sorted(set(args.ns)), list(dict.fromkeys(args.alphas))
+    grid = _grid_size(args.grid)
+    rows = max(1, MAX_GRID_SIZE // (len(ns) * grid))
     takes_beta = args.example in BETA_FAMILIES
     for beta in dict.fromkeys(args.betas if takes_beta else args.betas[:1]):
-        cells = {}
-        for alpha in alphas:
-            problem = benchmark_problem(args.example, alpha, beta)
-            report = solve(problem, max(ns))
-            errs = max_errors([partial_sum(report, n) for n in ns], problem.exact, args.grid)
-            for n, err in zip(ns, errs):
-                cells[(alpha, n)] = err.max_error
+        errors = []
+        for start in range(0, len(alphas), rows):
+            sums = []
+            for alpha in alphas[start:start + rows]:
+                problem = benchmark_problem(args.example, alpha, beta)
+                report = solve(problem, max(ns))
+                sums += [partial_sum(report, n) for n in ns]
+            errors += [err.max_error for err in max_errors(sums, problem.exact, grid)]
+        cells = dict(zip(itertools.product(alphas, ns), errors))
         label = f", beta = {_label(beta)}" if takes_beta else ""
         print(f"# example {args.example}{label}, grid = {args.grid}")
         print(format_error_table(alphas, ns, cells))

@@ -3,8 +3,9 @@
 Accuracy of a partial sum is measured against a closed-form reference on the
 uniform grid x_i = i/grid_size, i = 1..grid_size — the left endpoint is
 excluded (the equation lives on the half-open interval), the right one
-included.  Several partial sums, such as one row of an error table, are
-measured in one call that evaluates the reference once (:func:`max_errors`).
+included.  Several partial sums, such as every cell of an error table, are
+measured in one call that checks and evaluates the reference once
+(:func:`max_errors`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from .singular_operator import apply_forward
 from .solver import Problem, check_count
 
 # The most grid points that max_error, max_errors and residual accept: each holds a few
-# arrays of grid_size floats, and max_errors one more per partial sum.
+# arrays of grid_size floats, and max_errors one more per partial sum (cli table keeps
+# the partial sums of one call times grid_size within this bound too).
 MAX_GRID_SIZE = 1_000_000
 
 
@@ -36,12 +38,18 @@ class ErrorReport:
     max_point: float
 
 
-def _uniform_grid(grid_size: int) -> np.ndarray:
+def _grid_size(grid_size: int) -> int:
+    """grid_size as an int in [1, ``MAX_GRID_SIZE``]; InvalidProblem if it is not one."""
     grid_size = check_count(grid_size, "grid_size")
     if grid_size < 1:
         raise InvalidProblem(f"grid_size must be at least 1, got {grid_size!r}")
     if grid_size > MAX_GRID_SIZE:
         raise InvalidProblem(f"grid_size must be at most {MAX_GRID_SIZE}, got {grid_size!r}")
+    return grid_size
+
+
+def _uniform_grid(grid_size: int) -> np.ndarray:
+    grid_size = _grid_size(grid_size)
     return np.arange(1, grid_size + 1, dtype=float) / grid_size
 
 
@@ -58,6 +66,8 @@ def max_errors(
 
     The reference is checked, and evaluated on the grid, once for all the
     partial sums; the sums share each power of x (``series.evaluate_each``).
+    Each error array is formed in place of its values array: a call holds one
+    grid array per psi, beside the grid, the reference and evaluation buffers.
 
     Raises:
         InvalidExactSolution: the reference nests deeper than ``MAX_DEPTH``
@@ -72,7 +82,7 @@ def max_errors(
     with np.errstate(over="ignore", invalid="ignore"):
         values = gps.evaluate_each(partial_sums, xs)
         reference = eval_real(exact, xs)
-        errors = [np.abs(v - reference) for v in values]
+        errors = [np.abs(np.subtract(v, reference, out=v), out=v) for v in values]
     xs.setflags(write=False)
     reports = []
     for e in errors:

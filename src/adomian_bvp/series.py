@@ -27,8 +27,6 @@ pure function; series can be shared freely between threads.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 from typing import Iterable, NamedTuple, Sequence
 
@@ -359,11 +357,12 @@ def evaluate_many(a: GPSeries, xs: np.ndarray) -> np.ndarray:
 def evaluate_each(many: Iterable[GPSeries], xs: np.ndarray) -> list[np.ndarray]:
     """:func:`evaluate_many` of each series on one grid, forming each power of x once.
 
-    The terms of all the series are walked in ascending exponent order.
-    xs**e is formed once per distinct exponent, and c * xs**e is added into
-    the output of each series that holds e.  So each output is summed from
-    0.0 in its own term order, bit for bit its :func:`evaluate_many`, and one
-    power array is alive at a time.
+    The terms of all the series are walked in one sorted pass: a stable
+    argsort of their concatenated exponents, so equal exponents keep series
+    order.  xs**e is formed once per distinct exponent, and c * xs**e is added
+    into the output of each series that holds e.  So each output is summed
+    from 0.0 in its own term order, bit for bit its :func:`evaluate_many`, and
+    one power array is alive at a time.
 
     Raises:
         DomainError: some x < 0 or nan, or a negative exponent at x = 0 in
@@ -378,18 +377,16 @@ def evaluate_each(many: Iterable[GPSeries], xs: np.ndarray) -> list[np.ndarray]:
         if has_zero and len(a) and a.exponents[0] < -EXPONENT_MERGE_TOL:  # exponents ascend
             raise DomainError(f"x^{a.exponents[0]:g} is singular at x = 0")
     outs = [np.zeros_like(xs) for _ in many]
-    # (exponent, series index, output, coefficient): equal exponents merge in
-    # series order, and the index settles every tie before an output is compared.
-    streams = [
-        zip(a.exponents.tolist(), itertools.repeat(i), itertools.repeat(out), a.coeffs.tolist())
-        for i, (a, out) in enumerate(zip(many, outs))
-    ]
+    exponents = np.concatenate([a.exponents for a in many] or [_EMPTY])
+    order = exponents.argsort(kind="stable")
+    owner = np.repeat(np.arange(len(many)), [len(a) for a in many])[order]
+    coeffs = np.concatenate([a.coeffs for a in many] or [_EMPTY])[order]
     # Local names: the loop runs once per term, and a lookup per term costs about 1%.
     term, last, multiply, power_of = np.empty_like(xs), None, np.multiply, _power
-    for e, _, out, c in streams[0] if len(streams) == 1 else heapq.merge(*streams):
+    for e, i, c in zip(exponents[order].tolist(), owner.tolist(), coeffs.tolist()):
         if e != last:
             power, last = power_of(xs, e, has_zero), e
-        out += multiply(c, power, term)  # c * power, into one reused buffer
+        outs[i] += multiply(c, power, term)  # c * power, into one reused buffer
     return outs
 
 

@@ -154,8 +154,9 @@ def assemble(H: GPSeries, image: GPSeries, w: float, c: float) -> GPSeries:
 
 
 def partial_sum(report: SolveReport, m: int) -> GPSeries:
-    """psi_m = y_0 + ... + y_(m-1), integer m in [1, n]: one merge, bit for bit the left fold."""
+    """psi_m = y_0 + ... + y_(m-1), integer m in [1, n]: one merge, bit for bit the left fold.
+    psi_n is ``report.psi`` itself, the merge :func:`solve` made."""
     m = check_count(m, "m")
     if not 1 <= m <= report.n:
         raise InvalidProblem(f"m must lie in [1, {report.n}], got {m!r}")
-    return gps.combine((1.0, y) for y in report.components[:m])
+    return report.psi if m == report.n else gps.combine((1.0, y) for y in report.components[:m])

@@ -211,6 +211,9 @@ MUTANTS = (
            "report.components[:m]", "report.components[:m - 1]",
            (f"{T_SOLVER}::test_partial_sums_are_the_left_fold_of_the_components",
             f"{T_IDENTITY}::test_every_partial_sum_solves_its_linear_problem")),
+    Mutant("psi-returned-one-component-early", SOLVER,
+           "report.psi if m == report.n else", "report.psi if m >= report.n - 1 else",
+           (f"{T_SOLVER}::test_partial_sums_are_the_left_fold_of_the_components",)),
     Mutant("psi-one-component-behind", SOLVER,
            "for y in components)", "for y in components[:-1])",
            ("tests/test_golden_psi.py::test_psi_bit_identical_to_fixture",)),
@@ -240,7 +243,7 @@ MUTANTS = (
            "if e != last:", "if last is None or abs(e - last) > EXPONENT_MERGE_TOL:",
            (f"{T_SERIES}::test_evaluate_each_is_each_series_term_by_term",)),
     Mutant("term-added-into-the-first-output", SERIES,
-           "itertools.repeat(out),", "itertools.repeat(outs[0]),",
+           "outs[i] += multiply(c, power, term)", "outs[0] += multiply(c, power, term)",
            (f"{T_SERIES}::test_evaluate_each_is_each_series_term_by_term",
             "tests/test_diagnostics.py::test_max_errors_is_max_error_of_each_partial_sum")),
     Mutant("value-at-one-compensated", SERIES,
@@ -251,6 +254,15 @@ MUTANTS = (
            "if grid_size > MAX_GRID_SIZE:", "if grid_size >= MAX_GRID_SIZE:",
            ("tests/test_diagnostics.py::test_grid_size_is_at_most_max_grid_size",
             "tests/test_cli.py::test_one_grid_size_rule")),
+    # a table's partial sums, measured in calls of at most MAX_GRID_SIZE points
+    Mutant("errors-written-into-the-reference", DIAGNOSTICS,
+           "np.abs(np.subtract(v, reference, out=v), out=v)",
+           "np.abs(np.subtract(v, reference, out=reference), out=reference)",
+           ("tests/test_diagnostics.py::test_max_errors_is_max_error_of_each_partial_sum",)),
+    Mutant("table-row-bound-without-its-floor", CLI,
+           "rows = max(1, MAX_GRID_SIZE // (len(ns) * grid))",
+           "rows = MAX_GRID_SIZE // (len(ns) * grid)",
+           ("tests/test_cli.py::test_a_table_split_over_several_calls_prints_the_bytes_of_one",)),
     # the three series of the residual, evaluated in one pass
     Mutant("residual-psi-and-its-derivative-swapped", DIAGNOSTICS,
            "(apply_forward(problem.alpha, psi), psi, gps.differentiate(psi))",

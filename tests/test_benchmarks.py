@@ -56,3 +56,13 @@ def test_unknown_example_is_invalid_problem(example):
 def test_non_finite_parameter_is_invalid_problem(alpha, beta, name):
     with pytest.raises(InvalidProblem, match=f"{name} must be finite"):
         benchmark_problem(1, alpha, beta)
+
+
+@pytest.mark.parametrize("example,beta", [(1, 1.0), (1, 3.5), (1, 0.1234567), (2, 1.0), (2, 3.0),
+                                          (3, 1.0), (3, 2.5), (3, 0.5)])
+def test_the_exact_solution_depends_on_beta_only(example, beta):
+    # cli table measures all rows of a table against one row's reference
+    alphas = [0.0, 0.1, 0.25, 0.3719, 0.5, 0.75, 0.999]
+    exact = [benchmark_problem(example, alpha, beta).exact for alpha in alphas]
+    assert all(e == exact[0] for e in exact)
+    assert len({to_source(e) for e in exact}) == 1

@@ -390,11 +390,16 @@ def test_table_computes_each_repeated_value_once(monkeypatch, capsys, repeated, 
     assert main(common + repeated) == 0
     assert capsys.readouterr().out == want  # ns sorted, alphas and betas in first-seen order
     assert [name for name, _ in calls].count("solve") == solves
-    assert [len(sums) for name, sums in calls if name == "max_errors"] == [3] * solves
+    # one max_errors call per table, after the solves of its rows, with all their partial sums
+    tables = 2 if "--betas" in repeated else 1
+    rows = solves // tables
+    assert [name if name == "solve" else len(sums) for name, sums in calls] == (
+        ["solve"] * rows + [rows * 3]) * tables
 
 
 def test_a_table_row_checks_and_evaluates_its_reference_once(monkeypatch, capsys):
-    # psi_5, psi_8 and psi_10 of one row share one reference and each power of x
+    # the partial sums of a table share one reference and each power of x: psi_5, psi_8
+    # and psi_10 of one row, and the nine of three commensurate rows
     calls, powers = [], []
     for name in ("check_expr", "eval_real"):
         real = getattr(diagnostics, name)
@@ -403,13 +408,52 @@ def test_a_table_row_checks_and_evaluates_its_reference_once(monkeypatch, capsys
     real_power = series._power
     monkeypatch.setattr(series, "_power",
                         lambda xs, e, has_zero: powers.append(e) or real_power(xs, e, has_zero))
-    assert main(["table", "--example", "1", "--alphas", "0.5", "--betas", "3.5"]) == 0
-    capsys.readouterr()
-    report = solve(benchmark_problem(1, 0.5, 3.5), 10)
-    exponents = {e for n in (5, 8, 10) for e in partial_sum(report, n).exponents.tolist()}
-    assert calls == ["check_expr", "eval_real"]
-    assert powers == sorted(exponents)  # ascending, each distinct exponent once
-    assert len(powers) < sum(len(partial_sum(report, n)) for n in (5, 8, 10))
+    for alphas in ([0.5], [0.25, 0.5, 0.75]):
+        del calls[:], powers[:]
+        assert main(["table", "--example", "1", "--alphas", ",".join(map(str, alphas)),
+                     "--betas", "3.5"]) == 0
+        capsys.readouterr()
+        sums = [partial_sum(solve(benchmark_problem(1, alpha, 3.5), 10), n)
+                for alpha in alphas for n in (5, 8, 10)]
+        exponents = {e for psi in sums for e in psi.exponents.tolist()}
+        assert calls == ["check_expr", "eval_real"]
+        assert powers == sorted(exponents)  # ascending, each distinct exponent once
+        assert len(powers) < sum(len(psi) for psi in sums)
+
+
+@pytest.mark.parametrize("bound,calls", [
+    (MAX_GRID_SIZE, [9]),  # the whole table in one call
+    (3 * 150, [9]),
+    (3 * 150 - 1, [6, 3]),
+    (2 * 150, [6, 3]),
+    (2 * 150 - 1, [3, 3, 3]),
+    (100, [3, 3, 3]),  # less than one row: still one row per call
+])
+def test_a_table_split_over_several_calls_prints_the_bytes_of_one(monkeypatch, capsys, bound,
+                                                                  calls):
+    # a row of 3 partial sums on 50 points is 150 points; a call keeps within the bound
+    args = ["table", "--example", "1", "--betas", "1,3.5", "--grid", "50"]
+    assert main(args) == 0
+    want = capsys.readouterr().out
+    sizes, real = [], cli.max_errors
+    monkeypatch.setattr(cli, "MAX_GRID_SIZE", bound)
+    monkeypatch.setattr(cli, "max_errors",
+                        lambda sums, *a: sizes.append(len(sums)) or real(sums, *a))
+    assert main(args) == 0
+    assert capsys.readouterr().out == want
+    assert sizes == calls * 2
+
+
+@pytest.mark.parametrize("args,solve_error", [
+    (["--example", "3", "--betas", "-3"], "Divergent"),
+    (["--example", "3", "--alphas", "1.5"], "InvalidProblem(alpha must lie in [0, 1)"),
+])
+def test_table_checks_the_grid_before_the_first_solve(capsys, args, solve_error):
+    # every row is solved before any is measured, so the grid is checked first
+    assert main(["table", *args]) in (3, 4)
+    assert capsys.readouterr().err.startswith(f"error: {solve_error}")
+    assert main(["table", *args, "--grid", "0"]) == 3
+    assert capsys.readouterr().err == "error: InvalidProblem(grid_size must be at least 1, got 0)\n"
 
 
 # --- grid size -----------------------------------------------------------------------

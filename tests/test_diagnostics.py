@@ -127,14 +127,13 @@ def test_max_error_overflow_is_non_finite_term():
 
 @pytest.mark.parametrize("example,beta", [(1, 1.0), (1, 3.5), (2, 1.0), (3, 1.0), (3, 2.5)])
 def test_max_errors_is_max_error_of_each_partial_sum(example, beta):
-    # the published tables: one row is psi_5, psi_8 and psi_10 against one reference
-    for alpha in (0.25, 0.5, 0.75):
-        problem = benchmark_problem(example, alpha, beta)
-        report = solve(problem, 10)
-        sums = [partial_sum(report, n) for n in (5, 8, 10)]
-        reports = max_errors(sums, problem.exact, 1000)
+    # the published tables: psi_5, psi_8 and psi_10 of each alpha against one reference
+    problems = [benchmark_problem(example, alpha, beta) for alpha in (0.25, 0.5, 0.75)]
+    sums = [partial_sum(solve(problem, 10), n) for problem in problems for n in (5, 8, 10)]
+    for exact in (problems[0].exact, problems[-1].exact):
+        reports = max_errors(sums, exact, 1000)
         assert len(reports) == len(sums)
-        for got, psi in zip(reports, sums):
+        for got, psi, problem in zip(reports, sums, [p for p in problems for _ in range(3)]):
             want = max_error(psi, problem.exact, 1000)
             assert got.grid.tobytes() == want.grid.tobytes()
             assert got.errors.tobytes() == want.errors.tobytes()

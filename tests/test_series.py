@@ -708,8 +708,13 @@ _EVALUATED = st.lists(
 _POINTS = st.sampled_from([0.0, 0.001, 0.3, 0.5, 1.0, 2.5, -0.25, math.nan]) | st.floats(0.0, 3.0)
 
 
+# The nine partial sums of a table of three commensurate alphas share most exponents.
+_TABLE_SUMS = [partial_sum(solve(benchmark_problem(1, alpha, 3.5), 10), n)
+               for alpha in (0.25, 0.5, 0.75) for n in (5, 8, 10)]
+
+
 @settings(max_examples=300, deadline=None)
-@given(many=st.lists(_EVALUATED, min_size=1, max_size=4),
+@given(many=st.lists(_EVALUATED, min_size=1, max_size=9),
        xs=st.lists(_POINTS, min_size=1, max_size=6))
 @example(many=[GPSeries([(1.0, 0.5), (2.0, 1.0)]), GPSeries([(3.0, 0.5), (-1.0, 1.0), (0.5, 2.0)])],
          xs=[0.3, 0.7, 1.0])  # shared exponents
@@ -718,6 +723,7 @@ _POINTS = st.sampled_from([0.0, 0.001, 0.3, 0.5, 1.0, 2.5, -0.25, math.nan]) | s
 @example(many=[GPSeries([(2.0, 1e-13), (1.0, 0.5)])], xs=[0.0, 0.25])  # 0**1e-13 := 1
 @example(many=[GPSeries([(1.0, 0.5)]), GPSeries([(1.0, -0.5)]), GPSeries([(1.0, -0.25)])],
          xs=[0.5, 0.0])  # the first singular series names the error
+@example(many=_TABLE_SUMS, xs=[0.0, 0.001, 0.3, 1.0])
 def test_evaluate_each_is_each_series_term_by_term(many, xs):
     xs = np.array(xs)
     try:

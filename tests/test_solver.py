@@ -114,6 +114,7 @@ def test_partial_sums_are_the_left_fold_of_the_components(n, family, alpha, beta
         acc = add(acc, component)
         assert partial_sum(report, m) == acc
     assert report.psi == acc
+    assert partial_sum(report, report.n) is report.psi  # psi_n is not merged again
 
 
 # --- boundary exactness ----------------------------------------------------------------
