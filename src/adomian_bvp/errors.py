@@ -31,7 +31,7 @@ class NonFiniteTerm(ComputeError):
 
 
 class TermBlowup(ComputeError):
-    """A series product would exceed the configured term cap."""
+    """A series product would exceed the term cap."""
 
 
 class DomainError(ComputeError):

@@ -12,10 +12,11 @@ a weighted sum a concatenation) and hands them to one kernel,
 the drop of exact zeros.  No other coefficient is dropped, however small next
 to the others: a partial sum keeps every term of its closed-form components.
 The kernel reproduces the term-by-term definition bit for bit, whatever order
-the sort gives equal exponents, and the first non-finite input term is the one
-an error names.  A map that keeps the exponents in order, :func:`differentiate` or
-a product by one term, skips the sort through :func:`from_ordered`, with the same
-bits and errors: only terms that would merge, or are zero or not finite, go to the kernel.
+the sort gives equal exponents, and its scan is every NonFiniteTerm here: the
+first non-finite term of the arrays it is given, else a merged overflow.  A map
+that keeps the exponents in order, :func:`differentiate` or a product by one
+term, skips the sort through :func:`from_ordered`, with the same bits: terms
+that would merge, or are zero or not finite, send its arrays to the kernel.
 
 :func:`combine` is every weighted sum, of series and of products of two
 series, such as one Cauchy sum of a recurrence; ``mul`` is its one-product
@@ -38,8 +39,8 @@ from .errors import DomainError, InvalidProblem, NonFiniteTerm, TermBlowup
 # floating drift must not split one mathematical monomial into two.
 EXPONENT_MERGE_TOL = 1e-12
 
-# Products in the truncated-ring machinery grow combinatorially; fail loudly
-# rather than thrash.
+# The most raw terms of one pairwise product, checked before it is formed.  Not a bound on
+# a Cauchy sum of many products (195,287 raw terms at n = 37) or on memory: ROADMAP 14.
 DEFAULT_TERM_CAP = 10_000
 
 
@@ -166,8 +167,8 @@ def _nonzero(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Drop exact zeros, after checking that every coefficient is finite.
 
-    ``raw`` is the kernel's input, searched for the term to name when a
-    coefficient is not finite.
+    ``raw`` is the kernel's input: a coefficient that is not finite raises the
+    NonFiniteTerm that names its first non-finite term, or a merged overflow.
     """
     magnitude = np.abs(coeffs)
     # Ufunc reductions, as ndarray.max/min add a Python-level call to each.
@@ -223,16 +224,16 @@ def _merged(coeffs: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray, np.n
     return _nonzero(c, e + 0.0, (coeffs, exponents))
 
 
-def from_ordered(coeffs: np.ndarray, exponents: np.ndarray, raw=None) -> GPSeries:
+def from_ordered(coeffs: np.ndarray, exponents: np.ndarray) -> GPSeries:
     """:func:`from_arrays` of terms in increasing exponent order, no exponent -0.0, without a sort:
     the arrays as they stand if every gap exceeds ``EXPONENT_MERGE_TOL`` and every term is
-    finite and nonzero, else the kernel of ``raw()``, these arrays by default, for its errors."""
+    finite and nonzero, else the kernel of these arrays, which names the first non-finite one."""
     magnitude, gaps = np.abs(coeffs), np.subtract(exponents[1:], exponents[:-1])
     if (len(coeffs) and np.minimum.reduce(gaps, initial=math.inf) > EXPONENT_MERGE_TOL
             and math.isfinite(exponents[-1] - exponents[0]) and np.minimum.reduce(magnitude) > 0.0
             and math.isfinite(np.maximum.reduce(magnitude))):
         return GPSeries._of(coeffs, exponents)
-    return from_arrays(*(raw() if raw else (coeffs, exponents)))
+    return from_arrays(coeffs, exponents)
 
 
 def normalize(raw_terms: Iterable[Sequence[float]]) -> GPSeries:
@@ -253,17 +254,15 @@ def combine(
     Three rules.  Every piece of weight 0, with a zero series or with a zero
     factor, is skipped; such a product is never formed.  A lone product of
     weight 1 by one term c*x^p within the cap keeps the other factor's order
-    (:func:`from_ordered` of its raw product).  Everything else, the parts and
-    then the raw products in order, is normalized once as one sum; a single
-    normalized piece is only scaled, and the zeros of an underflow dropped, as
-    its exponents are sorted and merged already.
+    (:func:`from_ordered` of its raw product).  Everything else, the weighted
+    parts and then the weighted raw products in order, is normalized once as
+    one sum; a single normalized piece is only scaled, and the zeros of an
+    underflow dropped, as its exponents are sorted and merged already.
 
     Raises:
-        TermBlowup: a raw product would exceed ``DEFAULT_TERM_CAP`` terms.
-        NonFiniteTerm: a product, weighted or merged coefficient is not finite.
-            The first non-finite raw product names the error, as if each were
-            checked when formed; the products are scanned only once the call
-            fails, as the sum's one merge rejects any non-finite term.
+        TermBlowup: a raw product would have over ``DEFAULT_TERM_CAP`` terms (before it is formed).
+        NonFiniteTerm: a weighted or merged coefficient is not finite, named
+            as the kernel names it in the arrays it is given.
     """
     live = [(w, s.coeffs, s.exponents) for w, s in parts if w != 0.0 and len(s.coeffs)]
     products = [(w, a, b) for w, a, b in products if w != 0.0 and len(a.coeffs) and len(b.coeffs)]
@@ -275,33 +274,20 @@ def combine(
         if len(one) == 1 and len(other) <= DEFAULT_TERM_CAP:  # c*x^p keeps other's order
             with np.errstate(over="ignore", invalid="ignore"):
                 c, e = one.coeffs[0] * other.coeffs, one.exponents[0] + other.exponents
-            return from_ordered(c, e + 0.0, lambda: (c, e))  # + 0.0: no exponent -0.0
-    first = len(live)  # the products formed go after the parts
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for w, a, b in products:
-                if len(a.coeffs) * len(b.coeffs) > DEFAULT_TERM_CAP:
-                    raise TermBlowup(
-                        f"product of {len(a)} x {len(b)} terms exceeds cap {DEFAULT_TERM_CAP}"
-                    )
-                c = np.multiply.outer(a.coeffs, b.coeffs).ravel()
-                e = np.add.outer(a.exponents, b.exponents).ravel()
-                live.append((w, c, e))
-            coeffs = [c if w == 1.0 else w * c for w, c, _ in live]
-        if products or len(live) > 1:
-            return from_arrays(np.concatenate(coeffs), np.concatenate([e for *_, e in live]))
-    except (TermBlowup, NonFiniteTerm):
-        _check_raw(live[first:])  # a non-finite product formed before the failure names it
-        raise
+            return from_ordered(c, e + 0.0)  # + 0.0: no exponent -0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w, a, b in products:
+            if len(a.coeffs) * len(b.coeffs) > DEFAULT_TERM_CAP:
+                raise TermBlowup(f"product of {len(a)} x {len(b)} terms exceeds cap "
+                                 f"{DEFAULT_TERM_CAP}")
+            c = np.multiply.outer(a.coeffs, b.coeffs).ravel()
+            e = np.add.outer(a.exponents, b.exponents).ravel()
+            live.append((w, c, e))
+        coeffs = [c if w == 1.0 else w * c for w, c, _ in live]
+    if products or len(live) > 1:
+        return from_arrays(np.concatenate(coeffs), np.concatenate([e for *_, e in live]))
     ((_, _, e),) = live
     return GPSeries._of(*_nonzero(coeffs[0], e, (coeffs[0], e)))
-
-
-def _check_raw(raw: list[tuple[float, np.ndarray, np.ndarray]]) -> None:
-    """Raise NonFiniteTerm naming the first non-finite term of the first raw (w, c, e) with one."""
-    for _, c, e in raw:
-        if not (np.isfinite(c).all() and np.isfinite(e).all()):
-            _raise_non_finite(c, e)
 
 
 def add(a: GPSeries, b: GPSeries) -> GPSeries:

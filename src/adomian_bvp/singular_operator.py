@@ -18,8 +18,9 @@ logarithmic and r = alpha-2 the outer one; r < alpha-2 diverges.  All three
 raise instead of silently leaving the representable algebra.  So does an r
 whose two image exponents 1-alpha and r+2-alpha, as computed, lie within the
 merge tolerance: the merge would fold them into one x^(1-alpha) term, which
-L maps to 0.  The image is built in exponent order, its x^(1-alpha) terms one sum; it goes
-to the kernel only if terms would merge or are 0 or not finite (:func:`series.from_ordered`).
+L maps to 0.  The image is built in exponent order, its x^(1-alpha) terms one sum.  Only if
+terms would merge or are 0 or not finite do those arrays go to the kernel, which then names
+their first non-finite term (:func:`series.from_ordered`).
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ def apply_inverse(ctx: OperatorContext, g: GPSeries) -> GPSeries:
     Raises:
         LogResonance, OuterResonance, Divergent: inadmissible exponents, for
             the first offending term.
+        NonFiniteTerm: naming the image's first non-finite term in exponent order.
     """
     if g.is_zero:
         return g
@@ -92,11 +94,8 @@ def apply_inverse(ctx: OperatorContext, g: GPSeries) -> GPSeries:
     for c in heads.tolist():
         head += c
     i = int(tail.searchsorted(1.0 - ctx.alpha))  # the tails ascend with g's exponents
-    return gps.from_ordered(
-        np.concatenate((tails[:i], [head], tails[i:])),
-        np.concatenate((tail[:i], [1.0 - ctx.alpha], tail[i:])),
-        lambda: (np.column_stack((heads, tails)).ravel(),  # the raw image, interleaved
-                 np.column_stack((np.full_like(tail, 1.0 - ctx.alpha), tail)).ravel()))
+    return gps.from_ordered(np.concatenate((tails[:i], [head], tails[i:])),
+                            np.concatenate((tail[:i], [1.0 - ctx.alpha], tail[i:])))
 
 
 def inverse_at_one(ctx: OperatorContext, g: GPSeries) -> float:

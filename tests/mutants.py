@@ -142,17 +142,14 @@ MUTANTS = (
            _ZEROS_DROPPED, "    keep = magnitude > 1e-14 * np.maximum.reduce(magnitude)\n",
            (f"{T_SERIES}::test_normalize_keeps_a_coefficient_far_below_the_largest",
             "tests/test_truth_errors.py::test_psi_is_no_further_from_the_solution_than_recorded")),
-    # the finiteness scan of raw products, deferred to a failing call
-    Mutant("no-scan-on-term-blowup", SERIES,
-           "except (TermBlowup, NonFiniteTerm):", "except NonFiniteTerm:",
-           (f"{T_SERIES}::test_an_overflowing_product_before_a_wide_one_is_a_non_finite_term",)),
-    Mutant("no-scan-when-the-sum-fails", SERIES,
-           _FINAL_MERGE, f"first = len(live); {_FINAL_MERGE}",
+    # the one fault rule: the kernel is given the weighted parts, then the weighted products
+    Mutant("products-before-parts", SERIES,
+           _FINAL_MERGE,
+           "k = len(live) - len(products); "
+           + _FINAL_MERGE.replace("(coeffs)", "(coeffs[k:] + coeffs[:k])")
+                         .replace("in live]", "in live[k:] + live[:k]]"),
            (f"{T_SERIES}::"
-            "test_an_overflowing_product_names_the_error_before_an_overflowing_part",)),
-    Mutant("a-scan-on-success", SERIES,
-           "live.append((w, c, e))", "_check_raw([(w, c, e)]) or live.append((w, c, e))",
-           (f"{T_SERIES}::test_a_successful_solve_scans_no_raw_product",)),
+            "test_an_overflowing_part_names_the_error_before_an_overflowing_product",)),
     # one iterative layout, and the literal rules of check_expr
     Mutant("layout-keyed-by-value", EXPRESSIONS,
            _LAYOUT_LOOP, _LAYOUT_LOOP.replace("id(node)", "node").replace("id(f)", "f"),
@@ -331,10 +328,7 @@ MUTANTS = (
            (f"{T_ORDERED}::test_an_underflowing_coefficient_is_dropped_as_the_kernel_drops_it",)),
     Mutant("ordered-non-finite-kept", SERIES,
            "and math.isfinite(np.maximum.reduce(magnitude))):", "):",
-           (f"{T_ORDERED}::test_an_overflow_names_the_raw_term_that_the_kernel_names",)),
-    Mutant("image-fallback-on-the-ordered-terms", OPERATOR,
-           "lambda: (np.column_stack(", "None and (np.column_stack(",
-           (f"{T_ORDERED}::test_an_overflow_names_the_raw_term_that_the_kernel_names",)),
+           (f"{T_ORDERED}::test_an_overflow_names_the_first_term_that_the_kernel_is_given",)),
     Mutant("image-head-summed-in-reverse", OPERATOR,
            "for c in heads.tolist():", "for c in heads.tolist()[::-1]:",
            (f"{T_ORDERED}::test_apply_inverse_is_the_kernel_of_the_interleaved_raw_image",)),
@@ -348,14 +342,12 @@ MUTANTS = (
            (f"{T_ORDERED}::test_a_shift_past_the_term_cap_is_the_term_blowup_of_mul",)),
     Mutant("weighted-lone-product-kept-in-order", SERIES,
            "and products[0][0] == 1.0:", ":",
-           (f"{T_ORDERED}::test_a_weighted_lone_product_stays_on_the_kernel_and_names_the_raw_term",
+           (f"{T_ORDERED}::"
+            "test_a_weighted_lone_product_stays_on_the_kernel_and_names_the_weighted_term",
             f"{T_ORDERED}::test_a_lone_product_through_combine_is_the_kernel_of_its_raw_product")),
     Mutant("wide-factor-taken-for-one-term", SERIES,
            "if len(one) == 1 and len(other)", "if len(other)",
            (f"{T_ORDERED}::test_shift_is_mul_by_the_monomial_and_differentiate_its_kernel_form",)),
-    Mutant("lone-product-fallback-on-the-ordered-terms", SERIES,
-           "e + 0.0, lambda: (c, e))", "e + 0.0)",
-           (f"{T_ORDERED}::test_an_overflow_names_the_raw_term_that_the_kernel_names",)),
     # the depth walk and the ring's order guard
     Mutant("depth-walk-one-level-short", EXPRESSIONS,
            "if depths[-1] > MAX_DEPTH:", "if depths[-1] >= MAX_DEPTH:",

@@ -3,8 +3,9 @@
 ``apply_inverse``, the solver's assembly of a component, a lone product by one
 term in ``series.combine`` and ``series.differentiate`` list their terms in
 exponent order and skip the kernel's sort.  Each reference here is the kernel
-call that the path replaced, so a result must match it in every bit, and an
-error in its class and message.
+call that the path replaced, so a result must match it in every bit.  An error
+must match in class and message that of the kernel of the arrays the path
+builds, which names their first non-finite term.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from adomian_bvp.errors import AdmError, Divergent, LogResonance, OuterResonance
+from adomian_bvp.errors import AdmError, Divergent, LogResonance, NonFiniteTerm, OuterResonance
 from adomian_bvp.series import (
     DEFAULT_TERM_CAP,
     EXPONENT_MERGE_TOL,
@@ -40,7 +41,19 @@ def raw_image(ctx, g):
 
 
 def kernel_image(ctx, g):
-    return from_arrays(*raw_image(ctx, g)) if len(g) else g
+    """The kernel of the raw image; where it fails, the kernel of the arrays apply_inverse
+    builds: the tails in exponent order and the x^(1-alpha) terms summed from 0.0, in order."""
+    if not len(g):
+        return g
+    coeffs, exponents = raw_image(ctx, g)
+    try:
+        return from_arrays(coeffs, exponents)
+    except NonFiniteTerm:
+        head = 0.0
+        for c in coeffs[0::2].tolist():
+            head += c
+        image = [(head, 1.0 - ctx.alpha), *zip(coeffs[1::2].tolist(), exponents[1::2].tolist())]
+        return normalize(sorted(image, key=lambda term: term[1]))
 
 
 def kernel_assembly(H, image, w, c):
@@ -48,14 +61,13 @@ def kernel_assembly(H, image, w, c):
 
 
 def kernel_product(a, b, w=1.0):
-    """combine((), ((w, a, b),)) as the kernel form of its raw outer product: a non-finite raw
-    term names the error, unweighted, and else the weighted terms are merged once."""
+    """combine((), ((w, a, b),)) as the kernel of the arrays it builds: the weighted raw outer
+    product, its exponents + 0.0 where a product by one term of weight 1 is shifted in order."""
+    shifted = w == 1.0 and 1 in (len(a), len(b))
     with np.errstate(over="ignore", invalid="ignore"):
         c = np.multiply.outer(a.coeffs, b.coeffs).ravel()
         e = np.add.outer(a.exponents, b.exponents).ravel()
-        if not np.isfinite(c).all():
-            return from_arrays(c, e)
-        return from_arrays(w * c, e)
+        return from_arrays(w * c, e + 0.0 if shifted else e)
 
 
 def kernel_derivative(a):
@@ -191,19 +203,25 @@ def test_an_underflowing_coefficient_is_dropped_as_the_kernel_drops_it():
     assert_same(lambda: mul(tiny, tiny), lambda: kernel_product(tiny, tiny))
 
 
-def test_an_overflow_names_the_raw_term_that_the_kernel_names():
-    # raw: (h0, 0.5), (t0, 0.05), (-inf, 0.5), (inf, 0.1); in exponent order (inf, 0.1) comes first
+def test_an_overflow_names_the_first_term_that_the_kernel_is_given():
+    # raw: (h0, 0.5), (t0, 0.05), (-inf, 0.5), (inf, 0.1); the kernel is given the image in
+    # exponent order, (t0, 0.05), (inf, 0.1), (-inf, 0.5), where 0.1 is 0.10000000000000009
     ctx, g = OperatorContext(0.5, 0.0), GPSeries([(1.0, -1.45), (1e308, -1.4)])
-    with pytest.raises(AdmError, match=r"^term \(-inf, 0\.5\) is not finite$"):
+    with pytest.raises(AdmError, match=r"^term \(inf, 0\.10000000000000009\) is not finite$"):
         apply_inverse(ctx, g)
     assert_same(lambda: apply_inverse(ctx, g), lambda: kernel_image(ctx, g))
+    # x^(1-alpha) terms that overflow only once summed make one term, which the kernel names
+    ctx_0, g = OperatorContext(0.0, 0.0), GPSeries([(1.5e308, 0.0), (1.5e308, 1.0)])
+    with pytest.raises(AdmError, match=r"^term \(inf, 1\.0\) is not finite$"):
+        apply_inverse(ctx_0, g)
+    assert_same(lambda: apply_inverse(ctx_0, g), lambda: kernel_image(ctx_0, g))
     big = GPSeries.monomial(1e200, 0.5)
     with pytest.raises(AdmError, match=r"^term \(inf, 1\.0\) is not finite$"):
         mul(big, big)
     assert_same(lambda: mul(big, big), lambda: kernel_product(big, big))
-    # the raw exponent -0.0 + -0.0 is -0.0; only the error shows its sign
+    # the raw exponent -0.0 + -0.0 is -0.0, shifted to +0.0 before the kernel sees it
     signed = GPSeries.monomial(1e200, -0.0)
-    with pytest.raises(AdmError, match=r"^term \(inf, -0\.0\) is not finite$"):
+    with pytest.raises(AdmError, match=r"^term \(inf, 0\.0\) is not finite$"):
         mul(signed, signed)
     assert_same(lambda: mul(signed, signed), lambda: kernel_product(signed, signed))
     steep = GPSeries.monomial(1e308, 10.0)
@@ -228,13 +246,13 @@ def test_a_shift_past_the_term_cap_is_the_term_blowup_of_mul():
     assert mul(GPSeries.zero(), huge).is_zero
 
 
-def test_a_weighted_lone_product_stays_on_the_kernel_and_names_the_raw_term():
+def test_a_weighted_lone_product_stays_on_the_kernel_and_names_the_weighted_term():
     # x^0.5 times two terms, weighted -2, has the bits of -2 times its raw product ...
     x_05 = GPSeries.monomial(1.0, 0.5)
     assert combine((), ((-2.0, x_05, _TWO_TERMS),)).terms == ((-2.0, 0.5), (-6.0, 0.75))
-    # ... and an overflow names the raw term (inf, 1.0), not the weighted (-inf, 1.0)
+    # ... and an overflow names the weighted term (-inf, 1.0) that the kernel is given
     big, wide = GPSeries.monomial(1e200, 0.5), GPSeries([(1.0, 0.0), (1e200, 0.5)])
     for a, b in ((big, big), (big, wide), (wide, big)):
-        with pytest.raises(AdmError, match=r"^term \(inf, 1\.0\) is not finite$"):
+        with pytest.raises(AdmError, match=r"^term \(-inf, 1\.0\) is not finite$"):
             combine((), ((-2.0, a, b),))
         assert_same(lambda: combine((), ((-2.0, a, b),)), lambda: kernel_product(a, b, -2.0))

@@ -399,19 +399,15 @@ def _fused_oracle(parts, products):
     """The weighted sum with its raw products joining it unmerged, term by term.
 
     Parts and products of weight 0, and products with a zero factor, are
-    skipped.  The live parts come first.  Then each product is formed in
-    order, and its raw terms enter as they are, checked to be finite.  Then
-    the whole sum is normalized once.
+    skipped.  The reference normalizes the weighted terms of the live parts,
+    then the weighted raw terms of each product in order, once, so that its
+    errors name the first non-finite term among them.
     """
     weighted = [(w * c, e) for w, s in parts if w != 0.0 for c, e in _terms(s)]
     for w, a, b in products:
         if w == 0.0 or a.is_zero or b.is_zero:
             continue
-        pairs = [(ca * cb, ea + eb) for ca, ea in _terms(a) for cb, eb in _terms(b)]
-        for c, e in pairs:
-            if not (math.isfinite(c) and math.isfinite(e)):
-                raise NonFiniteTerm(f"term ({c!r}, {e!r}) is not finite")
-        weighted += [(w * c, e) for c, e in pairs]
+        weighted += [(w * (ca * cb), ea + eb) for ca, ea in _terms(a) for cb, eb in _terms(b)]
     return _reference_sum(weighted)
 
 
@@ -498,11 +494,12 @@ def _powers(count):
     return from_arrays(np.ones(count), np.arange(count, dtype=float))
 
 
-def test_an_overflowing_product_before_a_wide_one_is_a_non_finite_term():
+def test_an_overflowing_product_before_a_wide_one_is_a_term_blowup():
+    # the cap is checked before any term's value is looked at
     big, wide = GPSeries.monomial(1e200, 0.5), _powers(101)
-    with pytest.raises(NonFiniteTerm) as err:
+    with pytest.raises(TermBlowup) as err:
         combine((), [(1.0, big, big), (1.0, wide, wide)])
-    assert str(err.value) == "term (inf, 1.0) is not finite"
+    assert str(err.value) == f"product of 101 x 101 terms exceeds cap {DEFAULT_TERM_CAP}"
 
 
 def test_a_wide_product_before_an_overflowing_one_is_a_term_blowup():
@@ -512,8 +509,8 @@ def test_a_wide_product_before_an_overflowing_one_is_a_term_blowup():
     assert str(err.value) == f"product of 101 x 101 terms exceeds cap {DEFAULT_TERM_CAP}"
 
 
-# A raw product that joins its sum is scanned for non-finite terms only once the call
-# fails; these pin that the errors are still those of checking it as it is formed.
+# The kernel is given the weighted parts, then the weighted raw products in order, and
+# names the first non-finite term among them.
 _BIG = GPSeries.monomial(1e200, 0.5)  # squared: the raw term (inf, 1.0)
 
 
@@ -538,12 +535,15 @@ def test_a_product_of_weight_0_is_skipped_before_it_is_formed():
 
 
 @pytest.mark.parametrize("factor,named",
-                         [(_BIG, "inf, 1.0"), (GPSeries.monomial(1.0, 1e308), "1.0, inf")],
+                         [(_BIG, "-inf, 1.0"), (GPSeries.monomial(1.0, 1e308), "-1.0, inf")],
                          ids=["coefficient", "exponent"])
-def test_an_overflowing_product_names_the_error_before_an_overflowing_part(factor, named):
+def test_an_overflowing_part_names_the_error_before_an_overflowing_product(factor, named):
     part = (1e300, GPSeries.monomial(1e300, 0.25))  # its weighted coefficient overflows
+    with pytest.raises(NonFiniteTerm, match=r"^term \(inf, 0\.25\) is not finite$"):
+        combine([part], [(-1.0, factor, factor)])
+    # with a finite part, the product's first non-finite weighted term is named
     with pytest.raises(NonFiniteTerm) as err:
-        combine([part], [(1.0, factor, factor)])
+        combine([(1.0, GPSeries.monomial(2.0, 0.25))], [(-1.0, factor, factor)])
     assert str(err.value) == f"term ({named}) is not finite"
 
 
@@ -551,21 +551,6 @@ def test_finite_raw_terms_whose_sum_overflows_are_a_merged_overflow():
     half = GPSeries.monomial(1e154, 0.25)  # squared: 1e308 at x^0.5, finite
     with pytest.raises(NonFiniteTerm, match="^a merged coefficient overflows$"):
         combine([(1.0, GPSeries.monomial(1e308, 0.5))], [(1.0, half, half)])
-
-
-def test_a_successful_solve_scans_no_raw_product(monkeypatch):
-    scans, check_raw = [], series._check_raw
-
-    def counted(raw):
-        scans.append(len(raw))
-        return check_raw(raw)
-
-    monkeypatch.setattr(series, "_check_raw", counted)
-    solve(benchmark_problem(1, 0.5, 3.5), 14)
-    assert [n for n in scans if n] == []
-    with pytest.raises(NonFiniteTerm):
-        combine([(1e300, GPSeries.monomial(1e300, 0.25))], [(1.0, _BIG, _BIG)])
-    assert [n for n in scans if n] == [1]
 
 
 def test_an_empty_factor_skips_the_product_and_its_cap():
