@@ -6,21 +6,20 @@ strictly increasing exponent.  Solution components, their derivatives and
 partial sums are all values of this one type, so the whole solver reduces to
 a handful of exact term-wise operations on it.
 
-Every operation builds its raw terms as arrays (a product an outer product,
-a weighted sum a concatenation) and hands them to one kernel,
-:func:`from_arrays`: a sort of the exponents, a merge of near-equal ones and
-the drop of exact zeros.  No other coefficient is dropped, however small next
-to the others: a partial sum keeps every term of its closed-form components.
-The kernel reproduces the term-by-term definition bit for bit, whatever order
-the sort gives equal exponents, and its scan is every NonFiniteTerm here: the
-first non-finite term of the arrays it is given, else a merged overflow.  A map
-that keeps the exponents in order, :func:`differentiate` or a product by one
-term, skips the sort through :func:`from_ordered`, with the same bits: terms
-that would merge, or are zero or not finite, send its arrays to the kernel.
-
-:func:`combine` is every weighted sum, of series and of products of two
-series, such as one Cauchy sum of a recurrence; ``mul`` is its one-product
-call.  Raw products join the sum unmerged, so the sum is normalized once.
+Every operation builds its raw terms as arrays (a product by broadcasting, a
+weighted sum a concatenation) and hands them to one kernel, :func:`from_arrays`:
+a sort of the exponents, a merge of near-equal ones and the drop of exact zeros.
+No other coefficient is dropped, however small next to the others: a partial sum
+keeps every term of its closed-form components.  The kernel reproduces the
+term-by-term definition bit for bit, whatever order the sort gives equal
+exponents, and its scan is every NonFiniteTerm here: the first non-finite term
+of the arrays it is given, else a merged overflow.  A map that keeps exponents in
+order (:func:`differentiate`, a product by one term, the inverse image and the
+solver's step) skips the sort with the same bits: its arrays are checked once by
+:func:`_in_order`, and terms that would merge, or are zero or not finite, go to
+the kernel.  :func:`combine` is every weighted sum, of series and of products of
+two series, such as one Cauchy sum of a recurrence, in one loop over its pieces;
+raw products join the sum unmerged, so the sum is normalized once.
 
 Values are immutable (their arrays are read-only) and every operation is a
 pure function; series can be shared freely between threads.
@@ -162,19 +161,15 @@ def _anchored_groups(exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return group, np.array(anchors)
 
 
-def _nonzero(
-    coeffs: np.ndarray, exponents: np.ndarray, raw: tuple[np.ndarray, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Drop exact zeros, after checking that every coefficient is finite.
-
-    ``raw`` is the kernel's input: a coefficient that is not finite raises the
-    NonFiniteTerm that names its first non-finite term, or a merged overflow.
-    """
+def _nonzero(coeffs: np.ndarray, exponents: np.ndarray,
+             raw: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Drop exact zeros once every coefficient is known finite; one that is not raises the
+    NonFiniteTerm of the kernel's input ``raw``: its first non-finite term, or a merged overflow."""
     magnitude = np.abs(coeffs)
-    # Ufunc reductions, as ndarray.max/min add a Python-level call to each.
+    # A ufunc reduction, as ndarray.max adds a Python-level call; counting is cheaper still.
     if not math.isfinite(np.maximum.reduce(magnitude)):
         _raise_non_finite(*raw)
-    if np.minimum.reduce(magnitude) > 0.0:
+    if np.count_nonzero(coeffs) == len(coeffs):
         return coeffs, exponents
     keep = magnitude > 0.0
     return coeffs[keep], exponents[keep]
@@ -201,39 +196,42 @@ def _merged(coeffs: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray, np.n
     """:func:`from_arrays` on at least one term, as arrays."""
     order = exponents.argsort()
     e = exponents[order]
-    if not (math.isfinite(e[0]) and math.isfinite(e[-1])):  # NaN sorts last
+    if math.isfinite(e.item(-1) - e.item(0)):  # Python floats: no warning, NaN sorts last
+        gaps = e[1:] - e[:-1]
+    elif math.isfinite(e[0]) and math.isfinite(e[-1]):
+        with np.errstate(over="ignore"):  # a gap past the largest float joins nothing
+            gaps = np.minimum(e[1:] - e[:-1], 1.0)
+    else:
         _raise_non_finite(coeffs, exponents)
-    gaps = e[1:] - e[:-1]
-    joins = gaps <= EXPONENT_MERGE_TOL
     head = np.empty(len(e), dtype=bool)
     head[0] = True
-    np.logical_not(joins, out=head[1:])
+    np.greater(gaps, EXPONENT_MERGE_TOL, out=head[1:])
     # The group ids of head.cumsum(); an integer accumulate is cheaper.
     group, anchors = np.add.accumulate(head, dtype=np.intp), e[head]
-    # These groups chain consecutive gaps, but a group is anchored at its
-    # smallest exponent.  The two differ only where the joined gaps of one
-    # group add up past the tolerance; unless the total of all joined gaps
-    # comes near it, that cannot happen.
-    if gaps @ joins > 0.5 * EXPONENT_MERGE_TOL:
+    # These groups chain gaps, but a group is anchored at its smallest exponent.  They differ only
+    # where some gap joins and the joined gaps of a group (so of all) sum to near the tolerance.
+    if len(anchors) < len(e) and gaps @ ~head[1:] > 0.5 * EXPONENT_MERGE_TOL:
         group, anchors = _anchored_groups(e)
     # Each group adds its coefficients in input order: no coefficient is permuted.
     at_input = np.empty_like(group)
     at_input[order] = group
-    c, e = np.bincount(at_input, weights=coeffs)[1:], anchors
-    # + 0.0 turns -0.0 to +0.0, so no zero exponent depends on the sort's order of ties
-    return _nonzero(c, e + 0.0, (coeffs, exponents))
+    anchors += 0.0  # -0.0 to +0.0, so no zero exponent depends on the sort's order of ties
+    return _nonzero(np.bincount(at_input, weights=coeffs)[1:], anchors, (coeffs, exponents))
 
 
 def from_ordered(coeffs: np.ndarray, exponents: np.ndarray) -> GPSeries:
     """:func:`from_arrays` of terms in increasing exponent order, no exponent -0.0, without a sort:
-    the arrays as they stand if every gap exceeds ``EXPONENT_MERGE_TOL`` and every term is
-    finite and nonzero, else the kernel of these arrays, which names the first non-finite one."""
-    magnitude, gaps = np.abs(coeffs), np.subtract(exponents[1:], exponents[:-1])
-    if (len(coeffs) and np.minimum.reduce(gaps, initial=math.inf) > EXPONENT_MERGE_TOL
-            and math.isfinite(exponents[-1] - exponents[0]) and np.minimum.reduce(magnitude) > 0.0
-            and math.isfinite(np.maximum.reduce(magnitude))):
-        return GPSeries._of(coeffs, exponents)
-    return from_arrays(coeffs, exponents)
+    the arrays as they stand where :func:`_in_order` holds, else the kernel of these arrays."""
+    ordered = len(coeffs) and _in_order(coeffs, exponents)
+    return GPSeries._of(coeffs, exponents) if ordered else from_arrays(coeffs, exponents)
+
+
+def _in_order(coeffs: np.ndarray, exponents: np.ndarray) -> bool:
+    """A finite span, gaps past the merge tolerance, coefficients finite and nonzero: no merge."""
+    return (math.isfinite(exponents.item(-1) - exponents.item(0))  # Python floats warn of nothing
+            and np.minimum.reduce(exponents[1:] - exponents[:-1], initial=math.inf)
+            > EXPONENT_MERGE_TOL and np.count_nonzero(coeffs) == len(coeffs)
+            and math.isfinite(np.maximum.reduce(np.abs(coeffs))))
 
 
 def normalize(raw_terms: Iterable[Sequence[float]]) -> GPSeries:
@@ -251,43 +249,43 @@ def combine(
 ) -> GPSeries:
     """The weighted sum of the (weight, series) parts and (weight, a, b) products.
 
-    Three rules.  Every piece of weight 0, with a zero series or with a zero
-    factor, is skipped; such a product is never formed.  A lone product of
-    weight 1 by one term c*x^p within the cap keeps the other factor's order
-    (:func:`from_ordered` of its raw product).  Everything else, the weighted
-    parts and then the weighted raw products in order, is normalized once as
-    one sum; a single normalized piece is only scaled, and the zeros of an
-    underflow dropped, as its exponents are sorted and merged already.
+    One loop appends the weighted arrays of each piece, the parts and then the raw products
+    in order; a piece of weight 0, with a zero series or a zero factor, is skipped, and such
+    a product never formed.  Several pieces are normalized once, as one sum.  A lone part is
+    only scaled, and the zeros of an underflow dropped; a lone product of weight 1 by one term
+    c*x^p keeps the other factor's order (:func:`from_ordered`), and any other is normalized.
 
     Raises:
         TermBlowup: a raw product would have over ``DEFAULT_TERM_CAP`` terms (before it is formed).
         NonFiniteTerm: a weighted or merged coefficient is not finite, named
             as the kernel names it in the arrays it is given.
     """
-    live = [(w, s.coeffs, s.exponents) for w, s in parts if w != 0.0 and len(s.coeffs)]
-    products = [(w, a, b) for w, a, b in products if w != 0.0 and len(a.coeffs) and len(b.coeffs)]
-    if not products and len(live) < 2 and (not live or live[0][0] == 1.0):
-        return GPSeries._of(*live[0][1:]) if live else _ZERO
-    if not live and len(products) == 1 and products[0][0] == 1.0:
-        _, a, b = products[0]
-        one, other = (a, b) if len(a) == 1 else (b, a)
-        if len(one) == 1 and len(other) <= DEFAULT_TERM_CAP:  # c*x^p keeps other's order
-            with np.errstate(over="ignore", invalid="ignore"):
-                c, e = one.coeffs[0] * other.coeffs, one.exponents[0] + other.exponents
-            return from_ordered(c, e + 0.0)  # + 0.0: no exponent -0.0
+    coeffs, exponents = [], []
     with np.errstate(over="ignore", invalid="ignore"):
+        for w, s in parts:
+            if w != 0.0 and len(s.coeffs):
+                coeffs.append(s.coeffs if w == 1.0 else w * s.coeffs)
+                exponents.append(s.exponents)
+                weight = w
+        alone = len(coeffs)  # 1: the sum is one part, unless a product joins it
         for w, a, b in products:
-            if len(a.coeffs) * len(b.coeffs) > DEFAULT_TERM_CAP:
-                raise TermBlowup(f"product of {len(a)} x {len(b)} terms exceeds cap "
-                                 f"{DEFAULT_TERM_CAP}")
-            c = np.multiply.outer(a.coeffs, b.coeffs).ravel()
-            e = np.add.outer(a.exponents, b.exponents).ravel()
-            live.append((w, c, e))
-        coeffs = [c if w == 1.0 else w * c for w, c, _ in live]
-    if products or len(live) > 1:
-        return from_arrays(np.concatenate(coeffs), np.concatenate([e for *_, e in live]))
-    ((_, _, e),) = live
-    return GPSeries._of(*_nonzero(coeffs[0], e, (coeffs[0], e)))
+            if w != 0.0 and len(a.coeffs) and len(b.coeffs):
+                if len(a.coeffs) * len(b.coeffs) > DEFAULT_TERM_CAP:
+                    raise TermBlowup(f"product of {len(a)} x {len(b)} terms exceeds cap "
+                                     f"{DEFAULT_TERM_CAP}")
+                c = a.coeffs[:, None] * b.coeffs
+                if w != 1.0:
+                    np.multiply(c, w, out=c)
+                coeffs.append(c.ravel())
+                exponents.append((a.exponents[:, None] + b.exponents).ravel())
+                weight, product = w, c
+    if len(coeffs) != 1:
+        return from_arrays(np.concatenate(coeffs), np.concatenate(exponents)) if coeffs else _ZERO
+    ((c,), (e,)) = coeffs, exponents
+    if alone:  # sorted and merged already: only the zeros of an underflow go
+        return GPSeries._of(c, e) if weight == 1.0 else GPSeries._of(*_nonzero(c, e, (c, e)))
+    shift = weight == 1.0 and 1 in product.shape  # c*x^p keeps the other factor's order
+    return from_ordered(c, e + 0.0) if shift else from_arrays(c, e)  # + 0.0: no exponent -0.0
 
 
 def add(a: GPSeries, b: GPSeries) -> GPSeries:

@@ -18,9 +18,9 @@ logarithmic and r = alpha-2 the outer one; r < alpha-2 diverges.  All three
 raise instead of silently leaving the representable algebra.  So does an r
 whose two image exponents 1-alpha and r+2-alpha, as computed, lie within the
 merge tolerance: the merge would fold them into one x^(1-alpha) term, which
-L maps to 0.  The image is built in exponent order, its x^(1-alpha) terms one sum.  Only if
-terms would merge or are 0 or not finite do those arrays go to the kernel, which then names
-their first non-finite term (:func:`series.from_ordered`).
+L maps to 0.  The image is built as arrays in exponent order, its x^(1-alpha) terms one sum,
+which :func:`apply_inverse` and the solver's step share; only terms that would merge, or are 0
+or not finite, go to the kernel, which names their first non-finite term.
 """
 
 from __future__ import annotations
@@ -69,12 +69,21 @@ def apply_inverse(ctx: OperatorContext, g: GPSeries) -> GPSeries:
     """
     if g.is_zero:
         return g
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs, exponents, _ = _image(ctx, g)
+    return gps.from_ordered(coeffs, exponents)
+
+
+def _image(ctx: OperatorContext, g: GPSeries) -> tuple[np.ndarray, np.ndarray, int]:
+    """A nonzero g's image as unchecked arrays in exponent order and the index of its x^(1-a)
+    term, those summed in input order from 0.0 as the kernel does; overflows are not screened."""
     r = g.exponents + ctx.sigma
     r1 = r + 1.0
     tail = r + 2.0 - ctx.alpha
-    # r = -1 also where the image's two exponents, as computed, would merge.
-    # Their gap is r1 up to rounding, far inside the screen's margin.
-    if np.abs(r1).min() <= 2.0 * RESONANCE_TOL or tail.min() <= RESONANCE_TOL:
+    # The tails ascend with g's exponents.  r = -1 also where the image's two
+    # exponents, as computed, would merge: their gap is r1 up to rounding, far
+    # inside the screen's margin.
+    if np.minimum.reduce(np.abs(r1)) <= 2.0 * RESONANCE_TOL or tail.item(0) <= RESONANCE_TOL:
         gap = tail - (1.0 - ctx.alpha)
         log = (np.abs(r1) <= RESONANCE_TOL) | (np.abs(gap) <= RESONANCE_TOL)
         bad = log | (tail <= RESONANCE_TOL)
@@ -87,15 +96,16 @@ def apply_inverse(ctx: OperatorContext, g: GPSeries) -> GPSeries:
                 raise OuterResonance(f"weighted exponent {ri:g} hits alpha-2 = {bound:g}")
             raise Divergent(
                 f"weighted exponent {ri:g} below alpha-2 = {bound:g}: integral diverges")
-    with np.errstate(over="ignore", invalid="ignore"):
-        heads = g.coeffs / (r1 * (1.0 - ctx.alpha))
-        tails = -g.coeffs / (r1 * tail)
-    head = 0.0  # the x^(1-a) group, in input order from 0.0 as the kernel sums it
+    heads = g.coeffs / (r1 * (1.0 - ctx.alpha))
+    tails = -g.coeffs / (r1 * tail)
+    head = 0.0
     for c in heads.tolist():
         head += c
-    i = int(tail.searchsorted(1.0 - ctx.alpha))  # the tails ascend with g's exponents
-    return gps.from_ordered(np.concatenate((tails[:i], [head], tails[i:])),
-                            np.concatenate((tail[:i], [1.0 - ctx.alpha], tail[i:])))
+    i = int(tail.searchsorted(1.0 - ctx.alpha))
+    coeffs, exponents = np.empty(len(r) + 1), np.empty(len(r) + 1)
+    coeffs[:i], coeffs[i], coeffs[i + 1:] = tails[:i], head, tails[i:]
+    exponents[:i], exponents[i], exponents[i + 1:] = tail[:i], 1.0 - ctx.alpha, tail[i:]
+    return coeffs, exponents, i
 
 
 def inverse_at_one(ctx: OperatorContext, g: GPSeries) -> float:

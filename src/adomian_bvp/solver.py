@@ -16,7 +16,8 @@ the k-th decomposition polynomial of f, and
 
 Each correction contributes zero to the Robin combination at x = 1 and
 vanishes at x = 0, so every partial sum satisfies both boundary conditions
-by construction — no algebraic equations for unknown constants arise.
+by construction — no algebraic equations for unknown constants arise.  A step
+is one ordered pass from A_k to y_(k+1) and the y'_(k+1) that A_(k+1) reads.
 """
 
 from __future__ import annotations
@@ -26,15 +27,17 @@ import operator
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import series as gps
 from .errors import AdmError, InvalidExactSolution, InvalidProblem
 from .expressions import Expr, Tape, check_expr
 from .series import GPSeries
-from .singular_operator import OperatorContext, apply_inverse, h_series
+from .singular_operator import OperatorContext, _image, h_series
 
 # Not called here; bench/spans.py WRAPPED looks these names up on this module.
 from .lambda_ring import eval_lambda, extract_adomian, lift_solution  # noqa: F401
-from .singular_operator import inverse_at_one  # noqa: F401
+from .singular_operator import apply_inverse, inverse_at_one  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -119,14 +122,12 @@ def solve(problem: Problem, n: int = 10) -> SolveReport:
     components, diagnostics = [y], [StepInfo(0, len(y), 0.0)]
     inhomogeneous = (problem.gamma1 - problem.alpha1 * problem.eta1) / D  # in y_1 only
 
-    tape = Tape(problem.f)
+    tape, yp = Tape(problem.f), None
     for k in range(n - 1):
         started = time.perf_counter()
         try:
-            a_k = tape.extend(y, gps.differentiate(y))
-            image = apply_inverse(ctx, a_k)
-            bleed = gps.at_one(image)  # image(1)
-            y = assemble(H, image, problem.alpha1 * bleed / D, inhomogeneous if k == 0 else 0.0)
+            a_k = tape.extend(y, gps.differentiate(y) if yp is None else yp)
+            y, yp = _next(ctx, H, a_k, problem.alpha1, D, inhomogeneous if k == 0 else 0.0)
         except AdmError as err:
             raise type(err)(f"component {k + 1}: {err}") from err
         components.append(y)
@@ -139,18 +140,27 @@ def solve(problem: Problem, n: int = 10) -> SolveReport:
     return SolveReport(tuple(components), psi, tuple(diagnostics))
 
 
-def assemble(H: GPSeries, image: GPSeries, w: float, c: float) -> GPSeries:
-    """``combine(zip((w, -1.0, c), (H, image, H)))`` for H = h*x^p and an inverse image, in order:
-    -image, its x^p coefficient S made ((0.0 + w*h) - S) + c*h as the kernel sums that group
-    (a zero weight adds a zero), or the kernel itself if S or that sum is 0 or not finite."""
-    ((h, p),) = H.terms
-    i = int(image.exponents.searchsorted(p))
-    head = ((0.0 + w * h) - image.coeffs.item(i)) + c * h if p in image.exponents[i:i + 1] else 0.0
-    if head == 0.0 or not math.isfinite(head):
-        return gps.combine(zip((w, -1.0, c), (H, image, H)))
-    coeffs = -image.coeffs
-    coeffs[i] = head
-    return GPSeries._of(coeffs, image.exponents)
+def _next(ctx: OperatorContext, H: GPSeries, g: GPSeries, alpha1: float, D: float,
+          c: float) -> tuple[GPSeries, GPSeries | None]:
+    """y_(k+1) and y'_(k+1) from g = A_k and the weight c of h, in one ordered pass.
+
+    y is ``combine(zip((w, -1.0, c), (H, image, H)))``, w = alpha1*image(1)/D: -image, its x^p
+    coefficient S made ((0.0 + w*h) - S) + c*h as the kernel sums that group.  y' is y's
+    coefficients times its exponents, at those less 1.  Each is checked as from_ordered checks:
+    where that fails, the kernel forms image and y, and y' is None, read as differentiate(y)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs, e, i = _image(ctx, g) if len(g.coeffs) else (g.coeffs, g.exponents, 0)
+        ordered = len(e) and gps._in_order(coeffs, e)
+        image = GPSeries._of(coeffs, e) if ordered else gps.from_arrays(coeffs, e)
+        w, h = alpha1 * gps.at_one(image) / D, H.coeffs.item(0)
+        head = ((0.0 + w * h) - coeffs.item(i)) + c * h if ordered else 0.0
+        if head == 0.0 or not math.isfinite(head):
+            return gps.combine(zip((w, -1.0, c), (H, image, H))), None
+        coeffs = -coeffs
+        coeffs[i] = head
+        slopes, lowered = coeffs * e, e - 1.0  # e ascends: past e[0] no exponent is near 0
+        in_order = e.item(0) > gps.EXPONENT_MERGE_TOL and gps._in_order(slopes, lowered)
+    return GPSeries._of(coeffs, e), GPSeries._of(slopes, lowered) if in_order else None
 
 
 def partial_sum(report: SolveReport, m: int) -> GPSeries:

@@ -1,23 +1,29 @@
 """The ordered paths against the kernel calls they replace, bit for bit.
 
-``apply_inverse``, the solver's assembly of a component, a lone product by one
-term in ``series.combine`` and ``series.differentiate`` list their terms in
-exponent order and skip the kernel's sort.  Each reference here is the kernel
-call that the path replaced, so a result must match it in every bit.  An error
-must match in class and message that of the kernel of the arrays the path
-builds, which names their first non-finite term.
+``apply_inverse``, the solver's step from A_k to y_(k+1) and y'_(k+1), a lone
+product by one term in ``series.combine`` and ``series.differentiate`` list
+their terms in exponent order and skip the kernel's sort.  Each reference here
+is the kernel call that the path replaced, or for the step the pipeline it
+replaced, so a result must match it in every bit.  An error must match in class
+and message that of the kernel of the arrays the path builds, which names their
+first non-finite term.
 """
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from adomian_bvp import series
+from adomian_bvp.benchmarks import benchmark_problem
 from adomian_bvp.errors import AdmError, Divergent, LogResonance, NonFiniteTerm, OuterResonance
 from adomian_bvp.series import (
     DEFAULT_TERM_CAP,
     EXPONENT_MERGE_TOL,
     GPSeries,
+    at_one,
     combine,
     differentiate,
     from_arrays,
@@ -25,7 +31,7 @@ from adomian_bvp.series import (
     normalize,
 )
 from adomian_bvp.singular_operator import OperatorContext, apply_inverse, h_series
-from adomian_bvp.solver import assemble
+from adomian_bvp.solver import _next, solve
 
 
 def raw_image(ctx, g):
@@ -60,6 +66,33 @@ def kernel_assembly(H, image, w, c):
     return combine(zip((w, -1.0, c), (H, image, H)))
 
 
+def parent_assemble(H, image, w, c):
+    """The solver's assembly before the ordered step, kept as its reference: -image, its x^p
+    coefficient S made ((0.0 + w*h) - S) + c*h as the kernel sums that group of
+    ``kernel_assembly``, or that kernel call if S or that sum is 0 or not finite."""
+    ((h, p),) = H.terms
+    i = int(image.exponents.searchsorted(p))
+    head = ((0.0 + w * h) - image.coeffs.item(i)) + c * h if p in image.exponents[i:i + 1] else 0.0
+    if head == 0.0 or not math.isfinite(head):
+        return kernel_assembly(H, image, w, c)
+    coeffs = -image.coeffs
+    coeffs[i] = head
+    return GPSeries._of(coeffs, image.exponents)
+
+
+def parent_step(ctx, g, alpha1, D, c):
+    """y_(k+1) and y'_(k+1) as the solver formed them before the ordered step."""
+    H, image = h_series(ctx), apply_inverse(ctx, g)
+    y = parent_assemble(H, image, alpha1 * at_one(image) / D, c)
+    return y, differentiate(y)
+
+
+def ordered_step(ctx, g, alpha1, D, c):
+    """The solver's step, with y' formed as the next step forms it where the step leaves it."""
+    y, yp = _next(ctx, h_series(ctx), g, alpha1, D, c)
+    return y, differentiate(y) if yp is None else yp
+
+
 def kernel_product(a, b, w=1.0):
     """combine((), ((w, a, b),)) as the kernel of the arrays it builds: the weighted raw outer
     product, its exponents + 0.0 where a product by one term of weight 1 is shifted in order."""
@@ -77,7 +110,8 @@ def kernel_derivative(a):
 
 
 def assert_same(got, want):
-    """got() is want() in every bit, or raises the error that want() raises."""
+    """got() is want() in every bit, a series or a tuple of them, or raises the error that
+    want() raises."""
     try:
         expected = want()
     except AdmError as err:
@@ -86,8 +120,10 @@ def assert_same(got, want):
         assert str(raised.value) == str(err)
         return
     result = got()
-    assert result.coeffs.tobytes() == expected.coeffs.tobytes()
-    assert result.exponents.tobytes() == expected.exponents.tobytes()
+    pairs = zip(result, expected) if isinstance(expected, tuple) else ((result, expected),)
+    for r, e in pairs:
+        assert r.coeffs.tobytes() == e.coeffs.tobytes()
+        assert r.exponents.tobytes() == e.exponents.tobytes()
 
 
 _COEFFS = st.one_of(
@@ -103,6 +139,8 @@ _CONTEXTS = st.builds(OperatorContext, st.floats(0.0, 0.99), st.floats(-1.0, 1.0
 _ORDER_MATTERS = GPSeries([(1.0, 0.0), (2e16, 1.0), (-4e16, 3.0)])
 # two of these make a product that no single term shifts
 _TWO_TERMS = GPSeries([(1.0, 0.0), (3.0, 0.25)])
+# and their product by each other overflows at x^-0.0, which only the kernel names as -0.0
+_SIGNED_TWO_TERMS = GPSeries([(1e200, -0.0), (1.0, 1.0)])
 
 
 @settings(max_examples=500)
@@ -119,21 +157,103 @@ def test_apply_inverse_is_the_kernel_of_the_interleaved_raw_image(ctx, g):
     assert_same(lambda: apply_inverse(ctx, g), lambda: kernel_image(ctx, g))
 
 
+def kernel_step(ctx, g, alpha1, D, c):
+    """The step as kernel calls alone: the kernel image, its weighted sum, and y' from it."""
+    H, image = h_series(ctx), kernel_image(ctx, g)
+    y = kernel_assembly(H, image, alpha1 * at_one(image) / D, c)
+    return y, kernel_derivative(y)
+
+
+_ALPHA1 = st.one_of(st.floats(1e-3, 1e3), st.sampled_from([1.0, 1e-300, 1e308]))
+_D = st.one_of(st.floats(0.1, 10.0), st.sampled_from([1.0, 1e-300]))
+
+
 @settings(max_examples=500)
-@given(ctx=_CONTEXTS, g=_MERGED, w=_WEIGHTS, c=_WEIGHTS)
-@example(ctx=OperatorContext(0.0, 0.0), g=_ORDER_MATTERS, w=0.25, c=0.0)
-def test_the_assembled_component_is_the_kernel_of_its_weighted_sum(ctx, g, w, c):
+@given(ctx=_CONTEXTS, g=_MERGED, alpha1=_ALPHA1, D=_D, c=_WEIGHTS)
+@example(ctx=OperatorContext(0.0, 0.0), g=_ORDER_MATTERS, alpha1=1.0, D=2.0, c=0.0)
+def test_the_ordered_step_is_the_pipeline_it_replaced(ctx, g, alpha1, D, c):
+    assert_same(lambda: ordered_step(ctx, g, alpha1, D, c),
+                lambda: parent_step(ctx, g, alpha1, D, c))
+
+
+@settings(max_examples=500)
+@given(ctx=_CONTEXTS, g=_MERGED, alpha1=_ALPHA1, D=_D, c=_WEIGHTS)
+@example(ctx=OperatorContext(0.0, 0.0), g=_ORDER_MATTERS, alpha1=1.0, D=4.0, c=0.0)
+def test_the_assembled_component_is_the_kernel_of_its_weighted_sum(ctx, g, alpha1, D, c):
     try:
-        image = apply_inverse(ctx, g)
-    except AdmError:  # screened, or a non-finite image: the property above covers both
+        apply_inverse(ctx, g)
+    except (LogResonance, OuterResonance, Divergent):  # the screen, which the kernel lacks
         return
-    H = h_series(ctx)
-    assert_same(lambda: assemble(H, image, w, c), lambda: kernel_assembly(H, image, w, c))
+    except AdmError:
+        pass  # a non-finite image: its error is compared below
+    assert_same(lambda: ordered_step(ctx, g, alpha1, D, c),
+                lambda: kernel_step(ctx, g, alpha1, D, c))
+
+
+# tails rounded within the tolerance of each other (see the test below), and an image of
+# finite terms, its x^1 coefficient the largest float, whose y' overflows at x^0.48...
+_MERGING = from_arrays(np.array([1.0, 2.0]), np.array([4093.5, 4093.5000000000014]))
+_STEEP = GPSeries.monomial(8.640178512962757e307, -0.5193741164492736)
+_IMAGE_HEAD_OVERFLOWS = GPSeries([(1.5e308, 0.0), (1.5e308, 1.0)])  # at alpha = sigma = 0
+
+
+# Each place where the step leaves its ordered pass: (ctx, A_k, alpha1, D, c)
+_FALLBACKS = {
+    "screen": (OperatorContext(0.5, 0.0), GPSeries.monomial(1.0, -1.0), 1.0, 1.0, 0.0),
+    "image_head_0": (OperatorContext(0.0, 0.0), _ORDER_MATTERS, 1.0, 2.0, 0.5),
+    "image_head_not_finite": (OperatorContext(0.0, 0.0), _IMAGE_HEAD_OVERFLOWS, 1.0, 1.0, 0.0),
+    # the image is 3x - 1.5x^2, so w = 2 * 1.5 / 1 and the x^1 sum is (0.0 + 3*1) - 3
+    "assembled_head_0": (OperatorContext(0.0, 0.0), GPSeries.constant(3.0), 2.0, 1.0, 0.0),
+    "assembled_head_not_finite": (
+        OperatorContext(0.5, 0.0), GPSeries.constant(1.0), 1e308, 1e-300, 0.0),
+    "image_terms_merge": (OperatorContext(0.5, 0.7), _MERGING, 1.0, 1.0, 0.0),
+    "y'_overflows": (OperatorContext(0.0, 0.0), _STEEP, 1e-300, 1.0, 0.0),
+    "y_exponent_within_the_tolerance_of_0": (
+        OperatorContext(1.0 - 1e-13, 0.0), GPSeries.constant(1.0), 1.0, 1.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("case", _FALLBACKS)
+def test_each_fallback_of_the_step_is_the_pipeline_it_replaced(case):
+    args = _FALLBACKS[case]
+    assert_same(lambda: ordered_step(*args), lambda: parent_step(*args))
+    if case != "screen":  # the kernel reference has no screen
+        assert_same(lambda: ordered_step(*args), lambda: kernel_step(*args))
+
+
+def test_the_fallback_examples_leave_the_ordered_pass_where_they_are_named():
+    def step(case):
+        ctx, g, alpha1, D, c = _FALLBACKS[case]
+        return _next(ctx, h_series(ctx), g, alpha1, D, c)
+
+    for case, error in (("screen", LogResonance), ("image_head_not_finite", NonFiniteTerm),
+                        ("assembled_head_not_finite", NonFiniteTerm)):
+        with pytest.raises(error):
+            step(case)
+    ctx, g, *_ = _FALLBACKS["image_head_0"]
+    assert 1.0 not in apply_inverse(ctx, g).exponents.tolist()
+    assert 1.0 in step("image_head_0")[0].exponents.tolist()
+    assert step("assembled_head_0")[0].terms == ((1.5, 2.0),)
+    ctx, g, *_ = _FALLBACKS["image_terms_merge"]
+    assert len(apply_inverse(ctx, g)) == 2 and step("image_terms_merge")[1] is None
+    y, yp = step("y'_overflows")
+    assert yp is None and len(y) == 2
+    with pytest.raises(NonFiniteTerm):
+        differentiate(y)
+    y, yp = step("y_exponent_within_the_tolerance_of_0")
+    assert yp is None and len(differentiate(y)) == len(y) - 1
+    # and a step in order, and one of A_k = 0
+    ctx = OperatorContext(0.5, 0.0)
+    y, yp = _next(ctx, h_series(ctx), GPSeries.constant(1.0), 1.0, 1.0, 0.5)
+    assert yp is not None and yp.terms == differentiate(y).terms
+    assert_same(lambda: ordered_step(ctx, GPSeries.zero(), 1.0, 1.0, 0.5),
+                lambda: parent_step(ctx, GPSeries.zero(), 1.0, 1.0, 0.5))
 
 
 @settings(max_examples=500)
 @given(a=_MERGED, b=_MERGED, p=st.one_of(st.floats(-3.0, 3.0), st.just(-0.0)), c=_COEFFS)
 @example(a=_TWO_TERMS, b=_TWO_TERMS, p=0.5, c=2.0)
+@example(a=_SIGNED_TWO_TERMS, b=_SIGNED_TWO_TERMS, p=0.5, c=2.0)
 def test_shift_is_mul_by_the_monomial_and_differentiate_its_kernel_form(a, b, p, c):
     # a product by one term c*x^p shifts the other factor in order; any other goes to the kernel
     for one in (GPSeries.monomial(1.0, p), GPSeries.monomial(c, p), b):
@@ -178,17 +298,15 @@ def test_an_x_1_alpha_sum_of_0_is_dropped_and_the_assembly_puts_one_back():
     image = apply_inverse(ctx, _ORDER_MATTERS)
     assert 1.0 not in image.exponents.tolist()
     assert_same(lambda: image, lambda: kernel_image(ctx, _ORDER_MATTERS))
-    y = assemble(H, image, 0.25, 0.5)
-    assert y.terms[0] == (0.75, 1.0)
-    assert_same(lambda: y, lambda: kernel_assembly(H, image, 0.25, 0.5))
+    y, _ = _next(ctx, H, _ORDER_MATTERS, 1.0, 2.0, 0.5)
+    w = at_one(image) / 2.0
+    assert y.terms[0] == ((0.0 + w) + 0.5, 1.0)
+    assert_same(lambda: y, lambda: kernel_assembly(H, image, w, 0.5))
     # and a sum of exactly 0 in the assembly drops the image's x^(1-alpha) term
-    image = apply_inverse(ctx, GPSeries.constant(3.0))
-    S = image.coeffs[image.exponents.tolist().index(1.0)]
-    y = assemble(H, image, float(S), 0.0)  # h = 1: (0.0 + S*1) - S = 0
+    y, _ = _next(ctx, H, GPSeries.constant(3.0), 2.0, 1.0, 0.0)  # h = 1: (0.0 + 3*1) - 3 = 0
     assert 1.0 not in y.exponents.tolist()
-    assert_same(lambda: y, lambda: kernel_assembly(H, image, float(S), 0.0))
-    assert_same(lambda: assemble(H, GPSeries.zero(), 0.0, 0.5),
-                lambda: kernel_assembly(H, GPSeries.zero(), 0.0, 0.5))
+    image = apply_inverse(ctx, GPSeries.constant(3.0))
+    assert_same(lambda: y, lambda: kernel_assembly(H, image, 2.0 * at_one(image), 0.0))
 
 
 def test_an_underflowing_coefficient_is_dropped_as_the_kernel_drops_it():
@@ -229,9 +347,35 @@ def test_an_overflow_names_the_first_term_that_the_kernel_is_given():
         differentiate(steep)
     H, image = h_series(ctx), apply_inverse(ctx, GPSeries.constant(1.0))
     with pytest.raises(AdmError, match=r"^term \(inf, 0\.5\) is not finite$"):
-        assemble(H, image, 1e308, 0.0)
-    assert_same(lambda: assemble(H, image, 1e308, 0.0),
-                lambda: kernel_assembly(H, image, 1e308, 0.0))
+        _next(ctx, H, GPSeries.constant(1.0), 1e308, 1e-300, 0.0)  # w = inf
+    assert_same(lambda: _next(ctx, H, GPSeries.constant(1.0), 1e308, 1e-300, 0.0),
+                lambda: kernel_assembly(H, image, math.inf, 0.0))
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_exponent_span_past_the_largest_float_warns_of_nothing():
+    # the derivative's gap and the kernel's gaps overflow; neither check may warn
+    assert differentiate(GPSeries([(1.0, -1e308), (1.0, 1e308)])).terms == (
+        (-1e308, -1e308), (1e308, 1e308))
+    # ... nor the kernel's test of joined gaps, with one gap past the largest float
+    exponents = np.array([-1e308, 1e308, 1e308])
+    assert from_arrays(np.array([1.0, 2.0, 3.0]), exponents).terms == ((1.0, -1e308), (5.0, 1e308))
+
+
+@pytest.mark.parametrize("family, alpha, beta, calls", [
+    (1, 0.5, 3.5, 20), (2, 0.5, 1.0, 20), (3, 0.5, 2.5, 11), (1, 0.3719, 2.1234, 20)])
+def test_a_solve_reaches_the_kernel_only_for_the_sums_that_merge(
+        monkeypatch, family, alpha, beta, calls):
+    # A_k's Cauchy sums and psi's sum: the step from A_k to y_(k+1) and y'_(k+1) sorts nothing
+    merged, count = series._merged, []
+
+    def counting(coeffs, exponents):
+        count.append(len(coeffs))
+        return merged(coeffs, exponents)
+
+    monkeypatch.setattr(series, "_merged", counting)
+    solve(benchmark_problem(family, alpha, beta), 12)
+    assert len(count) == calls
 
 
 def test_a_shift_past_the_term_cap_is_the_term_blowup_of_mul():
@@ -256,3 +400,7 @@ def test_a_weighted_lone_product_stays_on_the_kernel_and_names_the_weighted_term
         with pytest.raises(AdmError, match=r"^term \(-inf, 1\.0\) is not finite$"):
             combine((), ((-2.0, a, b),))
         assert_same(lambda: combine((), ((-2.0, a, b),)), lambda: kernel_product(a, b, -2.0))
+    # ... with its exponent as the raw product has it, -0.0 + -0.0 = -0.0
+    signed = GPSeries.monomial(1e200, -0.0)
+    with pytest.raises(AdmError, match=r"^term \(-inf, -0\.0\) is not finite$"):
+        combine((), ((-2.0, signed, signed),))
