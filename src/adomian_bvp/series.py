@@ -14,12 +14,12 @@ keeps every term of its closed-form components.  The kernel reproduces the
 term-by-term definition bit for bit, whatever order the sort gives equal
 exponents, and its scan is every NonFiniteTerm here: the first non-finite term
 of the arrays it is given, else a merged overflow.  A map that keeps exponents in
-order (:func:`differentiate`, a product by one term, the inverse image and the
-solver's step) skips the sort with the same bits: its arrays are checked once by
-:func:`_in_order`, and terms that would merge, or are zero or not finite, go to
-the kernel.  :func:`combine` is every weighted sum, of series and of products of
-two series, such as one Cauchy sum of a recurrence, in one loop over its pieces;
-raw products join the sum unmerged, so the sum is normalized once.
+order (:func:`differentiate`, a product by one term, the inverse image) skips the
+sort through :func:`from_ordered`, with the same bits: terms that would merge, or
+are zero or not finite, send its arrays to the kernel.  :func:`combine` is every
+weighted sum, of series and of products of two series, such as one Cauchy sum of
+a recurrence, in one loop over its pieces; raw products join the sum unmerged, so
+the sum is normalized once.
 
 Values are immutable (their arrays are read-only) and every operation is a
 pure function; series can be shared freely between threads.
@@ -221,17 +221,15 @@ def _merged(coeffs: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray, np.n
 
 def from_ordered(coeffs: np.ndarray, exponents: np.ndarray) -> GPSeries:
     """:func:`from_arrays` of terms in increasing exponent order, no exponent -0.0, without a sort:
-    the arrays as they stand where :func:`_in_order` holds, else the kernel of these arrays."""
-    ordered = len(coeffs) and _in_order(coeffs, exponents)
-    return GPSeries._of(coeffs, exponents) if ordered else from_arrays(coeffs, exponents)
-
-
-def _in_order(coeffs: np.ndarray, exponents: np.ndarray) -> bool:
-    """A finite span, gaps past the merge tolerance, coefficients finite and nonzero: no merge."""
-    return (math.isfinite(exponents.item(-1) - exponents.item(0))  # Python floats warn of nothing
+    the arrays as they stand if their span is finite, every gap exceeds ``EXPONENT_MERGE_TOL``
+    and every coefficient is finite and nonzero, else the kernel of these arrays."""
+    if (len(coeffs)
+            and math.isfinite(exponents.item(-1) - exponents.item(0))  # Python floats: no warning
             and np.minimum.reduce(exponents[1:] - exponents[:-1], initial=math.inf)
             > EXPONENT_MERGE_TOL and np.count_nonzero(coeffs) == len(coeffs)
-            and math.isfinite(np.maximum.reduce(np.abs(coeffs))))
+            and math.isfinite(np.maximum.reduce(np.abs(coeffs)))):
+        return GPSeries._of(coeffs, exponents)
+    return from_arrays(coeffs, exponents)
 
 
 def normalize(raw_terms: Iterable[Sequence[float]]) -> GPSeries:
@@ -309,10 +307,13 @@ def mul(a: GPSeries, b: GPSeries) -> GPSeries:
 
 def differentiate(a: GPSeries) -> GPSeries:
     """Power-rule derivative; constant terms vanish."""
-    live = np.abs(a.exponents) > EXPONENT_MERGE_TOL
-    exponents = a.exponents[live]
+    coeffs, exponents = a.coeffs, a.exponents
+    # The exponents ascend: if the first lies past the tolerance, no term is constant.
+    if not len(exponents) or exponents.item(0) <= EXPONENT_MERGE_TOL:
+        live = np.abs(exponents) > EXPONENT_MERGE_TOL
+        coeffs, exponents = coeffs[live], exponents[live]
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = a.coeffs[live] * exponents
+        coeffs = coeffs * exponents
     return from_ordered(coeffs, exponents - 1.0)
 
 

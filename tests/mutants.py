@@ -205,7 +205,7 @@ MUTANTS = (
            "inhomogeneous if k == 0 else 0.0", "0.0",
            (f"{T_IDENTITY}::test_every_partial_sum_solves_its_linear_problem",)),
     Mutant("step-image-sign-flipped", SOLVER,
-           "coeffs = -coeffs", "coeffs = +coeffs",
+           "coeffs = -image.coeffs", "coeffs = +image.coeffs",
            (f"{T_IDENTITY}::test_every_partial_sum_solves_its_linear_problem",)),
     Mutant("partial-sums-one-component-behind", SOLVER,
            "report.components[:m]", "report.components[:m - 1]",
@@ -333,28 +333,23 @@ MUTANTS = (
     Mutant("image-head-summed-in-reverse", OPERATOR,
            "for c in heads.tolist():", "for c in heads.tolist()[::-1]:",
            (f"{T_ORDERED}::test_apply_inverse_is_the_kernel_of_the_interleaved_raw_image",)),
-    # the guards of the ordered step from A_k to y_(k+1) and y'_(k+1), and the kernel's gaps
-    Mutant("step-image-unchecked", SOLVER,
-           "ordered = len(e) and gps._in_order(coeffs, e)", "ordered = len(e)",
-           (f"{T_ORDERED}::test_each_fallback_of_the_step_is_the_pipeline_it_replaced",)),
+    # the guards of the step's assembly in order, of the derivative's mask, and the kernel's gaps
     Mutant("step-zero-head-kept", SOLVER,
-           "if head == 0.0 or not math.isfinite(head):", "if not math.isfinite(head):",
+           "if head != 0.0 and math.isfinite(head):", "if math.isfinite(head):",
            (f"{T_ORDERED}::test_an_x_1_alpha_sum_of_0_is_dropped_and_the_assembly_puts_one_back",
             f"{T_ORDERED}::test_each_fallback_of_the_step_is_the_pipeline_it_replaced")),
     Mutant("step-non-finite-head-kept", SOLVER,
-           "if head == 0.0 or not math.isfinite(head):", "if head == 0.0:",
+           "if head != 0.0 and math.isfinite(head):", "if head != 0.0:",
            (f"{T_ORDERED}::test_each_fallback_of_the_step_is_the_pipeline_it_replaced",)),
-    Mutant("step-derivative-of-a-term-near-0-kept", SOLVER,
-           "in_order = e.item(0) > gps.EXPONENT_MERGE_TOL and ", "in_order = ",
-           (f"{T_ORDERED}::test_each_fallback_of_the_step_is_the_pipeline_it_replaced",)),
-    Mutant("step-derivative-unchecked", SOLVER,
-           "and gps._in_order(slopes, lowered)", "",
-           (f"{T_ORDERED}::test_each_fallback_of_the_step_is_the_pipeline_it_replaced",)),
+    Mutant("derivative-mask-skipped-past-0", SERIES,
+           "exponents.item(0) <= EXPONENT_MERGE_TOL:", "exponents.item(0) <= 0.0:",
+           (f"{T_ORDERED}::test_differentiate_skips_its_mask_only_past_the_tolerance",
+            f"{T_ORDERED}::test_each_fallback_of_the_step_is_the_pipeline_it_replaced")),
     Mutant("kernel-gaps-past-the-largest-float", SERIES,
            "gaps = np.minimum(e[1:] - e[:-1], 1.0)", "gaps = e[1:] - e[:-1]",
            (f"{T_ORDERED}::test_an_exponent_span_past_the_largest_float_warns_of_nothing",)),
     Mutant("ordered-span-unchecked", SERIES,
-           "return (math.isfinite(exponents.item(-1) - exponents.item(0))", "return (True",
+           "and math.isfinite(exponents.item(-1) - exponents.item(0))", "and True",
            (f"{T_ORDERED}::test_an_exponent_span_past_the_largest_float_warns_of_nothing",)),
     # a lone product by one term, kept in order inside combine
     Mutant("shift-past-the-cap", SERIES,

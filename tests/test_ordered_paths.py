@@ -1,12 +1,11 @@
 """The ordered paths against the kernel calls they replace, bit for bit.
 
-``apply_inverse``, the solver's step from A_k to y_(k+1) and y'_(k+1), a lone
-product by one term in ``series.combine`` and ``series.differentiate`` list
-their terms in exponent order and skip the kernel's sort.  Each reference here
-is the kernel call that the path replaced, or for the step the pipeline it
-replaced, so a result must match it in every bit.  An error must match in class
-and message that of the kernel of the arrays the path builds, which names their
-first non-finite term.
+``apply_inverse``, the solver's step from A_k to y_(k+1), a lone product by one
+term in ``series.combine`` and ``series.differentiate`` list their terms in
+exponent order and skip the kernel's sort.  Each reference here is the kernel
+call that the path replaced, so a result must match it in every bit.  An error
+must match in class and message that of the kernel of the arrays the path
+builds, which names their first non-finite term.
 """
 
 import math
@@ -19,6 +18,7 @@ from hypothesis import strategies as st
 from adomian_bvp import series
 from adomian_bvp.benchmarks import benchmark_problem
 from adomian_bvp.errors import AdmError, Divergent, LogResonance, NonFiniteTerm, OuterResonance
+from adomian_bvp.expressions import Tape, parse
 from adomian_bvp.series import (
     DEFAULT_TERM_CAP,
     EXPONENT_MERGE_TOL,
@@ -27,11 +27,12 @@ from adomian_bvp.series import (
     combine,
     differentiate,
     from_arrays,
+    from_ordered,
     mul,
     normalize,
 )
 from adomian_bvp.singular_operator import OperatorContext, apply_inverse, h_series
-from adomian_bvp.solver import _next, solve
+from adomian_bvp.solver import Problem, _next, solve
 
 
 def raw_image(ctx, g):
@@ -66,31 +67,10 @@ def kernel_assembly(H, image, w, c):
     return combine(zip((w, -1.0, c), (H, image, H)))
 
 
-def parent_assemble(H, image, w, c):
-    """The solver's assembly before the ordered step, kept as its reference: -image, its x^p
-    coefficient S made ((0.0 + w*h) - S) + c*h as the kernel sums that group of
-    ``kernel_assembly``, or that kernel call if S or that sum is 0 or not finite."""
-    ((h, p),) = H.terms
-    i = int(image.exponents.searchsorted(p))
-    head = ((0.0 + w * h) - image.coeffs.item(i)) + c * h if p in image.exponents[i:i + 1] else 0.0
-    if head == 0.0 or not math.isfinite(head):
-        return kernel_assembly(H, image, w, c)
-    coeffs = -image.coeffs
-    coeffs[i] = head
-    return GPSeries._of(coeffs, image.exponents)
-
-
-def parent_step(ctx, g, alpha1, D, c):
-    """y_(k+1) and y'_(k+1) as the solver formed them before the ordered step."""
-    H, image = h_series(ctx), apply_inverse(ctx, g)
-    y = parent_assemble(H, image, alpha1 * at_one(image) / D, c)
-    return y, differentiate(y)
-
-
 def ordered_step(ctx, g, alpha1, D, c):
-    """The solver's step, with y' formed as the next step forms it where the step leaves it."""
-    y, yp = _next(ctx, h_series(ctx), g, alpha1, D, c)
-    return y, differentiate(y) if yp is None else yp
+    """The solver's step y_(k+1), and the y' of it that the next step reads."""
+    y = _next(ctx, h_series(ctx), g, alpha1, D, c)
+    return y, differentiate(y)
 
 
 def kernel_product(a, b, w=1.0):
@@ -107,6 +87,13 @@ def kernel_derivative(a):
     live = np.abs(a.exponents) > EXPONENT_MERGE_TOL
     with np.errstate(over="ignore", invalid="ignore"):
         return from_arrays(a.coeffs[live] * a.exponents[live], a.exponents[live] - 1.0)
+
+
+def masked_derivative(a):
+    """``differentiate`` as it stood before it skipped its mask: the live terms in order."""
+    live = np.abs(a.exponents) > EXPONENT_MERGE_TOL
+    with np.errstate(over="ignore", invalid="ignore"):
+        return from_ordered(a.coeffs[live] * a.exponents[live], a.exponents[live] - 1.0)
 
 
 def assert_same(got, want):
@@ -159,6 +146,10 @@ def test_apply_inverse_is_the_kernel_of_the_interleaved_raw_image(ctx, g):
 
 def kernel_step(ctx, g, alpha1, D, c):
     """The step as kernel calls alone: the kernel image, its weighted sum, and y' from it."""
+    try:
+        apply_inverse(ctx, g)  # the screen, which the kernel lacks, raises here
+    except NonFiniteTerm:
+        pass  # a non-finite image: the kernel names it below
     H, image = h_series(ctx), kernel_image(ctx, g)
     y = kernel_assembly(H, image, alpha1 * at_one(image) / D, c)
     return y, kernel_derivative(y)
@@ -171,21 +162,8 @@ _D = st.one_of(st.floats(0.1, 10.0), st.sampled_from([1.0, 1e-300]))
 @settings(max_examples=500)
 @given(ctx=_CONTEXTS, g=_MERGED, alpha1=_ALPHA1, D=_D, c=_WEIGHTS)
 @example(ctx=OperatorContext(0.0, 0.0), g=_ORDER_MATTERS, alpha1=1.0, D=2.0, c=0.0)
-def test_the_ordered_step_is_the_pipeline_it_replaced(ctx, g, alpha1, D, c):
-    assert_same(lambda: ordered_step(ctx, g, alpha1, D, c),
-                lambda: parent_step(ctx, g, alpha1, D, c))
-
-
-@settings(max_examples=500)
-@given(ctx=_CONTEXTS, g=_MERGED, alpha1=_ALPHA1, D=_D, c=_WEIGHTS)
 @example(ctx=OperatorContext(0.0, 0.0), g=_ORDER_MATTERS, alpha1=1.0, D=4.0, c=0.0)
 def test_the_assembled_component_is_the_kernel_of_its_weighted_sum(ctx, g, alpha1, D, c):
-    try:
-        apply_inverse(ctx, g)
-    except (LogResonance, OuterResonance, Divergent):  # the screen, which the kernel lacks
-        return
-    except AdmError:
-        pass  # a non-finite image: its error is compared below
     assert_same(lambda: ordered_step(ctx, g, alpha1, D, c),
                 lambda: kernel_step(ctx, g, alpha1, D, c))
 
@@ -197,7 +175,8 @@ _STEEP = GPSeries.monomial(8.640178512962757e307, -0.5193741164492736)
 _IMAGE_HEAD_OVERFLOWS = GPSeries([(1.5e308, 0.0), (1.5e308, 1.0)])  # at alpha = sigma = 0
 
 
-# Each place where the step leaves its ordered pass: (ctx, A_k, alpha1, D, c)
+# Each place where the step, or the y' that the next step forms of it, leaves its ordered
+# path for the kernel or an error: (ctx, A_k, alpha1, D, c)
 _FALLBACKS = {
     "screen": (OperatorContext(0.5, 0.0), GPSeries.monomial(1.0, -1.0), 1.0, 1.0, 0.0),
     "image_head_0": (OperatorContext(0.0, 0.0), _ORDER_MATTERS, 1.0, 2.0, 0.5),
@@ -216,9 +195,7 @@ _FALLBACKS = {
 @pytest.mark.parametrize("case", _FALLBACKS)
 def test_each_fallback_of_the_step_is_the_pipeline_it_replaced(case):
     args = _FALLBACKS[case]
-    assert_same(lambda: ordered_step(*args), lambda: parent_step(*args))
-    if case != "screen":  # the kernel reference has no screen
-        assert_same(lambda: ordered_step(*args), lambda: kernel_step(*args))
+    assert_same(lambda: ordered_step(*args), lambda: kernel_step(*args))
 
 
 def test_the_fallback_examples_leave_the_ordered_pass_where_they_are_named():
@@ -232,22 +209,58 @@ def test_the_fallback_examples_leave_the_ordered_pass_where_they_are_named():
             step(case)
     ctx, g, *_ = _FALLBACKS["image_head_0"]
     assert 1.0 not in apply_inverse(ctx, g).exponents.tolist()
-    assert 1.0 in step("image_head_0")[0].exponents.tolist()
-    assert step("assembled_head_0")[0].terms == ((1.5, 2.0),)
+    assert 1.0 in step("image_head_0").exponents.tolist()
+    assert step("assembled_head_0").terms == ((1.5, 2.0),)
     ctx, g, *_ = _FALLBACKS["image_terms_merge"]
-    assert len(apply_inverse(ctx, g)) == 2 and step("image_terms_merge")[1] is None
-    y, yp = step("y'_overflows")
-    assert yp is None and len(y) == 2
+    assert len(g) == 2 and len(apply_inverse(ctx, g)) == 2  # x^(1-alpha) and one merged tail
+    y = step("y'_overflows")
+    assert len(y) == 2
     with pytest.raises(NonFiniteTerm):
         differentiate(y)
-    y, yp = step("y_exponent_within_the_tolerance_of_0")
-    assert yp is None and len(differentiate(y)) == len(y) - 1
-    # and a step in order, and one of A_k = 0
+    y = step("y_exponent_within_the_tolerance_of_0")
+    assert y.exponents[0] <= EXPONENT_MERGE_TOL and len(differentiate(y)) == len(y) - 1
+    # and a step of A_k = 0
     ctx = OperatorContext(0.5, 0.0)
-    y, yp = _next(ctx, h_series(ctx), GPSeries.constant(1.0), 1.0, 1.0, 0.5)
-    assert yp is not None and yp.terms == differentiate(y).terms
     assert_same(lambda: ordered_step(ctx, GPSeries.zero(), 1.0, 1.0, 0.5),
-                lambda: parent_step(ctx, GPSeries.zero(), 1.0, 1.0, 0.5))
+                lambda: kernel_step(ctx, GPSeries.zero(), 1.0, 1.0, 0.5))
+
+
+def kernel_components(problem, n):
+    """solve's components as a chain of kernel steps, each A_k read off the kernel's y'."""
+    ctx = OperatorContext(problem.alpha, problem.sigma)
+    D = problem.alpha1 * at_one(h_series(ctx)) + problem.beta1
+    c = (problem.gamma1 - problem.alpha1 * problem.eta1) / D
+    y, yp, tape = GPSeries.constant(problem.eta1), GPSeries.zero(), Tape(problem.f)
+    components = [y]
+    for k in range(n - 1):
+        y, yp = kernel_step(ctx, tape.extend(y, yp), problem.alpha1, D, c if k == 0 else 0.0)
+        components.append(y)
+    return components
+
+
+def test_a_y_prime_that_overflows_fails_the_next_component_and_the_last_is_never_formed():
+    # A_0 is the example's: y_1 is its step, and y_1' overflows only when A_1 needs it
+    ctx, g, alpha1, D, c = _FALLBACKS["y'_overflows"]
+    problem = Problem(alpha=ctx.alpha, sigma=ctx.sigma,
+                      f=parse("8.640178512962757e307 * x^-0.5193741164492736"),
+                      eta1=0.0, alpha1=alpha1, beta1=1.0, gamma1=0.0)  # D = 1e-300 + 1.0
+    assert Tape(problem.f).extend(GPSeries.constant(problem.eta1), GPSeries.zero()) == g
+    report = solve(problem, 2)
+    assert_same(lambda: report.components[1], lambda: _next(ctx, h_series(ctx), g, alpha1, D, c))
+    with pytest.raises(NonFiniteTerm,
+                       match=r"^component 2: term \(inf, 0\.48062588355072644\) is not finite$"):
+        solve(problem, 3)
+
+
+def test_a_y_exponent_within_the_tolerance_of_0_is_dropped_from_the_y_prime_of_a_solve():
+    # at alpha = 1 - 1e-13, y_1 has a term at x^(1-alpha), which y_1' drops as a constant
+    problem = Problem(alpha=_FALLBACKS["y_exponent_within_the_tolerance_of_0"][0].alpha,
+                      sigma=0.0, f=parse("1 + yp"), eta1=0.0, alpha1=1.0, beta1=1.0, gamma1=0.5)
+    report = solve(problem, 4)
+    y = report.components[1]
+    assert y.exponents[0] <= EXPONENT_MERGE_TOL and len(differentiate(y)) == len(y) - 1
+    for got, want in zip(report.components, kernel_components(problem, 4), strict=True):
+        assert_same(lambda: got, lambda: want)
 
 
 @settings(max_examples=500)
@@ -270,6 +283,25 @@ def test_a_lone_product_through_combine_is_the_kernel_of_its_raw_product(a, b, p
     for one in (GPSeries.monomial(c, p), b):
         assert_same(lambda: combine((), ((w, one, a),)), lambda: kernel_product(one, a, w))
         assert_same(lambda: combine((), ((w, a, one),)), lambda: kernel_product(a, one, w))
+
+
+_JUST_PAST = float(np.nextafter(EXPONENT_MERGE_TOL, 1.0))
+
+
+@pytest.mark.parametrize("exponents, drops", [
+    ((0.5 * EXPONENT_MERGE_TOL, 0.5, 2.0), 1),  # a first exponent below the tolerance
+    ((EXPONENT_MERGE_TOL, 0.5, 2.0), 1),  # at it
+    ((_JUST_PAST, 0.5, 2.0), 0),  # just past it: no term is constant, and no mask is made
+    ((-1.5, -0.5, 3.0), 0),  # negative exponents
+    ((-EXPONENT_MERGE_TOL, 0.25), 1),  # a negative first exponent within the tolerance of 0
+    ((2e-12, 2.5e-12, 4.0), 1),  # two exponents within the tolerance: their derivatives merge
+    ((0.3, 0.300000000001), 1),  # 1.00003e-12 apart, 9.9998e-13 once 1 is subtracted
+])
+def test_differentiate_skips_its_mask_only_past_the_tolerance(exponents, drops):
+    a = GPSeries(zip((1.5, -2.0, 3.0), exponents))
+    assert_same(lambda: differentiate(a), lambda: masked_derivative(a))
+    assert_same(lambda: differentiate(a), lambda: kernel_derivative(a))
+    assert len(differentiate(a)) == len(a) - drops
 
 
 # --- where an ordered path hands its terms to the kernel -----------------------------
@@ -298,12 +330,12 @@ def test_an_x_1_alpha_sum_of_0_is_dropped_and_the_assembly_puts_one_back():
     image = apply_inverse(ctx, _ORDER_MATTERS)
     assert 1.0 not in image.exponents.tolist()
     assert_same(lambda: image, lambda: kernel_image(ctx, _ORDER_MATTERS))
-    y, _ = _next(ctx, H, _ORDER_MATTERS, 1.0, 2.0, 0.5)
+    y = _next(ctx, H, _ORDER_MATTERS, 1.0, 2.0, 0.5)
     w = at_one(image) / 2.0
     assert y.terms[0] == ((0.0 + w) + 0.5, 1.0)
     assert_same(lambda: y, lambda: kernel_assembly(H, image, w, 0.5))
     # and a sum of exactly 0 in the assembly drops the image's x^(1-alpha) term
-    y, _ = _next(ctx, H, GPSeries.constant(3.0), 2.0, 1.0, 0.0)  # h = 1: (0.0 + 3*1) - 3 = 0
+    y = _next(ctx, H, GPSeries.constant(3.0), 2.0, 1.0, 0.0)  # h = 1: (0.0 + 3*1) - 3 = 0
     assert 1.0 not in y.exponents.tolist()
     image = apply_inverse(ctx, GPSeries.constant(3.0))
     assert_same(lambda: y, lambda: kernel_assembly(H, image, 2.0 * at_one(image), 0.0))
@@ -366,7 +398,7 @@ def test_an_exponent_span_past_the_largest_float_warns_of_nothing():
     (1, 0.5, 3.5, 20), (2, 0.5, 1.0, 20), (3, 0.5, 2.5, 11), (1, 0.3719, 2.1234, 20)])
 def test_a_solve_reaches_the_kernel_only_for_the_sums_that_merge(
         monkeypatch, family, alpha, beta, calls):
-    # A_k's Cauchy sums and psi's sum: the step from A_k to y_(k+1) and y'_(k+1) sorts nothing
+    # A_k's Cauchy sums and psi's sum: the step from A_k to y_(k+1), and y', sort nothing
     merged, count = series._merged, []
 
     def counting(coeffs, exponents):
