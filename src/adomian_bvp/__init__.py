@@ -12,7 +12,7 @@ from .errors import AdmError, ComputeError, InputError
 from .expressions import Expr, eval_real, parse, to_source
 from .series import GPSeries, Term, format_series, normalize
 from .singular_operator import OperatorContext, apply_forward, apply_inverse, h_series
-from .solver import Problem, SolveReport, partial_sum, solve
+from .solver import Problem, SolveReport, partial_sum, solve, steps
 
 __all__ = [
     "AdmError",
@@ -40,6 +40,7 @@ __all__ = [
     "problem_file",
     "residual",
     "solve",
+    "steps",
     "to_source",
 ]
 

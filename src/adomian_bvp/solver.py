@@ -16,21 +16,24 @@ the k-th decomposition polynomial of f, and
 
 Each correction contributes zero to the Robin combination at x = 1 and
 vanishes at x = 0, so every partial sum satisfies both boundary conditions
-by construction — no algebraic equations for unknown constants arise.  A step
-forms A_k from y_k and y_k', then the inverse image of A_k, then its correction.
+by construction — no algebraic equations for unknown constants arise.  :func:`steps`
+forms y_(k+1), when it is read, from A_k of y_k and y_k', its inverse image and its correction.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from numbers import Real
 
 from . import series as gps
 from .errors import AdmError, InvalidExactSolution, InvalidProblem
 from .expressions import Expr, Tape, check_expr
-from .series import GPSeries
+from .series import EXPONENT_MERGE_TOL, GPSeries
 from .singular_operator import OperatorContext, apply_inverse, h_series
 
 # Not called here; bench/spans.py WRAPPED looks these names up on this module.
@@ -40,11 +43,11 @@ from .singular_operator import inverse_at_one  # noqa: F401
 
 @dataclass(frozen=True)
 class Problem:
-    """One boundary value problem instance, as checked data; :func:`solve` derives the rest.
+    """One boundary value problem instance, as checked data; :func:`steps` derives the rest.
 
-    ``f`` is the source nonlinearity over {x, y, yp}; ``exact``, when given, is a
-    reference solution over {x} used only by the diagnostics.  Each nests at most
-    ``expressions.MAX_DEPTH`` levels, its numbers finite reals and its powers integral.
+    ``f`` is the source nonlinearity over {x, y, yp}; ``exact``, when given, is a reference solution
+    over {x} used only by the diagnostics.  Each nests at most ``expressions.MAX_DEPTH`` levels, its
+    numbers finite reals and its powers integral.  The six numbers are stored as floats.
     """
 
     alpha: float
@@ -59,9 +62,14 @@ class Problem:
     def __post_init__(self):
         for name in ("alpha", "sigma", "eta1", "alpha1", "beta1", "gamma1"):
             value = getattr(self, name)
+            if not isinstance(value, Real):
+                raise InvalidProblem(f"{name} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise InvalidProblem(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, float(value))
         OperatorContext(self.alpha, self.sigma)  # raises InvalidProblem unless 0 <= alpha < 1
+        if (gap := 1.0 - self.alpha) <= EXPONENT_MERGE_TOL:  # x^(1-alpha) would merge with x^0
+            raise InvalidProblem(f"1 - alpha = {gap:g} <= merge tolerance {EXPONENT_MERGE_TOL:g}")
         if not self.alpha1 > 0.0:
             raise InvalidProblem(f"alpha1 must be positive, got {self.alpha1!r}")
         if not self.beta1 >= 0.0:
@@ -72,21 +80,22 @@ class Problem:
 
 
 @dataclass(frozen=True)
-class StepInfo:
-    """Per-component bookkeeping: series size and wall time of one step."""
+class Step:
+    """Component y_step of the recursion, its series size and the wall time that formed it."""
 
     step: int
+    y: GPSeries
     terms: int
     seconds: float
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Components y_0 ... y_(n-1), their sum psi_n, step diagnostics; psi_m is on demand."""
+    """Components y_0 ... y_(n-1), their sum psi_n, their steps; psi_m is on demand."""
 
     components: tuple[GPSeries, ...]
     psi: GPSeries  # psi_n, a field so that dataclasses.replace can swap it
-    diagnostics: tuple[StepInfo, ...] = field(default_factory=tuple)
+    diagnostics: tuple[Step, ...] = field(default_factory=tuple)
 
     @property
     def n(self) -> int:
@@ -101,8 +110,31 @@ def check_count(value: object, name: str) -> int:
         raise InvalidProblem(f"{name} must be an integer, got {value!r}") from None
 
 
+def steps(problem: Problem) -> Iterator[Step]:
+    """The recursion as a lazy stream: y_0, then y_(k+1) only once the next step is read.
+
+    A failing step raises at its own ``next()``, its AdmError tagged ``component k``."""
+    ctx = OperatorContext(problem.alpha, problem.sigma)
+    H = h_series(ctx)
+    D = problem.alpha1 * gps.at_one(H) + problem.beta1  # h(1) = H(1), h'(1) = 1
+    weight = (problem.gamma1 - problem.alpha1 * problem.eta1) / D  # of H, in y_1 only
+    tape = Tape(problem.f)
+
+    y = GPSeries.constant(problem.eta1)
+    yield Step(0, y, len(y), 0.0)
+    for k in itertools.count(1):
+        started = time.perf_counter()
+        try:
+            a_k = tape.extend(y, gps.differentiate(y))
+            y = _next(ctx, H, a_k, problem.alpha1, D, weight)
+        except AdmError as err:
+            raise type(err)(f"component {k}: {err}") from err
+        weight = 0.0
+        yield Step(k, y, len(y), time.perf_counter() - started)
+
+
 def solve(problem: Problem, n: int = 10) -> SolveReport:
-    """Run the recursion for n components and return them with their sum psi_n.
+    """The first n steps of :func:`steps` and their sum psi_n.
 
     Raises:
         InvalidProblem: n is not an integer, or n < 1.
@@ -111,31 +143,12 @@ def solve(problem: Problem, n: int = 10) -> SolveReport:
     n = check_count(n, "n")
     if n < 1:
         raise InvalidProblem(f"need at least one component, got n = {n!r}")
-
-    ctx = OperatorContext(problem.alpha, problem.sigma)
-    H = h_series(ctx)
-    D = problem.alpha1 * gps.at_one(H) + problem.beta1  # h(1) = H(1), h'(1) = 1
-
-    y = GPSeries.constant(problem.eta1)
-    components, diagnostics = [y], [StepInfo(0, len(y), 0.0)]
-    inhomogeneous = (problem.gamma1 - problem.alpha1 * problem.eta1) / D  # in y_1 only
-
-    tape = Tape(problem.f)
-    for k in range(n - 1):
-        started = time.perf_counter()
-        try:
-            a_k = tape.extend(y, gps.differentiate(y))
-            y = _next(ctx, H, a_k, problem.alpha1, D, inhomogeneous if k == 0 else 0.0)
-        except AdmError as err:
-            raise type(err)(f"component {k + 1}: {err}") from err
-        components.append(y)
-        diagnostics.append(StepInfo(k + 1, len(y), time.perf_counter() - started))
-
+    taken = tuple(step for _, step in zip(range(n), steps(problem)))  # islice caps n at sys.maxsize
     try:
-        psi = gps.combine((1.0, y) for y in components)
+        psi = gps.combine((1.0, step.y) for step in taken)
     except AdmError as err:  # a merged coefficient overflows
         raise type(err)(f"psi_{n}: {err}") from err
-    return SolveReport(tuple(components), psi, tuple(diagnostics))
+    return SolveReport(tuple(step.y for step in taken), psi, taken)
 
 
 def _next(ctx: OperatorContext, H: GPSeries, g: GPSeries, alpha1: float, D: float,

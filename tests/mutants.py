@@ -202,7 +202,7 @@ MUTANTS = (
            "alpha1 * gps.at_one(image) / D", "alpha1 * gps.at_one(image) * 1.001 / D",
            (f"{T_IDENTITY}::test_every_partial_sum_solves_its_linear_problem",)),
     Mutant("inhomogeneous-term-dropped", SOLVER,
-           "inhomogeneous if k == 0 else 0.0", "0.0",
+           "weight = (problem.gamma1 - problem.alpha1 * problem.eta1) / D", "weight = 0.0",
            (f"{T_IDENTITY}::test_every_partial_sum_solves_its_linear_problem",)),
     Mutant("step-image-sign-flipped", SOLVER,
            "coeffs = -image.coeffs", "coeffs = +image.coeffs",
@@ -215,7 +215,7 @@ MUTANTS = (
            "report.psi if m == report.n else", "report.psi if m >= report.n - 1 else",
            (f"{T_SOLVER}::test_partial_sums_are_the_left_fold_of_the_components",)),
     Mutant("psi-one-component-behind", SOLVER,
-           "for y in components)", "for y in components[:-1])",
+           "(1.0, step.y) for step in taken)", "(1.0, step.y) for step in taken[:-1])",
            ("tests/test_golden_psi.py::test_psi_bit_identical_to_fixture",)),
     Mutant("psi-overflow-untagged", SOLVER,
            'raise type(err)(f"psi_{n}: {err}") from err', "raise",
@@ -228,6 +228,24 @@ MUTANTS = (
            "OperatorContext(self.alpha, self.sigma)  #", "#",
            (f"{T_SOLVER}::test_problem_validation",
             f"{T_SOLVER}::test_problem_checks_alpha_before_the_boundary_data")),
+    Mutant("problem-number-type-not-checked", SOLVER,
+           "if not isinstance(value, Real):", "if False:",
+           (f"{T_SOLVER}::test_problem_refuses_a_number_that_is_not_real",)),
+    Mutant("problem-numbers-kept-as-given", SOLVER,
+           "object.__setattr__(self, name, float(value))", "pass",
+           (f"{T_SOLVER}::test_problem_stores_each_real_number_as_a_float",
+            f"{T_SOLVER}::"
+            "test_numpy_boundary_data_that_overflows_is_the_non_finite_term_of_a_float")),
+    Mutant("alpha-within-the-tolerance-of-1-accepted", SOLVER,
+           "(gap := 1.0 - self.alpha) <= EXPONENT_MERGE_TOL", "(gap := 1.0 - self.alpha) < 0.0",
+           (f"{T_SOLVER}::test_problem_refuses_alpha_within_the_merge_tolerance_of_1",
+            f"{T_ORDERED}::test_a_y_exponent_within_the_tolerance_of_0_is_refused_in_a_problem",
+            "tests/test_cli.py::test_table_refuses_alpha_within_the_merge_tolerance_of_1")),
+    # the stream forms a step only when it is read
+    Mutant("solve-reads-one-step-past-n", SOLVER,
+           "for _, step in zip(range(n), steps(problem))",
+           "for step, _ in zip(steps(problem), range(n))",
+           (f"{T_SOLVER}::test_a_failing_step_raises_at_its_own_next_after_every_earlier_step",)),
     # counts are integers where they enter
     Mutant("n-not-checked-as-an-integer", SOLVER,
            'n = check_count(n, "n")', "n = n",
@@ -305,7 +323,7 @@ MUTANTS = (
                        .replace("(exponents)", "(exponents[::-1])"),
            (f"{T_SERIES}::test_operations_match_reference_bit_for_bit",)),
     Mutant("boundary-weight-at-every-step", SOLVER,
-           "inhomogeneous if k == 0 else 0.0", "inhomogeneous",
+           "        weight = 0.0\n", "",
            (f"{T_IDENTITY}::test_every_partial_sum_solves_its_linear_problem",)),
     Mutant("no-depth-check", EXPRESSIONS,
            _DEPTH_CHECK, "",

@@ -456,6 +456,12 @@ def test_table_checks_the_grid_before_the_first_solve(capsys, args, solve_error)
     assert capsys.readouterr().err == "error: InvalidProblem(grid_size must be at least 1, got 0)\n"
 
 
+def test_table_refuses_alpha_within_the_merge_tolerance_of_1(capsys):
+    assert main(["table", "--example", "1", "--alphas", "0.999999999999"]) == 3
+    assert capsys.readouterr().err == (
+        "error: InvalidProblem(1 - alpha = 9.99978e-13 <= merge tolerance 1e-12)\n")
+
+
 # --- grid size -----------------------------------------------------------------------
 
 

@@ -17,7 +17,14 @@ from hypothesis import strategies as st
 
 from adomian_bvp import series
 from adomian_bvp.benchmarks import benchmark_problem
-from adomian_bvp.errors import AdmError, Divergent, LogResonance, NonFiniteTerm, OuterResonance
+from adomian_bvp.errors import (
+    AdmError,
+    Divergent,
+    InvalidProblem,
+    LogResonance,
+    NonFiniteTerm,
+    OuterResonance,
+)
 from adomian_bvp.expressions import Tape, parse
 from adomian_bvp.series import (
     DEFAULT_TERM_CAP,
@@ -225,19 +232,6 @@ def test_the_fallback_examples_leave_the_ordered_pass_where_they_are_named():
                 lambda: kernel_step(ctx, GPSeries.zero(), 1.0, 1.0, 0.5))
 
 
-def kernel_components(problem, n):
-    """solve's components as a chain of kernel steps, each A_k read off the kernel's y'."""
-    ctx = OperatorContext(problem.alpha, problem.sigma)
-    D = problem.alpha1 * at_one(h_series(ctx)) + problem.beta1
-    c = (problem.gamma1 - problem.alpha1 * problem.eta1) / D
-    y, yp, tape = GPSeries.constant(problem.eta1), GPSeries.zero(), Tape(problem.f)
-    components = [y]
-    for k in range(n - 1):
-        y, yp = kernel_step(ctx, tape.extend(y, yp), problem.alpha1, D, c if k == 0 else 0.0)
-        components.append(y)
-    return components
-
-
 def test_a_y_prime_that_overflows_fails_the_next_component_and_the_last_is_never_formed():
     # A_0 is the example's: y_1 is its step, and y_1' overflows only when A_1 needs it
     ctx, g, alpha1, D, c = _FALLBACKS["y'_overflows"]
@@ -252,15 +246,15 @@ def test_a_y_prime_that_overflows_fails_the_next_component_and_the_last_is_never
         solve(problem, 3)
 
 
-def test_a_y_exponent_within_the_tolerance_of_0_is_dropped_from_the_y_prime_of_a_solve():
-    # at alpha = 1 - 1e-13, y_1 has a term at x^(1-alpha), which y_1' drops as a constant
-    problem = Problem(alpha=_FALLBACKS["y_exponent_within_the_tolerance_of_0"][0].alpha,
-                      sigma=0.0, f=parse("1 + yp"), eta1=0.0, alpha1=1.0, beta1=1.0, gamma1=0.5)
-    report = solve(problem, 4)
-    y = report.components[1]
-    assert y.exponents[0] <= EXPONENT_MERGE_TOL and len(differentiate(y)) == len(y) - 1
-    for got, want in zip(report.components, kernel_components(problem, 4), strict=True):
-        assert_same(lambda: got, lambda: want)
+def test_a_y_exponent_within_the_tolerance_of_0_is_refused_in_a_problem():
+    # at alpha = 1 - 1e-13, y_1's x^(1-alpha) would merge with y_0.  Problem refuses it; the
+    # y' of such a y_1 stays covered by the step's fallback case above and by
+    # test_differentiate_skips_its_mask_only_past_the_tolerance.
+    alpha = _FALLBACKS["y_exponent_within_the_tolerance_of_0"][0].alpha
+    with pytest.raises(InvalidProblem,
+                       match=r"^1 - alpha = 1\.00031e-13 <= merge tolerance 1e-12$"):
+        Problem(alpha=alpha, sigma=0.0, f=parse("1 + yp"), eta1=0.0, alpha1=1.0, beta1=1.0,
+                gamma1=0.5)
 
 
 @settings(max_examples=500)

@@ -1,7 +1,10 @@
 """Recursion correctness: printed-component regressions and structural properties."""
 
+import itertools
 import math
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from support import (
     left_nested_sum,
 )
 
+from adomian_bvp import solver
 from adomian_bvp.benchmarks import benchmark_problem
 from adomian_bvp.errors import (
     DivisionByZeroSeries,
@@ -27,8 +31,9 @@ from adomian_bvp.errors import (
     TermBlowup,
 )
 from adomian_bvp.expressions import MAX_DEPTH, X, Y, parse
-from adomian_bvp.series import GPSeries, Term, add, differentiate, evaluate
-from adomian_bvp.solver import Problem, SolveReport, partial_sum, solve
+from adomian_bvp.problem_file import load_problem
+from adomian_bvp.series import GPSeries, Term, add, combine, differentiate, evaluate
+from adomian_bvp.solver import Problem, SolveReport, partial_sum, solve, steps
 
 
 # --- printed component regressions ------------------------------------------------
@@ -96,7 +101,8 @@ def test_report_structure():
     report = solve(benchmark_problem(3, 0.5, 1.0), 6)
     assert isinstance(report, SolveReport)
     assert report.n == 6 and len(report.components) == 6
-    assert len(report.diagnostics) == 6
+    assert [d.step for d in report.diagnostics] == list(range(6))
+    assert all(d.y is report.components[d.step] for d in report.diagnostics)
     assert all(d.terms == len(report.components[d.step]) for d in report.diagnostics)
 
 
@@ -115,6 +121,82 @@ def test_partial_sums_are_the_left_fold_of_the_components(n, family, alpha, beta
         assert partial_sum(report, m) == acc
     assert report.psi == acc
     assert partial_sum(report, report.n) is report.psi  # psi_n is not merged again
+
+
+# --- the step stream -------------------------------------------------------------------
+
+_ROBIN_FILE = """\
+p_exponent = 0.5
+q_exponent = -0.5
+f = "-1.0*exp(y)*(x*yp + 0.5)"
+eta1 = -0.6931471805599453
+alpha1 = 1.0
+beta1 = 2.0
+gamma1 = -1.0
+"""
+
+
+def _bits(a):
+    return a.coeffs.tobytes(), a.exponents.tobytes()
+
+
+# the four baseline rows of the ROADMAP, at alpha = 0.5, and a Robin problem file
+@pytest.mark.parametrize("source", [(1, 0.5, 1.0), (1, 0.5, 3.5), (2, 0.5, 1.0), (3, 0.5, 2.5),
+                                    "robin"])
+def test_a_stream_read_to_n_is_solve_bit_for_bit(source, tmp_path):
+    if source == "robin":
+        path = tmp_path / "robin.prob"
+        path.write_text(_ROBIN_FILE)
+        problem = load_problem(path)
+    else:
+        problem = benchmark_problem(*source)
+    report = solve(problem, 16)
+    read = list(itertools.islice(steps(problem), 16))
+    assert [_bits(step.y) for step in read] == [_bits(y) for y in report.components]
+    assert _bits(combine((1.0, step.y) for step in read)) == _bits(report.psi)
+    assert [(s.step, s.terms) for s in read] == [(d.step, d.terms) for d in report.diagnostics]
+
+
+def test_a_stream_abandoned_after_k_steps_formed_only_those_steps(monkeypatch):
+    # y_0 needs no inverse, and each later step one: k steps read are k - 1 inverses
+    calls = []
+    original = solver.apply_inverse
+    monkeypatch.setattr(solver, "apply_inverse", lambda *args: calls.append(1) or original(*args))
+    for k in (1, 2, 7):
+        calls.clear()
+        stream = steps(benchmark_problem(1, 0.5, 1.0))
+        assert [step.step for step in itertools.islice(stream, k)] == list(range(k))
+        stream.close()
+        assert len(calls) == k - 1
+
+
+_FAILS_AT_2 = Problem(  # y_1 is finite, and its y' overflows when A_1 is formed
+    alpha=0.0, sigma=0.0, f=parse("8.640178512962757e307 * x^-0.5193741164492736"),
+    eta1=0.0, alpha1=1e-300, beta1=1.0, gamma1=0.0)
+
+
+@pytest.mark.parametrize("problem,k,error,message", [
+    (Problem(alpha=0.5, sigma=-1.0, f=parse("1"), eta1=0.0, alpha1=1.0, beta1=0.0, gamma1=1.0),
+     1, LogResonance, "component 1: weighted exponent -1 hits -1 (term x^0)"),
+    (_FAILS_AT_2, 2, NonFiniteTerm, "component 2: term (inf, 0.48062588355072644) is not finite"),
+])
+def test_a_failing_step_raises_at_its_own_next_after_every_earlier_step(problem, k, error,
+                                                                        message):
+    stream = steps(problem)
+    assert [next(stream).step for _ in range(k)] == list(range(k))
+    with pytest.raises(error) as exc:
+        next(stream)
+    assert str(exc.value) == message
+    assert next(stream, None) is None  # a failed stream is over
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        solve(problem, k + 1)
+    assert solve(problem, k).n == k
+
+
+def test_a_count_past_the_largest_index_runs_until_a_step_fails():
+    # n = 10^20 is past sys.maxsize, which islice would refuse; the stream fails first
+    with pytest.raises(NonFiniteTerm, match="^component 2: "):
+        solve(_FAILS_AT_2, 10**20)
 
 
 # --- boundary exactness ----------------------------------------------------------------
@@ -193,6 +275,46 @@ def test_problem_validation():
 def test_problem_checks_alpha_before_the_boundary_data():
     with pytest.raises(InvalidProblem, match=r"^alpha must lie in \[0, 1\), got 1\.0$"):
         Problem(alpha=1.0, sigma=0.0, f=parse("y"), eta1=0, alpha1=0.0, beta1=-1, gamma1=1)
+
+
+def test_problem_refuses_alpha_within_the_merge_tolerance_of_1():
+    # at 1 - alpha = 1e-12 (9.99978e-13 as a float), x^(1-alpha) would merge with x^0
+    with pytest.raises(InvalidProblem,
+                       match=r"^1 - alpha = 9\.99978e-13 <= merge tolerance 1e-12$"):
+        benchmark_problem(1, 1.0 - 1e-12, 1.0)
+    # at 1.2e-12 nothing merges: psi keeps all its terms and y(0) exactly
+    problem = benchmark_problem(1, 1.0 - 1.2e-12, 1.0)
+    psi = solve(problem, 8).psi
+    assert len(psi) == 30 and evaluate(psi, 0.0) == problem.eta1
+
+
+_NUMBERS = dict(alpha=0.5, sigma=0.0, f=parse("y"), eta1=0.0, alpha1=1.0, beta1=0.0, gamma1=1.0)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("alpha", "0.5"), ("beta1", None), ("alpha1", Decimal("1")), ("sigma", np.array(0.0)),
+])
+def test_problem_refuses_a_number_that_is_not_real(name, value):
+    message = f"^{name} must be a real number, got {re.escape(repr(value))}$"
+    with pytest.raises(InvalidProblem, match=message):
+        Problem(**{**_NUMBERS, name: value})
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), np.float32(0.5), True, 1])
+def test_problem_stores_each_real_number_as_a_float(value):
+    names = ("sigma", "eta1", "alpha1", "beta1", "gamma1")
+    problem = Problem(**{**_NUMBERS, "alpha": Fraction(1, 4), **dict.fromkeys(names, value)})
+    for name in ("alpha", *names):
+        assert type(getattr(problem, name)) is float
+    assert problem.alpha == 0.25 and problem.alpha1 == float(value)
+
+
+@pytest.mark.parametrize("alpha1", [100.0, np.float64(100.0)])
+def test_numpy_boundary_data_that_overflows_is_the_non_finite_term_of_a_float(alpha1):
+    # alpha1 * image(1) overflows; a numpy scalar would have warned in its own arithmetic
+    problem = Problem(**{**_NUMBERS, "f": parse("1e307"), "alpha1": alpha1})
+    with pytest.raises(NonFiniteTerm, match=r"^component 1: term \(inf, 0\.5\) is not finite$"):
+        solve(problem, 3)
 
 
 @pytest.mark.parametrize("name", ["alpha", "sigma", "eta1", "alpha1", "beta1", "gamma1"])
