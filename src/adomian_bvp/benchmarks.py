@@ -14,6 +14,7 @@ import math
 
 from .errors import InvalidProblem
 from .problem_file import parse_problem_text
+from .series import check_real
 from .solver import Problem
 
 BENCHMARK_IDS = (1, 2, 3)
@@ -52,9 +53,7 @@ def benchmark_problem(example: int, alpha: float, beta: float = 1.0) -> Problem:
     """Instantiate benchmark family ``example`` in {1, 2, 3} at (alpha, beta)."""
     if example not in BENCHMARK_IDS:
         raise InvalidProblem(f"example must be one of {BENCHMARK_IDS}, got {example!r}")
-    for name, value in (("alpha", alpha), ("beta", beta)):
-        if not math.isfinite(value):  # "nan" in f would be a ParseError
-            raise InvalidProblem(f"{name} must be finite, got {value!r}")
+    alpha, beta = check_real(alpha, "alpha"), check_real(beta, "beta")  # "nan" in f: ParseError
     text = _FAMILIES[example].format(
         alpha=alpha, beta=beta, alpha_1=alpha - 1.0,
         alpha_beta_1=alpha + beta - 1.0, alpha_beta_2=alpha + beta - 2.0,

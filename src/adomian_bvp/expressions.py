@@ -40,7 +40,6 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from numbers import Real
 from typing import Callable, Sequence, TypeVar, Union, get_args
 
 import numpy as np
@@ -296,20 +295,18 @@ def parse(source: str) -> Expr:
 
 
 def check_expr(e: Expr, allowed: set[str], error: Callable[[str], Exception], name: str) -> None:
-    """Raise ``error(message)`` if e nests deeper than ``MAX_DEPTH`` levels, else if a literal is
-    not a finite real number or a power not an integer, else if a variable is not in ``allowed``."""
+    """Raise ``error(message)`` if e nests deeper than ``MAX_DEPTH`` levels, else if a literal fails
+    ``series.check_real`` or a power is not integral, else if a variable is not in ``allowed``."""
     layout, depths = _layout(e), []
     for _, operands, _ in layout:
         depths.append(1 + max([depths[i] for i in operands]) if operands else 1)
     if depths[-1] > MAX_DEPTH:
         raise error(f"{name} nests deeper than {MAX_DEPTH} levels")
     for node, _, literal in layout:
-        if isinstance(node, (Constant, PowInt, PowXReal)) and not isinstance(literal, Real):
-            raise error(f"{name} has a literal of type {type(literal).__name__}, not a real number")
-        if isinstance(node, PowInt) and literal % 1 != 0:  # nan and inf too
-            raise error(f"{name} has the non-integral power {literal}")
-        if isinstance(node, (Constant, PowXReal)) and not math.isfinite(literal):
-            raise error(f"{name} has the non-finite number {literal}")
+        if isinstance(node, (Constant, PowInt, PowXReal)):
+            value = gps.check_real(literal, f"a literal in {name}", error)
+            if isinstance(node, PowInt) and value % 1 != 0:
+                raise error(f"{name} has the non-integral power {value!r}")
     names = {name if type(n) is Var else "x" for n, _, name in layout if type(n) in (Var, PowXReal)}
     if others := names - allowed:
         raise error(f"{name} mentions {sorted(others)}; only {sorted(allowed)} allowed")
@@ -424,7 +421,7 @@ def eval_real(e: Expr, x, y=0.0, yp=0.0):
 def _real(e: Expr, inputs: dict, *args):
     """e's value, given its operands' values: one numpy operation."""
     if isinstance(e, Constant):
-        return e.value
+        return float(e.value)
     if isinstance(e, Var):
         return inputs[e.name]
     if isinstance(e, Neg):
@@ -440,7 +437,7 @@ def _real(e: Expr, inputs: dict, *args):
                         (args[0] == 0.0) & (e.power < 0),
                         lambda t: DivisionByZero(f"0^{int(e.power)} in {_named(e)}"))
     if isinstance(e, PowXReal):
-        x, p = inputs["x"], e.exponent
+        x, p = inputs["x"], float(e.exponent)
         return _checked(e, lambda t: np.power(t, p), x,
                         (x < 0.0) & (p != round(p)) | (x == 0.0) & (p < 0.0),
                         lambda t: DomainError(f"x^{p:g} undefined at x = {t:g}"))

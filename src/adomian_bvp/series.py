@@ -22,13 +22,15 @@ a recurrence, in one loop over its pieces; raw products join the sum unmerged, s
 the sum is normalized once.
 
 Values are immutable (their arrays are read-only) and every operation is a
-pure function; series can be shared freely between threads.
+pure function; series can be shared freely between threads.  :func:`check_real` is
+the one rule for a number a caller gives: a ``numbers.Real`` with a finite float, read as that.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from numbers import Real
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,6 +43,20 @@ EXPONENT_MERGE_TOL = 1e-12
 # The most raw terms of one pairwise product, checked before it is formed.  Not a bound on
 # a Cauchy sum of many products (195,287 raw terms at n = 37) or on memory: ROADMAP 14.
 DEFAULT_TERM_CAP = 10_000
+
+
+def check_real(value: object, name: str,
+               error: Callable[[str], Exception] = InvalidProblem) -> float:
+    """``value`` as a float if it is a ``numbers.Real`` whose float is finite, else ``error``
+    naming ``name``; an int or Fraction past the largest float is not finite, and not repr'd."""
+    if not isinstance(value, Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+    try:
+        if math.isfinite(number := float(value)):
+            return number
+    except OverflowError:  # past the largest float, where the repr of an int may itself fail
+        raise error(f"{name} must be finite, got a number past the largest float") from None
+    raise error(f"{name} must be finite, got {value!r}")
 
 
 class Term(NamedTuple):

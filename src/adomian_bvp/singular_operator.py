@@ -44,6 +44,8 @@ class OperatorContext:
     sigma: float
 
     def __post_init__(self):
+        for name in ("alpha", "sigma"):
+            object.__setattr__(self, name, gps.check_real(getattr(self, name), name))
         if not 0.0 <= self.alpha < 1.0:
             raise InvalidProblem(f"alpha must lie in [0, 1), got {self.alpha!r}")
 

@@ -1,8 +1,8 @@
 """Decomposition recursion for the doubly singular two-point problem.
 
-Solves (x^alpha y')' = x^sigma f(x, y, y') on (0, 1] with y(0) = eta1 and
-the Robin condition alpha1*y(1) + beta1*y'(1) = gamma1, by building solution
-components as closed-form series:
+Solves (x^alpha y')' = x^sigma f(x, y, y') on (0, 1] with y(0) = eta1 and the Robin
+condition alpha1*y(1) + beta1*y'(1) = gamma1, each number read by ``series.check_real``
+as its float, by building solution components as closed-form series:
 
     y_0     = eta1
     y_1     = (gamma1 - alpha1*eta1)/D * h  +  correction(A_0)
@@ -28,12 +28,11 @@ import operator
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from numbers import Real
 
 from . import series as gps
 from .errors import AdmError, InvalidExactSolution, InvalidProblem
 from .expressions import Expr, Tape, check_expr
-from .series import EXPONENT_MERGE_TOL, GPSeries
+from .series import EXPONENT_MERGE_TOL, GPSeries, check_real
 from .singular_operator import OperatorContext, apply_inverse, h_series
 
 # Not called here; bench/spans.py WRAPPED looks these names up on this module.
@@ -47,7 +46,7 @@ class Problem:
 
     ``f`` is the source nonlinearity over {x, y, yp}; ``exact``, when given, is a reference solution
     over {x} used only by the diagnostics.  Each nests at most ``expressions.MAX_DEPTH`` levels, its
-    numbers finite reals and its powers integral.  The six numbers are stored as floats.
+    powers integral.  The six numbers and every literal pass ``check_real``; the six are floats.
     """
 
     alpha: float
@@ -61,12 +60,7 @@ class Problem:
 
     def __post_init__(self):
         for name in ("alpha", "sigma", "eta1", "alpha1", "beta1", "gamma1"):
-            value = getattr(self, name)
-            if not isinstance(value, Real):
-                raise InvalidProblem(f"{name} must be a real number, got {value!r}")
-            if not math.isfinite(value):
-                raise InvalidProblem(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, check_real(getattr(self, name), name))
         OperatorContext(self.alpha, self.sigma)  # raises InvalidProblem unless 0 <= alpha < 1
         if (gap := 1.0 - self.alpha) <= EXPONENT_MERGE_TOL:  # x^(1-alpha) would merge with x^0
             raise InvalidProblem(f"1 - alpha = {gap:g} <= merge tolerance {EXPONENT_MERGE_TOL:g}")

@@ -39,9 +39,10 @@ SERIES, EXPRESSIONS, SOLVER, DIAGNOSTICS, LAMBDA_RING, BENCHMARKS, CLI, OPERATOR
     f"src/adomian_bvp/{m}.py"
     for m in ("series", "expressions", "solver", "diagnostics", "lambda_ring", "benchmarks", "cli",
               "singular_operator"))
-T_SERIES, T_TAPE, T_EXPR, T_IDENTITY, T_SOLVER, T_ORDERED = (
+T_SERIES, T_TAPE, T_EXPR, T_IDENTITY, T_SOLVER, T_ORDERED, T_NUMBERS = (
     f"tests/test_{m}.py"
-    for m in ("series", "tape", "expressions", "residual_identity", "solver", "ordered_paths"))
+    for m in ("series", "tape", "expressions", "residual_identity", "solver", "ordered_paths",
+              "numbers"))
 
 _LAYOUT_LOOP = """\
     while stack:
@@ -85,12 +86,10 @@ _DEPTH_CHECK = """\
 """
 _LITERAL_CHECKS = """\
     for node, _, literal in layout:
-        if isinstance(node, (Constant, PowInt, PowXReal)) and not isinstance(literal, Real):
-            raise error(f"{name} has a literal of type {type(literal).__name__}, not a real number")
-        if isinstance(node, PowInt) and literal % 1 != 0:  # nan and inf too
-            raise error(f"{name} has the non-integral power {literal}")
-        if isinstance(node, (Constant, PowXReal)) and not math.isfinite(literal):
-            raise error(f"{name} has the non-finite number {literal}")
+        if isinstance(node, (Constant, PowInt, PowXReal)):
+            value = gps.check_real(literal, f"a literal in {name}", error)
+            if isinstance(node, PowInt) and value % 1 != 0:
+                raise error(f"{name} has the non-integral power {value!r}")
 """
 _ZEROS_DROPPED = """\
     if np.count_nonzero(coeffs) == len(coeffs):
@@ -164,11 +163,28 @@ MUTANTS = (
            _DEPTH_CHECK + _LITERAL_CHECKS, _LITERAL_CHECKS + _DEPTH_CHECK,
            (f"{T_EXPR}::test_literals_are_checked_after_depth_and_before_variables",)),
     Mutant("no-check-of-the-power", EXPRESSIONS,
-           "isinstance(node, PowInt) and literal % 1 != 0", "False",
+           "isinstance(node, PowInt) and value % 1 != 0", "False",
            (f"{T_EXPR}::test_each_entry_point_rejects_a_bad_literal_with_its_own_error",)),
-    Mutant("no-check-of-the-literal-type", EXPRESSIONS,
-           "and not isinstance(literal, Real):", "and False:",
-           (f"{T_EXPR}::test_each_entry_point_rejects_a_bad_literal_with_its_own_error",)),
+    # the one number rule, series.check_real, and the float read of a literal
+    Mutant("number-type-not-checked", SERIES,
+           "if not isinstance(value, Real):", "if False:",
+           (f"{T_EXPR}::test_each_entry_point_rejects_a_bad_literal_with_its_own_error",
+            f"{T_SOLVER}::test_problem_refuses_a_number_that_is_not_real",
+            f"{T_NUMBERS}::test_each_number_is_refused_with_its_own_error_or_read_as_its_float",
+            f"{T_NUMBERS}::test_check_real_raises_the_error_it_is_given")),
+    Mutant("number-past-the-largest-float-not-caught", SERIES,
+           "except OverflowError:", "except ZeroDivisionError:",
+           (f"{T_NUMBERS}::test_each_number_is_refused_with_its_own_error_or_read_as_its_float",
+            f"{T_NUMBERS}::test_check_real_raises_the_error_it_is_given")),
+    Mutant("infinite-number-accepted", SERIES,
+           "if math.isfinite(number := float(value)):",
+           "if not math.isnan(number := float(value)):",
+           (f"{T_SOLVER}::test_problem_rejects_non_finite_numbers",
+            f"{T_EXPR}::test_each_entry_point_rejects_a_bad_literal_with_its_own_error",
+            f"{T_NUMBERS}::test_check_real_raises_the_error_it_is_given")),
+    Mutant("constant-evaluated-as-given", EXPRESSIONS,
+           "return float(e.value)", "return e.value",
+           (f"{T_NUMBERS}::test_each_number_is_refused_with_its_own_error_or_read_as_its_float",)),
     Mutant("to-source-returns-the-cut-text", EXPRESSIONS,
            'raise InvalidProblem(f"expression text is longer than {MAX_SOURCE_CHARS} characters")',
            "return text",
@@ -228,11 +244,9 @@ MUTANTS = (
            "OperatorContext(self.alpha, self.sigma)  #", "#",
            (f"{T_SOLVER}::test_problem_validation",
             f"{T_SOLVER}::test_problem_checks_alpha_before_the_boundary_data")),
-    Mutant("problem-number-type-not-checked", SOLVER,
-           "if not isinstance(value, Real):", "if False:",
-           (f"{T_SOLVER}::test_problem_refuses_a_number_that_is_not_real",)),
     Mutant("problem-numbers-kept-as-given", SOLVER,
-           "object.__setattr__(self, name, float(value))", "pass",
+           "object.__setattr__(self, name, check_real(getattr(self, name), name))",
+           "check_real(getattr(self, name), name)",
            (f"{T_SOLVER}::test_problem_stores_each_real_number_as_a_float",
             f"{T_SOLVER}::"
             "test_numpy_boundary_data_that_overflows_is_the_non_finite_term_of_a_float")),

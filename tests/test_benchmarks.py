@@ -1,7 +1,9 @@
 """Built-in benchmark families: the problems they build, pinned literally."""
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from adomian_bvp.benchmarks import benchmark_problem
@@ -56,6 +58,12 @@ def test_unknown_example_is_invalid_problem(example):
 def test_non_finite_parameter_is_invalid_problem(alpha, beta, name):
     with pytest.raises(InvalidProblem, match=f"{name} must be finite"):
         benchmark_problem(1, alpha, beta)
+
+
+@pytest.mark.parametrize("alpha,beta", [(np.float64(0.5), 1), (Fraction(1, 2), np.float32(1.0))])
+def test_alpha_and_beta_of_another_number_type_are_read_as_their_floats(alpha, beta):
+    # their reprs are not problem-file numbers: the text is filled in with the floats
+    assert benchmark_problem(3, alpha, beta) == benchmark_problem(3, 0.5, 1.0)
 
 
 @pytest.mark.parametrize("example,beta", [(1, 1.0), (1, 3.5), (1, 0.1234567), (2, 1.0), (2, 3.0),

@@ -114,6 +114,14 @@ def test_solve_missing_key_exit_code(tmp_path, capsys):
     assert "MissingKey(gamma1)" in err
 
 
+def test_solve_a_line_without_an_equals_sign_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.prob"
+    bad.write_text(EX1_FILE.replace("beta1 = ", "beta1 "), encoding="utf-8")
+    assert main(["solve", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: InvalidValue(line 6: expected 'key = value', got 'beta1 0.0')\n"
+
+
 def test_solve_file_not_found(capsys):
     assert main(["solve", "/nonexistent/problem.prob"]) == 3
     assert capsys.readouterr().err == "error: FileNotFound(/nonexistent/problem.prob)\n"

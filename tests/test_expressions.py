@@ -214,18 +214,18 @@ def test_depth_is_checked_before_variables_and_f_before_exact():
 
 # parse meets no such literal: its numbers are finite floats, and only x takes a non-integral power.
 @pytest.mark.parametrize("entry,e,error,message", [
-    ("f", Add(Y, Constant(math.nan)), InvalidProblem, "f has the non-finite number nan"),
+    ("f", Add(Y, Constant(math.nan)), InvalidProblem, "a literal in f must be finite, got nan"),
     ("f", PowInt(Y, 2.5), InvalidProblem, "f has the non-integral power 2.5"),
     ("exact", Mul(X, PowXReal(math.inf)), InvalidExactSolution,
-     "exact solution has the non-finite number inf"),
+     "a literal in exact solution must be finite, got inf"),
     ("reference", Add(X, Constant(-math.inf)), InvalidExactSolution,
-     "reference has the non-finite number -inf"),
+     "a literal in reference must be finite, got -inf"),
     ("f", Add(Var("z"), PowInt(Y, "2")), InvalidProblem,  # the literal before the variable
-     "f has a literal of type str, not a real number"),
+     "a literal in f must be a real number, got '2'"),
     ("exact", Mul(X, PowXReal(0.5j)), InvalidExactSolution,
-     "exact solution has a literal of type complex, not a real number"),
+     "a literal in exact solution must be a real number, got 0.5j"),
     ("reference", Add(X, Constant(None)), InvalidExactSolution,
-     "reference has a literal of type NoneType, not a real number"),
+     "a literal in reference must be a real number, got None"),
 ], ids=["f-constant", "f-power", "exact-exponent", "reference-constant",
         "f-str-power", "exact-complex-exponent", "reference-none-constant"])
 def test_each_entry_point_rejects_a_bad_literal_with_its_own_error(entry, e, error, message):
@@ -238,8 +238,10 @@ def test_each_entry_point_rejects_a_bad_literal_with_its_own_error(entry, e, err
 def test_literals_are_checked_after_depth_and_before_variables():
     with pytest.raises(InvalidProblem, match="^f nests deeper"):
         ENTRY_POINTS["f"](left_nested_sum(Constant(math.nan), MAX_DEPTH + 1))
-    with pytest.raises(InvalidProblem, match="^f has the non-integral power nan$"):
+    with pytest.raises(InvalidProblem, match="^a literal in f must be finite, got nan$"):
         ENTRY_POINTS["f"](Add(Var("z"), PowInt(Y, math.nan)))
+    with pytest.raises(InvalidProblem, match="^f has the non-integral power 2.5$"):
+        ENTRY_POINTS["f"](Add(Var("z"), PowInt(Y, 2.5)))
 
 
 def test_an_integral_power_of_another_number_type_solves_as_an_int():

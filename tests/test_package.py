@@ -3,7 +3,8 @@ The A_k recurrences live beside the tape that drives them, and no other module
 reaches them, so the tape stays the only code that runs them.  Only the
 tracer's import line and the ring's own tests reach the whole-element ring.
 Each entry point checks an expression in one ``check_expr`` walk, and no
-second validation walk comes back."""
+second validation walk comes back.  Every number a caller gives is checked by
+one rule, ``series.check_real``, the only code that reads ``numbers.Real``."""
 
 import ast
 import collections
@@ -103,3 +104,24 @@ def test_each_entry_point_checks_an_expression_in_one_walk():
     # one call per expression: parse's result, Problem's f and exact, max_errors' reference
     assert checks == {("expressions.py", "parse"): 1, ("solver.py", "__post_init__"): 2,
                       ("diagnostics.py", "max_errors"): 1}
+
+
+def test_every_number_a_caller_gives_is_checked_by_one_rule():
+    trees = {path.name: _tree(path) for path in sorted(SRC.rglob("*.py"))}
+    functions = [(name, node) for name, tree in trees.items() for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)]
+    assert [name for name, fn in functions if fn.name == "check_real"] == ["series.py"]
+    # from numbers import Real, or import numbers
+    readers = sorted(
+        name for name, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "numbers"
+        or isinstance(node, ast.Import) and "numbers" in [a.name for a in node.names]
+    )
+    assert readers == ["series.py"]
+    checks = collections.Counter(
+        (name, fn.name) for name, fn in functions for called in _calls(fn) if called == "check_real"
+    )
+    # Problem's six numbers, each literal, benchmark_problem's alpha and beta, the operator's pair
+    assert checks == {("solver.py", "__post_init__"): 1, ("expressions.py", "check_expr"): 1,
+                      ("benchmarks.py", "benchmark_problem"): 2,
+                      ("singular_operator.py", "__post_init__"): 1}

@@ -72,6 +72,12 @@ def test_invalid_number():
         parse_problem_text(SAMPLE.replace("alpha1 = 1", "alpha1 = one"))
 
 
+def test_a_line_without_an_equals_sign_is_named_by_its_number():
+    with pytest.raises(InvalidValue) as exc:
+        parse_problem_text(SAMPLE.replace("beta1 = 0", "beta1 0"))
+    assert str(exc.value) == "line 8: expected 'key = value', got 'beta1 0'"
+
+
 def test_expression_must_be_quoted():
     with pytest.raises(InvalidValue):
         parse_problem_text(SAMPLE.replace('f = "-1*exp(y)*(x*yp + 0.5)"', "f = y"))

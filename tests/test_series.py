@@ -252,6 +252,20 @@ def test_raw_pairs_must_be_finite_and_strictly_increasing():
     assert GPSeries(raw).terms == raw
 
 
+@pytest.mark.parametrize("coeff,exponent", [(math.inf, 0.5), (1.0, math.nan)])
+def test_a_monomial_must_be_finite(coeff, exponent):
+    with pytest.raises(NonFiniteTerm, match=rf"^term \({coeff!r}, {exponent!r}\) is not finite$"):
+        GPSeries.monomial(coeff, exponent)
+
+
+def test_equal_series_hash_equal_and_compare_unequal_to_a_number():
+    a, b = GPSeries.monomial(2.0, 0.5), normalize([(1.0, 0.5), (1.0, 0.5)])
+    assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+    # a number is not a series: __eq__ returns NotImplemented, and Python then compares ids
+    assert GPSeries.__eq__(GPSeries.constant(1.0), 1.0) is NotImplemented
+    assert (GPSeries.constant(1.0) == 1.0) is False and (1.0 == GPSeries.constant(1.0)) is False
+
+
 def test_non_finite_terms_are_named_like_the_reference():
     rng = np.random.default_rng(5)
     for _ in range(200):
