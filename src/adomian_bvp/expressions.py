@@ -27,8 +27,8 @@ forms and sums its Cauchy products (by x or x^p, one, which it keeps in order). 
 ln and division expand around the order-zero coefficient, so it has to be a constant;
 the solver's first component always is.  Integer powers are products by repeated squaring.
 ASTs are immutable and compare structurally, so equal subtrees share one tape node.
-Every reader but the parser walks one iterative layout of the AST, its distinct node
-objects operands first, so a subtree object that several parents share is read once.
+Every reader but the parser and ``repr`` walks one iterative layout of the AST, its distinct
+node objects operands first, so a subtree object that several parents share is read once.
 
 An operator's symbol and precedence live only in ``_INFIX`` (binary operators by
 level) and ``_FUNCTIONS``; the parser and the printer read them.
@@ -62,65 +62,85 @@ from .series import GPSeries
 
 # --- AST ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Constant:
+class _Node:
+    """An AST node: ``==`` and ``hash`` read its canonical shape; ``repr`` writes each path."""
+
+    def _shape(self) -> tuple:
+        """(type, operand ids, literal) of each distinct subtree value, an id its place here."""
+        ids, keys = [], {}  # ids: layout slot -> its id; keys: (type, operand ids, literal) -> id
+        for node, operands, literal in _layout(self):
+            key = (type(node), tuple([ids[i] for i in operands]), literal)
+            ids.append(keys.setdefault(key, len(keys)))
+        return tuple(keys)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return other is self or self._shape() == other._shape()
+
+    def __hash__(self) -> int:
+        return hash(self._shape())
+
+
+@dataclass(frozen=True, eq=False)
+class Constant(_Node):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+@dataclass(frozen=True, eq=False)
+class Var(_Node):
     name: str  # "x", "y" or "yp"
 
 
-@dataclass(frozen=True)
-class Neg:
+@dataclass(frozen=True, eq=False)
+class Neg(_Node):
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class Add:
+@dataclass(frozen=True, eq=False)
+class Add(_Node):
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Sub:
+@dataclass(frozen=True, eq=False)
+class Sub(_Node):
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Mul:
+@dataclass(frozen=True, eq=False)
+class Mul(_Node):
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class Div:
+@dataclass(frozen=True, eq=False)
+class Div(_Node):
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class PowInt:
+@dataclass(frozen=True, eq=False)
+class PowInt(_Node):
     base: "Expr"
     power: int
 
 
-@dataclass(frozen=True)
-class PowXReal:
+@dataclass(frozen=True, eq=False)
+class PowXReal(_Node):
     """The bare variable x raised to an arbitrary real exponent."""
 
     exponent: float
 
 
-@dataclass(frozen=True)
-class Exp:
+@dataclass(frozen=True, eq=False)
+class Exp(_Node):
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class Ln:
+@dataclass(frozen=True, eq=False)
+class Ln(_Node):
     arg: "Expr"
 
 
@@ -171,111 +191,10 @@ def _layout(e: Expr) -> list[tuple[Expr, tuple[int, ...], object]]:
 # parse, Problem and max_error accept: the parser recurses once per nesting level.
 MAX_DEPTH = 100
 
-_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
-
-
-class _Parser:
-    def __init__(self, source: str):
-        self.source = source
-        self.pos = 0
-        self.nesting = 0
-
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.source) and self.source[self.pos].isspace():
-            self.pos += 1
-
-    def _peek(self) -> str:
-        self._skip_ws()
-        return self.source[self.pos] if self.pos < len(self.source) else ""
-
-    def _expect(self, ch: str) -> None:
-        if self._peek() != ch:
-            raise ParseError(f"expected {ch!r}", self.pos)
-        self.pos += 1
-
-    def _number(self) -> float:
-        self._skip_ws()
-        m = _NUMBER_RE.match(self.source, self.pos)
-        if m is None:
-            raise ParseError("expected a number", self.pos)
-        value = float(m.group())
-        if not math.isfinite(value):
-            raise ParseError(f"number {m.group()!r} is out of range", self.pos)
-        self.pos = m.end()
-        return value
-
-    def expression(self, level: int = 0) -> Expr:
-        """Operators of ``_INFIX[level]`` and every tighter level, left to right."""
-        if level == len(_INFIX):
-            return self.power()
-        operators = _INFIX[level]
-        node = self.expression(level + 1)
-        while (op := self._peek()) in operators:
-            self.pos += 1
-            node = operators[op](node, self.expression(level + 1))
-        return node
-
-    def power(self) -> Expr:
-        base = self.unary()
-        if self._peek() != "^":
-            return base
-        self.pos += 1
-        self._skip_ws()
-        exp_pos = self.pos
-        negate = False
-        if self._peek() == "-":
-            negate = True
-            self.pos += 1
-        value = self._number()
-        if negate:
-            value = -value
-        if base == X:
-            return PowXReal(value)
-        if value != round(value):
-            raise UnsupportedPower(
-                f"exponent {value:g} requires the base to be the bare variable x",
-                exp_pos,
-            )
-        return PowInt(base, int(round(value)))
-
-    def unary(self) -> Expr:
-        negations = 0
-        while self._peek() == "-":
-            self.pos += 1
-            negations += 1
-        node = self.atom()
-        for _ in range(negations):
-            node = Neg(node)
-        return node
-
-    def _parenthesized(self) -> Expr:
-        self._expect("(")
-        self.nesting += 1
-        if self.nesting > MAX_DEPTH:
-            raise ParseError(f"parentheses nest deeper than {MAX_DEPTH} levels", self.pos)
-        node = self.expression()
-        self._expect(")")
-        self.nesting -= 1
-        return node
-
-    def atom(self) -> Expr:
-        ch = self._peek()
-        if ch == "(":
-            return self._parenthesized()
-        if ch.isdigit() or ch == ".":
-            return Constant(self._number())
-        m = _IDENT_RE.match(self.source, self.pos)
-        if m is None:
-            raise ParseError(f"unexpected character {ch!r}" if ch else "unexpected end of input", self.pos)
-        name = m.group()
-        start = self.pos
-        self.pos = m.end()
-        if name in ("x", "y", "yp"):
-            return Var(name)
-        if name in _FUNCTIONS:
-            return _FUNCTIONS[name](self._parenthesized())
-        raise ParseError(f"unknown identifier {name!r}", start)
+# A token, its kind the group it matched: 1 a number, 2 a name, 3 any other character but
+# whitespace (str.isspace), which no token starts with, so that finditer skips it.
+_TOKEN_RE = re.compile(r"((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|([A-Za-z_][A-Za-z_0-9]*)|(\S)")
+_NUMBER, _NAME = 1, 2
 
 
 def parse(source: str) -> Expr:
@@ -285,11 +204,88 @@ def parse(source: str) -> Expr:
         ParseError: on any grammar violation or nesting past ``MAX_DEPTH``, with a position.
         UnsupportedPower: non-integer exponent on a base other than ``x``.
     """
-    p = _Parser(source)
-    node = p.expression()
-    p._skip_ws()
-    if p.pos != len(source):
-        raise ParseError(f"trailing input {source[p.pos:]!r}", p.pos)
+    # (kind, text, position) of each token, the next one last, over an end token of kind 0
+    tokens = [(0, "", len(source)),
+              *reversed([(m.lastindex, m[0], m.start()) for m in _TOKEN_RE.finditer(source)])]
+    nesting = 0
+
+    def take(text: str) -> bool:  # whether the next token is text; if so, it is read
+        return tokens[-1][1] == text and bool(tokens.pop())
+
+    def expect(text: str) -> None:
+        if not take(text):
+            raise ParseError(f"expected {text!r}", tokens[-1][2])
+
+    def number() -> float:
+        kind, text, position = tokens.pop()
+        if kind != _NUMBER:
+            raise ParseError("expected a number", position)
+        if not math.isfinite(value := float(text)):
+            raise ParseError(f"number {text!r} is out of range", position)
+        return value
+
+    def expression(level: int = 0) -> Expr:
+        """Operators of ``_INFIX[level]`` and every tighter level, left to right."""
+        if level == len(_INFIX):
+            return power()
+        node, operators = expression(level + 1), _INFIX[level]
+        while tokens[-1][1] in operators:
+            node = operators[tokens.pop()[1]](node, expression(level + 1))
+        return node
+
+    def power() -> Expr:
+        base = unary()
+        if not take("^"):
+            return base
+        position = tokens[-1][2]
+        value = -number() if take("-") else number()
+        if type(base) is Var and base.name == "x":
+            return PowXReal(value)
+        if value != round(value):
+            raise UnsupportedPower(
+                f"exponent {value:g} requires the base to be the bare variable x", position)
+        return PowInt(base, int(round(value)))
+
+    def unary() -> Expr:
+        negations = 0
+        while take("-"):
+            negations += 1
+        node = atom()
+        for _ in range(negations):
+            node = Neg(node)
+        return node
+
+    def parenthesized() -> Expr:
+        nonlocal nesting
+        position = tokens[-1][2] + 1
+        expect("(")
+        nesting += 1
+        if nesting > MAX_DEPTH:
+            raise ParseError(f"parentheses nest deeper than {MAX_DEPTH} levels", position)
+        node = expression()
+        expect(")")
+        nesting -= 1
+        return node
+
+    def atom() -> Expr:
+        kind, text, position = tokens[-1]
+        if text == "(":
+            return parenthesized()
+        if kind == _NUMBER or text.isdigit() or text == ".":  # "." or a digit \d refuses
+            return Constant(number())
+        tokens.pop()
+        if kind != _NAME:
+            raise ParseError(f"unexpected character {text!r}" if text else "unexpected end of input",
+                             position)
+        if text in ("x", "y", "yp"):
+            return Var(text)
+        if text in _FUNCTIONS:
+            return _FUNCTIONS[text](parenthesized())
+        raise ParseError(f"unknown identifier {text!r}", position)
+
+    node = expression()
+    if (position := tokens[-1][2]) != len(source):
+        raise ParseError(f"trailing input {source[position:]!r}", position)
     check_expr(node, {"x", "y", "yp"}, lambda message: ParseError(message, 0), "expression")
     return node
 
@@ -326,10 +322,15 @@ MESSAGE_SOURCE_CHARS = 500
 MAX_SOURCE_CHARS = 1_000_000
 
 
+def _number(literal) -> float:
+    """A literal of a tree that no ``check_expr`` may have seen, read by ``series.check_real``."""
+    return gps.check_real(literal, "a literal in expression", InvalidProblem)
+
+
 def _parts(e: Expr, operands: tuple[int, ...], literal) -> tuple[int, list]:
     """e's precedence level and its text: strings and (operand slot, level to print it at) pairs."""
     if isinstance(e, Constant):
-        value = float(literal)
+        value = _number(literal)
         return (_UNARY, ["-", repr(-value)]) if value < 0 else (_ATOM, [repr(value)])
     if isinstance(e, Var):
         return _ATOM, [literal]
@@ -339,9 +340,9 @@ def _parts(e: Expr, operands: tuple[int, ...], literal) -> tuple[int, list]:
         op, level = _BINARY[type(e)]
         return level, [(operands[0], level), op, (operands[1], level + 1)]
     if isinstance(e, PowInt):
-        return _POW, [(operands[0], _UNARY), f"^{int(literal)}"]
+        return _POW, [(operands[0], _UNARY), f"^{int(_number(literal))}"]
     if isinstance(e, PowXReal):
-        return _POW, [f"x^{float(literal)!r}"]
+        return _POW, [f"x^{_number(literal)!r}"]
     return _ATOM, [f"{_FUNCTION_NAMES[type(e)]}(", (operands[0], 0), ")"]
 
 
@@ -365,7 +366,7 @@ def to_source(e: Expr) -> str:
     """Render an AST back to grammar-conformant source text.
 
     Raises:
-        InvalidProblem: the text is longer than ``MAX_SOURCE_CHARS``.
+        InvalidProblem: a literal fails ``check_real``, or the text passes ``MAX_SOURCE_CHARS``.
     """
     text = _source(e, MAX_SOURCE_CHARS)
     if len(text) > MAX_SOURCE_CHARS:
@@ -411,6 +412,7 @@ def eval_real(e: Expr, x, y=0.0, yp=0.0):
         DivisionByZero, LogOfNonPositive, DomainError: when any point
             violates the domain; the message names the first offending value.
         NonFiniteTerm: exp or a power overflows; the message names it.
+        InvalidProblem: a literal fails ``series.check_real``.
     """
     inputs, values = {"x": x, "y": y, "yp": yp}, []
     for node, operands, _ in _layout(e):
@@ -421,7 +423,7 @@ def eval_real(e: Expr, x, y=0.0, yp=0.0):
 def _real(e: Expr, inputs: dict, *args):
     """e's value, given its operands' values: one numpy operation."""
     if isinstance(e, Constant):
-        return float(e.value)
+        return _number(e.value)
     if isinstance(e, Var):
         return inputs[e.name]
     if isinstance(e, Neg):
@@ -433,11 +435,11 @@ def _real(e: Expr, inputs: dict, *args):
             raise DivisionByZero(f"in {_named(e)}")
         return args[0] / args[1]
     if isinstance(e, PowInt):
-        return _checked(e, lambda b: np.power(b, float(e.power)), args[0],
-                        (args[0] == 0.0) & (e.power < 0),
-                        lambda t: DivisionByZero(f"0^{int(e.power)} in {_named(e)}"))
+        p = _number(e.power)
+        return _checked(e, lambda b: np.power(b, p), args[0], (args[0] == 0.0) & (p < 0),
+                        lambda t: DivisionByZero(f"0^{int(p)} in {_named(e)}"))
     if isinstance(e, PowXReal):
-        x, p = inputs["x"], float(e.exponent)
+        x, p = inputs["x"], _number(e.exponent)
         return _checked(e, lambda t: np.power(t, p), x,
                         (x < 0.0) & (p != round(p)) | (x == 0.0) & (p < 0.0),
                         lambda t: DomainError(f"x^{p:g} undefined at x = {t:g}"))

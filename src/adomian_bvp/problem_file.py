@@ -2,12 +2,13 @@
 
 Keys (each at most once) are those of :data:`FIELDS`, all required but
 ``exact``.  ``f`` and ``exact`` hold double-quoted expression source; the
-rest are numbers.  ``#`` starts a comment outside quotes.  Unknown keys
-are rejected.
+rest are numbers.  ``#`` starts a comment outside quotes, and a quote left
+open runs to the end of the line.  Unknown keys are rejected.
 """
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 from .errors import DuplicateKey, FileNotFound, InvalidValue, MissingKey, UnknownKey
@@ -28,16 +29,6 @@ FIELDS = {
 _EXPR_KEYS = ("f", "exact")
 
 
-def _strip_comment(line: str) -> str:
-    in_quotes = False
-    for i, ch in enumerate(line):
-        if ch == '"':
-            in_quotes = not in_quotes
-        elif ch == "#" and not in_quotes:
-            return line[:i]
-    return line
-
-
 def parse_problem_text(text: str) -> Problem:
     """Build a validated :class:`~.solver.Problem` from problem-file text.
 
@@ -49,7 +40,7 @@ def parse_problem_text(text: str) -> Problem:
     """
     values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+        line = re.match(r'(?:[^"#]+|"[^"]*"?)*', raw)[0].strip()  # to the first # outside quotes
         if not line:
             continue
         if "=" not in line:

@@ -183,7 +183,7 @@ MUTANTS = (
             f"{T_EXPR}::test_each_entry_point_rejects_a_bad_literal_with_its_own_error",
             f"{T_NUMBERS}::test_check_real_raises_the_error_it_is_given")),
     Mutant("constant-evaluated-as-given", EXPRESSIONS,
-           "return float(e.value)", "return e.value",
+           "return _number(e.value)", "return e.value",
            (f"{T_NUMBERS}::test_each_number_is_refused_with_its_own_error_or_read_as_its_float",)),
     Mutant("to-source-returns-the-cut-text", EXPRESSIONS,
            'raise InvalidProblem(f"expression text is longer than {MAX_SOURCE_CHARS} characters")',
@@ -343,8 +343,27 @@ MUTANTS = (
            _DEPTH_CHECK, "",
            ("tests/test_diagnostics.py::test_max_error_rejects_a_reference_past_the_depth_bound",)),
     Mutant("no-nesting-check-in-the-parser", EXPRESSIONS,
-           "if self.nesting > MAX_DEPTH:", "if False:",
+           "if nesting > MAX_DEPTH:", "if False:",
            ("tests/test_cli.py::test_too_deep_f_is_one_parse_error",)),
+    # the token scan, the comment match and the canonical shape of == and hash
+    Mutant("no-trailing-input-check", EXPRESSIONS,
+           "if (position := tokens[-1][2]) != len(source):", "if False:",
+           (f"{T_EXPR}::test_parse_error_contract",)),
+    Mutant("a-digit-no-number-starts-with-taken-for-any-character", EXPRESSIONS,
+           'if kind == _NUMBER or text.isdigit() or text == ".":', "if kind == _NUMBER:",
+           (f"{T_EXPR}::test_parse_error_contract",)),
+    Mutant("an-open-quote-not-run-to-the-end-of-the-line", "src/adomian_bvp/problem_file.py",
+           """|"[^"]*"?)*""", """|"[^"]*")*""",
+           ("tests/test_problem_file.py::test_a_comment_starts_at_the_first_hash_outside_quotes",)),
+    Mutant("shape-key-without-the-literal", EXPRESSIONS,
+           "key = (type(node), tuple([ids[i] for i in operands]), literal)",
+           "key = (type(node), tuple([ids[i] for i in operands]))",
+           (f"{T_EXPR}::test_trees_compare_by_type_literal_and_operand_order",)),
+    Mutant("shape-keyed-by-layout-slot", EXPRESSIONS,
+           "key = (type(node), tuple([ids[i] for i in operands]), literal)",
+           "key = (type(node), operands, literal)",
+           (f"{T_EXPR}::"
+            "test_equal_trees_compare_and_hash_equal_however_their_subtrees_are_shared",)),
     Mutant("near-zero-exponent-at-zero-as-a-power", SERIES,
            "if has_zero and 0.0 < abs(e) <= EXPONENT_MERGE_TOL:", "if False:",
            (f"{T_SERIES}::test_evaluate_at_zero_rules",)),

@@ -77,6 +77,8 @@ def test_parse_real_power_of_x():
     assert parse("x^0.5") == PowXReal(0.5)
     assert parse("x^-0.5") == PowXReal(-0.5)
     assert parse("x^2") == PowXReal(2.0)
+    assert parse("x^ - 2") == PowXReal(-2.0)  # one minus, spaced
+    assert parse("x^2.") == PowXReal(2.0)
 
 
 def test_parse_integer_power_of_compound():
@@ -100,6 +102,13 @@ def test_parse_left_associativity():
 def test_parse_scientific_notation():
     assert parse("1e-3") == Constant(1e-3)
     assert parse("2.5E+2") == Constant(250.0)
+    assert parse("1.e5*y") == Mul(Constant(1e5), Y)
+
+
+def test_parse_reads_whitespace_and_decimal_digits_of_any_script():
+    # whitespace as str.isspace has it: NBSP, LINE SEPARATOR and \x1c
+    assert parse("x\xa0+\u2028y\x1c") == parse("\xa0x\u2028+\x1cy\x1c") == Add(X, Y)
+    assert parse("\u0663*y") == Mul(Constant(3.0), Y)  # ARABIC-INDIC DIGIT THREE
 
 
 # At least one source per raise site of the parser, with its full message and position.
@@ -113,6 +122,16 @@ PARSE_ERRORS = [
     ("1e999", ParseError, "number '1e999' is out of range (at position 0)", 0),
     ("1e999*y", ParseError, "number '1e999' is out of range (at position 0)", 0),
     ("#", ParseError, "unexpected character '#' (at position 0)", 0),
+    (".", ParseError, "expected a number (at position 0)", 0),
+    ("\u00b2", ParseError, "expected a number (at position 0)", 0),  # a digit no number starts with
+    ("y*\u2075+1", ParseError, "expected a number (at position 2)", 2),
+    ("x\u00b2", ParseError, "trailing input '\u00b2' (at position 1)", 1),
+    ("1e", ParseError, "trailing input 'e' (at position 1)", 1),
+    ("2x", ParseError, "trailing input 'x' (at position 1)", 1),
+    ("x^--2", ParseError, "expected a number (at position 3)", 3),
+    ("exp y", ParseError, "expected '(' (at position 4)", 4),
+    ("ln()", ParseError, "unexpected character ')' (at position 3)", 3),
+    ("()", ParseError, "unexpected character ')' (at position 1)", 1),
     ("y^0.5", UnsupportedPower,
      "exponent 0.5 requires the base to be the bare variable x (at position 2)", 2),
     ("(" * 101 + "x" + ")" * 101, ParseError,
@@ -336,10 +355,14 @@ def test_dump_problem_refuses_the_text_of_a_40_level_shared_dag_at_once(monkeypa
     assert time.perf_counter() - started < 1.0
 
 
-@pytest.mark.parametrize("reader", ["to_source", "eval_real", "check_expr", "Tape"])
+@pytest.mark.parametrize("reader", ["to_source", "eval_real", "check_expr", "Tape", "==", "hash"])
 def test_every_reader_takes_a_5000_level_tree(reader):
     e = left_nested_sum(Y, 5000)  # only the entry points hold an AST to MAX_DEPTH
-    if reader == "to_source":
+    if reader == "==":
+        assert e == left_nested_sum(Var("y"), 5000) != left_nested_sum(X, 5000)
+    elif reader == "hash":
+        assert hash(e) == hash(left_nested_sum(Var("y"), 5000))
+    elif reader == "to_source":
         assert to_source(e) == " + ".join(["y"] * 5000)
     elif reader == "eval_real":
         assert eval_real(e, 0.5, 1.0) == 5000.0
@@ -355,6 +378,32 @@ def test_a_shared_dag_past_the_depth_bound_is_rejected_at_once(monkeypatch):
     with pytest.raises(InvalidProblem, match=f"^f nests deeper than {MAX_DEPTH} levels$"):
         Problem(**{**PROBLEM_DATA, "f": shared_dag(50)})
     assert eval_real(shared_dag(50), 0.5, 1.0) == pytest.approx(1.01 ** 50)  # no bound here
+
+
+def unshared(levels: int):
+    """shared_dag(levels) with no node object shared: 2^levels leaves, each its own."""
+    if levels == 0:
+        return Var("y")
+    return Add(unshared(levels - 1), Mul(Constant(0.01), unshared(levels - 1)))
+
+
+def test_equal_trees_compare_and_hash_equal_however_their_subtrees_are_shared():
+    assert shared_dag(10) == unshared(10) and hash(shared_dag(10)) == hash(unshared(10))
+    assert shared_dag(10) != unshared(9) and shared_dag(10) != Add(unshared(9), unshared(9))
+    f, copy = shared_dag(18), shared_dag(18)  # 2^18 paths, 37 node objects each
+    started = time.perf_counter()
+    assert f == copy and hash(f) == hash(copy)
+    assert time.perf_counter() - started < 0.05  # about a millisecond; once per path, 0.5 s
+
+
+def test_trees_compare_by_type_literal_and_operand_order():
+    assert Constant(1) == Constant(1.0) and hash(Constant(1)) == hash(Constant(1.0))
+    assert len({Add(Constant(True), Y), Add(Constant(1.0), Y)}) == 1
+    unequal = [Constant(1.0), Constant(2.0), Var("x"), Var("y"), PowInt(Y, 2), PowInt(Y, 3),
+               PowXReal(0.5), Neg(Y), Exp(Y), Ln(Y), Add(X, Y), Add(Y, X), Sub(X, Y)]
+    assert len(set(unequal)) == len(unequal)
+    assert [a == b for a in unequal for b in unequal] == [a is b for a in unequal for b in unequal]
+    assert Constant(1.0) != 1.0 and X != "x"  # not a node: NotImplemented, then identity
 
 
 # --- the operator tables ----------------------------------------------------------

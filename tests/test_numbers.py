@@ -14,7 +14,7 @@ from adomian_bvp import Problem, series, solve
 from adomian_bvp.benchmarks import benchmark_problem
 from adomian_bvp.diagnostics import max_error, residual
 from adomian_bvp.errors import AdmError, InvalidExactSolution, InvalidProblem, ParseError
-from adomian_bvp.expressions import Add, Constant, Mul, PowInt, PowXReal, X, Y, eval_real
+from adomian_bvp.expressions import Add, Constant, Mul, PowInt, PowXReal, X, Y, eval_real, to_source
 from adomian_bvp.series import GPSeries
 from adomian_bvp.singular_operator import OperatorContext, apply_inverse
 
@@ -65,6 +65,17 @@ ROWS = {
     "operator-str": (lambda: _inverse("0.5", 0.0),
                      InvalidProblem("alpha must be a real number, got '0.5'")),
     "operator-int": (lambda: _inverse(0.5, BIG), InvalidProblem(f"sigma {PAST}")),
+    # eval_real and to_source read a tree no check has seen, each literal by the same rule
+    "eval-constant": (lambda: eval_real(Constant(BIG), 0.5),
+                      InvalidProblem(f"a literal in expression {PAST}")),
+    "eval-str": (lambda: eval_real(Constant("a"), 0.5),
+                 InvalidProblem("a literal in expression must be a real number, got 'a'")),
+    "eval-power": (lambda: eval_real(PowInt(Y, BIG), 0.5, 2.0),
+                   InvalidProblem(f"a literal in expression {PAST}")),
+    "source-constant": (lambda: to_source(Constant(BIG)),
+                        InvalidProblem(f"a literal in expression {PAST}")),
+    "source-power-huge": (lambda: to_source(PowInt(Y, HUGE)),
+                          InvalidProblem(f"a literal in expression {PAST}")),
     "fraction-literals": (lambda: _measured(Fraction(1, 3), Fraction(1, 2)),
                           lambda: _measured(1 / 3, 0.5)),
     "float32-constant": (_float32_sum, lambda: (0.4000000014901161, [0.4000000014901161])),

@@ -121,7 +121,9 @@ def test_every_number_a_caller_gives_is_checked_by_one_rule():
     checks = collections.Counter(
         (name, fn.name) for name, fn in functions for called in _calls(fn) if called == "check_real"
     )
-    # Problem's six numbers, each literal, benchmark_problem's alpha and beta, the operator's pair
+    # Problem's six numbers, each literal, each literal the printer or eval_real reads,
+    # benchmark_problem's alpha and beta, the operator's pair
     assert checks == {("solver.py", "__post_init__"): 1, ("expressions.py", "check_expr"): 1,
+                      ("expressions.py", "_number"): 1,
                       ("benchmarks.py", "benchmark_problem"): 2,
                       ("singular_operator.py", "__post_init__"): 1}

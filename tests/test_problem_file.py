@@ -96,6 +96,29 @@ def test_hash_inside_quotes_is_not_a_comment():
     assert problem.f == parse_problem_text(SAMPLE.replace("   # source term", "")).f
 
 
+# A line for f, and the f it gives or the error it raises: a comment starts at the first '#'
+# outside quotes, and a quote left open runs to the end of the line.
+COMMENT_LINES = [
+    ('f = "y"#', Y),
+    ('f = "y" # "a # quoted" comment', Y),
+    ('f = "y # z"   # a comment', ParseError("trailing input '# z'", 2)),
+    ('f = "y  # an unbalanced quote',
+     InvalidValue("""f: expression must be double-quoted, got '"y  # an unbalanced quote'""")),
+    ('f = ""y" # "  # a second quoted run', ParseError("unexpected character '\"'", 0)),
+]
+
+
+@pytest.mark.parametrize("line,want", COMMENT_LINES, ids=range(len(COMMENT_LINES)))
+def test_a_comment_starts_at_the_first_hash_outside_quotes(line, want):
+    text = SAMPLE.replace('f = "-1*exp(y)*(x*yp + 0.5)"   # source term', line)
+    if not isinstance(want, Exception):
+        assert parse_problem_text(text).f == want
+        return
+    with pytest.raises(type(want)) as exc:
+        parse_problem_text(text)
+    assert str(exc.value) == str(want)
+
+
 def test_dump_reload_round_trip(tmp_path):
     for example, alpha, beta in [(1, 0.5, 1.0), (2, 0.25, 1.0), (3, 0.75, 2.5)]:
         problem = benchmark_problem(example, alpha, beta)
