@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import os
 import sys
 from typing import Iterator
@@ -30,7 +29,7 @@ from .diagnostics import max_errors, residual_grid
 from .diagnostics import residual  # noqa: F401 -- bench/spans.py WRAPPED looks it up here
 from .errors import AdmError, InputError, InvalidValue
 from .problem_file import dump_problem, load_problem
-from .series import format_series
+from .series import GPSeries, format_series
 from .solver import SolveReport, partial_sum, solve
 
 OUTPUT_ERROR, USAGE_ERROR, INPUT_ERROR, COMPUTE_ERROR = 1, 2, 3, 4
@@ -44,16 +43,24 @@ def _print_solve_text(report: SolveReport, err) -> None:
         print(f"E^{report.n}: {err.max_error:.5e} at x = {err.max_point:g}")
 
 
-def _print_solve_json(report: SolveReport, err) -> None:
-    payload = {
-        "n": report.n,
-        "components": [c.terms for c in report.components],
-        "psi": report.psi.terms,
-    }
+def _json_list(items: list[str], pad: str) -> str:
+    """JSON texts as ``json.dumps(indent=2)`` writes their list at the indent ``pad``."""
+    return (f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]") if items else "[]"
+
+
+def _solve_json(report: SolveReport, err) -> str:
+    """``json.dumps(payload, indent=2)`` of {n, components, psi[, max_error, max_point]}, each
+    series a list of [coeff, exponent] lists; every float is finite, written as its ``repr``."""
+    def series(s: GPSeries, pad: str) -> str:
+        return _json_list([f"[\n{pad}    {c!r},\n{pad}    {e!r}\n{pad}  ]"
+                           for c, e in zip(s.coeffs.tolist(), s.exponents.tolist())], pad)
+
+    components = _json_list([series(c, "    ") for c in report.components], "  ")
+    psi = series(report.psi, "  ")
+    fields = [f'"n": {report.n}', f'"components": {components}', f'"psi": {psi}']
     if err is not None:
-        payload["max_error"] = err.max_error
-        payload["max_point"] = err.max_point
-    print(json.dumps(payload, indent=2))
+        fields += [f'"max_error": {err.max_error!r}', f'"max_point": {err.max_point!r}']
+    return "{\n  " + ",\n  ".join(fields) + "\n}"
 
 
 def _cmd_solve(args) -> int:
@@ -74,7 +81,7 @@ def _cmd_solve(args) -> int:
     if problem.exact is not None:
         err = max_error(report.psi, problem.exact, args.grid)
     if args.emit == "json":
-        _print_solve_json(report, err)
+        print(_solve_json(report, err))
     else:
         _print_solve_text(report, err)
     return 0

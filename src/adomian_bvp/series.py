@@ -48,7 +48,11 @@ DEFAULT_TERM_CAP = 10_000
 def check_real(value: object, name: str,
                error: Callable[[str], Exception] = InvalidProblem) -> float:
     """``value`` as a float if it is a ``numbers.Real`` whose float is finite, else ``error``
-    naming ``name``; an int or Fraction past the largest float is not finite, and not repr'd."""
+    naming ``name``; an int or Fraction past the largest float is not finite, and not repr'd.
+    A finite value of type exactly ``float`` is returned at once; a subclass such as
+    ``np.float64`` is read by ``float()`` as any other number."""
+    if type(value) is float and math.isfinite(value):
+        return value
     if not isinstance(value, Real):
         raise error(f"{name} must be a real number, got {value!r}")
     try:

@@ -182,6 +182,11 @@ MUTANTS = (
            (f"{T_SOLVER}::test_problem_rejects_non_finite_numbers",
             f"{T_EXPR}::test_each_entry_point_rejects_a_bad_literal_with_its_own_error",
             f"{T_NUMBERS}::test_check_real_raises_the_error_it_is_given")),
+    Mutant("float-fast-path-skips-the-finiteness-test", SERIES,
+           "if type(value) is float and math.isfinite(value):", "if type(value) is float:",
+           (f"{T_SOLVER}::test_problem_rejects_non_finite_numbers",
+            f"{T_NUMBERS}::test_check_real_raises_the_error_it_is_given",
+            "tests/test_benchmarks.py::test_non_finite_parameter_is_invalid_problem")),
     Mutant("constant-evaluated-as-given", EXPRESSIONS,
            "return _number(e.value)", "return e.value",
            (f"{T_NUMBERS}::test_each_number_is_refused_with_its_own_error_or_read_as_its_float",)),
@@ -308,11 +313,17 @@ MUTANTS = (
            (f"{T_SERIES}::test_a_group_adds_its_coefficients_in_input_order",
             f"{T_SERIES}::test_tie_heavy_raw_arrays_match_the_reference")),
     Mutant("beta-1-written-as-a-power", BENCHMARKS,
-           'x_beta="x" if beta == 1.0 else f"x^{beta!r}"', 'x_beta=f"x^{beta!r}"',
+           "x_beta = X if beta == 1.0 else PowXReal(beta)", "x_beta = PowXReal(beta)",
            ("tests/test_benchmarks.py::test_benchmark_problem_is_pinned",)),
     Mutant("family-1-gamma1-logarithm-swapped", BENCHMARKS,
-           "gamma1 = -{ln[5]!r}", "gamma1 = -{ln[4]!r}",
+           "-math.log(4), -math.log(5)", "-math.log(4), -math.log(4)",
            ("tests/test_benchmarks.py::test_benchmark_problem_is_pinned",)),
+    Mutant("negative-literal-built-as-a-negative-constant", BENCHMARKS,
+           "return Neg(Constant(-value)) if math.copysign(1.0, value) < 0.0 else Constant(value)",
+           "return Constant(value)",
+           ("tests/test_benchmarks.py::"
+            "test_each_tree_is_the_tree_the_parser_reads_from_the_family_text",
+            "tests/test_benchmarks.py::test_each_built_problem_reloads_from_its_dump")),
     Mutant("empty-list-accepted", CLI,
            "if not values:", "if False:",
            ("tests/test_cli.py::test_table_empty_list_is_a_usage_error",)),

@@ -24,7 +24,7 @@ from adomian_bvp.diagnostics import MAX_GRID_SIZE, max_error, residual
 from adomian_bvp.errors import InvalidProblem
 from adomian_bvp.expressions import MAX_DEPTH
 from adomian_bvp.problem_file import dump_problem, load_problem
-from adomian_bvp.solver import partial_sum, solve
+from adomian_bvp.solver import SolveReport, partial_sum, solve
 
 EX1_FILE = dump_problem(benchmark_problem(1, 0.5, 1.0))
 EX3_FILE = dump_problem(benchmark_problem(3, 0.5, 1.0))
@@ -99,6 +99,44 @@ def test_solve_json_mirrors_text(ex1_path, capsys):
         sum(c[0][0] for c in payload["components"] if c and c[0][1] == 0.0),
         rel=1e-12,
     )
+
+
+# floats json writes as their repr: zeros, subnormals, the largest reprs, exponents past e+16
+_JSON_FLOATS = (0.0, -0.0, 5e-324, -2.2e-308, 1e300, -1e300, 1.0, 0.1, 1e16, -123456.789)
+
+
+def _random_series(rng: np.random.Generator) -> series.GPSeries:
+    """Up to three terms, each float one of _JSON_FLOATS or a random normal at a random scale:
+    no terms is the zero series."""
+    def number():
+        if rng.random() < 0.5:
+            return float(rng.choice(_JSON_FLOATS))
+        return float(rng.standard_normal() * 10.0 ** int(rng.integers(-300, 300)))
+    exponents = sorted({number() for _ in range(int(rng.integers(0, 4)))})
+    return series.GPSeries([(number(), e) for e in exponents])  # raw: a -0.0 coefficient stays
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_solve_json_is_json_dumps_with_indent_2_byte_for_byte(seed):
+    rng = np.random.default_rng(seed)
+    components = tuple(_random_series(rng) for _ in range(int(rng.integers(1, 5))))
+    report = SolveReport(components, _random_series(rng))
+    payload = {"n": report.n, "components": [c.terms for c in components],
+               "psi": report.psi.terms}
+    err = None
+    if seed % 2:
+        err = diagnostics.ErrorReport(grid=np.ones(1), errors=np.ones(1),
+                                      max_error=float(rng.choice(_JSON_FLOATS)), max_point=0.5)
+        payload.update(max_error=err.max_error, max_point=err.max_point)
+    assert cli._solve_json(report, err) == json.dumps(payload, indent=2)
+
+
+def test_solve_json_prints_a_zero_series_as_an_empty_list():
+    report = SolveReport((series.GPSeries.constant(1.0), series.GPSeries.zero()),
+                         series.GPSeries.constant(1.0))
+    assert cli._solve_json(report, None) == (
+        '{\n  "n": 2,\n  "components": [\n    [\n      [\n        1.0,\n        0.0\n'
+        '      ]\n    ],\n    []\n  ],\n  "psi": [\n    [\n      1.0,\n      0.0\n    ]\n  ]\n}')
 
 
 def test_solve_missing_key_exit_code(tmp_path, capsys):

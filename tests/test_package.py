@@ -4,7 +4,8 @@ reaches them, so the tape stays the only code that runs them.  Only the
 tracer's import line and the ring's own tests reach the whole-element ring.
 Each entry point checks an expression in one ``check_expr`` walk, and no
 second validation walk comes back.  Every number a caller gives is checked by
-one rule, ``series.check_real``, the only code that reads ``numbers.Real``."""
+one rule, ``series.check_real``, the only code that reads ``numbers.Real``, and a float
+takes its one exact-type branch.  The benchmark problems are built as trees, not parsed."""
 
 import ast
 import collections
@@ -127,3 +128,23 @@ def test_every_number_a_caller_gives_is_checked_by_one_rule():
                       ("expressions.py", "_number"): 1,
                       ("benchmarks.py", "benchmark_problem"): 2,
                       ("singular_operator.py", "__post_init__"): 1}
+
+
+def test_check_real_takes_a_float_in_one_exact_type_branch_first():
+    (check,) = [node for node in ast.walk(_tree(SRC / "series.py"))
+                if isinstance(node, ast.FunctionDef) and node.name == "check_real"]
+    exact = [ast.unparse(node) for node in ast.walk(check)
+             if isinstance(node, ast.Compare) and "float" in ast.unparse(node)]
+    assert exact == ["type(value) is float"]
+    first = check.body[1]  # after the docstring
+    assert ast.unparse(first.test) == "type(value) is float and math.isfinite(value)"
+    assert [ast.unparse(line) for line in first.body] == ["return value"]
+
+
+def test_benchmarks_build_trees_without_the_parser():
+    tree = _tree(SRC / "benchmarks.py")
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    reached = {getattr(node, "module", None) for node in imports}
+    reached |= {a.name.split(".")[-1] for node in imports for a in node.names}
+    assert not {"problem_file", "parse", "parse_problem_text"} & reached
+    assert "parse" not in _calls(tree)
