@@ -112,11 +112,70 @@ def _cmd_table(args) -> int:
     return 0
 
 
+# A residual line.  Where x rounds into [0, 10) with its sign bit clear and r is a normal float
+# of a two-digit exponent, it is the 28 bytes "d.dddddd  sd.dddddddddde+dd\n" of _TEMPLATE.
+_LINE, _WIDTH = "%.6f  % .10e\n", 28
+_TEMPLATE = b"0.000000   0.0000000000e+00\n"
+# Four ASCII bytes each, read as one uint32: the digits of k = 0..9999, the digits of
+# k = 0..999 as "d.dd", and "+dd\n" or "-dd\n" at e + 99 for each exponent e = -99..99.
+_DIGITS = np.stack(np.meshgrid(*[np.frombuffer(b"0123456789", np.uint8)] * 4, indexing="ij"),
+                   axis=-1).reshape(-1, 4)
+_LEAD = np.column_stack((_DIGITS[:1000, 1], np.full(1000, ord("."), np.uint8), _DIGITS[:1000, 2:]))
+_DIGITS, _LEAD = _DIGITS.view(np.uint32).ravel(), _LEAD.view(np.uint32).ravel()
+_EXPONENT = np.frombuffer("".join(f"{e:+03d}\n" for e in range(-99, 100)).encode(), np.uint32)
+_SCALE = np.array([float(f"1e{10 - e}") for e in range(-99, 100)])  # 10^(10 - e), rounded once
+
+
+def _fixed_rows(xs: np.ndarray, values: np.ndarray) -> tuple[str, np.ndarray]:
+    """The lines of xs and values as one text of ``_WIDTH``-character rows, and a mask of the rows
+    it settled, each ``_LINE % (x, r)``; an unsettled row holds some other 28 characters.
+
+    x is read as rint(x*1e6), and r as E = floor(log10|r|) and M = rint(|r|*10^(10-E)), an M of
+    10^11 carrying to 10^10 and E + 1.  A row is unsettled where its line is not 28 bytes: x
+    does not round into [0, 10) or has its sign bit set, or r is zero, subnormal, not finite or
+    of a three-digit exponent.  It is unsettled too where an estimate may round otherwise than
+    its exact decimal.  x*1e6 is one rounding, and a tie (a half-integer) is a float, so the
+    estimate lies on the exact value's side of a tie or on it.  M's estimate is two roundings,
+    within 2.2e-5 of exact, so it must lie more than 1e-3 from a tie.  floor(log10) can be one
+    off only within about 1e-13 of a power of ten, where M rounds to 10^10 or carries from
+    10^11, to the same digits.
+    """
+    with np.errstate(all="ignore"):  # an unsettled row may hold any number, its gathers clipped
+        u, a = xs * 1e6, np.abs(values)
+        e = np.floor(np.log10(a))  # -inf at 0, -3xx for a subnormal, nan or inf if not finite
+        m = a * _SCALE.take(e.astype(np.intp) + 99, mode="clip")
+        n, mantissa = np.rint(u), np.rint(m)
+        carry = mantissa == 1e11
+        e += carry
+        settled = (~np.signbit(xs) & (n < 1e7) & (np.abs(e) <= 99)
+                   & (np.abs(u - n) < 0.5) & (np.abs(m - mantissa) < 0.5 - 1e-3))
+        n, e = n.astype(np.int64), e.astype(np.intp)
+        mantissa = np.where(carry, 1e10, mantissa).astype(np.int64)
+    text = bytearray(_TEMPLATE * len(xs))
+    for offset, table, k in ((0, _LEAD, n // 10**4), (4, _DIGITS, n % 10**4),
+                             (11, _LEAD, mantissa // 10**8),
+                             (15, _DIGITS, mantissa // 10**4 % 10**4),
+                             (19, _DIGITS, mantissa % 10**4), (24, _EXPONENT, e + 99)):
+        # the four characters at this offset of each row, as one uint32
+        np.ndarray(len(xs), np.uint32, text, offset, _WIDTH)[:] = table.take(k, mode="clip")
+    np.ndarray(len(xs), np.uint8, text, 10, _WIDTH)[:] = np.where(values < 0.0, ord("-"), ord(" "))
+    return text.decode("ascii"), settled
+
+
 def _residual_listing(xs: np.ndarray, values: np.ndarray, lines: int = 10_000) -> Iterator[str]:
-    """``x  r`` lines, at most ``lines`` to a piece, then the largest |r| and its first x."""
+    """``x  r`` lines, at most ``lines`` to a piece, then the largest |r| and its first x.
+
+    Each line is ``_LINE % (x, r)``.  A piece is built as fixed-width rows (:func:`_fixed_rows`),
+    and each row they leave unsettled is formatted by ``%`` and spliced in."""
     for start in range(0, len(xs), lines):
-        pairs = np.column_stack((xs[start:start + lines], values[start:start + lines]))
-        yield ("%.6f  % .10e\n" * len(pairs)) % tuple(pairs.ravel().tolist())
+        x, r = xs[start:start + lines], values[start:start + lines]
+        text, settled = _fixed_rows(x, r)
+        pieces, done = [], 0
+        for i in np.flatnonzero(~settled).tolist():
+            pieces += (text[done * _WIDTH:i * _WIDTH], _LINE % (x[i].item(), r[i].item()))
+            done = i + 1
+        pieces.append(text[done * _WIDTH:])
+        yield "".join(pieces)
     worst = int(np.argmax(np.abs(values)))  # the first of equal sizes
     yield f"max |residual|: {abs(values[worst]):.5e} at x = {xs[worst]:g}\n"
 

@@ -64,10 +64,11 @@ def max_errors(
 ) -> list[ErrorReport]:
     """Largest |psi(x_i) - exact(x_i)| over the uniform grid, one report per psi.
 
-    The reference is checked, and evaluated on the grid, once for all the
-    partial sums; the sums share each power of x (``series.evaluate_each``).
-    Each error array is formed in place of its values array: a call holds one
-    grid array per psi, beside the grid, the reference and evaluation buffers.
+    The reference is laid out and checked once, and that layout evaluated on
+    the grid once, for all the partial sums; the sums share each power of x
+    (``series.evaluate_each``).  Each error array is formed in place of its
+    values array: a call holds one grid array per psi, beside the grid, the
+    reference and evaluation buffers.
 
     Raises:
         InvalidExactSolution: the reference nests deeper than ``MAX_DEPTH``
@@ -77,11 +78,11 @@ def max_errors(
         NonFiniteTerm: some psi, the reference or their difference
             overflows; the first such psi names the error.
     """
-    check_expr(exact, {"x"}, InvalidExactSolution, "reference")
+    layout = check_expr(exact, {"x"}, InvalidExactSolution, "reference")
     xs = _uniform_grid(grid_size)
     with np.errstate(over="ignore", invalid="ignore"):
         values = gps.evaluate_each(partial_sums, xs)
-        reference = eval_real(exact, xs)
+        reference = eval_real(layout, xs)
         errors = [np.abs(np.subtract(v, reference, out=v), out=v) for v in values]
     xs.setflags(write=False)
     reports = []

@@ -159,9 +159,10 @@ _FUNCTIONS = {"exp": Exp, "ln": Ln}
 
 _KINDS, _LITERAL = frozenset(_NODES), frozenset({Constant, Var, PowXReal, PowInt})
 _LAID_OUT = object()
+Layout = list[tuple[Expr, tuple[int, ...], object]]
 
 
-def _layout(e: Expr) -> list[tuple[Expr, tuple[int, ...], object]]:
+def _layout(e: Expr) -> Layout:
     """e's distinct node objects, by ``id``, in post-order (operands first, left first), each as
     (node, its operands' slots, the last field of a ``_LITERAL`` node or None); iterative."""
     layout, slots, stack = [], {}, [e]  # slots: id(node) -> its slot
@@ -290,9 +291,10 @@ def parse(source: str) -> Expr:
     return node
 
 
-def check_expr(e: Expr, allowed: set[str], error: Callable[[str], Exception], name: str) -> None:
+def check_expr(e: Expr, allowed: set[str], error: Callable[[str], Exception], name: str) -> Layout:
     """Raise ``error(message)`` if e nests deeper than ``MAX_DEPTH`` levels, else if a literal fails
-    ``series.check_real`` or a power is not integral, else if a variable is not in ``allowed``."""
+    ``series.check_real`` or a power is not integral, else if a variable is not in ``allowed``.
+    Returns the layout it walked, which :func:`eval_real` reads in place of e."""
     layout, depths = _layout(e), []
     for _, operands, _ in layout:
         depths.append(1 + max([depths[i] for i in operands]) if operands else 1)
@@ -306,6 +308,7 @@ def check_expr(e: Expr, allowed: set[str], error: Callable[[str], Exception], na
     names = {name if type(n) is Var else "x" for n, _, name in layout if type(n) in (Var, PowXReal)}
     if others := names - allowed:
         raise error(f"{name} mentions {sorted(others)}; only {sorted(allowed)} allowed")
+    return layout
 
 
 # --- printing -------------------------------------------------------------------
@@ -399,14 +402,15 @@ def _checked(e: Expr, ufunc, operand, undefined=False, error=None):
     return value
 
 
-def eval_real(e: Expr, x, y=0.0, yp=0.0):
+def eval_real(e: Expr | Layout, x, y=0.0, yp=0.0):
     """IEEE double evaluation at the point (x, y, yp), or at every point of a grid.
 
     x, y and yp are floats or numpy arrays of one shape; a float broadcasts.
     Every node is one numpy operation, so a grid call gives bit for bit the
     values of scalar calls at its points, and exp, ln and powers are within
     1 ulp of the C library's.  Nodes are evaluated in the order of e's layout,
-    operands first and left first, each node object once.
+    operands first and left first, each node object once.  e may be given as
+    that layout, as :func:`check_expr` returns it, which is then not walked again.
 
     Raises:
         DivisionByZero, LogOfNonPositive, DomainError: when any point
@@ -415,7 +419,7 @@ def eval_real(e: Expr, x, y=0.0, yp=0.0):
         InvalidProblem: a literal fails ``series.check_real``.
     """
     inputs, values = {"x": x, "y": y, "yp": yp}, []
-    for node, operands, _ in _layout(e):
+    for node, operands, _ in e if type(e) is list else _layout(e):
         values.append(_real(node, inputs, *[values[i] for i in operands]))
     return values[-1]
 

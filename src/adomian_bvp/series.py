@@ -229,9 +229,13 @@ def _merged(coeffs: np.ndarray, exponents: np.ndarray) -> tuple[np.ndarray, np.n
     # The group ids of head.cumsum(); an integer accumulate is cheaper.
     group, anchors = np.add.accumulate(head, dtype=np.intp), e[head]
     # These groups chain gaps, but a group is anchored at its smallest exponent.  They differ only
-    # where some gap joins and the joined gaps of a group (so of all) sum to near the tolerance.
+    # where some group spans past the tolerance, so where its joined gaps, and all joined gaps,
+    # sum to near it.  That sum is a cheap filter; the anchored loop runs only where some group's
+    # span, its last exponent minus its first, does pass the tolerance.
     if len(anchors) < len(e) and gaps @ ~head[1:] > 0.5 * EXPONENT_MERGE_TOL:
-        group, anchors = _anchored_groups(e)
+        last = np.append(np.flatnonzero(head)[1:], len(e)) - 1
+        if np.maximum.reduce(e[last] - anchors) > EXPONENT_MERGE_TOL:
+            group, anchors = _anchored_groups(e)
     # Each group adds its coefficients in input order: no coefficient is permuted.
     at_input = np.empty_like(group)
     at_input[order] = group

@@ -39,10 +39,10 @@ SERIES, EXPRESSIONS, SOLVER, DIAGNOSTICS, LAMBDA_RING, BENCHMARKS, CLI, OPERATOR
     f"src/adomian_bvp/{m}.py"
     for m in ("series", "expressions", "solver", "diagnostics", "lambda_ring", "benchmarks", "cli",
               "singular_operator"))
-T_SERIES, T_TAPE, T_EXPR, T_IDENTITY, T_SOLVER, T_ORDERED, T_NUMBERS = (
+T_SERIES, T_TAPE, T_EXPR, T_IDENTITY, T_SOLVER, T_ORDERED, T_NUMBERS, T_CLI = (
     f"tests/test_{m}.py"
     for m in ("series", "tape", "expressions", "residual_identity", "solver", "ordered_paths",
-              "numbers"))
+              "numbers", "cli"))
 
 _LAYOUT_LOOP = """\
     while stack:
@@ -96,6 +96,7 @@ _ZEROS_DROPPED = """\
         return coeffs, exponents
     keep = magnitude > 0.0
 """
+_X_OUTSIDE = f"{T_CLI}::test_an_x_outside_0_to_10_or_with_its_sign_bit_set_is_formatted_by_percent"
 _CAUCHY = "tests/test_properties.py::test_decomposition_polynomials_of_fixed_f_are_cauchy_integrals"
 _FINAL_MERGE = "np.concatenate(coeffs), np.concatenate(exponents)) if coeffs else _ZERO"
 _PRODUCT_JOINS = """\
@@ -128,6 +129,10 @@ MUTANTS = (
             f"{T_SERIES}::test_tie_heavy_raw_arrays_match_the_reference")),
     Mutant("anchored-groups-fallback-skipped", SERIES,
            "if len(anchors) < len(e) and gaps @ ~head[1:] > 0.5 * EXPONENT_MERGE_TOL:", "if False:",
+           (f"{T_SERIES}::test_normalize_merge_is_anchored_at_the_first_exponent",
+            f"{T_SERIES}::test_tie_heavy_raw_arrays_match_the_reference")),
+    Mutant("anchored-groups-span-test-never-falls-back", SERIES,
+           "if np.maximum.reduce(e[last] - anchors) > EXPONENT_MERGE_TOL:", "if False:",
            (f"{T_SERIES}::test_normalize_merge_is_anchored_at_the_first_exponent",
             f"{T_SERIES}::test_tie_heavy_raw_arrays_match_the_reference")),
     Mutant("a-zero-exponent-as-the-sort-left-it", SERIES,
@@ -296,6 +301,9 @@ MUTANTS = (
            "np.abs(np.subtract(v, reference, out=v), out=v)",
            "np.abs(np.subtract(v, reference, out=reference), out=reference)",
            ("tests/test_diagnostics.py::test_max_errors_is_max_error_of_each_partial_sum",)),
+    Mutant("reference-laid-out-again", DIAGNOSTICS,
+           "reference = eval_real(layout, xs)", "reference = eval_real(exact, xs)",
+           ("tests/test_diagnostics.py::test_max_errors_lays_out_its_reference_once",)),
     Mutant("table-row-bound-without-its-floor", CLI,
            "rows = max(1, MAX_GRID_SIZE // (len(ns) * grid))",
            "rows = MAX_GRID_SIZE // (len(ns) * grid)",
@@ -324,6 +332,29 @@ MUTANTS = (
            ("tests/test_benchmarks.py::"
             "test_each_tree_is_the_tree_the_parser_reads_from_the_family_text",
             "tests/test_benchmarks.py::test_each_built_problem_reloads_from_its_dump")),
+    # the residual listing: fixed-width rows where the estimates settle each digit, else %
+    Mutant("listing-tie-margin-0", CLI,
+           "(np.abs(m - mantissa) < 0.5 - 1e-3)", "(np.abs(m - mantissa) < 0.5)",
+           (f"{T_CLI}::test_a_row_at_an_11th_digit_tie_is_formatted_by_percent",)),
+    Mutant("listing-unsettled-rows-not-spliced", CLI,
+           "for i in np.flatnonzero(~settled).tolist():", "for i in []:",
+           (f"{T_CLI}::test_residual_of_the_demo_problem_is_pinned_byte_for_byte",
+            f"{T_CLI}::test_a_row_at_an_11th_digit_tie_is_formatted_by_percent")),
+    Mutant("listing-every-row-by-percent", CLI,
+           "settled = (~np.signbit(xs)", "settled = np.zeros(len(xs), bool) & (~np.signbit(xs)",
+           (f"{T_CLI}::test_percent_formats_at_most_1_percent_of_the_demo_listing",)),
+    Mutant("listing-carry-dropped", CLI,
+           "carry = mantissa == 1e11", "carry = mantissa > 1e11",
+           (f"{T_CLI}::test_a_mantissa_rounded_to_10_carries_to_the_next_decade",)),
+    Mutant("listing-x-sign-bit-unchecked", CLI,
+           "settled = (~np.signbit(xs) & ", "settled = (",
+           (_X_OUTSIDE,)),
+    Mutant("listing-x-of-10-settled", CLI,
+           "(n < 1e7)", "(n <= 1e7)",
+           (_X_OUTSIDE,)),
+    Mutant("listing-three-digit-exponent-settled", CLI,
+           "(np.abs(e) <= 99)", "(np.abs(e) <= 100)",
+           (f"{T_CLI}::test_zeros_subnormals_and_three_digit_exponents_are_formatted_by_percent",)),
     Mutant("empty-list-accepted", CLI,
            "if not values:", "if False:",
            ("tests/test_cli.py::test_table_empty_list_is_a_usage_error",)),

@@ -595,6 +595,74 @@ def test_residual_listing_matches_the_per_line_print(pairs, lines):
     assert "".join(cli._residual_listing(xs, values, lines)) == _per_line_listing(pairs)
 
 
+def _listing_rows(xs, values):
+    """The listing of (xs, values) with the per-line print's, and which rows were settled."""
+    xs, values = np.array(xs, dtype=float), np.array(values, dtype=float)
+    got = "".join(cli._residual_listing(xs, values))
+    assert got == _per_line_listing(list(zip(xs.tolist(), values.tolist())))
+    return got.splitlines(), cli._fixed_rows(xs, values)[1].tolist()
+
+
+@pytest.mark.parametrize("r,line", [
+    # an exact tie whose product by 10^-5 reads 30458667264.500004: rint would round it up
+    (3045866726450000.0, "0.500000   3.0458667264e+15"),
+    (12345678901.5, "0.500000   1.2345678902e+10"),  # an exact tie of an exact product
+    (8.24502631375e-20, "0.500000   8.2450263137e-20"),  # a float just below a tie
+    (9.99999999995e5, "0.500000   9.9999999999e+05"),  # just below the tie of the next decade
+])
+def test_a_row_at_an_11th_digit_tie_is_formatted_by_percent(r, line):
+    assert _listing_rows([0.5], [r]) == ([line, f"max |residual|: {abs(r):.5e} at x = 0.5"],
+                                         [False])
+
+
+@pytest.mark.parametrize("r,line", [
+    (9.9999999999996e5, "0.250000   1.0000000000e+06"),
+    (-9.99999999999996e-5, "0.250000  -1.0000000000e-04"),
+    (9.99999999999996e98, "0.250000   1.0000000000e+99"),
+])
+def test_a_mantissa_rounded_to_10_carries_to_the_next_decade(r, line):
+    lines, settled = _listing_rows([0.25], [r])
+    assert lines[0] == line and settled == [True]
+
+
+@pytest.mark.parametrize("r", [1e100, -1e100, 1e-100, 1e-300, 5e-324, 0.0, -0.0,
+                               9.9999999999996e-100])
+def test_zeros_subnormals_and_three_digit_exponents_are_formatted_by_percent(r):
+    lines, settled = _listing_rows([0.5, 0.75], [r, 1.0])
+    assert settled == [False, True]
+    assert lines[0] == f"0.500000  {r: .10e}"
+
+
+@pytest.mark.parametrize("x", [-0.0, -1e-9, 10.0, 9.9999995, 12.5, 1e300])
+def test_an_x_outside_0_to_10_or_with_its_sign_bit_set_is_formatted_by_percent(x):
+    lines, settled = _listing_rows([x, 0.5], [1.0, 1.0])
+    assert settled == [False, True]
+    assert lines[0] == f"{x:.6f}   1.0000000000e+00"
+
+
+def test_an_exact_6_decimal_tie_of_a_grid_point_is_formatted_by_percent():
+    xs = np.arange(1, 129) / 128  # 1/128 = 0.0078125, and every odd multiple, are ties
+    lines, settled = _listing_rows(xs, np.full(128, 0.5))
+    assert lines[:3] == ["0.007812   5.0000000000e-01", "0.015625   5.0000000000e-01",
+                         "0.023438   5.0000000000e-01"]
+    assert [i for i, ok in enumerate(settled) if not ok] == list(range(0, 128, 2))
+
+
+def test_pieces_of_3_lines_join_to_the_one_piece_listing():
+    xs = np.arange(1, 11) / 10
+    values = np.array([1e-3, -0.0, 2.5, 1e150, -7e-8, 3045866726450000.0, 1.0, -2.0, 5e-324, 4.0])
+    pieces = list(cli._residual_listing(xs, values, 3))
+    assert [len(p.splitlines()) for p in pieces] == [3, 3, 3, 1, 1]
+    assert "".join(pieces) == "".join(cli._residual_listing(xs, values))
+
+
+def test_percent_formats_at_most_1_percent_of_the_demo_listing():
+    # every row could be formatted by %, and each byte test would still pass
+    problem = load_problem(DEMO_FILE)
+    xs, values = diagnostics.residual_grid(solve(problem, 10).psi, problem, 1000)
+    assert np.count_nonzero(~cli._fixed_rows(xs, values)[1]) <= 10
+
+
 # --- one parser per process -----------------------------------------------------------
 
 

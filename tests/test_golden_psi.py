@@ -10,6 +10,12 @@ numbers is intended, and judge it by ``test_truth_errors.py``:
 
     PYTHONPATH=src python tests/test_golden_psi.py --write
 
+``golden_psi_non_dyadic.json`` holds psi at n = 25 on two non-dyadic points,
+the first generic family-1 and family-2 points of the benchmark's pool.  Their
+exponents drift, so the kernel makes joins there that are within the merge
+tolerance but not bit-equal; the fixture pins how it groups them.  It was
+recorded before the kernel's span test went in (``--write-non-dyadic``).
+
 ``golden_psi_per_product.json`` holds the same cases with every product of a
 Cauchy sum normalized on its own before the sum (the term-by-term definition):
 ``--write-per-product`` records them with ``series.combine`` wrapped so.  It is
@@ -35,6 +41,7 @@ from adomian_bvp.series import GPSeries, evaluate_many
 from adomian_bvp.solver import solve
 
 FIXTURE = Path(__file__).with_name("golden_psi.json")
+NON_DYADIC_FIXTURE = Path(__file__).with_name("golden_psi_non_dyadic.json")
 PER_PRODUCT = Path(__file__).with_name("golden_psi_per_product.json")
 GRID = np.linspace(0.0, 1.0, 1001)
 # Relative to sup |psi| on the grid (1.1 to 1158 over these cases).  Joining
@@ -69,11 +76,17 @@ CASES = {
     "f1-0.3719-2.1234-robin": (1, 0.3719, 2.1234, None, (1.3, 0.7, -2.1)),
     "f3-0.6-1.7-robin": (3, 0.6, 1.7, None, (0.8, 1.9, 7.5)),
 }
+# Non-dyadic alphas at a depth where the exponents drift: pinned at NON_DYADIC_N only.
+NON_DYADIC = {
+    "f1-0.6056-1.771": (1, 0.6056, 1.771, None, None),
+    "f2-0.8136": (2, 0.8136, 1.0, None, None),
+}
+NON_DYADIC_N = 25
 
 
 @functools.lru_cache(maxsize=None)
 def case_psi(label: str, n: int) -> list[list[float]]:
-    family, alpha, beta, spelling, robin = CASES[label]
+    family, alpha, beta, spelling, robin = (CASES | NON_DYADIC)[label]
     problem = benchmark_problem(family, alpha, beta)
     if spelling is not None:
         source = to_source(problem.f).replace("exp(y)", SPELLINGS[spelling])
@@ -108,6 +121,12 @@ def test_psi_bit_identical_to_fixture(golden, label, n):
         assert (gc, ge) == (wc, we), f"got ({gc!r}, {ge!r}), recorded ({wc!r}, {we!r})"
 
 
+@pytest.mark.parametrize("label", list(NON_DYADIC))
+def test_non_dyadic_psi_bit_identical_to_fixture(label):
+    golden = json.loads(NON_DYADIC_FIXTURE.read_text(encoding="utf-8"))
+    assert case_psi(label, NON_DYADIC_N) == golden[_key(label, NON_DYADIC_N)]
+
+
 @pytest.mark.parametrize("n", NS)
 @pytest.mark.parametrize("label", list(CASES))
 def test_psi_within_a_few_ulps_of_the_per_product_kernel(per_product, label, n):
@@ -126,14 +145,17 @@ def _per_product(combine):
 
 
 if __name__ == "__main__":
+    cases, ns = CASES, NS
     if sys.argv[1:] == ["--write"]:
         target = FIXTURE
+    elif sys.argv[1:] == ["--write-non-dyadic"]:
+        target, cases, ns = NON_DYADIC_FIXTURE, NON_DYADIC, (NON_DYADIC_N,)
     elif sys.argv[1:] == ["--write-per-product"]:
         target = PER_PRODUCT
         series.combine = _per_product(series.combine)
     else:
         raise SystemExit(__doc__)
-    data = {_key(label, n): case_psi(label, n) for label in CASES for n in NS}
+    data = {_key(label, n): case_psi(label, n) for label in cases for n in ns}
     rows = [f"{json.dumps(key)}: {json.dumps(pairs)}" for key, pairs in data.items()]
     target.write_text("{\n" + ",\n".join(rows) + "\n}\n", encoding="utf-8")
     print(f"wrote {len(data)} cases to {target}")
