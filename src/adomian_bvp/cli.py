@@ -24,13 +24,13 @@ from typing import Iterator
 import numpy as np
 
 from .benchmarks import BENCHMARK_IDS, BETA_FAMILIES, benchmark_problem
-from .diagnostics import MAX_GRID_SIZE, _grid_size, _label, format_error_table, max_error
+from .diagnostics import MAX_GRID_SIZE, _label, format_error_table, max_error
 from .diagnostics import max_errors, residual_grid
 from .diagnostics import residual  # noqa: F401 -- bench/spans.py WRAPPED looks it up here
 from .errors import AdmError, InputError, InvalidValue
 from .problem_file import dump_problem, load_problem
 from .series import GPSeries, format_series
-from .solver import SolveReport, partial_sum, solve
+from .solver import SolveReport, check_count, partial_sum, solve
 
 OUTPUT_ERROR, USAGE_ERROR, INPUT_ERROR, COMPUTE_ERROR = 1, 2, 3, 4
 
@@ -93,7 +93,7 @@ def _cmd_table(args) -> int:
     within ``MAX_GRID_SIZE`` and at least one, against its last row's reference: every
     family's exact solution depends on beta only."""
     ns, alphas = sorted(set(args.ns)), list(dict.fromkeys(args.alphas))
-    grid = _grid_size(args.grid)
+    grid = check_count(args.grid, "grid_size", 1, MAX_GRID_SIZE)
     rows = max(1, MAX_GRID_SIZE // (len(ns) * grid))
     takes_beta = args.example in BETA_FAMILIES
     for beta in dict.fromkeys(args.betas if takes_beta else args.betas[:1]):
@@ -124,6 +124,7 @@ _LEAD = np.column_stack((_DIGITS[:1000, 1], np.full(1000, ord("."), np.uint8), _
 _DIGITS, _LEAD = _DIGITS.view(np.uint32).ravel(), _LEAD.view(np.uint32).ravel()
 _EXPONENT = np.frombuffer("".join(f"{e:+03d}\n" for e in range(-99, 100)).encode(), np.uint32)
 _SCALE = np.array([float(f"1e{10 - e}") for e in range(-99, 100)])  # 10^(10 - e), rounded once
+_PIECE_LINES = 10_000  # the most lines of one piece of the listing
 
 
 def _fixed_rows(xs: np.ndarray, values: np.ndarray) -> tuple[str, np.ndarray]:
@@ -162,13 +163,13 @@ def _fixed_rows(xs: np.ndarray, values: np.ndarray) -> tuple[str, np.ndarray]:
     return text.decode("ascii"), settled
 
 
-def _residual_listing(xs: np.ndarray, values: np.ndarray, lines: int = 10_000) -> Iterator[str]:
-    """``x  r`` lines, at most ``lines`` to a piece, then the largest |r| and its first x.
+def _residual_listing(xs: np.ndarray, values: np.ndarray) -> Iterator[str]:
+    """``x  r`` lines, at most ``_PIECE_LINES`` to a piece, then the largest |r| and its first x.
 
     Each line is ``_LINE % (x, r)``.  A piece is built as fixed-width rows (:func:`_fixed_rows`),
     and each row they leave unsettled is formatted by ``%`` and spliced in."""
-    for start in range(0, len(xs), lines):
-        x, r = xs[start:start + lines], values[start:start + lines]
+    for start in range(0, len(xs), _PIECE_LINES):
+        x, r = xs[start:start + _PIECE_LINES], values[start:start + _PIECE_LINES]
         text, settled = _fixed_rows(x, r)
         pieces, done = [], 0
         for i in np.flatnonzero(~settled).tolist():

@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from . import series as gps
-from .errors import InvalidExactSolution, InvalidProblem, NonFiniteTerm
+from .errors import InvalidExactSolution, NonFiniteTerm
 from .expressions import Expr, check_expr, eval_real
 from .series import GPSeries
 from .singular_operator import apply_forward
@@ -38,18 +38,8 @@ class ErrorReport:
     max_point: float
 
 
-def _grid_size(grid_size: int) -> int:
-    """grid_size as an int in [1, ``MAX_GRID_SIZE``]; InvalidProblem if it is not one."""
-    grid_size = check_count(grid_size, "grid_size")
-    if grid_size < 1:
-        raise InvalidProblem(f"grid_size must be at least 1, got {grid_size!r}")
-    if grid_size > MAX_GRID_SIZE:
-        raise InvalidProblem(f"grid_size must be at most {MAX_GRID_SIZE}, got {grid_size!r}")
-    return grid_size
-
-
 def _uniform_grid(grid_size: int) -> np.ndarray:
-    grid_size = _grid_size(grid_size)
+    grid_size = check_count(grid_size, "grid_size", 1, MAX_GRID_SIZE)
     return np.arange(1, grid_size + 1, dtype=float) / grid_size
 
 
@@ -107,7 +97,7 @@ def residual_grid(
     """The uniform grid and (x^alpha psi')' - x^sigma f(x, psi, psi') sampled on it.
 
     (x^alpha psi')', psi and psi' share each power of x (``series.evaluate_each``),
-    each bit for bit its own ``evaluate_many``.
+    each bit for bit its own ``evaluate_many``; f is the layout ``Problem`` checked.
 
     Raises:
         InvalidProblem: grid_size is not an integer, or lies outside
@@ -118,7 +108,7 @@ def residual_grid(
     with np.errstate(over="ignore", invalid="ignore"):
         lhs, y, yp = gps.evaluate_each(
             (apply_forward(problem.alpha, psi), psi, gps.differentiate(psi)), xs)
-        values = lhs - xs ** problem.sigma * eval_real(problem.f, xs, y, yp)
+        values = lhs - xs ** problem.sigma * eval_real(problem.f_layout, xs, y, yp)
     if not np.all(np.isfinite(values)):
         raise NonFiniteTerm("the residual overflows on the grid")
     return xs, values

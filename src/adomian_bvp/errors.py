@@ -70,12 +70,8 @@ class ParseError(InputError):
         self.position = position
 
 
-class UnsupportedPower(InputError):
+class UnsupportedPower(ParseError):
     """Non-integer exponent on a base other than the bare variable x."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
 
 
 # --- singular operator -------------------------------------------------------

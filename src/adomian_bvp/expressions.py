@@ -202,8 +202,8 @@ def parse(source: str) -> Expr:
     """Parse expression source text into an AST.
 
     Raises:
-        ParseError: on any grammar violation or nesting past ``MAX_DEPTH``, with a position.
-        UnsupportedPower: non-integer exponent on a base other than ``x``.
+        ParseError: on any grammar violation or nesting past ``MAX_DEPTH``, with a position;
+            its subclass UnsupportedPower for a non-integer exponent on a base other than ``x``.
     """
     # (kind, text, position) of each token, the next one last, over an end token of kind 0
     tokens = [(0, "", len(source)),
@@ -294,7 +294,7 @@ def parse(source: str) -> Expr:
 def check_expr(e: Expr, allowed: set[str], error: Callable[[str], Exception], name: str) -> Layout:
     """Raise ``error(message)`` if e nests deeper than ``MAX_DEPTH`` levels, else if a literal fails
     ``series.check_real`` or a power is not integral, else if a variable is not in ``allowed``.
-    Returns the layout it walked, which :func:`eval_real` reads in place of e."""
+    Returns the layout it walked, which :func:`eval_real` and :class:`Tape` read in place of e."""
     layout, depths = _layout(e), []
     for _, operands, _ in layout:
         depths.append(1 + max([depths[i] for i in operands]) if operands else 1)
@@ -564,24 +564,24 @@ _RULES = {**{node: linear_coeff(*weights) for node, weights in _LINEAR.items()},
 class Tape:
     """An expression laid out for incremental evaluation over the decomposition ring.
 
-    The expression DAG is flattened once, operands before their users, and
-    equal subtrees (ASTs compare by value) share one node.  Every node keeps
-    the coefficients of the decomposition parameter computed so far.
-    :meth:`extend` appends coefficient k to every node, by one rule each, so
-    the k-th decomposition polynomial costs one new coefficient per node
-    rather than a recomposition of the whole expression.  A number, that is a
-    constant or a negation, sum, difference or product of numbers, is a seed
+    The expression DAG is flattened once, operands before their users, and equal subtrees
+    (ASTs compare by value) share one node; the expression may be given as its layout, as
+    :func:`check_expr` returns it, which is then not walked again.  Every node keeps the
+    coefficients of the decomposition parameter computed so far.  :meth:`extend` appends
+    coefficient k to every node, by one rule each, so the k-th decomposition polynomial costs
+    one new coefficient per node rather than a recomposition of the whole expression.  A
+    number, that is a constant or a negation, sum, difference or product of numbers, is a seed
     valued once by its rule's float operations; c*e is e weighted by c.
     """
 
-    def __init__(self, e: Expr):
+    def __init__(self, e: Expr | Layout):
         # Columns 0 and 1 are the inputs y and y'; each later one is a node.
         self._columns: list[list[GPSeries]] = [[], []]
         self._program: list[tuple[_Rule, tuple[int, ...], Expr | None]] = []
         keys = {(Var, (), "y"): 0, (Var, (), "yp"): 1}  # (type, operand columns, literal) -> column
         numbers: dict[int, float] = {}  # column -> its value, for a column that is a number
         columns: list[int] = []  # layout slot -> its column
-        for node, slots, literal in _layout(e):
+        for node, slots, literal in e if type(e) is list else _layout(e):
             operands = tuple(columns[i] for i in slots)
             columns.append(self._node(keys, numbers, node, operands, literal))
         self._root = columns[-1]

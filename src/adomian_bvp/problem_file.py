@@ -34,7 +34,7 @@ def parse_problem_text(text: str) -> Problem:
 
     Raises:
         MissingKey, UnknownKey, DuplicateKey, InvalidValue: format violations.
-        ParseError, UnsupportedPower: bad expression source inside f/exact.
+        ParseError: bad expression source inside f/exact (UnsupportedPower is one).
         InvalidProblem, InvalidExactSolution: violated problem invariants,
             including a number that is not finite.
     """

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 from . import series as gps
 from .errors import AdmError, InvalidExactSolution, InvalidProblem
-from .expressions import Expr, Tape, check_expr
+from .expressions import Expr, Layout, Tape, check_expr
 from .series import EXPONENT_MERGE_TOL, GPSeries, check_real
 from .singular_operator import OperatorContext, apply_inverse, h_series
 
@@ -57,6 +57,7 @@ class Problem:
     beta1: float
     gamma1: float
     exact: Expr | None = None
+    f_layout: Layout = field(init=False, compare=False, repr=False)  # the layout f's check walked
 
     def __post_init__(self):
         for name in ("alpha", "sigma", "eta1", "alpha1", "beta1", "gamma1"):
@@ -68,40 +69,53 @@ class Problem:
             raise InvalidProblem(f"alpha1 must be positive, got {self.alpha1!r}")
         if not self.beta1 >= 0.0:
             raise InvalidProblem(f"beta1 must be nonnegative, got {self.beta1!r}")
-        check_expr(self.f, {"x", "y", "yp"}, InvalidProblem, "f")
+        layout = check_expr(self.f, {"x", "y", "yp"}, InvalidProblem, "f")
+        object.__setattr__(self, "f_layout", layout)
         if self.exact is not None:
             check_expr(self.exact, {"x"}, InvalidExactSolution, "exact solution")
 
 
 @dataclass(frozen=True)
 class Step:
-    """Component y_step of the recursion, its series size and the wall time that formed it."""
+    """Component y_step of the recursion and the wall time that formed it."""
 
     step: int
     y: GPSeries
-    terms: int
     seconds: float
+
+    @property
+    def terms(self) -> int:
+        return len(self.y)
 
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Components y_0 ... y_(n-1), their sum psi_n, their steps; psi_m is on demand."""
+    """The steps of y_0 ... y_(n-1) and their sum psi_n; psi_m is on demand."""
 
-    components: tuple[GPSeries, ...]
+    diagnostics: tuple[Step, ...]
     psi: GPSeries  # psi_n, a field so that dataclasses.replace can swap it
-    diagnostics: tuple[Step, ...] = field(default_factory=tuple)
+
+    @property
+    def components(self) -> tuple[GPSeries, ...]:
+        return tuple(step.y for step in self.diagnostics)
 
     @property
     def n(self) -> int:
-        return len(self.components)
+        return len(self.diagnostics)
 
 
-def check_count(value: object, name: str) -> int:
-    """``value`` as an int if ``operator.index`` takes it; InvalidProblem naming ``name`` if not."""
+def check_count(value: object, name: str, low: int, high: int | None = None) -> int:
+    """``value`` as an int in [low, high] (no upper bound if high is None) if ``operator.index``
+    takes it: the one rule for a count a caller gives; InvalidProblem naming ``name`` if not."""
     try:
-        return operator.index(value)
+        count = operator.index(value)
     except TypeError:
         raise InvalidProblem(f"{name} must be an integer, got {value!r}") from None
+    if count < low:
+        raise InvalidProblem(f"{name} must be at least {low}, got {count!r}")
+    if high is not None and count > high:
+        raise InvalidProblem(f"{name} must be at most {high}, got {count!r}")
+    return count
 
 
 def steps(problem: Problem) -> Iterator[Step]:
@@ -112,10 +126,10 @@ def steps(problem: Problem) -> Iterator[Step]:
     H = h_series(ctx)
     D = problem.alpha1 * gps.at_one(H) + problem.beta1  # h(1) = H(1), h'(1) = 1
     weight = (problem.gamma1 - problem.alpha1 * problem.eta1) / D  # of H, in y_1 only
-    tape = Tape(problem.f)
+    tape = Tape(problem.f_layout)
 
     y = GPSeries.constant(problem.eta1)
-    yield Step(0, y, len(y), 0.0)
+    yield Step(0, y, 0.0)
     for k in itertools.count(1):
         started = time.perf_counter()
         try:
@@ -124,7 +138,7 @@ def steps(problem: Problem) -> Iterator[Step]:
         except AdmError as err:
             raise type(err)(f"component {k}: {err}") from err
         weight = 0.0
-        yield Step(k, y, len(y), time.perf_counter() - started)
+        yield Step(k, y, time.perf_counter() - started)
 
 
 def solve(problem: Problem, n: int = 10) -> SolveReport:
@@ -134,15 +148,13 @@ def solve(problem: Problem, n: int = 10) -> SolveReport:
         InvalidProblem: n is not an integer, or n < 1.
         AdmError: ring/operator failures, re-raised tagged with the step (or ``psi_<n>``).
     """
-    n = check_count(n, "n")
-    if n < 1:
-        raise InvalidProblem(f"need at least one component, got n = {n!r}")
+    n = check_count(n, "n", 1)
     taken = tuple(step for _, step in zip(range(n), steps(problem)))  # islice caps n at sys.maxsize
     try:
         psi = gps.combine((1.0, step.y) for step in taken)
     except AdmError as err:  # a merged coefficient overflows
         raise type(err)(f"psi_{n}: {err}") from err
-    return SolveReport(tuple(step.y for step in taken), psi, taken)
+    return SolveReport(taken, psi)
 
 
 def _next(ctx: OperatorContext, H: GPSeries, g: GPSeries, alpha1: float, D: float,
@@ -168,7 +180,5 @@ def _next(ctx: OperatorContext, H: GPSeries, g: GPSeries, alpha1: float, D: floa
 def partial_sum(report: SolveReport, m: int) -> GPSeries:
     """psi_m = y_0 + ... + y_(m-1), integer m in [1, n]: one merge, bit for bit the left fold.
     psi_n is ``report.psi`` itself, the merge :func:`solve` made."""
-    m = check_count(m, "m")
-    if not 1 <= m <= report.n:
-        raise InvalidProblem(f"m must lie in [1, {report.n}], got {m!r}")
-    return report.psi if m == report.n else gps.combine((1.0, y) for y in report.components[:m])
+    m = check_count(m, "m", 1, report.n)
+    return report.psi if m == report.n else gps.combine((1.0, s.y) for s in report.diagnostics[:m])

@@ -234,7 +234,7 @@ MUTANTS = (
            "coeffs = -image.coeffs", "coeffs = +image.coeffs",
            (f"{T_IDENTITY}::test_every_partial_sum_solves_its_linear_problem",)),
     Mutant("partial-sums-one-component-behind", SOLVER,
-           "report.components[:m]", "report.components[:m - 1]",
+           "report.diagnostics[:m]", "report.diagnostics[:m - 1]",
            (f"{T_SOLVER}::test_partial_sums_are_the_left_fold_of_the_components",
             f"{T_IDENTITY}::test_every_partial_sum_solves_its_linear_problem")),
     Mutant("psi-returned-one-component-early", SOLVER,
@@ -270,16 +270,38 @@ MUTANTS = (
            "for _, step in zip(range(n), steps(problem))",
            "for step, _ in zip(steps(problem), range(n))",
            (f"{T_SOLVER}::test_a_failing_step_raises_at_its_own_next_after_every_earlier_step",)),
-    # counts are integers where they enter
+    # counts pass one rule where they enter: an integer, then each bound
     Mutant("n-not-checked-as-an-integer", SOLVER,
-           'n = check_count(n, "n")', "n = n",
+           'n = check_count(n, "n", 1)', "n = n",
            (f"{T_SOLVER}::test_solve_takes_an_integer_n_only",)),
     Mutant("m-not-checked-as-an-integer", SOLVER,
-           'm = check_count(m, "m")', "m = m",
+           'm = check_count(m, "m", 1, report.n)', "m = m",
            (f"{T_SOLVER}::test_partial_sum_takes_an_integer_m_only",)),
     Mutant("grid-size-not-checked-as-an-integer", DIAGNOSTICS,
-           'grid_size = check_count(grid_size, "grid_size")', "grid_size = grid_size",
+           'grid_size = check_count(grid_size, "grid_size", 1, MAX_GRID_SIZE)',
+           "grid_size = grid_size",
            ("tests/test_diagnostics.py::test_grid_size_is_an_integer_only",)),
+    Mutant("table-grid-not-checked", CLI,
+           'grid = check_count(args.grid, "grid_size", 1, MAX_GRID_SIZE)', "grid = args.grid",
+           (f"{T_CLI}::test_one_grid_size_rule",)),
+    Mutant("count-below-the-low-bound-accepted", SOLVER,
+           "if count < low:", "if count < low - 1:",
+           (f"{T_SOLVER}::test_one_count_rule_names_the_count_its_bound_and_the_value",
+            f"{T_SOLVER}::test_solve_takes_an_integer_n_only",
+            f"{T_SOLVER}::test_partial_sum_bounds_and_identity",
+            f"{T_CLI}::test_one_grid_size_rule")),
+    Mutant("count-past-the-high-bound-accepted", SOLVER,
+           "if high is not None and count > high:", "if high is not None and count > high + 1:",
+           (f"{T_SOLVER}::test_one_count_rule_names_the_count_its_bound_and_the_value",
+            f"{T_SOLVER}::test_partial_sum_bounds_and_identity",
+            "tests/test_diagnostics.py::test_grid_size_is_at_most_max_grid_size")),
+    # f is laid out by parse and by Problem's check, whose layout the tape and the residual read
+    Mutant("steps-lays-f-out-again", SOLVER,
+           "tape = Tape(problem.f_layout)", "tape = Tape(problem.f)",
+           (f"{T_CLI}::test_cli_residual_lays_f_out_only_in_parse_and_problem",)),
+    Mutant("residual-lays-f-out-again", DIAGNOSTICS,
+           "eval_real(problem.f_layout, xs, y, yp)", "eval_real(problem.f, xs, y, yp)",
+           (f"{T_CLI}::test_cli_residual_lays_f_out_only_in_parse_and_problem",)),
     # one power per distinct exponent, the value at x = 1, and the grid bound
     Mutant("power-reused-across-near-equal-exponents", SERIES,
            "if e != last:", "if last is None or abs(e - last) > EXPONENT_MERGE_TOL:",
@@ -293,7 +315,8 @@ MUTANTS = (
            "    return math.fsum(a.coeffs.tolist())\n",
            (f"{T_SERIES}::test_the_value_at_one_adds_left_to_right_from_zero",)),
     Mutant("grid-bound-off-by-one", DIAGNOSTICS,
-           "if grid_size > MAX_GRID_SIZE:", "if grid_size >= MAX_GRID_SIZE:",
+           '(grid_size, "grid_size", 1, MAX_GRID_SIZE)',
+           '(grid_size, "grid_size", 1, MAX_GRID_SIZE - 1)',
            ("tests/test_diagnostics.py::test_grid_size_is_at_most_max_grid_size",
             "tests/test_cli.py::test_one_grid_size_rule")),
     # a table's partial sums, measured in calls of at most MAX_GRID_SIZE points

@@ -17,14 +17,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from adomian_bvp import cli, diagnostics, series
+from adomian_bvp import cli, diagnostics, expressions, series
 from adomian_bvp.benchmarks import benchmark_problem
 from adomian_bvp.cli import main
 from adomian_bvp.diagnostics import MAX_GRID_SIZE, max_error, residual
 from adomian_bvp.errors import InvalidProblem
 from adomian_bvp.expressions import MAX_DEPTH
 from adomian_bvp.problem_file import dump_problem, load_problem
-from adomian_bvp.solver import SolveReport, partial_sum, solve
+from adomian_bvp.solver import SolveReport, Step, partial_sum, solve
 
 EX1_FILE = dump_problem(benchmark_problem(1, 0.5, 1.0))
 EX3_FILE = dump_problem(benchmark_problem(3, 0.5, 1.0))
@@ -105,6 +105,11 @@ def test_solve_json_mirrors_text(ex1_path, capsys):
 _JSON_FLOATS = (0.0, -0.0, 5e-324, -2.2e-308, 1e300, -1e300, 1.0, 0.1, 1e16, -123456.789)
 
 
+def _report(components, psi) -> SolveReport:
+    """A report of these components, each a step of 0 s, and psi."""
+    return SolveReport(tuple(Step(k, y, 0.0) for k, y in enumerate(components)), psi)
+
+
 def _random_series(rng: np.random.Generator) -> series.GPSeries:
     """Up to three terms, each float one of _JSON_FLOATS or a random normal at a random scale:
     no terms is the zero series."""
@@ -120,7 +125,7 @@ def _random_series(rng: np.random.Generator) -> series.GPSeries:
 def test_solve_json_is_json_dumps_with_indent_2_byte_for_byte(seed):
     rng = np.random.default_rng(seed)
     components = tuple(_random_series(rng) for _ in range(int(rng.integers(1, 5))))
-    report = SolveReport(components, _random_series(rng))
+    report = _report(components, _random_series(rng))
     payload = {"n": report.n, "components": [c.terms for c in components],
                "psi": report.psi.terms}
     err = None
@@ -132,8 +137,8 @@ def test_solve_json_is_json_dumps_with_indent_2_byte_for_byte(seed):
 
 
 def test_solve_json_prints_a_zero_series_as_an_empty_list():
-    report = SolveReport((series.GPSeries.constant(1.0), series.GPSeries.zero()),
-                         series.GPSeries.constant(1.0))
+    report = _report((series.GPSeries.constant(1.0), series.GPSeries.zero()),
+                     series.GPSeries.constant(1.0))
     assert cli._solve_json(report, None) == (
         '{\n  "n": 2,\n  "components": [\n    [\n      [\n        1.0,\n        0.0\n'
         '      ]\n    ],\n    []\n  ],\n  "psi": [\n    [\n      1.0,\n      0.0\n    ]\n  ]\n}')
@@ -548,6 +553,22 @@ def test_residual_listing(ex3_path, capsys):
     assert float(match.group(1)) < 1e-5
 
 
+def test_cli_residual_lays_f_out_only_in_parse_and_problem(monkeypatch, capsys):
+    # parse checks f and then exact, and Problem both again, keeping f's layout, which the
+    # tape and the residual read; a solve lays nothing out
+    walked, real = [], expressions._layout
+    monkeypatch.setattr(expressions, "_layout", lambda e: walked.append(e) or real(e))
+    assert main(["residual", DEMO_FILE, "--n", "10", "--grid", "100"]) == 0
+    census, problem = walked[:], benchmark_problem(1, 0.5, 1.0)
+    walked.clear()
+    solve(problem, 8)
+    assert walked == []
+    monkeypatch.undo()
+    demo = load_problem(DEMO_FILE)
+    assert len(census) == 4 and census[0] is census[2] and census[1] is census[3]
+    assert census[:2] == [demo.f, demo.exact]
+
+
 def test_residual_of_the_demo_problem_is_pinned_byte_for_byte(capsys):
     # ten significant digits of the grid path, recorded when series.evaluate
     # still summed Python floats next to the numpy grid evaluator
@@ -592,7 +613,9 @@ def _per_line_listing(pairs):
 def test_residual_listing_matches_the_per_line_print(pairs, lines):
     # formatted from the grid arrays in pieces of at most `lines` lines
     xs, values = (np.array(column) for column in zip(*pairs))
-    assert "".join(cli._residual_listing(xs, values, lines)) == _per_line_listing(pairs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_PIECE_LINES", lines)
+        assert "".join(cli._residual_listing(xs, values)) == _per_line_listing(pairs)
 
 
 def _listing_rows(xs, values):
@@ -648,12 +671,14 @@ def test_an_exact_6_decimal_tie_of_a_grid_point_is_formatted_by_percent():
     assert [i for i, ok in enumerate(settled) if not ok] == list(range(0, 128, 2))
 
 
-def test_pieces_of_3_lines_join_to_the_one_piece_listing():
+def test_pieces_of_3_lines_join_to_the_one_piece_listing(monkeypatch):
     xs = np.arange(1, 11) / 10
     values = np.array([1e-3, -0.0, 2.5, 1e150, -7e-8, 3045866726450000.0, 1.0, -2.0, 5e-324, 4.0])
-    pieces = list(cli._residual_listing(xs, values, 3))
+    whole = "".join(cli._residual_listing(xs, values))
+    monkeypatch.setattr(cli, "_PIECE_LINES", 3)
+    pieces = list(cli._residual_listing(xs, values))
     assert [len(p.splitlines()) for p in pieces] == [3, 3, 3, 1, 1]
-    assert "".join(pieces) == "".join(cli._residual_listing(xs, values))
+    assert "".join(pieces) == whole
 
 
 def test_percent_formats_at_most_1_percent_of_the_demo_listing():

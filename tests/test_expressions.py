@@ -146,7 +146,7 @@ PARSE_ERRORS = [
     ids=[*(case[0] for case in PARSE_ERRORS[:-2]), "101-parens", "101-terms"],
 )
 def test_parse_error_contract(source, error, message, position):
-    with pytest.raises(error) as exc:
+    with pytest.raises(ParseError) as exc:  # UnsupportedPower is a ParseError too
         parse(source)
     assert type(exc.value) is error
     assert str(exc.value) == message

@@ -5,7 +5,8 @@ tracer's import line and the ring's own tests reach the whole-element ring.
 Each entry point checks an expression in one ``check_expr`` walk, and no
 second validation walk comes back.  Every number a caller gives is checked by
 one rule, ``series.check_real``, the only code that reads ``numbers.Real``, and a float
-takes its one exact-type branch.  The benchmark problems are built as trees, not parsed."""
+takes its one exact-type branch; every count, by ``solver.check_count``, the only code that
+calls ``operator.index``.  The benchmark problems are built as trees, not parsed."""
 
 import ast
 import collections
@@ -128,6 +129,31 @@ def test_every_number_a_caller_gives_is_checked_by_one_rule():
                       ("expressions.py", "_number"): 1,
                       ("benchmarks.py", "benchmark_problem"): 2,
                       ("singular_operator.py", "__post_init__"): 1}
+
+
+def test_every_count_a_caller_gives_is_checked_by_one_rule():
+    trees = {path.name: _tree(path) for path in sorted(SRC.rglob("*.py"))}
+    functions = [(name, node) for name, tree in trees.items() for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)]
+    assert [name for name, fn in functions if fn.name == "check_count"] == ["solver.py"]
+    # operator.index, the integer test, is read by the rule alone
+    readers = sorted(
+        (name, fn.name) for name, fn in functions for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and node.attr == "index"
+        and isinstance(node.value, ast.Name) and node.value.id == "operator"
+    )
+    assert readers == [("solver.py", "check_count")]
+
+    def callers(function):
+        return collections.Counter(
+            (name, fn.name) for name, fn in functions for called in _calls(fn) if called == function
+        )
+
+    # solve's n, partial_sum's m, and the grid size where the grid is built and where cli table
+    # checks it before its first solve
+    assert callers("check_count") == {("solver.py", "solve"): 1, ("solver.py", "partial_sum"): 1,
+                                      ("diagnostics.py", "_uniform_grid"): 1,
+                                      ("cli.py", "_cmd_table"): 1}
 
 
 def test_check_real_takes_a_float_in_one_exact_type_branch_first():

@@ -36,7 +36,7 @@ from support import ADMISSIBLE_TEMPLATES, Unresolved, adomian_polynomials, eval_
 from adomian_bvp.benchmarks import benchmark_problem
 from adomian_bvp.cli import main
 from adomian_bvp.errors import (
-    AdmError, ComputeError, InvalidProblem, NonFiniteTerm, ParseError, UnsupportedPower,
+    AdmError, ComputeError, InvalidProblem, NonFiniteTerm, ParseError,
 )
 from adomian_bvp.expressions import _NODES, Add, Mul, check_expr, eval_real, parse, to_source
 from adomian_bvp.problem_file import FIELDS
@@ -140,7 +140,7 @@ SOURCES = st.recursive(
 def test_printed_expressions_parse_back_to_the_same_ast(source):
     try:
         ast = parse(source)
-    except (ParseError, UnsupportedPower):
+    except ParseError:  # UnsupportedPower too
         return
     printed = to_source(ast)
     assert parse(printed) == ast, (source, printed)
@@ -214,7 +214,7 @@ def _adomian_against_cauchy(source):
     """
     try:
         f = parse(source)
-    except (ParseError, UnsupportedPower):
+    except ParseError:  # UnsupportedPower too
         return "rejected by parse"
     try:
         a_k = adomian_polynomials(f, CAUCHY_Y)
@@ -286,7 +286,7 @@ GRID_Y, GRID_YP = 0.5 - GRID_X, 2.0 * GRID_X - 1.0
 def test_a_shared_object_copy_of_f_gives_the_results_of_the_tree(source):
     try:
         parts = [parse(source) for _ in range(3)]
-    except (ParseError, UnsupportedPower):
+    except ParseError:  # UnsupportedPower too
         return
     tree = Add(parts[0], Mul(parts[1], parts[2]))  # three equal subtrees, three objects
     dag = _shared(tree, {})

@@ -1,5 +1,6 @@
 """Recursion correctness: printed-component regressions and structural properties."""
 
+import dataclasses
 import itertools
 import math
 import re
@@ -30,10 +31,10 @@ from adomian_bvp.errors import (
     NonFiniteTerm,
     TermBlowup,
 )
-from adomian_bvp.expressions import MAX_DEPTH, X, Y, parse
+from adomian_bvp.expressions import MAX_DEPTH, X, Y, check_expr, parse
 from adomian_bvp.problem_file import load_problem
 from adomian_bvp.series import GPSeries, Term, add, combine, differentiate, evaluate
-from adomian_bvp.solver import Problem, SolveReport, partial_sum, solve, steps
+from adomian_bvp.solver import Problem, SolveReport, Step, check_count, partial_sum, solve, steps
 
 
 # --- printed component regressions ------------------------------------------------
@@ -74,10 +75,10 @@ def test_partial_sum_bounds_and_identity():
         (pytest.approx(-math.log(4.0)), 0.0)
     ]
     assert partial_sum(report, report.n) == report.psi
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidProblem, match=r"^m must be at least 1, got 0$"):
         partial_sum(report, 0)
-    with pytest.raises(ValueError):
-        partial_sum(report, 5)
+    with pytest.raises(InvalidProblem, match=r"^m must be at most 4, got 5$"):
+        partial_sum(report, np.int64(5))
 
 
 def test_partial_sum_takes_an_integer_m_only():
@@ -104,6 +105,44 @@ def test_report_structure():
     assert [d.step for d in report.diagnostics] == list(range(6))
     assert all(d.y is report.components[d.step] for d in report.diagnostics)
     assert all(d.terms == len(report.components[d.step]) for d in report.diagnostics)
+
+
+def test_a_report_holds_each_step_once_and_reads_components_n_and_terms_from_it():
+    # no field repeats another, so components, n and terms cannot disagree with the steps
+    assert [f.name for f in dataclasses.fields(SolveReport)] == ["diagnostics", "psi"]
+    assert [f.name for f in dataclasses.fields(Step)] == ["step", "y", "seconds"]
+    report = solve(benchmark_problem(1, 0.5, 1.0), 5)
+    cut = dataclasses.replace(report, diagnostics=report.diagnostics[:3])
+    assert cut.n == 3 and cut.components == tuple(d.y for d in report.diagnostics[:3])
+    assert all(a is b for a, b in zip(cut.components, report.components))
+    one = dataclasses.replace(report.diagnostics[2], y=GPSeries.constant(2.0))
+    assert one.terms == 1 < report.diagnostics[2].terms == len(report.diagnostics[2].y)
+
+
+def test_problem_keeps_the_layout_its_check_walked_outside_its_value():
+    problem = benchmark_problem(1, 0.5, 1.0)
+    assert problem.f_layout == check_expr(problem.f, {"x", "y", "yp"}, InvalidProblem, "f")
+    twin = dataclasses.replace(problem)  # checked again: a layout of its own
+    assert twin.f_layout is not problem.f_layout
+    assert twin == problem and hash(twin) == hash(problem) and repr(twin) == repr(problem)
+    assert "f_layout" not in repr(problem)
+    given = ("alpha", "sigma", "f", "eta1", "alpha1", "beta1", "gamma1")
+    with pytest.raises(TypeError):  # not an argument
+        Problem(**{name: getattr(problem, name) for name in given}, f_layout=[])
+
+
+def test_one_count_rule_names_the_count_its_bound_and_the_value():
+    assert [check_count(np.int64(k), "k", 1, 3) for k in (1, 3)] == [1, 3]  # both bounds included
+    assert type(check_count(np.int64(3), "k", 1, 3)) is int
+    assert check_count(10**30, "k", 1) == 10**30  # no upper bound without high
+    for value, message in ((2.5, "k must be an integer, got 2.5"),
+                           ("3", "k must be an integer, got '3'"),
+                           (0, "k must be at least 1, got 0"),
+                           (np.int64(-2), "k must be at least 1, got -2"),
+                           (4, "k must be at most 3, got 4"),
+                           (np.int64(4), "k must be at most 3, got 4")):
+        with pytest.raises(InvalidProblem, match=f"^{re.escape(message)}$"):
+            check_count(value, "k", 1, 3)
 
 
 # the incommensurate golden points have the widest sums
@@ -358,7 +397,7 @@ def test_solve_takes_an_integer_n_only():
         message = f"^n must be an integer, got {re.escape(repr(n))}$"
         with pytest.raises(InvalidProblem, match=message):
             solve(problem, n)
-    with pytest.raises(InvalidProblem, match=r"^need at least one component, got n = 0$"):
+    with pytest.raises(InvalidProblem, match=r"^n must be at least 1, got 0$"):
         solve(problem, np.int64(0))
 
 
