@@ -54,11 +54,10 @@ def max_errors(
 ) -> list[ErrorReport]:
     """Largest |psi(x_i) - exact(x_i)| over the uniform grid, one report per psi.
 
-    The reference is laid out and checked once, and that layout evaluated on
-    the grid once, for all the partial sums; the sums share each power of x
-    (``series.evaluate_each``).  Each error array is formed in place of its
-    values array: a call holds one grid array per psi, beside the grid, the
-    reference and evaluation buffers.
+    The reference is checked once, and evaluated on the grid once, for all the partial sums,
+    both from the one layout its tree keeps; the sums share each power of x
+    (``series.evaluate_each``).  Each error array is formed in place of its values array: a
+    call holds one grid array per psi, beside the grid, the reference and evaluation buffers.
 
     Raises:
         InvalidExactSolution: the reference nests deeper than ``MAX_DEPTH``
@@ -68,11 +67,11 @@ def max_errors(
         NonFiniteTerm: some psi, the reference or their difference
             overflows; the first such psi names the error.
     """
-    layout = check_expr(exact, {"x"}, InvalidExactSolution, "reference")
+    check_expr(exact, {"x"}, InvalidExactSolution, "reference")
     xs = _uniform_grid(grid_size)
     with np.errstate(over="ignore", invalid="ignore"):
         values = gps.evaluate_each(partial_sums, xs)
-        reference = eval_real(layout, xs)
+        reference = eval_real(exact, xs)
         errors = [np.abs(np.subtract(v, reference, out=v), out=v) for v in values]
     xs.setflags(write=False)
     reports = []
@@ -97,7 +96,7 @@ def residual_grid(
     """The uniform grid and (x^alpha psi')' - x^sigma f(x, psi, psi') sampled on it.
 
     (x^alpha psi')', psi and psi' share each power of x (``series.evaluate_each``),
-    each bit for bit its own ``evaluate_many``; f is the layout ``Problem`` checked.
+    each bit for bit its own ``evaluate_many``; f is read from the layout its tree keeps.
 
     Raises:
         InvalidProblem: grid_size is not an integer, or lies outside
@@ -108,7 +107,7 @@ def residual_grid(
     with np.errstate(over="ignore", invalid="ignore"):
         lhs, y, yp = gps.evaluate_each(
             (apply_forward(problem.alpha, psi), psi, gps.differentiate(psi)), xs)
-        values = lhs - xs ** problem.sigma * eval_real(problem.f_layout, xs, y, yp)
+        values = lhs - xs ** problem.sigma * eval_real(problem.f, xs, y, yp)
     if not np.all(np.isfinite(values)):
         raise NonFiniteTerm("the residual overflows on the grid")
     return xs, values

@@ -27,8 +27,8 @@ forms and sums its Cauchy products (by x or x^p, one, which it keeps in order). 
 ln and division expand around the order-zero coefficient, so it has to be a constant;
 the solver's first component always is.  Integer powers are products by repeated squaring.
 ASTs are immutable and compare structurally, so equal subtrees share one tape node.
-Every reader but the parser and ``repr`` walks one iterative layout of the AST, its distinct
-node objects operands first, so a subtree object that several parents share is read once.
+Every reader but the parser and ``repr`` reads one iterative layout of the AST, its distinct node
+objects operands first (a subtree object that several parents share is read once), kept on the tree.
 
 An operator's symbol and precedence live only in ``_INFIX`` (binary operators by
 level) and ``_FUNCTIONS``; the parser and the printer read them.
@@ -64,6 +64,11 @@ from .series import GPSeries
 
 class _Node:
     """An AST node: ``==`` and ``hash`` read its canonical shape; ``repr`` writes each path."""
+
+    __slots__ = ("_laid_out",)  # its layout, once walked: outside the __dict__ of its fields
+
+    def __getstate__(self) -> dict:  # the fields alone: a copy or a pickle is laid out again
+        return self.__dict__
 
     def _shape(self) -> tuple:
         """(type, operand ids, literal) of each distinct subtree value, an id its place here."""
@@ -159,12 +164,14 @@ _FUNCTIONS = {"exp": Exp, "ln": Ln}
 
 _KINDS, _LITERAL = frozenset(_NODES), frozenset({Constant, Var, PowXReal, PowInt})
 _LAID_OUT = object()
-Layout = list[tuple[Expr, tuple[int, ...], object]]
+Layout = list[tuple[Expr, tuple[int, ...], object]]  # kept on the tree it lays out: read only
 
 
 def _layout(e: Expr) -> Layout:
     """e's distinct node objects, by ``id``, in post-order (operands first, left first), each as
-    (node, its operands' slots, the last field of a ``_LITERAL`` node or None); iterative."""
+    (node, its operands' slots, the last field of a ``_LITERAL`` node or None); one walk per e."""
+    if (layout := getattr(e, "_laid_out", None)) is not None:
+        return layout
     layout, slots, stack = [], {}, [e]  # slots: id(node) -> its slot
     while stack:
         node = stack.pop()
@@ -183,6 +190,7 @@ def _layout(e: Expr) -> Layout:
             else:
                 slots[id(node)] = len(layout)
                 layout.append((node, (), literal))
+    object.__setattr__(e, "_laid_out", layout)
     return layout
 
 
@@ -291,10 +299,9 @@ def parse(source: str) -> Expr:
     return node
 
 
-def check_expr(e: Expr, allowed: set[str], error: Callable[[str], Exception], name: str) -> Layout:
+def check_expr(e: Expr, allowed: set[str], error: Callable[[str], Exception], name: str) -> None:
     """Raise ``error(message)`` if e nests deeper than ``MAX_DEPTH`` levels, else if a literal fails
-    ``series.check_real`` or a power is not integral, else if a variable is not in ``allowed``.
-    Returns the layout it walked, which :func:`eval_real` and :class:`Tape` read in place of e."""
+    ``series.check_real`` or a power is not integral, else if a variable is not in ``allowed``."""
     layout, depths = _layout(e), []
     for _, operands, _ in layout:
         depths.append(1 + max([depths[i] for i in operands]) if operands else 1)
@@ -308,7 +315,6 @@ def check_expr(e: Expr, allowed: set[str], error: Callable[[str], Exception], na
     names = {name if type(n) is Var else "x" for n, _, name in layout if type(n) in (Var, PowXReal)}
     if others := names - allowed:
         raise error(f"{name} mentions {sorted(others)}; only {sorted(allowed)} allowed")
-    return layout
 
 
 # --- printing -------------------------------------------------------------------
@@ -402,15 +408,13 @@ def _checked(e: Expr, ufunc, operand, undefined=False, error=None):
     return value
 
 
-def eval_real(e: Expr | Layout, x, y=0.0, yp=0.0):
+def eval_real(e: Expr, x, y=0.0, yp=0.0):
     """IEEE double evaluation at the point (x, y, yp), or at every point of a grid.
 
-    x, y and yp are floats or numpy arrays of one shape; a float broadcasts.
-    Every node is one numpy operation, so a grid call gives bit for bit the
-    values of scalar calls at its points, and exp, ln and powers are within
-    1 ulp of the C library's.  Nodes are evaluated in the order of e's layout,
-    operands first and left first, each node object once.  e may be given as
-    that layout, as :func:`check_expr` returns it, which is then not walked again.
+    x, y and yp are floats or numpy arrays of one shape; a float broadcasts.  Every node is one
+    numpy operation, so a grid call gives bit for bit the values of scalar calls at its points, and
+    exp, ln and powers are within 1 ulp of the C library's.  Nodes are evaluated in the order of
+    e's layout (a checked e is not walked again), operands first and left first, each object once.
 
     Raises:
         DivisionByZero, LogOfNonPositive, DomainError: when any point
@@ -419,7 +423,7 @@ def eval_real(e: Expr | Layout, x, y=0.0, yp=0.0):
         InvalidProblem: a literal fails ``series.check_real``.
     """
     inputs, values = {"x": x, "y": y, "yp": yp}, []
-    for node, operands, _ in e if type(e) is list else _layout(e):
+    for node, operands, _ in _layout(e):
         values.append(_real(node, inputs, *[values[i] for i in operands]))
     return values[-1]
 
@@ -565,23 +569,22 @@ class Tape:
     """An expression laid out for incremental evaluation over the decomposition ring.
 
     The expression DAG is flattened once, operands before their users, and equal subtrees
-    (ASTs compare by value) share one node; the expression may be given as its layout, as
-    :func:`check_expr` returns it, which is then not walked again.  Every node keeps the
-    coefficients of the decomposition parameter computed so far.  :meth:`extend` appends
-    coefficient k to every node, by one rule each, so the k-th decomposition polynomial costs
-    one new coefficient per node rather than a recomposition of the whole expression.  A
+    (ASTs compare by value) share one node; a checked expression is not walked again.  Every
+    node keeps the coefficients of the decomposition parameter computed so far.  :meth:`extend`
+    appends coefficient k to every node, by one rule each, so the k-th decomposition polynomial
+    costs one new coefficient per node rather than a recomposition of the whole expression.  A
     number, that is a constant or a negation, sum, difference or product of numbers, is a seed
     valued once by its rule's float operations; c*e is e weighted by c.
     """
 
-    def __init__(self, e: Expr | Layout):
+    def __init__(self, e: Expr):
         # Columns 0 and 1 are the inputs y and y'; each later one is a node.
         self._columns: list[list[GPSeries]] = [[], []]
         self._program: list[tuple[_Rule, tuple[int, ...], Expr | None]] = []
         keys = {(Var, (), "y"): 0, (Var, (), "yp"): 1}  # (type, operand columns, literal) -> column
         numbers: dict[int, float] = {}  # column -> its value, for a column that is a number
         columns: list[int] = []  # layout slot -> its column
-        for node, slots, literal in e if type(e) is list else _layout(e):
+        for node, slots, literal in _layout(e):
             operands = tuple(columns[i] for i in slots)
             columns.append(self._node(keys, numbers, node, operands, literal))
         self._root = columns[-1]

@@ -27,11 +27,11 @@ import math
 import operator
 import time
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import series as gps
 from .errors import AdmError, InvalidExactSolution, InvalidProblem
-from .expressions import Expr, Layout, Tape, check_expr
+from .expressions import Expr, Tape, check_expr
 from .series import EXPONENT_MERGE_TOL, GPSeries, check_real
 from .singular_operator import OperatorContext, apply_inverse, h_series
 
@@ -57,7 +57,6 @@ class Problem:
     beta1: float
     gamma1: float
     exact: Expr | None = None
-    f_layout: Layout = field(init=False, compare=False, repr=False)  # the layout f's check walked
 
     def __post_init__(self):
         for name in ("alpha", "sigma", "eta1", "alpha1", "beta1", "gamma1"):
@@ -69,8 +68,7 @@ class Problem:
             raise InvalidProblem(f"alpha1 must be positive, got {self.alpha1!r}")
         if not self.beta1 >= 0.0:
             raise InvalidProblem(f"beta1 must be nonnegative, got {self.beta1!r}")
-        layout = check_expr(self.f, {"x", "y", "yp"}, InvalidProblem, "f")
-        object.__setattr__(self, "f_layout", layout)
+        check_expr(self.f, {"x", "y", "yp"}, InvalidProblem, "f")
         if self.exact is not None:
             check_expr(self.exact, {"x"}, InvalidExactSolution, "exact solution")
 
@@ -126,7 +124,7 @@ def steps(problem: Problem) -> Iterator[Step]:
     H = h_series(ctx)
     D = problem.alpha1 * gps.at_one(H) + problem.beta1  # h(1) = H(1), h'(1) = 1
     weight = (problem.gamma1 - problem.alpha1 * problem.eta1) / D  # of H, in y_1 only
-    tape = Tape(problem.f_layout)
+    tape = Tape(problem.f)
 
     y = GPSeries.constant(problem.eta1)
     yield Step(0, y, 0.0)

@@ -62,7 +62,6 @@ _LAYOUT_LOOP = """\
             else:
                 slots[id(node)] = len(layout)
                 layout.append((node, (), literal))
-    return layout
 """
 _RECURSIVE_LAYOUT = """\
     def visit(node):
@@ -78,7 +77,6 @@ _RECURSIVE_LAYOUT = """\
         return slots[id(node)]
 
     visit(e)
-    return layout
 """
 _DEPTH_CHECK = """\
     if depths[-1] > MAX_DEPTH:
@@ -164,6 +162,16 @@ MUTANTS = (
     Mutant("recursive-layout", EXPRESSIONS,
            _LAYOUT_LOOP, _RECURSIVE_LAYOUT,
            (f"{T_EXPR}::test_every_reader_takes_a_5000_level_tree",)),
+    # one layout per tree object: kept on the tree after its walk, read back, and not copied
+    Mutant("layout-never-kept", EXPRESSIONS,
+           '    object.__setattr__(e, "_laid_out", layout)\n', "",
+           (f"{T_EXPR}::test_each_tree_object_is_walked_once",)),
+    Mutant("kept-layout-never-read", EXPRESSIONS,
+           'if (layout := getattr(e, "_laid_out", None)) is not None:', "if False:",
+           (f"{T_EXPR}::test_each_tree_object_is_walked_once",)),
+    Mutant("copy-carries-the-layout-slot", EXPRESSIONS,
+           "    def __getstate__(self) -> dict:", "    def _getstate(self) -> dict:",
+           (f"{T_EXPR}::test_a_copy_holds_the_fields_alone_and_lays_itself_out_again",)),
     Mutant("literals-checked-before-depth", EXPRESSIONS,
            _DEPTH_CHECK + _LITERAL_CHECKS, _LITERAL_CHECKS + _DEPTH_CHECK,
            (f"{T_EXPR}::test_literals_are_checked_after_depth_and_before_variables",)),
@@ -295,13 +303,6 @@ MUTANTS = (
            (f"{T_SOLVER}::test_one_count_rule_names_the_count_its_bound_and_the_value",
             f"{T_SOLVER}::test_partial_sum_bounds_and_identity",
             "tests/test_diagnostics.py::test_grid_size_is_at_most_max_grid_size")),
-    # f is laid out by parse and by Problem's check, whose layout the tape and the residual read
-    Mutant("steps-lays-f-out-again", SOLVER,
-           "tape = Tape(problem.f_layout)", "tape = Tape(problem.f)",
-           (f"{T_CLI}::test_cli_residual_lays_f_out_only_in_parse_and_problem",)),
-    Mutant("residual-lays-f-out-again", DIAGNOSTICS,
-           "eval_real(problem.f_layout, xs, y, yp)", "eval_real(problem.f, xs, y, yp)",
-           (f"{T_CLI}::test_cli_residual_lays_f_out_only_in_parse_and_problem",)),
     # one power per distinct exponent, the value at x = 1, and the grid bound
     Mutant("power-reused-across-near-equal-exponents", SERIES,
            "if e != last:", "if last is None or abs(e - last) > EXPONENT_MERGE_TOL:",
@@ -324,9 +325,6 @@ MUTANTS = (
            "np.abs(np.subtract(v, reference, out=v), out=v)",
            "np.abs(np.subtract(v, reference, out=reference), out=reference)",
            ("tests/test_diagnostics.py::test_max_errors_is_max_error_of_each_partial_sum",)),
-    Mutant("reference-laid-out-again", DIAGNOSTICS,
-           "reference = eval_real(layout, xs)", "reference = eval_real(exact, xs)",
-           ("tests/test_diagnostics.py::test_max_errors_lays_out_its_reference_once",)),
     Mutant("table-row-bound-without-its-floor", CLI,
            "rows = max(1, MAX_GRID_SIZE // (len(ns) * grid))",
            "rows = MAX_GRID_SIZE // (len(ns) * grid)",

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from adomian_bvp import cli, diagnostics, expressions, series
+from adomian_bvp import cli, diagnostics, series
 from adomian_bvp.benchmarks import benchmark_problem
 from adomian_bvp.cli import main
 from adomian_bvp.diagnostics import MAX_GRID_SIZE, max_error, residual
@@ -551,22 +551,6 @@ def test_residual_listing(ex3_path, capsys):
     assert len(rows) == 100
     match = re.search(r"max \|residual\|: (\S+) at x", out)
     assert float(match.group(1)) < 1e-5
-
-
-def test_cli_residual_lays_f_out_only_in_parse_and_problem(monkeypatch, capsys):
-    # parse checks f and then exact, and Problem both again, keeping f's layout, which the
-    # tape and the residual read; a solve lays nothing out
-    walked, real = [], expressions._layout
-    monkeypatch.setattr(expressions, "_layout", lambda e: walked.append(e) or real(e))
-    assert main(["residual", DEMO_FILE, "--n", "10", "--grid", "100"]) == 0
-    census, problem = walked[:], benchmark_problem(1, 0.5, 1.0)
-    walked.clear()
-    solve(problem, 8)
-    assert walked == []
-    monkeypatch.undo()
-    demo = load_problem(DEMO_FILE)
-    assert len(census) == 4 and census[0] is census[2] and census[1] is census[3]
-    assert census[:2] == [demo.f, demo.exact]
 
 
 def test_residual_of_the_demo_problem_is_pinned_byte_for_byte(capsys):

@@ -10,7 +10,6 @@ import pytest
 
 from support import QuadratureFailure, left_nested_sum, quadrature_oracle
 
-from adomian_bvp import expressions
 from adomian_bvp.benchmarks import benchmark_problem
 from adomian_bvp.diagnostics import (
     MAX_GRID_SIZE,
@@ -140,15 +139,6 @@ def test_max_errors_is_max_error_of_each_partial_sum(example, beta):
             assert got.errors.tobytes() == want.errors.tobytes()
             assert (got.max_error, got.max_point) == (want.max_error, want.max_point)
             assert not got.grid.flags.writeable and not got.errors.flags.writeable
-
-
-def test_max_errors_lays_out_its_reference_once(monkeypatch):
-    # check_expr walks the reference, and eval_real evaluates the layout it returned
-    exact, walked, real = benchmark_problem(1, 0.5, 3.5).exact, [], expressions._layout
-    monkeypatch.setattr(expressions, "_layout", lambda e: walked.append(e) or real(e))
-    (report,) = max_errors([GPSeries.constant(-1.5)], exact, 1000)
-    assert walked == [exact]
-    assert report.errors.tobytes() == np.abs(-1.5 - eval_real(exact, report.grid)).tobytes()
 
 
 def test_max_errors_of_no_partial_sum_still_checks_the_reference():

@@ -2,18 +2,22 @@
 print/parse stability."""
 
 import collections
+import copy
+import dataclasses
 import math
+import pickle
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from support import adomian_polynomials, left_nested_sum, taylor_gap
 
-from adomian_bvp import expressions
+from adomian_bvp import cli, expressions
 from adomian_bvp.benchmarks import benchmark_problem
-from adomian_bvp.diagnostics import max_error, residual
+from adomian_bvp.diagnostics import max_error, max_errors, residual
 from adomian_bvp.errors import (
     DivisionByZero,
     DomainError,
@@ -404,6 +408,74 @@ def test_trees_compare_by_type_literal_and_operand_order():
     assert len(set(unequal)) == len(unequal)
     assert [a == b for a in unequal for b in unequal] == [a is b for a in unequal for b in unequal]
     assert Constant(1.0) != 1.0 and X != "x"  # not a node: NotImplemented, then identity
+
+
+# --- one layout per tree object: walked once, kept on the tree, not copied ------------------
+
+DEMO_FILE = str(Path(__file__).resolve().parent.parent / "demos" / "problems" / "exp_dirichlet.prob")
+WALKED_COMMANDS = {
+    "cli solve": ["solve", DEMO_FILE, "--n", "10"],
+    "cli residual": ["residual", DEMO_FILE, "--n", "10", "--grid", "100"],
+    "cli table": ["table", "--example", "1", "--betas", "1,3.5"],  # 3 alphas by 2 betas
+}
+COPIES = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+          "pickle": lambda value: pickle.loads(pickle.dumps(value))}
+
+
+def _walks(monkeypatch) -> list:
+    """The tree objects ``expressions._layout`` walks from now on: the calls that do not
+    return the layout already kept on the tree."""
+    walked, real = [], expressions._layout
+
+    def layout(e):
+        kept = getattr(e, "_laid_out", None)
+        result = real(e)
+        if result is not kept:
+            walked.append(e)
+        return result
+
+    monkeypatch.setattr(expressions, "_layout", layout)
+    return walked
+
+
+@pytest.mark.parametrize("case,walks", [("cli solve", 2), ("cli residual", 2), ("cli table", 12),
+                                        ("solve", 0), ("max_errors", 0)])
+def test_each_tree_object_is_walked_once(monkeypatch, capsys, case, walks):
+    # parse walks each tree it reads and Problem each benchmark tree it is built with; every
+    # later check, tape and evaluation of that tree object reads the layout kept on it
+    checked = benchmark_problem(1, 0.5, 1.0), benchmark_problem(1, 0.5, 3.5)
+    built = []  # the problems built from now on, in order
+
+    def kept(build):
+        return lambda *args: built.append(build(*args)) or built[-1]
+
+    monkeypatch.setattr(cli, "load_problem", kept(cli.load_problem))
+    monkeypatch.setattr(cli, "benchmark_problem", kept(cli.benchmark_problem))
+    walked = _walks(monkeypatch)
+    if case == "solve":
+        solve(checked[0], 8)
+    elif case == "max_errors":
+        max_errors([GPSeries.constant(-1.5)], checked[1].exact, 1000)
+    else:
+        assert cli.main(WALKED_COMMANDS[case]) == 0
+    want = [tree for problem in built for tree in (problem.f, problem.exact)]
+    assert len(walked) == len(want) == walks
+    assert all(tree is wanted for tree, wanted in zip(walked, want))
+
+
+@pytest.mark.parametrize("how", list(COPIES))
+def test_a_copy_holds_the_fields_alone_and_lays_itself_out_again(how):
+    problem = benchmark_problem(1, 0.6056, 1.771)
+    psi = solve(problem, 8).psi  # f and exact are laid out
+    tree, twin = COPIES[how](problem.f), COPIES[how](problem)
+    assert tree is not problem.f and tree.__dict__.keys() == problem.f.__dict__.keys()
+    assert tree == problem.f and twin == problem
+    for e in (tree, twin.f, twin.exact):  # a layout of its own object, not the original's
+        assert expressions._layout(e)[-1][0] is e
+    for copied in (dataclasses.replace(problem, f=tree), twin):
+        got = solve(copied, 8).psi
+        assert got.coeffs.tobytes() == psi.coeffs.tobytes()
+        assert got.exponents.tobytes() == psi.exponents.tobytes()
 
 
 # --- the operator tables ----------------------------------------------------------

@@ -6,13 +6,17 @@ Each entry point checks an expression in one ``check_expr`` walk, and no
 second validation walk comes back.  Every number a caller gives is checked by
 one rule, ``series.check_real``, the only code that reads ``numbers.Real``, and a float
 takes its one exact-type branch; every count, by ``solver.check_count``, the only code that
-calls ``operator.index``.  The benchmark problems are built as trees, not parsed."""
+calls ``operator.index``.  The benchmark problems are built as trees, not parsed.  The
+tree layout is a format of ``expressions.py`` alone, and ``Problem`` holds its eight fields."""
 
 import ast
 import collections
+import dataclasses
+import re
 from pathlib import Path
 
 import adomian_bvp
+from adomian_bvp.solver import Problem
 
 SRC = Path(adomian_bvp.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -174,3 +178,15 @@ def test_benchmarks_build_trees_without_the_parser():
     reached |= {a.name.split(".")[-1] for node in imports for a in node.names}
     assert not {"problem_file", "parse", "parse_problem_text"} & reached
     assert "parse" not in _calls(tree)
+
+
+def test_only_expressions_names_the_layout():
+    # every other module passes trees, and each tree keeps its own layout
+    naming = sorted(path.name for path in SRC.rglob("*.py")
+                    if re.search(r"\b(Layout|_layout|_laid_out)\b", path.read_text(encoding="utf-8")))
+    assert naming == ["expressions.py"]
+
+
+def test_problem_holds_its_eight_fields_alone():
+    assert [field.name for field in dataclasses.fields(Problem)] == [
+        "alpha", "sigma", "f", "eta1", "alpha1", "beta1", "gamma1", "exact"]

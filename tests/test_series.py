@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import random
 import re
 
 import numpy as np
@@ -295,6 +296,38 @@ def test_product_overflow_is_a_non_finite_term():
         mul(big, big)
     with pytest.raises(NonFiniteTerm):
         scale(big, 1e200)
+
+
+# --- the tolerance band: no exponent gap lies near the merge tolerance -------------------
+
+
+def _non_dyadic_points(count: int, seed: int = 2211) -> list[tuple[int, float, float]]:
+    """The two non-dyadic baseline rows, then seeded (family, alpha, beta) points of families 1-3
+    with 4-digit alphas in [0, 0.9] that are no multiple of 1/16 and betas in [1, 3.5]."""
+    rng, points = random.Random(seed), [(1, 0.6056, 1.771), (2, 0.8136, 1.0)]
+    while len(points) < count:
+        family, alpha = 1 + len(points) % 3, round(rng.uniform(0.0, 0.9), 4)
+        beta = round(rng.uniform(1.0, 3.5), 4)
+        if alpha * 16 % 1 != 0:
+            points.append((family, alpha, 1.0 if family == 2 else beta))
+    return points
+
+
+def test_no_gap_the_kernel_sees_lies_in_the_band_around_the_merge_tolerance(monkeypatch):
+    # Every gap the kernel joins is rounding noise, and every gap it keeps is a real exponent
+    # step: a gap between 1e-13 and 1e-6 would make psi depend on where the tolerance sits.
+    joined, kept, merged = [0.0], [math.inf], series._merged
+
+    def hooked(coeffs, exponents):
+        gaps = np.diff(np.sort(exponents))
+        joined.append(np.max(gaps[gaps <= EXPONENT_MERGE_TOL], initial=0.0))
+        kept.append(np.min(gaps[gaps > EXPONENT_MERGE_TOL], initial=math.inf))
+        return merged(coeffs, exponents)
+
+    monkeypatch.setattr(series, "_merged", hooked)
+    for point in _non_dyadic_points(10):
+        solve(benchmark_problem(*point), 20)
+    assert max(joined) <= 1e-13 and min(kept) >= 1e-6, (max(joined), min(kept))
 
 
 # --- arithmetic ------------------------------------------------------------------

@@ -31,7 +31,7 @@ from adomian_bvp.errors import (
     NonFiniteTerm,
     TermBlowup,
 )
-from adomian_bvp.expressions import MAX_DEPTH, X, Y, check_expr, parse
+from adomian_bvp.expressions import MAX_DEPTH, X, Y, parse
 from adomian_bvp.problem_file import load_problem
 from adomian_bvp.series import GPSeries, Term, add, combine, differentiate, evaluate
 from adomian_bvp.solver import Problem, SolveReport, Step, check_count, partial_sum, solve, steps
@@ -117,18 +117,6 @@ def test_a_report_holds_each_step_once_and_reads_components_n_and_terms_from_it(
     assert all(a is b for a, b in zip(cut.components, report.components))
     one = dataclasses.replace(report.diagnostics[2], y=GPSeries.constant(2.0))
     assert one.terms == 1 < report.diagnostics[2].terms == len(report.diagnostics[2].y)
-
-
-def test_problem_keeps_the_layout_its_check_walked_outside_its_value():
-    problem = benchmark_problem(1, 0.5, 1.0)
-    assert problem.f_layout == check_expr(problem.f, {"x", "y", "yp"}, InvalidProblem, "f")
-    twin = dataclasses.replace(problem)  # checked again: a layout of its own
-    assert twin.f_layout is not problem.f_layout
-    assert twin == problem and hash(twin) == hash(problem) and repr(twin) == repr(problem)
-    assert "f_layout" not in repr(problem)
-    given = ("alpha", "sigma", "f", "eta1", "alpha1", "beta1", "gamma1")
-    with pytest.raises(TypeError):  # not an argument
-        Problem(**{name: getattr(problem, name) for name in given}, f_layout=[])
 
 
 def test_one_count_rule_names_the_count_its_bound_and_the_value():
