@@ -28,7 +28,7 @@ from .diagnostics import MAX_GRID_SIZE, _label, format_error_table, max_error
 from .diagnostics import max_errors, residual_grid
 from .diagnostics import residual  # noqa: F401 -- bench/spans.py WRAPPED looks it up here
 from .errors import AdmError, InputError, InvalidValue
-from .problem_file import dump_problem, load_problem
+from .problem_file import dump_problem, load_problem, read_number
 from .series import GPSeries, format_series
 from .solver import SolveReport, check_count, partial_sum, solve
 
@@ -195,11 +195,18 @@ def _nonempty(values: list) -> list:
 
 
 def _float_list(text: str) -> list[float]:
-    return _nonempty([float(part) for part in text.split(",") if part.strip()])
+    return _nonempty([read_number(part) for part in text.split(",") if part.strip()])
 
 
 def _int_list(text: str) -> list[int]:
-    return _nonempty([int(part) for part in text.split(",") if part.strip()])
+    return _nonempty([read_number(part, int) for part in text.split(",") if part.strip()])
+
+
+def _int(text: str) -> int:
+    return read_number(text, int)
+
+
+_int.__name__ = "int"  # argparse names a refused value by its type: "invalid int value: ..."
 
 
 class _Parser(argparse.ArgumentParser):
@@ -224,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve a problem file")
     p_solve.add_argument("file", help="problem file path")
-    p_solve.add_argument("--n", type=int, default=10, help="number of components")
-    p_solve.add_argument("--grid", type=int, default=1000, help="error grid size")
+    p_solve.add_argument("--n", type=_int, default=10, help="number of components")
+    p_solve.add_argument("--grid", type=_int, default=1000, help="error grid size")
     p_solve.add_argument("--emit", choices=("text", "json"), default="text")
     p_solve.add_argument(
         "--dump-config",
@@ -235,17 +242,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.set_defaults(handler=_cmd_solve)
 
     p_table = sub.add_parser("table", help="benchmark maximum-error table")
-    p_table.add_argument("--example", type=int, required=True, choices=BENCHMARK_IDS)
+    p_table.add_argument("--example", type=_int, required=True, choices=BENCHMARK_IDS)
     p_table.add_argument("--alphas", type=_float_list, default=[0.25, 0.5, 0.75])
     p_table.add_argument("--betas", type=_float_list, default=[1.0])
     p_table.add_argument("--ns", type=_int_list, default=[5, 8, 10])
-    p_table.add_argument("--grid", type=int, default=1000)
+    p_table.add_argument("--grid", type=_int, default=1000)
     p_table.set_defaults(handler=_cmd_table)
 
     p_res = sub.add_parser("residual", help="pointwise equation residual")
     p_res.add_argument("file", help="problem file path")
-    p_res.add_argument("--n", type=int, default=10)
-    p_res.add_argument("--grid", type=int, default=1000)
+    p_res.add_argument("--n", type=_int, default=10)
+    p_res.add_argument("--grid", type=_int, default=1000)
     p_res.set_defaults(handler=_cmd_residual)
 
     return parser

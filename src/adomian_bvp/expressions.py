@@ -2,7 +2,8 @@
 
 The grammar accepted by :func:`parse`:
 
-* numbers: decimal and scientific (``0.5``, ``1e-3``, ``.25``)
+* numbers: decimal and scientific (``0.5``, ``1e-3``, ``.25``) in the ASCII digits 0-9; minus
+  signs before a number, bare or parenthesized (``--2``, ``-(3)``), make one signed ``Constant``
 * variables: ``x``, ``y`` (the solution), ``yp`` (its first derivative)
 * operators ``+ - * / ^`` and parentheses; functions ``exp(...)``, ``ln(...)``
 * precedence, tightest first: unary minus, ``^``, ``*`` ``/``, ``+`` ``-``;
@@ -65,7 +66,7 @@ from .series import GPSeries
 class _Node:
     """An AST node: ``==`` and ``hash`` read its canonical shape; ``repr`` writes each path."""
 
-    __slots__ = ("_laid_out",)  # its layout, once walked: outside the __dict__ of its fields
+    __slots__ = ("_laid_out",)  # its layout but its own entry, once walked: outside its fields
 
     def __getstate__(self) -> dict:  # the fields alone: a copy or a pickle is laid out again
         return self.__dict__
@@ -164,14 +165,15 @@ _FUNCTIONS = {"exp": Exp, "ln": Ln}
 
 _KINDS, _LITERAL = frozenset(_NODES), frozenset({Constant, Var, PowXReal, PowInt})
 _LAID_OUT = object()
-Layout = list[tuple[Expr, tuple[int, ...], object]]  # kept on the tree it lays out: read only
+Layout = list[tuple[Expr, tuple[int, ...], object]]  # its entries kept on the tree: read only
 
 
 def _layout(e: Expr) -> Layout:
     """e's distinct node objects, by ``id``, in post-order (operands first, left first), each as
-    (node, its operands' slots, the last field of a ``_LITERAL`` node or None); one walk per e."""
-    if (layout := getattr(e, "_laid_out", None)) is not None:
-        return layout
+    (node, its operands' slots, the last field of a ``_LITERAL`` node or None); one walk per e,
+    kept on e but for e's own entry, rebuilt at each read, so that no tree refers to itself."""
+    if (kept := getattr(e, "_laid_out", None)) is not None:
+        return [*kept[0], (e, *kept[1])]
     layout, slots, stack = [], {}, [e]  # slots: id(node) -> its slot
     while stack:
         node = stack.pop()
@@ -190,7 +192,7 @@ def _layout(e: Expr) -> Layout:
             else:
                 slots[id(node)] = len(layout)
                 layout.append((node, (), literal))
-    object.__setattr__(e, "_laid_out", layout)
+    object.__setattr__(e, "_laid_out", (layout[:-1], layout[-1][1:]))
     return layout
 
 
@@ -202,7 +204,8 @@ MAX_DEPTH = 100
 
 # A token, its kind the group it matched: 1 a number, 2 a name, 3 any other character but
 # whitespace (str.isspace), which no token starts with, so that finditer skips it.
-_TOKEN_RE = re.compile(r"((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|([A-Za-z_][A-Za-z_0-9]*)|(\S)")
+_TOKEN_RE = re.compile(
+    r"((?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)|([A-Za-z_][A-Za-z_0-9]*)|(\S)")
 _NUMBER, _NAME = 1, 2
 
 
@@ -260,8 +263,8 @@ def parse(source: str) -> Expr:
         while take("-"):
             negations += 1
         node = atom()
-        for _ in range(negations):
-            node = Neg(node)
+        for _ in range(negations):  # a negated number is one literal
+            node = Constant(-node.value) if type(node) is Constant else Neg(node)
         return node
 
     def parenthesized() -> Expr:
@@ -280,7 +283,7 @@ def parse(source: str) -> Expr:
         kind, text, position = tokens[-1]
         if text == "(":
             return parenthesized()
-        if kind == _NUMBER or text.isdigit() or text == ".":  # "." or a digit \d refuses
+        if kind == _NUMBER or text.isdigit() or text == ".":  # "." or a digit [0-9] refuses
             return Constant(number())
         tokens.pop()
         if kind != _NAME:
@@ -338,9 +341,8 @@ def _number(literal) -> float:
 
 def _parts(e: Expr, operands: tuple[int, ...], literal) -> tuple[int, list]:
     """e's precedence level and its text: strings and (operand slot, level to print it at) pairs."""
-    if isinstance(e, Constant):
-        value = _number(literal)
-        return (_UNARY, ["-", repr(-value)]) if value < 0 else (_ATOM, [repr(value)])
+    if isinstance(e, Constant):  # one literal, signed: a negative one is read back as one
+        return _ATOM, [repr(_number(literal))]
     if isinstance(e, Var):
         return _ATOM, [literal]
     if isinstance(e, Neg):
@@ -560,8 +562,7 @@ def _seed(value: GPSeries) -> _Rule:
     return lambda k, out: value if k == 0 else GPSeries.zero()
 
 
-_LINEAR = {Neg: (-1.0,), Add: (1.0, 1.0), Sub: (1.0, -1.0)}  # weighted sums of the operands
-_RULES = {**{node: linear_coeff(*weights) for node, weights in _LINEAR.items()},
+_RULES = {Neg: linear_coeff(-1.0), Add: linear_coeff(1.0, 1.0), Sub: linear_coeff(1.0, -1.0),
           Mul: mul_coeff, Div: div_coeff, Exp: exp_coeff, Ln: ln_coeff}
 
 
@@ -573,8 +574,8 @@ class Tape:
     node keeps the coefficients of the decomposition parameter computed so far.  :meth:`extend`
     appends coefficient k to every node, by one rule each, so the k-th decomposition polynomial
     costs one new coefficient per node rather than a recomposition of the whole expression.  A
-    number, that is a constant or a negation, sum, difference or product of numbers, is a seed
-    valued once by its rule's float operations; c*e is e weighted by c.
+    ``Constant`` is a seed, and the one kind of number: c*e is e weighted by c.  Any other node
+    of numbers, such as (3 - 0.7)*e, has its rule, as a node of any other operands has.
     """
 
     def __init__(self, e: Expr):
@@ -598,16 +599,12 @@ class Tape:
         """The column of e, whose operands are in ``operands``: an equal node's, or a new one."""
         key = (type(e), operands, literal)
         if key not in keys:
-            rule, weights = _RULES.get(type(e)), _LINEAR.get(type(e))
+            rule = _RULES.get(type(e))
             if isinstance(e, Mul) and (operands[0] in numbers or operands[1] in numbers):
                 c, other = operands if operands[0] in numbers else operands[::-1]
-                rule, weights, operands = linear_coeff(numbers[c]), (numbers[c],), (other,)
-            value = float(literal) if isinstance(e, Constant) else math.nan
-            if weights and all(i in numbers for i in operands):  # a number
-                # two terms at most: any float sum of them rounds as the kernel's merged group
-                value = sum([w * numbers[i] for w, i in zip(weights, operands)], 0.0)
-            if isinstance(e, Constant) or math.isfinite(value):  # its rule reports an overflow
-                column = self._push(_seed(GPSeries.constant(value)), ())
+                rule, operands = linear_coeff(numbers[c]), (other,)
+            if isinstance(e, Constant):  # a seed, and a number
+                column = self._push(_seed(GPSeries.constant(value := float(literal))), ())
                 numbers[column] = value
             elif not operands:  # x or x^p: y and yp are preset inputs
                 exponent = 1.0 if isinstance(e, Var) else literal

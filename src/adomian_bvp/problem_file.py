@@ -2,8 +2,8 @@
 
 Keys (each at most once) are those of :data:`FIELDS`, all required but
 ``exact``.  ``f`` and ``exact`` hold double-quoted expression source; the
-rest are numbers.  ``#`` starts a comment outside quotes, and a quote left
-open runs to the end of the line.  Unknown keys are rejected.
+rest are numbers (:func:`read_number`).  ``#`` starts a comment outside quotes,
+and a quote left open runs to the end of the line.  Unknown keys are rejected.
 """
 
 from __future__ import annotations
@@ -27,6 +27,14 @@ FIELDS = {
     "exact": "exact",
 }
 _EXPR_KEYS = ("f", "exact")
+
+
+def read_number(text: str, kind: type = float):
+    """``kind(text)``, for ``float`` or ``int``, if text has no ``_`` and its digits are the
+    ASCII 0-9 that ``parse`` reads; else ValueError.  (kind reads no other non-ASCII inner text.)"""
+    if "_" in text or not text.strip().isascii():
+        raise ValueError(f"not a number: {text!r}")
+    return kind(text)
 
 
 def parse_problem_text(text: str) -> Problem:
@@ -62,7 +70,7 @@ def parse_problem_text(text: str) -> Problem:
         if key in _EXPR_KEYS:
             continue
         try:
-            fields[name] = float(values[key])
+            fields[name] = read_number(values[key])
         except ValueError:
             raise InvalidValue(f"{key}: {values[key]!r} is not a number") from None
 
@@ -98,7 +106,7 @@ def load_problem(path: str | Path) -> Problem:
 
 def dump_problem(problem: Problem) -> str:
     """Render a problem in the canonical file form; reloads to an equal Problem, but for a
-    negative Constant built by hand, which reloads as Neg of its absolute value."""
+    ``Neg(Constant(v))`` built by hand, which reloads as ``Constant(-v)``."""
     lines = []
     for key, name in FIELDS.items():
         value = getattr(problem, name)

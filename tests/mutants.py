@@ -103,10 +103,17 @@ _PRODUCT_JOINS = """\
 """
 
 MUTANTS = (
-    # the number fold of the expression tape
-    Mutant("sub-folded-with-plus", EXPRESSIONS,
-           "sum([w * numbers[i]", "sum([abs(w) * numbers[i]",
-           (f"{T_TAPE}::test_a_product_by_a_number_is_one_weighted_part",)),
+    # a number is one Constant: the parser folds the minus signs before a literal, and the
+    # tape weights a product by a Constant
+    Mutant("negated-literal-kept-as-neg", EXPRESSIONS,
+           "Constant(-node.value) if type(node) is Constant else Neg(node)", "Neg(node)",
+           (f"{T_EXPR}::test_minus_signs_before_a_number_make_one_literal_of_the_signed_value",
+            "tests/test_properties.py::test_no_parsed_tree_holds_a_negated_literal",
+            "tests/test_properties.py::"
+            "test_a_tree_built_from_signed_constants_parses_back_from_its_text")),
+    Mutant("negation-count-ignored", EXPRESSIONS,
+           "Constant(-node.value) if type(node)", "Constant(-abs(node.value)) if type(node)",
+           (f"{T_EXPR}::test_minus_signs_before_a_number_make_one_literal_of_the_signed_value",)),
     Mutant("only-a-left-number-folded", EXPRESSIONS,
            "(operands[0] in numbers or operands[1] in numbers)", "operands[0] in numbers",
            (f"{T_TAPE}::test_a_product_by_a_number_is_one_weighted_part",)),
@@ -164,11 +171,14 @@ MUTANTS = (
            (f"{T_EXPR}::test_every_reader_takes_a_5000_level_tree",)),
     # one layout per tree object: kept on the tree after its walk, read back, and not copied
     Mutant("layout-never-kept", EXPRESSIONS,
-           '    object.__setattr__(e, "_laid_out", layout)\n', "",
+           '    object.__setattr__(e, "_laid_out", (layout[:-1], layout[-1][1:]))\n', "",
            (f"{T_EXPR}::test_each_tree_object_is_walked_once",)),
     Mutant("kept-layout-never-read", EXPRESSIONS,
-           'if (layout := getattr(e, "_laid_out", None)) is not None:', "if False:",
+           'if (kept := getattr(e, "_laid_out", None)) is not None:', "if False:",
            (f"{T_EXPR}::test_each_tree_object_is_walked_once",)),
+    Mutant("layout-kept-with-its-own-entry", EXPRESSIONS,
+           "(layout[:-1], layout[-1][1:])", "(layout[:-1], layout[-1][1:], layout)",
+           (f"{T_EXPR}::test_a_laid_out_tree_is_freed_when_its_last_reference_goes",)),
     Mutant("copy-carries-the-layout-slot", EXPRESSIONS,
            "    def __getstate__(self) -> dict:", "    def _getstate(self) -> dict:",
            (f"{T_EXPR}::test_a_copy_holds_the_fields_alone_and_lays_itself_out_again",)),
@@ -208,7 +218,7 @@ MUTANTS = (
            "return text",
            (f"{T_EXPR}::test_dump_problem_refuses_the_text_of_a_40_level_shared_dag_at_once",)),
     Mutant("a-constant-printed-as-given", EXPRESSIONS,
-           "(_ATOM, [repr(value)])", "(_ATOM, [repr(literal)])",
+           "return _ATOM, [repr(_number(literal))]", "return _ATOM, [repr(literal)]",
            ("tests/test_problem_file.py::"
             "test_literals_of_other_number_types_dump_as_plain_text_that_reloads",)),
     Mutant("the-tape-power-not-an-int", EXPRESSIONS,
@@ -216,7 +226,7 @@ MUTANTS = (
            (f"{T_EXPR}::test_an_integral_power_of_another_number_type_solves_as_an_int",)),
     # the solver step and the tape recurrences, against the residual identity
     Mutant("sub-weighted-1-0.999", EXPRESSIONS,
-           "Sub: (1.0, -1.0)", "Sub: (1.0, -0.999)",
+           "Sub: linear_coeff(1.0, -1.0)", "Sub: linear_coeff(1.0, -0.999)",
            (f"{T_IDENTITY}::test_residual_of_an_affine_f_is_its_next_polynomial",)),
     Mutant("mul-coeff-drops-its-last-product", EXPRESSIONS,
            "for i in range(k + 1)))", "for i in range(k)))",
@@ -347,12 +357,6 @@ MUTANTS = (
     Mutant("family-1-gamma1-logarithm-swapped", BENCHMARKS,
            "-math.log(4), -math.log(5)", "-math.log(4), -math.log(4)",
            ("tests/test_benchmarks.py::test_benchmark_problem_is_pinned",)),
-    Mutant("negative-literal-built-as-a-negative-constant", BENCHMARKS,
-           "return Neg(Constant(-value)) if math.copysign(1.0, value) < 0.0 else Constant(value)",
-           "return Constant(value)",
-           ("tests/test_benchmarks.py::"
-            "test_each_tree_is_the_tree_the_parser_reads_from_the_family_text",
-            "tests/test_benchmarks.py::test_each_built_problem_reloads_from_its_dump")),
     # the residual listing: fixed-width rows where the estimates settle each digit, else %
     Mutant("listing-tie-margin-0", CLI,
            "(np.abs(m - mantissa) < 0.5 - 1e-3)", "(np.abs(m - mantissa) < 0.5)",
@@ -415,6 +419,15 @@ MUTANTS = (
     Mutant("a-digit-no-number-starts-with-taken-for-any-character", EXPRESSIONS,
            'if kind == _NUMBER or text.isdigit() or text == ".":', "if kind == _NUMBER:",
            (f"{T_EXPR}::test_parse_error_contract",)),
+    Mutant("a-digit-of-any-script-read-in-a-number", EXPRESSIONS,
+           r"((?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)",
+           r"((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)",
+           (f"{T_EXPR}::test_parse_reads_whitespace_of_any_script_and_digits_0_to_9_alone",)),
+    Mutant("a-digit-separator-read-in-a-value", "src/adomian_bvp/problem_file.py",
+           'if "_" in text or not text.strip().isascii():', "if not text.strip().isascii():",
+           ("tests/test_problem_file.py::"
+            "test_a_value_with_a_digit_separator_or_a_non_ascii_digit_is_invalid",
+            f"{T_CLI}::test_a_digit_separator_or_a_non_ascii_digit_in_an_option_is_a_usage_error")),
     Mutant("an-open-quote-not-run-to-the-end-of-the-line", "src/adomian_bvp/problem_file.py",
            """|"[^"]*"?)*""", """|"[^"]*")*""",
            ("tests/test_problem_file.py::test_a_comment_starts_at_the_first_hash_outside_quotes",)),

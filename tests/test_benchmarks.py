@@ -10,7 +10,8 @@ import pytest
 
 from adomian_bvp.benchmarks import BENCHMARK_IDS, benchmark_problem
 from adomian_bvp.errors import InvalidProblem
-from adomian_bvp.expressions import to_source
+from adomian_bvp import expressions
+from adomian_bvp.expressions import Neg, to_source
 from adomian_bvp.problem_file import FIELDS, dump_problem, parse_problem_text
 
 LN2, LN3 = 0.6931471805599453, 1.0986122886681098
@@ -123,7 +124,7 @@ def test_each_tree_is_the_tree_the_parser_reads_from_the_family_text(example):
         built = benchmark_problem(example, alpha, beta)
         read = parse_problem_text(_template_text(example, alpha, beta))
         assert built == read, (alpha, beta)
-        for name in FIELDS.values():  # repr: -0.0 and 0.0 differ, as do Constant(-v) and Neg(v)
+        for name in FIELDS.values():  # repr: -0.0 and 0.0 differ
             assert repr(getattr(built, name)) == repr(getattr(read, name)), (alpha, beta, name)
         assert to_source(built.f) == to_source(read.f), (alpha, beta)
         assert to_source(built.exact) == to_source(read.exact), (alpha, beta)
@@ -132,8 +133,17 @@ def test_each_tree_is_the_tree_the_parser_reads_from_the_family_text(example):
 def test_the_grid_covers_each_negative_literal_of_the_text():
     assert to_source(benchmark_problem(3, 0.1, 0.5).f) == "0.5*(x*yp + -0.4*y)"
     assert to_source(benchmark_problem(3, 0.5, -0.5).f) == "-0.5*(x*yp + -1.0*y)"
-    assert to_source(benchmark_problem(1, 0.5, -0.5).f) == "--0.5*exp(y)*(x*yp + -1.0)"
+    assert to_source(benchmark_problem(1, 0.5, -0.5).f) == "0.5*exp(y)*(x*yp + -1.0)"
     assert to_source(benchmark_problem(2, -0.0, 1.0).f) == "-1.0*exp(y)*(x*yp + -0.0)"
+
+
+@pytest.mark.parametrize("example", BENCHMARK_IDS)
+def test_no_benchmark_tree_holds_a_negation(example):
+    # each coefficient, -beta and -1.0 included, is one Constant of its signed value
+    for alpha, beta in GRID:
+        problem = benchmark_problem(example, alpha, beta)
+        for tree in (problem.f, problem.exact):
+            assert not [n for n, _, _ in expressions._layout(tree) if type(n) is Neg], (alpha, beta)
 
 
 @pytest.mark.parametrize("example", BENCHMARK_IDS)

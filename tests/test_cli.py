@@ -335,6 +335,41 @@ def test_table_empty_list_is_a_usage_error(capsys, option):
     assert f"argument {option}: expected a comma-separated list" in err
 
 
+# digits are the ASCII 0-9 that parse reads, and none is grouped: int() and float() take these
+@pytest.mark.parametrize("args", [
+    ["solve", DEMO_FILE, "--n", "1_0"], ["solve", DEMO_FILE, "--n", "\u0665"],
+    ["solve", DEMO_FILE, "--grid", "1_000"], ["residual", DEMO_FILE, "--n", "\uff15"],
+    ["residual", DEMO_FILE, "--grid", "1\u0660"], ["table", "--example", "1", "--grid", "1_0"],
+    ["table", "--example", "1", "--ns", "5,1_0"], ["table", "--example", "1", "--ns", "\u0665"],
+    ["table", "--example", "1", "--alphas", "0.2_5"],
+    ["table", "--example", "1", "--alphas", "0.\u0665"],
+    ["table", "--example", "1", "--betas", "1,1_0"],
+    ["table", "--example", "1", "--betas", "\u0663"],
+    ["table", "--example", "\u0661"],
+], ids=lambda args: " ".join(args[-2:]).encode("ascii", "backslashreplace").decode())
+def test_a_digit_separator_or_a_non_ascii_digit_in_an_option_is_a_usage_error(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {args[-2]}: invalid " in captured.err and captured.out == ""
+
+
+def test_a_value_with_a_digit_separator_in_a_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "grouped.prob"
+    path.write_text(EX1_FILE.replace("alpha1 = 1.0", "alpha1 = 1_0"), encoding="utf-8")
+    assert main(["solve", str(path)]) == 3
+    assert capsys.readouterr().err == "error: InvalidValue(alpha1: '1_0' is not a number)\n"
+
+
+def test_signs_spaces_and_exponents_in_options_still_read(capsys):
+    assert main(["table", "--example", "3", "--alphas", " +0.5,5e-1", "--ns", " +5 ",
+                 "--betas", "1e0", "--grid", " 100"]) == 0
+    assert main(["table", "--example", "3", "--alphas", "0.5", "--ns", "5", "--grid", "100"]) == 0
+    first, second = capsys.readouterr().out.split("# example")[1:]
+    assert first == second
+
+
 def test_table_unknown_example_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["table", "--example", "4"])

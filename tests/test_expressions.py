@@ -4,10 +4,12 @@ print/parse stability."""
 import collections
 import copy
 import dataclasses
+import gc
 import math
 import pickle
 import re
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +69,7 @@ from adomian_bvp.solver import Problem, solve
 def test_parse_exponential_nonlinearity():
     ast = parse("-1*exp(y)*(x*yp + 0.5)")
     expected = Mul(
-        Mul(Neg(Constant(1.0)), Exp(Y)),
+        Mul(Constant(-1.0), Exp(Y)),
         Add(Mul(X, YP), Constant(0.5)),
     )
     assert ast == expected
@@ -109,10 +111,42 @@ def test_parse_scientific_notation():
     assert parse("1.e5*y") == Mul(Constant(1e5), Y)
 
 
-def test_parse_reads_whitespace_and_decimal_digits_of_any_script():
+def test_parse_reads_whitespace_of_any_script_and_digits_0_to_9_alone():
     # whitespace as str.isspace has it: NBSP, LINE SEPARATOR and \x1c
     assert parse("x\xa0+\u2028y\x1c") == parse("\xa0x\u2028+\x1cy\x1c") == Add(X, Y)
-    assert parse("\u0663*y") == Mul(Constant(3.0), Y)  # ARABIC-INDIC DIGIT THREE
+    # ARABIC-INDIC DIGIT THREE, ZERO and FIVE, and a FULLWIDTH DIGIT ONE, are not digits here
+    for source, position in [("\u0663*y", 0), ("\u0660.\u0665*y", 0), ("2*\uff11", 2),
+                             ("1\u0660", 1), (".\u0665", 0)]:
+        with pytest.raises(ParseError) as caught:
+            parse(source)
+        assert caught.value.position == position, source
+
+
+@pytest.mark.parametrize("source,value", [
+    ("-0.5", -0.5), ("--0.5", 0.5), ("---0.5", -0.5), ("-(0.5)", -0.5), ("-(-(0.5))", 0.5),
+    ("- - 2", 2.0), ("-(--2)", -2.0), ("-0", -0.0), ("--0", 0.0), ("-1e-3", -1e-3),
+])
+def test_minus_signs_before_a_number_make_one_literal_of_the_signed_value(source, value):
+    e = parse(source)
+    assert type(e) is Constant and repr(e.value) == repr(value)
+    assert parse(f"{source}*y") == Mul(Constant(value), Y)
+    assert parse(f"-{source}") == Constant(-value)
+    assert parse(f"({source})^2") == PowInt(Constant(value), 2)  # unary minus binds tighter
+
+
+def test_a_negation_of_anything_but_a_number_is_kept():
+    assert parse("-y") == Neg(Y) and parse("--y") == Neg(Neg(Y))
+    assert parse("-(x + 1)") == Neg(Add(X, Constant(1.0)))
+    assert parse("-exp(0)") == Neg(Exp(Constant(0.0)))
+    assert parse("-(1)*y") == Mul(Constant(-1.0), Y)
+    assert parse("-(1*y)") == Neg(Mul(Constant(1.0), Y))
+
+
+def test_a_negated_literal_is_no_level_of_depth():
+    assert parse("-" * 150 + "1") == Constant(1.0)
+    assert parse("-" * 151 + "(" * MAX_DEPTH + "1" + ")" * MAX_DEPTH) == Constant(-1.0)
+    with pytest.raises(ParseError, match="nests deeper"):
+        parse("-" * (MAX_DEPTH + 1) + "y")
 
 
 # At least one source per raise site of the parser, with its full message and position.
@@ -423,14 +457,14 @@ COPIES = {"copy": copy.copy, "deepcopy": copy.deepcopy,
 
 
 def _walks(monkeypatch) -> list:
-    """The tree objects ``expressions._layout`` walks from now on: the calls that do not
-    return the layout already kept on the tree."""
+    """The tree objects ``expressions._layout`` walks from now on: the calls that keep a new
+    layout on the tree, which is every call on a tree that keeps none yet."""
     walked, real = [], expressions._layout
 
     def layout(e):
         kept = getattr(e, "_laid_out", None)
         result = real(e)
-        if result is not kept:
+        if getattr(e, "_laid_out", None) is not kept:
             walked.append(e)
         return result
 
@@ -476,6 +510,21 @@ def test_a_copy_holds_the_fields_alone_and_lays_itself_out_again(how):
         got = solve(copied, 8).psi
         assert got.coeffs.tobytes() == psi.coeffs.tobytes()
         assert got.exponents.tobytes() == psi.exponents.tobytes()
+
+
+def test_a_laid_out_tree_is_freed_when_its_last_reference_goes():
+    # the layout kept on a tree holds no entry of the tree itself, so it makes no cycle
+    gc.disable()
+    try:
+        problem = benchmark_problem(1, 0.5, 1.0)
+        solve(problem, 4)
+        max_errors([GPSeries.constant(-1.5)], problem.exact, 10)
+        assert expressions._layout(problem.f)[-1][0] is problem.f
+        trees = [weakref.ref(problem.f), weakref.ref(problem.exact)]
+        del problem
+        assert [tree() for tree in trees] == [None, None]
+    finally:
+        gc.enable()
 
 
 # --- the operator tables ----------------------------------------------------------
@@ -661,11 +710,12 @@ def test_print_parse_fixpoint(src):
 
 
 def test_print_negative_programmatic_constant():
-    # a negative Constant prints in parser-image form (minus then literal)
+    # a negative Constant prints as minus then its absolute value, which parses back to it
     ast = Mul(Constant(-0.5), Y)
     printed = to_source(ast)
+    assert printed == "-0.5*y"
     reparsed = parse(printed)
-    assert reparsed == Mul(Neg(Constant(0.5)), Y)
+    assert reparsed == ast and repr(reparsed) == repr(ast)
     assert to_source(reparsed) == printed
 
 

@@ -13,6 +13,7 @@ from adomian_bvp.errors import (
     DuplicateKey,
     FileNotFound,
     InputError,
+    InvalidProblem,
     InvalidValue,
     MissingKey,
     ParseError,
@@ -70,6 +71,33 @@ def test_duplicate_key_rejected():
 def test_invalid_number():
     with pytest.raises(InvalidValue):
         parse_problem_text(SAMPLE.replace("alpha1 = 1", "alpha1 = one"))
+
+
+# digits are the ASCII 0-9 that parse reads, and none is grouped: float() takes all of these
+@pytest.mark.parametrize("key,value", [
+    ("p_exponent", "0.2_5"), ("eta1", "1_0"), ("gamma1", "1e1_0"), ("alpha1", "\u0661"),
+    ("q_exponent", "-0.\u0665"), ("beta1", "\uff10"), ("eta1", "\u0661_0"),
+])
+def test_a_value_with_a_digit_separator_or_a_non_ascii_digit_is_invalid(key, value):
+    line = next(line for line in SAMPLE.splitlines() if line.startswith(key))
+    with pytest.raises(InvalidValue) as exc:
+        parse_problem_text(SAMPLE.replace(line, f"{key} = {value}"))
+    assert str(exc.value) == f"{key}: {value!r} is not a number"
+
+
+@pytest.mark.parametrize("value,want", [
+    ("+0.5", 0.5), ("0.5\t", 0.5), ("\xa00.5\u2028", 0.5), ("1e-3", 1e-3), ("-1E+1", -10.0),
+    (".5", 0.5), ("5.", 5.0), ("1", 1.0),
+])
+def test_every_other_number_spelling_still_reads(value, want):
+    assert parse_problem_text(SAMPLE.replace("eta1 = -1.3862943611198906",
+                                             f"eta1 = {value}")).eta1 == want
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e999"])
+def test_a_value_that_is_not_finite_reaches_the_check_of_problem(value):
+    with pytest.raises(InvalidProblem, match="eta1 must be finite"):
+        parse_problem_text(SAMPLE.replace("eta1 = -1.3862943611198906", f"eta1 = {value}"))
 
 
 def test_a_line_without_an_equals_sign_is_named_by_its_number():

@@ -6,7 +6,10 @@
   expressions.  ``solve`` must return 0, 3 or 4 and never raise; when it
   fails it prints exactly one ``error: Code(detail)`` line.
 * Any expression the parser accepts prints back to source that parses to
-  the same AST, and printing is stable from the first round trip on.
+  the same AST, and printing is stable from the first round trip on.  No
+  parsed tree holds a negated literal, and a tree built from ``Constant``s of
+  any sign, with no ``Neg`` over a literal, prints to text that parses back to
+  the same nodes and literals, -0.0 included.
 * Every partial sum of an admissible problem meets both boundary conditions:
   psi_m(0) is eta1 bit for bit, also when eta1 is tiny or huge next to the
   other coefficients, and the Robin combination at x = 1 is gamma1 to 1e-10
@@ -38,7 +41,10 @@ from adomian_bvp.cli import main
 from adomian_bvp.errors import (
     AdmError, ComputeError, InvalidProblem, NonFiniteTerm, ParseError,
 )
-from adomian_bvp.expressions import _NODES, Add, Mul, check_expr, eval_real, parse, to_source
+from adomian_bvp.expressions import (
+    _NODES, YP, Add, Constant, Div, Exp, Ln, Mul, Neg, PowInt, PowXReal, Sub, X, Y, check_expr,
+    eval_real, parse, to_source,
+)
 from adomian_bvp.problem_file import FIELDS
 from adomian_bvp.series import differentiate, evaluate, evaluate_many, normalize
 from adomian_bvp.solver import Problem, partial_sum, solve
@@ -145,6 +151,46 @@ def test_printed_expressions_parse_back_to_the_same_ast(source):
     printed = to_source(ast)
     assert parse(printed) == ast, (source, printed)
     assert to_source(parse(printed)) == printed
+
+
+def _nodes(e):
+    yield e
+    for value in vars(e).values():
+        if isinstance(value, _NODES):
+            yield from _nodes(value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(source=SOURCES)
+def test_no_parsed_tree_holds_a_negated_literal(source):
+    try:
+        ast = parse(source)
+    except ParseError:
+        return
+    assert not [n for n in _nodes(ast) if type(n) is Neg and type(n.arg) is Constant], source
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# Trees as code builds them: a number of any sign is one Constant, and x^p is PowXReal
+BUILT_TREES = st.recursive(
+    st.one_of(FINITE.map(Constant), FINITE.map(PowXReal), st.sampled_from([X, Y, YP])),
+    lambda inner: st.one_of(
+        st.builds(Neg, inner.filter(lambda e: type(e) is not Constant)),
+        st.builds(Exp, inner),
+        st.builds(Ln, inner),
+        st.builds(PowInt, inner.filter(lambda e: e != X), st.integers(-3, 4)),
+        st.builds(lambda node, a, b: node(a, b), st.sampled_from([Add, Sub, Mul, Div]), inner,
+                  inner),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=BUILT_TREES)
+def test_a_tree_built_from_signed_constants_parses_back_from_its_text(tree):
+    reparsed = parse(to_source(tree))
+    assert reparsed == tree and repr(reparsed) == repr(tree), to_source(tree)
 
 
 def _signed_power_of_ten(low, high):
