@@ -243,8 +243,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="benchmark maximum-error table")
     p_table.add_argument("--example", type=_int, required=True, choices=BENCHMARK_IDS)
-    p_table.add_argument("--alphas", type=_float_list, default=[0.25, 0.5, 0.75])
-    p_table.add_argument("--betas", type=_float_list, default=[1.0])
+    p_table.add_argument("--alphas", type=_float_list, default=[0.25, 0.5, 0.75],
+                         help="comma-separated; write a list that starts with '-' as "
+                              "--alphas=-0.5,1")
+    p_table.add_argument("--betas", type=_float_list, default=[1.0],
+                         help="comma-separated; write a list that starts with '-' as "
+                              "--betas=-0.5,1")
     p_table.add_argument("--ns", type=_int_list, default=[5, 8, 10])
     p_table.add_argument("--grid", type=_int, default=1000)
     p_table.set_defaults(handler=_cmd_table)

@@ -24,7 +24,8 @@ and 0..k-1 of the result.  For the decomposition polynomials these are Duan's
 recurrences (Duan, "Convenient analytic recurrence algorithms for the Adomian
 polynomials", 2011); see also Griewank & Walther, *Evaluating Derivatives*,
 ch. 13.  Each ``*_coeff`` recurrence is one :func:`~.series.combine` call that
-forms and sums its Cauchy products (by x or x^p, one, which it keeps in order).  exp,
+forms and sums its Cauchy products (by x or x^p, one, which it keeps in order), but the Euler
+node's, which weights each term of one coefficient in place (:func:`~.series.euler`).  exp,
 ln and division expand around the order-zero coefficient, so it has to be a constant;
 the solver's first component always is.  Integer powers are products by repeated squaring.
 ASTs are immutable and compare structurally, so equal subtrees share one tape node.
@@ -557,9 +558,17 @@ def binary_power(base: _T, p: int, mul: Callable[[_T, _T], _T]) -> _T:
         base = mul(base, base)
 
 
+def euler_coeff(a: float, b: float) -> _Rule:
+    """The rule of (a*theta + b)B for theta = x d/dx: coefficient k is ``series.euler`` of B_k.
+    Since (exp(u))' = exp(u)*u', coefficient k of exp(u)*x*u' is theta of exp(u)'s coefficient k,
+    so w*exp(u)*(a*x*u' + b) needs no Cauchy sum of its own."""
+    return lambda k, out, base: gps.euler(base[k], a, b)
+
+
 def _seed(value: GPSeries) -> _Rule:
-    """Rule of a node that is ``value`` at parameter order zero and 0 above it."""
-    return lambda k, out: value if k == 0 else GPSeries.zero()
+    """Rule of a node that is ``value`` at parameter order zero and 0 above it, whatever its
+    operands, which it reads only to keep them on the tape."""
+    return lambda k, out, *operands: value if k == 0 else GPSeries.zero()
 
 
 _RULES = {Neg: linear_coeff(-1.0), Add: linear_coeff(1.0, 1.0), Sub: linear_coeff(1.0, -1.0),
@@ -576,6 +585,15 @@ class Tape:
     costs one new coefficient per node rather than a recomposition of the whole expression.  A
     ``Constant`` is a seed, and the one kind of number: c*e is e weighted by c.  Any other node
     of numbers, such as (3 - 0.7)*e, has its rule, as a node of any other operands has.
+
+    One product is an Euler node: a ``Mul`` of w*exp(y) and x*yp, or of x*yp plus or minus a
+    number, in either order, with w a number (1 included).  Since (exp(y))' = exp(y)*y', its
+    coefficient k is w*(a*theta + b) of exp(y)'s coefficient k, theta = x d/dx, which keeps each
+    exponent (:func:`euler_coeff`): the paper's families 1 and 2 make one Cauchy sum per step,
+    exp's, not two.  The match reads operand columns and numbers; any other shape, such as
+    exp(y)*x*yp, x^1.0*yp or another spelling of exp(y), keeps its Cauchy product.  The tape
+    keeps only the columns its root reads, so the operands an Euler node passes over go unless
+    another node reads them; a zeroth power reads its base, so the base's domain is checked.
     """
 
     def __init__(self, e: Expr):
@@ -584,25 +602,50 @@ class Tape:
         self._program: list[tuple[_Rule, tuple[int, ...], Expr | None]] = []
         keys = {(Var, (), "y"): 0, (Var, (), "yp"): 1}  # (type, operand columns, literal) -> column
         numbers: dict[int, float] = {}  # column -> its value, for a column that is a number
+        forms: dict[int, tuple] = {}  # column -> (a, b, base): a*base + b, for numbers a and b
         columns: list[int] = []  # layout slot -> its column
         for node, slots, literal in _layout(e):
             operands = tuple(columns[i] for i in slots)
-            columns.append(self._node(keys, numbers, node, operands, literal))
-        self._root = columns[-1]
+            columns.append(self._node(keys, numbers, forms, node, operands, literal))
+        # Keep only the columns the root reads: an Euler node leaves its Mul's operands unread.
+        live = {columns[-1]}
+        for column in range(len(self._columns) - 1, 1, -1):
+            if column in live:
+                live.update(self._program[column - 2][1])
+        kept = {column: i for i, column in enumerate(sorted(live | {0, 1}))}
+        self._program = [(rule, tuple([kept[i] for i in operands]), node) for column, (
+            rule, operands, node) in enumerate(self._program, 2) if column in live]
+        self._columns, self._root = [[] for _ in kept], kept[columns[-1]]
 
     def _push(self, rule: _Rule, operands: tuple[int, ...], annotate: Expr | None = None) -> int:
         self._program.append((rule, operands, annotate))
         self._columns.append([])
         return len(self._columns) - 1
 
-    def _node(self, keys: dict, numbers: dict, e: Expr, operands: tuple[int, ...], literal) -> int:
-        """The column of e, whose operands are in ``operands``: an equal node's, or a new one."""
+    def _node(self, keys: dict, numbers: dict, forms: dict, e: Expr, operands: tuple[int, ...],
+              literal) -> int:
+        """The column of e, whose operands are in ``operands``: an equal node's, or a new one.
+        ``forms`` gets each product by a number and each sum or difference with one, for the
+        Euler match to read."""
         key = (type(e), operands, literal)
         if key not in keys:
-            rule = _RULES.get(type(e))
+            rule, form = _RULES.get(type(e)), None
             if isinstance(e, Mul) and (operands[0] in numbers or operands[1] in numbers):
                 c, other = operands if operands[0] in numbers else operands[::-1]
-                rule, operands = linear_coeff(numbers[c]), (other,)
+                rule, operands, form = linear_coeff(numbers[c]), (other,), (numbers[c], 0.0, other)
+            elif isinstance(e, Mul):  # w*exp(y) times a*x*yp + b: an Euler node on exp(y)
+                exp_y, x = keys.get((Exp, (0,), None)), keys.get((Var, (), "x"))
+                for factor, other in (operands, operands[::-1]):
+                    w, shift, base = forms.get(factor, (1.0, 0.0, factor))
+                    a, b, inner = forms.get(other, (1.0, 0.0, other))
+                    if base == exp_y and shift == 0.0 and inner in (
+                            keys.get((Mul, (x, 1), None)), keys.get((Mul, (1, x), None))):
+                        rule, operands = euler_coeff(w * a, w * b), (exp_y,)
+                        break
+            elif type(e) in (Add, Sub) and (operands[0] in numbers) != (operands[1] in numbers):
+                sign = 1.0 if isinstance(e, Add) else -1.0
+                form = ((sign, numbers[operands[0]], operands[1]) if operands[0] in numbers
+                        else (1.0, sign * numbers[operands[1]], operands[0]))
             if isinstance(e, Constant):  # a seed, and a number
                 column = self._push(_seed(GPSeries.constant(value := float(literal))), ())
                 numbers[column] = value
@@ -614,12 +657,16 @@ class Tape:
                 column = self._push(rule, operands, e if named else None)
             else:  # an integer power: repeated squaring, of 1/base when negative
                 column, power = operands[0], int(literal)
-                if power <= 0:
-                    one = self._node(keys, numbers, Constant(1.0), (), 1.0)
-                    column = one if power == 0 else self._push(div_coeff, (one, column), e)
+                if power == 0:  # 1, reading its base, so that the base's domain is checked
+                    column = self._push(_seed(GPSeries.constant(1.0)), (column,))
+                elif power < 0:
+                    one = self._node(keys, numbers, forms, Constant(1.0), (), 1.0)
+                    column = self._push(div_coeff, (one, column), e)
                 if power != 0:
                     column = binary_power(column, abs(power),
                                           lambda a, b: self._push(mul_coeff, (a, b), e))
+            if form:
+                forms[column] = form
             keys[key] = column
         return keys[key]
 

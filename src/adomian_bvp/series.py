@@ -16,7 +16,9 @@ exponents, and its scan is every NonFiniteTerm here: the first non-finite term
 of the arrays it is given, else a merged overflow.  A map that keeps exponents in
 order (:func:`differentiate`, a product by one term, the inverse image) skips the
 sort through :func:`from_ordered`, with the same bits: terms that would merge, or
-are zero or not finite, send its arrays to the kernel.  :func:`combine` is every
+are zero or not finite, send its arrays to the kernel.  The Euler operator x d/dx
+(:func:`euler`) keeps every exponent, so it only drops its zeros and checks its
+coefficients, as the kernel would.  :func:`combine` is every
 weighted sum, of series and of products of two series, such as one Cauchy sum of
 a recurrence, in one loop over its pieces; raw products join the sum unmerged, so
 the sum is normalized once.
@@ -274,21 +276,25 @@ def combine(
     One loop appends the weighted arrays of each piece, the parts and then the raw products
     in order; a piece of weight 0, with a zero series or a zero factor, is skipped, and such
     a product never formed.  Several pieces are normalized once, as one sum.  A lone part is
-    only scaled, and the zeros of an underflow dropped; a lone product of weight 1 by one term
-    c*x^p keeps the other factor's order (:func:`from_ordered`), and any other is normalized.
+    only scaled, and the zeros of an underflow dropped; a sum of parts alone with no live part,
+    or one of weight 1, is that part or zero at once, before any error state is entered.  A lone
+    product of weight 1 by one term c*x^p keeps the other factor's order (:func:`from_ordered`),
+    and any other is normalized.
 
     Raises:
         TermBlowup: a raw product would have over ``DEFAULT_TERM_CAP`` terms (before it is formed).
         NonFiniteTerm: a weighted or merged coefficient is not finite, named
             as the kernel names it in the arrays it is given.
     """
+    parts = [(w, s) for w, s in parts if w != 0.0 and len(s.coeffs)]
+    if not products and (not parts or len(parts) == 1 and parts[0][0] == 1.0):
+        return parts[0][1] if parts else _ZERO  # no arithmetic, so no error state
     coeffs, exponents = [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for w, s in parts:
-            if w != 0.0 and len(s.coeffs):
-                coeffs.append(s.coeffs if w == 1.0 else w * s.coeffs)
-                exponents.append(s.exponents)
-                weight = w
+            coeffs.append(s.coeffs if w == 1.0 else w * s.coeffs)
+            exponents.append(s.exponents)
+            weight = w
         alone = len(coeffs)  # 1: the sum is one part, unless a product joins it
         for w, a, b in products:
             if w != 0.0 and len(a.coeffs) and len(b.coeffs):
@@ -339,6 +345,21 @@ def differentiate(a: GPSeries) -> GPSeries:
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = coeffs * exponents
     return from_ordered(coeffs, exponents - 1.0)
+
+
+def euler(s: GPSeries, a: float, b: float) -> GPSeries:
+    """(a*theta + b)s for the Euler operator theta = x d/dx, which keeps each exponent e and
+    weights its term by e: each coefficient times a*e + b, on s's own exponents, with exact
+    zeros dropped.
+
+    Raises:
+        NonFiniteTerm: a weighted coefficient is not finite, named as the kernel names it.
+    """
+    if not len(s.coeffs):
+        return _ZERO
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = s.coeffs * (a * s.exponents + b)
+    return GPSeries._of(*_nonzero(coeffs, s.exponents, (coeffs, s.exponents)))
 
 
 def evaluate(a: GPSeries, x: float) -> float:

@@ -117,7 +117,39 @@ MUTANTS = (
     Mutant("only-a-left-number-folded", EXPRESSIONS,
            "(operands[0] in numbers or operands[1] in numbers)", "operands[0] in numbers",
            (f"{T_TAPE}::test_a_product_by_a_number_is_one_weighted_part",)),
-    # the two rules of series.combine
+    # the Euler node: w*exp(y)*(a*x*yp + b) matched in either order, its rule's zero drop and
+    # finite check, and a tape of the columns its root reads
+    Mutant("euler-match-sent-back-to-the-cauchy-product", EXPRESSIONS,
+           "rule, operands = euler_coeff(w * a, w * b), (exp_y,)", "pass",
+           (f"{T_TAPE}::test_families_1_and_2_are_one_exp_node_and_one_euler_node",
+            f"{T_ORDERED}::test_a_solve_reaches_the_kernel_only_for_the_sums_that_merge")),
+    Mutant("euler-match-in-one-order-only", EXPRESSIONS,
+           "for factor, other in (operands, operands[::-1]):", "for factor, other in (operands,):",
+           (f"{T_TAPE}::test_each_order_and_sign_of_the_product_is_one_euler_node_on_exp_y",)),
+    Mutant("euler-zero-drop-removed", SERIES,
+           "    return GPSeries._of(*_nonzero(coeffs, s.exponents, (coeffs, s.exponents)))\n",
+           "    if not np.isfinite(coeffs).all():\n        _raise_non_finite(coeffs, s.exponents)\n"
+           "    return GPSeries._of(coeffs, s.exponents)\n",
+           (f"{T_SERIES}::test_euler_drops_the_term_at_the_exponent_minus_b_over_a",
+            f"{T_TAPE}::test_the_euler_node_drops_the_term_where_a_e_plus_b_is_zero")),
+    Mutant("euler-non-finite-unchecked", SERIES,
+           "    return GPSeries._of(*_nonzero(coeffs, s.exponents, (coeffs, s.exponents)))\n",
+           "    keep = coeffs != 0.0\n    return GPSeries._of(coeffs[keep], s.exponents[keep])\n",
+           (f"{T_SERIES}::test_euler_names_a_non_finite_coefficient_as_the_kernel_does",
+            f"{T_TAPE}::test_an_overflow_is_a_non_finite_term_on_both_paths")),
+    Mutant("unread-columns-kept", EXPRESSIONS,
+           "live = {columns[-1]}", "live = set(range(len(self._columns)))",
+           (f"{T_TAPE}::test_families_1_and_2_are_one_exp_node_and_one_euler_node",)),
+    Mutant("zeroth-power-reads-no-base", EXPRESSIONS,
+           "self._push(_seed(GPSeries.constant(1.0)), (column,))",
+           "self._push(_seed(GPSeries.constant(1.0)), ())",
+           (f"{T_TAPE}::test_a_zeroth_power_reads_its_base_so_the_base_domain_is_checked",
+            f"{T_TAPE}::test_every_other_shape_keeps_the_columns_it_reads")),
+    # the two rules of series.combine, and a sum of parts that does no arithmetic
+    Mutant("combine-enters-the-error-state-with-no-arithmetic", SERIES,
+           "    if not products and (not parts", "    if False and (not parts",
+           (f"{T_SERIES}::"
+            "test_a_sum_of_parts_that_does_no_arithmetic_returns_before_the_error_state",)),
     Mutant("zero-weight-products-formed", SERIES,
            "if w != 0.0 and len(a.coeffs)", "if len(a.coeffs)",
            (f"{T_SERIES}::test_a_product_of_weight_0_is_skipped_before_it_is_formed",)),
@@ -393,7 +425,7 @@ MUTANTS = (
            "[np.asarray(undefined)][0]", "[np.asarray(undefined)][-1]",
            (f"{T_EXPR}::test_eval_real_grid_raises_when_any_point_violates_the_domain",)),
     Mutant("zero-weight-parts-summed", SERIES,
-           "if w != 0.0 and len(s.coeffs):", "if len(s.coeffs):",
+           "for w, s in parts if w != 0.0 and len(s.coeffs)]", "for w, s in parts if len(s.coeffs)]",
            (f"{T_SERIES}::test_operations_match_reference_bit_for_bit",)),
     Mutant("a-single-part-not-checked", SERIES,
            "else GPSeries._of(*_nonzero(c, e, (c, e)))", "else GPSeries._of(c, e)",

@@ -370,6 +370,24 @@ def test_signs_spaces_and_exponents_in_options_still_read(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("option,value,error", [
+    ("--betas", "-0.5,1", "Divergent(component 1: weighted exponent -2.25 below alpha-2"),
+    ("--alphas", "-1e-300", "InvalidProblem(alpha must lie in [0, 1), got -1e-300)")])
+def test_a_list_that_starts_with_a_minus_sign_is_written_with_an_equals_sign(
+        capsys, option, value, error):
+    # spaced, argparse reads the value as an option; joined by "=", the list is read
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--example", "1", "--ns", "5", option, value])
+    assert exc.value.code == 2
+    assert f"argument {option}: expected one argument" in capsys.readouterr().err
+    assert main(["table", "--example", "1", "--ns", "5", f"{option}={value}"]) in (3, 4)
+    assert capsys.readouterr().err.startswith(f"error: {error}")
+    assert main(["table", "--example", "3", "--ns", "5", "--grid", "100", "--alphas=-0.0,0.5"]) == 0
+    assert main(["table", "--example", "3", "--ns", "5", "--grid", "100", "--alphas", "0,0.5"]) == 0
+    signed, unsigned = capsys.readouterr().out.split("# example")[1:]
+    assert signed.replace("\n-0     ", "\n0      ") == unsigned
+
+
 def test_table_unknown_example_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["table", "--example", "4"])

@@ -23,6 +23,7 @@ from adomian_bvp.series import (
     add,
     combine,
     differentiate,
+    euler,
     evaluate,
     evaluate_many,
     format_series,
@@ -581,6 +582,19 @@ def test_a_product_of_weight_0_is_skipped_before_it_is_formed():
     assert combine([(1.0, part)], [(-0.0, wide, wide), (1.0, part, GPSeries.zero())]) == part
 
 
+def test_a_sum_of_parts_that_does_no_arithmetic_returns_before_the_error_state(monkeypatch):
+    # no live part, or one of weight 1: the series itself, with no np.errstate entered
+    s, entered = GPSeries([(1.0, 0.0), (2.0, 0.5)]), []
+    errstate = np.errstate
+    monkeypatch.setattr(np, "errstate", lambda **kw: entered.append(kw) or errstate(**kw))
+    assert combine(((1.0, s),)) is s
+    assert combine([(0.0, s), (1.0, GPSeries.zero())]) is GPSeries.zero()
+    assert combine(zip((-0.0, 1.0), (s, s))) is s
+    assert combine(()) is GPSeries.zero()
+    assert not entered
+    assert _terms(combine(((2.0, s),))) == [(2.0, 0.0), (4.0, 0.5)] and len(entered) == 1
+
+
 @pytest.mark.parametrize("factor,named",
                          [(_BIG, "-inf, 1.0"), (GPSeries.monomial(1.0, 1e308), "-1.0, inf")],
                          ids=["coefficient", "exponent"])
@@ -645,6 +659,36 @@ def test_product_rule_term_for_term():
         for tl, tr in zip(lhs.terms, rhs.terms):
             assert tl.exponent == pytest.approx(tr.exponent, abs=1e-12)
             assert tl.coeff == pytest.approx(tr.coeff, rel=1e-12)
+
+
+# --- the Euler operator -------------------------------------------------------------
+
+
+def test_euler_weights_each_term_by_a_times_its_exponent_plus_b_in_place():
+    s = GPSeries([(0.3, 0.0), (-1.25, 0.5), (2.0, 1.75)])
+    got = euler(s, -3.5, 0.7)
+    assert got.exponents is s.exponents  # theta keeps every exponent: no sort, no merge
+    assert _terms(got) == [(c * (-3.5 * e + 0.7), e) for c, e in _terms(s)]
+    assert euler(GPSeries.zero(), 2.0, 1.0).is_zero
+
+
+def test_euler_drops_the_term_at_the_exponent_minus_b_over_a():
+    s = GPSeries([(1.0, 0.5), (2.0, 1.0), (3.0, 1.5)])
+    assert _terms(euler(s, 1.0, -1.0)) == [(-0.5, 0.5), (1.5, 1.5)]
+    assert _terms(euler(s, -2.0, 1.0)) == [(-2.0, 1.0), (-6.0, 1.5)]
+    assert euler(s, 0.0, 0.0).is_zero
+
+
+@pytest.mark.filterwarnings("error")
+def test_euler_names_a_non_finite_coefficient_as_the_kernel_does():
+    s = GPSeries([(1.0, 0.5), (1e300, 2.0), (-1e300, 3.0)])
+    with np.errstate(over="ignore"):
+        weighted = s.coeffs * (1e10 * s.exponents + 0.0)
+    with pytest.raises(NonFiniteTerm) as kernel:
+        from_arrays(weighted, s.exponents)
+    with pytest.raises(NonFiniteTerm, match=r"^term \(inf, 2\.0\) is not finite$") as got:
+        euler(s, 1e10, 0.0)
+    assert str(got.value) == str(kernel.value)
 
 
 # --- evaluate ---------------------------------------------------------------------

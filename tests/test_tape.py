@@ -10,16 +10,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from support import adomian_polynomials, taylor_gap
 
 import adomian_bvp.series as series_module
 from adomian_bvp.benchmarks import benchmark_problem
-from adomian_bvp.errors import DivisionByZeroSeries, LogOfNonPositive, NonConstantBasePoint
+from adomian_bvp.errors import (
+    DivisionByZeroSeries, LogOfNonPositive, NonConstantBasePoint, NonFiniteTerm,
+)
 from adomian_bvp.expressions import (
     YP, Add, Constant, Mul, Tape, Var, X, eval_real, mul_coeff, parse, to_source,
 )
-from adomian_bvp.series import GPSeries, differentiate, evaluate, evaluate_many
+from adomian_bvp.series import GPSeries, differentiate, evaluate, evaluate_many, normalize
 from adomian_bvp.solver import Problem, solve
 
 GRID = np.arange(1, 1001) / 1000.0
@@ -87,6 +91,11 @@ def _counting(monkeypatch, name, count):
     return calls
 
 
+def _rules(tape):
+    """The name of each node's rule, in program order: ``linear_coeff`` for any weighted sum."""
+    return [rule.__qualname__.split(".")[0] for rule, _, _ in tape._program]
+
+
 def test_series_products_grow_quadratically_in_n(monkeypatch):
     # Recomposing f at every step costs O(n^4) products (224 -> 2830 here);
     # the tape's recurrences cost O(n^2) (about 4x from n = 8 to n = 16).
@@ -102,22 +111,24 @@ def test_series_products_grow_quadratically_in_n(monkeypatch):
 
 
 def test_each_rule_node_makes_one_combine_call_per_step(monkeypatch):
-    problem = benchmark_problem(1, 0.5, 1.0)
-    components = solve(problem, 10).components
-    tape = Tape(problem.f)
-    # Nodes without operands are seeds (constants, x): a fixed value, no sum.
-    # Every other node makes one combine call, the product by x in x*yp included.
-    rules = [rule for rule, operands, _ in tape._program if operands]
-    assert "x*yp" in to_source(problem.f) and mul_coeff in rules
+    # Nodes without operands are seeds (constants, x): a fixed value, no sum.  Every other
+    # node makes one combine call, the product by x in x*yp included, but the Euler node of
+    # families 1 and 2, which weights exp(y)'s coefficient term by term and makes none.
+    cases = [(benchmark_problem(3, 0.5, 2.5), 4), (benchmark_problem(1, 0.5, 1.0), 1)]
+    runs = [(Tape(problem.f), solve(problem, 10).components, calls) for problem, calls in cases]
+    assert "x*yp" in to_source(cases[0][0].f) and "mul_coeff" in _rules(runs[0][0])
     combines = _counting(monkeypatch, "combine", lambda *args: 1)
     muls = _counting(monkeypatch, "mul", lambda *args: 1)
-    per_step = []
-    for y in components:
-        combines.clear()
-        tape.extend(y, differentiate(y))
-        per_step.append(len(combines))
+    for tape, components, calls in runs:
+        rules = [rule for rule, operands, _ in tape._program if operands]
+        assert len(rules) - _rules(tape).count("euler_coeff") == calls
+        per_step = []
+        for y in components:
+            combines.clear()
+            tape.extend(y, differentiate(y))
+            per_step.append(len(combines))
+        assert per_step[1:] == [calls] * (len(components) - 1)
     assert not muls
-    assert per_step[1:] == [len(rules)] * (len(components) - 1)
 
 
 # --- layout: one node per distinct subtree, in time linear in the AST ----------------
@@ -196,6 +207,131 @@ def test_a_product_by_x_or_x_p_is_a_shift_with_the_bits_of_its_cauchy_sum(monkey
         return [(y.coeffs.tobytes(), y.exponents.tobytes()) for y in every]
 
     assert bits(kept) == bits(merged)
+
+
+# --- the Euler node: w*exp(y)*(a*x*yp + b) is w*(a*theta + b) of exp(y), theta = x d/dx --------
+
+
+@pytest.mark.parametrize("example,beta", [(1, 1.0), (1, 3.5), (2, 1.0)])
+def test_families_1_and_2_are_one_exp_node_and_one_euler_node(example, beta):
+    built = benchmark_problem(example, 0.5, beta).f
+    for f in (built, parse(to_source(built))):
+        tape = Tape(f)
+        assert _rules(tape) == ["exp_coeff", "euler_coeff"]  # no mul_coeff, and no dead node
+        assert [operands for _, operands, _ in tape._program] == [(0,), (2,)]  # exp(y), its theta
+
+
+def _unread(tape):
+    """The node columns that no node reads, but the root."""
+    read = {i for _, operands, _ in tape._program for i in operands}
+    return set(range(2, len(tape._columns))) - read - {tape._root}
+
+
+# source -> the rules of its tape: every other shape keeps the columns its products read
+KEPT = {
+    "2.5*(x*yp + 2.0*y)": ["_seed", "mul_coeff", "linear_coeff", "linear_coeff", "linear_coeff"],
+    "-3.5*1/exp(-1*y)*(x*yp + 3.0)": [
+        "_seed", "linear_coeff", "linear_coeff", "exp_coeff", "div_coeff", "_seed", "mul_coeff",
+        "_seed", "linear_coeff", "mul_coeff"],
+    "-3.5*exp(ln(exp(y)))*(x*yp + 3.0)": [
+        "exp_coeff", "ln_coeff", "exp_coeff", "linear_coeff", "_seed", "mul_coeff", "_seed",
+        "linear_coeff", "mul_coeff"],
+    "-3.5*exp(0.5*y)^2*(x*yp + 3.0)": [
+        "linear_coeff", "exp_coeff", "mul_coeff", "linear_coeff", "_seed", "mul_coeff", "_seed",
+        "linear_coeff", "mul_coeff"],
+    "exp(y)*x*yp": ["exp_coeff", "_seed", "mul_coeff", "mul_coeff"],  # (exp(y)*x)*yp
+    "exp(y)*(x*yp + 0.5) + exp(y)": ["exp_coeff", "euler_coeff", "linear_coeff"],
+    "exp(y)*(x*yp + 0.5) + x*yp": [
+        "exp_coeff", "_seed", "mul_coeff", "euler_coeff", "linear_coeff"],
+    "ln(y)^0*exp(y)": ["ln_coeff", "_seed", "exp_coeff", "mul_coeff"],  # 1 that reads ln(y)
+}
+
+
+@pytest.mark.parametrize("source", list(KEPT))
+def test_every_other_shape_keeps_the_columns_it_reads(source):
+    tape = Tape(parse(source))
+    assert _rules(tape) == KEPT[source]
+    assert not _unread(tape)
+
+
+def test_a_column_the_euler_node_shares_stays_with_its_other_reader():
+    components = solve(benchmark_problem(2, 0.5, 1.0), 8).components
+    shared, alone, exp_y = (Tape(parse(source)) for source in (
+        "exp(y)*(x*yp + 0.5) + exp(y)", "exp(y)*(x*yp + 0.5)", "exp(y)"))
+    for y in components:
+        yp = differentiate(y)
+        assert shared.extend(y, yp) == series_module.add(alone.extend(y, yp), exp_y.extend(y, yp))
+
+
+def test_a_zeroth_power_reads_its_base_so_the_base_domain_is_checked():
+    with pytest.raises(LogOfNonPositive):
+        _tape_run("ln(y)^0*exp(y)", (GPSeries.constant(-1.0), ZERO))
+    y = (GPSeries.constant(1.0), GPSeries.monomial(0.5, 1.0))
+    assert _tape_run("ln(y)^0*exp(y)", y) == _tape_run("exp(y)", y)
+
+
+# (template, a, sign of b): the Mul of w*exp(y) and a*x*yp + b, or of their parts in either order
+EULER_FORMS = [("{w}*exp(y)*(x*yp + {b})", 1.0, 1.0), ("(yp*x - {b})*exp(y)*{w}", 1.0, -1.0),
+               ("{w}*exp(y)*({b} - x*yp)", -1.0, 1.0), ("exp(y)*(x*yp)*{w}", 1.0, 0.0)]
+LATTICE = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5]
+Y_COLUMNS = st.lists(st.lists(st.tuples(st.floats(-2.0, 2.0), st.sampled_from(LATTICE)),
+                              min_size=1, max_size=3), min_size=1, max_size=5)
+
+
+@pytest.mark.parametrize("form", EULER_FORMS, ids=["w-e-s", "s-e-w", "w-e-(b-xyp)", "e-xyp-w"])
+def test_each_order_and_sign_of_the_product_is_one_euler_node_on_exp_y(form):
+    tape = Tape(parse(form[0].format(w="-2.5", b="0.5")))
+    assert _rules(tape)[:2] == ["exp_coeff", "euler_coeff"] and "mul_coeff" not in _rules(tape)
+    assert tape._program[1][1] == (2,)  # the Euler node reads exp(y)'s column
+
+
+def _euler_against_cauchy(form, y, w, b):
+    """A_k of one Euler form on the components y, beside A_k of the Cauchy product it replaces
+    (x^1.0 is the same seed as x but no match) and eps times the l1 mass of that product's raw
+    terms, sum_i |w| |E_i| |x y'_(k-i) + b [i = k]|, with E_i the coefficients of exp(y)."""
+    template, a, sign = form
+    source = template.format(w=repr(w), b=repr(b))
+    euler, cauchy = Tape(parse(source)), Tape(parse(source.replace("x*", "x^1.0*").replace(
+        "*x ", "*x^1.0 ")))
+    assert "euler_coeff" in _rules(euler) and "euler_coeff" not in _rules(cauchy)
+    exp_y, E, masses, out = Tape(parse("exp(y)")), [], [], []
+    for k, y_k in enumerate(y):
+        yp_k = differentiate(y_k)
+        E.append(exp_y.extend(y_k, yp_k))
+        masses.append(float(np.abs(y_k.coeffs * y_k.exponents).sum()) + (abs(b) if k == 0 else 0.0))
+        mass = abs(w) * sum(np.abs(E[i].coeffs).sum() * masses[k - i] for i in range(k + 1))
+        out.append((euler.extend(y_k, yp_k), cauchy.extend(y_k, yp_k), np.finfo(float).eps * mass,
+                    sign * b))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(y0=st.floats(-1.0, 1.0), columns=Y_COLUMNS, w=st.floats(-4.0, 4.0),
+       b=st.floats(-3.0, 3.0), form=st.sampled_from(EULER_FORMS))
+def test_the_euler_node_is_the_cauchy_product_it_replaces(y0, columns, w, b, form):
+    y = [GPSeries.constant(y0)] + [normalize(terms) for terms in columns]
+    for got, want, rounding, shift in _euler_against_cauchy(form, y, w, b):
+        # a*e + b is 0 at e = -b/a: the Euler node drops that term, the Cauchy sum rounds it
+        dropped = form[1] * want.exponents + shift == 0.0
+        assert np.array_equal(got.exponents, want.exponents[~dropped])
+        assert np.all(np.abs(got.coeffs - want.coeffs[~dropped]) <= 8 * rounding)
+        assert np.all(np.abs(want.coeffs[dropped]) <= 8 * rounding)
+
+
+@pytest.mark.parametrize("form", EULER_FORMS[:3], ids=["e+b", "e-b", "b-e"])
+def test_the_euler_node_drops_the_term_where_a_e_plus_b_is_zero(form):
+    _, a, sign = form  # at e = 0.5, the only exponent of A_1
+    y = [GPSeries.constant(0.2), GPSeries.monomial(0.7, 0.5)]
+    _, (got, want, rounding, _) = _euler_against_cauchy(form, y, -1.5, -a * 0.5 / sign)
+    assert got.is_zero and np.all(np.abs(want.coeffs) <= 8 * rounding)
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflow_is_a_non_finite_term_on_both_paths():
+    y = [GPSeries.constant(0.0), GPSeries.monomial(1e300, 1.0)]
+    for source in ("1e10*exp(y)*(x*yp + 1.0)", "1e10*exp(y)*(x^1.0*yp + 1.0)"):
+        with pytest.raises(NonFiniteTerm, match=r"^term \(inf, 1\.0\) is not finite$"):
+            _tape_run(source, y, [differentiate(c) for c in y])
 
 
 # --- decomposition polynomials against direct evaluation -----------------------------
