@@ -13,7 +13,7 @@ exponential nonlinearity.
 import math
 
 from adomian_bvp.expressions import Tape, eval_real, parse
-from adomian_bvp.series import GPSeries, differentiate, evaluate, format_series, normalize, Term
+from adomian_bvp.series import GPSeries, evaluate, format_series, normalize, Term
 
 # f(x, y, y') = -e^y (x y' + 1/2), expanded around the constant y_0 = -ln 4.
 f = parse("-1*exp(y)*(x*yp + 0.5)")
@@ -23,9 +23,10 @@ components = [
     normalize([Term(-0.0267739, 0.5), Term(0.03125, 2.0)]),
 ]
 
-# One tape step per component: step n takes y_n, y_n' and returns A_n.
+# One tape step per component: step n takes y_n alone and returns A_n; the tape forms
+# y_n' from y_n itself, as f reads yp.
 tape = Tape(f)
-polynomials = [tape.extend(y_n, differentiate(y_n)) for y_n in components]
+polynomials = [tape.extend(y_n) for y_n in components]
 for n, a_n in enumerate(polynomials):
     print(f"A_{n}:", format_series(a_n))
 

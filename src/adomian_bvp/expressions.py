@@ -340,19 +340,31 @@ def _number(literal) -> float:
     return gps.check_real(literal, "a literal in expression", InvalidProblem)
 
 
+def _power_or_name(e: Expr, literal):
+    """The literal of a ``PowInt`` or ``Var`` e that no ``check_expr`` may have seen, refused as
+    ``check_expr`` refuses it: an integral power by :func:`_number`, or the name x, y or yp."""
+    if isinstance(e, Var):
+        if literal not in ("x", "y", "yp"):
+            raise InvalidProblem(f"expression mentions {[literal]}; only ['x', 'y', 'yp'] allowed")
+        return literal
+    if (value := _number(literal)) % 1 != 0:
+        raise InvalidProblem(f"expression has the non-integral power {value!r}")
+    return value
+
+
 def _parts(e: Expr, operands: tuple[int, ...], literal) -> tuple[int, list]:
     """e's precedence level and its text: strings and (operand slot, level to print it at) pairs."""
     if isinstance(e, Constant):  # one literal, signed: a negative one is read back as one
         return _ATOM, [repr(_number(literal))]
     if isinstance(e, Var):
-        return _ATOM, [literal]
+        return _ATOM, [_power_or_name(e, literal)]
     if isinstance(e, Neg):
         return _UNARY, ["-", (operands[0], _UNARY)]
     if type(e) in _BINARY:  # left-associative: a right operand at the same level is wrapped
         op, level = _BINARY[type(e)]
         return level, [(operands[0], level), op, (operands[1], level + 1)]
     if isinstance(e, PowInt):
-        return _POW, [(operands[0], _UNARY), f"^{int(_number(literal))}"]
+        return _POW, [(operands[0], _UNARY), f"^{int(_power_or_name(e, literal))}"]
     if isinstance(e, PowXReal):
         return _POW, [f"x^{_number(literal)!r}"]
     return _ATOM, [f"{_FUNCTION_NAMES[type(e)]}(", (operands[0], 0), ")"]
@@ -436,7 +448,7 @@ def _real(e: Expr, inputs: dict, *args):
     if isinstance(e, Constant):
         return _number(e.value)
     if isinstance(e, Var):
-        return inputs[e.name]
+        return inputs[_power_or_name(e, e.name)]
     if isinstance(e, Neg):
         return -args[0]
     if type(e) in _ARITHMETIC:
@@ -446,7 +458,7 @@ def _real(e: Expr, inputs: dict, *args):
             raise DivisionByZero(f"in {_named(e)}")
         return args[0] / args[1]
     if isinstance(e, PowInt):
-        p = _number(e.power)
+        p = _power_or_name(e, e.power)
         return _checked(e, lambda b: np.power(b, p), args[0], (args[0] == 0.0) & (p < 0),
                         lambda t: DivisionByZero(f"0^{int(p)} in {_named(e)}"))
     if isinstance(e, PowXReal):
@@ -565,9 +577,13 @@ def euler_coeff(a: float, b: float) -> _Rule:
     return lambda k, out, base: gps.euler(base[k], a, b)
 
 
+def derivative_coeff(k: int, out: _Coeffs, a: _Coeffs) -> GPSeries:
+    """Coefficient k of da/dx: the x-derivative of a_k, as the parameter is not x."""
+    return gps.differentiate(a[k])
+
+
 def _seed(value: GPSeries) -> _Rule:
-    """Rule of a node that is ``value`` at parameter order zero and 0 above it, whatever its
-    operands, which it reads only to keep them on the tape."""
+    """Rule of a node that is ``value`` at order zero and 0 above, whatever operands it keeps."""
     return lambda k, out, *operands: value if k == 0 else GPSeries.zero()
 
 
@@ -578,29 +594,26 @@ _RULES = {Neg: linear_coeff(-1.0), Add: linear_coeff(1.0, 1.0), Sub: linear_coef
 class Tape:
     """An expression laid out for incremental evaluation over the decomposition ring.
 
-    The expression DAG is flattened once, operands before their users, and equal subtrees
-    (ASTs compare by value) share one node; a checked expression is not walked again.  Every
-    node keeps the coefficients of the decomposition parameter computed so far.  :meth:`extend`
-    appends coefficient k to every node, by one rule each, so the k-th decomposition polynomial
-    costs one new coefficient per node rather than a recomposition of the whole expression.  A
-    ``Constant`` is a seed, and the one kind of number: c*e is e weighted by c.  Any other node
-    of numbers, such as (3 - 0.7)*e, has its rule, as a node of any other operands has.
-
-    One product is an Euler node: a ``Mul`` of w*exp(y) and x*yp, or of x*yp plus or minus a
-    number, in either order, with w a number (1 included).  Since (exp(y))' = exp(y)*y', its
-    coefficient k is w*(a*theta + b) of exp(y)'s coefficient k, theta = x d/dx, which keeps each
-    exponent (:func:`euler_coeff`): the paper's families 1 and 2 make one Cauchy sum per step,
-    exp's, not two.  The match reads operand columns and numbers; any other shape, such as
-    exp(y)*x*yp, x^1.0*yp or another spelling of exp(y), keeps its Cauchy product.  The tape
-    keeps only the columns its root reads, so the operands an Euler node passes over go unless
-    another node reads them; a zeroth power reads its base, so the base's domain is checked.
+    The DAG is flattened once, operands first, and equal subtrees (ASTs compare by value) share
+    one node; a checked expression is not walked again.  y is the one input: :meth:`extend` takes
+    y_k and appends coefficient k to every node by its rule, so A_k costs one new coefficient per
+    node, not a recomposition.  yp is a node, dy/dx of y's coefficient (:func:`derivative_coeff`).
+    A ``Constant`` is a seed and the one kind of number: c*e is e weighted by c, and a node of
+    numbers, such as (3 - 0.7)*e, has its rule.  One product is an Euler node: a ``Mul`` of
+    w*exp(y) (w a number, 1 included) and x*yp, alone or plus or minus a number, in either order.
+    As (exp(y))' = exp(y)*y', its coefficient k is w*(a*theta + b) of exp(y)'s, theta = x d/dx
+    (:func:`euler_coeff`), so families 1 and 2 make one Cauchy sum per step, not two; any other
+    shape, such as exp(y)*x*yp, x^1.0*yp or another spelling of exp(y), keeps its product.  The
+    tape keeps only the columns its root reads, y' and an operand an Euler node passes over
+    among them only where a kept node reads them.  A zeroth power reads its base, so the base's
+    domain is checked.
     """
 
     def __init__(self, e: Expr):
-        # Columns 0 and 1 are the inputs y and y'; each later one is a node.
-        self._columns: list[list[GPSeries]] = [[], []]
+        # Column 0 is the input y; each later one is a node, y' = dy/dx among them if f reads it.
+        self._columns: list[list[GPSeries]] = [[]]
         self._program: list[tuple[_Rule, tuple[int, ...], Expr | None]] = []
-        keys = {(Var, (), "y"): 0, (Var, (), "yp"): 1}  # (type, operand columns, literal) -> column
+        keys = {(Var, (), "y"): 0}  # (type, operand columns, literal) -> column
         numbers: dict[int, float] = {}  # column -> its value, for a column that is a number
         forms: dict[int, tuple] = {}  # column -> (a, b, base): a*base + b, for numbers a and b
         columns: list[int] = []  # layout slot -> its column
@@ -609,12 +622,12 @@ class Tape:
             columns.append(self._node(keys, numbers, forms, node, operands, literal))
         # Keep only the columns the root reads: an Euler node leaves its Mul's operands unread.
         live = {columns[-1]}
-        for column in range(len(self._columns) - 1, 1, -1):
+        for column in range(len(self._columns) - 1, 0, -1):
             if column in live:
-                live.update(self._program[column - 2][1])
-        kept = {column: i for i, column in enumerate(sorted(live | {0, 1}))}
+                live.update(self._program[column - 1][1])
+        kept = {column: i for i, column in enumerate(sorted(live | {0}))}
         self._program = [(rule, tuple([kept[i] for i in operands]), node) for column, (
-            rule, operands, node) in enumerate(self._program, 2) if column in live]
+            rule, operands, node) in enumerate(self._program, 1) if column in live]
         self._columns, self._root = [[] for _ in kept], kept[columns[-1]]
 
     def _push(self, rule: _Rule, operands: tuple[int, ...], annotate: Expr | None = None) -> int:
@@ -634,12 +647,12 @@ class Tape:
                 c, other = operands if operands[0] in numbers else operands[::-1]
                 rule, operands, form = linear_coeff(numbers[c]), (other,), (numbers[c], 0.0, other)
             elif isinstance(e, Mul):  # w*exp(y) times a*x*yp + b: an Euler node on exp(y)
-                exp_y, x = keys.get((Exp, (0,), None)), keys.get((Var, (), "x"))
+                exp_y, x, yp = map(keys.get, ((Exp, (0,), None), (Var, (), "x"), (Var, (), "yp")))
                 for factor, other in (operands, operands[::-1]):
                     w, shift, base = forms.get(factor, (1.0, 0.0, factor))
                     a, b, inner = forms.get(other, (1.0, 0.0, other))
                     if base == exp_y and shift == 0.0 and inner in (
-                            keys.get((Mul, (x, 1), None)), keys.get((Mul, (1, x), None))):
+                            keys.get((Mul, (x, yp), None)), keys.get((Mul, (yp, x), None))):
                         rule, operands = euler_coeff(w * a, w * b), (exp_y,)
                         break
             elif type(e) in (Add, Sub) and (operands[0] in numbers) != (operands[1] in numbers):
@@ -647,16 +660,18 @@ class Tape:
                 form = ((sign, numbers[operands[0]], operands[1]) if operands[0] in numbers
                         else (1.0, sign * numbers[operands[1]], operands[0]))
             if isinstance(e, Constant):  # a seed, and a number
-                column = self._push(_seed(GPSeries.constant(value := float(literal))), ())
+                column = self._push(_seed(GPSeries.constant(value := _number(literal))), ())
                 numbers[column] = value
-            elif not operands:  # x or x^p: y and yp are preset inputs
-                exponent = 1.0 if isinstance(e, Var) else literal
+            elif isinstance(e, Var) and _power_or_name(e, literal) == "yp":  # y', of column 0
+                column = self._push(derivative_coeff, (0,))
+            elif not operands:  # x or x^p: y is the input
+                exponent = 1.0 if isinstance(e, Var) else _number(literal)
                 column = self._push(_seed(GPSeries.monomial(1.0, exponent)), ())
             elif rule:
                 named = isinstance(e, (Div, Exp, Ln))  # a node with a domain names itself in errors
                 column = self._push(rule, operands, e if named else None)
             else:  # an integer power: repeated squaring, of 1/base when negative
-                column, power = operands[0], int(literal)
+                column, power = operands[0], int(_power_or_name(e, literal))
                 if power == 0:  # 1, reading its base, so that the base's domain is checked
                     column = self._push(_seed(GPSeries.constant(1.0)), (column,))
                 elif power < 0:
@@ -670,21 +685,18 @@ class Tape:
             keys[key] = column
         return keys[key]
 
-    def extend(self, y_k: GPSeries, yp_k: GPSeries) -> GPSeries:
-        """Append coefficient k, given the k-th coefficients of y and y', to every node.
-
-        Returns the root's coefficient k: the expression's k-th decomposition
-        polynomial.  A failed call leaves the tape unusable.
+    def extend(self, y_k: GPSeries) -> GPSeries:
+        """Append coefficient k to every node, given y_k, and return the root's: the expression's
+        k-th decomposition polynomial.  A failed call leaves the tape unusable.
 
         Raises:
-            ComputeError: from the recurrences.  Errors at exp, ln, division
-                and integer-power nodes name that subexpression.
+            ComputeError: from the recurrences; one at an exp, ln, division or integer-power
+                node names that subexpression.
         """
         columns = self._columns
         k = len(columns[0])
         columns[0].append(y_k)
-        columns[1].append(yp_k)
-        for out, (rule, operands, node) in enumerate(self._program, 2):
+        for out, (rule, operands, node) in enumerate(self._program, 1):
             try:
                 value = rule(k, columns[out], *[columns[i] for i in operands])
             except ComputeError as err:

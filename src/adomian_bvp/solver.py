@@ -17,7 +17,7 @@ the k-th decomposition polynomial of f, and
 Each correction contributes zero to the Robin combination at x = 1 and
 vanishes at x = 0, so every partial sum satisfies both boundary conditions
 by construction — no algebraic equations for unknown constants arise.  :func:`steps`
-forms y_(k+1), when it is read, from A_k of y_k and y_k', its inverse image and its correction.
+forms y_(k+1), when it is read, from A_k of y_0..y_k, its inverse image and its correction.
 """
 
 from __future__ import annotations
@@ -118,8 +118,8 @@ def check_count(value: object, name: str, low: int, high: int | None = None) -> 
 
 def steps(problem: Problem) -> Iterator[Step]:
     """The recursion as a lazy stream: y_0, then y_(k+1) only once the next step is read.
-
-    A failing step raises at its own ``next()``, its AdmError tagged ``component k``."""
+    Each step extends f's tape by y_k alone, which forms y_k' only where f reads yp.  A failing
+    step raises at its own ``next()``, its AdmError tagged ``component k``."""
     ctx = OperatorContext(problem.alpha, problem.sigma)
     H = h_series(ctx)
     D = problem.alpha1 * gps.at_one(H) + problem.beta1  # h(1) = H(1), h'(1) = 1
@@ -131,7 +131,7 @@ def steps(problem: Problem) -> Iterator[Step]:
     for k in itertools.count(1):
         started = time.perf_counter()
         try:
-            a_k = tape.extend(y, gps.differentiate(y))
+            a_k = tape.extend(y)
             y = _next(ctx, H, a_k, problem.alpha1, D, weight)
         except AdmError as err:
             raise type(err)(f"component {k}: {err}") from err

@@ -140,6 +140,20 @@ MUTANTS = (
     Mutant("unread-columns-kept", EXPRESSIONS,
            "live = {columns[-1]}", "live = set(range(len(self._columns)))",
            (f"{T_TAPE}::test_families_1_and_2_are_one_exp_node_and_one_euler_node",)),
+    # y is the tape's one input: y' is a node of y's coefficient, kept only where it is read
+    Mutant("y-prime-node-kept-when-unread", EXPRESSIONS,
+           "live = {columns[-1]}",
+           'live = {columns[-1], *[c for key, c in keys.items() if key == (Var, (), "yp")]}',
+           (f"{T_TAPE}::test_the_tape_holds_a_y_prime_node_exactly_where_a_kept_node_reads_yp",
+            "tests/test_traced_names.py::"
+            "test_a_solve_calls_the_inverse_and_the_derivative_once_per_step_where_they_are_traced")),
+    Mutant("y-prime-node-of-the-previous-order", EXPRESSIONS,
+           "return gps.differentiate(a[k])", "return gps.differentiate(a[k - 1])",
+           ("tests/test_golden_psi.py::test_psi_bit_identical_to_fixture",
+            f"{T_TAPE}::test_linear_f_decouples_components")),
+    Mutant("ring-order-guard-removed", LAMBDA_RING,
+           "if len(a) != len(b):", "if False:",
+           ("tests/test_lambda_ring.py::test_order_mismatch_raises",)),
     Mutant("zeroth-power-reads-no-base", EXPRESSIONS,
            "self._push(_seed(GPSeries.constant(1.0)), (column,))",
            "self._push(_seed(GPSeries.constant(1.0)), ())",
@@ -254,8 +268,12 @@ MUTANTS = (
            ("tests/test_problem_file.py::"
             "test_literals_of_other_number_types_dump_as_plain_text_that_reloads",)),
     Mutant("the-tape-power-not-an-int", EXPRESSIONS,
-           "column, power = operands[0], int(literal)", "column, power = operands[0], literal",
+           "column, power = operands[0], int(_power_or_name(e, literal))",
+           "column, power = operands[0], _power_or_name(e, literal)",
            (f"{T_EXPR}::test_an_integral_power_of_another_number_type_solves_as_an_int",)),
+    Mutant("unchecked-power-read-as-its-float", EXPRESSIONS,
+           "if (value := _number(literal)) % 1 != 0:", "if (value := _number(literal)) != value:",
+           (f"{T_EXPR}::test_each_reader_of_an_unchecked_tree_refuses_its_literal_by_one_rule",)),
     # the solver step and the tape recurrences, against the residual identity
     Mutant("sub-weighted-1-0.999", EXPRESSIONS,
            "Sub: linear_coeff(1.0, -1.0)", "Sub: linear_coeff(1.0, -0.999)",

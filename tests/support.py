@@ -247,7 +247,7 @@ def quadrature_oracle(
 def adomian_polynomials(f: Expr, components) -> list[GPSeries]:
     """A_0, A_1, ... of f at the components: one ``Tape.extend`` per component."""
     tape = Tape(f)
-    return [tape.extend(y, differentiate(y)) for y in components]
+    return [tape.extend(y) for y in components]
 
 
 def taylor_gap(f: Expr, components, polynomials, x: float, lam: float) -> float:

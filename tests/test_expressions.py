@@ -408,7 +408,7 @@ def test_every_reader_takes_a_5000_level_tree(reader):
         with pytest.raises(InvalidProblem, match=f"^f nests deeper than {MAX_DEPTH} levels$"):
             check_expr(e, {"y"}, InvalidProblem, "f")
     else:
-        assert evaluate(Tape(e).extend(GPSeries.constant(1.0), GPSeries.zero()), 0.5) == 5000.0
+        assert evaluate(Tape(e).extend(GPSeries.constant(1.0)), 0.5) == 5000.0
 
 
 def test_a_shared_dag_past_the_depth_bound_is_rejected_at_once(monkeypatch):
@@ -541,8 +541,31 @@ def test_every_table_operator_reaches_every_reader(src, node):
     assert type(e) is node
     assert parse(to_source(e)) == e
     assert node in _RULES
-    on_tape = evaluate(Tape(e).extend(GPSeries.constant(2.0), GPSeries.zero()), 0.5)
+    on_tape = evaluate(Tape(e).extend(GPSeries.constant(2.0)), 0.5)
     assert on_tape == pytest.approx(eval_real(e, 0.5, 2.0, 0.0), rel=1e-14)
+
+
+# an unchecked tree whose literal check_expr would refuse, and the one message each reader gives
+UNCHECKED = [
+    (PowInt(Y, 2.5), "expression has the non-integral power 2.5"),
+    (PowInt(Y, math.nan), "a literal in expression must be finite, got nan"),
+    (PowInt(Y, math.inf), "a literal in expression must be finite, got inf"),
+    (PowInt(Y, "2"), "a literal in expression must be a real number, got '2'"),
+    (Constant("2"), "a literal in expression must be a real number, got '2'"),
+    (PowXReal("2"), "a literal in expression must be a real number, got '2'"),
+    (Var("z"), "expression mentions ['z']; only ['x', 'y', 'yp'] allowed"),
+]
+
+
+@pytest.mark.parametrize("tree,message", UNCHECKED,
+                         ids=["y^2.5", "y^nan", "y^inf", "y^'2'", "'2'", "x^'2'", "z"])
+@pytest.mark.parametrize("reader", [lambda e: Tape(e).extend(GPSeries.constant(2.0)),
+                                    lambda e: eval_real(e, 0.5, 2.0), to_source],
+                         ids=["tape", "eval_real", "to_source"])
+def test_each_reader_of_an_unchecked_tree_refuses_its_literal_by_one_rule(reader, tree, message):
+    # the rule check_expr keeps: a literal by check_real, an integral power, a name of x, y, yp
+    with pytest.raises(InvalidProblem, match=f"^{re.escape(message)}$"):
+        reader(tree)
 
 
 @pytest.mark.parametrize("not_a_node", [1.0, "y", None])

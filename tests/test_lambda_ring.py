@@ -1,18 +1,24 @@
 """The decomposition ring facade's contract.
 
 The facade (``lambda_ring``) takes ring elements as plain tuples of series,
-entry k the coefficient of parameter power k.  Its tests pin that each
-``ring_*`` is its one-node tape run, lifting, and the two order guards.  The
-A_k oracles, which run on ``Tape.extend`` directly, are in ``tests/test_tape.py``.
+entry k the coefficient of parameter power k.  Its tests pin that each unary
+``ring_*`` is its one-node tape run over y, and each binary one its node's tape
+rule at each order over two independent elements; lifting; and the two order
+guards.  The A_k oracles, which run on ``Tape.extend`` directly, are in
+``tests/test_tape.py``.
 """
 
 import math
 
+import numpy as np
 import pytest
 
 from adomian_bvp.errors import OrderMismatch
-from adomian_bvp.expressions import YP, Add, Constant, Div, Exp, Ln, Mul, PowInt, Sub, Tape, Y
+from adomian_bvp.expressions import (
+    Constant, Div, Exp, Ln, Mul, PowInt, Tape, Y, linear_coeff, mul_coeff, parse,
+)
 from adomian_bvp.lambda_ring import (
+    eval_lambda,
     extract_adomian,
     lift_solution,
     ring_add,
@@ -33,7 +39,7 @@ def _terms(series):
     return [(t.coeff, t.exponent) for t in series.terms]
 
 
-# --- the facade: each ring_* is its one-node tape run ---------------------------------
+# --- the facade: each ring_* is its one node's tape rule ---------------------------------
 
 A = (
     GPSeries.constant(2.0),
@@ -43,25 +49,49 @@ A = (
 B = (GPSeries.constant(-1.0), GPSeries.monomial(1.5, 0.5), ZERO)
 
 
-RING_OPS = [  # op, its arguments, its one-node expression, the elements bound to y and yp
-    (ring_add, (A, B), Add(Y, YP), A, B),
-    (ring_scale, (A, -2.5), Mul(Constant(-2.5), Y), A, A),
-    (ring_sub, (A, B), Sub(Y, YP), A, B),
-    (ring_mul, (A, B), Mul(Y, YP), A, B),
-    (ring_exp, (A,), Exp(Y), A, A),
-    (ring_ln, (A,), Ln(Y), A, A),
-    (ring_recip, (A,), Div(Constant(1.0), Y), A, A),
-    (ring_powi, (A, -3), PowInt(Y, -3), A, A),
+def _tape_run(node, y):
+    """The one-node expression over y: one ``Tape.extend`` per entry."""
+    tape = Tape(node)
+    return tuple(tape.extend(a) for a in y)
+
+
+def _rule_run(rule, a, b):
+    """A tape rule at each order over two elements that no tape input binds (yp is y')."""
+    return tuple(rule(k, (), a, b) for k in range(len(a)))
+
+
+RING_OPS = [  # op, its arguments, what it equals: its rule over (A, B) or its tape run over A
+    (ring_add, (A, B), _rule_run(linear_coeff(1.0, 1.0), A, B)),
+    (ring_scale, (A, -2.5), _tape_run(Mul(Constant(-2.5), Y), A)),
+    (ring_sub, (A, B), _rule_run(linear_coeff(1.0, -1.0), A, B)),
+    (ring_mul, (A, B), _rule_run(mul_coeff, A, B)),
+    (ring_exp, (A,), _tape_run(Exp(Y), A)),
+    (ring_ln, (A,), _tape_run(Ln(Y), A)),
+    (ring_recip, (A,), _tape_run(Div(Constant(1.0), Y), A)),
+    (ring_powi, (A, -3), _tape_run(PowInt(Y, -3), A)),
 ]
 
 
-@pytest.mark.parametrize("op,args,node,y,yp", RING_OPS, ids=[case[0].__name__ for case in RING_OPS])
-def test_each_ring_op_is_its_one_node_tape_run(op, args, node, y, yp):
-    tape = Tape(node)
-    want = tuple(tape.extend(a, b) for a, b in zip(y, yp))
+def _bits(element):
+    return [(c.coeffs.tobytes(), c.exponents.tobytes()) for c in element]
+
+
+@pytest.mark.parametrize("op,args,want", RING_OPS, ids=[case[0].__name__ for case in RING_OPS])
+def test_each_ring_op_is_its_one_node_tape_run(op, args, want):
     got = op(*args)
     assert type(got) is tuple
-    assert got == want
+    assert _bits(got) == _bits(want) and all(len(c) for c in want[1:])
+
+
+def test_eval_lambda_binds_yp_to_the_derivative_of_y_so_the_euler_node_holds():
+    # yp is y's x-derivative on every path, which the Euler node of exp(y)*(x*yp) assumes, so
+    # it agrees with the Cauchy product of exp(y)*x*yp; at order 0 both are 0, as y_0' = 0
+    a = (GPSeries.constant(0.5), GPSeries.monomial(1.0, 0.5), GPSeries.monomial(-0.25, 1.0))
+    euler, cauchy = eval_lambda(parse("exp(y)*(x*yp)"), a), eval_lambda(parse("exp(y)*x*yp"), a)
+    assert euler[0].is_zero and cauchy[0].is_zero
+    for got, want in zip(euler[1:], cauchy[1:]):
+        assert np.array_equal(got.exponents, want.exponents)
+        assert np.allclose(got.coeffs, want.coeffs, rtol=1e-15, atol=0.0)
 
 
 # --- lifting -----------------------------------------------------------------
@@ -117,8 +147,9 @@ def test_ring_scale_distributes_over_columns():
 
 
 def test_order_mismatch_raises():
-    with pytest.raises(OrderMismatch):
-        ring_add((ZERO,) * 2, (ZERO,) * 3)
+    for op in (ring_add, ring_sub, ring_mul):
+        with pytest.raises(OrderMismatch, match=r"^ring elements disagree in order: 1 vs 2$"):
+            op((ZERO,) * 2, (ZERO,) * 3)
 
 
 def test_extract_order_guard():

@@ -233,12 +233,12 @@ def test_the_fallback_examples_leave_the_ordered_pass_where_they_are_named():
 
 
 def test_a_y_prime_that_overflows_fails_the_next_component_and_the_last_is_never_formed():
-    # A_0 is the example's: y_1 is its step, and y_1' overflows only when A_1 needs it
+    # A_0 is the example's (y_0' = 0): y_1 is its step, and y_1' overflows only when A_1 needs it
     ctx, g, alpha1, D, c = _FALLBACKS["y'_overflows"]
     problem = Problem(alpha=ctx.alpha, sigma=ctx.sigma,
-                      f=parse("8.640178512962757e307 * x^-0.5193741164492736"),
+                      f=parse("8.640178512962757e307 * x^-0.5193741164492736 + yp"),
                       eta1=0.0, alpha1=alpha1, beta1=1.0, gamma1=0.0)  # D = 1e-300 + 1.0
-    assert Tape(problem.f).extend(GPSeries.constant(problem.eta1), GPSeries.zero()) == g
+    assert Tape(problem.f).extend(GPSeries.constant(problem.eta1)) == g
     report = solve(problem, 2)
     assert_same(lambda: report.components[1], lambda: _next(ctx, h_series(ctx), g, alpha1, D, c))
     with pytest.raises(NonFiniteTerm,

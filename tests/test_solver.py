@@ -197,8 +197,8 @@ def test_a_stream_abandoned_after_k_steps_formed_only_those_steps(monkeypatch):
         assert len(calls) == k - 1
 
 
-_FAILS_AT_2 = Problem(  # y_1 is finite, and its y' overflows when A_1 is formed
-    alpha=0.0, sigma=0.0, f=parse("8.640178512962757e307 * x^-0.5193741164492736"),
+_FAILS_AT_2 = Problem(  # y_1 is finite, and its y' overflows when A_1 = y_1' is formed
+    alpha=0.0, sigma=0.0, f=parse("8.640178512962757e307 * x^-0.5193741164492736 + yp"),
     eta1=0.0, alpha1=1e-300, beta1=1.0, gamma1=0.0)
 
 
@@ -224,6 +224,15 @@ def test_a_count_past_the_largest_index_runs_until_a_step_fails():
     # n = 10^20 is past sys.maxsize, which islice would refuse; the stream fails first
     with pytest.raises(NonFiniteTerm, match="^component 2: "):
         solve(_FAILS_AT_2, 10**20)
+
+
+def test_a_y_prime_that_f_does_not_read_is_never_formed():
+    # without its yp, the same f never forms y_1', so nothing overflows: A_k = 0 past A_0
+    f = parse("8.640178512962757e307 * x^-0.5193741164492736")
+    problem = dataclasses.replace(_FAILS_AT_2, f=f)
+    report = solve(problem, 10)
+    assert report.components[1] == solve(_FAILS_AT_2, 2).components[1]
+    assert all(y.is_zero for y in report.components[2:])
 
 
 # --- boundary exactness ----------------------------------------------------------------

@@ -23,7 +23,7 @@ from adomian_bvp.errors import (
 from adomian_bvp.expressions import (
     YP, Add, Constant, Mul, Tape, Var, X, eval_real, mul_coeff, parse, to_source,
 )
-from adomian_bvp.series import GPSeries, differentiate, evaluate, evaluate_many, normalize
+from adomian_bvp.series import GPSeries, evaluate, evaluate_many, normalize
 from adomian_bvp.solver import Problem, solve
 
 GRID = np.arange(1, 1001) / 1000.0
@@ -112,20 +112,22 @@ def test_series_products_grow_quadratically_in_n(monkeypatch):
 
 def test_each_rule_node_makes_one_combine_call_per_step(monkeypatch):
     # Nodes without operands are seeds (constants, x): a fixed value, no sum.  Every other
-    # node makes one combine call, the product by x in x*yp included, but the Euler node of
-    # families 1 and 2, which weights exp(y)'s coefficient term by term and makes none.
+    # node makes one combine call, the product by x in x*yp included, but the y' node, which
+    # differentiates y_k, and the Euler node of families 1 and 2, which weights exp(y)'s
+    # coefficient term by term: neither makes one.
     cases = [(benchmark_problem(3, 0.5, 2.5), 4), (benchmark_problem(1, 0.5, 1.0), 1)]
     runs = [(Tape(problem.f), solve(problem, 10).components, calls) for problem, calls in cases]
     assert "x*yp" in to_source(cases[0][0].f) and "mul_coeff" in _rules(runs[0][0])
     combines = _counting(monkeypatch, "combine", lambda *args: 1)
     muls = _counting(monkeypatch, "mul", lambda *args: 1)
     for tape, components, calls in runs:
-        rules = [rule for rule, operands, _ in tape._program if operands]
-        assert len(rules) - _rules(tape).count("euler_coeff") == calls
+        summing = [name for name, (_, operands, _) in zip(_rules(tape), tape._program)
+                   if operands and name not in ("euler_coeff", "derivative_coeff")]
+        assert len(summing) == calls
         per_step = []
         for y in components:
             combines.clear()
-            tape.extend(y, differentiate(y))
+            tape.extend(y)
             per_step.append(len(combines))
         assert per_step[1:] == [calls] * (len(components) - 1)
     assert not muls
@@ -175,9 +177,9 @@ def test_a_product_by_a_number_is_one_weighted_part(monkeypatch, source, value, 
     plain, multiple = Tape(parse(E)), Tape(parse(source))
     calls = _counting(monkeypatch, "combine", lambda parts, products=(): (len(parts), len(products)))
     for y in components:
-        want = series_module.mul(GPSeries.constant(value), plain.extend(y, differentiate(y)))
+        want = series_module.mul(GPSeries.constant(value), plain.extend(y))
         calls.clear()
-        assert multiple.extend(y, differentiate(y)) == want
+        assert multiple.extend(y) == want
         if literal:
             assert calls[-1] == (1, 0)  # the root, c*e, is the last node
 
@@ -218,31 +220,34 @@ def test_families_1_and_2_are_one_exp_node_and_one_euler_node(example, beta):
     for f in (built, parse(to_source(built))):
         tape = Tape(f)
         assert _rules(tape) == ["exp_coeff", "euler_coeff"]  # no mul_coeff, and no dead node
-        assert [operands for _, operands, _ in tape._program] == [(0,), (2,)]  # exp(y), its theta
+        assert [operands for _, operands, _ in tape._program] == [(0,), (1,)]  # exp(y), its theta
 
 
 def _unread(tape):
     """The node columns that no node reads, but the root."""
     read = {i for _, operands, _ in tape._program for i in operands}
-    return set(range(2, len(tape._columns))) - read - {tape._root}
+    return set(range(1, len(tape._columns))) - read - {tape._root}
 
 
-# source -> the rules of its tape: every other shape keeps the columns its products read
+# source -> the rules of its tape: every other shape keeps the columns its products read, y'
+# (derivative_coeff) among them
 KEPT = {
-    "2.5*(x*yp + 2.0*y)": ["_seed", "mul_coeff", "linear_coeff", "linear_coeff", "linear_coeff"],
+    "2.5*(x*yp + 2.0*y)": [
+        "_seed", "derivative_coeff", "mul_coeff", "linear_coeff", "linear_coeff", "linear_coeff"],
     "-3.5*1/exp(-1*y)*(x*yp + 3.0)": [
-        "_seed", "linear_coeff", "linear_coeff", "exp_coeff", "div_coeff", "_seed", "mul_coeff",
-        "_seed", "linear_coeff", "mul_coeff"],
+        "_seed", "linear_coeff", "linear_coeff", "exp_coeff", "div_coeff", "_seed",
+        "derivative_coeff", "mul_coeff", "_seed", "linear_coeff", "mul_coeff"],
     "-3.5*exp(ln(exp(y)))*(x*yp + 3.0)": [
-        "exp_coeff", "ln_coeff", "exp_coeff", "linear_coeff", "_seed", "mul_coeff", "_seed",
-        "linear_coeff", "mul_coeff"],
+        "exp_coeff", "ln_coeff", "exp_coeff", "linear_coeff", "_seed", "derivative_coeff",
+        "mul_coeff", "_seed", "linear_coeff", "mul_coeff"],
     "-3.5*exp(0.5*y)^2*(x*yp + 3.0)": [
-        "linear_coeff", "exp_coeff", "mul_coeff", "linear_coeff", "_seed", "mul_coeff", "_seed",
-        "linear_coeff", "mul_coeff"],
-    "exp(y)*x*yp": ["exp_coeff", "_seed", "mul_coeff", "mul_coeff"],  # (exp(y)*x)*yp
+        "linear_coeff", "exp_coeff", "mul_coeff", "linear_coeff", "_seed", "derivative_coeff",
+        "mul_coeff", "_seed", "linear_coeff", "mul_coeff"],
+    "exp(y)*x*yp": [  # (exp(y)*x)*yp
+        "exp_coeff", "_seed", "mul_coeff", "derivative_coeff", "mul_coeff"],
     "exp(y)*(x*yp + 0.5) + exp(y)": ["exp_coeff", "euler_coeff", "linear_coeff"],
     "exp(y)*(x*yp + 0.5) + x*yp": [
-        "exp_coeff", "_seed", "mul_coeff", "euler_coeff", "linear_coeff"],
+        "exp_coeff", "_seed", "derivative_coeff", "mul_coeff", "euler_coeff", "linear_coeff"],
     "ln(y)^0*exp(y)": ["ln_coeff", "_seed", "exp_coeff", "mul_coeff"],  # 1 that reads ln(y)
 }
 
@@ -254,13 +259,40 @@ def test_every_other_shape_keeps_the_columns_it_reads(source):
     assert not _unread(tape)
 
 
+def _y_prime_columns(tape):
+    """The columns of the tape's y' nodes, each of which must read y, column 0."""
+    found = [i for i, name in enumerate(_rules(tape), 1) if name == "derivative_coeff"]
+    assert all(tape._program[i - 1][1] == (0,) for i in found)
+    return found
+
+
+def _plain(family, beta=1.0):
+    return to_source(benchmark_problem(family, 0.5, beta).f)
+
+
+# f -> whether a kept node reads yp: the Euler node of families 1 and 2 reads exp(y) alone
+# (family 2's f is the text of family 1's at beta = 1)
+Y_PRIME_READ = {_plain(1): False, _plain(1, 3.5): False, "exp(y) + y": False,
+                _plain(3, 2.5): True, "exp(y)*x*yp": True, "yp": True,
+                "exp(y)*(x*yp + 0.5) + x*yp": True,
+                **{_plain(1).replace("exp(y)", spelling): True
+                   for spelling in ("1/exp(-1*y)", "exp(ln(exp(y)))", "exp(0.5*y)^2")}}
+
+
+@pytest.mark.parametrize("source", list(Y_PRIME_READ))
+def test_the_tape_holds_a_y_prime_node_exactly_where_a_kept_node_reads_yp(source):
+    tape = Tape(parse(source))
+    read = {i for _, operands, _ in tape._program for i in operands} | {tape._root}
+    held = _y_prime_columns(tape)
+    assert len(held) == Y_PRIME_READ[source] and set(held) <= read
+
+
 def test_a_column_the_euler_node_shares_stays_with_its_other_reader():
     components = solve(benchmark_problem(2, 0.5, 1.0), 8).components
     shared, alone, exp_y = (Tape(parse(source)) for source in (
         "exp(y)*(x*yp + 0.5) + exp(y)", "exp(y)*(x*yp + 0.5)", "exp(y)"))
     for y in components:
-        yp = differentiate(y)
-        assert shared.extend(y, yp) == series_module.add(alone.extend(y, yp), exp_y.extend(y, yp))
+        assert shared.extend(y) == series_module.add(alone.extend(y), exp_y.extend(y))
 
 
 def test_a_zeroth_power_reads_its_base_so_the_base_domain_is_checked():
@@ -282,7 +314,7 @@ Y_COLUMNS = st.lists(st.lists(st.tuples(st.floats(-2.0, 2.0), st.sampled_from(LA
 def test_each_order_and_sign_of_the_product_is_one_euler_node_on_exp_y(form):
     tape = Tape(parse(form[0].format(w="-2.5", b="0.5")))
     assert _rules(tape)[:2] == ["exp_coeff", "euler_coeff"] and "mul_coeff" not in _rules(tape)
-    assert tape._program[1][1] == (2,)  # the Euler node reads exp(y)'s column
+    assert tape._program[1][1] == (1,)  # the Euler node reads exp(y)'s column
 
 
 def _euler_against_cauchy(form, y, w, b):
@@ -296,11 +328,10 @@ def _euler_against_cauchy(form, y, w, b):
     assert "euler_coeff" in _rules(euler) and "euler_coeff" not in _rules(cauchy)
     exp_y, E, masses, out = Tape(parse("exp(y)")), [], [], []
     for k, y_k in enumerate(y):
-        yp_k = differentiate(y_k)
-        E.append(exp_y.extend(y_k, yp_k))
+        E.append(exp_y.extend(y_k))
         masses.append(float(np.abs(y_k.coeffs * y_k.exponents).sum()) + (abs(b) if k == 0 else 0.0))
         mass = abs(w) * sum(np.abs(E[i].coeffs).sum() * masses[k - i] for i in range(k + 1))
-        out.append((euler.extend(y_k, yp_k), cauchy.extend(y_k, yp_k), np.finfo(float).eps * mass,
+        out.append((euler.extend(y_k), cauchy.extend(y_k), np.finfo(float).eps * mass,
                     sign * b))
     return out
 
@@ -331,7 +362,7 @@ def test_an_overflow_is_a_non_finite_term_on_both_paths():
     y = [GPSeries.constant(0.0), GPSeries.monomial(1e300, 1.0)]
     for source in ("1e10*exp(y)*(x*yp + 1.0)", "1e10*exp(y)*(x^1.0*yp + 1.0)"):
         with pytest.raises(NonFiniteTerm, match=r"^term \(inf, 1\.0\) is not finite$"):
-            _tape_run(source, y, [differentiate(c) for c in y])
+            _tape_run(source, y)
 
 
 # --- decomposition polynomials against direct evaluation -----------------------------
@@ -341,11 +372,11 @@ def _terms(series):
     return [(t.coeff, t.exponent) for t in series.terms]
 
 
-def _tape_run(source, y, yp=None):
+def _tape_run(source, y):
     """Entries 0, 1, ... of the expression over the ring: one ``Tape.extend`` per
-    entry of ``y``, with ``yp`` (``y`` when absent) bound to y'."""
+    entry of ``y``, which y is bound to (yp to its x-derivative)."""
     tape = Tape(parse(source))
-    return [tape.extend(a, b) for a, b in zip(y, y if yp is None else yp)]
+    return [tape.extend(a) for a in y]
 
 
 def test_a0_is_f_of_first_component():
@@ -394,7 +425,7 @@ def test_composition_matches_direct_evaluation():
 def test_ring_mul_binomial():
     # (1 + x*lam)^2 = 1 + 2x*lam + x^2*lam^2
     one_plus = (GPSeries.constant(1.0), GPSeries.monomial(1.0, 1.0), ZERO)
-    sq = _tape_run("y*yp", one_plus, one_plus)
+    sq = _tape_run("y*y", one_plus)
     assert _terms(sq[0]) == [(1.0, 0.0)]
     assert _terms(sq[1]) == [(2.0, 1.0)]
     assert _terms(sq[2]) == [(1.0, 2.0)]

@@ -37,7 +37,8 @@ def test_every_traced_name_resolves_to_a_callable(module_name, attr):
 
 def test_a_solve_calls_the_inverse_and_the_derivative_once_per_step_where_they_are_traced(
         monkeypatch):
-    # n = 12 is 11 steps, each one inverse of A_k and one y' of y_k; y_11' is never formed
+    # n = 12 is 11 steps, each one inverse of A_k; the tape forms y_k' of y_0..y_10 only where f
+    # reads yp: family 3 does, and family 1's Euler node reads exp(y) alone
     calls = []
     for module, attr in ((solver, "apply_inverse"), (series, "differentiate")):
         assert (module.__name__, attr) in _wrapped()
@@ -48,8 +49,10 @@ def test_a_solve_calls_the_inverse_and_the_derivative_once_per_step_where_they_a
             return original(*args)
 
         monkeypatch.setattr(module, attr, counted)
-    solver.solve(benchmark_problem(1, 0.5, 1.0), 12)
-    assert (calls.count("apply_inverse"), calls.count("differentiate")) == (11, 11)
+    for family, beta, derivatives in ((1, 1.0, 0), (3, 2.5, 11)):
+        calls.clear()
+        solver.solve(benchmark_problem(family, 0.5, beta), 12)
+        assert (calls.count("apply_inverse"), calls.count("differentiate")) == (11, derivatives)
 
 
 def test_the_tracer_census_counts_the_steps_and_inverses_of_a_solve():
